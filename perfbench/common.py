@@ -8,14 +8,18 @@ times that import on its own before any workload module loads.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import json
 import multiprocessing
 import os
 import resource
+import signal
 import statistics
+import sys
 import threading
 import time
+from multiprocessing import resource_tracker
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -251,16 +255,38 @@ def peak_rss_mb(pid: int | None = None) -> float:
     raise BenchmarkError("no VmHWM line for process %d" % pid)
 
 
+def proc_stat(pid: int) -> list[str]:
+    """Fields of ``/proc/<pid>/stat`` after the parenthesised command name.
+
+    They start at field 3 of proc(5): the state is ``[0]``, the parent PID
+    ``[1]``, the session ``[3]``, minflt ``[7]`` and stime ``[12]``.
+    """
+    with open("/proc/%d/stat" % pid) as handle:
+        data = handle.read()
+    return data[data.rindex(")") + 2 :].split()
+
+
+def processes_where(field: int, value: int) -> list[int]:
+    """PIDs of every process whose :func:`proc_stat` ``field`` is ``value``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            fields = proc_stat(int(entry))
+        except OSError:  # ended while listed
+            continue
+        if int(fields[field]) == value:
+            pids.append(int(entry))
+    return pids
+
+
 def fault_counters(pid: int | None = None) -> tuple[int, float]:
     """``(minor page faults, system CPU seconds)`` of a process so far."""
     if pid is None or pid == os.getpid():
         usage = resource.getrusage(resource.RUSAGE_SELF)
         return usage.ru_minflt, usage.ru_stime
-    with open("/proc/%d/stat" % pid) as handle:
-        data = handle.read()
-    # Fields after the parenthesised command name start at field 3 (state):
-    # minflt is field 10 and stime field 15 of proc(5).
-    fields = data[data.rindex(")") + 2 :].split()
+    fields = proc_stat(pid)
     return int(fields[7]), int(fields[12]) / os.sysconf("SC_CLK_TCK")
 
 
@@ -277,6 +303,46 @@ def reap_children(timeout: float = 30.0) -> None:
         if child.is_alive():
             child.terminate()
             child.join(5.0)
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        return os.waitpid(pid, os.WNOHANG)[0] != 0
+    except ChildProcessError:  # reaped elsewhere already
+        return True
+
+
+def stop_processes(grace: float = 10.0) -> None:
+    """End every process this run started, and wait until each has ended.
+
+    Pool workers are multiprocessing children and are joined first.  The
+    resource tracker that the first shared-memory segment starts is not one
+    of them: it ignores SIGTERM and ends only when its pipe closes, which
+    ``_stop`` does before it waits for the tracker.  Live segments are
+    unlinked before that, because an unlink afterwards would start a new
+    tracker.  A child still running after ``grace`` seconds (the server of
+    a failed run) is sent SIGTERM, and after as long again SIGKILL.
+    """
+    reap_children()
+    gc.collect()
+    pool = sys.modules.get("repro.backends.pool")
+    if pool is not None:
+        pool.get_arena().shutdown()
+    resource_tracker._resource_tracker._stop()
+    pids = processes_where(1, os.getpid())
+    for sig in (None, signal.SIGTERM, signal.SIGKILL):
+        if sig is not None:
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, sig)
+        deadline = time.monotonic() + grace
+        while pids and time.monotonic() < deadline:
+            pids = [pid for pid in pids if not _reaped(pid)]
+            if pids:
+                time.sleep(0.01)
+        if not pids:
+            return
+    raise BenchmarkError("child processes %s did not end" % pids)
 
 
 # -- results -------------------------------------------------------------------

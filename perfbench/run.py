@@ -79,21 +79,24 @@ def main(argv=None) -> int:
 
     import_s = time.perf_counter() - start
 
-    from common import write_record
+    from common import stop_processes, write_record
     from repro.service.protocol import jsonable
 
-    if args.trace:
-        from traced import trace
+    try:
+        if args.trace:
+            from traced import trace
 
-        outcome, info = trace(args.workload, args.seed, args.seconds, import_s)
-        result = report(outcome, "per_layer")
-    else:
-        from local import Bootstrap, Chain
-        from serve import Serve
+            outcome, info = trace(args.workload, args.seed, args.seconds, import_s)
+            result = report(outcome, "per_layer")
+        else:
+            from local import Bootstrap, Chain
+            from serve import Serve
 
-        workload = {"chain-60": Chain, "bootstrap-30": Bootstrap, "serve-60": Serve}[args.workload]()
-        outcome, info = workload.measure(args.seed, args.seconds)
-        result = report(outcome, "end_to_end")
+            workload = {"chain-60": Chain, "bootstrap-30": Bootstrap, "serve-60": Serve}[args.workload]()
+            outcome, info = workload.measure(args.seed, args.seconds)
+            result = report(outcome, "end_to_end")
+    finally:
+        stop_processes()
     info = jsonable(dict(info, workload=args.workload, seed=args.seed, trace=args.trace))
     write_record(
         "%s-seed%d-trace%d.json" % (args.workload, args.seed, args.trace),

@@ -11,7 +11,9 @@ It checks that
 * a deliberately corrupted result is counted as one failed op, for the
   in-process workloads and for a served reply;
 * the deterministic program counts (NTT rows, pool hits, dispatches,
-  conversions, fallback rows) repeat exactly across two traced runs.
+  conversions, fallback rows) repeat exactly across two traced runs;
+* a full-shape bootstrap-30 run, started in a session of its own, leaves
+  no process of that session behind when it exits.
 
 Exits 0 when every check holds and 1 otherwise.
 """
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
 import sys
 
-from run import SRC, declared, report
+from run import HERE, ROOT, SRC, declared, report
 
 for key in [key for key in os.environ if key.startswith("REPRO_")]:
     os.environ.pop(key)
@@ -30,7 +33,7 @@ sys.path.insert(0, SRC)
 
 import serve  # noqa: E402
 import traced  # noqa: E402
-from common import Window, reap_children  # noqa: E402
+from common import Window, processes_where, stop_processes  # noqa: E402
 from local import Bootstrap, Chain, Spec  # noqa: E402
 from repro.he import Ciphertext, HEParams  # noqa: E402
 
@@ -132,6 +135,26 @@ def check_served_corruption() -> None:
            "serve-60 counts one corrupted reply as exactly one failed op")
 
 
+def check_no_process_left() -> None:
+    """A full-shape bootstrap-30 run, started in a session of its own, has
+    ended every process of that session (pool workers, the shared-memory
+    resource tracker) by the time it exits."""
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(HERE, "run.py"), "--workload", "bootstrap-30",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, start_new_session=True, stdout=subprocess.DEVNULL,
+    )
+    try:
+        code = proc.wait(timeout=180)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    left = processes_where(3, proc.pid)
+    expect(code == 0 and not left,
+           "a bootstrap-30 run exits 0 and leaves no process of its session: %s" % left)
+
+
 def main() -> int:
     traced.PROBE_SECONDS = SECONDS
     timed_runs = {
@@ -153,7 +176,8 @@ def main() -> int:
     check_local_corruption(TOY_CHAIN, "chain-60")
     check_local_corruption(TOY_BOOTSTRAP, "bootstrap-30")
     check_served_corruption()
-    reap_children()
+    stop_processes()
+    check_no_process_left()
     print("%d check(s) failed" % len(failures) if failures else "all checks passed")
     return 1 if failures else 0
 

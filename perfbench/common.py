@@ -255,6 +255,23 @@ def peak_rss_mb(pid: int | None = None) -> float:
     raise BenchmarkError("no VmHWM line for process %d" % pid)
 
 
+def unshared_peak_mb(pid: int) -> float:
+    """Peak RSS of a forked process less the pages it now shares, in MiB.
+
+    A forked pool worker's RSS includes every page it inherited from the
+    process that forked it, and how many those are depends on how much
+    freed memory that process's heap still held at the fork (bimodal,
+    about 44 or 80 MiB for bootstrap-30).  Summing plain peaks counts those
+    pages once per worker; this counts what the worker added to them.
+    """
+    shared_kb = 0
+    with open("/proc/%d/smaps_rollup" % pid) as handle:
+        for line in handle:
+            if line.startswith(("Shared_Clean:", "Shared_Dirty:")):
+                shared_kb += int(line.split()[1])
+    return peak_rss_mb(pid) - shared_kb / 1024.0
+
+
 def proc_stat(pid: int) -> list[str]:
     """Fields of ``/proc/<pid>/stat`` after the parenthesised command name.
 

@@ -24,6 +24,7 @@ from common import (
     same_ciphertext,
     spanned,
     timed_outcome,
+    unshared_peak_mb,
     worker_pids,
 )
 from repro.backends.pool import get_arena
@@ -175,8 +176,9 @@ class LocalWorkload:
         return session, setups, attempted, failed
 
     def peak_rss(self) -> float:
-        """Peak RSS of the processes doing HE work: this one and its pool workers."""
-        return peak_rss_mb() + sum(peak_rss_mb(pid) for pid in worker_pids())
+        """Peak RSS of the processes doing HE work: this one, plus what each
+        pool worker added to the pages it shares with the others."""
+        return peak_rss_mb() + sum(unshared_peak_mb(pid) for pid in worker_pids())
 
     def measure(self, seed: int, seconds: float) -> tuple[dict, dict]:
         data = self.data(seed)

@@ -6,10 +6,11 @@ to *not run* redundant transforms at all.  This package supplies that
 layer, between plan emission and ``backend.execute``:
 
 * :mod:`repro.compiler.passes` — named rewrite passes over
-  :class:`~repro.backends.ops.Plan` (transform-pair cancellation, structure
-  folding, CSE, NTT-domain residency of constants, dead-value
-  elimination), each independently testable and registered with a
-  one-line description.
+  :class:`~repro.backends.ops.Plan` (sinking inverse transforms through
+  linear nodes, transform-pair cancellation, structure folding, CSE,
+  NTT-domain residency of constants, dead-value elimination, and
+  re-batching of the surviving transforms), each independently testable
+  and registered with a one-line description.
 * :mod:`repro.compiler.manager` — :class:`PassManager` (fixpoint driving,
   ``plan.pass.*`` spans and counters) and the selection precedence
   ``explicit > set_default_passes > REPRO_PASSES > default``.

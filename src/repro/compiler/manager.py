@@ -11,7 +11,8 @@ off) or ``"default"``.
 :meth:`PassManager.run` drives the selected passes to a structural
 fixpoint (bounded rounds — each round is a few linear scans, and the
 combinations that need a second round are pass-interaction products such
-as residency exposing slice folds exposing dead transforms), records a
+as residency exposing slice folds exposing dead transforms), then applies
+the ``after_fixpoint`` passes (``batch_ntt``) once each, records a
 ``plan.pass.<name>`` span per application, and flushes the per-pass
 counters (``plan.pass.<pass>.<stat>``) into the caller's metrics registry
 so a before/after benchmark is just a diff of two
@@ -43,17 +44,22 @@ __all__ = [
 #: Environment variable consulted by :func:`resolve_passes`.
 PASSES_ENV_VAR = "REPRO_PASSES"
 
-#: The default pipeline, in application order: cancellation first (it sees
-#: the emitters' raw concat/slice batching), structure folding to clean up
-#: the plumbing it leaves, CSE over the cleaned graph, residency hoisting of
-#: constant transforms, and dead-value elimination last to sweep everything
-#: the earlier passes orphaned.
+#: The default pipeline, in application order: sinking inverse transforms
+#: through linear nodes first (it exposes round trips), cancellation next
+#: (it sees the emitters' raw concat/slice batching), structure folding to
+#: clean up the plumbing it leaves, CSE over the cleaned graph, residency
+#: hoisting of constant transforms, and dead-value elimination to sweep
+#: everything the earlier passes orphaned.  ``batch_ntt`` re-batches the
+#: surviving transforms once, after the fixpoint: inside the loop it would
+#: merge duplicate transforms CSE has not merged yet.
 DEFAULT_PASSES = (
+    "sink_inverse_ntt",
     "cancel_ntt_pairs",
     "fold_structure",
     "cse",
     "ntt_residency",
     "dead_values",
+    "batch_ntt",
 )
 
 #: Fixpoint bound: rewrites only ever shrink or re-batch, so convergence is
@@ -204,6 +210,14 @@ def materialize_derived(
     return ops.Plan(tuple(nodes), tuple(outputs)), tuple(const_outputs)
 
 
+def _apply(name: str, plan: ops.Plan, ctx: PassContext) -> ops.Plan:
+    rewrite = PASS_REGISTRY[name].rewrite
+    if not TRACER.enabled:
+        return rewrite(plan, ctx)
+    with TRACER.span("plan.pass." + name, nodes=len(plan)):
+        return rewrite(plan, ctx)
+
+
 @dataclass(frozen=True)
 class OptimizedPlan:
     """The result of one optimisation run.
@@ -239,20 +253,22 @@ class PassManager:
     def run(
         self, plan: ops.Plan, *, input_primes=None, constant_inputs=(), metrics=None
     ) -> OptimizedPlan:
-        """Optimise ``plan`` to a structural fixpoint of the pipeline."""
+        """Optimise ``plan`` to a structural fixpoint of the pipeline.
+
+        Passes registered ``after_fixpoint`` run once each, after the
+        fixpoint rounds of the others, whatever their place in the spec.
+        """
         ctx = PassContext(input_primes=input_primes, constant_inputs=constant_inputs)
-        if self.passes:
-            for _ in range(_MAX_ROUNDS):
-                before = plan
-                for name in self.passes:
-                    rewrite = PASS_REGISTRY[name].rewrite
-                    if TRACER.enabled:
-                        with TRACER.span("plan.pass." + name, nodes=len(plan)):
-                            plan = rewrite(plan, ctx)
-                    else:
-                        plan = rewrite(plan, ctx)
-                if plan == before:
-                    break
+        rounds = [n for n in self.passes if not PASS_REGISTRY[n].after_fixpoint]
+        final = [n for n in self.passes if PASS_REGISTRY[n].after_fixpoint]
+        for _ in range(_MAX_ROUNDS):
+            before = plan
+            for name in rounds:
+                plan = _apply(name, plan, ctx)
+            if plan == before:
+                break
+        for name in final:
+            plan = _apply(name, plan, ctx)
         if metrics is not None:
             for key, amount in ctx.stats.items():
                 if amount:

@@ -20,13 +20,23 @@ All of them share one discipline, enforced by :class:`_Rewriter`:
 * **Return the input plan unchanged when nothing applies** — the manager
   detects the fixpoint structurally.
 
-The passes rely on one piece of NTT mathematics: the transforms are
-*row-wise* (each residue row transforms independently), so they commute
-with the row-shuffling nodes —
-``SliceRows(InverseNtt(y), a, b) == InverseNtt(SliceRows(y, a, b))`` and
-``T(Concat(xs)) == Concat(T(x) for x in xs)``.  That is what lets
-:func:`cancel_ntt_pairs` see through the slice/concat plumbing the batching
-emitters wrap around every transform.
+The passes rely on two pieces of NTT mathematics:
+
+* the transforms are *row-wise* (each residue row transforms
+  independently), so they commute with the row-shuffling nodes —
+  ``SliceRows(InverseNtt(y), a, b) == InverseNtt(SliceRows(y, a, b))`` and
+  ``T(Concat(xs)) == Concat(T(x) for x in xs)``.  That is what lets
+  :func:`cancel_ntt_pairs` see through the slice/concat plumbing the
+  batching emitters wrap around every transform;
+* the transforms are *linear* modulo each row's prime, so
+  ``InverseNtt(a) + InverseNtt(b) == InverseNtt(a + b)`` exactly (and
+  likewise for ``Sub``, ``Neg`` and ``ScalarMul``).  That is what lets
+  :func:`sink_inverse_ntt` accumulate sums of products in the NTT domain
+  and pay one inverse transform for the sum instead of one per term.
+
+Sinking and cancellation leave the surviving transforms scattered over
+several narrow nodes; :func:`batch_ntt` runs once after the fixpoint and
+restores the wide batches.
 """
 
 from __future__ import annotations
@@ -83,19 +93,24 @@ class PassContext:
 
 @dataclass(frozen=True)
 class PlanPass:
-    """A registered rewrite: name, one-line description, the function."""
+    """A registered rewrite: name, one-line description, the function.
+
+    ``after_fixpoint`` passes run once, after the fixpoint rounds of the
+    others (see :meth:`repro.compiler.manager.PassManager.run`).
+    """
 
     name: str
     description: str
     rewrite: Callable
+    after_fixpoint: bool = False
 
 
 PASS_REGISTRY: dict[str, PlanPass] = {}
 
 
-def register_pass(name: str, description: str):
+def register_pass(name: str, description: str, *, after_fixpoint: bool = False):
     def decorate(fn):
-        PASS_REGISTRY[name] = PlanPass(name, description, fn)
+        PASS_REGISTRY[name] = PlanPass(name, description, fn, after_fixpoint)
         return fn
 
     return decorate
@@ -132,6 +147,38 @@ def _with_operands(node: ops.OpNode, operands: tuple[int, ...]) -> ops.OpNode:
     raise ops._unknown_node_error(node)
 
 
+def _row_count(node: ops.OpNode, counts: list, ctx: PassContext) -> int | None:
+    """Rows of ``node``'s value given its operands' ``counts`` (``None``: unknown)."""
+    if isinstance(node, ops.Input):
+        primes = ctx.input_primes.get(node.name)
+        return None if primes is None else len(primes)
+    if isinstance(node, ops.SliceRows):
+        return node.stop - node.start
+    if isinstance(node, ops.Concat):
+        total = 0
+        for src in node.srcs:
+            count = counts[src]
+            if count is None:
+                return None
+            total += count
+        return total
+    if isinstance(node, (ops.Add, ops.Sub, ops.Mul)):
+        count = counts[node.a]
+        return count if count is not None else counts[node.b]
+    if isinstance(node, ops.ModSwitchDropLast):
+        count = counts[node.src]
+        return None if count is None else count - 1
+    operands = node.operands()
+    return counts[operands[0]] if operands else None
+
+
+def _row_counts(plan: ops.Plan, ctx: PassContext) -> list[int | None]:
+    counts: list[int | None] = []
+    for node in plan.nodes:
+        counts.append(_row_count(node, counts, ctx))
+    return counts
+
+
 class _Rewriter:
     """Forward-scan plan rebuilder shared by every pass.
 
@@ -154,31 +201,8 @@ class _Rewriter:
 
     def emit(self, node: ops.OpNode) -> int:
         self.nodes.append(node)
-        self.counts.append(self._count_of(node))
+        self.counts.append(_row_count(node, self.counts, self.ctx))
         return len(self.nodes) - 1
-
-    def _count_of(self, node: ops.OpNode) -> int | None:
-        if isinstance(node, ops.Input):
-            primes = self.ctx.input_primes.get(node.name)
-            return None if primes is None else len(primes)
-        if isinstance(node, ops.SliceRows):
-            return node.stop - node.start
-        if isinstance(node, ops.Concat):
-            total = 0
-            for src in node.srcs:
-                count = self.counts[src]
-                if count is None:
-                    return None
-                total += count
-            return total
-        if isinstance(node, (ops.Add, ops.Sub, ops.Mul)):
-            count = self.counts[node.a]
-            return count if count is not None else self.counts[node.b]
-        if isinstance(node, ops.ModSwitchDropLast):
-            count = self.counts[node.src]
-            return None if count is None else count - 1
-        operands = node.operands()
-        return self.counts[operands[0]] if operands else None
 
     def read(self, old: int) -> int:
         return self.read_map[old]
@@ -228,6 +252,210 @@ def _emit_grouped_transform(
     if len(run) == 1:
         return rw.emit(transform(run[0]))
     return rw.emit(transform(rw.emit(ops.Concat(tuple(run)))))
+
+
+def _gather(rw: _Rewriter, pieces) -> int:
+    """One value holding rows ``lo:hi`` of each ``(new value, lo, hi)`` in turn."""
+    values = [
+        value
+        if (lo, hi) == (0, rw.counts[value])
+        else rw.emit(ops.SliceRows(value, lo, hi))
+        for value, lo, hi in pieces
+    ]
+    return values[0] if len(values) == 1 else rw.emit(ops.Concat(tuple(values)))
+
+
+#: Nodes that commute with the (linear) transforms.  ``Mul`` is not one: the
+#: transforms turn a pointwise product into a negacyclic convolution.
+_LINEAR_NODES = (ops.Add, ops.Sub, ops.Neg, ops.ScalarMul)
+
+
+def _slice_segments(segments, start: int, stop: int) -> list:
+    """Rows ``start:stop`` of a value held as ``(base, lo, hi)`` row segments."""
+    out = []
+    offset = 0
+    for base, lo, hi in segments:
+        a, b = max(start, offset), min(stop, offset + hi - lo)
+        if a < b:
+            out.append((base, lo + a - offset, lo + b - offset))
+        offset += hi - lo
+    return out
+
+
+def _join_segments(segments) -> list:
+    """Coalesce neighbouring segments that continue one base's rows."""
+    out: list = []
+    for base, lo, hi in segments:
+        if out and out[-1][0] == base and out[-1][2] == lo:
+            out[-1] = (base, out[-1][1], hi)
+        else:
+            out.append((base, lo, hi))
+    return out
+
+
+def _inverse_views(plan: ops.Plan, counts, sunk) -> dict[int, list]:
+    """Row segments of every value made only of inverse-transform rows.
+
+    The bases are the ``InverseNtt`` nodes and the linear nodes in ``sunk``
+    (each becomes one); ``SliceRows`` and ``Concat`` over such values
+    re-expose their bases' rows.
+    """
+    views: dict[int, list] = {}
+    for index, node in enumerate(plan.nodes):
+        count = counts[index]
+        if isinstance(node, ops.InverseNtt) or index in sunk:
+            if count is not None and (
+                index not in sunk or all(op in views for op in node.operands())
+            ):
+                views[index] = [(index, 0, count)]
+        elif isinstance(node, ops.SliceRows) and node.src in views:
+            views[index] = _slice_segments(views[node.src], node.start, node.stop)
+        elif isinstance(node, ops.Concat) and all(src in views for src in node.srcs):
+            views[index] = _join_segments(
+                [segment for src in node.srcs for segment in views[src]]
+            )
+    return views
+
+
+def _row_readers(plan: ops.Plan, views) -> dict[tuple[int, int], set[int]]:
+    """``{(base, row): nodes reading it}``, with ``-1`` for a plan output.
+
+    Slices and concats that are views pass rows on; they read nothing.
+    """
+    readers: dict[tuple[int, int], set[int]] = {}
+
+    def read(reader: int, value: int) -> None:
+        for base, lo, hi in views.get(value, ()):
+            for row in range(lo, hi):
+                readers.setdefault((base, row), set()).add(reader)
+
+    for index, node in enumerate(plan.nodes):
+        if index in views and isinstance(node, (ops.SliceRows, ops.Concat)):
+            continue
+        for operand in set(node.operands()):
+            read(index, operand)
+    for _, value in plan.outputs:
+        read(-1, value)
+    return readers
+
+
+def _sinkable(plan: ops.Plan, counts):
+    """The linear nodes to sink, with the views and row readers they imply.
+
+    Starts from every linear node and drops, until nothing more drops, each
+    one that reads an operand that is not an inverse view, shares a row it
+    reads with another reader (that inverse transform must stay alive), or
+    reads fewer distinct rows than it produces (its own inverse transform
+    would add rows).  Every row a sunk node reads is therefore freed, so
+    the static transform rows never grow.
+    """
+    sunk = {
+        index
+        for index, node in enumerate(plan.nodes)
+        if isinstance(node, _LINEAR_NODES) and counts[index] is not None
+    }
+    while True:
+        views = _inverse_views(plan, counts, sunk)
+        readers = _row_readers(plan, views)
+        unsafe = set()
+        for index in sunk:
+            if index not in views:
+                unsafe.add(index)
+                continue
+            rows = {
+                (base, row)
+                for operand in plan.nodes[index].operands()
+                for base, lo, hi in views[operand]
+                for row in range(lo, hi)
+            }
+            if len(rows) < counts[index] or any(
+                readers[row] != {index} for row in rows
+            ):
+                unsafe.add(index)
+        if not unsafe:
+            return sunk, views, readers
+        sunk -= unsafe
+
+
+def _runs(rows: list[int]) -> list[tuple[int, int]]:
+    """Sorted rows as maximal ``(lo, hi)`` runs."""
+    runs: list[list[int]] = []
+    for row in rows:
+        if runs and runs[-1][1] == row:
+            runs[-1][1] = row + 1
+        else:
+            runs.append([row, row + 1])
+    return [(lo, hi) for lo, hi in runs]
+
+
+@register_pass(
+    "sink_inverse_ntt",
+    "rewrite linear nodes over inverse transforms as the same node in the NTT "
+    "domain plus one inverse transform, and narrow transforms to the rows "
+    "still read",
+)
+def sink_inverse_ntt(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
+    counts = _row_counts(plan, ctx)
+    sunk, views, readers = _sinkable(plan, counts)
+    live = {key for key, who in readers.items() if who - sunk}
+    # A base whose remaining readers see only some of its rows keeps just
+    # those rows (a slice of a transform is the transform of the slice).
+    narrowed: dict[int, list[int]] = {}
+    for base in views:
+        if base in sunk or isinstance(plan.nodes[base], ops.InverseNtt):
+            rows = [row for row in range(counts[base]) if (base, row) in live]
+            if 0 < len(rows) < counts[base]:
+                narrowed[base] = rows
+    if not sunk and not narrowed:
+        return plan
+
+    rw = _Rewriter(plan, ctx)
+    image: dict[int, int] = {}  # old value -> new value of its NTT image
+    kept: dict[int, int] = {}  # narrowed base -> its narrowed transform
+    feeds_sunk = {op for index in sunk for op in plan.nodes[index].operands()}
+    for index, node in enumerate(plan.nodes):
+        segments = views.get(index)
+        if index in sunk:
+            image[index] = rw.emit(
+                _with_operands(node, tuple(image[op] for op in node.operands()))
+            )
+            rw.keep(index, ops.InverseNtt(image[index]))
+        elif segments is not None and isinstance(node, ops.InverseNtt):
+            image[index] = rw.read(node.src)
+            rw.keep(index, ops.InverseNtt(image[index]))
+        elif (
+            segments is not None
+            and any(base in narrowed for base, _, _ in segments)
+            and all(
+                (base, row) in live
+                for base, lo, hi in segments
+                for row in range(lo, hi)
+            )
+        ):
+            pieces = []
+            for base, lo, hi in segments:
+                if base in narrowed:
+                    start = narrowed[base].index(lo)
+                    pieces.append((kept[base], start, start + hi - lo))
+                else:
+                    pieces.append((rw.read(base), lo, hi))
+            rw.alias(index, _gather(rw, pieces))
+        else:
+            rw.keep(index, _with_operands(node, rw.mapped(node)))
+        if index in narrowed:
+            ctx.tally("sink_inverse_ntt", "transforms_narrowed")
+            runs = _runs(narrowed[index])
+            rows = _gather(rw, [(image[index], lo, hi) for lo, hi in runs])
+            kept[index] = rw.emit(ops.InverseNtt(rows))
+        if index in feeds_sunk and index not in image:
+            # Emitted where the view was, so a view a later stage reads
+            # stays a stage output of the earlier one.
+            image[index] = _gather(
+                rw, [(image[base], lo, hi) for base, lo, hi in segments]
+            )
+    if sunk:
+        ctx.tally("sink_inverse_ntt", "nodes_sunk", len(sunk))
+    return rw.finish()
 
 
 @register_pass(
@@ -513,3 +741,75 @@ def dead_values(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
         tuple(nodes),
         tuple((name, remap[index]) for name, index in plan.outputs),
     )
+
+
+@register_pass(
+    "batch_ntt",
+    "merge independent transforms of one kind at the same dependency level "
+    "into one Concat -> transform -> SliceRows batch (runs once, after the "
+    "fixpoint)",
+    after_fixpoint=True,
+)
+def batch_ntt(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
+    # Merges until no two transforms share a key, so a second application
+    # finds nothing to do.
+    while True:
+        batched = _batch_transforms(plan, ctx)
+        if batched is plan:
+            return plan
+        plan = batched
+
+
+def _batch_transforms(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
+    """One round of :func:`batch_ntt` (the input plan when nothing merges).
+
+    Transforms merge when they share a fused stage, a kind and a transform
+    depth (transforms on any path to a node, itself included); two
+    transforms at one depth never read each other.  The plan is re-emitted
+    stage by stage in depth order, so every member's source exists where
+    the batch is emitted and each stage stays one block of nodes: the
+    parallel backend's stage cuts, and so its dispatches, do not grow.
+    """
+    transforms = (ops.ForwardNtt, ops.InverseNtt)
+    stage_of: dict[int, int] = {}
+    for position, stage in enumerate(ops.split_stages(plan)):
+        for index in stage:
+            stage_of[index] = position
+    depth: list[int] = []
+    for node in plan.nodes:
+        deepest = max((depth[op] for op in node.operands()), default=0)
+        depth.append(deepest + isinstance(node, transforms))
+    counts = _row_counts(plan, ctx)
+    groups: dict[tuple, list[int]] = {}
+    for index, node in enumerate(plan.nodes):
+        if isinstance(node, transforms) and counts[index] is not None:
+            key = (stage_of[index], depth[index], node.kind)
+            groups.setdefault(key, []).append(index)
+    batches = {members[0]: members for members in groups.values() if len(members) > 1}
+    if not batches:
+        return plan
+    merged = {index for members in batches.values() for index in members}
+    order = sorted(
+        range(len(plan.nodes)), key=lambda i: (stage_of.get(i, -1), depth[i], i)
+    )
+    rw = _Rewriter(plan, ctx)
+    for index in order:
+        node = plan.nodes[index]
+        if index not in merged:
+            rw.keep(index, _with_operands(node, rw.mapped(node)))
+            continue
+        members = batches.get(index)
+        if members is None:
+            continue  # emitted with the first member of its batch
+        parts: list[int] = []
+        for member in members:
+            src = rw.read(plan.nodes[member].src)
+            inner = rw.nodes[src]
+            parts.extend(inner.srcs if isinstance(inner, ops.Concat) else (src,))
+        wide = rw.emit(type(node)(rw.emit(ops.Concat(tuple(parts)))))
+        offset = 0
+        for member in members:
+            rw.keep(member, ops.SliceRows(wide, offset, offset + counts[member]))
+            offset += counts[member]
+        ctx.tally("batch_ntt", "transforms_merged", len(members))
+    return dead_values(rw.finish(), ctx)

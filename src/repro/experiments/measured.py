@@ -250,6 +250,7 @@ def measured_ntt_share(
         "backend": instance.name,
         "n": n,
         "np": prime_count,
+        "prime_bits": params.prime_bits,
         "ntt_ms": ntt_seconds * 1e3,
         "total_ms": total_seconds * 1e3,
         "share": ntt_seconds / total_seconds if total_seconds else float("nan"),

@@ -98,10 +98,10 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
             "the 34 percent figure for the HPCA'19 FPGA design [31] is not modelled (fixed-function "
             "pipeline, not comparable to a streaming GPU model).",
             "measured columns: multiply -> relinearize through HeContext on the %s backend at "
-            "(N=%d, np=%d, 30-bit primes), engine time over chain wall-clock; the pointwise/"
+            "(N=%d, np=%d, %d-bit primes), engine time over chain wall-clock; the pointwise/"
             "key-switch half is vectorised too, so the share is the honest software analogue "
             "of the paper's claim rather than a reproduction of its exact setup."
-            % (measured["backend"], measured["n"], measured["np"]),
+            % (measured["backend"], measured["n"], measured["np"], measured["prime_bits"]),
             "traced NTT share: the same chain on the fused production path, measured from "
             "telemetry span self-time (repro.telemetry; the --trace summary's arithmetic) "
             "instead of hand-wrapped timers.",

@@ -3,9 +3,11 @@
 Pins the acceptance criteria of the optimiser:
 
 * **pass unit tests** — each registered pass rewrites hand-built plans the
-  way its contract says (cancellation through the batching plumbing, copy
+  way its contract says (sinking inverse transforms through linear nodes
+  without adding rows, cancellation through the batching plumbing, copy
   and slice/concat folding, commutative-aware CSE, constant hoisting, dead
-  value sweeping) while never aliasing a value into an output slot;
+  value sweeping, post-fixpoint re-batching) while never aliasing a value
+  into an output slot;
 * **bit-for-bit equivalence** — optimised plans produce exactly the same
   ciphertexts as unoptimised ones, on scalar/numpy/forced-pool-parallel
   backends, at 30- and 60-bit primes, for the canonical
@@ -181,6 +183,189 @@ def test_cancel_partial_concat_keeps_surviving_rows_grouped():
     }
     expected = ops.interpret(ref_backend, plan, ref_bindings)
     assert got["out"].to_rows() == expected["out"].to_rows()
+
+
+# ------------------------------------------------------------ pass: sinking
+
+LINEAR = {
+    "add": lambda g, x, y: g.add(x, y),
+    "sub": lambda g, x, y: g.sub(x, y),
+    "neg": lambda g, x, y: g.neg(x),
+    "scalar_mul": lambda g, x, y: g.scalar_mul(x, 12345),
+}
+
+
+def bindings_for(names):
+    return {
+        name: (rows_for(PRIMES, seed), PRIMES)
+        for seed, name in enumerate(names, start=1)
+    }
+
+
+def assert_same_outputs(rewritten, plan, names):
+    assert scalar_outputs(rewritten, bindings_for(names)) == scalar_outputs(
+        plan, bindings_for(names)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(LINEAR))
+def test_sink_moves_each_linear_node_into_the_ntt_domain(kind):
+    g = ops.OpGraph()
+    a = g.input("a")
+    b = g.input("b")
+    g.output("out", LINEAR[kind](g, g.inverse_ntt(a), g.inverse_ntt(b)))
+    plan = g.compile()
+    primes = {"a": PRIMES, "b": PRIMES}
+    rewritten, ctx = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
+    assert kinds(rewritten).count("inverse_ntt") == 1
+    assert kind in kinds(rewritten)
+    # The output is the one inverse transform, of the NTT-domain result.
+    assert isinstance(rewritten.nodes[rewritten.outputs[0][1]], ops.InverseNtt)
+    assert count_ntt_rows(rewritten, primes) == len(PRIMES)
+    assert ctx.stats["plan.pass.sink_inverse_ntt.nodes_sunk"] == 1
+    assert_same_outputs(rewritten, plan, primes)
+
+
+def test_sink_sees_through_slices_and_concats():
+    # sum = slice(inverse(concat(a, b)), 0, 3) + slice(..., 3, 6), and
+    # mixed = concat(two rows of inverse(c), one row of inverse(d)) - inverse(e):
+    # both sums become one 3-row inverse transform each.
+    g = ops.OpGraph()
+    a, b, c, d, e = (g.input(name) for name in "abcde")
+    first, second = g.split(g.inverse_ntt(g.concat([a, b])), [3, 3])
+    g.output("sum", g.add(first, second))
+    stitched = g.concat(
+        [g.slice_rows(g.inverse_ntt(c), 0, 2), g.slice_rows(g.inverse_ntt(d), 2, 3)]
+    )
+    g.output("mixed", g.sub(stitched, g.inverse_ntt(e)))
+    plan = g.compile()
+    primes = {name: PRIMES for name in "abcde"}
+    rewritten, ctx = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
+    assert count_ntt_rows(plan, primes) == 15
+    assert count_ntt_rows(rewritten, primes) == 6
+    assert ctx.stats["plan.pass.sink_inverse_ntt.nodes_sunk"] == 2
+    assert_same_outputs(rewritten, plan, "abcde")
+
+
+def test_sink_never_moves_mul():
+    g = ops.OpGraph()
+    a = g.input("a")
+    b = g.input("b")
+    g.output("out", g.mul(g.inverse_ntt(a), g.inverse_ntt(b)))
+    plan = g.compile()
+    rewritten, _ = run_pass("sink_inverse_ntt", plan, {"a": PRIMES, "b": PRIMES})
+    assert rewritten is plan
+
+
+@pytest.mark.parametrize("other_reader", ["digit_broadcast", "output"])
+def test_sink_skips_a_transform_another_reader_keeps_alive(other_reader):
+    g = ops.OpGraph()
+    a = g.input("a")
+    b = g.input("b")
+    shared = g.inverse_ntt(a)
+    if other_reader == "output":
+        g.output("raw", shared)
+    else:
+        g.output("digit", g.copy(g.digit_broadcast(shared, 0)))
+    g.output("sum", g.add(shared, g.inverse_ntt(b)))
+    plan = g.compile()
+    primes = {"a": PRIMES, "b": PRIMES}
+    rewritten, _ = run_pass("sink_inverse_ntt", plan, primes)
+    assert rewritten is plan
+    optimised = PassManager(DEFAULT_PASSES).run(plan, input_primes=primes).plan
+    assert count_ntt_rows(optimised, primes) == count_ntt_rows(plan, primes)
+    assert_same_outputs(optimised, plan, primes)
+
+
+def test_sink_narrows_a_batch_to_the_rows_still_read():
+    # Relinearisation's shape: inverse(concat(c0, c1, c2)) feeds c0 + k0 and
+    # c1 + k1 (sunk) and a digit of c2 (kept): only c2's rows stay.
+    g = ops.OpGraph()
+    c0, c1, c2, k0, k1 = (g.input(name) for name in ("c0", "c1", "c2", "k0", "k1"))
+    s0, s1, s2 = g.split(g.inverse_ntt(g.concat([c0, c1, c2])), [3, 3, 3])
+    t0, t1 = g.split(g.inverse_ntt(g.concat([k0, k1])), [3, 3])
+    g.output("digit", g.copy(g.digit_broadcast(s2, 1)))
+    g.output("out0", g.add(s0, t0))
+    g.output("out1", g.add(s1, t1))
+    plan = g.compile()
+    names = ("c0", "c1", "c2", "k0", "k1")
+    primes = {name: PRIMES for name in names}
+    rewritten, ctx = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
+    assert ctx.stats["plan.pass.sink_inverse_ntt.transforms_narrowed"] == 1
+    assert count_ntt_rows(plan, primes) == 15
+    assert count_ntt_rows(rewritten, primes) == 9
+    assert_same_outputs(rewritten, plan, names)
+
+
+def test_sink_never_aliases_an_output():
+    # Row 2 of inverse(a) is sunk into the sum; the output reading rows 0:2
+    # then covers the whole narrowed transform and gets its own Copy.
+    g = ops.OpGraph()
+    a = g.input("a")
+    b = g.input("b")
+    shared = g.inverse_ntt(a)
+    g.output("head", g.slice_rows(shared, 0, 2))
+    tail = g.inverse_ntt(g.slice_rows(b, 2, 3))
+    g.output("sum", g.add(g.slice_rows(shared, 2, 3), tail))
+    plan = g.compile()
+    primes = {"a": PRIMES, "b": PRIMES}
+    rewritten, _ = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
+    assert count_ntt_rows(rewritten, primes) == 3
+    head = dict(rewritten.outputs)["head"]
+    assert isinstance(rewritten.nodes[head], ops.Copy)
+    assert_same_outputs(rewritten, plan, primes)
+
+
+# ---------------------------------------------------------- pass: batching
+
+
+def test_batch_ntt_merges_independent_transforms_of_one_kind():
+    g = ops.OpGraph()
+    a, b, c = (g.input(name) for name in "abc")
+    fa = g.forward_ntt(a)
+    g.output("fa", fa)
+    g.output("fb", g.forward_ntt(b))
+    g.output("ic", g.inverse_ntt(c))  # other kind: stays apart
+    g.output("later", g.forward_ntt(g.neg(fa)))  # reads fa: stays apart
+    plan = g.compile()
+    primes = {name: PRIMES for name in "abc"}
+    rewritten, ctx = run_pass("batch_ntt", plan, primes)
+    assert kinds(rewritten).count("forward_ntt") == 2
+    assert kinds(rewritten).count("inverse_ntt") == 1
+    wide = next(n for n in rewritten.nodes if isinstance(n, ops.ForwardNtt))
+    assert rewritten.nodes[wide.src] == ops.Concat(
+        (rewritten.input_names.index("a"), rewritten.input_names.index("b"))
+    )
+    assert ctx.stats["plan.pass.batch_ntt.transforms_merged"] == 2
+    assert count_ntt_rows(rewritten, primes) == count_ntt_rows(plan, primes)
+    assert_same_outputs(rewritten, plan, "abc")
+    again, _ = run_pass("batch_ntt", rewritten, primes)
+    assert again is rewritten
+
+
+def test_batch_ntt_runs_once_after_the_fixpoint():
+    # Two copies of one transform: CSE merges them inside the fixpoint, so
+    # batching (listed first) must not see them first and batch both.
+    g = ops.OpGraph()
+    x = g.input("x")
+    g.output("p", g.copy(g.forward_ntt(x)))
+    g.output("q", g.copy(g.forward_ntt(x)))
+    plan = g.compile()
+    primes = {"x": PRIMES}
+    result = PassManager("batch_ntt,cse,dead_values").run(plan, input_primes=primes)
+    assert count_ntt_rows(result.plan, primes) == len(PRIMES)
+    batched_first, _ = run_pass("batch_ntt", plan, primes)
+    assert count_ntt_rows(batched_first, primes) == 2 * len(PRIMES)
+
+
+def test_passes_none_returns_the_raw_plan():
+    g = ops.OpGraph()
+    x = g.input("x")
+    g.output("out", g.add(g.inverse_ntt(x), g.inverse_ntt(x)))
+    plan = g.compile()
+    result = PassManager("none").run(plan, input_primes={"x": PRIMES})
+    assert result.plan is plan
+    assert result.derived_inputs == () and result.stats == {}
 
 
 # --------------------------------------------------------- pass: folding
@@ -413,8 +598,12 @@ def test_resolve_passes_precedence(monkeypatch):
 
 def test_registry_descriptions_cover_every_pass():
     table = dict(pass_descriptions())
-    assert set(table) == set(available_passes()) == set(DEFAULT_PASSES)
+    assert available_passes() == DEFAULT_PASSES
+    assert set(table) == set(DEFAULT_PASSES)
     assert all(table.values())
+    # batch_ntt alone runs after the fixpoint, and last.
+    after = [name for name in DEFAULT_PASSES if PASS_REGISTRY[name].after_fixpoint]
+    assert after == ["batch_ntt"] == list(DEFAULT_PASSES[-1:])
 
 
 # ---------------------------------------------- bit-for-bit equivalence
@@ -458,6 +647,18 @@ def test_chain_optimised_bit_identical_and_fewer_ntts(context):
 
 
 def test_bootstrap_circuit_optimised_bit_identical(context):
+    check_bootstrap_circuit_bit_identical(context)
+
+
+def test_bootstrap_30_circuit_shape_optimised_bit_identical(context):
+    # The benchmark's bootstrap-30 circuit: four diagonal products a side,
+    # the sums the sinking pass moves into the NTT domain.
+    check_bootstrap_circuit_bit_identical(
+        context, c2s_terms=4, eval_depth=1, s2c_terms=4
+    )
+
+
+def check_bootstrap_circuit_bit_identical(context, **shape):
     encryptor = context.encryptor(seed=11)
     encoder = context.encoder()
     ct = encryptor.encrypt(encoder.encode([3, 1, 4, 1, 5]))
@@ -469,8 +670,8 @@ def test_bootstrap_circuit_optimised_bit_identical(context):
     assert plain_pipe.evaluator.passes == ()
     assert optim_pipe.evaluator.passes == DEFAULT_PASSES
 
-    expected = bootstrap_circuit(context, plain_pipe, ct, seed=99).run()
-    expr = bootstrap_circuit(context, optim_pipe, ct, seed=99)
+    expected = bootstrap_circuit(context, plain_pipe, ct, seed=99, **shape).run()
+    expr = bootstrap_circuit(context, optim_pipe, ct, seed=99, **shape)
     cold = expr.run()
     warm = expr.run()
     assert coeffs(cold) == coeffs(expected)

@@ -223,6 +223,21 @@ def test_ntt_share_measured_share_is_sane():
     for row in result.rows:
         assert 0.0 < row["measured NTT share"] < 1.0
         assert row["measured NTT (ms)"] < row["measured total (ms)"]
+    assert any("30-bit primes" in note for note in result.notes)
+
+
+def test_ntt_share_note_reports_the_measured_word_size(capsys):
+    from repro.experiments.__main__ import main
+    from repro.experiments.measured import measure_prime_bits, set_measure_prime_bits
+
+    try:
+        assert main(["--p-bits", "60", "ntt_share"]) == 0
+        assert measure_prime_bits() == 60
+    finally:
+        set_measure_prime_bits(None)
+    out = capsys.readouterr().out
+    assert "60-bit primes" in out
+    assert "30-bit primes" not in out
 
 
 # ------------------------------------------------------------------- CLI

@@ -21,7 +21,8 @@ import pytest
 
 from repro.backends import set_default_execution_mode
 from repro.backends.parallel import ParallelBackend
-from repro.he import HeContext, HEParams
+from repro.compiler import set_default_passes
+from repro.he import HeContext, HEParams, bootstrap_circuit
 from repro.rns.poly import RnsPolynomial
 
 PARAMS = HEParams(n=64, plaintext_modulus=257, prime_bits=30, prime_count=3)
@@ -146,6 +147,39 @@ def test_pipeline_chain_three_dispatches_zero_conversions():
             eager.relinearize(eager.multiply(ct_a, ct_b), relin)
         )
         assert backend.dispatch_count > 3
+    finally:
+        backend.close()
+
+
+def test_bootstrap_circuit_three_dispatches_on_warm_runs():
+    """The optimised bootstrap circuit keeps one fused stage per cross-row
+    barrier on the pool-forced parallel backend: re-batching reorders plan
+    nodes, and the stage cuts follow node order."""
+    backend = forced_parallel()
+    try:
+        # Six primes, the benchmark's bootstrap shape.  With three, the two
+        # shards' row split of the switched level no longer lines up and any
+        # plan of this circuit runs op by op.
+        params = HEParams(n=64, plaintext_modulus=17, prime_bits=30, prime_count=6)
+        ctx = HeContext.create(params, backend=backend, seed=7)
+        ct = ctx.encryptor(seed=11).encrypt(ctx.integer_encoder().encode(3))
+        shape = {"c2s_terms": 4, "eval_depth": 1, "s2c_terms": 4}
+        optimised = bootstrap_circuit(ctx, ctx.pipeline(), ct, **shape)
+        optimised.run()  # cold: compiles and seeds the constant pool
+        before = ctx.metrics()
+        warm = optimised.run()
+        diff = HeContext.metrics_diff(before, ctx.metrics())
+        assert diff["pool.dispatches"] == 3, diff
+        assert diff["conversions.rows"] == 0, diff
+        assert diff["fallback.rows"] == 0, diff
+
+        try:
+            set_default_passes("none")
+            raw_pipe = ctx.pipeline()
+        finally:
+            set_default_passes(None)
+        raw = bootstrap_circuit(ctx, raw_pipe, ct, **shape).run()
+        assert coeffs(warm) == coeffs(raw)
     finally:
         backend.close()
 

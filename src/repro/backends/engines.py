@@ -1,47 +1,43 @@
 """The pluggable NTT-engine layer: the paper's algorithm zoo inside the backends.
 
-The source paper is a study of *NTT algorithm variants* — radix-2 vs
-high-radix butterflies, the two-kernel (four-step) decomposition, Stockham's
-auto-sort formulation — yet until this layer existed the fast data plane
-hardwired a single radix-2 Cooley-Tukey path while the variants lived in
-scalar-only teaching code under :mod:`repro.transforms`.  An
-:class:`NttEngine` folds each variant into the backends so the *production*
-transform path is the thing the experiments measure:
+The source paper studies *NTT algorithm variants* — radix-2 vs high-radix
+butterflies, the two-kernel (four-step) decomposition, Stockham's auto-sort
+formulation.  An :class:`NttEngine` folds each into the backends, so the
+production transform path is the thing the experiments measure:
 
-* every engine operates on whole resident batches — a ``(batch, n)``
-  ``uint64`` block on the NumPy backend, a list of residue rows on the
-  scalar backend — and the scalar side delegates to the reference
-  implementations in :mod:`repro.transforms`, which stay the readable
-  ground truth;
 * every engine is **bit-for-bit interchangeable**: forward output in the
-  bit-reversed order of Algorithm 1 (engines whose natural formulation is
-  auto-sorting re-permute with one cached gather), inverse consuming
-  bit-reversed input — so NTT-domain data can flow between engines freely
-  and the cross-check suite pins them all against
-  :mod:`repro.transforms.reference`;
-* engines are chosen **per transform shape** ``(n, p_bits, batch)`` with the
-  precedence *explicit backend argument > process default
-  (:func:`set_default_engine`) > ``REPRO_NTT_ENGINE`` environment variable >
-  auto-tuner*, where :class:`NttAutoTuner` micro-benchmarks the candidates
-  once per shape and the backend caches the winner.
+  bit-reversed order of Algorithm 1, inverse consuming bit-reversed input,
+  every residue fully reduced — NTT-domain data flows between engines
+  freely and the cross-check suite pins them all against the reference;
+* the **row path** is the exact big-int reference of :mod:`repro.transforms`;
+* the **array path** transforms a ``(k, m, n)`` ``uint64`` block in place —
+  ``k`` repetitions of a basis of ``m`` primes in one call, the paper's one
+  launch for all ``np x polynomials`` transforms — sweeping the basis's
+  stacked :class:`EngineTables` broadcast over ``k``;
+* engines are chosen per tile shape with the precedence *explicit backend
+  argument > process default (:func:`set_default_engine`) >
+  ``REPRO_NTT_ENGINE`` > auto-tuner* (:class:`NttAutoTuner`).
 
-Why the vectorised variants win on a CPU: the radix-2 baseline reduces every
-butterfly output with a hardware-division ``%``.  The high-radix, four-step
-and Stockham engines only divide after twiddle *products*; the add/sub halves
-of each butterfly use the branch-free conditional subtraction
-``min(x, x - p)`` (exact for ``x < 2p`` in ``uint64``, where the wrapped
-``x - p`` is huge whenever ``x < p``) — the software analogue of the lazy
-reductions the paper's fused passes legitimise, and the measured source of
-the speedup ``benchmarks/test_bench_engines.py`` pins.
+Each algorithm has one array kernel, parameterised by the basis's
+:class:`~repro.backends.wideops.Reduction`.  Kernels sweep tiles of
+:data:`TILE_ELEMS` residues with per-thread scratch written through
+``out=``, so a stage allocates nothing.  All but the radix-2 baseline use
+Harvey's lazy butterflies (J. Symb. Comp. 2014): values stay below ``2p``
+or ``4p`` between stages, a butterfly pays one conditional subtraction
+``min(x, x - 2p)`` instead of a division, and the output is fully reduced
+once.  :class:`Radix2Engine` keeps Algorithm 1's ``%`` as the baseline.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
 import json
 import os
+import threading
 import time
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from pathlib import Path
 
 try:  # The array paths need NumPy; the scalar row paths never touch it.
@@ -54,6 +50,7 @@ from ..telemetry import TRACER
 from ..modarith.roots import primitive_root_of_unity
 from ..transforms.bitrev import (
     bit_reverse_index_array,
+    bit_reverse_indices,
     bit_reverse_permute,
     is_power_of_two,
 )
@@ -65,36 +62,27 @@ from ..transforms.four_step import (
 )
 from ..transforms.high_radix import ntt_forward_by_passes, plan_stage_groups
 from ..transforms.stockham import stockham_ntt_forward, stockham_ntt_inverse
-from . import wideops
-from .wideops import (
-    FLOAT_SHOUP_LIMIT,
-    NARROW_MUL_LIMIT,
-    WIDE_ENV_VAR,
-    WIDE_MUL_LIMIT,
-    vector_mul_limit,
-    wide_word_enabled,
-)
+from .wideops import reduce_below, reduction_for
 
 __all__ = [
     "ENGINE_ENV_VAR",
-    "NARROW_MUL_LIMIT",
-    "WIDE_MUL_LIMIT",
-    "FLOAT_SHOUP_LIMIT",
-    "WIDE_ENV_VAR",
-    "vector_mul_limit",
-    "wide_word_enabled",
+    "TILE_ELEMS",
     "TUNE_PROFILE_ENV_VAR",
     "DEFAULT_AUTOTUNE_CANDIDATES",
     "NttEngine",
     "EngineTables",
+    "TableRows",
     "NttAutoTuner",
     "EngineSelectionMixin",
     "available_engines",
     "default_engine_spec",
     "get_engine",
+    "kernel_buffers",
     "parse_engine_spec",
     "register_engine",
+    "scratch",
     "set_default_engine",
+    "tile_rows",
     "tune_profile_to_dict",
     "save_tune_profile",
     "load_tune_profile",
@@ -113,6 +101,36 @@ TUNE_PROFILE_ENV_VAR = "REPRO_TUNE_PROFILE"
 #: Engine specs the auto-tuner races when nothing picked an engine.
 DEFAULT_AUTOTUNE_CANDIDATES = ("radix2", "high_radix", "four_step", "stockham")
 
+#: Residues per kernel tile: whole rows, so one stage's operands and scratch
+#: stay in cache (about 2.4 MB of scratch per thread at N=4096).
+TILE_ELEMS = 12 * 4096
+#: Constant-geometry stages whose twiddle runs are shorter than this store
+#: their twiddles expanded: NumPy streams long contiguous inner loops far
+#: faster than it broadcasts short runs.
+EXPANDED_RUNS = 16
+#: NumPy's ufunc buffer size (elements) inside the kernels.  At the default
+#: 8192, a ufunc over rows shorter than the buffer copies them through it
+#: to form longer chunks; below the kernels' row lengths it streams the
+#: rows in place, more than twice as fast.
+KERNEL_BUFSIZE = 128
+
+
+@contextlib.contextmanager
+def kernel_buffers():
+    """Run the enclosed NumPy kernels with :data:`KERNEL_BUFSIZE` buffers."""
+    with np.errstate():
+        np.setbufsize(KERNEL_BUFSIZE)
+        yield
+
+
+def tile_rows(k: int, m: int, n: int) -> int:
+    """Rows of the first tile of a ``(k, m, n)`` block: the auto-tuner's shape.
+
+    Tiles hold whole basis repetitions when a basis fits, else part of one.
+    """
+    fit = max(1, TILE_ELEMS // n)
+    return min(k, fit // m) * m if m <= fit else fit
+
 
 # --------------------------------------------------------------------- tables
 
@@ -124,324 +142,327 @@ def _modular_powers(base: int, count: int, p: int) -> list[int]:
     return powers
 
 
-def _cyclic_stage_tables(n: int, omega: int, p: int) -> list:
-    """Per-stage twiddle arrays for the Stockham sweep (span n down to 2)."""
-    tables = []
-    span = n
-    while span > 1:
-        w_step = pow_mod(omega, n // span, p)
-        tables.append(np.asarray(_modular_powers(w_step, span // 2, p), dtype=np.uint64))
-        span //= 2
-    return tables
+def _pease_table(length: int, omega: int, p: int) -> list[int]:
+    """Twiddles of a constant-geometry sweep of ``length``: ``omega^i``, ``i < length/2``.
+
+    Stage ``s`` multiplies pair ``j`` by ``omega^((j >> s) << s)``: runs of
+    ``2^s`` equal values.  Stages whose runs are shorter than
+    :data:`EXPANDED_RUNS` follow, expanded to ``length/2`` entries each, so
+    their products stream contiguously; later stages broadcast a strided
+    view of the first block.
+    """
+    half = length // 2
+    powers = _modular_powers(omega, half, p)
+    row = list(powers)
+    run = 2
+    while run < min(EXPANDED_RUNS, length):
+        row.extend(powers[(j // run) * run] for j in range(half))
+        run *= 2
+    return row
 
 
-class _FourStepTables:
-    """Twiddle material for one ``n = n1 * n2`` four-step split."""
-
-    __slots__ = ("n1", "n2", "inner_f", "outer_f", "inner_i", "outer_i", "twist_f", "twist_i")
-
-    def __init__(self, n: int, n1: int, omega: int, p: int) -> None:
-        self.n1 = n1
-        self.n2 = n // n1
-        omega_inner = pow_mod(omega, self.n2, p)
-        omega_outer = pow_mod(omega, n1, p)
-        omega_inv = inv_mod(omega, p)
-        self.inner_f = _cyclic_stage_tables(n1, omega_inner, p)
-        self.outer_f = _cyclic_stage_tables(self.n2, omega_outer, p)
-        self.inner_i = _cyclic_stage_tables(n1, inv_mod(omega_inner, p), p)
-        self.outer_i = _cyclic_stage_tables(self.n2, inv_mod(omega_outer, p), p)
-        self.twist_f = self._twist(omega, p)
-        self.twist_i = self._twist(omega_inv, p)
-
-    def _twist(self, omega: int, p: int):
-        rows = [_modular_powers(pow_mod(omega, j2, p), self.n1, p) for j2 in range(self.n2)]
-        return np.asarray(rows, dtype=np.uint64)
+def _table_row(name: tuple, n: int, p: int, psi: int) -> list[int]:
+    """One prime's row of the named table."""
+    kind, inverse = name[0], name[1]
+    psi_inv = inv_mod(psi, p)
+    if kind == "ct":
+        return forward_twiddle_table(n, psi_inv if inverse else psi, p)
+    if kind == "n_inv":
+        return [inv_mod(n, p)]
+    if kind == "twist":
+        if not inverse:
+            return _modular_powers(psi, n, p)
+        n_inv = inv_mod(n, p)
+        return [mul_mod(value, n_inv, p) for value in _modular_powers(psi_inv, n, p)]
+    omega = mul_mod(psi, psi, p)
+    if inverse:
+        omega = inv_mod(omega, p)
+    if kind == "pease":
+        return _pease_table(n, omega, p)
+    # ("four_step", inverse, n1, part): the n1 x n2 split's three tables.
+    n1, part = name[2], name[3]
+    n2 = n // n1
+    if part == "inner":
+        return _pease_table(n1, pow_mod(omega, n2, p), p)
+    if part == "outer":
+        return _pease_table(n2, pow_mod(omega, n1, p), p)
+    # Twist omega^(j2*k1), with k1 in the inner sweep's bit-reversed order.
+    k1 = bit_reverse_indices(n1)
+    return [pow_mod(omega, j2 * k1[pos], p) for j2 in range(n2) for pos in range(n1)]
 
 
 class EngineTables:
-    """Lazily built per-``(n, p)`` twiddle material shared by every engine.
+    """Stacked twiddle tables of every prime a backend transforms at one ``n``.
 
-    One instance lives on the owning backend per ``(n, p)`` pair (``p`` below
-    the vector unit's exact-product window), so switching engines never
-    rebuilds the tables another engine already paid for.  Only the
-    Cooley-Tukey tables are built eagerly — they are what
-    :meth:`repro.backends.base.ComputeBackend.warm_twiddles` warms and what
-    the default engine needs; the Stockham/four-step extras appear on first
-    use.
-
-    Moduli at or above the single-word window (``p >= 2^31``) flip the
-    ``wide`` flag: every twiddle product then runs through a Shoup-style
-    kernel from :mod:`repro.backends.wideops` (limb decomposition or the
-    float64 quotient trick, selected per prime size), against lazily built
-    per-table companion arrays cached in ``_companions``.
+    One instance per ``(n, reduction strategy)``: primes join in the order
+    they are first seen (:meth:`index`), each table is built on first use
+    as one ``(primes, length)`` ``uint64`` array plus its
+    :meth:`~repro.backends.wideops.Reduction.companions`, and a new prime
+    extends every built table by one row — one copy of each table, which
+    :meth:`rows` hands to the kernels as views of a range of primes.  An
+    explicit ``psi_2n`` serves a single-prime instance whose root the
+    caller chose.
     """
 
-    __slots__ = (
-        "n", "p", "p64", "psi", "n_inv64", "ct_forward", "ct_inverse",
-        "_psi_powers", "_psi_inv_scaled", "_stockham_f", "_stockham_i",
-        "_four_step", "wide", "wide_strategy", "_companions", "_n_inv_table",
-    )
-
-    def __init__(self, n: int, p: int, psi_2n: int | None = None) -> None:
+    def __init__(self, n: int, strategy: str, psi_2n: int | None = None) -> None:
         if not is_power_of_two(n):
             raise ValueError("n must be a power of two")
-        if (p - 1) % (2 * n) != 0:
-            raise ValueError("p must satisfy p ≡ 1 (mod 2n)")
         self.n = n
-        self.p = p
-        self.p64 = np.uint64(p)
-        self.psi = psi_2n if psi_2n is not None else primitive_root_of_unity(2 * n, p)
-        self.n_inv64 = np.uint64(inv_mod(n, p))
-        self.ct_forward = np.asarray(forward_twiddle_table(n, self.psi, p), dtype=np.uint64)
-        self.ct_inverse = np.asarray(
-            forward_twiddle_table(n, inv_mod(self.psi, p), p), dtype=np.uint64
-        )
-        self._psi_powers = None
-        self._psi_inv_scaled = None
-        self._stockham_f = None
-        self._stockham_i = None
-        self._four_step: dict[int, _FourStepTables] = {}
-        self.wide = p >= NARROW_MUL_LIMIT
-        self.wide_strategy = wideops.select_strategy(p) if self.wide else None
-        self._companions: dict[int, object] = {}
-        self._n_inv_table = None
+        self.strategy = strategy
+        self.reduction = reduction_for(strategy)
+        self.primes: list[int] = []
+        self._index: dict[int, int] = {}
+        self._psi: list[int] = []
+        self._psi_2n = psi_2n
+        self._tables: dict[tuple, tuple] = {}
 
-    @property
-    def bitrev(self):
-        """Cached bit-reversal gather indices (shared library-wide)."""
-        return bit_reverse_index_array(self.n)
+    def index(self, p: int) -> int:
+        """Row of prime ``p``, appending it (and extending every table) if new."""
+        row = self._index.get(p)
+        if row is not None:
+            return row
+        if (p - 1) % (2 * self.n) != 0:
+            raise ValueError("p must satisfy p ≡ 1 (mod 2n)")
+        psi = self._psi_2n if self._psi_2n is not None else primitive_root_of_unity(2 * self.n, p)
+        row = self._index[p] = len(self.primes)
+        self.primes.append(p)
+        self._psi.append(psi)
+        for name, arrays in self._tables.items():
+            extra = self._build(name, row)
+            self._tables[name] = tuple(np.concatenate(pair) for pair in zip(arrays, extra))
+        return row
 
-    @property
-    def psi_powers(self):
-        """Natural-order ``psi^i`` pre-twist for the auto-sorting engines."""
-        if self._psi_powers is None:
-            self._psi_powers = np.asarray(
-                _modular_powers(self.psi, self.n, self.p), dtype=np.uint64
-            )
-        return self._psi_powers
+    def rows(self, lo: int, hi: int) -> "TableRows":
+        """A view of primes ``lo:hi`` — what the engine kernels sweep."""
+        return TableRows(self, lo, hi)
 
-    @property
-    def psi_inv_scaled(self):
-        """``psi^{-i} * n^{-1}`` post-twist — folds the final scaling in."""
-        if self._psi_inv_scaled is None:
-            psi_inv = inv_mod(self.psi, self.p)
-            n_inv = inv_mod(self.n, self.p)
-            powers = _modular_powers(psi_inv, self.n, self.p)
-            self._psi_inv_scaled = np.asarray(
-                [mul_mod(value, n_inv, self.p) for value in powers], dtype=np.uint64
-            )
-        return self._psi_inv_scaled
+    def table(self, name: tuple) -> tuple:
+        """The stacked ``(values, *companions)`` arrays of one named table."""
+        arrays = self._tables.get(name)
+        if arrays is None:
+            arrays = self._tables[name] = self._build(name, 0)
+        return arrays
 
-    def stockham_stages(self, inverse: bool):
-        """Per-stage twiddles of the cyclic Stockham sweep, ``omega = psi^2``."""
-        omega = mul_mod(self.psi, self.psi, self.p)
-        if inverse:
-            if self._stockham_i is None:
-                self._stockham_i = _cyclic_stage_tables(self.n, inv_mod(omega, self.p), self.p)
-            return self._stockham_i
-        if self._stockham_f is None:
-            self._stockham_f = _cyclic_stage_tables(self.n, omega, self.p)
-        return self._stockham_f
+    def _build(self, name: tuple, start: int) -> tuple:
+        pairs = zip(self.primes[start:], self._psi[start:])
+        values = np.asarray([_table_row(name, self.n, p, psi) for p, psi in pairs], dtype=np.uint64)
+        primes = np.asarray(self.primes[start:], dtype=np.uint64).reshape(-1, 1)
+        return (values,) + self.reduction.companions(values, primes)
 
-    def four_step(self, n1: int) -> _FourStepTables:
-        """Twiddle bundle for the ``n1 x (n / n1)`` four-step split."""
-        bundle = self._four_step.get(n1)
-        if bundle is None:
-            omega = mul_mod(self.psi, self.psi, self.p)
-            bundle = _FourStepTables(self.n, n1, omega, self.p)
-            self._four_step[n1] = bundle
-        return bundle
 
-    # -- wide-word (31-62 bit) twiddle products --------------------------------
-    @property
-    def n_inv_table(self):
-        """``n^{-1}`` as a length-1 array, for the broadcasting wide kernels."""
-        if self._n_inv_table is None:
-            self._n_inv_table = np.asarray([self.n_inv64], dtype=np.uint64)
-        return self._n_inv_table
+class TableRows:
+    """Primes ``lo:hi`` of an :class:`EngineTables` — the kernels' handle.
 
-    def companions(self, table):
-        """Lazily built Shoup companions for one of this instance's tables.
+    ``p``/``p2`` are ``(m, 1, 1, 1)`` modulus columns that broadcast against
+    the kernels' 5-D ``(k, m, ...)`` views; :meth:`table` slices the shared
+    stacked arrays.  ``tight`` flags a basis whose lazy values (``< 4p``)
+    exceed the reduction's operand limit, so multiplicands are first
+    brought below ``2p``.
+    """
 
-        Keyed by array identity — every table handed in is an attribute of
-        this instance (or of one of its ``_FourStepTables`` bundles) and
-        lives as long as the tables object, so identity is stable.  The
-        companion flavour follows :attr:`wide_strategy`: uint64
-        ``floor(w * 2^64 / p)`` for the limb kernel, float64 ``w / p`` for
-        the float-quotient kernel.
-        """
-        key = id(table)
-        bar = self._companions.get(key)
-        if bar is None:
-            if self.wide_strategy == "float":
-                bar = wideops.float_bar(table, self.p)
-            else:
-                bar = wideops.shoup_bar(table, self.p)
-            self._companions[key] = bar
-        return bar
+    def __init__(self, tables: EngineTables, lo: int, hi: int) -> None:
+        self.base, self.lo, self.hi, self.m = tables, lo, hi, hi - lo
+        self.n = tables.n
+        self.strategy = tables.strategy
+        self.reduction = tables.reduction
+        self.max_p = max(tables.primes[lo:hi])
+        self.tight = 4 * self.max_p > self.reduction.limit
+        self.p = np.asarray(tables.primes[lo:hi], dtype=np.uint64).reshape(-1, 1, 1, 1)
+        self.p2 = self.p * np.uint64(2)
 
-    def wide_mul(self, x, w, bar):
-        """``(x * w) mod p``, fully reduced, through the selected strategy."""
-        return wideops.shoup_mul(x, w, bar, self.p64, self.wide_strategy)
+    def rows(self, lo: int, hi: int) -> "TableRows":
+        """Rows ``lo:hi`` of this view."""
+        return TableRows(self.base, self.lo + lo, self.lo + hi)
+
+    def table(self, name: tuple) -> tuple:
+        return tuple(array[self.lo : self.hi] for array in self.base.table(name))
 
 
 # ------------------------------------------------------------ array kernels
 
 
-def _cond_sub(x, p64):
-    """``x mod p`` for ``x < 2p`` without division: ``min(x, x - p)`` in uint64."""
-    return np.minimum(x, x - p64)
+class _Scratch(threading.local):
+    """Per-thread kernel scratch: one flat ``uint64`` buffer per name, grown on demand."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, names: str, shape: tuple) -> list:
+        size = int(np.prod(shape))
+        views = []
+        for name in names.split():
+            buffer = self.buffers.get(name)
+            if buffer is None or buffer.size < size:
+                buffer = self.buffers[name] = np.empty(max(size, TILE_ELEMS), dtype=np.uint64)
+            views.append(buffer[:size].reshape(shape))
+        return views
 
 
-def _stockham_sweep(a, stage_tables, p64):
-    """Cyclic NTT along the last axis, natural order in and out.
+#: This thread's reusable scratch buffers: ``scratch("t u", shape)``.
+scratch = _Scratch().take
 
-    The classic double-buffered Stockham sweep of
-    :func:`repro.transforms.stockham.stockham_cyclic_ntt`, vectorised over a
-    2-D ``(batch, length)`` block.  The input buffer is consumed (it becomes
-    one of the two ping-pong buffers).
+
+def _tiles(block, tables: TableRows):
+    """Cache-sized ``(kt, mt, n)`` tiles of a ``(k, m, n)`` block, with their rows."""
+    k, m, n = block.shape
+    fit = max(1, TILE_ELEMS // n)
+    if m <= fit:
+        for start in range(0, k, fit // m):
+            yield block[start : start + fit // m], tables
+        return
+    for index in range(k):
+        for lo in range(0, m, fit):
+            hi = min(m, lo + fit)
+            yield block[index : index + 1, lo:hi], tables.rows(lo, hi)
+
+
+def _twiddles(arrays: tuple, lo: int, hi: int, shape: tuple) -> tuple:
+    """Columns ``lo:hi`` of each stacked array, reshaped for broadcasting."""
+    return tuple(array[:, lo:hi].reshape(shape) for array in arrays)
+
+
+def _lazy_product(x, w, rows: TableRows, out, buffers):
+    """``out = x * w mod p`` in ``[0, 2p)`` for ``x < 4p`` (``x`` may be clobbered)."""
+    t, u, v = buffers
+    if rows.tight:
+        reduce_below(x, rows.p2, x, t)
+    return rows.reduction.mul_lazy(x, w[0], w[1:], rows.p, rows.p2, out, t, u, v)
+
+
+def _reduced_product(x, w, rows: TableRows, out, buffers):
+    """``out = x * w mod p``, fully reduced: ``%`` below 2^31, else Shoup."""
+    if rows.strategy == "shoup32":
+        np.multiply(x, w[0], out=out)
+        return np.remainder(out, rows.p, out=out)
+    _lazy_product(x, w, rows, out, buffers)
+    return reduce_below(out, rows.p, out, buffers[0])
+
+
+def _finish(tile5, rows: TableRows, from_4p: bool = False) -> None:
+    """Fully reduce a tile in place from ``[0, 2p)`` (or ``[0, 4p)``)."""
+    (t,) = scratch("t", tile5.shape)
+    if from_4p:
+        reduce_below(tile5, rows.p2, tile5, t)
+    reduce_below(tile5, rows.p, tile5, t)
+
+
+def _pease(source, buffers, table: tuple, rows: TableRows, inverse: bool):
+    """Lazy constant-geometry (Pease) cyclic NTT along the last axis of ``(k, m, b, L)``.
+
+    Forward: natural in, bit-reversed out; each stage pairs ``j`` with
+    ``j + L/2`` (contiguous halves) and writes the Gentleman-Sande outputs
+    to ``2j, 2j + 1``, values below ``2p``.  Inverse: the transpose,
+    bit-reversed in, natural out, values below ``4p``.  Reads ``source``,
+    then alternates between ``buffers``; returns the one holding the result.
     """
-    batch, n = a.shape
-    source, destination = a, np.empty_like(a)
-    span = n
-    stride = 1
-    for w in stage_tables:
-        half = span // 2
-        view = source.reshape(batch, span, stride)
-        upper = view[:, :half, :]
-        lower = view[:, half:, :]
-        out = destination.reshape(batch, half, 2, stride)
-        out[:, :, 0, :] = _cond_sub(upper + lower, p64)
-        difference = _cond_sub(upper + (p64 - lower), p64)
-        out[:, :, 1, :] = (difference * w[None, :, None]) % p64
-        source, destination = destination, source
-        span //= 2
-        stride *= 2
+    k, m, b, length = source.shape
+    half = length // 2
+    stages = half.bit_length()
+    p2 = rows.p2
+    for step in range(stages):
+        s = stages - 1 - step if inverse else step
+        run = 1 << s
+        if run < EXPANDED_RUNS:
+            groups, run = 1, half
+            w = _twiddles(table, s * half, (s + 1) * half, (m, 1, 1, half))
+        else:
+            groups = half // run
+            w = tuple(array[:, :half:run].reshape(m, 1, groups, 1) for array in table)
+        dst = buffers[step % 2]
+        x, y, t, u, v = scratch("x y t u v", (k, m, b, groups, run))
+        if inverse:
+            pairs = source.reshape(k, m, b, groups, run, 2)
+            halves = dst.reshape(k, m, b, 2, groups, run)
+            reduce_below(pairs[..., 0], p2, x, t)
+            _lazy_product(pairs[..., 1], w, rows, y, (t, u, v))
+            np.add(x, y, out=halves[:, :, :, 0])
+            np.add(x, p2, out=x)
+            np.subtract(x, y, out=halves[:, :, :, 1])
+        else:
+            halves = source.reshape(k, m, b, 2, groups, run)
+            pairs = dst.reshape(k, m, b, groups, run, 2)
+            np.add(halves[:, :, :, 0], halves[:, :, :, 1], out=x)
+            reduce_below(x, p2, pairs[..., 0], t)
+            np.subtract(halves[:, :, :, 0], halves[:, :, :, 1], out=y)
+            np.add(y, p2, out=y)
+            _lazy_product(y, w, rows, pairs[..., 1], (t, u, v))
+        source = dst
     return source
 
 
-def _stockham_sweep_wide(a, stage_tables, tables: "EngineTables"):
-    """Wide-modulus twin of :func:`_stockham_sweep` (Shoup twiddle products).
+def _ct_forward(tile, rows: TableRows, lazy: bool) -> None:
+    """Cooley-Tukey forward sweep in place: Harvey's lazy butterfly, or ``%``."""
+    k, m, n = tile.shape
+    p, p2 = rows.p, rows.p2
+    table = rows.table(("ct", False))
+    groups, half = 1, n // 2
+    while groups < n:
+        view = tile.reshape(k, m, groups, 2, half)
+        upper, lower = view[:, :, :, :1], view[:, :, :, 1:]
+        x, q, t, u, v = scratch("x q t u v", upper.shape)
+        w = _twiddles(table, groups, 2 * groups, (m, groups, 1, 1))
+        if lazy:  # values in [0, 4p)
+            _lazy_product(lower, w, rows, q, (t, u, v))
+            reduce_below(upper, p2, x, t)
+            np.add(x, q, out=upper)
+            np.add(x, p2, out=x)
+            np.subtract(x, q, out=lower)
+        else:
+            _reduced_product(lower, w, rows, q, (t, u, v))
+            np.add(upper, q, out=x)
+            np.subtract(upper, q, out=q)
+            np.add(q, p, out=q)
+            np.remainder(x, p, out=upper)
+            np.remainder(q, p, out=lower)
+        groups, half = groups * 2, half // 2
+    if lazy:
+        _finish(tile.reshape(k, m, 1, 1, n), rows, from_4p=True)
 
-    Identical structure and identical values — the butterfly add/sub halves
-    already used the conditional subtraction, and the Shoup kernels return
-    fully reduced products — so the result is bit-for-bit the narrow sweep's.
+
+def _gs_inverse(tile, rows: TableRows, lazy: bool) -> None:
+    """Gentleman-Sande inverse sweep in place, then the ``n^{-1}`` scaling."""
+    k, m, n = tile.shape
+    p, p2 = rows.p, rows.p2
+    table = rows.table(("ct", True))
+    groups, half = n // 2, 1
+    while groups >= 1:
+        view = tile.reshape(k, m, groups, 2, half)
+        upper, lower = view[:, :, :, :1], view[:, :, :, 1:]
+        x, y, t, u, v = scratch("x y t u v", upper.shape)
+        w = _twiddles(table, groups, 2 * groups, (m, groups, 1, 1))
+        np.add(upper, lower, out=x)
+        np.subtract(upper, lower, out=y)
+        if lazy:  # values in [0, 2p)
+            np.add(y, p2, out=y)
+            reduce_below(x, p2, upper, t)
+            _lazy_product(y, w, rows, lower, (t, u, v))
+        else:
+            np.add(y, p, out=y)
+            np.remainder(x, p, out=upper)
+            np.remainder(y, p, out=y)
+            _reduced_product(y, w, rows, lower, (t, u, v))
+        groups, half = groups // 2, half * 2
+    tile5 = tile.reshape(k, m, 1, 1, n)
+    n_inv = _twiddles(rows.table(("n_inv", False)), 0, 1, (m, 1, 1, 1))
+    _reduced_product(tile5, n_inv, rows, tile5, scratch("t u v", tile5.shape))
+
+
+@lru_cache(maxsize=None)
+def _four_step_gathers(n: int, n1: int):
+    """Gathers fusing the four-step reorderings with bit reversal.
+
+    The kernels leave natural index ``k1 + n1*k2`` at ``rev1(k1)*n2 +
+    rev2(k2)`` of their ``(n1, n2)`` result.  Returns the gathers of the
+    bit-reversed output from it, of the ``(n2, n1)`` kernel input from
+    bit-reversed data (``[j2, j1]`` is index ``j1*n2 + j2``), and of the
+    natural-order output from it.
     """
-    p64 = tables.p64
-    batch, n = a.shape
-    source, destination = a, np.empty_like(a)
-    span = n
-    stride = 1
-    for w in stage_tables:
-        bar = tables.companions(w)
-        half = span // 2
-        view = source.reshape(batch, span, stride)
-        upper = view[:, :half, :]
-        lower = view[:, half:, :]
-        out = destination.reshape(batch, half, 2, stride)
-        out[:, :, 0, :] = _cond_sub(upper + lower, p64)
-        difference = _cond_sub(upper + (p64 - lower), p64)
-        out[:, :, 1, :] = tables.wide_mul(difference, w[None, :, None], bar[None, :, None])
-        source, destination = destination, source
-        span //= 2
-        stride *= 2
-    return source
-
-
-def _ct_forward_wide(block, tables: "EngineTables"):
-    """Wide-modulus Cooley-Tukey forward sweep (radix-2 stage order).
-
-    Shared by the radix-2 and high-radix engines on wide primes: pass
-    grouping is a loop-nesting change only on the array path, and with no
-    native ``%`` available above 2^31 both engines reduce identically
-    (Shoup products, conditional-subtract adds) — still bit-for-bit with
-    the narrow paths because every value stays fully reduced per stage.
-    """
-    p64 = tables.p64
-    table = tables.ct_forward
-    bar = tables.companions(table)
-    batch, n = block.shape
-    t = n // 2
-    m = 1
-    while m < n:
-        view = block.reshape(batch, m, 2 * t)
-        upper = view[:, :, :t]
-        lower = view[:, :, t:]
-        product = tables.wide_mul(
-            lower, table[m : 2 * m].reshape(1, m, 1), bar[m : 2 * m].reshape(1, m, 1)
-        )
-        total = upper + product
-        difference = upper + (p64 - product)
-        view[:, :, :t] = _cond_sub(total, p64)
-        view[:, :, t:] = _cond_sub(difference, p64)
-        m *= 2
-        t //= 2
-    return block
-
-
-def _gs_inverse_wide(block, tables: "EngineTables"):
-    """Wide-modulus Gentleman-Sande inverse sweep with folded ``n^{-1}``."""
-    p64 = tables.p64
-    table = tables.ct_inverse
-    bar = tables.companions(table)
-    batch, n = block.shape
-    t = 1
-    m = n // 2
-    while m >= 1:
-        view = block.reshape(batch, m, 2 * t)
-        upper = view[:, :, :t].copy()
-        lower = view[:, :, t:].copy()
-        view[:, :, :t] = _cond_sub(upper + lower, p64)
-        difference = _cond_sub(upper + (p64 - lower), p64)
-        view[:, :, t:] = tables.wide_mul(
-            difference, table[m : 2 * m].reshape(1, m, 1), bar[m : 2 * m].reshape(1, m, 1)
-        )
-        m //= 2
-        t *= 2
-    return tables.wide_mul(block, tables.n_inv_table, tables.companions(tables.n_inv_table))
-
-
-def _four_step_cyclic(a, bundle: _FourStepTables, p64, inverse: bool):
-    """Cyclic NTT via the four-step decomposition, natural order in and out."""
-    batch, n = a.shape
-    n1, n2 = bundle.n1, bundle.n2
-    inner = bundle.inner_i if inverse else bundle.inner_f
-    outer = bundle.outer_i if inverse else bundle.outer_f
-    twist = bundle.twist_i if inverse else bundle.twist_f
-    # Step 1: n2 strided n1-point NTTs (the paper's Kernel-1) — transpose so
-    # the strided columns become contiguous rows, then one batched sweep.
-    columns = np.ascontiguousarray(a.reshape(batch, n1, n2).transpose(0, 2, 1))
-    columns = _stockham_sweep(columns.reshape(batch * n2, n1), inner, p64)
-    # Step 2: twist by omega^(j2 * k1).
-    columns = (columns.reshape(batch, n2, n1) * twist[None, :, :]) % p64
-    # Step 3: n1 contiguous n2-point NTTs (Kernel-2).
-    rows = np.ascontiguousarray(columns.transpose(0, 2, 1)).reshape(batch * n1, n2)
-    rows = _stockham_sweep(rows, outer, p64)
-    # Step 4: transpose back to natural order: result[k1 + n1*k2] = rows[k1, k2].
-    return np.ascontiguousarray(rows.reshape(batch, n1, n2).transpose(0, 2, 1)).reshape(
-        batch, n
-    )
-
-
-def _four_step_cyclic_wide(a, bundle: _FourStepTables, tables: "EngineTables", inverse: bool):
-    """Wide-modulus twin of :func:`_four_step_cyclic`."""
-    batch, n = a.shape
-    n1, n2 = bundle.n1, bundle.n2
-    inner = bundle.inner_i if inverse else bundle.inner_f
-    outer = bundle.outer_i if inverse else bundle.outer_f
-    twist = bundle.twist_i if inverse else bundle.twist_f
-    columns = np.ascontiguousarray(a.reshape(batch, n1, n2).transpose(0, 2, 1))
-    columns = _stockham_sweep_wide(columns.reshape(batch * n2, n1), inner, tables)
-    columns = tables.wide_mul(
-        columns.reshape(batch, n2, n1),
-        twist[None, :, :],
-        tables.companions(twist)[None, :, :],
-    )
-    rows = np.ascontiguousarray(columns.transpose(0, 2, 1)).reshape(batch * n1, n2)
-    rows = _stockham_sweep_wide(rows, outer, tables)
-    return np.ascontiguousarray(rows.reshape(batch, n1, n2).transpose(0, 2, 1)).reshape(
-        batch, n
-    )
+    n2 = n // n1
+    bitrev = bit_reverse_index_array(n)
+    rev1, rev2 = bit_reverse_index_array(n1), bit_reverse_index_array(n2)
+    high, low = np.divmod(np.arange(n), n1)
+    natural = rev1[low] * n2 + rev2[high]
+    return natural[bitrev], bitrev[low * n2 + high], natural
 
 
 # -------------------------------------------------------------------- engines
@@ -454,12 +475,11 @@ class NttEngine(abc.ABC):
     backend's :class:`EngineTables` / transformer caches) shared process-wide
     through :func:`get_engine`.  The two seams:
 
-    * **array path** — :meth:`forward_array` / :meth:`inverse_array` operate
-      in place on a ``(batch, n)`` ``uint64`` block whose modulus fits the
-      exact-product window (``p < 2^62``: native products below 2^31, the
-      Shoup wide-word kernels of :mod:`repro.backends.wideops` above); the
-      block is a private copy the backend hands over, so engines may
-      clobber it.
+    * **array path** — :meth:`forward_array` / :meth:`inverse_array`
+      transform a C-contiguous ``(k, m, n)`` ``uint64`` block in place:
+      ``k`` repetitions of the ``m`` primes of a :class:`TableRows` view,
+      every prime below 2^62.  The block is a private copy the backend
+      hands over; the methods return it.
     * **row path** — :meth:`forward_row` / :meth:`inverse_row` are the exact
       big-int fallback (any word size), delegating to the reference
       implementations in :mod:`repro.transforms` via a cached
@@ -491,13 +511,27 @@ class NttEngine(abc.ABC):
         return [self.inverse_row(row, transformer) for row in rows]
 
     # -- vectorised array path -------------------------------------------------
-    @abc.abstractmethod
-    def forward_array(self, block, tables: EngineTables):
-        """Forward-transform a ``(batch, n)`` uint64 block (may run in place)."""
+    def forward_array(self, block, tables: TableRows):
+        """Forward-transform a ``(k, m, n)`` uint64 block in place."""
+        with kernel_buffers():
+            for tile, rows in _tiles(block, tables):
+                self._forward_tile(tile, rows)
+        return block
+
+    def inverse_array(self, block, tables: TableRows):
+        """Inverse-transform a ``(k, m, n)`` uint64 block in place."""
+        with kernel_buffers():
+            for tile, rows in _tiles(block, tables):
+                self._inverse_tile(tile, rows)
+        return block
 
     @abc.abstractmethod
-    def inverse_array(self, block, tables: EngineTables):
-        """Inverse-transform a ``(batch, n)`` uint64 block (may run in place)."""
+    def _forward_tile(self, tile, rows: TableRows) -> None:
+        """Forward-transform one cache-sized ``(kt, mt, n)`` tile in place."""
+
+    @abc.abstractmethod
+    def _inverse_tile(self, tile, rows: TableRows) -> None:
+        """Inverse-transform one cache-sized ``(kt, mt, n)`` tile in place."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "%s(spec=%r)" % (type(self).__name__, self.spec)
@@ -506,9 +540,11 @@ class NttEngine(abc.ABC):
 class Radix2Engine(NttEngine):
     """Algorithm 1 verbatim: one radix-2 stage per pass, ``%`` reductions.
 
-    This is the pre-engine data plane unchanged — the baseline every other
-    engine is benchmarked against — and the scalar side *is* the reference
-    :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`.
+    The baseline every other engine is benchmarked against: each butterfly
+    output is reduced with a hardware-division ``%``, and so is each
+    twiddle product below 2^31 (above, where a native product would
+    overflow, the basis's Shoup reduction forms it).  The scalar side *is*
+    the reference :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`.
     """
 
     name = "radix2"
@@ -520,59 +556,24 @@ class Radix2Engine(NttEngine):
     def inverse_row(self, row, transformer):
         return transformer.inverse(row)
 
-    def forward_array(self, block, tables):
-        if tables.wide:
-            return _ct_forward_wide(block, tables)
-        p64 = tables.p64
-        batch, n = block.shape
-        t = n // 2
-        m = 1
-        while m < n:
-            view = block.reshape(batch, m, 2 * t)
-            upper = view[:, :, :t]
-            lower = view[:, :, t:]
-            twiddles = tables.ct_forward[m : 2 * m].reshape(1, m, 1)
-            product = (lower * twiddles) % p64
-            new_upper = (upper + product) % p64
-            new_lower = (upper + p64 - product) % p64
-            view[:, :, :t] = new_upper
-            view[:, :, t:] = new_lower
-            m *= 2
-            t //= 2
-        return block
+    def _forward_tile(self, tile, rows):
+        _ct_forward(tile, rows, lazy=False)
 
-    def inverse_array(self, block, tables):
-        if tables.wide:
-            return _gs_inverse_wide(block, tables)
-        p64 = tables.p64
-        batch, n = block.shape
-        t = 1
-        m = n // 2
-        while m >= 1:
-            view = block.reshape(batch, m, 2 * t)
-            upper = view[:, :, :t].copy()
-            lower = view[:, :, t:].copy()
-            twiddles = tables.ct_inverse[m : 2 * m].reshape(1, m, 1)
-            view[:, :, :t] = (upper + lower) % p64
-            view[:, :, t:] = ((upper + p64 - lower) % p64 * twiddles) % p64
-            m //= 2
-            t *= 2
-        return (block * tables.n_inv64) % p64
+    def _inverse_tile(self, tile, rows):
+        _gs_inverse(tile, rows, lazy=False)
 
 
 class HighRadixEngine(NttEngine):
-    """Pass-structured radix-``2^k`` execution (Section V) with lazy adds.
+    """Pass-structured radix-``2^k`` execution (Section V), lazy butterflies.
 
     The butterflies are exactly the radix-2 ones; what the radix changes is
     the pass structure — ``k`` consecutive stages per pass over the data, the
     grouping :func:`repro.transforms.high_radix.plan_stage_groups` plans and
     the scalar side executes through
-    :func:`repro.transforms.high_radix.ntt_forward_by_passes`.  On the
-    vectorised path the fused passes use the conditional-subtract reduction
-    for the butterfly add/sub halves (only twiddle products pay a division),
-    which is where the measured speedup over the radix-2 baseline comes from;
-    the radix itself is a memory-schedule knob the GPU cost model prices, not
-    a CPU-visible one.
+    :func:`repro.transforms.high_radix.ntt_forward_by_passes`.  On the array
+    path a tile already sits in cache for every stage, so the radix is a
+    memory-schedule knob the GPU cost model prices, not a CPU-visible one;
+    the array kernels are the lazy Cooley-Tukey / Gentleman-Sande sweeps.
     """
 
     name = "high_radix"
@@ -598,58 +599,24 @@ class HighRadixEngine(NttEngine):
         # butterflies are the same Gentleman-Sande sweep as radix-2.
         return transformer.inverse(row)
 
-    def forward_array(self, block, tables):
-        if tables.wide:
-            # Pass grouping is loop nesting only on the array path; with no
-            # native % above 2^31 the wide sweep is shared with radix-2.
-            return _ct_forward_wide(block, tables)
-        p64 = tables.p64
-        batch, n = block.shape
-        t = n // 2
-        m = 1
-        for stages in self._groups(n):
-            for _ in range(stages):
-                view = block.reshape(batch, m, 2 * t)
-                upper = view[:, :, :t]
-                lower = view[:, :, t:]
-                twiddles = tables.ct_forward[m : 2 * m].reshape(1, m, 1)
-                product = (lower * twiddles) % p64
-                total = upper + product
-                difference = upper + (p64 - product)
-                view[:, :, :t] = _cond_sub(total, p64)
-                view[:, :, t:] = _cond_sub(difference, p64)
-                m *= 2
-                t //= 2
-        return block
+    def _forward_tile(self, tile, rows):
+        _ct_forward(tile, rows, lazy=True)
 
-    def inverse_array(self, block, tables):
-        if tables.wide:
-            return _gs_inverse_wide(block, tables)
-        p64 = tables.p64
-        batch, n = block.shape
-        t = 1
-        m = n // 2
-        while m >= 1:
-            view = block.reshape(batch, m, 2 * t)
-            upper = view[:, :, :t].copy()
-            lower = view[:, :, t:].copy()
-            twiddles = tables.ct_inverse[m : 2 * m].reshape(1, m, 1)
-            view[:, :, :t] = _cond_sub(upper + lower, p64)
-            difference = _cond_sub(upper + (p64 - lower), p64)
-            view[:, :, t:] = (difference * twiddles) % p64
-            m //= 2
-            t *= 2
-        return (block * tables.n_inv64) % p64
+    def _inverse_tile(self, tile, rows):
+        _gs_inverse(tile, rows, lazy=True)
 
 
 class StockhamEngine(NttEngine):
     """Stockham auto-sort NTT (Algorithm 3) re-ordered to the common convention.
 
-    The double-buffered sweep produces natural order, so one cached gather
-    re-permutes forward output to (and inverse input from) the bit-reversed
-    convention the rest of the pipeline speaks.  The pre-twist by ``psi^i``
-    merges the negacyclic wrap, exactly as in
-    :mod:`repro.transforms.stockham`.
+    The row path is the double-buffered Stockham sweep of
+    :mod:`repro.transforms.stockham` plus one bit-reversal gather.  The array
+    path runs the same auto-sort family in Pease's constant geometry
+    ("An adaptation of the fast Fourier transform for parallel
+    processing", J. ACM 1968): every stage reads two contiguous halves and
+    writes interleaved pairs, and the forward sweep lands in bit-reversed
+    order directly, so no gather remains.  The pre-twist by ``psi^i``
+    merges the negacyclic wrap; the inverse post-twist folds in ``n^{-1}``.
     """
 
     name = "stockham"
@@ -663,31 +630,28 @@ class StockhamEngine(NttEngine):
         natural = bit_reverse_permute(list(row))
         return stockham_ntt_inverse(natural, transformer.psi, transformer.p)
 
-    def forward_array(self, block, tables):
-        if tables.wide:
-            twisted = tables.wide_mul(
-                block, tables.psi_powers, tables.companions(tables.psi_powers)
-            )
-            natural = _stockham_sweep_wide(
-                twisted, tables.stockham_stages(inverse=False), tables
-            )
-            return natural[:, tables.bitrev]
-        twisted = (block * tables.psi_powers) % tables.p64
-        natural = _stockham_sweep(twisted, tables.stockham_stages(inverse=False), tables.p64)
-        return natural[:, tables.bitrev]
+    def _forward_tile(self, tile, rows):
+        k, m, n = tile.shape
+        a, b, t, u, v = scratch("a b t u v", (k, m, 1, 1, n))
+        psi = _twiddles(rows.table(("twist", False)), 0, n, (m, 1, 1, n))
+        tile5 = tile.reshape(k, m, 1, 1, n)
+        rows.reduction.mul_lazy(tile5, psi[0], psi[1:], rows.p, rows.p2, a, t, u, v)
+        shape = (k, m, 1, n)
+        result = _pease(
+            a.reshape(shape), (b.reshape(shape), a.reshape(shape)),
+            rows.table(("pease", False)), rows, inverse=False,
+        )
+        reduce_below(result.reshape(tile5.shape), rows.p, tile5, t)
 
-    def inverse_array(self, block, tables):
-        if tables.wide:
-            natural = np.ascontiguousarray(block[:, tables.bitrev])
-            swept = _stockham_sweep_wide(
-                natural, tables.stockham_stages(inverse=True), tables
-            )
-            return tables.wide_mul(
-                swept, tables.psi_inv_scaled, tables.companions(tables.psi_inv_scaled)
-            )
-        natural = np.ascontiguousarray(block[:, tables.bitrev])
-        swept = _stockham_sweep(natural, tables.stockham_stages(inverse=True), tables.p64)
-        return (swept * tables.psi_inv_scaled) % tables.p64
+    def _inverse_tile(self, tile, rows):
+        k, m, n = tile.shape
+        shape = (k, m, 1, n)
+        a, b = scratch("a b", shape)
+        result = _pease(tile.reshape(shape), (a, b), rows.table(("pease", True)), rows, inverse=True)
+        tile5 = tile.reshape(k, m, 1, 1, n)
+        post = _twiddles(rows.table(("twist", True)), 0, n, (m, 1, 1, n))
+        _lazy_product(result.reshape(tile5.shape), post, rows, tile5, scratch("t u v", tile5.shape))
+        _finish(tile5, rows)
 
 
 class FourStepEngine(NttEngine):
@@ -695,10 +659,13 @@ class FourStepEngine(NttEngine):
 
     ``N = N1 * N2``: strided ``N1``-point NTTs (Kernel-1), a twist, contiguous
     ``N2``-point NTTs (Kernel-2), and a transpose, exactly as in
-    :mod:`repro.transforms.four_step` — then one gather to the bit-reversed
-    convention.  ``N1`` is configurable (spec ``"four_step:64"``) so the
+    :mod:`repro.transforms.four_step`.  On the array path both kernels are
+    constant-geometry sweeps; the transposes are fused into the twiddle
+    products, and every reordering (bit reversal included) into one gather
+    per direction.  ``N1`` is configurable (spec ``"four_step:64"``) so the
     experiments can sweep kernel splits on the real data plane; invalid or
-    absent splits fall back to the even default.
+    absent splits fall back to the even default, and a degenerate split runs
+    the plain Stockham kernel.
     """
 
     name = "four_step"
@@ -726,50 +693,72 @@ class FourStepEngine(NttEngine):
             natural, transformer.psi, transformer.p, self._split(transformer.n)
         )
 
-    def forward_array(self, block, tables):
-        n = block.shape[1]
-        n1 = self._split(n)
-        if tables.wide:
-            twisted = tables.wide_mul(
-                block, tables.psi_powers, tables.companions(tables.psi_powers)
-            )
-            if n1 <= 1 or n // n1 <= 1:
-                natural = _stockham_sweep_wide(
-                    twisted, tables.stockham_stages(inverse=False), tables
-                )
-            else:
-                natural = _four_step_cyclic_wide(
-                    twisted, tables.four_step(n1), tables, inverse=False
-                )
-            return natural[:, tables.bitrev]
-        twisted = (block * tables.psi_powers) % tables.p64
-        if n1 <= 1 or n // n1 <= 1:  # degenerate split: plain auto-sort sweep
-            natural = _stockham_sweep(twisted, tables.stockham_stages(inverse=False), tables.p64)
-        else:
-            natural = _four_step_cyclic(twisted, tables.four_step(n1), tables.p64, inverse=False)
-        return natural[:, tables.bitrev]
+    def _forward_tile(self, tile, rows):
+        self._four_step(tile, rows, inverse=False)
 
-    def inverse_array(self, block, tables):
-        n = block.shape[1]
-        natural = np.ascontiguousarray(block[:, tables.bitrev])
+    def _inverse_tile(self, tile, rows):
+        self._four_step(tile, rows, inverse=True)
+
+    def _four_step(self, tile, rows: TableRows, inverse: bool) -> None:
+        k, m, n = tile.shape
         n1 = self._split(n)
-        if tables.wide:
-            if n1 <= 1 or n // n1 <= 1:
-                swept = _stockham_sweep_wide(
-                    natural, tables.stockham_stages(inverse=True), tables
-                )
-            else:
-                swept = _four_step_cyclic_wide(
-                    natural, tables.four_step(n1), tables, inverse=True
-                )
-            return tables.wide_mul(
-                swept, tables.psi_inv_scaled, tables.companions(tables.psi_inv_scaled)
+        n2 = n // n1
+        if n1 <= 1 or n2 <= 1:  # degenerate split: the plain auto-sort kernel
+            sweep = StockhamEngine._inverse_tile if inverse else StockhamEngine._forward_tile
+            return sweep(self, tile, rows)
+        a, b, t, u, v = scratch("a b t u v", (k, m, 1, n2, n1))
+        to_output, from_input, to_natural = _four_step_gathers(n, n1)
+        if inverse:
+            np.take(tile, from_input, axis=-1, out=a.reshape(k, m, n), mode="clip")
+        else:  # pre-twist by psi^i, read transposed: columns[j2, j1] = tile[j1*n2 + j2]
+            psi = tuple(
+                array.reshape(m, 1, n1, n2).transpose(0, 1, 3, 2)
+                for array in rows.table(("twist", False))
             )
-        if n1 <= 1 or n // n1 <= 1:
-            swept = _stockham_sweep(natural, tables.stockham_stages(inverse=True), tables.p64)
+            columns = tile.reshape(k, m, 1, n1, n2).transpose(0, 1, 2, 4, 3)
+            rows.reduction.mul_lazy(columns, psi[0], psi[1:], rows.p, rows.p2, a, t, u, v)
+        result = self._kernels(a, b, rows, n1, n2, inverse).reshape(k, m, n)
+        tile5 = tile.reshape(k, m, 1, 1, n)
+        if inverse:
+            natural = b if np.may_share_memory(result, a) else a
+            np.take(result, to_natural, axis=-1, out=natural.reshape(k, m, n), mode="clip")
+            post = _twiddles(rows.table(("twist", True)), 0, n, (m, 1, 1, n))
+            t, u, v = (buffer.reshape(tile5.shape) for buffer in (t, u, v))
+            rows.reduction.mul_lazy(
+                natural.reshape(tile5.shape), post[0], post[1:], rows.p, rows.p2, tile5, t, u, v
+            )
         else:
-            swept = _four_step_cyclic(natural, tables.four_step(n1), tables.p64, inverse=True)
-        return (swept * tables.psi_inv_scaled) % tables.p64
+            np.take(result, to_output, axis=-1, out=tile, mode="clip")
+        _finish(tile5, rows)
+
+    @staticmethod
+    def _kernels(a, b, rows: TableRows, n1: int, n2: int, inverse: bool):
+        """Kernel-1, twist, Kernel-2 over the ``(n2, n1)`` columns in ``a``.
+
+        Returns the ``(k, m, n1, n2)`` result (in ``a`` or ``b``), both
+        kernel outputs in bit-reversed order along their rows.
+        """
+        k, m = a.shape[:2]
+        inner = rows.table(("four_step", inverse, n1, "inner"))
+        columns = _pease(
+            a.reshape(k, m, n2, n1), (b.reshape(k, m, n2, n1), a.reshape(k, m, n2, n1)),
+            inner, rows, inverse=False,
+        )
+        spare = b if np.may_share_memory(columns, a) else a
+        # Twist by omega^(j2*k1), written transposed for the n2-point kernel.
+        twist = tuple(
+            array.reshape(m, 1, n2, n1).transpose(0, 1, 3, 2)
+            for array in rows.table(("four_step", inverse, n1, "twist"))
+        )
+        t, u, v = scratch("t u v", (k, m, 1, n1, n2))
+        source = columns.reshape(k, m, 1, n2, n1).transpose(0, 1, 2, 4, 3)
+        _lazy_product(source, twist, rows, spare.reshape(k, m, 1, n1, n2), (t, u, v))
+        shape = (k, m, n1, n2)
+        other = a if spare is b else b
+        return _pease(
+            spare.reshape(shape), (other.reshape(shape), spare.reshape(shape)),
+            rows.table(("four_step", inverse, n1, "outer")), rows, inverse=False,
+        )
 
 
 # ------------------------------------------------------------------- registry
@@ -1020,7 +1009,9 @@ class EngineSelectionMixin:
     2. the process default installed with :func:`set_default_engine`;
     3. the ``REPRO_NTT_ENGINE`` environment variable (read at call time);
     4. the auto-tuner, whose per-``(n, p_bits, batch)`` winner is cached on
-       the backend (inspect :attr:`engine_choices` / :attr:`engine_timings`).
+       the backend (inspect :attr:`engine_choices` / :attr:`engine_timings`);
+       ``batch`` is the rows of the tile the kernels sweep
+       (:func:`tile_rows`) on array paths, the rows of a prime on row paths.
     """
 
     def _init_engine_selection(
@@ -1029,6 +1020,7 @@ class EngineSelectionMixin:
         self._engine_override: str | None = None
         self._engine_choices: dict[tuple[int, int, int], str] = {}
         self._engine_timings: dict[tuple[int, int, int], dict[str, float]] = {}
+        self._tune_samples: dict = {}  # the running race's sample data
         self._tuner = tuner if tuner is not None else NttAutoTuner()
         if engine is not None:
             self.set_engine(engine)
@@ -1061,7 +1053,10 @@ class EngineSelectionMixin:
         """Auto-tuner timings (best seconds per candidate) per tuned shape."""
         return {key: dict(value) for key, value in self._engine_timings.items()}
 
-    def _select_engine(self, n: int, p: int, batch: int) -> NttEngine:
+    def _select_engine(
+        self, n: int, p: int, batch: int, tables: TableRows | None = None
+    ) -> NttEngine:
+        """The engine for ``batch`` rows at ``(n, p)``; a race runs on ``tables``."""
         spec = self._engine_override
         if spec is None:
             spec = default_engine_spec()
@@ -1073,9 +1068,12 @@ class EngineSelectionMixin:
             with TRACER.span(
                 "ntt.autotune", n=n, p_bits=key[1], batch=batch
             ):
-                choice, timings = self._tuner.pick(
-                    lambda engine: self._autotune_run(engine, n, p, batch)
-                )
+                try:
+                    choice, timings = self._tuner.pick(
+                        lambda engine: self._autotune_run(engine, n, p, batch, tables)
+                    )
+                finally:
+                    self._tune_samples.clear()
             self._engine_choices[key] = choice
             self._engine_timings[key] = timings
             metrics = getattr(self, "metrics", None)
@@ -1083,6 +1081,8 @@ class EngineSelectionMixin:
                 metrics.observe("ntt.autotune_seconds", timings.get(choice, 0.0))
         return get_engine(choice)
 
-    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
-        """Execute one representative transform through ``engine`` (override me)."""
+    def _autotune_run(
+        self, engine: NttEngine, n: int, p: int, batch: int, tables: TableRows | None = None
+    ) -> None:
+        """Run one representative transform (override me; sample in ``_tune_samples``)."""
         raise NotImplementedError

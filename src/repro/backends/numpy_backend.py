@@ -1,42 +1,40 @@
-"""NumPy backend: resident ``uint64`` residue tensors with batched NTTs.
+"""NumPy backend: resident ``uint64`` residue tensors, one kernel pass per op.
 
-Where :mod:`repro.transforms.vectorized` vectorises the butterfly stages of a
-*single* transform, this backend additionally vectorises the *batch*
-dimension — and, since the resident-tensor redesign, keeps the whole residue
-matrix living in one 2-D ``uint64`` array across operations.  *Which*
-transform algorithm sweeps that array is pluggable: every prime group
-dispatches through the :class:`~repro.backends.engines.NttEngine` selected
-for its ``(n, p_bits, batch)`` shape (radix-2 baseline, fused high-radix,
-four-step, Stockham — see :mod:`repro.backends.engines`), all bit-for-bit
-interchangeable.  A
-``multiply → relinearize → mod_switch`` chain touches Python integers exactly
-zero times: every stage (forward/inverse NTT, pointwise ⊙, digit broadcast,
-RNS modulus switch) is an array operation on the resident storage — the
-software analogue of the paper's device-resident batched kernels
-(Section III / Fig. 3).
+The whole residue matrix of a tensor lives in one 2-D ``uint64`` array
+across operations, and every operation is array work over all of its rows
+at once — the software analogue of the paper's device-resident batched
+kernels (Section III / Fig. 3):
 
-Exactness: with both operands below ``2^31`` a ``uint64`` product cannot
-overflow, so every ``(a * b) % p`` is exact — the same trick
-:class:`repro.transforms.vectorized.VectorizedNTT` validates.  Primes from
-2^31 up to the 2^62 storage limit — which covers the paper's native ~60-bit
-word configuration — run the exact wide-word kernels of
-:mod:`repro.backends.wideops` (32-bit limb Shoup reduction, or the float64
-quotient trick below 2^50), so they are just as resident and
-conversion-free as the narrow window.  Setting ``REPRO_WIDE_WORD=0``
-restores the historical 30-bit gate: wide rows are then routed, per prime,
-through the exact big-int kernels of
-:class:`~repro.backends.scalar.ScalarBackend`; those rows cross the
-list/array boundary per operation, the crossings are charged to
-:attr:`~repro.backends.base.ComputeBackend.conversion_count`, and the rows
-themselves to :attr:`~repro.backends.base.ComputeBackend.fallback_rows`.
-Additive operations only need sums below ``2^64`` and are vectorised up to
-the 62-bit storage limit in every regime: rows with wider primes (never
-generated by this repository's parameter sets) are held as exact Python
-fallback rows inside the tensor.
+* **Transforms** view a tensor as runs of whole basis repetitions: rows
+  ``p0 .. p{m-1}`` repeated ``k`` times form one ``(k, m, n)`` block, and
+  each run is one call into the :class:`~repro.backends.engines.NttEngine`
+  selected for its tile shape, sweeping the basis's stacked twiddle tables
+  (:class:`~repro.backends.engines.EngineTables`) broadcast over ``k``.  A
+  regular tensor is one run; a pool shard that starts mid-basis, or an
+  irregular layout, splits into a few.
+* **Pointwise ops** are one pass over the whole tensor against a per-row
+  modulus column: add/sub/neg reduce with one conditional subtraction,
+  ``mul`` and ``scalar_mul`` go through the tensor's reduction strategy
+  (:mod:`repro.backends.wideops`), and digit broadcast and modulus
+  switching run column-wise too.
+
+Every prime below the 2^62 storage limit runs these exact array kernels.
+Setting ``REPRO_WIDE_WORD=0`` restores the historical 30-bit window for
+products: rows with wider primes are then routed, per prime, through the
+exact big-int kernels of :class:`~repro.backends.scalar.ScalarBackend`;
+those rows cross the list/array boundary per operation, the crossings are
+charged to :attr:`~repro.backends.base.ComputeBackend.conversion_count`,
+and the rows themselves to
+:attr:`~repro.backends.base.ComputeBackend.fallback_rows`.  Rows with
+primes of 2^62 or more (never generated by this repository's parameter
+sets) are held as exact Python fallback rows inside the tensor.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,9 +42,24 @@ import numpy as np
 from ..telemetry import TRACER
 from . import wideops
 from .base import ComputeBackend, ResidueRows, ResidueTensor
-from .engines import EngineSelectionMixin, EngineTables, NttEngine, vector_mul_limit
-from .scalar import ScalarBackend
-from .wideops import WIDE_MUL_LIMIT
+from .engines import (
+    TILE_ELEMS,
+    EngineSelectionMixin,
+    EngineTables,
+    NttEngine,
+    TableRows,
+    kernel_buffers,
+    scratch,
+    tile_rows,
+)
+from .scalar import ScalarBackend, random_row
+from .wideops import (
+    STRATEGY_ENV_VAR,
+    WIDE_MUL_LIMIT,
+    reduce_below,
+    select_strategy,
+    vector_mul_limit,
+)
 
 __all__ = [
     "NumpyBackend",
@@ -66,6 +79,32 @@ ADD_VECTORIZED_LIMIT = 1 << 62
 #: Largest modulus (exclusive) whose residues are stored in the uint64 array;
 #: wider rows live as exact Python fallback rows inside the tensor.
 STORAGE_LIMIT = ADD_VECTORIZED_LIMIT
+#: Entries kept in each of the per-layout memos before they are reset.
+_MEMO_LIMIT = 256
+
+
+#: glibc ``mallopt`` parameter numbers.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_freed_storage_on_heap() -> None:
+    """Let the allocator reuse freed tensor storage instead of unmapping it.
+
+    Every op allocates its output arrays and frees its inputs' once they
+    die, while the kernels themselves allocate nothing.  Under glibc's
+    default thresholds arrays above 128 KiB are then fresh ``mmap``s, and
+    the heap top is trimmed after each op, so the next op faults every page
+    in again: about 3900 minor faults and 8 ms of system time per chain-60
+    op (N=4096, six 60-bit primes) on a 2-core Xeon.  Raising both
+    thresholds keeps freed storage on the heap.  No-op off glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # pragma: no cover - non-glibc
+        return
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
 class NumpyTensor(ResidueTensor):
@@ -84,12 +123,25 @@ class NumpyTensor(ResidueTensor):
         self.big: dict[int, list[int]] = big if big is not None else {}
 
 
-def _group_by_prime(primes: Sequence[int]) -> dict[int, list[int]]:
-    """Map each distinct modulus to the row indices it governs."""
-    groups: dict[int, list[int]] = {}
-    for index, p in enumerate(primes):
-        groups.setdefault(p, []).append(index)
-    return groups
+class _Columns:
+    """Per-row moduli of one prime tuple for the pointwise kernels.
+
+    ``p`` is a ``(count, 1)`` ``uint64`` column (a placeholder 1 on rows at
+    or above ``limit``, which ``fallback`` maps by prime to their indices);
+    ``strategy`` is the reduction of the largest prime below ``limit``.
+    """
+
+    __slots__ = ("p", "p2", "fallback", "strategy", "primes")
+
+    def __init__(self, primes: tuple, limit: int) -> None:
+        self.primes = [p if p < limit else 1 for p in primes]
+        self.p = np.asarray(self.primes, dtype=np.uint64).reshape(-1, 1)
+        self.p2 = self.p * np.uint64(2)
+        self.fallback: dict[int, list[int]] = {}
+        for index, p in enumerate(primes):
+            if p >= limit:
+                self.fallback.setdefault(p, []).append(index)
+        self.strategy = select_strategy(max(self.primes, default=1))
 
 
 class NumpyBackend(EngineSelectionMixin, ComputeBackend):
@@ -100,72 +152,84 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
     outputs are bit-identical to the scalar path (bit-reversed forward
     output, Gentleman-Sande inverse) under *every* registered
     :class:`~repro.backends.engines.NttEngine`.  Transforms dispatch through
-    the engine seam: vectorisable prime groups run the engine's batched
-    array path over the resident storage, wider primes run the same engine's
-    exact row path (the counted per-prime fallback).  Pin an engine with the
-    ``engine`` constructor argument or :meth:`set_engine`; by default the
-    per-shape auto-tuner races the candidates once and caches the winner.
+    the engine seam: each basis run goes through the engine's array path
+    over the resident storage, primes outside the product window through
+    the same engine's exact row path (the counted per-prime fallback).  Pin
+    an engine with the ``engine`` constructor argument or :meth:`set_engine`;
+    by default the auto-tuner races the candidates once per tile shape and
+    caches the winner.
     """
 
     name = "numpy"
 
     def __init__(self, engine: str | None = None) -> None:
         super().__init__()
-        self._contexts: dict[tuple[int, int], EngineTables] = {}
+        _keep_freed_storage_on_heap()
+        self._tables: dict[tuple[int, str], EngineTables] = {}
+        self._layouts: dict[tuple, tuple] = {}
+        self._columns: dict[tuple, _Columns] = {}
         self._fallback = ScalarBackend()
-        self._tune_blocks: dict[tuple[int, int, int], np.ndarray] = {}
         self._init_engine_selection(engine)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
         self.metrics.set_gauge("ntt.engine_timings", lambda: self.engine_timings)
 
     @property
     def resident_contexts(self) -> int:
-        """Cached twiddle contexts (vectorised plus scalar-fallback)."""
-        return len(self._contexts) + self._fallback.resident_contexts
+        """Cached per-``(n, p)`` twiddle contexts (vectorised plus scalar-fallback)."""
+        return (
+            sum(len(tables.primes) for tables in self._tables.values())
+            + self._fallback.resident_contexts
+        )
 
-    def _context(self, n: int, p: int) -> EngineTables:
-        key = (n, p)
-        context = self._contexts.get(key)
-        if context is None:
-            context = EngineTables(n, p)
-            self._contexts[key] = context
-        return context
+    def _tables_for(self, n: int, p: int) -> EngineTables:
+        """The stacked tables holding prime ``p`` at length ``n``."""
+        key = (n, select_strategy(p))
+        tables = self._tables.get(key)
+        if tables is None:
+            tables = self._tables[key] = EngineTables(n, key[1])
+        return tables
 
     # -- engine selection plumbing ---------------------------------------------
-    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
-        if p < vector_mul_limit():
-            block = self._tune_block(n, p, batch)
-            engine.forward_array(block.copy(), self._context(n, p))
-        else:
+    def _autotune_run(
+        self, engine: NttEngine, n: int, p: int, batch: int, tables: TableRows | None = None
+    ) -> None:
+        sample = self._tune_samples.get("sample")
+        if tables is None and p < vector_mul_limit():
+            prime_tables = self._tables_for(n, p)
+            row = prime_tables.index(p)
+            tables = prime_tables.rows(row, row + 1)
+        if tables is None:
             # Fallback rows are transformed one at a time, so one row times
             # the whole group faithfully.
-            rows = [self._fallback._tune_row(n, p)]
-            engine.forward_rows(rows, self._fallback.transformer(n, p))
-
-    def _tune_block(self, n: int, p: int, batch: int) -> np.ndarray:
-        key = (n, p, batch)
-        block = self._tune_blocks.get(key)
-        if block is None:
+            if sample is None:
+                sample = self._tune_samples["sample"] = [random_row(n, p)]
+            engine.forward_rows(sample, self._fallback.transformer(n, p))
+            return
+        if tables.m > batch:
+            tables = tables.rows(0, batch)
+        if sample is None:
             rng = np.random.default_rng((n << 16) ^ (p & 0xFFFF) ^ batch)
-            block = rng.integers(0, p, size=(batch, n), dtype=np.uint64)
-            self._tune_blocks[key] = block
-        return block
+            sample = self._tune_samples["sample"] = rng.integers(
+                0, tables.p.reshape(-1, 1), size=(batch // tables.m, tables.m, n),
+                dtype=np.uint64,
+            )
+        engine.forward_array(sample.copy(), tables)
 
     @staticmethod
     def supports_vectorized_mul(p: int) -> bool:
         """Whether products mod ``p`` run the exact vectorised array path.
 
-        True below :func:`~repro.backends.engines.vector_mul_limit` — 2^62
-        by default (native uint64 products below 2^31, the wide-word Shoup
-        kernels above), 2^31 when ``REPRO_WIDE_WORD=0`` pins the narrow
-        window.
+        True below :func:`~repro.backends.wideops.vector_mul_limit` — 2^62
+        by default, 2^31 when ``REPRO_WIDE_WORD=0`` pins the narrow window.
         """
         return p < vector_mul_limit()
 
     def warm_twiddles(self, n: int, primes: Sequence[int]) -> None:
-        for p in set(primes):
-            if p < vector_mul_limit():
-                self._context(n, p)
+        # Registering the basis in order keeps its transforms one run each.
+        limit = vector_mul_limit()
+        for p in dict.fromkeys(primes):
+            if p < limit:
+                self._tables_for(n, p).index(p)
             else:
                 self._fallback.transformer(n, p)
 
@@ -223,14 +287,59 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
                 out.big[index] = list(row)
         self._count_conversion(converted)
 
-    def _empty_like(self, tensor: NumpyTensor) -> NumpyTensor:
-        return NumpyTensor(
-            self,
-            tensor.primes,
-            tensor.n,
-            np.zeros_like(tensor.data),
-            {},
-        )
+    # -- layouts -----------------------------------------------------------------
+    def _layout(self, n: int, primes: tuple) -> tuple[list, dict]:
+        """``(runs, fallback)`` of a tensor: array runs and per-prime row groups.
+
+        A run ``(start, k, m, rows)`` covers rows ``start : start + k*m``
+        whose primes are the ``m`` consecutive primes of ``rows`` repeated
+        ``k`` times.  Memoised per prime tuple and product window.
+        """
+        limit = vector_mul_limit()
+        key = (n, primes, limit, os.environ.get(STRATEGY_ENV_VAR))
+        layout = self._layouts.get(key)
+        if layout is None:
+            if len(self._layouts) >= _MEMO_LIMIT:
+                self._layouts.clear()
+            layout = self._layouts[key] = self._plan_runs(n, primes, limit)
+        return layout
+
+    def _plan_runs(self, n: int, primes: tuple, limit: int) -> tuple[list, dict]:
+        runs: list = []
+        fallback: dict[int, list[int]] = {}
+        count = len(primes)
+        i = 0
+        while i < count:
+            p = primes[i]
+            if p >= limit:
+                fallback.setdefault(p, []).append(i)
+                i += 1
+                continue
+            tables = self._tables_for(n, p)
+            lo = tables.index(p)
+            m = 1
+            while (
+                i + m < count
+                and primes[i + m] < limit
+                and self._tables_for(n, primes[i + m]) is tables
+                and tables.index(primes[i + m]) == lo + m
+            ):
+                m += 1
+            k = 1
+            while primes[i + k * m : i + (k + 1) * m] == primes[i : i + m]:
+                k += 1
+            runs.append((i, k, m, tables.rows(lo, lo + m)))
+            i += k * m
+        return runs, fallback
+
+    def _pointwise_columns(self, primes: tuple, limit: int) -> _Columns:
+        key = (primes, limit, os.environ.get(STRATEGY_ENV_VAR))
+        columns = self._columns.get(key)
+        if columns is None:
+            if len(self._columns) >= _MEMO_LIMIT:
+                self._columns.clear()
+            columns = self._columns[key] = _Columns(primes, limit)
+        return columns
 
     # -- transforms ------------------------------------------------------------
     def forward_ntt_batch(self, tensor: ResidueTensor) -> NumpyTensor:
@@ -241,115 +350,123 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
 
     def _transform(self, tensor: ResidueTensor, forward: bool) -> NumpyTensor:
         self._check_owned(tensor)
-        out = self._empty_like(tensor)
-        for p, indices in _group_by_prime(tensor.primes).items():
-            engine = self._select_engine(tensor.n, p, len(indices))
-            vectorizable = p < vector_mul_limit() and not any(
-                i in tensor.big for i in indices
-            )
-            with TRACER.span(
-                "ntt.engine", engine=engine.spec, n=tensor.n, rows=len(indices)
-            ):
-                if vectorizable:
-                    # Fancy indexing copies, so the engine may transform in
-                    # place.
-                    block = tensor.data[indices]
-                    tables = self._context(tensor.n, p)
-                    out.data[indices] = (
-                        engine.forward_array(block, tables)
-                        if forward
-                        else engine.inverse_array(block, tables)
-                    )
+        n = tensor.n
+        runs, fallback = self._layout(n, tensor.primes)
+        data = tensor.data.copy()
+        out = NumpyTensor(self, tensor.primes, n, data, {})
+        for start, k, m, rows in runs:
+            block = data[start : start + k * m].reshape(k, m, n)
+            engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n), rows)
+            with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=k * m):
+                if forward:
+                    result = engine.forward_array(block, rows)
                 else:
-                    self._count_fallback(len(indices))
-                    rows = self._extract_rows(tensor, indices)
-                    transformer = self._fallback.transformer(tensor.n, p)
-                    transformed = (
-                        engine.forward_rows(rows, transformer)
-                        if forward
-                        else engine.inverse_rows(rows, transformer)
-                    )
-                    self._store_rows(out, indices, transformed, p)
+                    result = engine.inverse_array(block, rows)
+            if result is not block:
+                block[...] = result
+        for p, indices in fallback.items():
+            engine = self._select_engine(n, p, len(indices))
+            with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=len(indices)):
+                self._count_fallback(len(indices))
+                rows_in = self._extract_rows(tensor, indices)
+                transformer = self._fallback.transformer(n, p)
+                transformed = (
+                    engine.forward_rows(rows_in, transformer)
+                    if forward
+                    else engine.inverse_rows(rows_in, transformer)
+                )
+                self._store_rows(out, indices, transformed, p)
         return out
 
     # -- pointwise arithmetic --------------------------------------------------
-    def _pointwise_pair(self, a, b, vectorized, fallback, limit) -> NumpyTensor:
-        self._check_pair(a, b)
-        out = self._empty_like(a)
-        for p, indices in _group_by_prime(a.primes).items():
-            vectorizable = p < limit and not any(i in a.big for i in indices)
-            if vectorizable:
-                out.data[indices] = vectorized(a.data[indices], b.data[indices], p)
-            else:
-                self._count_fallback(len(indices))
-                group_primes = [p] * len(indices)
-                rows = fallback(
-                    self._extract_rows(a, indices),
-                    self._extract_rows(b, indices),
-                    group_primes,
-                )
-                self._store_rows(out, indices, rows, p)
-        return out
+    def _pointwise(self, kernel, fallback, limit: int, a, b=None) -> NumpyTensor:
+        """One tiled pass of ``kernel(out, x, y, columns, lo, hi, scratch)`` over all rows.
 
-    def _pointwise_single(self, a, vectorized, fallback, limit) -> NumpyTensor:
-        self._check_owned(a)
-        out = self._empty_like(a)
-        for p, indices in _group_by_prime(a.primes).items():
-            vectorizable = p < limit and not any(i in a.big for i in indices)
-            if vectorizable:
-                out.data[indices] = vectorized(a.data[indices], p)
-            else:
-                self._count_fallback(len(indices))
-                group_primes = [p] * len(indices)
-                rows = fallback(self._extract_rows(a, indices), group_primes)
-                self._store_rows(out, indices, rows, p)
+        Rows at or above ``limit`` are recomputed afterwards through the
+        counted per-prime ``fallback(rows_a[, rows_b], primes)``.
+        """
+        columns = self._pointwise_columns(a.primes, limit)
+        count, n = a.data.shape
+        data = np.empty_like(a.data)
+        step = max(1, TILE_ELEMS // max(n, 1))
+        with kernel_buffers():
+            for lo in range(0, count, step):
+                hi = min(count, lo + step)
+                kernel(
+                    data[lo:hi],
+                    a.data[lo:hi],
+                    None if b is None else b.data[lo:hi],
+                    columns,
+                    lo,
+                    hi,
+                    scratch("t u v x", (hi - lo, n)),
+                )
+        out = NumpyTensor(self, a.primes, a.n, data, {})
+        for p, indices in columns.fallback.items():
+            self._count_fallback(len(indices))
+            operands = [self._extract_rows(a, indices)]
+            if b is not None:
+                operands.append(self._extract_rows(b, indices))
+            self._store_rows(out, indices, fallback(*operands, [p] * len(indices)), p)
         return out
 
     def add(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
-        return self._pointwise_pair(
-            a,
-            b,
-            lambda x, y, p: (x + y) % np.uint64(p),
-            self._fallback._add_rows,
-            ADD_VECTORIZED_LIMIT,
-        )
+        self._check_pair(a, b)
+
+        def kernel(out, x, y, columns, lo, hi, scratch):
+            np.add(x, y, out=out)
+            reduce_below(out, columns.p[lo:hi], out, scratch[0])
+
+        return self._pointwise(kernel, self._fallback._add_rows, ADD_VECTORIZED_LIMIT, a, b)
 
     def sub(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
-        return self._pointwise_pair(
-            a,
-            b,
-            lambda x, y, p: (x + np.uint64(p) - y) % np.uint64(p),
-            self._fallback._sub_rows,
-            ADD_VECTORIZED_LIMIT,
-        )
+        self._check_pair(a, b)
+
+        def kernel(out, x, y, columns, lo, hi, scratch):
+            # x - y wraps when negative; adding p then wraps back below p.
+            np.subtract(x, y, out=out)
+            np.add(out, columns.p[lo:hi], out=scratch[0])
+            np.minimum(out, scratch[0], out=out)
+
+        return self._pointwise(kernel, self._fallback._sub_rows, ADD_VECTORIZED_LIMIT, a, b)
 
     def neg(self, a: ResidueTensor) -> NumpyTensor:
-        return self._pointwise_single(
-            a,
-            lambda x, p: (np.uint64(p) - x) % np.uint64(p),
-            self._fallback._neg_rows,
-            ADD_VECTORIZED_LIMIT,
-        )
+        self._check_owned(a)
+
+        def kernel(out, x, y, columns, lo, hi, scratch):
+            # min(p - x, -x): the wrapped -x is huge unless x == 0.
+            np.subtract(columns.p[lo:hi], x, out=out)
+            np.negative(x, out=scratch[0])
+            np.minimum(out, scratch[0], out=out)
+
+        return self._pointwise(kernel, self._fallback._neg_rows, ADD_VECTORIZED_LIMIT, a)
 
     def mul(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
-        return self._pointwise_pair(
-            a,
-            b,
-            lambda x, y, p: (x * y) % np.uint64(p)
-            if p < MUL_VECTORIZED_LIMIT
-            else wideops.mulmod(x, y, p),
-            self._fallback._mul_rows,
-            vector_mul_limit(),
-        )
+        self._check_pair(a, b)
+
+        def kernel(out, x, y, columns, lo, hi, scratch):
+            wideops.mulmod(x, y, columns.p[lo:hi], columns.strategy, out, scratch)
+
+        return self._pointwise(kernel, self._fallback._mul_rows, vector_mul_limit(), a, b)
 
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> NumpyTensor:
-        return self._pointwise_single(
-            a,
-            lambda x, p: (x * np.uint64(scalar % p)) % np.uint64(p)
-            if p < MUL_VECTORIZED_LIMIT
-            else wideops.scalar_mulmod(x, scalar, p),
+        self._check_owned(a)
+        columns = self._pointwise_columns(a.primes, vector_mul_limit())
+        reduction = wideops.reduction_for(columns.strategy)
+        w = np.asarray([scalar % p for p in columns.primes], dtype=np.uint64).reshape(-1, 1)
+        companions = reduction.companions(w, columns.p)
+
+        def kernel(out, x, y, columns, lo, hi, scratch):
+            p = columns.p[lo:hi]
+            rows_w = [array[lo:hi] for array in (w,) + companions]
+            reduction.mul_lazy(x, rows_w[0], rows_w[1:], p, columns.p2[lo:hi], out, *scratch[:3])
+            reduce_below(out, p, out, scratch[0])
+
+        return self._pointwise(
+            kernel,
             lambda rows, primes: self._fallback._scalar_mul_rows(rows, scalar, primes),
             vector_mul_limit(),
+            a,
         )
 
     # -- structural operations -------------------------------------------------
@@ -426,20 +543,19 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         self._check_owned(tensor)
         if not 0 <= index < tensor.count:
             raise ValueError("digit index %d out of range" % index)
-        out = self._empty_like(tensor)
+        out = NumpyTensor(self, tensor.primes, tensor.n, np.zeros_like(tensor.data), {})
         if index in tensor.big:
             self._count_fallback(tensor.count)
-            source = tensor.big[index]
-            rows = self._fallback._digit_rows(source, tensor.primes)
+            rows = self._fallback._digit_rows(tensor.big[index], tensor.primes)
             for j, (row, p) in enumerate(zip(rows, tensor.primes)):
                 self._store_rows(out, [j], [row], p)
             return out
-        source = tensor.data[index]
-        for j, p in enumerate(tensor.primes):
-            if p < STORAGE_LIMIT:
-                out.data[j] = source % np.uint64(p)
-            else:  # pragma: no cover - no parameter set generates ≥62-bit primes
-                out.big[j] = [int(value) % p for value in source.tolist()]
+        columns = self._pointwise_columns(tensor.primes, STORAGE_LIMIT)
+        np.remainder(tensor.data[index], columns.p, out=out.data)
+        for p, indices in columns.fallback.items():  # pragma: no cover - no ≥62-bit primes
+            for j in indices:
+                out.data[j] = 0
+                out.big[j] = [int(value) % p for value in tensor.data[index].tolist()]
         return out
 
     def mod_switch_drop_last(
@@ -450,15 +566,8 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             raise ValueError("cannot modulus-switch below a single prime")
         primes = tensor.primes
         t = plaintext_modulus
-        q_last = primes[-1]
         limit = vector_mul_limit()
-        narrow = (
-            not tensor.big
-            and t < MUL_VECTORIZED_LIMIT
-            and max(primes) < MUL_VECTORIZED_LIMIT
-        )
-        wide = not narrow and not tensor.big and t < limit and max(primes) < limit
-        if not narrow and not wide:
+        if tensor.big or t >= limit or max(primes) >= limit:
             self._count_fallback(tensor.count)
             rows = self._extract_rows(tensor, range(tensor.count))
             switched = self._fallback._mod_switch_rows(rows, primes, t)
@@ -472,56 +581,65 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             for j, (row, p) in enumerate(zip(switched, primes[:-1])):
                 self._store_rows(out, [j], [row], p)
             return out
-        if wide:
-            return self._mod_switch_wide(tensor, t)
-        # All quantities fit int64: w * t_inv < 2^62, |t * u_c| < 2^61, and the
-        # final (value mod p) * q_inv product is below 2^62.
+        if t < MUL_VECTORIZED_LIMIT and max(primes) < MUL_VECTORIZED_LIMIT:
+            data = self._mod_switch_narrow(tensor, t)
+        else:
+            data = self._mod_switch_wide(tensor, t)
+        return NumpyTensor(self, primes[:-1], tensor.n, data, {})
+
+    @staticmethod
+    def _mod_switch_narrow(tensor: NumpyTensor, t: int) -> np.ndarray:
+        """Single-word modulus switch in signed int64, all rows at once.
+
+        Every quantity fits int64: ``w * t_inv < 2^62``, ``|t * u_c| < 2^61``
+        and the final ``(value mod p) * q_inv`` product is below ``2^62``.
+        """
+        primes = tensor.primes
+        q_last = primes[-1]
         t_inv = pow(t, -1, q_last)
         w = tensor.data[-1].astype(np.int64)
         u = (q_last - (w * np.int64(t_inv)) % q_last) % q_last
         u_c = np.where(u > q_last // 2, u - q_last, u)
-        data = np.zeros((tensor.count - 1, tensor.n), dtype=np.uint64)
-        correction = np.int64(t) * u_c
-        for j, p in enumerate(primes[:-1]):
-            q_inv = pow(q_last % p, -1, p)
-            value = (tensor.data[j].astype(np.int64) + correction) % p
-            data[j] = ((value * np.int64(q_inv)) % p).astype(np.uint64)
-        return NumpyTensor(self, primes[:-1], tensor.n, data, {})
+        p = np.asarray(primes[:-1], dtype=np.int64).reshape(-1, 1)
+        q_inv = np.asarray(
+            [pow(q_last % prime, -1, prime) for prime in primes[:-1]], dtype=np.int64
+        ).reshape(-1, 1)
+        value = (tensor.data[:-1].astype(np.int64) + np.int64(t) * u_c) % p
+        return ((value * q_inv) % p).astype(np.uint64)
 
-    def _mod_switch_wide(self, tensor: NumpyTensor, t: int) -> NumpyTensor:
+    @staticmethod
+    def _mod_switch_wide(tensor: NumpyTensor, t: int) -> np.ndarray:
         """Wide-word (≤ 62-bit) modulus switch — all products via Shoup kernels.
 
         The narrow path's signed int64 arithmetic overflows above 30-bit
         primes, so the correction digit ``u`` stays unsigned and its centered
         sign is carried as a mask: for centered-negative digits the term
         ``t * u_c = t*u - t*q_last`` is applied as one extra reduced
-        subtraction mod ``p``.  Every per-prime product — ``w * t^{-1}`` mod
+        subtraction mod ``p``.  Every product — ``w * t^{-1}`` mod
         ``q_last``, ``u * t`` mod ``p``, and the final ``value * q_last^{-1}``
-        mod ``p`` — runs :func:`repro.backends.wideops.scalar_mulmod`, which
-        is exact for arbitrary uint64 multiplicands (``u`` may exceed ``p``).
-        Bit-for-bit with :meth:`ScalarBackend._mod_switch_rows`: every
-        intermediate is fully reduced into the same residue class.
+        mod ``p`` — runs :func:`repro.backends.wideops.scalar_mulmod` against
+        per-row columns, exact for arbitrary uint64 multiplicands (``u`` may
+        exceed ``p``).  Bit-for-bit with :meth:`ScalarBackend._mod_switch_rows`:
+        every intermediate is fully reduced into the same residue class.
         """
         primes = tensor.primes
+        rest = primes[:-1]
         q_last = primes[-1]
         q64 = np.uint64(q_last)
-        t_inv = pow(t, -1, q_last)
-        product = wideops.scalar_mulmod(tensor.data[-1], t_inv, q_last)
+        product = wideops.scalar_mulmod(tensor.data[-1], pow(t, -1, q_last), q_last)
         u = q64 - product  # in [1, q_last]; min() maps the q_last case to 0
         u = np.minimum(u, u - q64)
         negative = u > np.uint64(q_last // 2)
-        data = np.zeros((tensor.count - 1, tensor.n), dtype=np.uint64)
-        for j, p in enumerate(primes[:-1]):
-            p64 = np.uint64(p)
-            q_inv = pow(q_last % p, -1, p)
-            term = wideops.scalar_mulmod(u, t, p)
-            total = tensor.data[j] + term
-            value = np.minimum(total, total - p64)
-            tq64 = np.uint64((t % p) * (q_last % p) % p)
-            shifted = value + (p64 - tq64)
-            value = np.where(negative, np.minimum(shifted, shifted - p64), value)
-            data[j] = wideops.scalar_mulmod(value, q_inv, p)
-        return NumpyTensor(self, primes[:-1], tensor.n, data, {})
+        p = np.asarray(rest, dtype=np.uint64).reshape(-1, 1)
+        total = tensor.data[:-1] + wideops.scalar_mulmod(u, t, rest)
+        value = np.minimum(total, total - p)
+        tq = np.asarray(
+            [(t % prime) * (q_last % prime) % prime for prime in rest], dtype=np.uint64
+        ).reshape(-1, 1)
+        shifted = value + (p - tq)
+        value = np.where(negative, np.minimum(shifted, shifted - p), value)
+        q_inv = [pow(q_last % prime, -1, prime) for prime in rest]
+        return wideops.scalar_mulmod(value, q_inv, rest)
 
     # -- validation ------------------------------------------------------------
     def _check_owned(self, tensor: ResidueTensor) -> None:

@@ -27,7 +27,13 @@ from ..transforms.cooley_tukey import NegacyclicTransformer
 from .base import ComputeBackend, ResidueRows, ResidueTensor
 from .engines import EngineSelectionMixin, NttEngine
 
-__all__ = ["ScalarBackend", "ScalarTensor"]
+__all__ = ["ScalarBackend", "ScalarTensor", "random_row"]
+
+
+def random_row(n: int, p: int) -> list[int]:
+    """A seeded random residue row: the auto-tuner's race sample at ``(n, p)``."""
+    rng = random.Random((n << 16) ^ (p & 0xFFFF))
+    return [rng.randrange(p) for _ in range(n)]
 
 
 class ScalarTensor(ResidueTensor):
@@ -62,7 +68,6 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
     def __init__(self, engine: str | None = None) -> None:
         super().__init__()
         self._transformers: dict[tuple[int, int], NegacyclicTransformer] = {}
-        self._tune_rows: dict[tuple[int, int], list[int]] = {}
         self._init_engine_selection(engine)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
         self.metrics.set_gauge("ntt.engine_timings", lambda: self.engine_timings)
@@ -102,19 +107,15 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
         return ScalarTensor(self, primes, n, rows)
 
     # -- engine selection plumbing ---------------------------------------------
-    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
-        # Per-row cost is batch-independent on this backend, so one cached
-        # random row is a faithful micro-benchmark of the whole group.
-        engine.forward_row(self._tune_row(n, p), self.transformer(n, p))
-
-    def _tune_row(self, n: int, p: int) -> list[int]:
-        key = (n, p)
-        row = self._tune_rows.get(key)
+    def _autotune_run(
+        self, engine: NttEngine, n: int, p: int, batch: int, tables=None
+    ) -> None:
+        # Per-row cost is batch-independent on this backend, so one random
+        # row is a faithful micro-benchmark of the whole group.
+        row = self._tune_samples.get("sample")
         if row is None:
-            rng = random.Random((n << 16) ^ (p & 0xFFFF))
-            row = [rng.randrange(p) for _ in range(n)]
-            self._tune_rows[key] = row
-        return row
+            row = self._tune_samples["sample"] = random_row(n, p)
+        engine.forward_row(row, self.transformer(n, p))
 
     # -- row-level kernels (shared with vectorised backends' fallback) ---------
     def _transform_rows(

@@ -1,42 +1,40 @@
-"""Exact wide-word (31–62 bit) vectorised modular arithmetic primitives.
+"""Exact vectorised modular products for every prime below 2^62.
 
 The paper characterises HE workloads at a native word size of ~60-bit RNS
 primes, but a plain ``uint64`` product ``a * b`` is only exact when both
-operands stay below ``2^32`` — which is why the array data plane historically
-stopped at 30-bit primes and routed the paper's headline configurations
-through the counted per-prime big-int fallback.  This module closes that gap
-with two classic techniques, both exact for every modulus below ``2^62``
-(matching the word contract of :mod:`repro.modarith.reducers`, whose scalar
-:class:`~repro.modarith.reducers.ShoupModMul` /
-:class:`~repro.modarith.reducers.BarrettModMul` are the reference these
-kernels are cross-checked against):
+operands stay below ``2^32``.  This module supplies the reduction
+strategies every array kernel of the NumPy data plane goes through, all
+exact below ``2^62`` (matching the word contract of
+:mod:`repro.modarith.reducers`, whose scalar
+:class:`~repro.modarith.reducers.ShoupModMul` is the reference):
 
-* **32-bit limb decomposition** — :func:`mul_hi` computes the high 64 bits of
-  a ``64x64`` product with four schoolbook limb products and uint64 carry
-  propagation (NumPy multiplication wraps mod ``2^64``, so the low half is
-  free).  :func:`shoup_mul` then performs Shoup's reduction against a
-  precomputed companion ``w_bar = floor(w * 2^64 / p)``: the estimated
-  quotient ``q = mul_hi(x, w_bar)`` is off by at most one, so
-  ``x*w - q*p`` (computed wrapped) lies in ``[0, 2p)`` and one conditional
-  subtraction finishes the job — for *any* ``x < 2^64``, not just reduced
-  operands.
-* **float64 two-product quotient** — for ``p < 2^50`` and a reduced
-  multiplicand ``x < p``, the quotient ``floor(x * w / p)`` can be estimated
-  as ``trunc(x_f * (w / p))`` in double precision: the relative error of the
-  two roundings is below ``2^-52`` and ``x*w/p < 2^50``, so the absolute
-  error stays under ``0.5`` and the estimate is within ±1 of the true
-  quotient.  The ±1 ambiguity is resolved branch-free in uint64 (a negative
-  remainder wraps above ``2^63``; an overshoot is one conditional
-  subtraction).  This is the FMA-style trick hardware NTT kernels use for
-  Shoup twiddle products, and on primes it covers it needs ~3 array ops per
-  element instead of the limb path's ~10.
+* **Products by constants** (twiddles, ``n^{-1}``, scalars) use Shoup's
+  precomputed-companion reduction.  A :class:`Reduction` strategy is chosen
+  once per basis of primes (:func:`reduction_for`):
 
-Strategy selection is per prime size (:func:`select_strategy`): float below
-``2^50``, limbs above — overridable with ``REPRO_WIDE_STRATEGY`` for tests
-and experiments.  The widened window itself can be disabled with
-``REPRO_WIDE_WORD=0``, restoring the historical 30-bit gate (the benchmark
-suite uses this to time the wide path against the big-int fallback it
-replaced).
+  - :class:`Shoup32` below ``2^31`` — companion ``floor(w * 2^32 / p)``,
+    five array passes per product;
+  - :class:`FloatQuotient` below ``2^50`` — companion ``w / p`` in float64,
+    whose truncated product with ``x`` is within one of the true quotient;
+  - :class:`LimbShoup` below ``2^62`` — companion ``floor(w * 2^64 / p)``
+    pre-split into 32-bit limbs, high half of ``x * w_bar`` estimated from
+    three limb products.
+
+  Every strategy's :meth:`Reduction.mul_lazy` returns ``x * w mod p`` in
+  ``[0, 2p)`` for multiplicands below ``4p`` — the contract of Harvey's lazy
+  butterflies ("Faster arithmetic for number-theoretic transforms",
+  J. Symb. Comp. 2014) — and writes only into caller-supplied buffers.
+
+* **General element-wise products** (:func:`mulmod`) reduce natively with
+  ``%`` below ``2^31``, with the float quotient below ``2^50``, and above
+  that split the 128-bit product into 64-bit halves, folding the high half
+  in with a limb-Shoup product by ``2^64 mod p``.
+
+``REPRO_WIDE_STRATEGY`` forces ``limb`` or ``float`` for primes at or above
+``2^31`` (``float`` is rejected at or above 2^50, where it would be
+inexact).  ``REPRO_WIDE_WORD=0`` restores the historical 30-bit window: the
+NumPy backend then routes wider primes through its counted big-int
+fallback.
 """
 
 from __future__ import annotations
@@ -55,12 +53,13 @@ __all__ = [
     "wide_word_enabled",
     "vector_mul_limit",
     "select_strategy",
+    "Reduction",
+    "Shoup32",
+    "FloatQuotient",
+    "LimbShoup",
+    "reduction_for",
+    "reduce_below",
     "mul_hi",
-    "shoup_bar",
-    "float_bar",
-    "shoup_mul",
-    "shoup_mul_limb",
-    "shoup_mul_float",
     "mulmod",
     "scalar_mulmod",
 ]
@@ -68,26 +67,25 @@ __all__ = [
 #: Exclusive modulus bound of the single-word window: below this a plain
 #: ``uint64`` product of two reduced residues cannot overflow.
 NARROW_MUL_LIMIT = 1 << 31
-#: Exclusive modulus bound of the wide window: Shoup/limb reduction needs the
-#: in-flight value ``x*w - q*p`` to stay below ``2^63`` (i.e. ``2p < 2^63``),
-#: which matches the ``p < word/4`` contract of ``repro.modarith.reducers``.
+#: Exclusive modulus bound of the wide window: lazy values below ``4p`` must
+#: fit ``uint64``, which matches the ``p < word/4`` contract of
+#: ``repro.modarith.reducers``.
 WIDE_MUL_LIMIT = 1 << 62
 #: Exclusive modulus bound of the float64 quotient strategy: ``x*w/p`` must
-#: stay far enough below ``2^53`` that two roundings keep the absolute
-#: quotient error under 1/2.
+#: stay below ``2^52`` for multiplicands below ``4p``, so that two roundings
+#: keep the quotient within one of the truth.
 FLOAT_SHOUP_LIMIT = 1 << 50
 
 #: Set to ``0``/``off``/``narrow`` to restore the historical 30-bit window
 #: (benchmarks use this to time wide vs big-int fallback).
 WIDE_ENV_VAR = "REPRO_WIDE_WORD"
-#: Force the wide-mul strategy to ``limb`` or ``float`` regardless of prime
-#: size (``float`` is rejected for primes at or above 2^50 — it would be
-#: inexact there).
+#: Force the wide-mul strategy to ``limb`` or ``float`` for primes at or
+#: above 2^31 (``float`` is rejected for primes at or above 2^50 — it would
+#: be inexact there).
 STRATEGY_ENV_VAR = "REPRO_WIDE_STRATEGY"
 
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
-_SIGN_BIT = np.uint64(1) << np.uint64(63)
 
 
 def wide_word_enabled() -> bool:
@@ -107,7 +105,13 @@ def vector_mul_limit() -> int:
 
 
 def select_strategy(p: int) -> str:
-    """The wide-mul strategy (``"limb"`` or ``"float"``) for modulus ``p``."""
+    """Name of the :class:`Reduction` for modulus ``p``.
+
+    ``"shoup32"`` below 2^31, otherwise ``"float"`` below 2^50 and
+    ``"limb"`` above, unless ``REPRO_WIDE_STRATEGY`` forces one of the two.
+    """
+    if p < NARROW_MUL_LIMIT:
+        return "shoup32"
     forced = os.environ.get(STRATEGY_ENV_VAR, "").lower() or None
     if forced is not None:
         if forced not in ("limb", "float"):
@@ -123,108 +127,241 @@ def select_strategy(p: int) -> str:
     return "float" if p < FLOAT_SHOUP_LIMIT else "limb"
 
 
-def _cond_sub(x, p64):
-    """``x mod p`` for ``x < 2p`` without division: ``min(x, x - p)`` in uint64."""
-    return np.minimum(x, x - p64)
+def reduce_below(x, bound, out, t):
+    """``out = x - bound if x >= bound else x`` — branch-free, for ``x < 2*bound``.
+
+    ``min(x, x - bound)`` in uint64: the wrapped difference is huge whenever
+    ``x < bound``.  ``t`` is a scratch buffer shaped like ``x``.
+    """
+    np.subtract(x, bound, out=t)
+    return np.minimum(x, t, out=out)
 
 
-def mul_hi(a, b):
+class Reduction:
+    """Products by precomputed constants modulo a column of primes.
+
+    Stateless: the primes arrive as broadcastable ``uint64`` columns ``p``
+    and ``p2 = 2p`` (one row per prime), the constants as a table ``w`` plus
+    the companion arrays :meth:`companions` built for it, and the scratch
+    as three ``uint64`` buffers shaped like ``x``.
+    """
+
+    name = "abstract"
+
+    @staticmethod
+    def companions(w, primes) -> tuple:
+        """Companion arrays for the constants ``w`` (rows reduced mod ``primes``)."""
+        raise NotImplementedError
+
+    @staticmethod
+    def mul_lazy(x, w, comps, p, p2, out, t, u, v):
+        """``out = x * w mod p`` in ``[0, 2p)``, for ``x < 4p``; ``out`` may alias ``x``."""
+        raise NotImplementedError
+
+
+class Shoup32(Reduction):
+    """Shoup with 32-bit companions, for primes below 2^31.
+
+    ``q = (x * w_bar) >> 32`` undershoots ``floor(x * w / p)`` by at most
+    one whenever ``x < 2^32``, so ``x*w - q*p`` lies in ``[0, 2p)``.  The
+    lazy range ``x < 4p`` fits for primes below 2^30; callers feeding a
+    larger prime pass ``x`` reduced below ``2p`` (see :attr:`limit`).
+    """
+
+    name = "shoup32"
+    #: Exclusive bound on ``x``.
+    limit = 1 << 32
+
+    @staticmethod
+    def companions(w, primes) -> tuple:
+        return (np.floor_divide(np.left_shift(w, _SHIFT32), primes),)
+
+    @staticmethod
+    def mul_lazy(x, w, comps, p, p2, out, t, u, v):
+        np.multiply(x, comps[0], out=t)
+        np.right_shift(t, _SHIFT32, out=t)
+        np.multiply(t, p, out=t)
+        np.multiply(x, w, out=u)
+        return np.subtract(u, t, out=out)
+
+
+class FloatQuotient(Reduction):
+    """Shoup with a float64 quotient ``trunc(x * (w / p))``, below 2^50.
+
+    For ``x < 4p`` the true quotient is below ``2^52`` and the two
+    roundings move it by less than one, so ``x*w - q*p`` lies in
+    ``[-p, 2p)``; one wrapped add-back of ``p`` puts it in ``[0, 2p)``.
+    """
+
+    name = "float"
+    limit = 1 << 64
+
+    @staticmethod
+    def companions(w, primes) -> tuple:
+        return (w.astype(np.float64) / primes.astype(np.float64),)
+
+    @staticmethod
+    def mul_lazy(x, w, comps, p, p2, out, t, u, v):
+        f = v.view(np.float64)
+        np.multiply(x.view(np.int64), comps[0], out=f)
+        np.copyto(t.view(np.int64), f, casting="unsafe")
+        np.multiply(t, p, out=t)
+        np.multiply(x, w, out=u)
+        np.subtract(u, t, out=u)
+        np.add(u, p, out=t)
+        return np.minimum(u, t, out=out)
+
+
+class LimbShoup(Reduction):
+    """Shoup with a 64-bit companion held as two 32-bit limbs, below 2^62.
+
+    The high half of ``x * w_bar`` is estimated from three limb products,
+    dropping the low-by-low product and the carries: the estimate is at
+    most two below the exact high half, which itself is at most one below
+    ``floor(x * w / p)``.  So ``x*w - q*p`` lies in ``[0, 4p)`` (below
+    2^64) and one conditional subtraction of ``2p`` ends in ``[0, 2p)``.
+    """
+
+    name = "limb"
+    limit = 1 << 64
+
+    @staticmethod
+    def companions(w, primes) -> tuple:
+        flat_w = np.broadcast_to(w, np.broadcast_shapes(w.shape, primes.shape))
+        flat_p = np.broadcast_to(primes, flat_w.shape)
+        bars = np.asarray(
+            [
+                (value << 64) // prime
+                for value, prime in zip(flat_w.ravel().tolist(), flat_p.ravel().tolist())
+            ],
+            dtype=np.uint64,
+        ).reshape(flat_w.shape)
+        return (bars >> _SHIFT32, bars & _MASK32)
+
+    @staticmethod
+    def mul_lazy(x, w, comps, p, p2, out, t, u, v):
+        hi, lo = comps
+        np.bitwise_and(x, _MASK32, out=u)
+        np.multiply(u, hi, out=u)
+        np.right_shift(u, _SHIFT32, out=u)
+        np.right_shift(x, _SHIFT32, out=t)
+        np.multiply(t, lo, out=v)
+        np.right_shift(v, _SHIFT32, out=v)
+        np.add(u, v, out=u)
+        np.multiply(t, hi, out=t)
+        np.add(t, u, out=t)
+        np.multiply(t, p, out=t)
+        np.multiply(x, w, out=u)
+        np.subtract(u, t, out=u)
+        return reduce_below(u, p2, out, t)
+
+
+_REDUCTIONS = {cls.name: cls for cls in (Shoup32, FloatQuotient, LimbShoup)}
+
+
+def reduction_for(name: str) -> type[Reduction]:
+    """The :class:`Reduction` class registered under ``name``."""
+    return _REDUCTIONS[name]
+
+
+def mul_hi(a, b, out, t, u, v):
     """High 64 bits of the ``64x64 -> 128`` product, via 32-bit limbs.
 
-    Schoolbook ``2x2`` limb products with explicit carry propagation; every
-    intermediate fits uint64 (the cross sum is at most
-    ``2*(2^32 - 1) + (2^32 - 1)^2 < 2^64``).  Broadcasts like ``a * b``.
+    Schoolbook ``2x2`` limb products with explicit carry propagation, written
+    into ``out`` through three scratch buffers; every intermediate fits
+    uint64 (the cross sum is at most ``2*(2^32 - 1) + (2^32 - 1)^2 < 2^64``).
     """
-    a_lo = a & _MASK32
-    a_hi = a >> _SHIFT32
-    b_lo = b & _MASK32
-    b_hi = b >> _SHIFT32
-    lo_lo = a_lo * b_lo
-    hi_lo = a_hi * b_lo
-    cross = (lo_lo >> _SHIFT32) + (hi_lo & _MASK32) + a_lo * b_hi
-    return a_hi * b_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
-
-
-def shoup_bar(constants, p: int):
-    """Shoup companions ``floor(w * 2^64 / p)`` for a table of constants.
-
-    Computed with Python big ints (the division must be exact at 128-bit
-    scale), returned as uint64 with the input's shape.  Each companion fits:
-    ``w < p`` implies ``w * 2^64 / p < 2^64``.
-    """
-    table = np.asarray(constants, dtype=np.uint64)
-    bars = [(int(w) << 64) // p for w in table.ravel().tolist()]
-    return np.asarray(bars, dtype=np.uint64).reshape(table.shape)
-
-
-def float_bar(constants, p: int):
-    """Float64 companions ``w / p`` for the float quotient strategy."""
-    if p >= FLOAT_SHOUP_LIMIT:  # pragma: no cover - guarded by select_strategy
-        raise ValueError("float companions are exact only below 2^50")
-    return np.asarray(constants, dtype=np.uint64).astype(np.float64) / np.float64(p)
-
-
-def shoup_mul_limb(x, w, w_bar, p64):
-    """``(x * w) mod p`` with a precomputed ``w_bar = floor(w * 2^64 / p)``.
-
-    Exact for any ``x < 2^64`` and reduced ``w < p < 2^62``: the quotient
-    estimate ``q = mul_hi(x, w_bar)`` is at most one below the true
-    quotient, so the wrapped remainder lies in ``[0, 2p) < 2^63`` and one
-    conditional subtraction fully reduces it.
-    """
-    q = mul_hi(x, w_bar)
-    r = x * w - q * p64
-    return _cond_sub(r, p64)
-
-
-def shoup_mul_float(x, w, w_over_p, p64):
-    """``(x * w) mod p`` via the float64 quotient ``trunc(x * (w/p))``.
-
-    Requires a *reduced* multiplicand ``x < p`` and ``p < 2^50``: then the
-    double-precision quotient estimate is within ±1 of the truth, and the
-    two corrections below (a wrapped-negative add-back and one conditional
-    subtraction) are unambiguous in uint64.
-    """
-    q = (x.astype(np.float64) * w_over_p).astype(np.uint64)
-    r = x * w - q * p64
-    r = np.where(r & _SIGN_BIT, r + p64, r)
-    return _cond_sub(r, p64)
-
-
-def shoup_mul(x, w, bar, p64, strategy: str):
-    """Strategy-dispatching twiddle product (see :func:`select_strategy`)."""
-    if strategy == "float":
-        return shoup_mul_float(x, w, bar, p64)
-    return shoup_mul_limb(x, w, bar, p64)
+    np.bitwise_and(a, _MASK32, out=t)
+    np.bitwise_and(b, _MASK32, out=u)
+    np.multiply(t, u, out=v)
+    np.right_shift(v, _SHIFT32, out=v)
+    np.right_shift(b, _SHIFT32, out=out)
+    np.multiply(t, out, out=t)
+    np.add(v, t, out=v)
+    np.right_shift(a, _SHIFT32, out=t)
+    np.multiply(u, t, out=u)
+    np.multiply(out, t, out=out)
+    np.bitwise_and(u, _MASK32, out=t)
+    np.add(v, t, out=v)
+    np.right_shift(u, _SHIFT32, out=u)
+    np.add(out, u, out=out)
+    np.right_shift(v, _SHIFT32, out=v)
+    return np.add(out, v, out=out)
 
 
 @lru_cache(maxsize=None)
-def _radix_constants(p: int) -> tuple[np.uint64, np.uint64]:
-    """``c = 2^64 mod p`` and its Shoup companion (pure function of ``p``)."""
+def _radix_constant(p: int) -> tuple[int, int, int]:
+    """``c = 2^64 mod p`` and the limbs of its 64-bit Shoup companion."""
     c = (1 << 64) % p
-    return np.uint64(c), np.uint64((c << 64) // p)
+    bar = (c << 64) // p
+    return c, bar >> 32, bar & 0xFFFFFFFF
 
 
-def mulmod(a, b, p: int):
+def mulmod(a, b, p, strategy: str | None = None, out=None, scratch=None):
     """Exact element-wise ``(a * b) mod p`` for reduced uint64 operands.
 
-    The full 128-bit product is split as ``hi * 2^64 + lo``; the high half is
-    folded in as ``(hi * (2^64 mod p)) mod p`` via limb Shoup (valid for an
-    *arbitrary* hi), the low half reduces natively, and their sum needs one
-    conditional subtraction.  Exact for every ``p < 2^62``.
+    ``p`` is one modulus or a broadcastable ``uint64`` column of them (one
+    per row); ``strategy`` (default: :func:`select_strategy` of the largest)
+    picks the reduction.  ``shoup32`` reduces the native product with
+    ``%``; ``float`` corrects the float64 quotient ``trunc(a * b / p)``,
+    within one of the truth below 2^50; ``limb`` splits the 128-bit product
+    as ``hi * 2^64 + lo``, folds the high half in as ``hi * (2^64 mod p)``
+    through a limb-Shoup product and reduces the low half natively.
+    ``out`` and four ``scratch`` buffers shaped like it are allocated when
+    not supplied.
     """
-    p64 = np.uint64(p)
-    c, c_bar = _radix_constants(p)
-    folded = shoup_mul_limb(mul_hi(a, b), c, c_bar, p64)
-    return _cond_sub(folded + (a * b) % p64, p64)
+    column = np.asarray(p, dtype=np.uint64)
+    if strategy is None:
+        strategy = select_strategy(int(column.max()))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    if strategy == "shoup32":
+        np.multiply(a, b, out=out)
+        return np.remainder(out, column, out=out)
+    t, u, v, x = scratch if scratch is not None else [np.empty_like(out) for _ in range(4)]
+    if strategy == "float":
+        f = v.view(np.float64)
+        np.multiply(a.view(np.int64), 1.0 / column.astype(np.float64), out=f)
+        np.multiply(f, b.view(np.int64), out=f)
+        np.copyto(t.view(np.int64), f, casting="unsafe")
+        np.multiply(t, column, out=t)
+        np.multiply(a, b, out=u)
+        np.subtract(u, t, out=u)
+        np.add(u, column, out=t)
+        np.minimum(u, t, out=u)
+        return reduce_below(u, column, out, t)
+    constants = [_radix_constant(int(q)) for q in column.ravel().tolist()]
+    c, c_hi, c_lo = (
+        np.asarray(values, dtype=np.uint64).reshape(column.shape) for values in zip(*constants)
+    )
+    mul_hi(a, b, x, t, u, v)
+    LimbShoup.mul_lazy(x, c, (c_hi, c_lo), column, column * np.uint64(2), out, t, u, v)
+    reduce_below(out, column, out, t)
+    np.multiply(a, b, out=t)
+    np.remainder(t, column, out=t)
+    np.add(out, t, out=out)
+    return reduce_below(out, column, out, t)
 
 
-def scalar_mulmod(x, scalar: int, p: int):
-    """Exact ``(x * scalar) mod p`` for one Python-int scalar, ``p < 2^62``.
+def scalar_mulmod(x, scalar, p):
+    """Exact ``(x * scalar) mod p`` for Python-int scalars, ``p < 2^62``.
 
-    The Shoup companion is derived per call with one big-int division —
-    negligible against the array work — so arbitrary (e.g. plaintext)
-    scalars need no cache.  Valid for any ``x < 2^64``.
+    ``p`` is one modulus, or a sequence of them for the rows of ``x`` (then
+    ``scalar`` may be one int or one per row).  The limb-Shoup companions
+    are derived per call — negligible against the array work — so arbitrary
+    (e.g. plaintext) scalars need no cache.  Valid for any ``x < 2^64``.
     """
-    w = scalar % p
-    return shoup_mul_limb(x, np.uint64(w), np.uint64((w << 64) // p), np.uint64(p))
+    if isinstance(p, (int, np.integer)):
+        primes, scalars, shape = [int(p)], [scalar], (1,)
+    else:
+        primes = [int(q) for q in p]
+        scalars = scalar if isinstance(scalar, (list, tuple)) else [scalar] * len(primes)
+        shape = (-1, 1)
+    column = np.asarray(primes, dtype=np.uint64).reshape(shape)
+    w = np.asarray([int(s) % q for s, q in zip(scalars, primes)], dtype=np.uint64).reshape(shape)
+    out = np.empty(np.broadcast_shapes(x.shape, column.shape), dtype=np.uint64)
+    t, u, v = (np.empty_like(out) for _ in range(3))
+    LimbShoup.mul_lazy(
+        x, w, LimbShoup.companions(w, column), column, column * np.uint64(2), out, t, u, v
+    )
+    return reduce_below(out, column, out, t)

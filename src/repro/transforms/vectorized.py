@@ -5,7 +5,7 @@ clarity; this module is the vectorised single-transform view of the same
 radix-2 algorithm.  Since the engine layer exists the butterfly loops live
 in exactly one place — :class:`repro.backends.engines.Radix2Engine` — and
 :class:`VectorizedNTT` is a thin rows-in/rows-out wrapper around that shared
-array path (one ``(1, n)`` batch per call), kept for its teaching-friendly
+array path (one ``(1, 1, n)`` block per call), kept for its teaching-friendly
 interface and its historical role in the test suite.
 
 The backend is restricted to moduli below ``2^31``: with both operands below
@@ -57,14 +57,17 @@ class VectorizedNTT:
         # engine module builds on, so the teaching wrapper reaches *up* to
         # the shared tables/kernels only when actually instantiated.
         from ..backends.engines import EngineTables, get_engine
+        from ..modarith.roots import primitive_root_of_unity
 
         self.n = n
         self.p = p
         self.log_n = log2_exact(n)
-        self._tables = EngineTables(n, p, psi_2n)
-        self.psi = self._tables.psi
+        self.psi = psi_2n if psi_2n is not None else primitive_root_of_unity(2 * n, p)
+        tables = EngineTables(n, "shoup32", self.psi)
+        tables.index(p)
+        self._tables = tables.rows(0, 1)
         self._engine = get_engine("radix2")
-        self._p = self._tables.p64
+        self._p = np.uint64(p)
 
     # -- helpers -----------------------------------------------------------------
     def _as_array(self, values: Sequence[int]) -> np.ndarray:
@@ -76,13 +79,13 @@ class VectorizedNTT:
     # -- transforms -----------------------------------------------------------------
     def forward(self, values: Sequence[int]) -> list[int]:
         """Forward negacyclic NTT (bit-reversed output)."""
-        block = self._as_array(values).reshape(1, self.n)
-        return [int(x) for x in self._engine.forward_array(block, self._tables)[0]]
+        block = self._as_array(values).reshape(1, 1, self.n)
+        return [int(x) for x in self._engine.forward_array(block, self._tables)[0, 0]]
 
     def inverse(self, values: Sequence[int]) -> list[int]:
         """Inverse negacyclic NTT (bit-reversed input, natural output)."""
-        block = self._as_array(values).reshape(1, self.n)
-        return [int(x) for x in self._engine.inverse_array(block, self._tables)[0]]
+        block = self._as_array(values).reshape(1, 1, self.n)
+        return [int(x) for x in self._engine.inverse_array(block, self._tables)[0, 0]]
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Negacyclic polynomial product computed entirely in the vectorised backend."""

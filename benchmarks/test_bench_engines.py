@@ -10,8 +10,11 @@ rows over 30-bit primes.  Pins the engine-layer acceptance criteria:
   i.e. the default configuration actually ships the speedup.
 
 The structural reason for the margin: radix-2 reduces every butterfly
-add/sub with a hardware-division ``%``, while the other engines use the
-branch-free conditional subtraction (see ``repro/backends/engines.py``).
+output and twiddle product with a hardware-division ``%``, while the other
+engines run Harvey's lazy butterflies — Shoup twiddle products and one
+branch-free conditional subtraction per butterfly — and the Stockham engine
+reads and writes whole contiguous half-rows in every stage (Pease's constant
+geometry; see ``repro/backends/engines.py``).
 """
 
 from __future__ import annotations

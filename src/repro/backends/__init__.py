@@ -9,8 +9,9 @@ interface defined here, moving opaque backend-resident
 contract in :mod:`repro.backends.base`).  Ships with:
 
 * ``"scalar"`` — exact big-int reference path (any word size).
-* ``"numpy"`` — batched uint64 vectorisation for ≤ 30-bit primes with
-  automatic per-prime scalar fallback.
+* ``"numpy"`` — batched uint64 vectorisation for every prime below 2^62,
+  one array pass per op over all primes of a tensor, with automatic
+  per-prime scalar fallback above.
 * ``"parallel"`` — shards every batched operation of an inner backend
   (default ``numpy``) across a persistent process pool over shared-memory
   resident tensors, with a work-threshold crossover that keeps small

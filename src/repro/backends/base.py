@@ -79,8 +79,9 @@ Implementations:
 * :class:`repro.backends.scalar.ScalarBackend` — the exact big-int reference
   path; its native storage *is* the list-of-lists, so residency is free.
 * :class:`repro.backends.numpy_backend.NumpyBackend` — one resident
-  ``uint64`` ndarray per tensor, vectorising butterfly stages and the batch
-  dimension for ≤ 30-bit primes with a per-prime exact scalar fallback above.
+  ``uint64`` ndarray per tensor, every op one array pass over all of its
+  rows for primes below 2^62, with a per-prime exact scalar fallback above
+  (or above 2^31 for products when ``REPRO_WIDE_WORD=0``).
 * :class:`repro.backends.parallel.ParallelBackend` — shards every batched
   operation of an inner backend across a persistent process pool, with
   shared-memory-backed tensors above a work-threshold crossover.
@@ -226,8 +227,8 @@ class ComputeBackend(abc.ABC):
     """Abstract batched compute backend over resident residue tensors.
 
     Every operation consumes and produces :class:`ResidueTensor` handles
-    owned by this backend.  Rows belonging to the same modulus may be batched
-    into one wide operation by the implementation; callers are encouraged to
+    owned by this backend.  All rows of a tensor may be batched into one wide
+    operation by the implementation; callers are encouraged to
     :meth:`concat` the largest batch they can assemble (e.g. all polynomials
     of a ciphertext at once) — that is where the paper's speedup lives.
 
@@ -352,8 +353,9 @@ class ComputeBackend(abc.ABC):
         """Forward negacyclic NTT of every row (bit-reversed output).
 
         Row ``i`` is transformed under ``tensor.primes[i]``
-        (``p ≡ 1 (mod 2n)``); repeats allowed and encouraged — rows sharing a
-        modulus move through the butterfly stages as one batch.
+        (``p ≡ 1 (mod 2n)``); repeats allowed and encouraged — a backend may
+        move every row of the tensor through the butterfly stages as one
+        batch (the NumPy backend does, one stacked twiddle table per basis).
         """
 
     @abc.abstractmethod

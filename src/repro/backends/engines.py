@@ -187,8 +187,8 @@ def _table_row(name: tuple, n: int, p: int, psi: int) -> list[int]:
     if part == "outer":
         return _pease_table(n2, pow_mod(omega, n1, p), p)
     # Twist omega^(j2*k1), with k1 in the inner sweep's bit-reversed order.
-    k1 = bit_reverse_indices(n1)
-    return [pow_mod(omega, j2 * k1[pos], p) for j2 in range(n2) for pos in range(n1)]
+    rows = (_modular_powers(pow_mod(omega, j2, p), n1, p) for j2 in range(n2))
+    return [row[k1] for row in rows for k1 in bit_reverse_indices(n1)]
 
 
 class EngineTables:

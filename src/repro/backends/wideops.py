@@ -86,6 +86,7 @@ STRATEGY_ENV_VAR = "REPRO_WIDE_STRATEGY"
 
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def wide_word_enabled() -> bool:
@@ -227,16 +228,24 @@ class LimbShoup(Reduction):
 
     @staticmethod
     def companions(w, primes) -> tuple:
-        flat_w = np.broadcast_to(w, np.broadcast_shapes(w.shape, primes.shape))
-        flat_p = np.broadcast_to(primes, flat_w.shape)
-        bars = np.asarray(
-            [
-                (value << 64) // prime
-                for value, prime in zip(flat_w.ravel().tolist(), flat_p.ravel().tolist())
-            ],
-            dtype=np.uint64,
-        ).reshape(flat_w.shape)
-        return (bars >> _SHIFT32, bars & _MASK32)
+        # floor(w * 2^64 / p) as two base-2^32 digits of a long division by
+        # p.  Each digit's float64 estimate is within one of the truth (the
+        # quotient is below 2^32), and the wrapped remainder, which lies in
+        # (-p, 2p), settles it.
+        remainder, p = np.broadcast_arrays(w, primes)
+        scale = 2.0**32 / p.astype(np.float64)
+        limbs = []
+        for _ in range(2):
+            digit = np.floor(remainder.astype(np.float64) * scale).astype(np.uint64)
+            remainder = (remainder << _SHIFT32) - digit * p
+            low = remainder >= _SIGN_BIT
+            digit -= low
+            remainder = np.where(low, remainder + p, remainder)
+            high = remainder >= p
+            digit += high
+            remainder = np.where(high, remainder - p, remainder)
+            limbs.append(digit)
+        return tuple(limbs)
 
     @staticmethod
     def mul_lazy(x, w, comps, p, p2, out, t, u, v):

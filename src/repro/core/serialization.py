@@ -181,13 +181,18 @@ def rns_polynomial_from_dict(
             made resident on (registry default when omitted).
     """
     _require(payload, "rns_polynomial", "RNS polynomial")
-    n = payload["n"]
-    primes = [int(value, 16) for value in payload["primes"]]
+    # One guard for the whole structure, not a check per residue: a payload
+    # of the wrong shape fails inside the decoding with a TypeError or a
+    # KeyError, and that is a malformed input, reported as a ValueError.
+    try:
+        n = payload["n"]
+        primes = [int(value, 16) for value in payload["primes"]]
+        rows = [[int(value, 16) for value in row] for row in payload["rows"]]
+        domain = Domain(payload["domain"])
+    except (TypeError, KeyError) as exc:
+        raise ValueError("malformed RNS polynomial payload: %r" % exc) from None
     basis = RnsBasis.from_primes(primes, n)
-    rows = [[int(value, 16) for value in row] for row in payload["rows"]]
-    return RnsPolynomial.from_residue_rows(
-        rows, basis, domain=Domain(payload["domain"]), n=n, backend=backend
-    )
+    return RnsPolynomial.from_residue_rows(rows, basis, domain=domain, n=n, backend=backend)
 
 
 # -- ciphertexts -----------------------------------------------------------------------------
@@ -231,12 +236,16 @@ def ciphertext_from_dict(payload: dict[str, Any], backend: Any = None):
     from ..he.params import HEParams
 
     _require(payload, "ciphertext", "ciphertext")
-    params = HEParams(**payload["params"])
-    polys = [
-        rns_polynomial_from_dict(poly_payload, backend=backend)
-        for poly_payload in payload["polys"]
-    ]
-    return Ciphertext(polys=polys, params=params, level=payload["level"])
+    try:
+        params = HEParams(**payload["params"])
+        poly_payloads = list(payload["polys"])
+        level = payload["level"]
+    except (TypeError, KeyError) as exc:
+        raise ValueError("malformed ciphertext payload: %r" % exc) from None
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise ValueError("malformed ciphertext payload: level must be an integer")
+    polys = [rns_polynomial_from_dict(poly, backend=backend) for poly in poly_payloads]
+    return Ciphertext(polys=polys, params=params, level=level)
 
 
 # -- files -------------------------------------------------------------------------------------

@@ -212,6 +212,8 @@ def validate_request(
                 "ciphertexts[%d] has unsupported format_version %r"
                 % (index, ct.get("format_version")),
             )
+        if not isinstance(ct.get("polys"), list):
+            raise ServiceError(400, "ciphertexts[%d] 'polys' must be a list" % index)
         embedded = ct.get("params")
         if embedded != params_dict(params):
             raise ServiceError(
@@ -221,7 +223,7 @@ def validate_request(
             )
     # The chain must stay well-formed for the sizes these inputs produce.
     try:
-        trace_sizes(tuple(ops), [len(ct.get("polys", ())) for ct in cts])
+        trace_sizes(tuple(ops), [len(ct["polys"]) for ct in cts])
     except ValueError as exc:
         raise ServiceError(400, str(exc)) from None
     return params, seed, tuple(ops), cts, request_id

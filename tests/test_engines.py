@@ -252,6 +252,18 @@ def test_autotuner_caches_winner_per_shape(backend_name, monkeypatch):
     assert backend.engine_choices == choices_before
 
 
+@pytest.mark.parametrize("backend_name", ["scalar", "numpy"])
+def test_autotuner_frees_its_sample_after_each_race(backend_name, monkeypatch):
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    backend = make_backend(backend_name)
+    n = 64
+    primes = generate_ntt_primes(30, 2, n) + generate_ntt_primes(60, 1, n)
+    tensor = backend.from_rows(random_rows(primes, n, seed=3), primes)
+    backend.forward_ntt_batch(tensor)
+    assert backend.engine_choices  # at least one race ran
+    assert backend._tune_samples == {}
+
+
 def test_set_engine_validates_and_unpins():
     backend = NumpyBackend()
     with pytest.raises(KeyError):

@@ -385,6 +385,46 @@ def test_http_error_paths():
         assert metrics["server"]["service.errors.5xx"] == 0
 
 
+def _drop(mapping, key):
+    del mapping[key]
+
+
+#: Structural corruptions of a serialised ciphertext, each a client mistake.
+MALFORMED_CIPHERTEXTS = {
+    "rows_not_a_list": lambda ct: ct["polys"][0].update(rows=7),
+    "residue_as_number": lambda ct: ct["polys"][0]["rows"][0].__setitem__(0, 5),
+    "primes_as_numbers": lambda ct: ct["polys"][0].update(
+        primes=[int(p, 16) for p in ct["polys"][0]["primes"]]
+    ),
+    "missing_rows": lambda ct: _drop(ct["polys"][0], "rows"),
+    "polys_not_a_list": lambda ct: ct.update(polys=3),
+    "string_level": lambda ct: ct.update(level="top"),
+}
+
+
+@pytest.fixture(scope="module")
+def served_ciphertext():
+    params = toy_params()
+    _, enc, encoder = _session(params)
+    payload = ciphertext_to_dict(enc.encrypt(encoder.encode([1, 2])))
+    with ServerThread(batch_window=0.001) as server:
+        yield params, payload, ServiceClient("127.0.0.1", server.port)
+
+
+@pytest.mark.parametrize("corrupt", sorted(MALFORMED_CIPHERTEXTS))
+def test_http_malformed_ciphertext_is_a_400_with_request_id(served_ciphertext, corrupt):
+    params, payload, client = served_ciphertext
+    bad = json.loads(json.dumps(payload))
+    MALFORMED_CIPHERTEXTS[corrupt](bad)
+    request = build_request(params, ["multiply"], [bad, payload], seed=SEED)
+    request["request_id"] = "malformed-" + corrupt.replace("_", "-")
+    status, body = client._raw_request("POST", "/v1/compute", request)
+    assert status == 400, body
+    # Rejected while decoding, the caller's id comes back; rejected while
+    # validating, before the id is taken, the server's own.
+    assert json.loads(body)["request_id"]
+
+
 # -- request-scoped observability ------------------------------------------------------
 
 

@@ -103,6 +103,8 @@ def _keep_freed_storage_on_heap() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # pragma: no cover - non-glibc
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 16 << 20)
     mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
@@ -127,11 +129,10 @@ class _Columns:
     """Per-row moduli of one prime tuple for the pointwise kernels.
 
     ``p`` is a ``(count, 1)`` ``uint64`` column (a placeholder 1 on rows at
-    or above ``limit``, which ``fallback`` maps by prime to their indices);
-    ``strategy`` is the reduction of the largest prime below ``limit``.
+    or above ``limit``, which ``fallback`` maps by prime to their indices).
     """
 
-    __slots__ = ("p", "p2", "fallback", "strategy", "primes")
+    __slots__ = ("p", "p2", "fallback", "primes")
 
     def __init__(self, primes: tuple, limit: int) -> None:
         self.primes = [p if p < limit else 1 for p in primes]
@@ -141,7 +142,11 @@ class _Columns:
         for index, p in enumerate(primes):
             if p >= limit:
                 self.fallback.setdefault(p, []).append(index)
-        self.strategy = select_strategy(max(self.primes, default=1))
+
+    @property
+    def strategy(self) -> str:
+        """The reduction of the largest prime below ``limit``: the products' strategy."""
+        return select_strategy(max(self.primes, default=1))
 
 
 class NumpyBackend(EngineSelectionMixin, ComputeBackend):
@@ -554,7 +559,6 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         np.remainder(tensor.data[index], columns.p, out=out.data)
         for p, indices in columns.fallback.items():  # pragma: no cover - no ≥62-bit primes
             for j in indices:
-                out.data[j] = 0
                 out.big[j] = [int(value) % p for value in tensor.data[index].tolist()]
         return out
 

@@ -101,8 +101,8 @@ TUNE_PROFILE_ENV_VAR = "REPRO_TUNE_PROFILE"
 #: Engine specs the auto-tuner races when nothing picked an engine.
 DEFAULT_AUTOTUNE_CANDIDATES = ("radix2", "high_radix", "four_step", "stockham")
 
-#: Residues per kernel tile: whole rows, so one stage's operands and scratch
-#: stay in cache (about 2.4 MB of scratch per thread at N=4096).
+#: Residues per kernel tile: whole rows, so one stage's operands and its
+#: scratch (a few tile-sized buffers per thread) stay in cache.
 TILE_ELEMS = 12 * 4096
 #: Constant-geometry stages whose twiddle runs are shorter than this store
 #: their twiddles expanded: NumPy streams long contiguous inner loops far
@@ -399,21 +399,21 @@ def _ct_forward(tile, rows: TableRows, lazy: bool) -> None:
     while groups < n:
         view = tile.reshape(k, m, groups, 2, half)
         upper, lower = view[:, :, :, :1], view[:, :, :, 1:]
-        x, q, t, u, v = scratch("x q t u v", upper.shape)
+        x, y, t, u, v = scratch("x y t u v", upper.shape)
         w = _twiddles(table, groups, 2 * groups, (m, groups, 1, 1))
         if lazy:  # values in [0, 4p)
-            _lazy_product(lower, w, rows, q, (t, u, v))
+            _lazy_product(lower, w, rows, y, (t, u, v))
             reduce_below(upper, p2, x, t)
-            np.add(x, q, out=upper)
+            np.add(x, y, out=upper)
             np.add(x, p2, out=x)
-            np.subtract(x, q, out=lower)
+            np.subtract(x, y, out=lower)
         else:
-            _reduced_product(lower, w, rows, q, (t, u, v))
-            np.add(upper, q, out=x)
-            np.subtract(upper, q, out=q)
-            np.add(q, p, out=q)
+            _reduced_product(lower, w, rows, y, (t, u, v))
+            np.add(upper, y, out=x)
+            np.subtract(upper, y, out=y)
+            np.add(y, p, out=y)
             np.remainder(x, p, out=upper)
-            np.remainder(q, p, out=lower)
+            np.remainder(y, p, out=lower)
         groups, half = groups * 2, half // 2
     if lazy:
         _finish(tile.reshape(k, m, 1, 1, n), rows, from_4p=True)
@@ -1053,10 +1053,7 @@ class EngineSelectionMixin:
         """Auto-tuner timings (best seconds per candidate) per tuned shape."""
         return {key: dict(value) for key, value in self._engine_timings.items()}
 
-    def _select_engine(
-        self, n: int, p: int, batch: int, tables: TableRows | None = None
-    ) -> NttEngine:
-        """The engine for ``batch`` rows at ``(n, p)``; a race runs on ``tables``."""
+    def _select_engine(self, n: int, p: int, batch: int) -> NttEngine:
         spec = self._engine_override
         if spec is None:
             spec = default_engine_spec()
@@ -1070,7 +1067,7 @@ class EngineSelectionMixin:
             ):
                 try:
                     choice, timings = self._tuner.pick(
-                        lambda engine: self._autotune_run(engine, n, p, batch, tables)
+                        lambda engine: self._autotune_run(engine, n, p, batch)
                     )
                 finally:
                     self._tune_samples.clear()
@@ -1081,8 +1078,6 @@ class EngineSelectionMixin:
                 metrics.observe("ntt.autotune_seconds", timings.get(choice, 0.0))
         return get_engine(choice)
 
-    def _autotune_run(
-        self, engine: NttEngine, n: int, p: int, batch: int, tables: TableRows | None = None
-    ) -> None:
+    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         """Run one representative transform (override me; sample in ``_tune_samples``)."""
         raise NotImplementedError

@@ -47,7 +47,6 @@ from .engines import (
     EngineSelectionMixin,
     EngineTables,
     NttEngine,
-    TableRows,
     kernel_buffers,
     scratch,
     tile_rows,
@@ -195,30 +194,26 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         return tables
 
     # -- engine selection plumbing ---------------------------------------------
-    def _autotune_run(
-        self, engine: NttEngine, n: int, p: int, batch: int, tables: TableRows | None = None
-    ) -> None:
+    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         sample = self._tune_samples.get("sample")
-        if tables is None and p < vector_mul_limit():
-            prime_tables = self._tables_for(n, p)
-            row = prime_tables.index(p)
-            tables = prime_tables.rows(row, row + 1)
-        if tables is None:
+        if p >= vector_mul_limit():
             # Fallback rows are transformed one at a time, so one row times
             # the whole group faithfully.
             if sample is None:
                 sample = self._tune_samples["sample"] = [random_row(n, p)]
             engine.forward_rows(sample, self._fallback.transformer(n, p))
             return
-        if tables.m > batch:
-            tables = tables.rows(0, batch)
+        # A tile of the key's shape over the one prime p: the kernels' cost
+        # per residue does not depend on which primes a tile holds, and the
+        # candidates that lose build their tables for this prime only.
+        tables = self._tables_for(n, p)
+        row = tables.index(p)
         if sample is None:
             rng = np.random.default_rng((n << 16) ^ (p & 0xFFFF) ^ batch)
             sample = self._tune_samples["sample"] = rng.integers(
-                0, tables.p.reshape(-1, 1), size=(batch // tables.m, tables.m, n),
-                dtype=np.uint64,
+                0, p, size=(batch, 1, n), dtype=np.uint64
             )
-        engine.forward_array(sample.copy(), tables)
+        engine.forward_array(sample.copy(), tables.rows(row, row + 1))
 
     @staticmethod
     def supports_vectorized_mul(p: int) -> bool:
@@ -361,7 +356,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         out = NumpyTensor(self, tensor.primes, n, data, {})
         for start, k, m, rows in runs:
             block = data[start : start + k * m].reshape(k, m, n)
-            engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n), rows)
+            engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n))
             with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=k * m):
                 if forward:
                     result = engine.forward_array(block, rows)

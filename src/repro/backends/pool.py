@@ -106,8 +106,8 @@ def plan_shards(count: int, shards: int) -> list[tuple[int, int]]:
     """Split ``count`` rows into at most ``shards`` contiguous balanced ranges.
 
     Row groups stay contiguous over the ``(prime, polynomial)`` batch axis —
-    the inner backend re-groups rows by modulus within each shard, so a shard
-    spanning a prime boundary is handled exactly like any mixed batch.
+    the inner backend splits each shard into runs of consecutive basis
+    primes, so a shard that starts mid-basis is handled like any mixed batch.
     """
     shards = max(1, min(shards, count))
     base, extra = divmod(count, shards)

@@ -107,9 +107,7 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
         return ScalarTensor(self, primes, n, rows)
 
     # -- engine selection plumbing ---------------------------------------------
-    def _autotune_run(
-        self, engine: NttEngine, n: int, p: int, batch: int, tables=None
-    ) -> None:
+    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         # Per-row cost is batch-independent on this backend, so one random
         # row is a faithful micro-benchmark of the whole group.
         row = self._tune_samples.get("sample")

@@ -236,6 +236,10 @@ class EngineTables:
         """A view of primes ``lo:hi`` — what the engine kernels sweep."""
         return TableRows(self, lo, hi)
 
+    def retain(self, kinds) -> None:
+        """Drop every built table whose kind is not in ``kinds``."""
+        self._tables = {name: arrays for name, arrays in self._tables.items() if name[0] in kinds}
+
     def table(self, name: tuple) -> tuple:
         """The stacked ``(values, *companions)`` arrays of one named table."""
         arrays = self._tables.get(name)
@@ -494,6 +498,8 @@ class NttEngine(abc.ABC):
     name: str = "abstract"
     #: Full selection spec, including a parameter ("high_radix:8").
     spec: str = "abstract"
+    #: Kinds of :class:`EngineTables` table the array path reads.
+    tables: tuple[str, ...] = ()
 
     # -- scalar row path -------------------------------------------------------
     @abc.abstractmethod
@@ -549,6 +555,7 @@ class Radix2Engine(NttEngine):
 
     name = "radix2"
     spec = "radix2"
+    tables = ("ct", "n_inv")
 
     def forward_row(self, row, transformer):
         return transformer.forward(row)
@@ -577,6 +584,7 @@ class HighRadixEngine(NttEngine):
     """
 
     name = "high_radix"
+    tables = ("ct", "n_inv")
 
     def __init__(self, radix: int = 16) -> None:
         if not is_power_of_two(radix) or radix < 2:
@@ -621,6 +629,7 @@ class StockhamEngine(NttEngine):
 
     name = "stockham"
     spec = "stockham"
+    tables = ("twist", "pease")
 
     def forward_row(self, row, transformer):
         natural = stockham_ntt_forward(row, transformer.psi, transformer.p)
@@ -669,6 +678,7 @@ class FourStepEngine(NttEngine):
     """
 
     name = "four_step"
+    tables = ("twist", "four_step")
 
     def __init__(self, n1: int | None = None) -> None:
         if n1 is not None and (not is_power_of_two(n1) or n1 < 2):
@@ -1073,10 +1083,14 @@ class EngineSelectionMixin:
                     self._tune_samples.clear()
             self._engine_choices[key] = choice
             self._engine_timings[key] = timings
+            self._race_won()
             metrics = getattr(self, "metrics", None)
             if metrics is not None:
                 metrics.observe("ntt.autotune_seconds", timings.get(choice, 0.0))
         return get_engine(choice)
+
+    def _race_won(self) -> None:
+        """Called after each race is decided (override to drop what lost)."""
 
     def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         """Run one representative transform (override me; sample in ``_tune_samples``)."""

@@ -47,6 +47,7 @@ from .engines import (
     EngineSelectionMixin,
     EngineTables,
     NttEngine,
+    get_engine,
     kernel_buffers,
     scratch,
     tile_rows,
@@ -194,6 +195,12 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         return tables
 
     # -- engine selection plumbing ---------------------------------------------
+    def _race_won(self) -> None:
+        # A race builds every candidate's tables; keep the ones winners read.
+        kinds = {kind for spec in self._engine_choices.values() for kind in get_engine(spec).tables}
+        for tables in self._tables.values():
+            tables.retain(kinds)
+
     def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         sample = self._tune_samples.get("sample")
         if p >= vector_mul_limit():

@@ -212,7 +212,7 @@ class EngineTables:
         self.reduction = reduction_for(strategy)
         self.primes: list[int] = []
         self._index: dict[int, int] = {}
-        self._psi: list[int] = []
+        self.roots: list[int] = []  # psi, a primitive 2n-th root, per prime
         self._psi_2n = psi_2n
         self._tables: dict[tuple, tuple] = {}
 
@@ -226,7 +226,7 @@ class EngineTables:
         psi = self._psi_2n if self._psi_2n is not None else primitive_root_of_unity(2 * self.n, p)
         row = self._index[p] = len(self.primes)
         self.primes.append(p)
-        self._psi.append(psi)
+        self.roots.append(psi)
         for name, arrays in self._tables.items():
             extra = self._build(name, row)
             self._tables[name] = tuple(np.concatenate(pair) for pair in zip(arrays, extra))
@@ -236,10 +236,6 @@ class EngineTables:
         """A view of primes ``lo:hi`` — what the engine kernels sweep."""
         return TableRows(self, lo, hi)
 
-    def retain(self, kinds) -> None:
-        """Drop every built table whose kind is not in ``kinds``."""
-        self._tables = {name: arrays for name, arrays in self._tables.items() if name[0] in kinds}
-
     def table(self, name: tuple) -> tuple:
         """The stacked ``(values, *companions)`` arrays of one named table."""
         arrays = self._tables.get(name)
@@ -248,7 +244,7 @@ class EngineTables:
         return arrays
 
     def _build(self, name: tuple, start: int) -> tuple:
-        pairs = zip(self.primes[start:], self._psi[start:])
+        pairs = zip(self.primes[start:], self.roots[start:])
         values = np.asarray([_table_row(name, self.n, p, psi) for p, psi in pairs], dtype=np.uint64)
         primes = np.asarray(self.primes[start:], dtype=np.uint64).reshape(-1, 1)
         return (values,) + self.reduction.companions(values, primes)
@@ -498,8 +494,6 @@ class NttEngine(abc.ABC):
     name: str = "abstract"
     #: Full selection spec, including a parameter ("high_radix:8").
     spec: str = "abstract"
-    #: Kinds of :class:`EngineTables` table the array path reads.
-    tables: tuple[str, ...] = ()
 
     # -- scalar row path -------------------------------------------------------
     @abc.abstractmethod
@@ -555,7 +549,6 @@ class Radix2Engine(NttEngine):
 
     name = "radix2"
     spec = "radix2"
-    tables = ("ct", "n_inv")
 
     def forward_row(self, row, transformer):
         return transformer.forward(row)
@@ -584,7 +577,6 @@ class HighRadixEngine(NttEngine):
     """
 
     name = "high_radix"
-    tables = ("ct", "n_inv")
 
     def __init__(self, radix: int = 16) -> None:
         if not is_power_of_two(radix) or radix < 2:
@@ -629,7 +621,6 @@ class StockhamEngine(NttEngine):
 
     name = "stockham"
     spec = "stockham"
-    tables = ("twist", "pease")
 
     def forward_row(self, row, transformer):
         natural = stockham_ntt_forward(row, transformer.psi, transformer.p)
@@ -678,7 +669,6 @@ class FourStepEngine(NttEngine):
     """
 
     name = "four_step"
-    tables = ("twist", "four_step")
 
     def __init__(self, n1: int | None = None) -> None:
         if n1 is not None and (not is_power_of_two(n1) or n1 < 2):
@@ -1083,14 +1073,10 @@ class EngineSelectionMixin:
                     self._tune_samples.clear()
             self._engine_choices[key] = choice
             self._engine_timings[key] = timings
-            self._race_won()
             metrics = getattr(self, "metrics", None)
             if metrics is not None:
                 metrics.observe("ntt.autotune_seconds", timings.get(choice, 0.0))
         return get_engine(choice)
-
-    def _race_won(self) -> None:
-        """Called after each race is decided (override to drop what lost)."""
 
     def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         """Run one representative transform (override me; sample in ``_tune_samples``)."""

@@ -47,7 +47,6 @@ from .engines import (
     EngineSelectionMixin,
     EngineTables,
     NttEngine,
-    get_engine,
     kernel_buffers,
     scratch,
     tile_rows,
@@ -195,12 +194,6 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         return tables
 
     # -- engine selection plumbing ---------------------------------------------
-    def _race_won(self) -> None:
-        # A race builds every candidate's tables; keep the ones winners read.
-        kinds = {kind for spec in self._engine_choices.values() for kind in get_engine(spec).tables}
-        for tables in self._tables.values():
-            tables.retain(kinds)
-
     def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         sample = self._tune_samples.get("sample")
         if p >= vector_mul_limit():
@@ -210,17 +203,21 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
                 sample = self._tune_samples["sample"] = [random_row(n, p)]
             engine.forward_rows(sample, self._fallback.transformer(n, p))
             return
-        # A tile of the key's shape over the one prime p: the kernels' cost
-        # per residue does not depend on which primes a tile holds, and the
-        # candidates that lose build their tables for this prime only.
-        tables = self._tables_for(n, p)
-        row = tables.index(p)
+        # A tile of the key's shape over the one prime p, with tables of its
+        # own: the kernels' cost per residue does not depend on which primes
+        # a tile holds, and the candidates that lose build nothing that
+        # outlives the race.
         if sample is None:
+            basis = self._tables_for(n, p)
+            tables = EngineTables(n, basis.strategy, basis.roots[basis.index(p)])
+            tables.index(p)
             rng = np.random.default_rng((n << 16) ^ (p & 0xFFFF) ^ batch)
-            sample = self._tune_samples["sample"] = rng.integers(
-                0, p, size=(batch, 1, n), dtype=np.uint64
+            sample = self._tune_samples["sample"] = (
+                rng.integers(0, p, size=(batch, 1, n), dtype=np.uint64),
+                tables.rows(0, 1),
             )
-        engine.forward_array(sample.copy(), tables.rows(row, row + 1))
+        block, rows = sample
+        engine.forward_array(block.copy(), rows)
 
     @staticmethod
     def supports_vectorized_mul(p: int) -> bool:

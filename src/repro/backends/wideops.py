@@ -40,7 +40,6 @@ fallback.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,7 +85,7 @@ STRATEGY_ENV_VAR = "REPRO_WIDE_STRATEGY"
 
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
-_SIGN_BIT = np.uint64(1 << 63)
+_SIGN_BIT = np.uint64(1) << np.uint64(63)
 
 
 def wide_word_enabled() -> bool:
@@ -148,6 +147,8 @@ class Reduction:
     """
 
     name = "abstract"
+    #: Exclusive bound on the multiplicand ``x`` of :meth:`mul_lazy`.
+    limit = 1 << 64
 
     @staticmethod
     def companions(w, primes) -> tuple:
@@ -170,7 +171,6 @@ class Shoup32(Reduction):
     """
 
     name = "shoup32"
-    #: Exclusive bound on ``x``.
     limit = 1 << 32
 
     @staticmethod
@@ -195,7 +195,6 @@ class FloatQuotient(Reduction):
     """
 
     name = "float"
-    limit = 1 << 64
 
     @staticmethod
     def companions(w, primes) -> tuple:
@@ -224,7 +223,6 @@ class LimbShoup(Reduction):
     """
 
     name = "limb"
-    limit = 1 << 64
 
     @staticmethod
     def companions(w, primes) -> tuple:
@@ -232,7 +230,7 @@ class LimbShoup(Reduction):
         # p.  Each digit's float64 estimate is within one of the truth (the
         # quotient is below 2^32), and the wrapped remainder, which lies in
         # (-p, 2p), settles it.
-        remainder, p = np.broadcast_arrays(w, primes)
+        remainder, p = np.broadcast_arrays(np.atleast_1d(w), np.atleast_1d(primes))
         scale = 2.0**32 / p.astype(np.float64)
         limbs = []
         for _ in range(2):
@@ -298,14 +296,6 @@ def mul_hi(a, b, out, t, u, v):
     return np.add(out, v, out=out)
 
 
-@lru_cache(maxsize=None)
-def _radix_constant(p: int) -> tuple[int, int, int]:
-    """``c = 2^64 mod p`` and the limbs of its 64-bit Shoup companion."""
-    c = (1 << 64) % p
-    bar = (c << 64) // p
-    return c, bar >> 32, bar & 0xFFFFFFFF
-
-
 def mulmod(a, b, p, strategy: str | None = None, out=None, scratch=None):
     """Exact element-wise ``(a * b) mod p`` for reduced uint64 operands.
 
@@ -339,12 +329,10 @@ def mulmod(a, b, p, strategy: str | None = None, out=None, scratch=None):
         np.add(u, column, out=t)
         np.minimum(u, t, out=u)
         return reduce_below(u, column, out, t)
-    constants = [_radix_constant(int(q)) for q in column.ravel().tolist()]
-    c, c_hi, c_lo = (
-        np.asarray(values, dtype=np.uint64).reshape(column.shape) for values in zip(*constants)
-    )
+    radix = [(1 << 64) % int(q) for q in column.ravel().tolist()]
+    c = np.asarray(radix, dtype=np.uint64).reshape(column.shape)
     mul_hi(a, b, x, t, u, v)
-    LimbShoup.mul_lazy(x, c, (c_hi, c_lo), column, column * np.uint64(2), out, t, u, v)
+    LimbShoup.mul_lazy(x, c, LimbShoup.companions(c, column), column, column * np.uint64(2), out, t, u, v)
     reduce_below(out, column, out, t)
     np.multiply(a, b, out=t)
     np.remainder(t, column, out=t)

@@ -117,10 +117,12 @@ KERNEL_BUFSIZE = 128
 
 @contextlib.contextmanager
 def kernel_buffers():
-    """Run the enclosed NumPy kernels with :data:`KERNEL_BUFSIZE` buffers."""
-    with np.errstate():
-        np.setbufsize(KERNEL_BUFSIZE)
+    """Run the enclosed kernels with :data:`KERNEL_BUFSIZE` buffers; restore the caller's."""
+    previous = np.setbufsize(KERNEL_BUFSIZE)
+    try:
         yield
+    finally:
+        np.setbufsize(previous)
 
 
 def tile_rows(k: int, m: int, n: int) -> int:

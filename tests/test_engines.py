@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -262,6 +263,20 @@ def test_autotuner_frees_its_sample_after_each_race(backend_name, monkeypatch):
     backend.forward_ntt_batch(tensor)
     assert backend.engine_choices  # at least one race ran
     assert backend._tune_samples == {}
+
+
+def test_kernels_restore_the_callers_ufunc_buffer_size():
+    backend = NumpyBackend()
+    n = 64
+    primes = generate_ntt_primes(30, 2, n) + generate_ntt_primes(60, 1, n)
+    tensor = backend.from_rows(random_rows(primes, n, seed=5), primes)
+    previous = np.setbufsize(16384)
+    try:
+        backend.inverse_ntt_batch(backend.forward_ntt_batch(tensor))
+        backend.mul(tensor, tensor)
+        assert np.getbufsize() == 16384
+    finally:
+        np.setbufsize(previous)
 
 
 def test_set_engine_validates_and_unpins():

@@ -57,7 +57,7 @@ FORMAT_VERSION = 1
 
 def _require(payload: dict[str, Any], kind: str, description: str) -> None:
     """Validate the ``kind`` tag and ``format_version`` of a payload."""
-    if payload.get("kind") != kind:
+    if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise ValueError("payload is not a serialised %s" % description)
     version = payload.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
@@ -191,6 +191,8 @@ def rns_polynomial_from_dict(
         domain = Domain(payload["domain"])
     except (TypeError, KeyError) as exc:
         raise ValueError("malformed RNS polynomial payload: %r" % exc) from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("malformed RNS polynomial payload: n must be an integer")
     basis = RnsBasis.from_primes(primes, n)
     return RnsPolynomial.from_residue_rows(rows, basis, domain=domain, n=n, backend=backend)
 

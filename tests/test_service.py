@@ -399,6 +399,8 @@ MALFORMED_CIPHERTEXTS = {
     "missing_rows": lambda ct: _drop(ct["polys"][0], "rows"),
     "polys_not_a_list": lambda ct: ct.update(polys=3),
     "string_level": lambda ct: ct.update(level="top"),
+    "string_n": lambda ct: ct["polys"][0].update(n="4096"),
+    "poly_not_an_object": lambda ct: ct["polys"].__setitem__(0, 5),
 }
 
 

@@ -26,13 +26,13 @@ exact below ``2^62`` (matching the word contract of
   J. Symb. Comp. 2014) — and writes only into caller-supplied buffers.
 
 * **General element-wise products** (:func:`mulmod`) reduce natively with
-  ``%`` below ``2^31``, with the float quotient below ``2^50``, and above
-  that split the 128-bit product into 64-bit halves, folding the high half
-  in with a limb-Shoup product by ``2^64 mod p``.
+  ``%`` below ``2^31``, and above that split the 128-bit product into
+  64-bit halves, folding the high half in with a limb-Shoup product by
+  ``2^64 mod p``.
 
-``REPRO_WIDE_STRATEGY`` forces ``limb`` or ``float`` for primes at or above
-``2^31`` (``float`` is rejected at or above 2^50, where it would be
-inexact).  ``REPRO_WIDE_WORD=0`` restores the historical 30-bit window: the
+``REPRO_WIDE_STRATEGY`` forces the constant-product strategy to ``limb`` or
+``float`` for primes at or above ``2^31`` (``float`` is rejected at or
+above 2^50, where it would be inexact).  ``REPRO_WIDE_WORD=0`` restores the historical 30-bit window: the
 NumPy backend then routes wider primes through its counted big-int
 fallback.
 """
@@ -78,9 +78,9 @@ FLOAT_SHOUP_LIMIT = 1 << 50
 #: Set to ``0``/``off``/``narrow`` to restore the historical 30-bit window
 #: (benchmarks use this to time wide vs big-int fallback).
 WIDE_ENV_VAR = "REPRO_WIDE_WORD"
-#: Force the wide-mul strategy to ``limb`` or ``float`` for primes at or
-#: above 2^31 (``float`` is rejected for primes at or above 2^50 — it would
-#: be inexact there).
+#: Force the constant-product strategy to ``limb`` or ``float`` for primes
+#: at or above 2^31 (``float`` is rejected for primes at or above 2^50 — it
+#: would be inexact there).
 STRATEGY_ENV_VAR = "REPRO_WIDE_STRATEGY"
 
 _SHIFT32 = np.uint64(32)
@@ -301,13 +301,11 @@ def mulmod(a, b, p, strategy: str | None = None, out=None, scratch=None):
 
     ``p`` is one modulus or a broadcastable ``uint64`` column of them (one
     per row); ``strategy`` (default: :func:`select_strategy` of the largest)
-    picks the reduction.  ``shoup32`` reduces the native product with
-    ``%``; ``float`` corrects the float64 quotient ``trunc(a * b / p)``,
-    within one of the truth below 2^50; ``limb`` splits the 128-bit product
-    as ``hi * 2^64 + lo``, folds the high half in as ``hi * (2^64 mod p)``
-    through a limb-Shoup product and reduces the low half natively.
-    ``out`` and four ``scratch`` buffers shaped like it are allocated when
-    not supplied.
+    picks the path.  ``shoup32`` reduces the native product with ``%``;
+    every other strategy splits the 128-bit product as ``hi * 2^64 + lo``,
+    folds the high half in as ``hi * (2^64 mod p)`` through a limb-Shoup
+    product and reduces the low half natively.  ``out`` and four
+    ``scratch`` buffers shaped like it are allocated when not supplied.
     """
     column = np.asarray(p, dtype=np.uint64)
     if strategy is None:
@@ -318,17 +316,6 @@ def mulmod(a, b, p, strategy: str | None = None, out=None, scratch=None):
         np.multiply(a, b, out=out)
         return np.remainder(out, column, out=out)
     t, u, v, x = scratch if scratch is not None else [np.empty_like(out) for _ in range(4)]
-    if strategy == "float":
-        f = v.view(np.float64)
-        np.multiply(a.view(np.int64), 1.0 / column.astype(np.float64), out=f)
-        np.multiply(f, b.view(np.int64), out=f)
-        np.copyto(t.view(np.int64), f, casting="unsafe")
-        np.multiply(t, column, out=t)
-        np.multiply(a, b, out=u)
-        np.subtract(u, t, out=u)
-        np.add(u, column, out=t)
-        np.minimum(u, t, out=u)
-        return reduce_below(u, column, out, t)
     radix = [(1 << 64) % int(q) for q in column.ravel().tolist()]
     c = np.asarray(radix, dtype=np.uint64).reshape(column.shape)
     mul_hi(a, b, x, t, u, v)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -53,7 +52,6 @@ from .engines import (
 )
 from .scalar import ScalarBackend, random_row
 from .wideops import (
-    STRATEGY_ENV_VAR,
     WIDE_MUL_LIMIT,
     reduce_below,
     select_strategy,
@@ -78,8 +76,6 @@ ADD_VECTORIZED_LIMIT = 1 << 62
 #: Largest modulus (exclusive) whose residues are stored in the uint64 array;
 #: wider rows live as exact Python fallback rows inside the tensor.
 STORAGE_LIMIT = ADD_VECTORIZED_LIMIT
-#: Entries kept in each of the per-layout memos before they are reset.
-_MEMO_LIMIT = 256
 
 
 #: glibc ``mallopt`` parameter numbers.
@@ -131,12 +127,11 @@ class _Columns:
     or above ``limit``, which ``fallback`` maps by prime to their indices).
     """
 
-    __slots__ = ("p", "p2", "fallback", "primes")
+    __slots__ = ("p", "fallback", "primes")
 
     def __init__(self, primes: tuple, limit: int) -> None:
         self.primes = [p if p < limit else 1 for p in primes]
         self.p = np.asarray(self.primes, dtype=np.uint64).reshape(-1, 1)
-        self.p2 = self.p * np.uint64(2)
         self.fallback: dict[int, list[int]] = {}
         for index, p in enumerate(primes):
             if p >= limit:
@@ -170,8 +165,6 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         super().__init__()
         _keep_freed_storage_on_heap()
         self._tables: dict[tuple[int, str], EngineTables] = {}
-        self._layouts: dict[tuple, tuple] = {}
-        self._columns: dict[tuple, _Columns] = {}
         self._fallback = ScalarBackend()
         self._init_engine_selection(engine)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
@@ -297,18 +290,9 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
 
         A run ``(start, k, m, rows)`` covers rows ``start : start + k*m``
         whose primes are the ``m`` consecutive primes of ``rows`` repeated
-        ``k`` times.  Memoised per prime tuple and product window.
+        ``k`` times.
         """
         limit = vector_mul_limit()
-        key = (n, primes, limit, os.environ.get(STRATEGY_ENV_VAR))
-        layout = self._layouts.get(key)
-        if layout is None:
-            if len(self._layouts) >= _MEMO_LIMIT:
-                self._layouts.clear()
-            layout = self._layouts[key] = self._plan_runs(n, primes, limit)
-        return layout
-
-    def _plan_runs(self, n: int, primes: tuple, limit: int) -> tuple[list, dict]:
         runs: list = []
         fallback: dict[int, list[int]] = {}
         count = len(primes)
@@ -336,15 +320,6 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             i += k * m
         return runs, fallback
 
-    def _pointwise_columns(self, primes: tuple, limit: int) -> _Columns:
-        key = (primes, limit, os.environ.get(STRATEGY_ENV_VAR))
-        columns = self._columns.get(key)
-        if columns is None:
-            if len(self._columns) >= _MEMO_LIMIT:
-                self._columns.clear()
-            columns = self._columns[key] = _Columns(primes, limit)
-        return columns
-
     # -- transforms ------------------------------------------------------------
     def forward_ntt_batch(self, tensor: ResidueTensor) -> NumpyTensor:
         return self._transform(tensor, forward=True)
@@ -363,11 +338,9 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n))
             with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=k * m):
                 if forward:
-                    result = engine.forward_array(block, rows)
+                    engine.forward_array(block, rows)
                 else:
-                    result = engine.inverse_array(block, rows)
-            if result is not block:
-                block[...] = result
+                    engine.inverse_array(block, rows)
         for p, indices in fallback.items():
             engine = self._select_engine(n, p, len(indices))
             with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=len(indices)):
@@ -383,13 +356,12 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         return out
 
     # -- pointwise arithmetic --------------------------------------------------
-    def _pointwise(self, kernel, fallback, limit: int, a, b=None) -> NumpyTensor:
+    def _pointwise(self, kernel, fallback, columns: _Columns, a, b=None) -> NumpyTensor:
         """One tiled pass of ``kernel(out, x, y, columns, lo, hi, scratch)`` over all rows.
 
-        Rows at or above ``limit`` are recomputed afterwards through the
-        counted per-prime ``fallback(rows_a[, rows_b], primes)``.
+        Rows that ``columns`` leaves out are recomputed afterwards through
+        the counted per-prime ``fallback(rows_a[, rows_b], primes)``.
         """
-        columns = self._pointwise_columns(a.primes, limit)
         count, n = a.data.shape
         data = np.empty_like(a.data)
         step = max(1, TILE_ELEMS // max(n, 1))
@@ -421,7 +393,8 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             np.add(x, y, out=out)
             reduce_below(out, columns.p[lo:hi], out, scratch[0])
 
-        return self._pointwise(kernel, self._fallback._add_rows, ADD_VECTORIZED_LIMIT, a, b)
+        columns = _Columns(a.primes, ADD_VECTORIZED_LIMIT)
+        return self._pointwise(kernel, self._fallback._add_rows, columns, a, b)
 
     def sub(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
         self._check_pair(a, b)
@@ -432,7 +405,8 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             np.add(out, columns.p[lo:hi], out=scratch[0])
             np.minimum(out, scratch[0], out=out)
 
-        return self._pointwise(kernel, self._fallback._sub_rows, ADD_VECTORIZED_LIMIT, a, b)
+        columns = _Columns(a.primes, ADD_VECTORIZED_LIMIT)
+        return self._pointwise(kernel, self._fallback._sub_rows, columns, a, b)
 
     def neg(self, a: ResidueTensor) -> NumpyTensor:
         self._check_owned(a)
@@ -443,33 +417,38 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             np.negative(x, out=scratch[0])
             np.minimum(out, scratch[0], out=out)
 
-        return self._pointwise(kernel, self._fallback._neg_rows, ADD_VECTORIZED_LIMIT, a)
+        columns = _Columns(a.primes, ADD_VECTORIZED_LIMIT)
+        return self._pointwise(kernel, self._fallback._neg_rows, columns, a)
 
     def mul(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
         self._check_pair(a, b)
 
-        def kernel(out, x, y, columns, lo, hi, scratch):
-            wideops.mulmod(x, y, columns.p[lo:hi], columns.strategy, out, scratch)
+        columns = _Columns(a.primes, vector_mul_limit())
+        strategy = columns.strategy
 
-        return self._pointwise(kernel, self._fallback._mul_rows, vector_mul_limit(), a, b)
+        def kernel(out, x, y, columns, lo, hi, scratch):
+            wideops.mulmod(x, y, columns.p[lo:hi], strategy, out, scratch)
+
+        return self._pointwise(kernel, self._fallback._mul_rows, columns, a, b)
 
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> NumpyTensor:
         self._check_owned(a)
-        columns = self._pointwise_columns(a.primes, vector_mul_limit())
+        columns = _Columns(a.primes, vector_mul_limit())
         reduction = wideops.reduction_for(columns.strategy)
         w = np.asarray([scalar % p for p in columns.primes], dtype=np.uint64).reshape(-1, 1)
         companions = reduction.companions(w, columns.p)
+        p2 = columns.p * np.uint64(2)
 
         def kernel(out, x, y, columns, lo, hi, scratch):
             p = columns.p[lo:hi]
             rows_w = [array[lo:hi] for array in (w,) + companions]
-            reduction.mul_lazy(x, rows_w[0], rows_w[1:], p, columns.p2[lo:hi], out, *scratch[:3])
+            reduction.mul_lazy(x, rows_w[0], rows_w[1:], p, p2[lo:hi], out, *scratch[:3])
             reduce_below(out, p, out, scratch[0])
 
         return self._pointwise(
             kernel,
             lambda rows, primes: self._fallback._scalar_mul_rows(rows, scalar, primes),
-            vector_mul_limit(),
+            columns,
             a,
         )
 
@@ -554,7 +533,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             for j, (row, p) in enumerate(zip(rows, tensor.primes)):
                 self._store_rows(out, [j], [row], p)
             return out
-        columns = self._pointwise_columns(tensor.primes, STORAGE_LIMIT)
+        columns = _Columns(tensor.primes, STORAGE_LIMIT)
         np.remainder(tensor.data[index], columns.p, out=out.data)
         for p, indices in columns.fallback.items():  # pragma: no cover - no ≥62-bit primes
             for j in indices:

@@ -11,6 +11,16 @@ the exact range of JSON numbers in many consumers; everything is validated on
 load (primes must still be NTT primes for the stored size, stored roots must
 still generate the stored tables).
 
+Format 2 writes every residue as its 64-bit word: ``0x`` plus exactly 16 hex
+digits, so any ``int(v, 16)`` reader still parses it.  The fixed width lets a
+whole row be converted by a few C-level calls instead of one ``hex()`` or
+``int(v, 16)`` per residue: :func:`encode_residues` hex-encodes the row's
+big-endian words at once and splits the text, and :func:`decode_residues`
+checks the joined row column by column and decodes its digits at once.
+Format-1 payloads (unpadded ``hex()`` residues) are refused by the version
+check.  Primes, twiddle tables and plans keep their version-1 fields; they
+share the module's version number.
+
 Residue data crosses the resident-tensor boundary exactly once per
 direction: :func:`rns_polynomial_to_dict` materialises through the explicit
 :meth:`~repro.rns.poly.RnsPolynomial.to_coeff_lists` boundary, and
@@ -20,9 +30,12 @@ direction: :func:`rns_polynomial_to_dict` materialises through the explicit
 
 from __future__ import annotations
 
+import binascii
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from ..modarith.primes import is_ntt_prime
 from ..rns.basis import RnsBasis
@@ -33,6 +46,8 @@ from .twiddle import TwiddleTable
 
 __all__ = [
     "FORMAT_VERSION",
+    "encode_residues",
+    "decode_residues",
     "plan_to_dict",
     "plan_from_dict",
     "twiddle_table_to_dict",
@@ -50,9 +65,10 @@ __all__ = [
 #: ``*_to_dict`` payload carries it as ``format_version`` and every
 #: ``*_from_dict`` refuses versions it does not understand — so a fleet
 #: mixing old and new services fails loudly at the boundary instead of deep
-#: inside reconstruction.  Payloads written before the field existed are
-#: accepted as version 1 (the format is unchanged; the field is new).
-FORMAT_VERSION = 1
+#: inside reconstruction.  A payload without the field is read as the
+#: current version.  Version 2 fixed the width of residues (see the module
+#: docstring); version-1 payloads are refused.
+FORMAT_VERSION = 2
 
 
 def _require(payload: dict[str, Any], kind: str, description: str) -> None:
@@ -65,6 +81,58 @@ def _require(payload: dict[str, Any], kind: str, description: str) -> None:
             "unsupported %s format_version %r (this build reads version %d)"
             % (description, version, FORMAT_VERSION)
         )
+
+
+# -- residue rows ------------------------------------------------------------------------
+
+#: Bytes per residue of a row joined with ``,``: ``0x``, 16 digits, ``,``.
+_CELL = 19
+_MALFORMED_ROW = "every residue must be 0x plus exactly 16 hex digits"
+
+
+def encode_residues(row: Sequence[int]) -> list[str]:
+    """Format-2 strings of one residue row, ``0x`` plus 16 hex digits each.
+
+    Raises:
+        ValueError: for a residue of 2^64 or more, which has no word.
+    """
+    if not row:
+        return []
+    try:
+        words = np.array(row, dtype=">u8").tobytes()
+    except OverflowError:
+        raise ValueError("a residue of 2^64 or more cannot be written") from None
+    return ("0x" + words.hex(",", 8).replace(",", ",0x")).split(",")
+
+
+def decode_residues(tokens: Any, count: int) -> list[int]:
+    """Residues of one format-2 row of exactly ``count`` strings.
+
+    The row is joined with ``,`` and viewed as ``count`` cells of 19 bytes.
+    Columns 0-1 must be ``0x`` and columns 2-17 must decode as hex digits.
+    That leaves column 18 as the only place for the ``count - 1``
+    separators, so every token is ``0x`` plus 16 hex digits: a token of the
+    wrong length would move a separator into a prefix or digit column.
+
+    Raises:
+        ValueError: for anything but a list of ``count`` such strings.
+    """
+    if not isinstance(tokens, list) or len(tokens) != count:
+        raise ValueError("a residue row must be a list of %d strings" % count)
+    try:
+        text = ",".join(tokens).encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        raise ValueError(_MALFORMED_ROW) from None
+    if len(text) != _CELL * count - 1:
+        raise ValueError(_MALFORMED_ROW)
+    cells = np.frombuffer(text + b",", dtype=np.uint8).reshape(count, _CELL)
+    if not ((cells[:, 0] == ord("0")).all() and (cells[:, 1] == ord("x")).all()):
+        raise ValueError(_MALFORMED_ROW)
+    try:
+        words = binascii.unhexlify(cells[:, 2 : _CELL - 1].tobytes())
+    except binascii.Error:
+        raise ValueError(_MALFORMED_ROW) from None
+    return np.frombuffer(words, dtype=">u8").tolist()
 
 
 # -- plans -----------------------------------------------------------------------------
@@ -166,7 +234,7 @@ def rns_polynomial_to_dict(poly: RnsPolynomial) -> dict[str, Any]:
         "n": poly.n,
         "domain": poly.domain.value,
         "primes": [hex(p) for p in poly.basis.primes],
-        "rows": [[hex(value) for value in row] for row in poly.to_coeff_lists()],
+        "rows": [encode_residues(row) for row in poly.to_coeff_lists()],
     }
 
 
@@ -181,19 +249,25 @@ def rns_polynomial_from_dict(
             made resident on (registry default when omitted).
     """
     _require(payload, "rns_polynomial", "RNS polynomial")
-    # One guard for the whole structure, not a check per residue: a payload
-    # of the wrong shape fails inside the decoding with a TypeError or a
-    # KeyError, and that is a malformed input, reported as a ValueError.
+    # One guard for the header fields: a payload of the wrong shape fails
+    # inside the reading with a TypeError or a KeyError, and that is a
+    # malformed input, reported as a ValueError.
     try:
         n = payload["n"]
         primes = [int(value, 16) for value in payload["primes"]]
-        rows = [[int(value, 16) for value in row] for row in payload["rows"]]
+        tokens = payload["rows"]
         domain = Domain(payload["domain"])
     except (TypeError, KeyError) as exc:
         raise ValueError("malformed RNS polynomial payload: %r" % exc) from None
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("malformed RNS polynomial payload: n must be an integer")
+    # The basis validates n and the primes before any row is decoded.
     basis = RnsBasis.from_primes(primes, n)
+    if not isinstance(tokens, list) or len(tokens) != basis.count:
+        raise ValueError(
+            "malformed RNS polynomial payload: expected %d residue rows" % basis.count
+        )
+    rows = [decode_residues(row, n) for row in tokens]
     return RnsPolynomial.from_residue_rows(rows, basis, domain=domain, n=n, backend=backend)
 
 

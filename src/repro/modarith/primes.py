@@ -14,6 +14,7 @@ SEAL's ``CoeffModulus::Create`` or HEAAN's prime generation do.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 __all__ = [
@@ -61,8 +62,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256)
 def is_ntt_prime(p: int, n: int) -> bool:
     """Return ``True`` when ``p`` is prime and ``p ≡ 1 (mod 2n)``.
+
+    Answers are memoised (a bounded LRU): every deserialised polynomial
+    validates its basis, and a served request would otherwise re-prove the
+    same few primes for each of its polynomials.
 
     Args:
         p: Candidate modulus.

@@ -43,16 +43,18 @@ def factorize(n: int) -> dict[int, int]:
         while remaining % candidate == 0:
             factors[candidate] = factors.get(candidate, 0) + 1
             remaining //= candidate
-    # 6k +/- 1 wheel.
+    # 6k +/- 1 wheel.  The cofactor's primality is tested once up front and
+    # again only when a division shrinks it.
     candidate = 7
     increments = (4, 2, 4, 2, 4, 6, 2, 6)
     index = 0
-    while candidate * candidate <= remaining:
-        if is_probable_prime(remaining):
-            break
-        while remaining % candidate == 0:
-            factors[candidate] = factors.get(candidate, 0) + 1
-            remaining //= candidate
+    prime_left = is_probable_prime(remaining)
+    while not prime_left and candidate * candidate <= remaining:
+        if remaining % candidate == 0:
+            while remaining % candidate == 0:
+                factors[candidate] = factors.get(candidate, 0) + 1
+                remaining //= candidate
+            prime_left = is_probable_prime(remaining)
         candidate += increments[index]
         index = (index + 1) % len(increments)
     if remaining > 1:

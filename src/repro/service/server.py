@@ -81,7 +81,8 @@ from .tenants import TenantCache
 __all__ = ["HeServer", "ServerThread", "main"]
 
 #: Largest request body accepted (a ciphertext at large parameters is a few
-#: MB of hex; this bounds hostile payloads, not legitimate ones).
+#: MB of residue strings, about 22 bytes each in format 2; this bounds hostile
+#: payloads, not legitimate ones).
 MAX_BODY_BYTES = 64 << 20
 
 #: Set to a file path to JSON-lines-log every request the server handles.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from repro.core.plan import NTTAlgorithm, NTTPlan
 from repro.core.serialization import (
     ciphertext_from_dict,
     ciphertext_to_dict,
+    decode_residues,
+    encode_residues,
     load_json,
     plan_from_dict,
     plan_to_dict,
@@ -262,8 +265,8 @@ def test_unknown_format_version_is_rejected_with_clear_error():
 
 
 def test_missing_format_version_reads_as_version_one():
-    # Artefacts written before the field existed keep loading: the format
-    # itself is unchanged, only the tag is new.
+    # An untagged payload is read as the current format, so one written by
+    # this build without its tag still loads.
     for loader, payload in _sample_payloads().items():
         del payload["format_version"]
         loader(payload)
@@ -280,6 +283,119 @@ def test_ciphertext_format_version_roundtrip_and_rejection():
 
     assert payload["format_version"] == FORMAT_VERSION
     ciphertext_from_dict(payload)  # current version loads
-    payload["format_version"] = 2
+    for version in (FORMAT_VERSION + 1, 1):
+        payload["format_version"] = version
+        with pytest.raises(ValueError, match="format_version"):
+            ciphertext_from_dict(payload)
+
+
+# -- format 2: fixed-width residue words ---------------------------------------------
+
+
+def test_residue_words_golden_vector():
+    p = generate_ntt_primes(62, 1, N)[0]
+    assert encode_residues([0, 1, (1 << 62) - 1, p - 1]) == [
+        "0x0000000000000000",
+        "0x0000000000000001",
+        "0x3fffffffffffffff",
+        "0x%016x" % (p - 1),
+    ]
+    basis = RnsBasis.from_primes([p], N)
+    poly = RnsPolynomial.from_residue_rows([[0, 1, p - 1] + [0] * (N - 3)], basis)
+    assert rns_polynomial_to_dict(poly)["rows"][0][:3] == [
+        "0x0000000000000000",
+        "0x0000000000000001",
+        "0x%016x" % (p - 1),
+    ]
+
+
+def test_residue_words_reject_what_has_no_word():
+    for residue in (1 << 64, (1 << 70) + 3):
+        with pytest.raises(ValueError, match="2\\^64"):
+            encode_residues([0, residue])
+
+
+def _edge_rows(primes):
+    """Per prime: all zeros, all ``p - 1`` or uniform residues, in turn."""
+    rng = random.Random(len(primes))
+    kinds = (
+        lambda p: [0] * N,
+        lambda p: [p - 1] * N,
+        lambda p: [rng.randrange(p) for _ in range(N)],
+    )
+    return [kinds[index % 3](p) for index, p in enumerate(primes)]
+
+
+def _assert_roundtrip(backend, bits):
+    primes = generate_ntt_primes(bits, 4, N)
+    basis = RnsBasis.from_primes(primes, N)
+    rows = _edge_rows(primes)
+    poly = RnsPolynomial.from_residue_rows(rows, basis, backend=backend)
+    payload = json.loads(json.dumps(rns_polynomial_to_dict(poly)))
+    for words, row in zip(payload["rows"], rows):
+        assert words == ["0x%016x" % value for value in row]
+    restored = rns_polynomial_from_dict(payload, backend=backend)
+    assert restored == poly
+    decoded = restored.to_coeff_lists()
+    assert decoded == rows
+    transformed = poly.to_ntt()
+    assert rns_polynomial_from_dict(
+        json.loads(json.dumps(rns_polynomial_to_dict(transformed))), backend=backend
+    ) == transformed
+    return decoded
+
+
+@pytest.mark.parametrize("bits", [30, 60, 62])
+def test_format_two_roundtrip_numpy(bits):
+    _assert_roundtrip("numpy", bits)
+
+
+@pytest.mark.parametrize("bits", [30, 60, 62])
+def test_format_two_roundtrip_scalar_decodes_python_ints(bits):
+    decoded = _assert_roundtrip("scalar", bits)
+    assert all(type(value) is int for row in decoded for value in row)
+
+
+@pytest.mark.parametrize("bits", [30, 60, 62])
+def test_format_two_roundtrip_parallel(bits):
+    backend = _forced_parallel_backend()
+    try:
+        _assert_roundtrip(backend, bits)
+    finally:
+        backend.close()
+
+
+def test_format_one_payload_is_refused():
+    basis = RnsBasis.from_primes([P], N)
+    poly = RnsPolynomial.from_residue_rows([list(range(N))], basis)
+    payload = rns_polynomial_to_dict(poly)
+    payload["format_version"] = 1
+    payload["rows"] = [[hex(value) for value in range(N)]]
     with pytest.raises(ValueError, match="format_version"):
-        ciphertext_from_dict(payload)
+        rns_polynomial_from_dict(payload)
+
+
+def test_well_formed_residue_at_or_above_p_is_reduced():
+    basis = RnsBasis.from_primes([P], N)
+    payload = rns_polynomial_to_dict(RnsPolynomial.zero(basis, N))
+    payload["rows"][0][:3] = ["0x%016x" % value for value in (P, P + 5, (1 << 64) - 1)]
+    for backend in ("numpy", "scalar"):
+        row = rns_polynomial_from_dict(payload, backend=backend).to_coeff_lists()[0]
+        assert row[:3] == [0, 5, ((1 << 64) - 1) % P]
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        # 17 and 15 digits: the joined length is right, the separators are not
+        ["0x00000000000000001", "0x000000000000002"],
+        ["0x0000000,00000001", "0x0000000000000002"],
+        ["0x000000000000000x", "0x0000000000000002"],
+        ["0X0000000000000001", "0x0000000000000002"],
+        [1, 2],
+    ],
+)
+def test_decode_residues_rejects_malformed_rows(tokens):
+    # The served cases (tests/test_service.py MALFORMED_ROWS) cover the rest.
+    with pytest.raises(ValueError):
+        decode_residues(tokens, 2)

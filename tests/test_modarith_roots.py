@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.modarith.modops import mul_mod, pow_mod
-from repro.modarith.primes import generate_ntt_primes
+from repro.modarith.primes import generate_ntt_primes, is_probable_prime
 from repro.modarith.roots import (
     factorize,
     find_generator,
@@ -32,6 +32,54 @@ def test_factorize_reconstructs_value():
         for prime, exponent in factorize(n).items():
             product *= prime**exponent
         assert product == n
+
+
+def _trial_division(n):
+    """Reference factorisation: every divisor up to the square root, no shortcut."""
+    factors = {}
+    divisor = 2
+    while divisor * divisor <= n:
+        while n % divisor == 0:
+            factors[divisor] = factors.get(divisor, 0) + 1
+            n //= divisor
+        divisor += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+#: NTT primes of 20 to 62 bits; each size keeps ``p - 1 = 2n * k`` with
+#: ``k < 2^37`` so that the reference stays quick.
+GENERATED_PRIMES = [
+    p
+    for bits in (20, 26, 32, 38, 44, 50, 56, 60, 62)
+    for p in generate_ntt_primes(bits, 3, 1 << max(4, bits - 37))
+]
+
+
+@pytest.mark.parametrize("p", GENERATED_PRIMES)
+def test_factorize_matches_trial_division_on_generated_primes(p):
+    assert factorize(p - 1) == _trial_division(p - 1)
+
+
+def test_factorize_tests_primality_once_per_distinct_factor(monkeypatch):
+    import repro.modarith.roots as roots
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(roots, "is_probable_prime", counting)
+    for p in GENERATED_PRIMES + generate_ntt_primes(60, 6, 4096):
+        del calls[:]
+        factors = factorize(p - 1)
+        assert len(calls) <= len(factors) + 1, (p, factors, len(calls))
+        product = 1
+        for prime, exponent in factors.items():
+            product *= prime**exponent
+        assert product == p - 1
 
 
 def test_factorize_rejects_nonpositive():

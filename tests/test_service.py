@@ -389,6 +389,28 @@ def _drop(mapping, key):
     del mapping[key]
 
 
+def _set_residue(ct, word):
+    ct["polys"][0]["rows"][0][0] = word
+
+
+def _edit_residue(ct, edit):
+    _set_residue(ct, edit(ct["polys"][0]["rows"][0][0]))
+
+
+#: Residue rows that are not format 2, each rejected while the rows decode.
+MALFORMED_ROWS = {
+    "unpadded_residue": lambda ct: _set_residue(ct, "0x1"),
+    "residue_of_17_digits": lambda ct: _edit_residue(ct, lambda word: word + "0"),
+    "residue_without_prefix": lambda ct: _edit_residue(ct, lambda word: word[2:]),
+    "non_hex_digit": lambda ct: _edit_residue(ct, lambda word: word[:-1] + "g"),
+    "embedded_space": lambda ct: _edit_residue(ct, lambda word: word[:9] + " " + word[10:]),
+    "non_ascii_digit": lambda ct: _edit_residue(ct, lambda word: word[:-1] + "\u00e9"),
+    "row_one_residue_short": lambda ct: ct["polys"][0]["rows"][0].pop(),
+    "row_as_one_string": lambda ct: ct["polys"][0]["rows"].__setitem__(
+        0, ",".join(ct["polys"][0]["rows"][0])
+    ),
+}
+
 #: Structural corruptions of a serialised ciphertext, each a client mistake.
 MALFORMED_CIPHERTEXTS = {
     "rows_not_a_list": lambda ct: ct["polys"][0].update(rows=7),
@@ -401,6 +423,7 @@ MALFORMED_CIPHERTEXTS = {
     "string_level": lambda ct: ct.update(level="top"),
     "string_n": lambda ct: ct["polys"][0].update(n="4096"),
     "poly_not_an_object": lambda ct: ct["polys"].__setitem__(0, 5),
+    **MALFORMED_ROWS,
 }
 
 
@@ -425,6 +448,17 @@ def test_http_malformed_ciphertext_is_a_400_with_request_id(served_ciphertext, c
     # Rejected while decoding, the caller's id comes back; rejected while
     # validating, before the id is taken, the server's own.
     assert json.loads(body)["request_id"]
+    if corrupt in MALFORMED_ROWS:
+        assert json.loads(body)["request_id"] == request["request_id"]
+
+
+@pytest.mark.parametrize("corrupt", sorted(MALFORMED_CIPHERTEXTS))
+def test_malformed_ciphertext_is_a_value_error(corrupt):
+    _, enc, encoder = _session()
+    bad = ciphertext_to_dict(enc.encrypt(encoder.encode([1, 2])))
+    MALFORMED_CIPHERTEXTS[corrupt](bad)
+    with pytest.raises(ValueError):
+        ciphertext_from_dict(bad)
 
 
 # -- request-scoped observability ------------------------------------------------------

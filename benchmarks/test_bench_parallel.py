@@ -82,7 +82,7 @@ def test_bench_parallel_ntt_speedup(benchmark):
         # bit-for-bit equality before timing anything.
         expected = baseline.forward_ntt_batch(base_tensor).to_rows()
         produced = sharded.forward_ntt_batch(tensor)
-        assert sharded.pool_dispatch_count >= 1, "large shape did not shard"
+        assert sharded.dispatch_count >= 1, "large shape did not shard"
         assert produced.to_rows() == expected
 
         single_s = _best_of(lambda: baseline.forward_ntt_batch(base_tensor))
@@ -119,7 +119,7 @@ def test_bench_parallel_crossover_no_small_n_regression(benchmark):
         assert produced.to_rows() == baseline.forward_ntt_batch(base_tensor).to_rows()
         # Structural crossover guarantee: nothing was dispatched, no worker
         # was ever spawned, and the small tensor never touched /dev/shm.
-        assert below.pool_dispatch_count == 0, "small shape paid the pool tax"
+        assert below.dispatch_count == 0, "small shape paid the pool tax"
         assert not below.pool_running
         assert tensor.segment is None
 
@@ -164,7 +164,7 @@ def test_bench_parallel_he_chain_stays_resident(benchmark):
         context.reset_metrics()
         switched = chain()
         assert backend.conversion_count == 0
-        assert backend.pool_dispatch_count == 0  # toy shapes stay inline
+        assert backend.dispatch_count == 0  # toy shapes stay inline
         decoded = context.encoder().decode(context.decryptor().decrypt(switched))
         assert decoded[:4] == [
             (x * y) % 7681 for x, y in zip([1, 2, 3, 4], [5, 6, 7, 8])

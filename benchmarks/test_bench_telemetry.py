@@ -58,7 +58,7 @@ def _build_chain():
         params, backend=NumpyBackend(engine=ENGINE), seed=7
     )
     encryptor = context.encryptor(seed=11)
-    evaluator = context.evaluator(mode="fused")
+    evaluator = context.evaluator()
     relin = context.relinearization_key()
     ct_a = encryptor.encrypt(context.integer_encoder().encode(3))
     ct_b = encryptor.encrypt(context.integer_encoder().encode(5))

@@ -15,8 +15,10 @@ redesigned execution API that removes it:
 3. **Fusion accounting** — on the ``parallel`` backend the chain executes
    as fused per-worker stages: the example forces every operation through
    the worker pool and prints the pool round trips (``dispatch_count``)
-   and list ↔ ndarray conversions (zero) for eager, per-op fused and
-   whole-chain pipeline execution of the *same* computation.
+   and list ↔ ndarray conversions (zero) for per-op plans and whole-chain
+   pipeline execution of the *same* computation, then checks both against
+   the oracle: the scalar backend running the raw plans one method per
+   node.
 
 Run with::
 
@@ -26,7 +28,7 @@ Run with::
 from __future__ import annotations
 
 from repro.backends.parallel import ParallelBackend
-from repro.he import HeContext, HEParams
+from repro.he import Evaluator, HeContext, HEParams
 
 
 def main() -> None:
@@ -55,17 +57,8 @@ def main() -> None:
               % (label, backend.dispatch_count, backend.conversion_count))
         return result
 
-    # -- eager: one pool round trip per backend method call ---------------------------
-    eager = context.evaluator(mode="eager")
-    chain_eager = report(
-        "eager per-op calls",
-        lambda: eager.mod_switch_to_next(
-            eager.relinearize(eager.multiply(ct_x, ct_y), relin)
-        ),
-    )
-
-    # -- fused per-op plans: one dispatch per homomorphic operation -------------------
-    fused = context.evaluator(mode="fused")
+    # -- per-op plans: one dispatch per homomorphic operation -------------------------
+    fused = context.evaluator()
     chain_fused = report(
         "fused per-op plans",
         lambda: fused.mod_switch_to_next(
@@ -102,13 +95,17 @@ def main() -> None:
                     "plan.cache_hits")
     ))
 
-    # -- all three execution models are bit-for-bit identical -------------------------
+    # -- both paths are bit-for-bit identical to the scalar oracle ---------------------
+    oracle = Evaluator(params, backend="scalar", passes="none")
+    chain_oracle = oracle.mod_switch_to_next(
+        oracle.relinearize(oracle.multiply(ct_x, ct_y), relin)
+    )
     rows = lambda ct: [poly.to_coeff_lists() for poly in ct.polys]
-    assert rows(chain_eager) == rows(chain_fused) == rows(chain_pipeline)
+    assert rows(chain_oracle) == rows(chain_fused) == rows(chain_pipeline)
     decoded = encoder.decode(context.decryptor().decrypt(chain_pipeline))
     expected = [(a * b) % t for a, b in zip(x, y)]
     assert decoded[: len(expected)] == expected
-    print("decrypted      : %s == %s (bit-identical across all three paths)"
+    print("decrypted      : %s == %s (bit-identical to the scalar oracle)"
           % (decoded[: len(expected)], expected))
 
     backend.close()

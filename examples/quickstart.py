@@ -20,9 +20,9 @@ Run with::
     python examples/quickstart.py
 
 Backends (``REPRO_BACKEND=scalar|numpy|parallel``), NTT engines
-(``REPRO_NTT_ENGINE=stockham|high_radix:8|...``) and the execution model
-(``REPRO_EXECUTION=fused|eager``) are all selectable without code changes;
-every combination is bit-for-bit identical.  See
+(``REPRO_NTT_ENGINE=stockham|high_radix:8|...``) and the plan optimiser
+(``REPRO_PASSES=none`` disables it) are all selectable without code
+changes; every combination is bit-for-bit identical.  See
 ``examples/fused_pipeline.py`` for the fluent expression API that fuses a
 whole chain of operations into one plan.
 """
@@ -53,7 +53,7 @@ def main() -> None:
     y = [rng.randrange(t) for _ in range(4)]
     encoder = context.encoder()
     encryptor = context.encryptor()
-    evaluator = context.evaluator()  # fused mode by default
+    evaluator = context.evaluator()  # one compiled plan per operation
     ct_x = encryptor.encrypt(encoder.encode(x))
     ct_y = encryptor.encrypt(encoder.encode(y))
 
@@ -68,8 +68,8 @@ def main() -> None:
     assert decoded[: len(expected)] == expected, "homomorphic product is wrong"
     print("decrypted x*y  : %s (verified against plain arithmetic)"
           % decoded[: len(expected)])
-    print("execution      : %s mode — %d plan(s) compiled, %d NTT row transforms"
-          % (evaluator.mode, evaluator.plans_compiled, evaluator.ntt_invocations))
+    print("execution      : %d plan(s) compiled, %d NTT row transforms"
+          % (evaluator.plans_compiled, evaluator.ntt_invocations))
     print("residency      : %d boundary conversions (these 40-bit toy primes "
           "use the per-prime exact fallback; 0 for <= 30-bit primes)"
           % (context.backend.conversion_count - conversions_before))

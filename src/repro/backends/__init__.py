@@ -31,23 +31,15 @@ the paper's algorithm variants (``radix2``, ``high_radix``, ``four_step``,
 Since the op-graph redesign, the primary execution entrypoint is
 :meth:`ComputeBackend.execute`: callers compile a chain of operations into a
 declarative :class:`Plan` (built with :class:`OpGraph`, see
-:mod:`repro.backends.ops`) and the backend runs it in one shot — eagerly
-interpreted on ``scalar``/``numpy``, fused into one task per worker per plan
-stage on ``parallel``.  The per-op methods remain as the eager compatibility
-layer; the evaluator's fused/eager switch resolves via
-:func:`resolve_execution_mode` (``REPRO_EXECUTION``, or the experiments
-CLI's ``--fused``/``--eager``).
+:mod:`repro.backends.ops`) and the backend runs it in one shot —
+interpreted one backend method per node on ``scalar``/``numpy``, fused into
+one task per worker per plan stage on ``parallel``.  The per-op methods are
+what the interpreter calls for each node; they also serve polynomial-level
+arithmetic (:class:`repro.rns.poly.RnsPolynomial`).
 """
 
 from .base import ComputeBackend, ResidueRows, ResidueTensor
-from .ops import (
-    EXECUTION_ENV_VAR,
-    NODE_NAMES,
-    OpGraph,
-    Plan,
-    resolve_execution_mode,
-    set_default_execution_mode,
-)
+from .ops import NODE_NAMES, OpGraph, Plan
 from .engines import (
     ENGINE_ENV_VAR,
     NttAutoTuner,
@@ -76,7 +68,6 @@ from .scalar import ScalarBackend, ScalarTensor
 __all__ = [
     "BACKEND_ENV_VAR",
     "ENGINE_ENV_VAR",
-    "EXECUTION_ENV_VAR",
     "NODE_NAMES",
     "SHARDS_ENV_VAR",
     "ComputeBackend",
@@ -96,10 +87,8 @@ __all__ = [
     "register_backend",
     "register_engine",
     "resolve_backend",
-    "resolve_execution_mode",
     "resolve_shard_count",
     "set_default_backend",
     "set_default_engine",
-    "set_default_execution_mode",
     "set_default_shards",
 ]

@@ -238,14 +238,13 @@ class ComputeBackend(abc.ABC):
     which is what lets implementations fuse across operations (the
     ``parallel`` backend dispatches one task per worker per plan stage
     instead of one pool round trip per method).  The per-operation methods
-    below (``forward_ntt_batch``, ``add``, ...) remain supported as the
-    **eager compatibility layer** — each is semantically a one-node plan, and
+    below (``forward_ntt_batch``, ``add``, ...) are the **node kernels** a
+    backend implements: each is semantically a one-node plan, the generic
+    interpreter executes plans through them, and
     ``tests/test_ops_plans.py`` pins the two surfaces bit-for-bit against
-    each other.  They are deprecated as an extension surface for *callers*
-    composing multi-op chains (emit a plan instead: eager chains cannot be
-    fused and pay per-op dispatch overhead on sharding backends) but are
-    fully supported as the node kernels a backend implements — the generic
-    interpreter executes plans through them.
+    each other.  Callers composing multi-op chains should emit a plan
+    instead: chains of per-op calls cannot be fused and pay per-op dispatch
+    overhead on sharding backends.
     """
 
     #: Registry name of the backend (``"scalar"``, ``"numpy"``, ...).
@@ -335,7 +334,7 @@ class ComputeBackend(abc.ABC):
 
         ``inputs`` binds each of the plan's :class:`~repro.backends.ops.Input`
         names to a tensor owned by this backend.  The base implementation is
-        the generic interpreter — one eager method call per node, so every
+        the generic interpreter — one method call per node, so every
         node still routes through this backend's engine selection and
         fallback machinery; backends that can fuse across nodes override
         this.  A plan that returns an input unchanged returns the same
@@ -347,7 +346,7 @@ class ComputeBackend(abc.ABC):
         with TRACER.span("plan.execute", backend=self.name, nodes=len(plan.nodes)):
             return ops.interpret(self, plan, inputs)
 
-    # -- transforms (eager compatibility layer: one-node plans) ----------------
+    # -- transforms (node kernels: one-node plans) -----------------------------
     @abc.abstractmethod
     def forward_ntt_batch(self, tensor: ResidueTensor) -> ResidueTensor:
         """Forward negacyclic NTT of every row (bit-reversed output).

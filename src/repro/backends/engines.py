@@ -828,9 +828,7 @@ def get_engine(spec: str) -> NttEngine:
             raise KeyError(
                 "unknown NTT engine %r (registered: %s; selection honours "
                 "REPRO_NTT_ENGINE).  Engines execute the forward_ntt / "
-                "inverse_ntt plan nodes (all nodes: %s); whether a plan runs "
-                "fused or eager is a separate axis — the experiments CLI's "
-                "--fused/--eager flags or REPRO_EXECUTION"
+                "inverse_ntt plan nodes (all nodes: %s)"
                 % (name, ", ".join(_engine_factories), ", ".join(NODE_NAMES))
             )
         engine = _engine_factories[name](param)

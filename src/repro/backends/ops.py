@@ -4,11 +4,11 @@ The paper's GPU throughput comes from amortising launch overhead across wide
 batches of NTT and pointwise kernels; the CPU realisation pays an analogous
 per-call tax — one pool round trip per ``ComputeBackend`` method on the
 ``parallel`` backend.  This module is the seam that removes it: instead of a
-chain of eager calls, callers describe a whole ciphertext operation as a
-small graph of declarative op records and hand it to
+chain of per-op method calls, callers describe a whole ciphertext operation
+as a small graph of declarative op records and hand it to
 :meth:`repro.backends.base.ComputeBackend.execute` in one shot — the way
 SEAL-style libraries and GPU runtimes expose streams/graphs rather than
-eager kernels.
+one-kernel-at-a-time launches.
 
 Three layers live here:
 
@@ -22,30 +22,22 @@ Three layers live here:
   :meth:`OpGraph.compile` freezes the result into an immutable, hashable
   :class:`Plan` with named inputs and outputs.
 * **The tooling every backend shares** — :func:`interpret` (the generic
-  plan interpreter: one eager backend call per node, which is how the
-  scalar and numpy backends execute plans — each transform node still
-  routes through the backend's per-shape NTT-engine selection),
-  :func:`infer_primes` (static shape inference), and the scheduling
-  helpers the ``parallel`` backend uses to run a whole plan as one fused
-  task per worker: :func:`split_stages` cuts a plan at cross-row nodes and
+  plan interpreter: one backend call per node, which is how the scalar and
+  numpy backends execute plans — each transform node still routes through
+  the backend's per-shape NTT-engine selection), :func:`infer_primes`
+  (static shape inference), and the scheduling helpers the ``parallel``
+  backend uses to run a whole plan as one fused task per worker:
+  :func:`split_stages` cuts a plan into stages by dependency level and
   :func:`shard_stage` derives each worker's row ranges for every value of
   a stage.
-
-Execution-mode selection (first match wins): explicit ``mode`` argument >
-:func:`set_default_execution_mode` > the ``REPRO_EXECUTION`` environment
-variable > ``"fused"``.  The experiments CLI exposes the same switch as
-``--fused`` / ``--eager``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 __all__ = [
-    "EXECUTION_ENV_VAR",
-    "EXECUTION_MODES",
     "NODE_NAMES",
     "Add",
     "Concat",
@@ -67,8 +59,6 @@ __all__ = [
     "infer_primes",
     "interpret",
     "node_name",
-    "resolve_execution_mode",
-    "set_default_execution_mode",
     "shard_stage",
     "split_stages",
 ]
@@ -421,7 +411,7 @@ def infer_primes(
 ) -> list[tuple[int, ...]]:
     """Statically infer the per-row modulus tuple of every plan value.
 
-    Mirrors the eager methods' validation (prime mismatches on pairs,
+    Mirrors the per-op backend methods' validation (prime mismatches on pairs,
     out-of-range digit indices, under-length modulus switches) so a malformed
     plan fails *before* any backend work is dispatched.
     """
@@ -495,10 +485,8 @@ def gather_inputs(plan: Plan, inputs: Mapping[str, object]) -> dict[str, object]
 
 def _unknown_node_error(node: object) -> KeyError:
     return KeyError(
-        "unknown plan node %r (valid nodes: %s; plans run fused by default — "
-        "select per run with --fused/--eager on the experiments CLI or the "
-        "%s environment variable)"
-        % (type(node).__name__, ", ".join(NODE_NAMES), EXECUTION_ENV_VAR)
+        "unknown plan node %r (valid nodes: %s)"
+        % (type(node).__name__, ", ".join(NODE_NAMES))
     )
 
 
@@ -506,7 +494,7 @@ def _unknown_node_error(node: object) -> KeyError:
 
 
 def interpret(backend, plan: Plan, inputs: Mapping[str, object]) -> dict[str, object]:
-    """Execute a plan one eager backend call per node — the reference path.
+    """Execute a plan one backend call per node — the reference path.
 
     This is the generic interpreter behind
     :meth:`repro.backends.base.ComputeBackend.execute`: correct on every
@@ -618,30 +606,31 @@ def rowset_size(ranges) -> int:
 
 
 def split_stages(plan: Plan) -> list[list[int]]:
-    """Cut a plan into sequentially dispatched stages.
+    """Cut a plan into sequentially dispatched stages by dependency level.
 
     A cross-row node (:data:`CROSS_ROW_NODES`) can only run when its source
     value is fully materialised — a plan input or an output of an earlier
-    stage — so the scan closes the current stage whenever a cross-row node
-    reads a value produced inside it.  Plans without cross-row reads of
-    intermediates (a whole homomorphic multiply, for instance) come back as
-    one stage: one pool dispatch.
+    stage — so it goes one stage after the stage that produces its source.
+    Every other node joins the latest stage among its operands.  Independent
+    statements therefore share stages however their nodes interleave in
+    plan order, and each stage lists its nodes in plan order.  Plans without
+    cross-row reads of intermediates (a whole homomorphic multiply, for
+    instance) come back as one stage: one pool dispatch.
     """
-    stages: list[list[int]] = []
-    current: list[int] = []
-    materialised: set[int] = set()
+    stage_of: dict[int, int] = {}
     for index, node in enumerate(plan.nodes):
         if isinstance(node, Input):
-            materialised.add(index)
             continue
-        if isinstance(node, CROSS_ROW_NODES) and node.src not in materialised:
-            stages.append(current)
-            materialised.update(current)
-            current = []
-        current.append(index)
-    if current:
-        stages.append(current)
-    return [stage for stage in stages if stage]
+        stage = max((stage_of.get(src, 0) for src in node.operands()), default=0)
+        if isinstance(node, CROSS_ROW_NODES) and node.src in stage_of:
+            stage = stage_of[node.src] + 1
+        stage_of[index] = stage
+    # A level above 0 is only reached from a node one level down, so the
+    # levels in use run 0..max without gaps.
+    stages: list[list[int]] = [[] for _ in set(stage_of.values())]
+    for index, stage in stage_of.items():
+        stages[stage].append(index)
+    return stages
 
 
 def stage_outputs(plan: Plan, stages: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -677,7 +666,7 @@ def shard_stage(
     values derive their ownership from their operands (concatenation shifts,
     slices clip, row-independent ops inherit).  Returns ``None`` when a
     pointwise pair's operands end up with different ownership — the caller
-    then falls back to eager per-op interpretation instead of dispatching a
+    then falls back to per-op interpretation instead of dispatching a
     misaligned schedule.
     """
     rowsets: dict[int, list] = {}
@@ -733,47 +722,3 @@ def shard_stage(
         {value: tuple(owned[worker]) for value, owned in rowsets.items()}
         for worker in range(workers)
     ]
-
-
-# ------------------------------------------------------- execution mode
-
-
-#: Environment variable selecting the evaluator execution mode.
-EXECUTION_ENV_VAR = "REPRO_EXECUTION"
-#: The two supported execution modes.
-EXECUTION_MODES = ("fused", "eager")
-
-_default_mode: str | None = None
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in EXECUTION_MODES:
-        raise ValueError(
-            "unknown execution mode %r (valid: %s; select with the "
-            "--fused/--eager experiment flags or %s)"
-            % (mode, ", ".join(EXECUTION_MODES), EXECUTION_ENV_VAR)
-        )
-    return mode
-
-
-def set_default_execution_mode(mode: str | None) -> None:
-    """Install (or with ``None`` clear) the process-wide execution mode."""
-    global _default_mode
-    _default_mode = None if mode is None else _check_mode(mode)
-
-
-def resolve_execution_mode(explicit: str | None = None) -> str:
-    """Resolve the execution mode by the documented precedence.
-
-    Explicit argument > :func:`set_default_execution_mode` (the CLI's
-    ``--fused``/``--eager`` flags land there) > ``REPRO_EXECUTION`` (read at
-    call time) > ``"fused"``.
-    """
-    if explicit is not None:
-        return _check_mode(explicit)
-    if _default_mode is not None:
-        return _default_mode
-    env = os.environ.get(EXECUTION_ENV_VAR)
-    if env:
-        return _check_mode(env)
-    return "fused"

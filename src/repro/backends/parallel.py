@@ -178,7 +178,7 @@ class ParallelBackend(ComputeBackend):
         """Pool round trips so far — the fusion acceptance counter.
 
         One dispatch is one synchronous submit-and-gather of a task set
-        across the worker pool (an eager operation above the crossover, or
+        across the worker pool (a per-op method call above the crossover, or
         one fused plan *stage*), the CPU analogue of a GPU kernel launch.
         Worker-side work never dispatches further (workers hold plain inner
         backends), so — like :attr:`conversion_count`, whose worker-side
@@ -192,11 +192,6 @@ class ParallelBackend(ComputeBackend):
     def reset_dispatch_count(self) -> None:
         """Zero the pool round-trip counter (test/benchmark helper)."""
         self.metrics.zero("pool.dispatches")
-
-    @property
-    def pool_dispatch_count(self) -> int:
-        """Compatibility alias of :attr:`dispatch_count` (pre-plan spelling)."""
-        return self.metrics.value("pool.dispatches")
 
     @property
     def pool_running(self) -> bool:
@@ -356,7 +351,7 @@ class ParallelBackend(ComputeBackend):
         shard count)`` — cached so repeated executions of an
         evaluator-cached plan pay zero scheduling overhead.  ``schedules``
         is ``None`` when the scheduler found misaligned operand row sets
-        (the caller falls back to eager interpretation).
+        (the caller falls back to per-op interpretation).
         """
         from . import ops
 
@@ -462,7 +457,7 @@ class ParallelBackend(ComputeBackend):
         primes = info["primes"]
         if info["schedules"] is None:
             # Operand row sets misalign — dispatch nothing and run the
-            # plan correctly, one eager op at a time.
+            # plan correctly, one op at a time.
             return ops.interpret(self, plan, inputs)
 
         storage: dict[int, ParallelTensor] = {}

@@ -97,11 +97,10 @@ def _unknown_backend_error(name: str) -> KeyError:
 
     return KeyError(
         "unknown backend %r (registered: %s; selection also honours the "
-        "REPRO_BACKEND, REPRO_NTT_ENGINE, REPRO_SHARDS and REPRO_EXECUTION "
-        "environment overrides).  Every registered backend executes the same "
-        "plan nodes through ComputeBackend.execute: %s — run them fused "
-        "(default) or one op at a time with the experiments CLI's "
-        "--fused/--eager flags" % (name, ", ".join(_factories), ", ".join(NODE_NAMES))
+        "REPRO_BACKEND, REPRO_NTT_ENGINE and REPRO_SHARDS environment "
+        "overrides).  Every registered backend executes the same plan nodes "
+        "through ComputeBackend.execute: %s"
+        % (name, ", ".join(_factories), ", ".join(NODE_NAMES))
     )
 
 

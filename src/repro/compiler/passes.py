@@ -765,10 +765,12 @@ def _batch_transforms(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
 
     Transforms merge when they share a fused stage, a kind and a transform
     depth (transforms on any path to a node, itself included); two
-    transforms at one depth never read each other.  The plan is re-emitted
-    stage by stage in depth order, so every member's source exists where
-    the batch is emitted and each stage stays one block of nodes: the
-    parallel backend's stage cuts, and so its dispatches, do not grow.
+    transforms at one depth never read each other.  Stages are dependency
+    levels (:func:`repro.backends.ops.split_stages`), so independent
+    statements and requests share them and their transforms merge.  A
+    merged batch lands in its members' stage, so the parallel backend's
+    dispatches do not grow.  The plan is re-emitted stage by stage in depth
+    order, so every member's source exists where the batch is emitted.
     """
     transforms = (ops.ForwardNtt, ops.InverseNtt)
     stage_of: dict[int, int] = {}

@@ -8,8 +8,6 @@ Usage::
     python -m repro.experiments --engine stockham     # pin the NTT engine
     python -m repro.experiments --p-bits 60           # measured word size
     python -m repro.experiments --backend parallel --shards 4   # sharded pool
-    python -m repro.experiments --eager               # per-op execution
-    python -m repro.experiments --fused               # plan execution (default)
     python -m repro.experiments --list                # keys + backend/shard info
     python -m repro.experiments serve --port 8793     # HE-as-a-service server
 
@@ -26,11 +24,6 @@ import sys
 import traceback
 
 from ..backends.engines import default_engine_spec, get_engine, set_default_engine
-from ..backends.ops import (
-    EXECUTION_ENV_VAR,
-    resolve_execution_mode,
-    set_default_execution_mode,
-)
 from ..backends.pool import SHARDS_ENV_VAR, resolve_shard_count, set_default_shards
 from ..backends.registry import (
     BACKEND_ENV_VAR,
@@ -150,24 +143,6 @@ def main(argv: list[str]) -> int:
         "array path, so 60 exercises the paper's native word size)"
         % (*measured.MEASURE_PRIME_BITS_RANGE, measured.MEASURE_PRIME_BITS),
     )
-    execution = parser.add_mutually_exclusive_group()
-    execution.add_argument(
-        "--fused",
-        action="store_const",
-        const="fused",
-        dest="execution",
-        help="compile evaluator chains into plans executed in one backend "
-        "call (the default; one pool dispatch per op stage on the "
-        "parallel backend)",
-    )
-    execution.add_argument(
-        "--eager",
-        action="store_const",
-        const="eager",
-        dest="execution",
-        help="legacy per-operation execution (one backend method per step; "
-        "bit-for-bit identical to --fused)",
-    )
     parser.add_argument(
         "--passes",
         default=None,
@@ -191,7 +166,6 @@ def main(argv: list[str]) -> int:
         help="list experiment keys plus backend/shard-worker info, NTT "
         "engine auto-tuner verdicts, and exit",
     )
-    parser.set_defaults(execution=None)
     args = parser.parse_args(argv)
 
     if args.list:
@@ -208,11 +182,6 @@ def main(argv: list[str]) -> int:
             "parallel backend: %s on %s cpu(s) "
             "(--shards > set_default_shards > %s > cpu_count-1)"
             % (shard_info, os.cpu_count() or "?", SHARDS_ENV_VAR)
-        )
-        print(
-            "execution: %s (--fused/--eager > set_default_execution_mode > "
-            "%s > fused)"
-            % (resolve_execution_mode(args.execution), EXECUTION_ENV_VAR)
         )
         try:
             selected = resolve_passes(args.passes)
@@ -282,10 +251,6 @@ def main(argv: list[str]) -> int:
         if args.p_bits is not None:
             # Pre-checked against the same range the setter enforces.
             measured.set_measure_prime_bits(args.p_bits)
-        if args.execution is not None:
-            # argparse constants are always valid, so this cannot fail after
-            # the defaults above were already mutated.
-            set_default_execution_mode(args.execution)
         if args.passes is not None:
             set_default_passes(args.passes)
     except (KeyError, ValueError) as exc:

@@ -37,7 +37,6 @@ __all__ = [
     "set_measure_prime_bits",
     "measured_forward_ms",
     "measured_fft_ms",
-    "measured_ntt_share",
     "traced_ntt_share",
 ]
 
@@ -189,97 +188,25 @@ def measured_fft_ms(log_n: int = 12, batch: int = 8, repeats: int = 2) -> float 
     return result
 
 
-def measured_ntt_share(
-    backend: ComputeBackend | str | None = None, engine: str | None = None
-) -> dict[str, object]:
-    """Measure the NTT share of one multiply → relinearize chain end to end.
-
-    Runs the chain through :class:`repro.he.context.HeContext` on a dedicated
-    backend whose ``forward_ntt_batch`` / ``inverse_ntt_batch`` are wrapped
-    with timers, so the share is *time actually spent inside the engines*
-    over the wall-clock of the whole homomorphic operation — the measured
-    companion of the paper's 50.04 % motivation claim.
-
-    The chain deliberately runs on an **eager-mode** evaluator: the share is
-    defined over interceptable per-operation transform calls, which fused
-    plan execution folds into opaque per-worker stage tasks (on the sharded
-    backend the transforms never pass through the coordinator's methods at
-    all).  Fused execution performs the same transforms bit-for-bit, so the
-    eager share remains representative.
-    """
-    from ..he.context import HeContext
-    from ..he.params import HEParams
-
-    instance = measurement_backend(backend, engine)
-    n, prime_count = (1024, 6) if instance.name == "numpy" else (256, 3)
-    params = HEParams(n=n, plaintext_modulus=17, prime_bits=measure_prime_bits(),
-                      prime_count=prime_count)
-    context = HeContext.create(params, backend=instance, seed=7)
-    encryptor = context.encryptor(seed=11)
-    encoder = context.integer_encoder()
-    ct_a = encryptor.encrypt(encoder.encode(3))
-    ct_b = encryptor.encrypt(encoder.encode(5))
-    evaluator = context.evaluator(mode="eager")
-    relin_key = context.relinearization_key()
-
-    evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin_key)  # warm
-
-    ntt_seconds = 0.0
-
-    def timed(original):
-        def run(tensor):
-            nonlocal ntt_seconds
-            start = time.perf_counter()
-            result = original(tensor)
-            ntt_seconds += time.perf_counter() - start
-            return result
-
-        return run
-
-    instance.forward_ntt_batch = timed(instance.forward_ntt_batch)
-    instance.inverse_ntt_batch = timed(instance.inverse_ntt_batch)
-    try:
-        start = time.perf_counter()
-        evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin_key)
-        total_seconds = time.perf_counter() - start
-    finally:
-        # Instance attributes shadow the class methods; deleting restores them.
-        del instance.forward_ntt_batch
-        del instance.inverse_ntt_batch
-    return {
-        "backend": instance.name,
-        "n": n,
-        "np": prime_count,
-        "prime_bits": params.prime_bits,
-        "ntt_ms": ntt_seconds * 1e3,
-        "total_ms": total_seconds * 1e3,
-        "share": ntt_seconds / total_seconds if total_seconds else float("nan"),
-    }
-
-
 def traced_ntt_share(
     backend: ComputeBackend | str | None = None, engine: str | None = None
 ) -> dict[str, object]:
-    """The NTT share of the same chain, measured from telemetry spans.
+    """Measure the NTT share of one multiply → relinearize chain from spans.
 
-    Where :func:`measured_ntt_share` intercepts the two transform methods
-    with hand-written timers (and therefore must run eager), this variant
-    runs the **fused** production path under the
-    :mod:`repro.telemetry` tracer and derives the share from span *self
-    time* (:func:`repro.telemetry.summarize`) — the same arithmetic the
-    ``--trace`` summary table prints.  Self-time accounting keeps the
-    share honest under fusion: a ``plan.execute`` span contains its
-    ``op.*`` spans, so inclusive sums would double-count.
+    Runs the chain through :class:`repro.he.context.HeContext` on the
+    production path under the :mod:`repro.telemetry` tracer and derives the
+    share from span *self time* (:func:`repro.telemetry.summarize`) — the
+    same arithmetic the ``--trace`` summary table prints — as the measured
+    companion of the paper's 50.04 % motivation claim.  Self-time accounting
+    keeps the share honest under fusion: a ``plan.execute`` span contains
+    its ``op.*`` spans, so inclusive sums would double-count.  Every call
+    measures afresh, so the spans of each run land in the trace.
     """
     from ..he.context import HeContext
     from ..he.params import HEParams
     from ..telemetry import TRACER, summarize
 
     instance = measurement_backend(backend, engine)
-    key = ("traced_share", instance.name, engine, measure_prime_bits())
-    cached = _result_cache.get(key)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
     n, prime_count = (1024, 6) if instance.name == "numpy" else (256, 3)
     params = HEParams(n=n, plaintext_modulus=17, prime_bits=measure_prime_bits(),
                       prime_count=prime_count)
@@ -288,7 +215,7 @@ def traced_ntt_share(
     encoder = context.integer_encoder()
     ct_a = encryptor.encrypt(encoder.encode(3))
     ct_b = encryptor.encrypt(encoder.encode(5))
-    evaluator = context.evaluator(mode="fused")
+    evaluator = context.evaluator()
     relin_key = context.relinearization_key()
 
     # Warm run: plan compilation and twiddle tables stay off the trace.
@@ -305,13 +232,12 @@ def traced_ntt_share(
         if not was_enabled:
             TRACER.stop()
     stats = summarize(events)
-    result: dict[str, object] = {
+    return {
         "backend": instance.name,
         "n": n,
         "np": prime_count,
+        "prime_bits": params.prime_bits,
         "ntt_ms": stats["ntt_self_seconds"] * 1e3,
         "total_ms": stats["total_self_seconds"] * 1e3,
         "share": stats["ntt_share"],
     }
-    _result_cache[key] = result  # type: ignore[assignment]
-    return result

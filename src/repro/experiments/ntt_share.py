@@ -28,7 +28,7 @@ from __future__ import annotations
 from ..gpu.costmodel import GpuCostModel
 from ..kernels.base import NTT_ELEMENT_BYTES
 from ..kernels.smem import smem_ntt_model
-from .measured import measured_ntt_share, traced_ntt_share
+from .measured import traced_ntt_share
 from .report import ExperimentResult
 
 __all__ = ["SCENARIOS", "run"]
@@ -54,13 +54,12 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
     """Estimate — and measure — the NTT share of one ciphertext multiplication.
 
     Beside the traffic-model estimate, the row carries the *measured* share:
-    the engines' wall-clock inside a real ``multiply → relinearize`` chain
-    run through :class:`repro.he.context.HeContext` on the production
-    backend, with the backend's transform entry points wrapped by timers.
+    the engines' span self time inside a real ``multiply → relinearize``
+    chain run through :class:`repro.he.context.HeContext` on the production
+    path, over the self time of every span of the chain.
     """
     model = model if model is not None else GpuCostModel()
-    measured = measured_ntt_share()
-    traced = traced_ntt_share()
+    measured = traced_ntt_share()
 
     rows: list[dict[str, object]] = []
     for label, log_n, np_count, paper_share in SCENARIOS:
@@ -83,7 +82,6 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
                 "measured NTT share": measured["share"],
                 "measured NTT (ms)": measured["ntt_ms"],
                 "measured total (ms)": measured["total_ms"],
-                "traced NTT share": traced["share"],
             }
         )
     return ExperimentResult(
@@ -98,12 +96,10 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
             "the 34 percent figure for the HPCA'19 FPGA design [31] is not modelled (fixed-function "
             "pipeline, not comparable to a streaming GPU model).",
             "measured columns: multiply -> relinearize through HeContext on the %s backend at "
-            "(N=%d, np=%d, %d-bit primes), engine time over chain wall-clock; the pointwise/"
-            "key-switch half is vectorised too, so the share is the honest software analogue "
-            "of the paper's claim rather than a reproduction of its exact setup."
+            "(N=%d, np=%d, %d-bit primes), NTT span self-time over the self-time of every "
+            "span of the chain (repro.telemetry; the --trace summary's arithmetic); the "
+            "pointwise/key-switch half is vectorised too, so the share is the honest software "
+            "analogue of the paper's claim rather than a reproduction of its exact setup."
             % (measured["backend"], measured["n"], measured["np"], measured["prime_bits"]),
-            "traced NTT share: the same chain on the fused production path, measured from "
-            "telemetry span self-time (repro.telemetry; the --trace summary's arithmetic) "
-            "instead of hand-wrapped timers.",
         ],
     )

@@ -201,16 +201,13 @@ class HeContext:
         """A decryptor holding the session secret key."""
         return Decryptor(self.params, self.secret_key())
 
-    def evaluator(self, mode: str | None = None, passes=None) -> Evaluator:
+    def evaluator(self, passes=None) -> Evaluator:
         """A homomorphic evaluator batching through the pinned backend.
 
+        Each operation compiles into one plan, executed in a single backend
+        call.
+
         Args:
-            mode: ``"fused"`` (each operation compiles into one plan,
-                executed in a single backend call — the default) or
-                ``"eager"`` (one backend method per step); ``None`` applies
-                the documented precedence (``REPRO_EXECUTION``, the CLI's
-                ``--fused``/``--eager``).  Both modes are bit-for-bit
-                identical.
             passes: Plan-optimiser spec applied to compiled plans (see
                 :func:`repro.compiler.resolve_passes`): a comma-separated
                 string or iterable of pass names, ``"none"`` to disable
@@ -222,7 +219,6 @@ class HeContext:
         return Evaluator(
             self.params,
             backend=self.backend,
-            mode=mode,
             metrics=self._metrics,
             passes=passes,
             constant_pool=self._constant_pool,

@@ -9,10 +9,8 @@ into a declarative :class:`repro.backends.ops.Plan` and hands it to
 :meth:`~repro.backends.base.ComputeBackend.execute` in a single call, so a
 sharding backend can fuse the whole operation into one task per worker per
 stage instead of one pool round trip per backend method — the CPU analogue
-of the wide-batch kernel launches the paper's GPU amortises.  The previous
-per-method path survives as **eager mode** (``mode="eager"``, the CLI's
-``--eager``, or ``REPRO_EXECUTION=eager``); both modes are bit-for-bit
-identical and both keep the whole chain resident:
+of the wide-batch kernel launches the paper's GPU amortises.  The whole
+chain stays resident:
 
 * relinearisation decomposes the quadratic component into per-prime digits
   with ``digit_broadcast`` nodes (row ``i`` of the coefficient-domain
@@ -23,16 +21,19 @@ identical and both keep the whole chain resident:
   alone.
 
 A ``multiply → relinearize → mod_switch_to_next`` chain therefore performs
-**zero** list ↔ ndarray conversions in either mode (asserted by the
-backend's conversion counter in the test-suite) and, fused on the
-``parallel`` backend, at most one pool dispatch per operation (asserted by
-``dispatch_count``).
+**zero** list ↔ ndarray conversions (asserted by the backend's conversion
+counter in the test-suite) and, on the ``parallel`` backend, at most one
+pool dispatch per operation (asserted by ``dispatch_count``).
+
+The reference for every operation is the same evaluator on the ``scalar``
+backend with ``passes="none"``: it runs the raw emitted plan one backend
+method per node.
 
 The evaluator also exposes :meth:`Evaluator.ntt_invocations`, the running
 count of forward/inverse NTT calls it has triggered, which the examples use
 to connect the HE layer to the GPU performance model.  The emission helpers
 (``_emit_*``) are shared with :mod:`repro.he.pipeline`, which strings the
-ops of a whole ciphertext expression into one plan.
+ops of whole ciphertext expressions into one plan.
 """
 
 from __future__ import annotations
@@ -93,26 +94,18 @@ class Evaluator:
             interchangeable across evaluators with different backends —
             ciphertexts resident on a foreign backend are materialised once
             at the boundary (visible in the conversion counters).
-        mode: ``"fused"`` (compile each operation into one plan and execute
-            it in a single backend call — the default) or ``"eager"`` (the
-            legacy one-backend-method-per-step path).  ``None`` resolves the
-            documented precedence
-            (:func:`repro.backends.ops.resolve_execution_mode`).  Both modes
-            are bit-for-bit identical.
     """
 
     def __init__(
         self,
         params: HEParams,
         backend: ComputeBackend | str | None = None,
-        mode: str | None = None,
         metrics: MetricsRegistry | None = None,
         passes=None,
         constant_pool: ConstantPool | None = None,
     ) -> None:
         self.params = params
         self.backend = resolve_backend(backend)
-        self.mode = ops.resolve_execution_mode(mode)
         #: The evaluator's metrics namespace.  When an ``HeContext`` builds
         #: the evaluator it passes its own registry as the parent, so the
         #: context's snapshot aggregates every evaluator it handed out.
@@ -126,7 +119,7 @@ class Evaluator:
         )
         self._plan_cache: dict[tuple, tuple] = {}
         #: Optimiser pipeline resolved once at construction (like the
-        #: backend and mode): ``passes`` accepts a spec per
+        #: backend): ``passes`` accepts a spec per
         #: :func:`repro.compiler.resolve_passes`; ``None`` applies the
         #: documented precedence and ``"none"``/``()`` disables rewriting.
         self._pass_manager = PassManager(passes)
@@ -154,12 +147,12 @@ class Evaluator:
 
     @property
     def plans_compiled(self) -> int:
-        """Distinct operation plans compiled so far (fused mode)."""
+        """Distinct operation plans compiled so far."""
         return self.metrics.value("plan.compiled")
 
     @property
     def plan_cache_hits(self) -> int:
-        """Fused executions that reused an already-compiled plan."""
+        """Executions that reused an already-compiled plan."""
         return self.metrics.value("plan.cache_hits")
 
     @staticmethod
@@ -190,26 +183,7 @@ class Evaluator:
     def _poly(self, tensor: ResidueTensor, basis: RnsBasis, domain: Domain) -> RnsPolynomial:
         return RnsPolynomial(basis, self.params.n, tensor, domain)
 
-    def _poly_add(self, x: RnsPolynomial, y: RnsPolynomial) -> RnsPolynomial:
-        x._check_compatible(y)
-        return self._poly(
-            self.backend.add(self._adopt(x).tensor, self._adopt(y).tensor),
-            x.basis,
-            x.domain,
-        )
-
-    def _poly_sub(self, x: RnsPolynomial, y: RnsPolynomial) -> RnsPolynomial:
-        x._check_compatible(y)
-        return self._poly(
-            self.backend.sub(self._adopt(x).tensor, self._adopt(y).tensor),
-            x.basis,
-            x.domain,
-        )
-
-    def _poly_neg(self, x: RnsPolynomial) -> RnsPolynomial:
-        return self._poly(self.backend.neg(self._adopt(x).tensor), x.basis, x.domain)
-
-    # -- plan plumbing (fused mode) ----------------------------------------------------
+    # -- plan plumbing ------------------------------------------------------------------
     def _run_plan(
         self, key: tuple, build, bindings: dict, constants: tuple = ()
     ) -> list[RnsPolynomial]:
@@ -326,9 +300,11 @@ class Evaluator:
     ) -> list[_P]:
         """Emit one batched transform covering every pending polynomial.
 
-        The plan-level mirror of the eager batching path: values still in the
-        source domain are concatenated into one wide transform node and split
-        back; values already converted pass through untouched.
+        This is the paper's batching observation applied at the HE layer:
+        the ``(number of polynomials) x np`` independent transforms of an
+        operation become one wide node.  Values still in the source domain
+        are concatenated into one transform node and split back; values
+        already converted pass through untouched.
         """
         source = Domain.COEFFICIENT if forward else Domain.NTT
         target = Domain.NTT if forward else Domain.COEFFICIENT
@@ -495,7 +471,7 @@ class Evaluator:
         ]
         return self._emit_ntt_batch(em, products, forward=False)
 
-    # -- fused dispatch ----------------------------------------------------------------
+    # -- dispatch -----------------------------------------------------------------------
     def _fused_unary(self, emit, a: Ciphertext, op: str, level: int | None = None):
         polys = self._adopt_all(a.polys)
         key = (op, a.basis.primes, self._domains(polys))
@@ -560,79 +536,10 @@ class Evaluator:
         out = self._run_plan(key, build, bindings, constants=("pt",))
         return Ciphertext(polys=out, params=self.params, level=a.level)
 
-    # -- batched NTT plumbing (eager mode) ---------------------------------------------
-    def _forward_ntt_batch(
-        self, polys: Sequence[RnsPolynomial]
-    ) -> list[RnsPolynomial]:
-        """Transform every coefficient-domain polynomial in one backend batch.
-
-        This is the paper's core batching observation applied at the HE
-        layer: the ``(number of polynomials) x np`` independent forward NTTs
-        of a ciphertext operation are issued as a single wide call instead of
-        one polynomial at a time — the pending tensors are concatenated into
-        one resident batch, transformed, and split back.  Only
-        actually-performed transforms are counted.
-        """
-        return self._ntt_batch(polys, forward=True)
-
-    def _inverse_ntt_batch(
-        self, polys: Sequence[RnsPolynomial]
-    ) -> list[RnsPolynomial]:
-        """Transform every NTT-domain polynomial back in one backend batch."""
-        return self._ntt_batch(polys, forward=False)
-
-    def _ntt_batch(
-        self, polys: Sequence[RnsPolynomial], forward: bool
-    ) -> list[RnsPolynomial]:
-        source = Domain.COEFFICIENT if forward else Domain.NTT
-        target = Domain.NTT if forward else Domain.COEFFICIENT
-        results = self._adopt_all(polys)
-        pending = [i for i, poly in enumerate(results) if poly.domain is source]
-        if not pending:
-            return results
-        stacked = self.backend.concat([results[i].tensor for i in pending])
-        transformed = (
-            self.backend.forward_ntt_batch(stacked)
-            if forward
-            else self.backend.inverse_ntt_batch(stacked)
-        )
-        pieces = self.backend.split(
-            transformed, [results[i].basis.count for i in pending]
-        )
-        for i, piece in zip(pending, pieces):
-            results[i] = self._poly(piece, results[i].basis, target)
-            self.metrics.inc("ntt.invocations", piece.count)
-        return results
-
-    def _tensor(
-        self,
-        a_ntt: Sequence[RnsPolynomial],
-        b_ntt: Sequence[RnsPolynomial],
-        basis: RnsBasis,
-    ) -> list[RnsPolynomial]:
-        """NTT-domain tensor product, returned in the coefficient domain."""
-        result_size = len(a_ntt) + len(b_ntt) - 1
-        accumulators: list[ResidueTensor | None] = [None] * result_size
-        for i, poly_a in enumerate(a_ntt):
-            for j, poly_b in enumerate(b_ntt):
-                term = self.backend.mul(poly_a.tensor, poly_b.tensor)
-                k = i + j
-                accumulators[k] = (
-                    term
-                    if accumulators[k] is None
-                    else self.backend.add(accumulators[k], term)
-                )
-        products = [
-            self._poly(tensor, basis, Domain.NTT) for tensor in accumulators
-        ]
-        return self._inverse_ntt_batch(products)
-
     # -- linear operations ---------------------------------------------------------------
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic addition (component-wise)."""
         self._check_same_ring(a, b)
-        if self.mode == "eager":
-            return self._eager_linear(a, b, subtract=False)
         return self._fused_binary(
             lambda em, sa, sb: self._emit_linear(em, sa, sb, subtract=False),
             "add",
@@ -643,8 +550,6 @@ class Evaluator:
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic subtraction."""
         self._check_same_ring(a, b)
-        if self.mode == "eager":
-            return self._eager_linear(a, b, subtract=True)
         return self._fused_binary(
             lambda em, sa, sb: self._emit_linear(em, sa, sb, subtract=True),
             "sub",
@@ -652,39 +557,13 @@ class Evaluator:
             b,
         )
 
-    def _eager_linear(self, a: Ciphertext, b: Ciphertext, subtract: bool) -> Ciphertext:
-        combine = self._poly_sub if subtract else self._poly_add
-        size = max(a.size, b.size)
-        polys = []
-        for index in range(size):
-            if index < a.size and index < b.size:
-                polys.append(combine(a.polys[index], b.polys[index]))
-            elif index < a.size:
-                polys.append(self._adopt(a.polys[index]).copy())
-            elif subtract:
-                polys.append(self._poly_neg(b.polys[index]))
-            else:
-                polys.append(self._adopt(b.polys[index]).copy())
-        return Ciphertext(polys=polys, params=self.params, level=a.level)
-
     def negate(self, a: Ciphertext) -> Ciphertext:
         """Homomorphic negation."""
-        if self.mode == "eager":
-            return Ciphertext(
-                polys=[self._poly_neg(poly) for poly in a.polys],
-                params=self.params,
-                level=a.level,
-            )
         return self._fused_unary(self._emit_negate, a, "negate")
 
     def add_plain(self, a: Ciphertext, plaintext: RnsPolynomial) -> Ciphertext:
         """Add an (unencrypted) plaintext polynomial."""
         self._check_plain_ring(a, plaintext)
-        if self.mode == "eager":
-            polys = [self._poly_add(a.polys[0], plaintext)] + [
-                self._adopt(poly).copy() for poly in a.polys[1:]
-            ]
-            return Ciphertext(polys=polys, params=self.params, level=a.level)
         return self._fused_with_plain(self._emit_add_plain, "add_plain", a, plaintext)
 
     def multiply_plain(self, a: Ciphertext, plaintext: RnsPolynomial) -> Ciphertext:
@@ -694,19 +573,6 @@ class Evaluator:
         component), in the same batched forward call as the components.
         """
         self._check_plain_ring(a, plaintext)
-        if self.mode == "eager":
-            transformed = self._forward_ntt_batch(list(a.polys) + [plaintext])
-            plaintext_ntt = transformed[-1]
-            products = [
-                self._poly(
-                    self.backend.mul(poly.tensor, plaintext_ntt.tensor),
-                    a.basis,
-                    Domain.NTT,
-                )
-                for poly in transformed[:-1]
-            ]
-            polys = self._inverse_ntt_batch(products)
-            return Ciphertext(polys=polys, params=self.params, level=a.level)
         return self._fused_with_plain(
             self._emit_multiply_plain, "multiply_plain", a, plaintext
         )
@@ -720,17 +586,10 @@ class Evaluator:
         element-wise, accumulated, and inverse-transformed in one batch of
         ``(a.size + b.size - 1) * np`` rows — the double-CRT strategy every
         RNS HE library uses, executed at the batch width the paper shows the
-        hardware wants.  In fused mode the whole operation is one compiled
-        plan: a single ``execute`` call, one pool dispatch on the sharded
-        backend.
+        hardware wants.  The whole operation is one compiled plan: a single
+        ``execute`` call, one pool dispatch on the sharded backend.
         """
         self._check_same_ring(a, b)
-        if self.mode == "eager":
-            transformed = self._forward_ntt_batch(list(a.polys) + list(b.polys))
-            a_ntt = transformed[: a.size]
-            b_ntt = transformed[a.size :]
-            polys = self._tensor(a_ntt, b_ntt, a.basis)
-            return Ciphertext(polys=polys, params=self.params, level=a.level)
         return self._fused_binary(self._emit_multiply, "multiply", a, b)
 
     def square(self, a: Ciphertext) -> Ciphertext:
@@ -740,10 +599,6 @@ class Evaluator:
         half the forward NTTs of ``multiply(a, a)``, which
         :attr:`ntt_invocations` reflects.
         """
-        if self.mode == "eager":
-            a_ntt = self._forward_ntt_batch(list(a.polys))
-            polys = self._tensor(a_ntt, a_ntt, a.basis)
-            return Ciphertext(polys=polys, params=self.params, level=a.level)
         return self._fused_unary(self._emit_square, a, "square")
 
     # -- relinearisation ---------------------------------------------------------------------
@@ -757,9 +612,9 @@ class Evaluator:
         key component ``i``.  The per-prime digit products are accumulated in
         the NTT domain and inverse-transformed once at the end (NTT linearity
         makes this bit-identical to per-product inverse transforms, at ``np``
-        times fewer inverse NTTs).  In fused mode the whole key switch is one
-        plan — on the sharded backend one dispatch, with the digit rows read
-        straight out of shared memory by every worker.
+        times fewer inverse NTTs).  The whole key switch is one plan — on
+        the sharded backend one dispatch, with the digit rows read straight
+        out of shared memory by every worker.
         """
         if a.size == 2:
             return a.copy()
@@ -767,8 +622,6 @@ class Evaluator:
             raise ValueError("relinearisation supports size-3 ciphertexts only")
         if len(relin_key.components) != len(a.basis):
             raise ValueError("relinearisation key was generated for a different basis")
-        if self.mode == "eager":
-            return self._eager_relinearize(a, relin_key)
         polys = self._adopt_all(a.polys)
         rk = [
             (self._adopt(rk0), self._adopt(rk1))
@@ -806,35 +659,6 @@ class Evaluator:
         out = self._run_plan(key, build, bindings, constants=tuple(constants))
         return Ciphertext(polys=out, params=self.params, level=a.level)
 
-    def _eager_relinearize(
-        self, a: Ciphertext, relin_key: RelinearizationKey
-    ) -> Ciphertext:
-        c0, c1, c2 = self._adopt_all(a.polys)
-        basis = a.basis
-        c2_coeff = c2.to_coefficient()
-        acc0: ResidueTensor | None = None
-        acc1: ResidueTensor | None = None
-        for index, (rk0, rk1) in enumerate(relin_key.components):
-            digit = self._poly(
-                self.backend.digit_broadcast(c2_coeff.tensor, index),
-                basis,
-                Domain.COEFFICIENT,
-            )
-            digit_ntt, rk0_ntt, rk1_ntt = self._forward_ntt_batch([digit, rk0, rk1])
-            term0 = self.backend.mul(digit_ntt.tensor, rk0_ntt.tensor)
-            term1 = self.backend.mul(digit_ntt.tensor, rk1_ntt.tensor)
-            acc0 = term0 if acc0 is None else self.backend.add(acc0, term0)
-            acc1 = term1 if acc1 is None else self.backend.add(acc1, term1)
-        sum0, sum1 = self._inverse_ntt_batch(
-            [
-                self._poly(acc0, basis, Domain.NTT),
-                self._poly(acc1, basis, Domain.NTT),
-            ]
-        )
-        new_c0 = self._poly_add(c0, sum0)
-        new_c1 = self._poly_add(c1, sum1)
-        return Ciphertext(polys=[new_c0, new_c1], params=self.params, level=a.level)
-
     # -- modulus switching --------------------------------------------------------------------
     def mod_switch_to_next(self, a: Ciphertext) -> Ciphertext:
         """Drop the last RNS prime, scaling the ciphertext (and its noise) down.
@@ -845,9 +669,9 @@ class Evaluator:
         ``(c + δ) / q`` with ``δ ≡ -c (mod q)`` and ``δ ≡ 0 (mod t)`` —
         computed entirely in RNS by ``mod_switch_drop_last`` nodes, since
         ``δ`` depends only on the dropped residue row and the division
-        becomes a per-prime multiplication by ``q^{-1} mod p_j``.  In fused
-        mode all components switch in one plan (one dispatch on the sharded
-        backend, each worker reading the dropped row from shared memory).
+        becomes a per-prime multiplication by ``q^{-1} mod p_j``.  All
+        components switch in one plan (one dispatch on the sharded backend,
+        each worker reading the dropped row from shared memory).
         """
         basis = a.basis
         if len(basis) < 2:
@@ -856,20 +680,6 @@ class Evaluator:
         q_last = basis.primes[-1]
         if q_last % t != 1:
             raise ValueError("modulus switching requires q_last ≡ 1 (mod t)")
-        if self.mode == "eager":
-            new_basis = basis.drop_last(1)
-            new_polys = []
-            for poly in self._adopt_all(a.polys):
-                coeff = poly.to_coefficient()
-                new_polys.append(
-                    RnsPolynomial(
-                        new_basis,
-                        self.params.n,
-                        self.backend.mod_switch_drop_last(coeff.tensor, t),
-                        Domain.COEFFICIENT,
-                    )
-                )
-            return Ciphertext(polys=new_polys, params=self.params, level=a.level + 1)
         return self._fused_unary(
             lambda em, sa: self._emit_mod_switch(em, sa, t),
             a,

@@ -17,13 +17,18 @@ lowers the whole expression into **one**
 On the ``parallel`` backend the plan executes as fused per-worker stages:
 the chain above costs **three** pool dispatches (the two cross-row steps —
 digit decomposition and modulus switching — each start a new stage) instead
-of the ten-plus round trips of the eager path, with every intermediate
-tensor staying in worker memory.  Compilation happens once per expression
-*shape*: re-running the same chain over fresh ciphertexts reuses the cached
-plan (see :attr:`Evaluator.plan_cache_hits`).
+of one round trip per backend method, with every intermediate tensor
+staying in worker memory.  Compilation happens once per expression *shape*:
+re-running the same chain over fresh ciphertexts reuses the cached plan
+(see :attr:`Evaluator.plan_cache_hits`).
 
 Expressions are ordinary immutable DAG nodes — sharing a sub-expression
-(``x = a * b; (x + x).run()``) emits it once.
+(``x = a * b; (x + x).run()``) emits it once.  :meth:`Pipeline.run_many`
+lowers several independent expressions into one plan: stages are cut by
+dependency level (:func:`repro.backends.ops.split_stages`), so the
+statements share stages and the optimiser's ``batch_ntt`` pass merges their
+transforms into wide nodes.  The serving layer's cross-request batches
+(:func:`repro.service.batching.execute_group`) run this way.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class CiphertextExpr:
         """Lazy modulus switch to the next level (drops the last RNS prime)."""
         return CiphertextExpr(self.pipeline, "mod_switch", (self,))
 
-    # Evaluator-style spelling, for symmetry with eager call sites.
+    # Evaluator-style spelling, for symmetry with per-op call sites.
     mod_switch_to_next = mod_switch
 
     def _with_plain(self, plaintext: RnsPolynomial, kind: str) -> "CiphertextExpr":

@@ -271,20 +271,17 @@ class RnsPolynomial:
 
         In the NTT domain this is element-wise; in the coefficient domain the
         operands are transformed, multiplied element-wise and transformed
-        back (the ``iNTT(NTT(a) ⊙ NTT(b))`` pipeline of Section III-A) — by
-        default as **one** compiled plan handed to
+        back (the ``iNTT(NTT(a) ⊙ NTT(b))`` pipeline of Section III-A) — as
+        **one** compiled plan handed to
         :meth:`~repro.backends.base.ComputeBackend.execute`, so both forward
         transforms run as a single wide batch and a sharding backend fuses
-        the whole product into one dispatch.  ``REPRO_EXECUTION=eager``
-        restores the per-call path; both are bit-for-bit identical.
+        the whole product into one dispatch.
         """
         if self.domain is Domain.NTT:
             return self._wrap(
                 self.backend.mul(self.tensor, self._operand(other)), Domain.NTT
             )
         self._check_compatible(other)
-        if ops.resolve_execution_mode() == "eager":
-            return (self.to_ntt() * other.to_ntt()).to_coefficient()
         product = self.backend.execute(
             _product_plan(self.basis.count),
             {"a": self.tensor, "b": self._operand(other)},

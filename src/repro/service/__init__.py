@@ -11,7 +11,8 @@ Layout:
 * :mod:`~repro.service.protocol` — request grammar, validation, errors;
 * :mod:`~repro.service.tenants` — params-hash-keyed ``HeContext`` cache
   with per-tenant metrics subtrees under the server root;
-* :mod:`~repro.service.batching` — the group plan lowering and the asyncio
+* :mod:`~repro.service.batching` — group execution (one pipeline expression
+  per request, compiled together by ``Pipeline.run_many``) and the asyncio
   coalescer;
 * :mod:`~repro.service.server` — the stdlib asyncio HTTP server (and the
   ``python -m repro.experiments serve`` entry point);

@@ -5,11 +5,14 @@ The paper's throughput claim is that an HE workload is ``np x polys``
 single operation the evaluator already exploits that (every pending
 polynomial rides one ``Concat -> ForwardNtt -> SliceRows`` node group); this
 module applies the same claim **across requests**: ``k`` concurrent requests
-for the same tenant and op chain are lowered into *one* plan whose transform
-nodes are ``k`` times wider — stacked along the existing batch axis with the
-same IR nodes, executed once on the backend, and sliced back per request.
-The group plan is compiled once per ``(ops, k, shape)`` into the tenant
-evaluator's plan cache, so steady-state traffic executes straight from the
+for the same tenant and op chain become ``k`` :meth:`HeContext.pipeline`
+expressions lowered together by :meth:`~repro.he.pipeline.Pipeline.run_many`
+into *one* plan.  The compiler decides the width: stages are cut by
+dependency level, so the riders' transforms share stages, and the
+``batch_ntt`` pass merges them into nodes ``k`` times wider.  The shared
+relinearisation key is bound once and its NTT images stay pooled.  The
+group plan is compiled once per ``(ops, k, shape)`` into the tenant
+pipeline's plan cache, so steady-state traffic executes straight from the
 cache.
 
 Because every node is exact modular arithmetic on independent rows, the
@@ -26,21 +29,29 @@ caller's future resolves with its own slice of the result.
 from __future__ import annotations
 
 import asyncio
+import operator
 import time
 from concurrent.futures import Executor
 
 from ..he.ciphertext import Ciphertext
-from ..he.evaluator import _Emitter, _P
-from ..rns.poly import Domain
+from ..he.pipeline import CiphertextExpr
 from ..telemetry import TRACER, profile_tag
 from ..telemetry.metrics import MetricsRegistry
-from .protocol import trace_sizes
 from .tenants import Tenant
 
 __all__ = ["execute_group", "group_signature", "CrossRequestBatcher"]
 
 
-# -- group lowering (synchronous) -----------------------------------------------------
+# -- group execution (synchronous) ----------------------------------------------------
+
+#: How each opening op combines its (lazy) ciphertext arguments.
+_FIRST_OPS = {
+    "multiply": operator.mul,
+    "add": operator.add,
+    "sub": operator.sub,
+    "square": CiphertextExpr.square,
+    "negate": operator.neg,
+}
 
 
 def group_signature(tenant_key: str, ops: tuple[str, ...], cts: list[Ciphertext]) -> tuple:
@@ -64,142 +75,13 @@ def group_signature(tenant_key: str, ops: tuple[str, ...], cts: list[Ciphertext]
     )
 
 
-def _tensor_ntt(em: _Emitter, a_ntt: list[_P], b_ntt: list[_P]) -> list[_P]:
-    """NTT-domain tensor product, left in the NTT domain.
-
-    The evaluator's ``_emit_tensor`` inverse-transforms its products
-    immediately; the group lowering defers that so the inverse of *every*
-    request rides one wide node instead.
-    """
-    graph = em.graph
-    basis = a_ntt[0].basis
-    accumulators: list[int | None] = [None] * (len(a_ntt) + len(b_ntt) - 1)
-    for i, poly_a in enumerate(a_ntt):
-        for j, poly_b in enumerate(b_ntt):
-            term = graph.mul(poly_a.value, poly_b.value)
-            k = i + j
-            accumulators[k] = (
-                term if accumulators[k] is None else graph.add(accumulators[k], term)
-            )
-    return [_P(value, Domain.NTT, basis) for value in accumulators]
-
-
-def _emit_group_first(ev, em: _Emitter, op: str, sreq: list[list[list[_P]]]) -> list[list[_P]]:
-    """Lower the opening op for every request, sharing the wide transforms."""
-    if op in ("add", "sub"):
-        return [
-            ev._emit_linear(em, inputs[0], inputs[1], subtract=(op == "sub"))
-            for inputs in sreq
-        ]
-    if op == "negate":
-        return [ev._emit_negate(em, inputs[0]) for inputs in sreq]
-    # multiply / square: one forward batch over every request's operands,
-    # per-request NTT-domain tensor products, one inverse batch over every
-    # request's products.
-    pending = [poly for inputs in sreq for ct in inputs for poly in ct]
-    transformed = ev._emit_ntt_batch(em, pending, forward=True)
-    products: list[list[_P]] = []
-    index = 0
-    for inputs in sreq:
-        parts = []
-        for ct in inputs:
-            parts.append(transformed[index : index + len(ct)])
-            index += len(ct)
-        if op == "square":
-            products.append(_tensor_ntt(em, parts[0], parts[0]))
-        else:
-            if parts[0][0].basis.primes != parts[1][0].basis.primes:
-                raise ValueError("ciphertexts are at different levels; mod-switch first")
-            products.append(_tensor_ntt(em, parts[0], parts[1]))
-    flat = [poly for group in products for poly in group]
-    inverted = ev._emit_ntt_batch(em, flat, forward=False)
-    out: list[list[_P]] = []
-    index = 0
-    for group in products:
-        out.append(inverted[index : index + len(group)])
-        index += len(group)
-    return out
-
-
-def _emit_group_relinearize(
-    ev, em: _Emitter, current: list[list[_P]], srk: list[tuple[_P, _P]] | None
-) -> list[list[_P]]:
-    """Key-switch every request at once: per prime, the ``k`` digit rows and
-    the (shared, bound-once) key component go through a single wide forward
-    transform; the ``2k`` accumulators come back in a single inverse."""
-    graph = em.graph
-    size = len(current[0])
-    if size == 2:
-        return [
-            [_P(graph.copy(p.value), p.domain, p.basis) for p in req]
-            for req in current
-        ]
-    if size != 3:
-        raise ValueError("relinearisation supports size-3 ciphertexts only")
-    basis = current[0][0].basis
-    if srk is None or len(srk) != len(basis):
-        raise ValueError("relinearisation key was generated for a different basis")
-    k = len(current)
-    c2s = ev._emit_ntt_batch(em, [req[2] for req in current], forward=False)
-    acc0: list[int | None] = [None] * k
-    acc1: list[int | None] = [None] * k
-    for index, (rk0, rk1) in enumerate(srk):
-        digits = [
-            _P(graph.digit_broadcast(c2s[r].value, index), Domain.COEFFICIENT, basis)
-            for r in range(k)
-        ]
-        transformed = ev._emit_ntt_batch(em, digits + [rk0, rk1], forward=True)
-        rk0_ntt, rk1_ntt = transformed[k], transformed[k + 1]
-        for r in range(k):
-            term0 = graph.mul(transformed[r].value, rk0_ntt.value)
-            term1 = graph.mul(transformed[r].value, rk1_ntt.value)
-            acc0[r] = term0 if acc0[r] is None else graph.add(acc0[r], term0)
-            acc1[r] = term1 if acc1[r] is None else graph.add(acc1[r], term1)
-    sums = ev._emit_ntt_batch(
-        em,
-        [_P(value, Domain.NTT, basis) for value in acc0 + acc1],
-        forward=False,
-    )
-    return [
-        [
-            ev._emit_poly_add(em, current[r][0], sums[r]),
-            ev._emit_poly_add(em, current[r][1], sums[k + r]),
-        ]
-        for r in range(k)
-    ]
-
-
-def _emit_group_mod_switch(ev, em: _Emitter, current: list[list[_P]], t: int) -> list[list[_P]]:
-    basis = current[0][0].basis
-    if len(basis) < 2:
-        raise ValueError("cannot modulus-switch below a single prime")
-    if basis.primes[-1] % t != 1:
-        raise ValueError("modulus switching requires q_last ≡ 1 (mod t)")
-    flat = [poly for req in current for poly in req]
-    coeffs = ev._emit_ntt_batch(em, flat, forward=False)
-    new_basis = basis.drop_last(1)
-    switched = [
-        _P(em.graph.mod_switch_drop_last(poly.value, t), Domain.COEFFICIENT, new_basis)
-        for poly in coeffs
-    ]
-    size = len(current[0])
-    return [switched[r * size : (r + 1) * size] for r in range(len(current))]
-
-
-def _structure(adopted_request) -> tuple:
-    return tuple(
-        (tuple(polys[0].basis.primes), tuple(poly.domain for poly in polys))
-        for polys in adopted_request
-    )
-
-
 def execute_group(
     tenant: Tenant, ops: tuple[str, ...], requests: list[list[Ciphertext]]
 ) -> list[Ciphertext]:
     """Run the same op chain for every request as one fused plan.
 
     Args:
-        tenant: The tenant whose evaluator/plan-cache/key material is used.
+        tenant: The tenant whose pipeline/plan-cache/key material is used.
         ops: The validated op chain (``protocol.validate_request`` output).
         requests: One entry per request — the ciphertext arguments of the
             chain's first op.  All entries must share the same structure
@@ -209,88 +91,24 @@ def execute_group(
         One result ciphertext per request, in submission order, bit-for-bit
         equal to executing the chain per request.
     """
-    ev = tenant.evaluator
-    k = len(requests)
-    if k == 0:
+    if not requests:
         return []
-    ops = tuple(ops)
-    adopted = [[ev._adopt_all(ct.polys) for ct in request] for request in requests]
-    shape = _structure(adopted[0])
-    for request in adopted[1:]:
-        if _structure(request) != shape:
-            raise ValueError("cannot batch requests with different shapes")
-    input_sizes = [len(polys) for polys in adopted[0]]
-    sizes = trace_sizes(ops, input_sizes)
-    # The key is consumed only when a relinearize actually sees a size-3
-    # ciphertext; binding it otherwise would leave dangling plan inputs.
-    need_rk = any(
-        op == "relinearize" and (sizes[i - 1] if i else None) == 3
-        for i, op in enumerate(ops)
-    )
-    relin = None
-    if need_rk:
-        components = tenant.context.relinearization_key().components
-        relin = [(ev._adopt(rk0), ev._adopt(rk1)) for rk0, rk1 in components]
-    t = ev.params.plaintext_modulus
-    key = ("service_batch", ops, k, shape)
-
-    def build():
-        em = _Emitter()
-        sreq = [
-            [
-                [
-                    _P(
-                        em.graph.input("r%d_i%d_p%d" % (r, i, j)),
-                        poly.domain,
-                        poly.basis,
-                    )
-                    for j, poly in enumerate(polys)
-                ]
-                for i, polys in enumerate(request)
-            ]
-            for r, request in enumerate(adopted)
-        ]
-        srk = None
-        if relin is not None:
-            srk = [
-                (em.bind("rk0_%d" % i, rk0), em.bind("rk1_%d" % i, rk1))
-                for i, (rk0, rk1) in enumerate(relin)
-            ]
-        current = _emit_group_first(ev, em, ops[0], sreq)
+    if len({group_signature(tenant.key, ops, request) for request in requests}) > 1:
+        raise ValueError("cannot batch requests with different shapes")
+    pipe = tenant.pipeline
+    key = tenant.context.relinearization_key() if "relinearize" in ops else None
+    exprs = []
+    for request in requests:
+        expr = _FIRST_OPS[ops[0]](*(pipe.load(ct) for ct in request))
         for op in ops[1:]:
             if op == "relinearize":
-                current = _emit_group_relinearize(ev, em, current, srk)
+                expr = expr.relinearize(key)
             elif op == "mod_switch":
-                current = _emit_group_mod_switch(ev, em, current, t)
+                expr = expr.mod_switch()
             else:  # negate
-                current = [ev._emit_negate(em, request) for request in current]
-        return ev._finish(em, [poly for request in current for poly in request])
-
-    bindings = {}
-    for r, request in enumerate(adopted):
-        for i, polys in enumerate(request):
-            for j, poly in enumerate(polys):
-                bindings["r%d_i%d_p%d" % (r, i, j)] = poly.tensor
-    constants: list = []
-    if relin is not None:
-        for i, (rk0, rk1) in enumerate(relin):
-            bindings["rk0_%d" % i] = rk0.tensor
-            bindings["rk1_%d" % i] = rk1.tensor
-            constants += ["rk0_%d" % i, "rk1_%d" % i]
-
-    # The tenant's relinearisation key is stable across flushes, so the
-    # optimiser's residency pass keeps its NTT images pooled between batches.
-    out = ev._run_plan(key, build, bindings, constants=tuple(constants))
-    out_size = sizes[-1]
-    level_bump = sum(1 for op in ops if op == "mod_switch")
-    return [
-        Ciphertext(
-            polys=out[r * out_size : (r + 1) * out_size],
-            params=ev.params,
-            level=requests[r][0].level + level_bump,
-        )
-        for r in range(k)
-    ]
+                expr = -expr
+        exprs.append(expr)
+    return pipe.run_many(exprs)
 
 
 # -- asyncio coalescing ---------------------------------------------------------------

@@ -3,8 +3,8 @@
 A *tenant* is one ``(params, key seed)`` pair — the unit at which HE state
 can be shared: everyone under the same parameters and seed shares key
 material, twiddle caches, compiled plans and (crucially for cross-request
-batching) an evaluator whose plan cache the batcher compiles group plans
-into.  The cache is keyed by :func:`params_hash`, a stable digest of the
+batching) a :meth:`~repro.he.context.HeContext.pipeline` whose plan cache
+the batcher compiles group plans into.  The cache is keyed by :func:`params_hash`, a stable digest of the
 canonical parameter dictionary, which is also the tenant id reported on the
 metrics surface.
 
@@ -45,9 +45,9 @@ def params_hash(params: HEParams, seed: int) -> str:
 
 
 class Tenant:
-    """One cached HE session: context + evaluator + metrics subtree."""
+    """One cached HE session: context + pipeline + metrics subtree."""
 
-    __slots__ = ("key", "params", "seed", "context", "evaluator", "registry")
+    __slots__ = ("key", "params", "seed", "context", "pipeline", "registry")
 
     def __init__(
         self,
@@ -61,9 +61,11 @@ class Tenant:
         self.params = params
         self.seed = seed
         self.context = context
-        #: One shared evaluator per tenant: its plan cache is where the
-        #: batcher's cross-request group plans are compiled once per shape.
-        self.evaluator = context.evaluator()
+        #: One shared pipeline per tenant: its plan cache is where the
+        #: batcher's cross-request group plans are compiled once per shape,
+        #: and its evaluator shares the context's constant pool, so the key
+        #: images stay pooled across batches.
+        self.pipeline = context.pipeline()
         self.registry = registry
 
     def metrics(self) -> dict:

@@ -5,7 +5,7 @@ contribution is *measurement* — so the reproduction ships its own
 measurement plane instead of ad-hoc counters:
 
 * :data:`TRACER` (:mod:`repro.telemetry.tracer`) — process-wide span
-  recording across plan compile/execute, fused stages, eager kernels,
+  recording across plan compile/execute, fused stages, per-node kernels,
   NTT engines, autotune races, boundary conversions and pool round
   trips, with worker spans shipped back across the process boundary.
 * :class:`MetricsRegistry` (:mod:`repro.telemetry.metrics`) — named

@@ -4,7 +4,7 @@ The source paper is a workload *characterization* — its contribution is
 measurement — so the reproduction carries its own measurement plane: a
 process-wide :class:`Tracer` whose :meth:`Tracer.span` context managers
 emit begin/end events for plan compilation, plan execution, fused stages,
-eager kernel dispatch, NTT engine calls, autotune races, boundary
+per-node kernel dispatch, NTT engine calls, autotune races, boundary
 conversions and pool round trips.  Design constraints, in order:
 
 * **Free when off.**  ``TRACER.enabled`` is a plain attribute; hot call

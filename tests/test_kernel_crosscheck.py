@@ -114,8 +114,8 @@ def test_generated_case_matches_scalar_oracle(n, layout, pooled, monkeypatch):
             for op, rows in expected.items():
                 assert got[op] == rows, (op, engine, strategy, primes)
     monkeypatch.delenv(STRATEGY_ENV_VAR, raising=False)
-    dispatches = pooled.pool_dispatch_count
+    dispatches = pooled.dispatch_count
     got = run_ops(pooled, primes, rows_a, rows_b, scalar)
-    assert pooled.pool_dispatch_count > dispatches
+    assert pooled.dispatch_count > dispatches
     for op, rows in expected.items():
         assert got[op] == rows, (op, "parallel", primes)

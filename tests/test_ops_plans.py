@@ -6,15 +6,12 @@ Pins the acceptance criteria of the op-graph execution redesign:
   cross-checked bit-for-bit against its one-op plan, on all three backends,
   on both word-size regimes (30-bit vectorised, 60-bit per-prime fallback);
 * **builder/IR validation** — malformed graphs fail at build or inference
-  time with actionable errors, and unknown names everywhere (backends,
-  engines, modes) name the valid plan nodes and the ``--fused/--eager``
-  switch;
-* **fused scheduling** — stage splitting at cross-row nodes, per-worker row
-  ranges through concat/split chains, and the parallel backend's fallbacks
-  (big rows, misaligned operands, heap inputs, single shard) all yield
-  bit-identical results;
-* **execution-mode resolution** — explicit > default > ``REPRO_EXECUTION``
-  > fused.
+  time with actionable errors, and unknown backend and engine names list
+  the valid plan nodes and the environment overrides;
+* **fused scheduling** — stage splitting by dependency level at cross-row
+  nodes, per-worker row ranges through concat/split chains, and the
+  parallel backend's fallbacks (big rows, misaligned operands, heap inputs,
+  single shard) all yield bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ from repro.backends import (
     get_backend,
     get_engine,
     ops,
-    resolve_execution_mode,
-    set_default_execution_mode,
 )
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.parallel import ParallelBackend
@@ -307,10 +302,10 @@ def test_unknown_name_errors_list_plan_nodes_and_flags():
         get_engine("no-such-engine")
     for excinfo in (backend_error, engine_error):
         message = str(excinfo.value)
-        assert "--fused/--eager" in message
+        assert "REPRO_NTT_ENGINE" in message
         for node in ("forward_ntt", "digit_broadcast", "mod_switch_drop_last"):
             assert node in message
-    assert "REPRO_EXECUTION" in str(backend_error.value)
+    assert "REPRO_BACKEND" in str(backend_error.value)
 
 
 # ------------------------------------------------------- fused scheduling
@@ -334,6 +329,22 @@ def test_split_stages_cuts_at_cross_row_intermediates():
     outs = ops.stage_outputs(plan, stages)
     assert outs[0] == [3]  # only the value the next stage reads materialises
     assert outs[1] == [4]
+
+
+def test_split_stages_cuts_independent_chains_by_dependency_level():
+    """Two independent forward -> digit chains, emitted one after the other,
+    share both stages: each digit waits only for its own transform."""
+    graph = OpGraph()
+    a = graph.input("a")
+    b = graph.input("b")
+    digit_a = graph.digit_broadcast(graph.forward_ntt(a), 0)
+    digit_b = graph.digit_broadcast(graph.forward_ntt(b), 0)
+    graph.output("x", digit_a)
+    graph.output("y", digit_b)
+    plan = graph.compile()
+    stages = ops.split_stages(plan)
+    assert stages == [[2, 4], [3, 5]]  # each stage in plan order
+    assert ops.stage_outputs(plan, stages) == [[2, 4], [3, 5]]
 
 
 def test_shard_stage_aligns_concat_split_chains():
@@ -444,25 +455,3 @@ def test_parallel_inline_plan_below_crossover_counts_no_dispatch():
         assert out.to_rows() == expected.to_rows()
     finally:
         backend.close()
-
-
-# ------------------------------------------------------- execution mode
-
-
-def test_execution_mode_resolution_precedence(monkeypatch):
-    monkeypatch.delenv(ops.EXECUTION_ENV_VAR, raising=False)
-    assert resolve_execution_mode() == "fused"
-    monkeypatch.setenv(ops.EXECUTION_ENV_VAR, "eager")
-    assert resolve_execution_mode() == "eager"
-    try:
-        set_default_execution_mode("fused")
-        assert resolve_execution_mode() == "fused"  # default beats env
-        assert resolve_execution_mode("eager") == "eager"  # explicit beats default
-    finally:
-        set_default_execution_mode(None)
-    assert resolve_execution_mode() == "eager"  # env visible again
-    monkeypatch.setenv(ops.EXECUTION_ENV_VAR, "sideways")
-    with pytest.raises(ValueError, match="--fused/--eager"):
-        resolve_execution_mode()
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        set_default_execution_mode("sideways")

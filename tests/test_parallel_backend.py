@@ -38,7 +38,7 @@ from repro.backends.parallel import (
 )
 from repro.backends.pool import get_arena, plan_shards, resolve_shard_count
 from repro.backends.scalar import ScalarBackend
-from repro.he import HEParams, HeContext
+from repro.he import Evaluator, HEParams, HeContext
 from repro.modarith.primes import generate_ntt_primes
 
 PRIME_BITS = (30, 60)  # native narrow regime and wide-word vectorised regime
@@ -81,10 +81,10 @@ def test_transforms_bit_identical_to_scalar_and_numpy(bits, pooled, references):
         expected[name] = backend.forward_ntt_batch(tensor).to_rows()
     assert expected["scalar"] == expected["numpy"]
 
-    before = pooled.pool_dispatch_count
+    before = pooled.dispatch_count
     tensor = pooled.from_rows(rows, batch)
     forward = pooled.forward_ntt_batch(tensor)
-    assert pooled.pool_dispatch_count > before, "transform did not shard"
+    assert pooled.dispatch_count > before, "transform did not shard"
     assert forward.to_rows() == expected["scalar"]
     assert pooled.inverse_ntt_batch(forward).to_rows() == rows
 
@@ -196,13 +196,13 @@ def test_forced_pool_chain_performs_zero_conversions():
         relin = ctx.relinearization_key()
         ct_a = encryptor.encrypt(ctx.encoder().encode([1, 2, 3]))
         ct_b = encryptor.encrypt(ctx.encoder().encode([4, 5, 6]))
-        dispatches = backend.pool_dispatch_count
+        dispatches = backend.dispatch_count
         before = backend.conversion_count
         switched = evaluator.mod_switch_to_next(
             evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin)
         )
         assert backend.conversion_count == before, "chain left resident storage"
-        assert backend.pool_dispatch_count > dispatches, "chain never sharded"
+        assert backend.dispatch_count > dispatches, "chain never sharded"
         t = params.plaintext_modulus
         decoded = ctx.encoder().decode(ctx.decryptor().decrypt(switched))
         assert decoded[:3] == [(x * y) % t for x, y in zip([1, 2, 3], [4, 5, 6])]
@@ -211,35 +211,33 @@ def test_forced_pool_chain_performs_zero_conversions():
 
 
 def test_dispatch_count_accounts_every_pool_round_trip():
-    """`dispatch_count` is the pool round-trip odometer: one per eager op
-    above the crossover, one per fused plan stage, zero inline — and the
-    fused multiply → relinearize → mod_switch chain reads ≤ 3 (satellite
-    acceptance of the op-graph redesign)."""
+    """`dispatch_count` is the pool round-trip odometer: one per per-op
+    backend call above the crossover, one per fused plan stage, zero inline
+    — and the fused multiply → relinearize → mod_switch chain reads ≤ 3
+    (satellite acceptance of the op-graph redesign)."""
     backend = forced_backend()
     try:
         primes = generate_ntt_primes(30, 2, N)
         batch = [p for p in primes for _ in range(2)]
         tensor = backend.from_rows(random_rows(batch, N, seed=21), batch)
         assert backend.dispatch_count == 0
-        assert backend.pool_dispatch_count == 0  # compatibility alias
-        forward = backend.forward_ntt_batch(tensor)  # eager: 1 round trip
+        forward = backend.forward_ntt_batch(tensor)  # per-op: 1 round trip
         assert backend.dispatch_count == 1
-        backend.add(forward, forward)  # eager: 1 more
+        backend.add(forward, forward)  # per-op: 1 more
         assert backend.dispatch_count == 2
-        assert backend.pool_dispatch_count == backend.dispatch_count
         backend.reset_dispatch_count()
         assert backend.dispatch_count == 0
 
         params = HEParams(n=64, plaintext_modulus=257, prime_bits=30, prime_count=3)
         ctx = HeContext.create(params, backend=backend)
         encryptor = ctx.encryptor()
-        evaluator = ctx.evaluator(mode="fused")
+        evaluator = ctx.evaluator()
         relin = ctx.relinearization_key()
         ct_a = encryptor.encrypt(ctx.encoder().encode([1, 2, 3]))
         ct_b = encryptor.encrypt(ctx.encoder().encode([4, 5, 6]))
         backend.reset_dispatch_count()
         backend.reset_conversion_count()
-        evaluator.mod_switch_to_next(
+        chain = evaluator.mod_switch_to_next(
             evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin)
         )
         # One fused plan per op; relinearize costs one extra stage when its
@@ -247,15 +245,15 @@ def test_dispatch_count_accounts_every_pool_round_trip():
         # budget is one dispatch per homomorphic operation.
         assert 1 <= backend.dispatch_count <= 3, backend.dispatch_count
         assert backend.conversion_count == 0
-        # Worker-side work never dispatches again: the counter is already
-        # complete across the process boundary (mirroring, like the
-        # conversion counter, happens per round trip).
-        eager = ctx.evaluator(mode="eager")
-        backend.reset_dispatch_count()
-        eager.mod_switch_to_next(
-            eager.relinearize(eager.multiply(ct_a, ct_b), relin)
+        # The scalar backend's raw plans are the oracle (adopting onto it is
+        # a counted conversion, so it runs after the counter checks).
+        oracle = Evaluator(params, backend="scalar", passes="none")
+        expected = oracle.mod_switch_to_next(
+            oracle.relinearize(oracle.multiply(ct_a, ct_b), relin)
         )
-        assert backend.dispatch_count > 3  # one per backend method call
+        assert [p.to_coeff_lists() for p in chain.polys] == [
+            p.to_coeff_lists() for p in expected.polys
+        ]
     finally:
         backend.close()
 
@@ -362,7 +360,7 @@ def test_pool_is_lazy_below_the_crossover():
         batch = [p for p in primes for _ in range(2)]
         tensor = backend.from_rows(rows, batch)
         forward = backend.forward_ntt_batch(tensor)
-        assert backend.pool_dispatch_count == 0, "toy shape paid the pool tax"
+        assert backend.dispatch_count == 0, "toy shape paid the pool tax"
         assert not backend.pool_running
         assert tensor.segment is None, "sub-crossover tensor went to /dev/shm"
         # the inline path is still the real engine path, bit-for-bit
@@ -386,10 +384,10 @@ def test_thresholds_separate_transform_and_pointwise():
         batch = [p for p in primes for _ in range(2)]
         tensor = backend.from_rows(random_rows(batch, N, seed=9), batch)
         backend.forward_ntt_batch(tensor)
-        transforms = backend.pool_dispatch_count
+        transforms = backend.dispatch_count
         assert transforms == 1
         backend.add(tensor, tensor)
-        assert backend.pool_dispatch_count == transforms  # stayed inline
+        assert backend.dispatch_count == transforms  # stayed inline
     finally:
         backend.close()
 

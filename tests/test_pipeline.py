@@ -2,15 +2,18 @@
 
 Pins the user-facing half of the op-graph redesign:
 
-* every evaluator operation is bit-for-bit identical between ``fused`` and
-  ``eager`` modes, on scalar, numpy and pool-forced parallel backends;
+* every evaluator operation is bit-for-bit identical to the oracle — the
+  scalar backend running the raw emitted plan (``passes="none"``) one
+  backend method per node — on scalar, numpy and pool-forced parallel
+  backends;
 * a whole ``multiply → relinearize → mod_switch`` expression compiles into
   **one** plan that executes in ≤ 3 pool dispatches with zero boundary
-  conversions on the forced-pool parallel backend;
+  conversions on the forced-pool parallel backend, and independent
+  statements of one program share its stages;
 * plans compile once per shape (`plan_cache_hits`), shared sub-expressions
   lower once, and the expression API validates pipelines/levels the same way
-  the eager evaluator does;
-* ``RnsPolynomial.__mul__`` products match between modes.
+  the per-op evaluator does;
+* ``RnsPolynomial.__mul__`` matches the product taken in the NTT domain.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import random
 
 import pytest
 
-from repro.backends import set_default_execution_mode
 from repro.backends.parallel import ParallelBackend
 from repro.compiler import set_default_passes
-from repro.he import HeContext, HEParams, bootstrap_circuit
+from repro.he import Evaluator, HeContext, HEParams, bootstrap_circuit
 from repro.rns.poly import RnsPolynomial
 
 PARAMS = HEParams(n=64, plaintext_modulus=257, prime_bits=30, prime_count=3)
@@ -40,6 +42,11 @@ def coeffs(ciphertext):
     return [poly.to_coeff_lists() for poly in ciphertext.polys]
 
 
+def oracle(params=PARAMS):
+    """The reference evaluator: raw emitted plans, one scalar call per node."""
+    return Evaluator(params, backend="scalar", passes="none")
+
+
 @pytest.fixture(params=["scalar", "numpy", "parallel"])
 def context(request):
     backend = forced_parallel() if request.param == "parallel" else request.param
@@ -49,7 +56,7 @@ def context(request):
         ctx.backend.close()
 
 
-# ------------------------------------------------- fused == eager, every op
+# ------------------------------------------------- evaluator == oracle, every op
 
 
 def test_every_evaluator_op_bit_identical_between_modes(context):
@@ -59,30 +66,32 @@ def test_every_evaluator_op_bit_identical_between_modes(context):
     plain = encoder.encode([2, 0, 1])
     ct_a = encryptor.encrypt(encoder.encode([1, 2, 3]))
     ct_b = encryptor.encrypt(encoder.encode([4, 5, 6]))
-    fused = context.evaluator(mode="fused")
-    eager = context.evaluator(mode="eager")
-    assert fused.mode == "fused" and eager.mode == "eager"
+    fused = context.evaluator()
+    reference = oracle()
 
     product_f = fused.multiply(ct_a, ct_b)
-    product_e = eager.multiply(ct_a, ct_b)
+    product_r = reference.multiply(ct_a, ct_b)
     cases = [
-        (product_f, product_e),
-        (fused.add(ct_a, ct_b), eager.add(ct_a, ct_b)),
-        (fused.sub(ct_a, ct_b), eager.sub(ct_a, ct_b)),
-        (fused.add(ct_a, product_f), eager.add(ct_a, product_e)),  # mixed sizes
-        (fused.sub(ct_a, product_f), eager.sub(ct_a, product_e)),
-        (fused.negate(ct_a), eager.negate(ct_a)),
-        (fused.square(ct_a), eager.square(ct_a)),
-        (fused.add_plain(ct_a, plain), eager.add_plain(ct_a, plain)),
-        (fused.multiply_plain(ct_a, plain), eager.multiply_plain(ct_a, plain)),
-        (fused.relinearize(product_f, relin), eager.relinearize(product_e, relin)),
-        (fused.mod_switch_to_next(ct_a), eager.mod_switch_to_next(ct_a)),
+        (product_f, product_r),
+        (fused.add(ct_a, ct_b), reference.add(ct_a, ct_b)),
+        (fused.sub(ct_a, ct_b), reference.sub(ct_a, ct_b)),
+        (fused.add(ct_a, product_f), reference.add(ct_a, product_r)),  # mixed sizes
+        (fused.sub(ct_a, product_f), reference.sub(ct_a, product_r)),
+        (fused.negate(ct_a), reference.negate(ct_a)),
+        (fused.square(ct_a), reference.square(ct_a)),
+        (fused.add_plain(ct_a, plain), reference.add_plain(ct_a, plain)),
+        (fused.multiply_plain(ct_a, plain), reference.multiply_plain(ct_a, plain)),
+        (
+            fused.relinearize(product_f, relin),
+            reference.relinearize(product_r, relin),
+        ),
+        (fused.mod_switch_to_next(ct_a), reference.mod_switch_to_next(ct_a)),
     ]
     for index, (got, expected) in enumerate(cases):
         assert coeffs(got) == coeffs(expected), index
         assert got.level == expected.level, index
-    # NTT accounting matches between the modes for the headline ops.
-    assert fused.ntt_invocations == eager.ntt_invocations
+    # NTT accounting of single (cold) operations matches the raw plans.
+    assert fused.ntt_invocations == reference.ntt_invocations
 
 
 def test_pipeline_chain_matches_eager_chain(context):
@@ -92,9 +101,9 @@ def test_pipeline_chain_matches_eager_chain(context):
     ct_a = encryptor.encrypt(encoder.encode([1, 2, 3]))
     ct_b = encryptor.encrypt(encoder.encode([4, 5, 6]))
 
-    eager = context.evaluator(mode="eager")
-    expected = eager.mod_switch_to_next(
-        eager.relinearize(eager.multiply(ct_a, ct_b), relin)
+    reference = oracle()
+    expected = reference.mod_switch_to_next(
+        reference.relinearize(reference.multiply(ct_a, ct_b), relin)
     )
 
     pipe = context.pipeline()
@@ -131,22 +140,14 @@ def test_pipeline_chain_three_dispatches_zero_conversions():
         assert backend.dispatch_count >= 1, "chain never reached the pool"
         assert backend.conversion_count == 0, "chain left resident storage"
 
-        # The per-op fused evaluator pays at most one dispatch per op too.
-        evaluator = ctx.evaluator(mode="fused")
+        # The per-op evaluator pays at most one dispatch per op too.
+        evaluator = ctx.evaluator()
         backend.reset_dispatch_count()
         chained = evaluator.mod_switch_to_next(
             evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin)
         )
         assert backend.dispatch_count <= 3
         assert coeffs(chained) == coeffs(result)
-
-        # ... while the eager path pays one per backend method call.
-        eager = ctx.evaluator(mode="eager")
-        backend.reset_dispatch_count()
-        eager.mod_switch_to_next(
-            eager.relinearize(eager.multiply(ct_a, ct_b), relin)
-        )
-        assert backend.dispatch_count > 3
     finally:
         backend.close()
 
@@ -154,7 +155,7 @@ def test_pipeline_chain_three_dispatches_zero_conversions():
 def test_bootstrap_circuit_three_dispatches_on_warm_runs():
     """The optimised bootstrap circuit keeps one fused stage per cross-row
     barrier on the pool-forced parallel backend: re-batching reorders plan
-    nodes, and the stage cuts follow node order."""
+    nodes, but the stage cuts follow dependency levels, not node order."""
     backend = forced_parallel()
     try:
         # Six primes, the benchmark's bootstrap shape.  With three, the two
@@ -180,6 +181,38 @@ def test_bootstrap_circuit_three_dispatches_on_warm_runs():
             set_default_passes(None)
         raw = bootstrap_circuit(ctx, raw_pipe, ct, **shape).run()
         assert coeffs(warm) == coeffs(raw)
+    finally:
+        backend.close()
+
+
+def test_two_statement_program_costs_the_dispatches_of_one_statement():
+    """Stage cuts follow dependency levels, so two independent bootstrap
+    circuits in one program share every stage, and their transforms merge."""
+    backend = forced_parallel()
+    try:
+        params = HEParams(n=64, plaintext_modulus=17, prime_bits=30, prime_count=6)
+        ctx = HeContext.create(params, backend=backend, seed=7)
+        encryptor = ctx.encryptor(seed=11)
+        cts = [encryptor.encrypt(ctx.integer_encoder().encode(v)) for v in (3, 5)]
+        shape = {"c2s_terms": 4, "eval_depth": 1, "s2c_terms": 4}
+
+        def warm_run(statements):
+            program = ctx.program()
+            for index, ct in enumerate(cts[:statements]):
+                circuit = bootstrap_circuit(ctx, program.pipeline, ct, **shape)
+                program.let("s%d" % index, circuit)
+            program.run()  # cold: compiles and seeds the constant pool
+            before = ctx.metrics()
+            results = program.run()
+            diff = HeContext.metrics_diff(before, ctx.metrics())
+            return results, diff["pool.dispatches"]
+
+        single, single_dispatches = warm_run(1)
+        double, double_dispatches = warm_run(2)
+        assert single_dispatches == double_dispatches == 3
+        assert coeffs(double["s0"]) == coeffs(single["s0"])
+        second = bootstrap_circuit(ctx, ctx.pipeline(), cts[1], **shape).run()
+        assert coeffs(double["s1"]) == coeffs(second)
     finally:
         backend.close()
 
@@ -233,9 +266,9 @@ def test_shared_subexpressions_lower_once():
     a, b = pipe.load(ct_a), pipe.load(ct_b)
     shared = a * b
     result = (shared + shared).run()
-    eager = ctx.evaluator(mode="eager")
-    product = eager.multiply(ct_a, ct_b)
-    assert coeffs(result) == coeffs(eager.add(product, product))
+    reference = oracle()
+    product = reference.multiply(ct_a, ct_b)
+    assert coeffs(result) == coeffs(reference.add(product, product))
 
 
 def test_pipeline_validates_usage():
@@ -252,8 +285,8 @@ def test_pipeline_validates_usage():
     with pytest.raises(ValueError, match="different pipeline"):
         pipe.run(other.load(ct))
 
-    # Level mismatches surface during lowering, like the eager checks.
-    evaluator = ctx.evaluator(mode="eager")
+    # Level mismatches surface during lowering, like the per-op checks.
+    evaluator = ctx.evaluator()
     switched = evaluator.mod_switch_to_next(ct)
     with pytest.raises(ValueError, match="different levels"):
         (pipe.load(ct) * pipe.load(switched)).run()
@@ -264,38 +297,24 @@ def test_pipeline_validates_usage():
     relinearised = pipe.load(ct).relinearize(relin).run()
     assert coeffs(relinearised) == coeffs(ct)
 
-    # Switching past the last level raises exactly like the eager path.
+    # Switching past the last level raises exactly like the per-op path.
     last = evaluator.mod_switch_to_next(switched)
     with pytest.raises(ValueError, match="below a single prime"):
         pipe.load(last).mod_switch().run()
-
-
-def test_evaluator_mode_resolution(monkeypatch):
-    ctx = make_context("numpy")
-    monkeypatch.delenv("REPRO_EXECUTION", raising=False)
-    assert ctx.evaluator().mode == "fused"
-    monkeypatch.setenv("REPRO_EXECUTION", "eager")
-    assert ctx.evaluator().mode == "eager"
-    assert ctx.evaluator(mode="fused").mode == "fused"
-    try:
-        set_default_execution_mode("fused")
-        assert ctx.evaluator().mode == "fused"
-    finally:
-        set_default_execution_mode(None)
 
 
 # --------------------------------------------------------- polynomial layer
 
 
 @pytest.mark.parametrize("backend_name", ["scalar", "numpy"])
-def test_poly_product_identical_between_modes(backend_name, monkeypatch):
+def test_poly_product_identical_between_modes(backend_name):
+    """The one-plan coefficient-domain product equals the product taken
+    step by step through the NTT domain."""
     ctx = make_context(backend_name)
     rng = random.Random(5)
     a = RnsPolynomial.random_uniform(ctx.basis, PARAMS.n, rng, backend=ctx.backend)
     b = RnsPolynomial.random_uniform(ctx.basis, PARAMS.n, rng, backend=ctx.backend)
-    monkeypatch.delenv("REPRO_EXECUTION", raising=False)
     fused = a * b
-    monkeypatch.setenv("REPRO_EXECUTION", "eager")
-    eager = a * b
-    assert fused == eager
-    assert fused.domain == eager.domain
+    stepwise = (a.to_ntt() * b.to_ntt()).to_coefficient()
+    assert fused == stepwise
+    assert fused.domain == stepwise.domain

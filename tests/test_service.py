@@ -240,6 +240,49 @@ def test_execute_group_compiles_once_per_shape():
         cache.close()
 
 
+def test_execute_group_width_adds_no_transforms_or_dispatches(monkeypatch):
+    """Stage cuts by dependency level let ``batch_ntt`` merge the riders'
+    transforms: at k = 1, 2 and 4 the group plan has the same transform
+    nodes, and a warm run costs the same pool dispatches."""
+    import repro.service.tenants as tenants_mod
+    from repro.backends import ops as plan_ops
+    from repro.backends.parallel import ParallelBackend
+
+    monkeypatch.setattr(
+        tenants_mod,
+        "build_backend",
+        lambda name: ParallelBackend(
+            shards=2, transform_threshold=1, pointwise_threshold=1
+        ),
+    )
+    params = HEParams(n=64, plaintext_modulus=17, prime_bits=30, prime_count=6)
+    ops = ("multiply", "relinearize", "mod_switch")
+    cache = TenantCache(MetricsRegistry(), backend="parallel")
+    try:
+        tenant = cache.get(params, 5)
+        enc = tenant.context.encryptor()
+        encoder = tenant.context.integer_encoder()
+        requests = [
+            [enc.encrypt(encoder.encode(r + 2)) for _ in range(2)] for r in range(4)
+        ]
+        plan_cache = tenant.pipeline.evaluator._plan_cache
+        costs = {}
+        for k in (1, 2, 4):
+            execute_group(tenant, ops, requests[:k])  # cold: compiles, seeds the pool
+            plan = list(plan_cache.values())[-1][0]
+            transforms = sum(
+                isinstance(node, (plan_ops.ForwardNtt, plan_ops.InverseNtt))
+                for node in plan.nodes
+            )
+            before = tenant.metrics()
+            execute_group(tenant, ops, requests[:k])
+            diff = HeContext.metrics_diff(before, tenant.metrics())
+            costs[k] = (transforms, diff["pool.dispatches"])
+        assert costs[1] == costs[2] == costs[4] == (4, 3), costs
+    finally:
+        cache.close()
+
+
 def test_execute_group_rejects_heterogeneous_batches():
     root = MetricsRegistry()
     cache = TenantCache(root)

@@ -235,8 +235,8 @@ def test_parallel_wide_matches_scalar_pooled_and_inline():
             assert forward.to_rows() == expected_fwd
             assert back.to_rows() == tensor.to_rows()
             assert product.to_rows() == expected_mul
-        assert pooled.pool_dispatch_count > 0
-        assert inline.pool_dispatch_count == 0
+        assert pooled.dispatch_count > 0
+        assert inline.dispatch_count == 0
     finally:
         pooled.close()
         inline.close()

@@ -17,7 +17,7 @@ pins its two acceptance criteria:
   wall-clock bound against raw numpy).
 
 Both backends are pinned to the same NTT engine so the comparison isolates
-the sharding, not the engine auto-tuner's verdicts.
+the sharding, not the engine selection.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ N = 4096
 P_BITS = 60
 WIDE_BATCH = 8
 FALLBACK_BATCH = 2  # the big-int path is slow; normalise per row
-ENGINE = "stockham"  # pinned so neither regime pays autotuner overhead
+ENGINE = "stockham"  # pinned: one engine on both regimes, fallback rows included
 #: Required per-row throughput advantage of the wide path over the fallback.
 MIN_SPEEDUP = 3.0
 

@@ -25,8 +25,9 @@ variable.
 Inside each backend, *how* a batch of NTTs is executed is a second pluggable
 axis: the :class:`NttEngine` layer in :mod:`repro.backends.engines` provides
 the paper's algorithm variants (``radix2``, ``high_radix``, ``four_step``,
-``stockham``), selected per transform shape by explicit argument >
-:func:`set_default_engine` > ``REPRO_NTT_ENGINE`` > a per-shape auto-tuner.
+``stockham``), selected by explicit argument > :func:`set_default_engine` >
+``REPRO_NTT_ENGINE`` > the fixed kernel of the transform path
+(``stockham`` on array blocks, ``radix2`` on rows).
 
 Since the op-graph redesign, the primary execution entrypoint is
 :meth:`ComputeBackend.execute`: callers compile a chain of operations into a
@@ -42,7 +43,6 @@ from .base import ComputeBackend, ResidueRows, ResidueTensor
 from .ops import NODE_NAMES, OpGraph, Plan
 from .engines import (
     ENGINE_ENV_VAR,
-    NttAutoTuner,
     NttEngine,
     available_engines,
     get_engine,
@@ -71,7 +71,6 @@ __all__ = [
     "NODE_NAMES",
     "SHARDS_ENV_VAR",
     "ComputeBackend",
-    "NttAutoTuner",
     "NttEngine",
     "OpGraph",
     "Plan",

@@ -14,9 +14,10 @@ production transform path is the thing the experiments measure:
   ``k`` repetitions of a basis of ``m`` primes in one call, the paper's one
   launch for all ``np x polynomials`` transforms — sweeping the basis's
   stacked :class:`EngineTables` broadcast over ``k``;
-* engines are chosen per tile shape with the precedence *explicit backend
-  argument > process default (:func:`set_default_engine`) >
-  ``REPRO_NTT_ENGINE`` > auto-tuner* (:class:`NttAutoTuner`).
+* engines are chosen with the precedence *explicit backend argument >
+  process default (:func:`set_default_engine`) > ``REPRO_NTT_ENGINE`` >
+  the fixed kernel of the path* (:data:`PATH_ENGINES`): ``stockham`` on
+  array blocks, ``radix2`` on rows.
 
 Each algorithm has one array kernel, parameterised by the basis's
 :class:`~repro.backends.wideops.Reduction`.  Kernels sweep tiles of
@@ -32,13 +33,10 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import json
 import os
 import threading
-import time
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from pathlib import Path
 
 try:  # The array paths need NumPy; the scalar row paths never touch it.
     import numpy as np
@@ -46,7 +44,6 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
 
 from ..modarith.modops import inv_mod, mul_mod, pow_mod
-from ..telemetry import TRACER
 from ..modarith.roots import primitive_root_of_unity
 from ..transforms.bitrev import (
     bit_reverse_index_array,
@@ -66,13 +63,11 @@ from .wideops import reduce_below, reduction_for
 
 __all__ = [
     "ENGINE_ENV_VAR",
+    "PATH_ENGINES",
     "TILE_ELEMS",
-    "TUNE_PROFILE_ENV_VAR",
-    "DEFAULT_AUTOTUNE_CANDIDATES",
     "NttEngine",
     "EngineTables",
     "TableRows",
-    "NttAutoTuner",
     "EngineSelectionMixin",
     "available_engines",
     "default_engine_spec",
@@ -83,23 +78,17 @@ __all__ = [
     "scratch",
     "set_default_engine",
     "tile_rows",
-    "tune_profile_to_dict",
-    "save_tune_profile",
-    "load_tune_profile",
 ]
 
 #: Environment variable selecting an engine when no explicit choice is made.
 ENGINE_ENV_VAR = "REPRO_NTT_ENGINE"
 
-#: Environment variable naming a JSON autotune profile (written by
-#: :func:`save_tune_profile`) pre-loaded into every newly constructed
-#: backend — including the long-lived inner backends of the parallel
-#: backend's worker processes, which inherit the environment and would
-#: otherwise each race the autotuner per shape on first touch.
-TUNE_PROFILE_ENV_VAR = "REPRO_TUNE_PROFILE"
-
-#: Engine specs the auto-tuner races when nothing picked an engine.
-DEFAULT_AUTOTUNE_CANDIDATES = ("radix2", "high_radix", "four_step", "stockham")
+#: The engine each transform path runs unless one is pinned.  Array blocks
+#: run Pease's constant geometry, the fastest array kernel at every tile
+#: shape measured (N=4096, 6 and 12 rows, 30- and 60-bit primes, forward and
+#: inverse); rows run the reference transformer, because the pure-Python
+#: Stockham sweep is 1.3-1.6x slower per row.
+PATH_ENGINES = {"array": "stockham", "row": "radix2"}
 
 #: Residues per kernel tile: whole rows, so one stage's operands and its
 #: scratch (a few tile-sized buffers per thread) stay in cache.
@@ -126,7 +115,7 @@ def kernel_buffers():
 
 
 def tile_rows(k: int, m: int, n: int) -> int:
-    """Rows of the first tile of a ``(k, m, n)`` block: the auto-tuner's shape.
+    """Rows of the first tile of a ``(k, m, n)`` block: the batch of its engine-choice key.
 
     Tiles hold whole basis repetitions when a basis fits, else part of one.
     """
@@ -851,156 +840,8 @@ def default_engine_spec() -> str | None:
     return os.environ.get(ENGINE_ENV_VAR) or None
 
 
-# ------------------------------------------------------- ahead-of-time profiles
-
-#: Version of the tune-profile JSON format (bumped on incompatible change).
-TUNE_PROFILE_FORMAT_VERSION = 1
-
-
-def _selection_state(backend):
-    """The object actually holding ``_engine_choices`` for ``backend``.
-
-    Concrete backends mix in :class:`EngineSelectionMixin` directly; the
-    ``parallel`` coordinator delegates selection to its embedded inner
-    backend, so profile loads must land there.
-    """
-    node = backend
-    while not hasattr(node, "_engine_choices"):
-        inner = getattr(node, "inner", None)
-        if inner is None or inner is node:
-            raise TypeError(
-                "backend %r has no engine-selection state to profile"
-                % getattr(backend, "name", backend)
-            )
-        node = inner
-    return node
-
-
-def tune_profile_to_dict(backend) -> dict:
-    """Serialise a backend's per-shape autotuner verdicts.
-
-    The profile captures what :attr:`EngineSelectionMixin.engine_choices` /
-    :attr:`~EngineSelectionMixin.engine_timings` already expose — the
-    ``(n, p_bits, batch) -> engine`` winners and the per-candidate best
-    seconds behind each verdict — in a JSON-safe shape.
-    """
-    choices = backend.engine_choices
-    timings = backend.engine_timings
-    entries = [
-        {
-            "n": n,
-            "p_bits": p_bits,
-            "batch": batch,
-            "engine": spec,
-            "timings": dict(timings.get((n, p_bits, batch), {})),
-        }
-        for (n, p_bits, batch), spec in sorted(choices.items())
-    ]
-    return {
-        "kind": "tune_profile",
-        "format_version": TUNE_PROFILE_FORMAT_VERSION,
-        "entries": entries,
-    }
-
-
-def save_tune_profile(backend, path) -> Path:
-    """Write ``backend``'s autotuner verdicts to ``path`` as JSON.
-
-    Point ``REPRO_TUNE_PROFILE`` at the file (or call
-    :func:`load_tune_profile`) to ship the verdicts to a fleet of workers
-    so they skip the per-shape warmup races.
-    """
-    destination = Path(path)
-    destination.write_text(
-        json.dumps(tune_profile_to_dict(backend), indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    return destination
-
-
-def load_tune_profile(backend, source) -> int:
-    """Install saved autotuner verdicts onto ``backend``; returns the count.
-
-    Args:
-        backend: Any backend with engine-selection state (the ``parallel``
-            coordinator installs onto its inline inner backend).
-        source: A profile dict from :func:`tune_profile_to_dict`, or a path
-            to the JSON file :func:`save_tune_profile` wrote.
-
-    Loaded shapes bypass the autotuner entirely (the selection precedence
-    is unchanged — an explicit pin or ``REPRO_NTT_ENGINE`` still wins over
-    any profiled verdict).  Unknown engines and unsupported profile
-    versions raise immediately rather than poisoning the cache.
-    """
-    if isinstance(source, (str, Path)):
-        payload = json.loads(Path(source).read_text(encoding="utf-8"))
-    else:
-        payload = source
-    if not isinstance(payload, dict) or payload.get("kind") != "tune_profile":
-        raise ValueError("payload is not a serialised tune profile")
-    version = payload.get("format_version", TUNE_PROFILE_FORMAT_VERSION)
-    if version != TUNE_PROFILE_FORMAT_VERSION:
-        raise ValueError(
-            "unsupported tune profile format_version %r (this build reads "
-            "version %d)" % (version, TUNE_PROFILE_FORMAT_VERSION)
-        )
-    state = _selection_state(backend)
-    entries = payload.get("entries", [])
-    for entry in entries:
-        key = (int(entry["n"]), int(entry["p_bits"]), int(entry["batch"]))
-        spec = entry["engine"]
-        get_engine(spec)  # validate before touching the cache
-        state._engine_choices[key] = spec
-        timings = entry.get("timings") or {}
-        state._engine_timings[key] = {
-            candidate: float(seconds) for candidate, seconds in timings.items()
-        }
-    return len(entries)
-
-
-# ------------------------------------------------------------------ autotuner
-
-
-class NttAutoTuner:
-    """Races candidate engines on a real workload and returns the winner.
-
-    The backend supplies a ``runner`` closure that executes one transform of
-    the shape being tuned through a candidate engine; the tuner warms each
-    candidate once (so table construction is not billed — the resident-table
-    policy Section IV analyses), times ``repeats`` runs, and keeps the best.
-    Results are cached by the *backend* per ``(n, p_bits, batch)`` key, so
-    the micro-benchmark cost is paid once per shape per backend instance.
-    """
-
-    def __init__(
-        self, candidates: Sequence[str] | None = None, repeats: int = 2
-    ) -> None:
-        self.candidates = (
-            tuple(candidates) if candidates is not None else DEFAULT_AUTOTUNE_CANDIDATES
-        )
-        if repeats < 1:
-            raise ValueError("repeats must be at least 1")
-        self.repeats = repeats
-
-    def pick(self, runner: Callable[[NttEngine], object]) -> tuple[str, dict[str, float]]:
-        """Return ``(winning spec, {spec: best seconds})`` for the workload."""
-        timings: dict[str, float] = {}
-        for spec in self.candidates:
-            engine = get_engine(spec)
-            runner(engine)  # warm-up: builds twiddle tables off the clock
-            best = float("inf")
-            for _ in range(self.repeats):
-                start = time.perf_counter()
-                runner(engine)
-                best = min(best, time.perf_counter() - start)
-            timings[spec] = best
-        if not timings:
-            return "radix2", timings
-        return min(timings, key=timings.__getitem__), timings
-
-
 class EngineSelectionMixin:
-    """Per-shape engine selection shared by the concrete backends.
+    """Engine selection shared by the concrete backends.
 
     Precedence, first match wins:
 
@@ -1008,29 +849,17 @@ class EngineSelectionMixin:
        :meth:`set_engine` — what :class:`repro.he.context.HeContext` pins);
     2. the process default installed with :func:`set_default_engine`;
     3. the ``REPRO_NTT_ENGINE`` environment variable (read at call time);
-    4. the auto-tuner, whose per-``(n, p_bits, batch)`` winner is cached on
-       the backend (inspect :attr:`engine_choices` / :attr:`engine_timings`);
+    4. the fixed kernel of the transform path (:data:`PATH_ENGINES`),
+       recorded per ``(n, p_bits, batch)`` in :attr:`engine_choices`;
        ``batch`` is the rows of the tile the kernels sweep
        (:func:`tile_rows`) on array paths, the rows of a prime on row paths.
     """
 
-    def _init_engine_selection(
-        self, engine: str | None = None, tuner: NttAutoTuner | None = None
-    ) -> None:
+    def _init_engine_selection(self, engine: str | None = None) -> None:
         self._engine_override: str | None = None
         self._engine_choices: dict[tuple[int, int, int], str] = {}
-        self._engine_timings: dict[tuple[int, int, int], dict[str, float]] = {}
-        self._tune_samples: dict = {}  # the running race's sample data
-        self._tuner = tuner if tuner is not None else NttAutoTuner()
         if engine is not None:
             self.set_engine(engine)
-        # Ahead-of-time verdicts: a fleet ships one profile and every new
-        # backend — including each pool worker's long-lived inner backend,
-        # which inherits the environment — starts warm instead of racing
-        # the autotuner per shape.
-        profile_path = os.environ.get(TUNE_PROFILE_ENV_VAR)
-        if profile_path:
-            load_tune_profile(self, profile_path)
 
     def set_engine(self, spec: str | None) -> None:
         """Pin every transform of this backend to one engine (``None`` unpins)."""
@@ -1040,44 +869,19 @@ class EngineSelectionMixin:
 
     @property
     def engine(self) -> str | None:
-        """The explicit engine override, or ``None`` when selection is dynamic."""
+        """The explicit engine override, or ``None`` when unpinned."""
         return self._engine_override
 
     @property
     def engine_choices(self) -> dict[tuple[int, int, int], str]:
-        """Auto-tuned winners so far, keyed by ``(n, p_bits, batch)``."""
+        """Shapes run on their path's fixed kernel so far, keyed by ``(n, p_bits, batch)``."""
         return dict(self._engine_choices)
 
-    @property
-    def engine_timings(self) -> dict[tuple[int, int, int], dict[str, float]]:
-        """Auto-tuner timings (best seconds per candidate) per tuned shape."""
-        return {key: dict(value) for key, value in self._engine_timings.items()}
-
-    def _select_engine(self, n: int, p: int, batch: int) -> NttEngine:
+    def _select_engine(self, n: int, p: int, batch: int, path: str) -> NttEngine:
+        """The engine for one transform of the ``"array"`` or ``"row"`` path."""
         spec = self._engine_override
         if spec is None:
             spec = default_engine_spec()
-        if spec is not None:
-            return get_engine(spec)
-        key = (n, p.bit_length(), batch)
-        choice = self._engine_choices.get(key)
-        if choice is None:
-            with TRACER.span(
-                "ntt.autotune", n=n, p_bits=key[1], batch=batch
-            ):
-                try:
-                    choice, timings = self._tuner.pick(
-                        lambda engine: self._autotune_run(engine, n, p, batch)
-                    )
-                finally:
-                    self._tune_samples.clear()
-            self._engine_choices[key] = choice
-            self._engine_timings[key] = timings
-            metrics = getattr(self, "metrics", None)
-            if metrics is not None:
-                metrics.observe("ntt.autotune_seconds", timings.get(choice, 0.0))
-        return get_engine(choice)
-
-    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
-        """Run one representative transform (override me; sample in ``_tune_samples``)."""
-        raise NotImplementedError
+        if spec is None:
+            spec = self._engine_choices[(n, p.bit_length(), batch)] = PATH_ENGINES[path]
+        return get_engine(spec)

@@ -45,12 +45,11 @@ from .engines import (
     TILE_ELEMS,
     EngineSelectionMixin,
     EngineTables,
-    NttEngine,
     kernel_buffers,
     scratch,
     tile_rows,
 )
-from .scalar import ScalarBackend, random_row
+from .scalar import ScalarBackend
 from .wideops import (
     WIDE_MUL_LIMIT,
     reduce_below,
@@ -153,10 +152,11 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
     :class:`~repro.backends.engines.NttEngine`.  Transforms dispatch through
     the engine seam: each basis run goes through the engine's array path
     over the resident storage, primes outside the product window through
-    the same engine's exact row path (the counted per-prime fallback).  Pin
+    an engine's exact row path (the counted per-prime fallback).  Pin
     an engine with the ``engine`` constructor argument or :meth:`set_engine`;
-    by default the auto-tuner races the candidates once per tile shape and
-    caches the winner.
+    by default array runs take ``stockham`` and fallback rows ``radix2``, the
+    fixed kernels of their paths
+    (:data:`~repro.backends.engines.PATH_ENGINES`).
     """
 
     name = "numpy"
@@ -168,7 +168,6 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         self._fallback = ScalarBackend()
         self._init_engine_selection(engine)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
-        self.metrics.set_gauge("ntt.engine_timings", lambda: self.engine_timings)
 
     @property
     def resident_contexts(self) -> int:
@@ -185,32 +184,6 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         if tables is None:
             tables = self._tables[key] = EngineTables(n, key[1])
         return tables
-
-    # -- engine selection plumbing ---------------------------------------------
-    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
-        sample = self._tune_samples.get("sample")
-        if p >= vector_mul_limit():
-            # Fallback rows are transformed one at a time, so one row times
-            # the whole group faithfully.
-            if sample is None:
-                sample = self._tune_samples["sample"] = [random_row(n, p)]
-            engine.forward_rows(sample, self._fallback.transformer(n, p))
-            return
-        # A tile of the key's shape over the one prime p, with tables of its
-        # own: the kernels' cost per residue does not depend on which primes
-        # a tile holds, and the candidates that lose build nothing that
-        # outlives the race.
-        if sample is None:
-            basis = self._tables_for(n, p)
-            tables = EngineTables(n, basis.strategy, basis.roots[basis.index(p)])
-            tables.index(p)
-            rng = np.random.default_rng((n << 16) ^ (p & 0xFFFF) ^ batch)
-            sample = self._tune_samples["sample"] = (
-                rng.integers(0, p, size=(batch, 1, n), dtype=np.uint64),
-                tables.rows(0, 1),
-            )
-        block, rows = sample
-        engine.forward_array(block.copy(), rows)
 
     @staticmethod
     def supports_vectorized_mul(p: int) -> bool:
@@ -335,14 +308,14 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         out = NumpyTensor(self, tensor.primes, n, data, {})
         for start, k, m, rows in runs:
             block = data[start : start + k * m].reshape(k, m, n)
-            engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n))
+            engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n), "array")
             with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=k * m):
                 if forward:
                     engine.forward_array(block, rows)
                 else:
                     engine.inverse_array(block, rows)
         for p, indices in fallback.items():
-            engine = self._select_engine(n, p, len(indices))
+            engine = self._select_engine(n, p, len(indices), "row")
             with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=len(indices)):
                 self._count_fallback(len(indices))
                 rows_in = self._extract_rows(tensor, indices)

@@ -24,9 +24,10 @@ Three properties make the sharding pay rather than tax:
   (everything else, measured in residues ``count * n``) the operation runs
   inline on the embedded inner backend, so toy parameter sets pay no pool
   tax and storage stays on the heap below the crossover.
-* **Tuned shards** — each worker holds one long-lived inner backend, so the
-  PR-3 per-shape engine auto-tuner runs once per sub-shape per worker and
-  every later shard of that shape executes the tuned engine.
+* **Warm shards** — each worker holds one long-lived inner backend, so its
+  twiddle tables are built once per worker and every later shard reuses
+  them; shards run the same fixed engine per transform path as the inline
+  path.
 
 Shard count resolution: explicit ``shards=`` argument >
 :func:`repro.backends.pool.set_default_shards` > ``REPRO_SHARDS`` >
@@ -156,11 +157,7 @@ class ParallelBackend(ComputeBackend):
         if engine is not None:
             self.set_engine(engine)
         self.metrics.set_gauge("shm.bytes_in_use", lambda: get_arena().bytes_in_use)
-        # Engine verdicts live on the coordinator's inline inner backend
-        # (the workers' tuners race independently per process and are not
-        # observable from here).
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
-        self.metrics.set_gauge("ntt.engine_timings", lambda: self.engine_timings)
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -219,19 +216,12 @@ class ParallelBackend(ComputeBackend):
 
     @property
     def engine_choices(self):
-        """Auto-tuned winners of the coordinator's inline inner backend.
+        """Shapes the coordinator's inline inner backend ran on a fixed kernel.
 
-        Worker processes hold their own tuners (racing each shard's
-        sub-shape independently), so their verdicts are per-process and
-        not visible here; the inline path's verdicts are what the
-        coordinator can report.
+        Workers select by the same rule for their shards' sub-shapes; their
+        records stay in the worker processes.
         """
         return getattr(self._inner, "engine_choices", {})
-
-    @property
-    def engine_timings(self):
-        """Auto-tuner timings of the coordinator's inline inner backend."""
-        return getattr(self._inner, "engine_timings", {})
 
     def warm_twiddles(self, n: int, primes: Sequence[int]) -> None:
         self._inner.warm_twiddles(n, primes)

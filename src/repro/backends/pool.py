@@ -20,9 +20,8 @@ mechanisms that make the sharding pay:
   would unlink segments the parent still uses.
 * the worker runtime — each worker process holds one long-lived *inner*
   backend (default ``numpy``) built by the pool initialiser, so twiddle
-  tables and the PR-3 per-shape engine auto-tuner verdicts persist across
-  tasks: a shard of a repeated shape runs the engine tuned for its
-  sub-shape without re-racing the candidates.
+  tables persist across tasks: a shard of a repeated shape reuses the
+  tables its first shard built.
 * :class:`WorkerPool` — a persistent ``ProcessPoolExecutor`` wrapper that
   survives worker crashes: a :class:`BrokenProcessPool` disposes the
   executor and transparently retries the shard set once on a fresh pool
@@ -304,8 +303,7 @@ def _attach_view(ref: ShmRef, shms: list) -> "np.ndarray":
 # ------------------------------------------------------------ worker runtime
 
 #: The worker's long-lived inner backend, built once per process by
-#: :func:`_init_worker` so twiddle tables and auto-tuner verdicts persist
-#: across tasks.
+#: :func:`_init_worker` so twiddle tables persist across tasks.
 _WORKER_BACKEND = None
 
 

@@ -18,22 +18,15 @@ are shared with the vectorised backends' per-prime fallback path.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 
 from ..modarith.modops import add_mod, mul_mod, neg_mod, sub_mod
 from ..telemetry import TRACER
 from ..transforms.cooley_tukey import NegacyclicTransformer
 from .base import ComputeBackend, ResidueRows, ResidueTensor
-from .engines import EngineSelectionMixin, NttEngine
+from .engines import EngineSelectionMixin
 
-__all__ = ["ScalarBackend", "ScalarTensor", "random_row"]
-
-
-def random_row(n: int, p: int) -> list[int]:
-    """A seeded random residue row: the auto-tuner's race sample at ``(n, p)``."""
-    rng = random.Random((n << 16) ^ (p & 0xFFFF))
-    return [rng.randrange(p) for _ in range(n)]
+__all__ = ["ScalarBackend", "ScalarTensor"]
 
 
 class ScalarTensor(ResidueTensor):
@@ -70,7 +63,6 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
         self._transformers: dict[tuple[int, int], NegacyclicTransformer] = {}
         self._init_engine_selection(engine)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
-        self.metrics.set_gauge("ntt.engine_timings", lambda: self.engine_timings)
 
     @property
     def resident_contexts(self) -> int:
@@ -106,15 +98,6 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
     def _wrap(self, primes, n, rows: list[list[int]]) -> ScalarTensor:
         return ScalarTensor(self, primes, n, rows)
 
-    # -- engine selection plumbing ---------------------------------------------
-    def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
-        # Per-row cost is batch-independent on this backend, so one random
-        # row is a faithful micro-benchmark of the whole group.
-        row = self._tune_samples.get("sample")
-        if row is None:
-            row = self._tune_samples["sample"] = random_row(n, p)
-        engine.forward_row(row, self.transformer(n, p))
-
     # -- row-level kernels (shared with vectorised backends' fallback) ---------
     def _transform_rows(
         self, rows: ResidueRows, primes: Sequence[int], forward: bool
@@ -127,7 +110,7 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
         for index, p in enumerate(primes):
             groups.setdefault(p, []).append(index)
         for p, indices in groups.items():
-            engine = self._select_engine(n, p, len(indices))
+            engine = self._select_engine(n, p, len(indices), "row")
             transformer = self.transformer(n, p)
             method = engine.forward_row if forward else engine.inverse_row
             with TRACER.span(

@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments --engine stockham     # pin the NTT engine
     python -m repro.experiments --p-bits 60           # measured word size
     python -m repro.experiments --backend parallel --shards 4   # sharded pool
-    python -m repro.experiments --list                # keys + backend/shard info
+    python -m repro.experiments --list                # keys + backend/shard/engine info
     python -m repro.experiments serve --port 8793     # HE-as-a-service server
 
 Exit status: 0 on full success, 1 when any experiment raised (the failure is
@@ -23,14 +23,16 @@ import os
 import sys
 import traceback
 
-from ..backends.engines import default_engine_spec, get_engine, set_default_engine
-from ..backends.pool import SHARDS_ENV_VAR, resolve_shard_count, set_default_shards
-from ..backends.registry import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    resolve_backend,
-    set_default_backend,
+from ..backends.engines import (
+    ENGINE_ENV_VAR,
+    PATH_ENGINES,
+    available_engines,
+    default_engine_spec,
+    get_engine,
+    set_default_engine,
 )
+from ..backends.pool import SHARDS_ENV_VAR, resolve_shard_count, set_default_shards
+from ..backends.registry import BACKEND_ENV_VAR, available_backends, set_default_backend
 from ..compiler import (
     PASSES_ENV_VAR,
     parse_passes,
@@ -50,51 +52,17 @@ from .registry import EXPERIMENTS, run_experiment
 from .report import format_experiment
 
 
-def _print_engine_verdicts(args) -> None:
-    """Print the per-shape auto-tuner verdicts for the selected backend.
-
-    When nothing has been tuned yet (fresh process) and no engine pin is in
-    force, one representative shape is probed so ``--list`` shows a real
-    verdict instead of an empty table — no debugger required.
-    """
-    try:
-        backend = resolve_backend(args.backend)
-    except (KeyError, ValueError) as exc:
-        print("engine verdicts unavailable (%s)" % exc)
-        return
-    if not hasattr(backend, "engine_choices"):
-        print("engine verdicts: backend %r has no NTT-engine seam" % backend.name)
-        return
-    probed = False
-    pinned = (
-        backend.engine is not None
-        or args.engine is not None
-        or default_engine_spec() is not None
-    )
-    if not backend.engine_choices and not pinned:
-        from ..modarith.primes import generate_ntt_primes
-
-        [p] = generate_ntt_primes(30, 1, 256)
-        rows = [[(i * 31 + j) % p for j in range(256)] for i in range(4)]
-        backend.forward_ntt_batch(backend.from_rows(rows, [p] * 4))
-        probed = True
-    choices = backend.engine_choices
-    timings = backend.engine_timings
-    if not choices:
-        reason = "an engine pin is in force" if pinned else "nothing tuned yet"
-        print("engine auto-tuner verdicts: none (%s)" % reason)
-        return
+def _print_engine_selection(args) -> None:
+    """Print the fixed NTT kernel of each transform path and any pin in force."""
+    print("NTT engines: %s" % ", ".join(available_engines()))
     print(
-        "engine auto-tuner verdicts (%s backend%s):"
-        % (backend.name, ", probed with one representative shape" if probed else "")
+        "fixed kernel per path: %s"
+        % ", ".join("%s -> %s" % item for item in PATH_ENGINES.items())
     )
-    for (n, p_bits, batch), spec in sorted(choices.items()):
-        best = timings.get((n, p_bits, batch), {}).get(spec)
-        timing = " [%.3f ms]" % (best * 1e3) if best is not None else ""
-        print(
-            "  n=%-6d p_bits=%-3d batch=%-4d -> %s%s"
-            % (n, p_bits, batch, spec, timing)
-        )
+    print(
+        "engine pin: %s (--engine > set_default_engine > %s > fixed kernel)"
+        % (args.engine or default_engine_spec() or "none", ENGINE_ENV_VAR)
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -124,7 +92,8 @@ def main(argv: list[str]) -> int:
         "--engine",
         default=None,
         help="NTT engine spec pinned for the run, e.g. 'stockham' or "
-        "'high_radix:8' (default: REPRO_NTT_ENGINE, then per-shape auto-tuning)",
+        "'high_radix:8' (default: REPRO_NTT_ENGINE, then the fixed kernel of "
+        "each transform path)",
     )
     parser.add_argument(
         "--shards",
@@ -163,8 +132,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--list",
         action="store_true",
-        help="list experiment keys plus backend/shard-worker info, NTT "
-        "engine auto-tuner verdicts, and exit",
+        help="list experiment keys plus backend/shard-worker info, the "
+        "fixed NTT kernel of each transform path, and exit",
     )
     args = parser.parse_args(argv)
 
@@ -195,7 +164,7 @@ def main(argv: list[str]) -> int:
         print("registered plan passes:")
         for name, description in pass_descriptions():
             print("  %-16s %s" % (name, description))
-        _print_engine_verdicts(args)
+        _print_engine_selection(args)
         return 0
 
     keys = args.keys if args.keys else list(EXPERIMENTS)

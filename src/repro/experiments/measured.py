@@ -14,7 +14,7 @@ and are scaled per backend (the pure-Python reference backend measures at a
 fraction of the vectorised backend's shape).  Column headers and notes name
 the shape so model and measured numbers cannot be confused.
 
-All helpers cache backends (twiddle tables, auto-tuner verdicts) and results
+All helpers cache backends (twiddle tables) and results
 module-wide, so a full ``run_all()`` pays for each measurement once.
 """
 
@@ -94,9 +94,9 @@ def measurement_backend(
 ) -> ComputeBackend:
     """A dedicated backend instance for measurements (cached per engine pin).
 
-    Fresh instances keep engine pins and auto-tuner state out of the shared
-    registry singletons; caching them here keeps twiddle tables warm across
-    the whole figure harness.
+    Fresh instances keep engine pins out of the shared registry singletons;
+    caching them here keeps twiddle tables warm across the whole figure
+    harness.
     """
     resolved = resolve_backend(backend)
     key = (resolved.name, engine)
@@ -118,7 +118,7 @@ def _primes(n: int, count: int, bits: int | None = None) -> list[int]:
 
 
 def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    fn()  # warm: twiddle tables, auto-tuner, allocator
+    fn()  # warm: twiddle tables, allocator
     best = float("inf")
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
@@ -140,8 +140,8 @@ def measured_forward_ms(
 
     The batch enters residency once (outside the timed region) and the timed
     call is exactly the production ``forward_ntt_batch`` the HE layer issues.
-    ``engine=None`` measures the backend's own dynamic selection (the
-    auto-tuned path); a spec pins the engine.  ``prime_bits`` overrides the
+    ``engine=None`` measures the backend's own selection (the fixed kernel
+    of each transform path); a spec pins the engine.  ``prime_bits`` overrides the
     harness word size (see :func:`measure_prime_bits`) for this one call.
     """
     instance = measurement_backend(backend, engine)

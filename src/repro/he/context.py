@@ -112,7 +112,8 @@ class HeContext:
                 pinned in place via
                 :meth:`~repro.backends.base.ComputeBackend.set_engine`.
                 ``None`` keeps the documented engine-selection precedence
-                (``REPRO_NTT_ENGINE``, then the per-shape auto-tuner).
+                (``REPRO_NTT_ENGINE``, then the fixed kernel of each
+                transform path).
             shards: Shard/worker count for a sharding backend
                 (``backend="parallel"``).  Only valid when the resolved
                 backend exposes ``set_shards``; as with ``engine``, a
@@ -229,9 +230,8 @@ class HeContext:
         """One flat snapshot of every counter/gauge the session touches.
 
         Merges the pinned backend's registry (``conversions.rows``,
-        ``pool.dispatches``, ``shm.bytes_in_use``, the autotuner's
-        ``ntt.engine_choices`` / ``ntt.engine_timings`` and
-        ``ntt.autotune_seconds``) with the context's own aggregate of every
+        ``pool.dispatches``, ``shm.bytes_in_use``, the per-shape
+        ``ntt.engine_choices``) with the context's own aggregate of every
         evaluator it handed out (``plan.compiled``, ``plan.cache_hits``,
         ``ntt.invocations``).  The two registries use disjoint key
         namespaces, so the merge loses nothing.

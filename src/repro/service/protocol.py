@@ -262,7 +262,7 @@ def trace_sizes(ops: tuple[str, ...], input_sizes: list[int]) -> list[int]:
 def jsonable(value: Any) -> Any:
     """A JSON-safe copy of a metrics snapshot.
 
-    Snapshots may contain tuple-keyed gauge dicts (the autotuner's
+    Snapshots may contain tuple-keyed gauge dicts (the engine choices'
     ``(n, p_bits, batch)`` shape keys); JSON needs string keys, so tuples
     are flattened to ``"n,p_bits,batch"`` and anything else non-primitive
     falls back to ``str``.

@@ -6,8 +6,8 @@ measurement plane instead of ad-hoc counters:
 
 * :data:`TRACER` (:mod:`repro.telemetry.tracer`) — process-wide span
   recording across plan compile/execute, fused stages, per-node kernels,
-  NTT engines, autotune races, boundary conversions and pool round
-  trips, with worker spans shipped back across the process boundary.
+  NTT engines, boundary conversions and pool round trips, with worker
+  spans shipped back across the process boundary.
 * :class:`MetricsRegistry` (:mod:`repro.telemetry.metrics`) — named
   counters/gauges/histograms behind ``HeContext.metrics()`` /
   ``reset_metrics()``.

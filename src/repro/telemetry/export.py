@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 #: Span names whose self time counts as NTT work in :func:`summarize`.
-#: ``ntt.`` prefixed spans (engine butterflies, autotune races) are
-#: matched by prefix.
+#: ``ntt.`` prefixed spans (the engine kernels) are matched by prefix.
 _NTT_NAMES = frozenset({"op.forward_ntt", "op.inverse_ntt"})
 
 

@@ -12,14 +12,13 @@ reset method that had to be called on exactly the right object.
   increments also land in its owning context's registry — the basis of
   the per-tenant accounting the ROADMAP's service direction needs.
 * **Gauges** — zero-argument callables evaluated at snapshot time
-  (``shm.bytes_in_use``, the autotuner's per-shape ``ntt.engine_choices``
-  / ``ntt.engine_timings``).  A gauge reports current state; it is never
-  reset.
+  (``shm.bytes_in_use``, the per-shape ``ntt.engine_choices``).  A gauge
+  reports current state; it is never reset.
 * **Histograms** — summaries fed by :meth:`MetricsRegistry.observe`
-  (``ntt.autotune_seconds``, the serving layer's per-stage latencies and
-  batch occupancy).  Beyond ``{count, total, min, max}``, every histogram
-  keeps **log-bucketed** sample counts (8 buckets per octave, so any
-  estimate is within ~±4.5% of the true sample), which is what makes
+  (the serving layer's per-stage latencies and batch occupancy).  Beyond
+  ``{count, total, min, max}``, every histogram keeps **log-bucketed**
+  sample counts (8 buckets per octave, so any estimate is within ~±4.5%
+  of the true sample), which is what makes
   :meth:`MetricsRegistry.quantile` — and the ``p50``/``p90``/``p99``
   fields of every snapshot — possible without storing samples: a p99
   service latency costs O(buckets) memory however many requests flow

@@ -10,8 +10,8 @@ document:
 * **counters** become ``repro_<name>_total`` samples (dots and other
   non-metric characters collapse to ``_``);
 * **gauges** are evaluated at render time; only numeric gauges are
-  exported (structured gauges like the autotuner's per-shape verdict
-  tables have no Prometheus representation and stay JSON-only);
+  exported (structured gauges like the per-shape engine-choice tables
+  have no Prometheus representation and stay JSON-only);
 * **histograms** become *summaries*: ``{quantile="0.5|0.9|0.99"}``
   samples estimated from the registry's log buckets plus the exact
   ``_sum`` / ``_count`` pair.

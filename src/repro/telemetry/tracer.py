@@ -4,8 +4,8 @@ The source paper is a workload *characterization* — its contribution is
 measurement — so the reproduction carries its own measurement plane: a
 process-wide :class:`Tracer` whose :meth:`Tracer.span` context managers
 emit begin/end events for plan compilation, plan execution, fused stages,
-per-node kernel dispatch, NTT engine calls, autotune races, boundary
-conversions and pool round trips.  Design constraints, in order:
+per-node kernel dispatch, NTT engine calls, boundary conversions and pool
+round trips.  Design constraints, in order:
 
 * **Free when off.**  ``TRACER.enabled`` is a plain attribute; hot call
   sites guard on it and the disabled :meth:`Tracer.span` returns one

@@ -5,9 +5,10 @@ backend: forward output equal to the bit-reverse-permuted reference
 transform of :mod:`repro.transforms.reference`, exact round-trips, and the
 correct negacyclic wrap — over both the vectorised (≤ 30-bit) and the
 scalar-fallback (> 30-bit) prime regimes.  Selection is pinned end to end:
-explicit argument > ``set_default_engine`` > ``REPRO_NTT_ENGINE`` >
-auto-tuner, including a full ``multiply → relinearize → mod_switch`` chain
-under a non-default engine with zero boundary conversions.
+explicit argument > ``set_default_engine`` > ``REPRO_NTT_ENGINE`` > the
+fixed kernel of the transform path, including a full ``multiply →
+relinearize → mod_switch`` chain under a non-default engine with zero
+boundary conversions.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    NttAutoTuner,
     available_engines,
     get_engine,
     register_engine,
     set_default_engine,
 )
 from repro.backends.engines import (
-    DEFAULT_AUTOTUNE_CANDIDATES,
     ENGINE_ENV_VAR,
     Radix2Engine,
     default_engine_spec,
@@ -37,6 +36,8 @@ from repro.backends.scalar import ScalarBackend
 from repro.he import HEParams, HeContext
 from repro.modarith.primes import generate_ntt_primes
 from repro.modarith.roots import primitive_root_of_unity
+from repro.telemetry import TRACER
+from repro.telemetry.tracer import NAME
 from repro.transforms.bitrev import (
     bit_reverse,
     bit_reverse_index_array,
@@ -217,7 +218,7 @@ def test_explicit_engine_beats_env_var(backend_name, monkeypatch):
     _forward_once(backend)
     assert _ProbeEngine.calls == before  # env never consulted
     assert backend.engine == "stockham"
-    assert backend.engine_choices == {}  # and no auto-tuning either
+    assert backend.engine_choices == {}  # no fixed kernel was consulted either
 
 
 def test_process_default_beats_env_var(monkeypatch):
@@ -232,37 +233,46 @@ def test_process_default_beats_env_var(monkeypatch):
     assert _ProbeEngine.calls == before
 
 
+@pytest.fixture
+def traced():
+    """Capture spans for the test, into an empty tracer left empty after."""
+    TRACER.clear()
+    TRACER.start()
+    yield
+    TRACER.stop()
+    TRACER.clear()
+
+
+def _forward_span_names(backend, primes, n):
+    tensor = backend.from_rows(random_rows(primes, n, seed=2), primes)
+    backend.forward_ntt_batch(tensor)
+    return {event[NAME] for event in TRACER.events()}
+
+
+#: What a fresh backend records after one forward transform of six 30-bit
+#: primes at N=4096: one array tile of six rows, or six one-row prime groups.
+FIXED_CHOICES = {"numpy": {(4096, 30, 6): "stockham"}, "scalar": {(4096, 30, 1): "radix2"}}
+
+
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-def test_autotuner_caches_winner_per_shape(backend_name, monkeypatch):
+def test_fresh_backend_runs_its_path_kernel_without_a_race(backend_name, traced, monkeypatch):
     monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
     backend = make_backend(backend_name)
-    n, bits = 64, 30
-    p = generate_ntt_primes(bits, 1, n)[0]
-    rows = random_rows([p, p], n, seed=2)
-    tensor = backend.from_rows(rows, [p, p])
-    backend.forward_ntt_batch(tensor)
-    key = (n, p.bit_length(), 2)
-    assert backend.engine_choices == {key: backend.engine_choices[key]}
-    assert backend.engine_choices[key] in DEFAULT_AUTOTUNE_CANDIDATES
-    timings = backend.engine_timings[key]
-    assert set(timings) == set(DEFAULT_AUTOTUNE_CANDIDATES)
-    assert min(timings, key=timings.__getitem__) == backend.engine_choices[key]
-    # a second transform of the same shape does not re-tune
-    choices_before = backend.engine_choices
-    backend.inverse_ntt_batch(backend.forward_ntt_batch(tensor))
-    assert backend.engine_choices == choices_before
+    names = _forward_span_names(backend, generate_ntt_primes(30, 6, 4096), 4096)
+    assert "ntt.engine" in names
+    assert "ntt.autotune" not in names
+    assert backend.engine_choices == FIXED_CHOICES[backend_name]
+    assert backend.metrics.snapshot()["ntt.engine_choices"] == FIXED_CHOICES[backend_name]
 
 
-@pytest.mark.parametrize("backend_name", ["scalar", "numpy"])
-def test_autotuner_frees_its_sample_after_each_race(backend_name, monkeypatch):
+def test_narrow_window_fallback_rows_run_radix2(traced, monkeypatch):
     monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    backend = make_backend(backend_name)
-    n = 64
-    primes = generate_ntt_primes(30, 2, n) + generate_ntt_primes(60, 1, n)
-    tensor = backend.from_rows(random_rows(primes, n, seed=3), primes)
-    backend.forward_ntt_batch(tensor)
-    assert backend.engine_choices  # at least one race ran
-    assert backend._tune_samples == {}
+    monkeypatch.setenv("REPRO_WIDE_WORD", "0")
+    backend = NumpyBackend()
+    names = _forward_span_names(backend, generate_ntt_primes(60, 1, 64), 64)
+    assert backend.fallback_rows == 1
+    assert "ntt.autotune" not in names
+    assert backend.engine_choices == {(64, 60, 1): "radix2"}
 
 
 def test_kernels_restore_the_callers_ufunc_buffer_size():
@@ -345,17 +355,6 @@ def test_env_var_reaches_the_he_layer(monkeypatch):
     ct = encryptor.encrypt(ctx.encoder().encode([7, 8]))
     ctx.evaluator().square(ct)
     assert _ProbeEngine.calls > before
-
-
-def test_autotuner_pick_returns_registered_winner():
-    tuner = NttAutoTuner(candidates=("radix2", "stockham"), repeats=1)
-    backend = NumpyBackend()
-    n = 64
-    p = generate_ntt_primes(30, 1, n)[0]
-    winner, timings = tuner.pick(lambda engine: backend._autotune_run(engine, n, p, 2))
-    assert winner in ("radix2", "stockham")
-    assert set(timings) == {"radix2", "stockham"}
-    assert all(value > 0 for value in timings.values())
 
 
 # ------------------------------------------------------------ bitrev helper

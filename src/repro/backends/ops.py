@@ -24,7 +24,7 @@ Three layers live here:
 * **The tooling every backend shares** — :func:`interpret` (the generic
   plan interpreter: one backend call per node, which is how the scalar and
   numpy backends execute plans — each transform node still routes through
-  the backend's per-shape NTT-engine selection), :func:`infer_primes`
+  the backend's NTT-engine selection), :func:`infer_primes`
   (static shape inference), and the scheduling helpers the ``parallel``
   backend uses to run a whole plan as one fused task per worker:
   :func:`split_stages` cuts a plan into stages by dependency level and

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import math
 import os
 import threading
 from collections.abc import Callable, Sequence
@@ -279,7 +280,7 @@ class _Scratch(threading.local):
         self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, names: str, shape: tuple) -> list:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views = []
         for name in names.split():
             buffer = self.buffers.get(name)

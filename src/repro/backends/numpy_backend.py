@@ -32,8 +32,6 @@ sets) are held as exact Python fallback rows inside the tensor.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -75,32 +73,6 @@ ADD_VECTORIZED_LIMIT = 1 << 62
 #: Largest modulus (exclusive) whose residues are stored in the uint64 array;
 #: wider rows live as exact Python fallback rows inside the tensor.
 STORAGE_LIMIT = ADD_VECTORIZED_LIMIT
-
-
-#: glibc ``mallopt`` parameter numbers.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-@functools.lru_cache(maxsize=None)
-def _keep_freed_storage_on_heap() -> None:
-    """Let the allocator reuse freed tensor storage instead of unmapping it.
-
-    Every op allocates its output arrays and frees its inputs' once they
-    die, while the kernels themselves allocate nothing.  Under glibc's
-    default thresholds arrays above 128 KiB are then fresh ``mmap``s, and
-    the heap top is trimmed after each op, so the next op faults every page
-    in again: about 3900 minor faults and 8 ms of system time per chain-60
-    op (N=4096, six 60-bit primes) on a 2-core Xeon.  Raising both
-    thresholds keeps freed storage on the heap.  No-op off glibc.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # pragma: no cover - non-glibc
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
 class NumpyTensor(ResidueTensor):
@@ -163,7 +135,6 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
 
     def __init__(self, engine: str | None = None) -> None:
         super().__init__()
-        _keep_freed_storage_on_heap()
         self._tables: dict[tuple[int, str], EngineTables] = {}
         self._fallback = ScalarBackend()
         self._init_engine_selection(engine)

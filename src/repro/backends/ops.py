@@ -25,7 +25,9 @@ Three layers live here:
   plan interpreter: one backend call per node, which is how the scalar and
   numpy backends execute plans — each transform node still routes through
   the backend's NTT-engine selection), :func:`infer_primes`
-  (static shape inference), and the scheduling helpers the ``parallel``
+  (static shape inference), :func:`last_uses` (value lifetimes: both plan
+  executors drop each value after its last reader) with
+  :func:`peak_live_bytes`, and the scheduling helpers the ``parallel``
   backend uses to run a whole plan as one fused task per worker:
   :func:`split_stages` cuts a plan into stages by dependency level and
   :func:`shard_stage` derives each worker's row ranges for every value of
@@ -34,8 +36,9 @@ Three layers live here:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "NODE_NAMES",
@@ -58,7 +61,9 @@ __all__ = [
     "gather_inputs",
     "infer_primes",
     "interpret",
+    "last_uses",
     "node_name",
+    "peak_live_bytes",
     "shard_stage",
     "split_stages",
 ]
@@ -298,6 +303,15 @@ class Plan:
         """Names of the plan's outputs, in declaration order."""
         return tuple(name for name, _ in self.outputs)
 
+    @cached_property
+    def releases(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the values to drop once it has run (see :func:`last_uses`).
+
+        Computed once per plan object; outputs live to the end.
+        """
+        outputs = {index for _, index in self.outputs}
+        return last_uses(self, range(len(self.nodes)), outputs)
+
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -483,6 +497,58 @@ def gather_inputs(plan: Plan, inputs: Mapping[str, object]) -> dict[str, object]
     return bound
 
 
+# ------------------------------------------------------------ value lifetimes
+
+
+def last_uses(
+    plan: Plan, nodes: Sequence[int], keep: Collection[int] = ()
+) -> tuple[tuple[int, ...], ...]:
+    """Per entry of ``nodes``, the values whose last reader it is.
+
+    ``nodes`` are value indices in execution order: the whole plan, or one
+    stage of it.  A value produced among ``nodes`` is listed at the last
+    node of ``nodes`` that reads it, or at its own node when none does (a
+    dead node, or a stage output only later stages read).  Plan inputs are
+    never listed — the caller owns them, pooled key images included — and
+    neither are the values in ``keep``.
+    """
+    last: dict[int, int] = {}
+    for position, index in enumerate(nodes):
+        if not isinstance(plan.nodes[index], Input) and index not in keep:
+            last[index] = position
+        for operand in plan.nodes[index].operands():
+            if operand in last:
+                last[operand] = position
+    releases: list[list[int]] = [[] for _ in nodes]
+    for value, position in last.items():
+        releases[position].append(value)
+    return tuple(tuple(values) for values in releases)
+
+
+def peak_live_bytes(
+    plan: Plan, input_primes: Mapping[str, Sequence[int]], n: int
+) -> int:
+    """The static peak of live value bytes while :func:`interpret` runs a plan.
+
+    Every value holds ``rows × n`` 8-byte words.  Inputs are live
+    throughout, a node's operands and its result are live together, and
+    each value dies after its last reader (:attr:`Plan.releases`).
+    """
+    rows = [len(primes) for primes in infer_primes(plan, input_primes)]
+    live = sum(
+        rows[index]
+        for index, node in enumerate(plan.nodes)
+        if isinstance(node, Input)
+    )
+    peak = live
+    for index, released in enumerate(plan.releases):
+        if not isinstance(plan.nodes[index], Input):
+            live += rows[index]
+            peak = max(peak, live)
+        live -= sum(rows[value] for value in released)
+    return peak * n * 8
+
+
 def _unknown_node_error(node: object) -> KeyError:
     return KeyError(
         "unknown plan node %r (valid nodes: %s)"
@@ -499,10 +565,13 @@ def interpret(backend, plan: Plan, inputs: Mapping[str, object]) -> dict[str, ob
     This is the generic interpreter behind
     :meth:`repro.backends.base.ComputeBackend.execute`: correct on every
     backend (each node dispatches through the backend's own engine routing
-    and fallback machinery), with no cross-op fusion.  Backends that can do
-    better — the ``parallel`` backend's one-task-per-worker fused stages —
-    override ``execute`` and fall back to this interpreter for plans they
-    cannot shard.
+    and fallback machinery), with no cross-op fusion.  Each value is dropped
+    once its last reader has run (:attr:`Plan.releases`), so at most the
+    plan's :func:`peak_live_bytes` of values are alive at a time; inputs
+    are the caller's and are neither dropped nor written.  Backends that
+    can do better — the ``parallel`` backend's one-task-per-worker fused
+    stages — override ``execute`` and fall back to this interpreter for
+    plans they cannot shard.
     """
     bound = gather_inputs(plan, inputs)
     # Full static validation up front (prime mismatches, out-of-range slices
@@ -510,42 +579,44 @@ def interpret(backend, plan: Plan, inputs: Mapping[str, object]) -> dict[str, ob
     # fail-before-dispatch path here as on the sharding backends, which
     # already validate through their schedulers.
     infer_primes(plan, {name: tensor.primes for name, tensor in bound.items()})
-    values: list[object] = []
-    for node in plan.nodes:
+    values: list[object] = [None] * len(plan.nodes)
+    for index, (node, released) in enumerate(zip(plan.nodes, plan.releases)):
         if isinstance(node, Input):
             tensor = bound[node.name]
             backend._check_owned(tensor)
-            values.append(tensor)
+            values[index] = tensor
         elif isinstance(node, ForwardNtt):
-            values.append(backend.forward_ntt_batch(values[node.src]))
+            values[index] = backend.forward_ntt_batch(values[node.src])
         elif isinstance(node, InverseNtt):
-            values.append(backend.inverse_ntt_batch(values[node.src]))
+            values[index] = backend.inverse_ntt_batch(values[node.src])
         elif isinstance(node, Add):
-            values.append(backend.add(values[node.a], values[node.b]))
+            values[index] = backend.add(values[node.a], values[node.b])
         elif isinstance(node, Sub):
-            values.append(backend.sub(values[node.a], values[node.b]))
+            values[index] = backend.sub(values[node.a], values[node.b])
         elif isinstance(node, Mul):
-            values.append(backend.mul(values[node.a], values[node.b]))
+            values[index] = backend.mul(values[node.a], values[node.b])
         elif isinstance(node, Neg):
-            values.append(backend.neg(values[node.src]))
+            values[index] = backend.neg(values[node.src])
         elif isinstance(node, ScalarMul):
-            values.append(backend.scalar_mul(values[node.src], node.scalar))
+            values[index] = backend.scalar_mul(values[node.src], node.scalar)
         elif isinstance(node, Copy):
-            values.append(backend.copy(values[node.src]))
+            values[index] = backend.copy(values[node.src])
         elif isinstance(node, Concat):
-            values.append(backend.concat([values[src] for src in node.srcs]))
+            values[index] = backend.concat([values[src] for src in node.srcs])
         elif isinstance(node, SliceRows):
-            values.append(backend.slice_rows(values[node.src], node.start, node.stop))
+            values[index] = backend.slice_rows(
+                values[node.src], node.start, node.stop
+            )
         elif isinstance(node, DigitBroadcast):
-            values.append(backend.digit_broadcast(values[node.src], node.index))
+            values[index] = backend.digit_broadcast(values[node.src], node.index)
         elif isinstance(node, ModSwitchDropLast):
-            values.append(
-                backend.mod_switch_drop_last(
-                    values[node.src], node.plaintext_modulus
-                )
+            values[index] = backend.mod_switch_drop_last(
+                values[node.src], node.plaintext_modulus
             )
         else:
             raise _unknown_node_error(node)
+        for dead in released:
+            values[dead] = None
     return {name: values[index] for name, index in plan.outputs}
 
 

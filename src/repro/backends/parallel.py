@@ -336,9 +336,10 @@ class ParallelBackend(ComputeBackend):
     def _plan_info(self, plan, input_primes: tuple) -> dict:
         """Derive (once per plan shape) everything static about a fused run.
 
-        The inferred per-value primes, stage cuts, stage outputs and
-        per-worker row schedules depend only on ``(plan, bound input primes,
-        shard count)`` — cached so repeated executions of an
+        The inferred per-value primes, stage cuts, stage outputs, each
+        stage's release lists (:func:`repro.backends.ops.last_uses` over the
+        stage) and per-worker row schedules depend only on ``(plan, bound
+        input primes, shard count)`` — cached so repeated executions of an
         evaluator-cached plan pay zero scheduling overhead.  ``schedules``
         is ``None`` when the scheduler found misaligned operand row sets
         (the caller falls back to per-op interpretation).
@@ -374,6 +375,7 @@ class ParallelBackend(ComputeBackend):
             ),
             "stages": stages,
             "stage_outs": stage_outs,
+            "releases": [ops.last_uses(plan, stage) for stage in stages],
             "schedules": schedules,
         }
         self._plan_info_cache[key] = info
@@ -386,18 +388,22 @@ class ParallelBackend(ComputeBackend):
         The plan is cut into stages at cross-row nodes
         (:func:`repro.backends.ops.split_stages`); each stage is one pool
         round trip submitting **one task per worker** that carries the whole
-        stage's node records plus that worker's row ranges for every value.
-        Intermediates stay on the workers' heaps; only stage outputs (values
-        a later stage or the caller needs) are materialised into shared
-        memory.  A ``multiply → relinearize → mod_switch`` chain therefore
-        costs one dispatch per homomorphic op instead of one per backend
-        method — the CPU analogue of replaying a captured GPU graph.
+        stage's node records, their release lists and that worker's row
+        ranges for every value.  Intermediates stay on the workers' heaps,
+        each dropped after its last reader in the stage; only stage outputs
+        (values a later stage or the caller needs) are materialised into
+        shared memory, each written as soon as a worker produces it.  Plan
+        inputs, pooled key images included, are read and never written.  A
+        ``multiply → relinearize → mod_switch`` chain therefore costs one
+        dispatch per homomorphic op instead of one per backend method — the
+        CPU analogue of replaying a captured GPU graph.
 
-        Falls back to the generic per-op interpreter for plans fusion cannot
-        shard: a single-shard backend, inputs with big (≥ 62-bit) fallback
-        rows, or operand row sets the scheduler cannot align; plans below
-        the work-threshold crossover run inline on the embedded inner
-        backend without touching the pool at all.
+        Falls back to the generic per-op interpreter (which also frees each
+        value after its last reader) for plans fusion cannot shard: a
+        single-shard backend, inputs with big (≥ 62-bit) fallback rows, or
+        operand row sets the scheduler cannot align; plans below the
+        work-threshold crossover run inline on the embedded inner backend
+        without touching the pool at all.
         """
         if not TRACER.enabled:
             return self._execute_plan(plan, inputs)
@@ -461,9 +467,10 @@ class ParallelBackend(ComputeBackend):
                     shared = self._ensure_shared(tensor)
                     promoted[id(tensor)] = shared
                 storage[index] = shared
-        for stage_index, (stage, outs, schedule) in enumerate(
-            zip(info["stages"], info["stage_outs"], info["schedules"])
-        ):
+        stages = zip(
+            info["stages"], info["stage_outs"], info["releases"], info["schedules"]
+        )
+        for stage_index, (stage, outs, releases, schedule) in enumerate(stages):
             produced = {vid: self._sharded_out(primes[vid], n) for vid in outs}
             referenced: set[int] = set()
             for vid in stage:
@@ -482,6 +489,7 @@ class ParallelBackend(ComputeBackend):
                         "op": "plan",
                         "n": n,
                         "nodes": [(vid, plan.nodes[vid]) for vid in stage],
+                        "releases": releases,
                         "rowsets": rowset,
                         "primes": {vid: primes[vid] for vid in rowset},
                         "inputs": {

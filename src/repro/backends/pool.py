@@ -378,11 +378,14 @@ def _run_plan_task(backend, task: dict, shms: list) -> None:
     """Execute one worker's share of a fused plan stage.
 
     The task carries the stage's node records (:mod:`repro.backends.ops`),
-    this worker's row ranges for every value the stage touches, shared-memory
-    refs for the stage's materialised inputs and outputs, and the inferred
-    modulus tuple per value.  Intermediates live on this worker's heap only —
-    they never cross a process boundary; the worker writes exactly the output
-    rows it owns into the preallocated output segments.
+    each node's release list (:func:`~repro.backends.ops.last_uses` over the
+    stage), this worker's row ranges for every value the stage touches,
+    shared-memory refs for the stage's materialised inputs and outputs, and
+    the inferred modulus tuple per value.  Intermediates live on this
+    worker's heap only — they never cross a process boundary — and each is
+    dropped after its last reader in the stage.  The worker writes exactly
+    the output rows it owns into the preallocated output segments, each as
+    soon as it is produced.  Input views are read, never kept or written.
     """
     from . import ops
 
@@ -422,49 +425,45 @@ def _run_plan_task(backend, task: dict, shms: list) -> None:
     def inner(vid: int):
         return _inner_tensor(backend, owned_primes(vid), n, owned_rows(vid), {})
 
-    for vid, node in task["nodes"]:
+    def produce(vid: int, node) -> "np.ndarray":
+        """This worker's rows of value ``vid``, computed by ``node``."""
         if not rowsets[vid]:
-            local[vid] = empty
-            continue
+            return empty
         if isinstance(node, (ops.Add, ops.Sub, ops.Mul)):
             method = getattr(backend, node.kind)
-            local[vid] = compute(method(inner(node.a), inner(node.b)))
-        elif isinstance(node, ops.ForwardNtt):
-            local[vid] = compute(backend.forward_ntt_batch(inner(node.src)))
-        elif isinstance(node, ops.InverseNtt):
-            local[vid] = compute(backend.inverse_ntt_batch(inner(node.src)))
-        elif isinstance(node, ops.Neg):
-            local[vid] = compute(backend.neg(inner(node.src)))
-        elif isinstance(node, ops.ScalarMul):
-            local[vid] = compute(backend.scalar_mul(inner(node.src), node.scalar))
-        elif isinstance(node, ops.Copy):
-            local[vid] = owned_rows(node.src).copy()
-        elif isinstance(node, ops.Concat):
+            return compute(method(inner(node.a), inner(node.b)))
+        if isinstance(node, ops.ForwardNtt):
+            return compute(backend.forward_ntt_batch(inner(node.src)))
+        if isinstance(node, ops.InverseNtt):
+            return compute(backend.inverse_ntt_batch(inner(node.src)))
+        if isinstance(node, ops.Neg):
+            return compute(backend.neg(inner(node.src)))
+        if isinstance(node, ops.ScalarMul):
+            return compute(backend.scalar_mul(inner(node.src), node.scalar))
+        if isinstance(node, ops.Copy):
+            return owned_rows(node.src).copy()
+        if isinstance(node, ops.Concat):
             # Source spans ascend with position, so stacking each source's
             # (ascending) owned rows in order yields the output's owned rows
             # in ascending global order — the layout the row sets describe.
-            local[vid] = np.concatenate(
-                [owned_rows(src) for src in node.srcs], axis=0
-            )
-        elif isinstance(node, ops.SliceRows):
-            source = owned_rows(node.src)
+            return np.concatenate([owned_rows(src) for src in node.srcs], axis=0)
+        if isinstance(node, ops.SliceRows):
             positions = [
                 pos
                 for pos, row in enumerate(owned_index(node.src))
                 if node.start <= row < node.stop
             ]
-            local[vid] = source[positions]
-        elif isinstance(node, ops.DigitBroadcast):
+            return owned_rows(node.src)[positions]
+        if isinstance(node, ops.DigitBroadcast):
             # Cross-row: the staging rule guarantees the source is a
             # materialised stage input, so the one needed row is readable
             # directly from shared memory regardless of who owns it.
-            source_view = views[node.src]
             shard_primes = (primes[node.src][node.index],) + owned_primes(vid)
             data = np.zeros((len(shard_primes), n), dtype=np.uint64)
-            data[0] = source_view[node.index]
+            data[0] = views[node.src][node.index]
             shard = _inner_tensor(backend, shard_primes, n, data, {})
-            local[vid] = compute(backend.digit_broadcast(shard, 0))[1:]
-        elif isinstance(node, ops.ModSwitchDropLast):
+            return compute(backend.digit_broadcast(shard, 0))[1:]
+        if isinstance(node, ops.ModSwitchDropLast):
             # Cross-row: every owned output row pairs its own source row
             # with the source's (materialised) last row.
             source_view = views[node.src]
@@ -476,18 +475,25 @@ def _run_plan_task(backend, task: dict, shms: list) -> None:
             )
             shard_primes = owned_primes(vid) + (primes[node.src][last],)
             shard = _inner_tensor(backend, shard_primes, n, rows, {})
-            local[vid] = compute(
+            return compute(
                 backend.mod_switch_drop_last(shard, node.plaintext_modulus)
             )
-        else:  # pragma: no cover - defensive
-            raise ValueError("unknown fused plan node %r" % type(node).__name__)
+        raise ValueError(  # pragma: no cover - defensive
+            "unknown fused plan node %r" % type(node).__name__
+        )
 
-    for vid, view in out_views.items():
-        data = local[vid]
-        offset = 0
+    def write_out(vid: int) -> None:
+        view, data, offset = out_views[vid], local[vid], 0
         for lo, hi in rowsets[vid]:
             view[lo:hi] = data[offset : offset + (hi - lo)]
             offset += hi - lo
+
+    for (vid, node), released in zip(task["nodes"], task["releases"]):
+        local[vid] = produce(vid, node)
+        if vid in out_views:
+            write_out(vid)
+        for dead in released:
+            del local[dead]
 
 
 def _run_task(backend, task: dict, shms: list) -> dict[int, list[int]] | None:

@@ -29,6 +29,8 @@ Typical usage (the whole quickstart)::
 
 from __future__ import annotations
 
+import weakref
+
 from ..backends.base import ComputeBackend
 from ..backends.registry import build_backend, resolve_backend
 from ..compiler import ConstantPool
@@ -75,6 +77,16 @@ class HeContext:
         # registry so fleet-wide totals fall out of the same inc() walk.
         self._metrics = MetricsRegistry(parent=metrics_parent)
         self._metrics.declare("plan.compiled", "plan.cache_hits", "ntt.invocations")
+        # The live evaluators this context handed out, for the gauge of the
+        # largest static peak of live value bytes among their cached plans.
+        evaluators: "weakref.WeakSet[Evaluator]" = weakref.WeakSet()
+        self._evaluators = evaluators
+        self._metrics.set_gauge(
+            "plan.peak_live_bytes",
+            lambda: max(
+                (evaluator.peak_live_bytes for evaluator in evaluators), default=0
+            ),
+        )
         # One pool of constant NTT images for the whole session: a
         # relinearisation key transformed for any evaluator this context
         # hands out stays resident for every other one.
@@ -217,13 +229,15 @@ class HeContext:
                 Optimised plans are bit-for-bit identical to unoptimised
                 ones on every backend.
         """
-        return Evaluator(
+        evaluator = Evaluator(
             self.params,
             backend=self.backend,
             metrics=self._metrics,
             passes=passes,
             constant_pool=self._constant_pool,
         )
+        self._evaluators.add(evaluator)
+        return evaluator
 
     # -- telemetry -------------------------------------------------------------
     def metrics(self) -> dict:
@@ -233,8 +247,10 @@ class HeContext:
         ``pool.dispatches``, ``shm.bytes_in_use``, the per-shape
         ``ntt.engine_choices``) with the context's own aggregate of every
         evaluator it handed out (``plan.compiled``, ``plan.cache_hits``,
-        ``ntt.invocations``).  The two registries use disjoint key
-        namespaces, so the merge loses nothing.
+        ``ntt.invocations``, and ``plan.peak_live_bytes``: the largest
+        static peak of live value bytes among the live evaluators' cached
+        plans).  The two registries use disjoint key namespaces, so the
+        merge loses nothing.
         """
         snapshot = self.backend.metrics.snapshot()
         snapshot.update(self._metrics.snapshot())

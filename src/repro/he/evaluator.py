@@ -155,6 +155,17 @@ class Evaluator:
         """Executions that reused an already-compiled plan."""
         return self.metrics.value("plan.cache_hits")
 
+    @property
+    def peak_live_bytes(self) -> int:
+        """The largest static peak of live value bytes among the cached plans.
+
+        Each cache entry stores it at compile time
+        (:func:`repro.backends.ops.peak_live_bytes`, the larger of the cold
+        and warm variants); ``HeContext.metrics()`` reports it as the
+        ``plan.peak_live_bytes`` gauge.
+        """
+        return max((entry[-1] for entry in self._plan_cache.values()), default=0)
+
     @staticmethod
     def _check_same_ring(a: Ciphertext, b: Ciphertext) -> None:
         if a.basis.primes != b.basis.primes:
@@ -200,7 +211,9 @@ class Evaluator:
         computes the constants' NTT images in-plan (same dispatch shape as
         the unoptimised plan) and exports them to seed the constant pool,
         and the *warm* plan that binds the pooled images and skips the
-        transforms — the steady state every later execution runs in.
+        transforms — the steady state every later execution runs in.  Each
+        entry also keeps the larger static peak of live value bytes of its
+        variants (:attr:`peak_live_bytes`).
         """
         cached = self._plan_cache.get(key)
         if cached is None:
@@ -211,12 +224,12 @@ class Evaluator:
                 plan, specs, ntt_rows = build()
             derived: tuple = ()
             cold = None
+            input_primes = {
+                name: bindings[name].primes
+                for name in plan.input_names
+                if name in bindings
+            }
             if self._pass_manager.passes:
-                input_primes = {
-                    name: bindings[name].primes
-                    for name in plan.input_names
-                    if name in bindings
-                }
                 optimized = self._pass_manager.run(
                     plan,
                     input_primes=input_primes,
@@ -241,12 +254,17 @@ class Evaluator:
                             count_ntt_rows(cold_plan, input_primes),
                             const_outputs,
                         )
-            cached = (plan, specs, ntt_rows, derived, cold)
+            variants = (plan,) if cold is None else (plan, cold[0])
+            peak = max(
+                ops.peak_live_bytes(variant, input_primes, self.params.n)
+                for variant in variants
+            )
+            cached = (plan, specs, ntt_rows, derived, cold, peak)
             self._plan_cache[key] = cached
             self.metrics.inc("plan.compiled")
         else:
             self.metrics.inc("plan.cache_hits")
-        plan, specs, ntt_rows, derived, cold = cached
+        plan, specs, ntt_rows, derived, cold, _ = cached
         if derived:
             pooled: dict[str, ResidueTensor] = {}
             for derived_name, source in derived:

@@ -49,12 +49,7 @@ from .engines import (
     register_engine,
     set_default_engine,
 )
-from .pool import (
-    SHARDS_ENV_VAR,
-    plan_shards,
-    resolve_shard_count,
-    set_default_shards,
-)
+from .pool import SHARDS_ENV_VAR, resolve_shard_count, set_default_shards
 from .registry import (
     BACKEND_ENV_VAR,
     available_backends,
@@ -82,7 +77,6 @@ __all__ = [
     "available_engines",
     "get_backend",
     "get_engine",
-    "plan_shards",
     "register_backend",
     "register_engine",
     "resolve_backend",

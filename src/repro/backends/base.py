@@ -43,6 +43,13 @@ owned by exactly one backend instance.  The contract every backend must obey:
    :attr:`ComputeBackend.fallback_rows`, making residual slow-path work
    directly observable (``HeContext.metrics()`` / ``/v1/metrics``) instead
    of inferred from conversion deltas.
+5. **Optional shared-buffer capability** — a tensor whose storage other
+   processes can map directly reports it via
+   :meth:`ResidueTensor.shared_buffer`; the default (``None``) means the
+   storage is private to this process.  This is how the ``parallel``
+   backend's shards cross process boundaries with zero pickling of payload
+   data; consumers must treat a ``None`` as "fall back to the counted
+   list boundary", never as an error.
 
 The wide-word exactness window
 ------------------------------
@@ -55,24 +62,16 @@ every pointwise/RNS kernel (see :mod:`repro.backends.wideops`):
 * products against *constants* (twiddles, ``n^{-1}``, ``t``, ``q^{-1}``) use
   Shoup's precomputed-companion reduction — 32-bit limb decomposition with
   uint64 carries for any ``p < 2^62``, or the float64 two-product quotient
-  trick for ``p < 2^50`` (strategy selected per prime size, forceable with
-  ``REPRO_WIDE_STRATEGY``);
+  trick for ``p < 2^50`` (the prime size alone selects the strategy);
 * general element-wise products split the 128-bit product into limb halves
   and fold the high half in with the same Shoup machinery;
-* every kernel returns *fully reduced* residues, which is what keeps all
-  engines and both strategies bit-for-bit interchangeable with the big-int
+* every kernel returns *fully reduced* residues, which is what keeps every
+  engine and strategy bit-for-bit interchangeable with the big-int
   reference path.
 
 ``REPRO_WIDE_WORD=0`` disables the widened window (restoring the 30-bit
 gate and its counted fallback) so benchmarks and tests can compare regimes;
 primes at or above ``2^62`` always take the exact big-int path.
-5. **Optional shared-buffer capability** — a tensor whose storage other
-   processes can map directly reports it via
-   :meth:`ResidueTensor.shared_buffer`; the default (``None``) means the
-   storage is private to this process.  This is how the ``parallel``
-   backend's shards cross process boundaries with zero pickling of payload
-   data; consumers must treat a ``None`` as "fall back to the counted
-   list boundary", never as an error.
 
 Implementations:
 
@@ -83,8 +82,9 @@ Implementations:
   rows for primes below 2^62, with a per-prime exact scalar fallback above
   (or above 2^31 for products when ``REPRO_WIDE_WORD=0``).
 * :class:`repro.backends.parallel.ParallelBackend` — shards every batched
-  operation of an inner backend across a persistent process pool, with
-  shared-memory-backed tensors above a work-threshold crossover.
+  operation of an inner backend across a persistent process pool, one task
+  per worker per plan stage, with shared-memory-backed tensors above a
+  work-threshold crossover.
 
 Backends are interchangeable bit-for-bit: the cross-check suite in
 ``tests/test_backends.py`` pins every implementation against
@@ -239,7 +239,8 @@ class ComputeBackend(abc.ABC):
     ``parallel`` backend dispatches one task per worker per plan stage
     instead of one pool round trip per method).  The per-operation methods
     below (``forward_ntt_batch``, ``add``, ...) are the **node kernels** a
-    backend implements: each is semantically a one-node plan, the generic
+    backend implements: each is semantically a one-node plan (the
+    ``parallel`` backend runs it as one above its crossover), the generic
     interpreter executes plans through them, and
     ``tests/test_ops_plans.py`` pins the two surfaces bit-for-bit against
     each other.  Callers composing multi-op chains should emit a plan

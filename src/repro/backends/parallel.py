@@ -9,16 +9,20 @@ scalar multiplication, RNS digit decomposition and modulus switching — by
 contiguous row groups over the ``(prime, polynomial)`` batch axis across a
 persistent pool of worker processes (:mod:`repro.backends.pool`).
 
+There is one shard protocol: :meth:`ParallelBackend.execute` cuts a plan
+into stages and sends one task per worker per stage.  A node kernel
+(``forward_ntt_batch``, ``add``, ...) above the crossover builds a one-node
+plan and runs it through ``execute``.
+
 Three properties make the sharding pay rather than tax:
 
 * **Zero-pickle payloads** — :class:`ParallelTensor` storage for every
   modulus below the uint64 window lives in a refcounted
-  ``multiprocessing.shared_memory`` segment; a shard task pickles only the
-  segment name, a row range and the primes, and the worker maps the same
-  physical pages for input and output.  Rows whose prime exceeds the
-  storage window (never generated by this repository's parameter sets) are
-  exact Python lists and fall back to chunked pickling, one shard's rows
-  per task.
+  ``multiprocessing.shared_memory`` segment; a stage task pickles only
+  segment names, row ranges, node records and primes, and the worker maps
+  the same physical pages for input and output.  Rows whose prime is at or
+  above the 2^62 storage window (never generated by this repository's
+  parameter sets) are exact Python lists and always run inline.
 * **Work-threshold crossover** — small shapes never see the pool: below
   ``transform_threshold`` (transforms) / ``pointwise_threshold``
   (everything else, measured in residues ``count * n``) the operation runs
@@ -42,11 +46,13 @@ from __future__ import annotations
 
 import time
 import weakref
+from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..telemetry import TRACER
+from . import ops
 from .base import ComputeBackend, ResidueRows, ResidueTensor
 from .numpy_backend import STORAGE_LIMIT
 from .pool import (
@@ -55,7 +61,6 @@ from .pool import (
     _inner_tensor,
     _result_parts,
     get_arena,
-    plan_shards,
     resolve_shard_count,
 )
 from .registry import build_backend
@@ -63,6 +68,7 @@ from .registry import build_backend
 __all__ = [
     "DEFAULT_POINTWISE_THRESHOLD",
     "DEFAULT_TRANSFORM_THRESHOLD",
+    "PLAN_INFO_CACHE_ENTRIES",
     "ParallelBackend",
     "ParallelTensor",
 ]
@@ -75,6 +81,9 @@ DEFAULT_TRANSFORM_THRESHOLD = 1 << 15
 #: are O(1) array ops per residue — the pool only wins once matrices are
 #: enormous, so the crossover sits much higher than for transforms.
 DEFAULT_POINTWISE_THRESHOLD = 1 << 21
+#: Plan shapes whose fused schedule a backend instance keeps, least
+#: recently used first out.
+PLAN_INFO_CACHE_ENTRIES = 256
 
 
 class ParallelTensor(ResidueTensor):
@@ -152,8 +161,10 @@ class ParallelBackend(ComputeBackend):
         # the derived stages/row schedules.  Everything in the value is a
         # pure function of the key, so repeated executions of a cached plan
         # (the hot path the evaluator's plan cache creates) skip the
-        # per-call scheduling work entirely.
-        self._plan_info_cache: dict[tuple, dict] = {}
+        # per-call scheduling work entirely.  Least recently used entries
+        # go beyond PLAN_INFO_CACHE_ENTRIES: pooled one-node plans land here
+        # too, and a ScalarMul node carries its scalar.
+        self._plan_info_cache: OrderedDict[tuple, dict] = OrderedDict()
         if engine is not None:
             self.set_engine(engine)
         self.metrics.set_gauge("shm.bytes_in_use", lambda: get_arena().bytes_in_use)
@@ -175,8 +186,9 @@ class ParallelBackend(ComputeBackend):
         """Pool round trips so far — the fusion acceptance counter.
 
         One dispatch is one synchronous submit-and-gather of a task set
-        across the worker pool (a per-op method call above the crossover, or
-        one fused plan *stage*), the CPU analogue of a GPU kernel launch.
+        across the worker pool: one plan *stage* (a node kernel above the
+        crossover is a one-node plan, so one stage), the CPU analogue of a
+        GPU kernel launch.
         Worker-side work never dispatches further (workers hold plain inner
         backends), so — like :attr:`conversion_count`, whose worker-side
         deltas are mirrored here per dispatch — the counter is complete
@@ -243,9 +255,11 @@ class ParallelBackend(ComputeBackend):
         return tensor.shared_buffer()
 
     def _dispatchable(self, tensor: ParallelTensor, threshold: int) -> bool:
+        # Rows at or above the storage window (``big``) always run inline.
         return (
             self._shards > 1
             and tensor.segment is not None
+            and not tensor.big
             and tensor.count >= 2
             and tensor.count * tensor.n >= threshold
         )
@@ -344,11 +358,10 @@ class ParallelBackend(ComputeBackend):
         is ``None`` when the scheduler found misaligned operand row sets
         (the caller falls back to per-op interpretation).
         """
-        from . import ops
-
         key = (plan, input_primes, self._shards)
         info = self._plan_info_cache.get(key)
         if info is not None:
+            self._plan_info_cache.move_to_end(key)
             return info
         primes = ops.infer_primes(plan, dict(input_primes))
         stages = ops.split_stages(plan)
@@ -379,13 +392,17 @@ class ParallelBackend(ComputeBackend):
             "schedules": schedules,
         }
         self._plan_info_cache[key] = info
+        if len(self._plan_info_cache) > PLAN_INFO_CACHE_ENTRIES:
+            self._plan_info_cache.popitem(last=False)
         return info
 
     def execute(self, plan, inputs) -> dict[str, ResidueTensor]:
-        """Execute a plan as fused per-worker stages — the PR's payoff path.
+        """Execute a plan as fused per-worker stages.
 
         (Tracing wrapper; the execution itself is :meth:`_execute_plan`.)
-        The plan is cut into stages at cross-row nodes
+        This is the backend's one way into the pool: a node kernel above the
+        crossover runs as a one-node plan through here, so every pool task
+        is a plan stage.  The plan is cut into stages at cross-row nodes
         (:func:`repro.backends.ops.split_stages`); each stage is one pool
         round trip submitting **one task per worker** that carries the whole
         stage's node records, their release lists and that worker's row
@@ -400,10 +417,12 @@ class ParallelBackend(ComputeBackend):
 
         Falls back to the generic per-op interpreter (which also frees each
         value after its last reader) for plans fusion cannot shard: a
-        single-shard backend, inputs with big (≥ 62-bit) fallback rows, or
-        operand row sets the scheduler cannot align; plans below the
-        work-threshold crossover run inline on the embedded inner backend
-        without touching the pool at all.
+        single-shard backend, inputs with rows at or above the 2^62 storage
+        window, or operand row sets the scheduler cannot align.  Each node
+        kernel it calls then runs inline or as a one-node plan, and a
+        one-node plan always schedules.  Plans below the work-threshold
+        crossover run inline on the embedded inner backend without touching
+        the pool at all.
         """
         if not TRACER.enabled:
             return self._execute_plan(plan, inputs)
@@ -413,8 +432,6 @@ class ParallelBackend(ComputeBackend):
             return self._execute_plan(plan, inputs)
 
     def _execute_plan(self, plan, inputs) -> dict[str, ResidueTensor]:
-        from . import ops
-
         tensors: dict[str, ParallelTensor] = ops.gather_inputs(plan, inputs)
         for tensor in tensors.values():
             self._check_owned(tensor)
@@ -486,7 +503,6 @@ class ParallelBackend(ComputeBackend):
                     continue  # this worker owns no rows of anything produced
                 tasks.append(
                     {
-                        "op": "plan",
                         "n": n,
                         "nodes": [(vid, plan.nodes[vid]) for vid in stage],
                         "releases": releases,
@@ -516,10 +532,7 @@ class ParallelBackend(ComputeBackend):
         return {name: storage[vid] for name, vid in plan.outputs}
 
     # -- shard dispatch --------------------------------------------------------
-    def _big_in(self, tensor: ParallelTensor, lo: int, hi: int) -> dict[int, list[int]]:
-        return {i - lo: tensor.big[i] for i in tensor.big if lo <= i < hi}
-
-    def _dispatch(self, tasks: list[dict]) -> list[dict]:
+    def _dispatch(self, tasks: list[dict]) -> None:
         """One pool round trip: run a task set, mirror worker-side counters.
 
         Boundary crossings charged by the workers' inner backends (the
@@ -534,12 +547,11 @@ class ParallelBackend(ComputeBackend):
         nested correctly with per-worker PID attribution.
         """
         if not TRACER.enabled:
-            results = self._pool.run(tasks)
-            for result in results:
+            for result in self._pool.run(tasks):
                 self._count_conversion(result["conversions"])
-                self._count_fallback(result.get("fallback", 0))
+                self._count_fallback(result["fallback"])
             self.metrics.inc("pool.dispatches")
-            return results
+            return
         with TRACER.span("pool.dispatch", tasks=len(tasks)) as span:
             for task in tasks:
                 task["trace"] = True
@@ -548,17 +560,10 @@ class ParallelBackend(ComputeBackend):
             hi = time.perf_counter()
             for result in results:
                 self._count_conversion(result["conversions"])
-                self._count_fallback(result.get("fallback", 0))
-                if result.get("spans"):
+                self._count_fallback(result["fallback"])
+                if result["spans"]:
                     TRACER.ingest(result["spans"], span.sid, lo, hi)
             self.metrics.inc("pool.dispatches")
-        return results
-
-    def _run_tasks(self, tasks: list[dict], out: ParallelTensor) -> ParallelTensor:
-        for result in self._dispatch(tasks):
-            if result["big"]:
-                out.big.update(result["big"])
-        return out
 
     def _sharded_out(self, primes, n: int) -> ParallelTensor:
         # Dispatched outputs are always shared-memory-backed: workers write
@@ -566,110 +571,79 @@ class ParallelBackend(ComputeBackend):
         data, segment = self._allocate(len(primes), n, force_shm=True)
         return ParallelTensor(self, primes, n, data, {}, segment)
 
-    # -- transforms ------------------------------------------------------------
+    # -- node kernels ----------------------------------------------------------
+    def _kernel(self, node, tensors, threshold: int, method, *args) -> ParallelTensor:
+        """Run one node kernel: inline below the crossover, else a one-node plan.
+
+        ``node`` reads ``tensors`` as values ``0 .. len(tensors) - 1``, the
+        plan's inputs, so the plan always schedules: its operands get the
+        canonical partition.  Below the crossover — or with a single shard,
+        or rows at or above the storage window — ``method`` (the inner
+        backend's kernel) runs on the inner tensors plus ``args``.
+        """
+        if all(self._dispatchable(tensor, threshold) for tensor in tensors):
+            names = ("a", "b")[: len(tensors)]
+            plan = ops.Plan(
+                tuple(map(ops.Input, names)) + (node,), (("out", len(names)),)
+            )
+            return self.execute(plan, dict(zip(names, tensors)))["out"]
+        return self._inline(
+            lambda: self._from_inner(
+                method(*[self._to_inner(tensor) for tensor in tensors], *args)
+            )
+        )
+
     def forward_ntt_batch(self, tensor: ResidueTensor) -> ParallelTensor:
-        return self._transform(tensor, "forward")
+        self._check_owned(tensor)
+        return self._kernel(
+            ops.ForwardNtt(0),
+            (tensor,),
+            self._transform_threshold,
+            self._inner.forward_ntt_batch,
+        )
 
     def inverse_ntt_batch(self, tensor: ResidueTensor) -> ParallelTensor:
-        return self._transform(tensor, "inverse")
-
-    def _transform(self, tensor: ResidueTensor, op: str) -> ParallelTensor:
         self._check_owned(tensor)
-        if not self._dispatchable(tensor, self._transform_threshold):
-            method = (
-                self._inner.forward_ntt_batch
-                if op == "forward"
-                else self._inner.inverse_ntt_batch
-            )
-            return self._inline(
-                lambda: self._from_inner(method(self._to_inner(tensor)))
-            )
-        out = self._sharded_out(tensor.primes, tensor.n)
-        tasks = [
-            {
-                "op": op,
-                "n": tensor.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": tensor.primes[lo:hi],
-                "a": self._ref(tensor),
-                "a_big": self._big_in(tensor, lo, hi),
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(tensor.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
-
-    # -- pointwise arithmetic --------------------------------------------------
-    def _pointwise_pair(self, op: str, a: ResidueTensor, b: ResidueTensor):
-        self._check_pair(a, b)
-        if not (
-            self._dispatchable(a, self._pointwise_threshold) and b.segment is not None
-        ):
-            method = getattr(self._inner, op)
-            return self._inline(
-                lambda: self._from_inner(method(self._to_inner(a), self._to_inner(b)))
-            )
-        out = self._sharded_out(a.primes, a.n)
-        tasks = [
-            {
-                "op": op,
-                "n": a.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": a.primes[lo:hi],
-                "a": self._ref(a),
-                "a_big": self._big_in(a, lo, hi),
-                "b": self._ref(b),
-                "b_big": self._big_in(b, lo, hi),
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(a.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
-
-    def _pointwise_single(self, op: str, a: ResidueTensor, scalar: int | None = None):
-        self._check_owned(a)
-        if not self._dispatchable(a, self._pointwise_threshold):
-            method = getattr(self._inner, op)
-
-            def run_inline():
-                inner_a = self._to_inner(a)
-                result = method(inner_a) if scalar is None else method(inner_a, scalar)
-                return self._from_inner(result)
-
-            return self._inline(run_inline)
-        out = self._sharded_out(a.primes, a.n)
-        tasks = [
-            {
-                "op": op,
-                "n": a.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": a.primes[lo:hi],
-                "a": self._ref(a),
-                "a_big": self._big_in(a, lo, hi),
-                "scalar": scalar,
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(a.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
+        return self._kernel(
+            ops.InverseNtt(0),
+            (tensor,),
+            self._transform_threshold,
+            self._inner.inverse_ntt_batch,
+        )
 
     def add(self, a: ResidueTensor, b: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_pair("add", a, b)
+        self._check_pair(a, b)
+        return self._kernel(
+            ops.Add(0, 1), (a, b), self._pointwise_threshold, self._inner.add
+        )
 
     def sub(self, a: ResidueTensor, b: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_pair("sub", a, b)
+        self._check_pair(a, b)
+        return self._kernel(
+            ops.Sub(0, 1), (a, b), self._pointwise_threshold, self._inner.sub
+        )
 
     def mul(self, a: ResidueTensor, b: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_pair("mul", a, b)
+        self._check_pair(a, b)
+        return self._kernel(
+            ops.Mul(0, 1), (a, b), self._pointwise_threshold, self._inner.mul
+        )
 
     def neg(self, a: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_single("neg", a)
+        self._check_owned(a)
+        return self._kernel(
+            ops.Neg(0), (a,), self._pointwise_threshold, self._inner.neg
+        )
 
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> ParallelTensor:
-        return self._pointwise_single("scalar_mul", a, scalar)
+        self._check_owned(a)
+        return self._kernel(
+            ops.ScalarMul(0, scalar),
+            (a,),
+            self._pointwise_threshold,
+            self._inner.scalar_mul,
+            scalar,
+        )
 
     # -- structural operations -------------------------------------------------
     def concat(self, tensors: Sequence[ResidueTensor]) -> ParallelTensor:
@@ -762,28 +736,13 @@ class ParallelBackend(ComputeBackend):
         self._check_owned(tensor)
         if not 0 <= index < tensor.count:
             raise ValueError("digit index %d out of range" % index)
-        if not self._dispatchable(tensor, self._pointwise_threshold):
-            return self._inline(
-                lambda: self._from_inner(
-                    self._inner.digit_broadcast(self._to_inner(tensor), index)
-                )
-            )
-        out = self._sharded_out(tensor.primes, tensor.n)
-        tasks = [
-            {
-                "op": "digit",
-                "n": tensor.n,
-                "lo": lo,
-                "hi": hi,
-                "index": index,
-                "primes": (tensor.primes[index],) + tensor.primes[lo:hi],
-                "a": self._ref(tensor),
-                "source_big": tensor.big.get(index),
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(tensor.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
+        return self._kernel(
+            ops.DigitBroadcast(0, index),
+            (tensor,),
+            self._pointwise_threshold,
+            self._inner.digit_broadcast,
+            index,
+        )
 
     def mod_switch_drop_last(
         self, tensor: ResidueTensor, plaintext_modulus: int
@@ -791,32 +750,13 @@ class ParallelBackend(ComputeBackend):
         self._check_owned(tensor)
         if tensor.count < 2:
             raise ValueError("cannot modulus-switch below a single prime")
-        if not self._dispatchable(tensor, self._pointwise_threshold):
-            return self._inline(
-                lambda: self._from_inner(
-                    self._inner.mod_switch_drop_last(
-                        self._to_inner(tensor), plaintext_modulus
-                    )
-                )
-            )
-        last = tensor.count - 1
-        out = self._sharded_out(tensor.primes[:last], tensor.n)
-        tasks = [
-            {
-                "op": "mod_switch",
-                "n": tensor.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": tensor.primes[lo:hi] + (tensor.primes[last],),
-                "a": self._ref(tensor),
-                "a_big": self._big_in(tensor, lo, hi),
-                "last_big": tensor.big.get(last),
-                "t": plaintext_modulus,
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(last, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
+        return self._kernel(
+            ops.ModSwitchDropLast(0, plaintext_modulus),
+            (tensor,),
+            self._pointwise_threshold,
+            self._inner.mod_switch_drop_last,
+            plaintext_modulus,
+        )
 
     # -- validation ------------------------------------------------------------
     def _check_owned(self, tensor: ResidueTensor) -> None:

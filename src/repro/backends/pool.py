@@ -10,18 +10,20 @@ mechanisms that make the sharding pay:
 
 * :class:`SharedArena` — refcounted ``multiprocessing.shared_memory``
   segments backing the resident ``uint64`` residue matrices, so shard
-  payloads cross process boundaries with **zero pickling**: a task pickles a
-  few integers (segment name, row range, primes) and the worker maps the
-  same physical pages.  Segments are released when the last tensor viewing
-  them is garbage-collected, with an ``atexit`` sweep for whatever survives
-  the session.  Every release path is PID-guarded: under the default
+  payloads cross process boundaries with **zero pickling**: a task pickles
+  segment names, row ranges, node records and primes, and the worker maps
+  the same physical pages.  Segments are released when the last tensor
+  viewing them is garbage-collected, with an ``atexit`` sweep for whatever
+  survives the session.  Every release path is PID-guarded: under the default
   ``fork`` start method the workers inherit the parent's arena *and* its
   ``weakref.finalize`` registry, and without the guard a worker exiting
   would unlink segments the parent still uses.
 * the worker runtime — each worker process holds one long-lived *inner*
   backend (default ``numpy``) built by the pool initialiser, so twiddle
   tables persist across tasks: a shard of a repeated shape reuses the
-  tables its first shard built.
+  tables its first shard built.  Every task is one worker's share of a
+  plan stage (:func:`_run_plan_task`); the backend's node kernels reach
+  the pool as one-node plans.
 * :class:`WorkerPool` — a persistent ``ProcessPoolExecutor`` wrapper that
   survives worker crashes: a :class:`BrokenProcessPool` disposes the
   executor and transparently retries the shard set once on a fresh pool
@@ -54,7 +56,6 @@ __all__ = [
     "SharedSegment",
     "WorkerPool",
     "get_arena",
-    "plan_shards",
     "resolve_shard_count",
     "set_default_shards",
 ]
@@ -99,24 +100,6 @@ def resolve_shard_count(explicit: int | None = None) -> int:
             )
         return count
     return max(1, (os.cpu_count() or 1) - 1)
-
-
-def plan_shards(count: int, shards: int) -> list[tuple[int, int]]:
-    """Split ``count`` rows into at most ``shards`` contiguous balanced ranges.
-
-    Row groups stay contiguous over the ``(prime, polynomial)`` batch axis —
-    the inner backend splits each shard into runs of consecutive basis
-    primes, so a shard that starts mid-basis is handled like any mixed batch.
-    """
-    shards = max(1, min(shards, count))
-    base, extra = divmod(count, shards)
-    ranges = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
 
 
 # ------------------------------------------------------------ shared memory
@@ -496,81 +479,17 @@ def _run_plan_task(backend, task: dict, shms: list) -> None:
             del local[dead]
 
 
-def _run_task(backend, task: dict, shms: list) -> dict[int, list[int]] | None:
-    op = task["op"]
-    if op == "plan":
-        _run_plan_task(backend, task, shms)
-        return None
-    n = task["n"]
-    lo, hi = task["lo"], task["hi"]
-    primes = task["primes"]
-    out_view = _attach_view(task["out"], shms)
-    a_view = _attach_view(task["a"], shms)
-
-    if op in ("forward", "inverse", "neg", "scalar_mul", "add", "sub", "mul"):
-        a = _inner_tensor(backend, primes, n, a_view[lo:hi], task["a_big"])
-        if op == "forward":
-            result = backend.forward_ntt_batch(a)
-        elif op == "inverse":
-            result = backend.inverse_ntt_batch(a)
-        elif op == "neg":
-            result = backend.neg(a)
-        elif op == "scalar_mul":
-            result = backend.scalar_mul(a, task["scalar"])
-        else:
-            b_view = _attach_view(task["b"], shms)
-            b = _inner_tensor(backend, primes, n, b_view[lo:hi], task["b_big"])
-            result = getattr(backend, op)(a, b)
-        data, big = _result_parts(backend, result)
-        out_view[lo:hi] = data
-        return {lo + index: row for index, row in big.items()} or None
-
-    if op == "digit":
-        # The shard tensor is [source row] + [this shard's target rows]; the
-        # inner digit_broadcast of index 0 then emits the per-prime digits
-        # for every row, and row 0 (source mod its own prime) is discarded.
-        source_big = task["source_big"]
-        data = np.zeros((hi - lo + 1, n), dtype=np.uint64)
-        if source_big is None:
-            data[0] = a_view[task["index"]]
-        big = {0: source_big} if source_big is not None else {}
-        shard = _inner_tensor(backend, primes, n, data, big)
-        result = backend.digit_broadcast(shard, 0)
-        data, big = _result_parts(backend, result)
-        out_view[lo:hi] = data[1:]
-        return {lo + index - 1: row for index, row in big.items() if index >= 1} or None
-
-    if op == "mod_switch":
-        # The shard tensor is [this shard's rows] + [the dropped last row];
-        # the RNS modulus switch is per-row given the last row, so the inner
-        # implementation produces exactly this shard's switched rows.
-        count = task["a"][2]
-        data = np.concatenate([a_view[lo:hi], a_view[count - 1 : count]], axis=0)
-        big = dict(task["a_big"])
-        if task["last_big"] is not None:
-            big[hi - lo] = task["last_big"]
-        shard = _inner_tensor(backend, primes, n, data, big)
-        result = backend.mod_switch_drop_last(shard, task["t"])
-        data, big = _result_parts(backend, result)
-        out_view[lo:hi] = data
-        return {lo + index: row for index, row in big.items()} or None
-
-    raise ValueError("unknown shard op %r" % op)  # pragma: no cover - defensive
-
-
 def _exec_shard(task: dict) -> dict:
-    """Worker entry point: run one shard task against the inner backend.
+    """Worker entry point: run one plan-stage task against the inner backend.
 
-    Returns ``{"conversions": rows, "fallback": rows, "big": {...} | None,
-    "spans": [...]}``: ``big`` holds the shard's big-row results (exact
-    Python lists for rows whose prime exceeds the uint64 storage window —
-    the documented chunked-pickle fallback; the uint64 payload is written
-    straight into the output segment's pages), and ``conversions`` /
-    ``fallback`` are the list/native boundary crossings and per-prime
-    big-int fallback rows the inner backend charged while computing the
-    shard, which the parent mirrors onto the parallel backend's own
-    counters so the accounting contract of ``base.py`` holds across
-    process boundaries.  When the coordinator set
+    Every task is one worker's share of a plan stage
+    (:func:`_run_plan_task`); its rows are written straight into the output
+    segments' pages.  Returns ``{"conversions": rows, "fallback": rows,
+    "spans": [...]}``: ``conversions`` / ``fallback`` are the list/native
+    boundary crossings and per-prime big-int fallback rows the inner
+    backend charged while computing the shard, which the parent mirrors
+    onto the parallel backend's own counters so the accounting contract of
+    ``base.py`` holds across process boundaries.  When the coordinator set
     ``task["trace"]``, ``spans`` carries the events this worker recorded
     under a ``pool.task`` root span; the coordinator ingests them under
     its dispatch span (:meth:`repro.telemetry.Tracer.ingest`), which is
@@ -589,18 +508,19 @@ def _exec_shard(task: dict) -> dict:
             TRACER.start()
             mark = TRACER.mark()
             try:
-                with TRACER.span("pool.task", worker=os.getpid(), op=task["op"]):
-                    big = _run_task(backend, task, shms)
+                with TRACER.span(
+                    "pool.task", worker=os.getpid(), nodes=len(task["nodes"])
+                ):
+                    _run_plan_task(backend, task, shms)
                 spans = TRACER.events_since(mark)
             finally:
                 TRACER.stop()
                 TRACER.clear()
         else:
-            big = _run_task(backend, task, shms)
+            _run_plan_task(backend, task, shms)
         return {
             "conversions": backend.conversion_count - before,
             "fallback": backend.fallback_rows - fallback_before,
-            "big": big,
             "spans": spans,
         }
     finally:
@@ -651,8 +571,8 @@ class WorkerPool:
         """Whether worker processes are currently alive."""
         return self._executor is not None
 
-    def run(self, tasks: Sequence[dict]) -> list[dict[int, list[int]] | None]:
-        """Execute every shard task, restarting the pool once on a crash."""
+    def run(self, tasks: Sequence[dict]) -> list[dict]:
+        """Execute every stage task, restarting the pool once on a crash."""
         last_error: BaseException | None = None
         for _ in range(2):
             executor = self._ensure()

@@ -30,11 +30,9 @@ exact below ``2^62`` (matching the word contract of
   64-bit halves, folding the high half in with a limb-Shoup product by
   ``2^64 mod p``.
 
-``REPRO_WIDE_STRATEGY`` forces the constant-product strategy to ``limb`` or
-``float`` for primes at or above ``2^31`` (``float`` is rejected at or
-above 2^50, where it would be inexact).  ``REPRO_WIDE_WORD=0`` restores the historical 30-bit window: the
-NumPy backend then routes wider primes through its counted big-int
-fallback.
+The strategy follows the prime size alone.  ``REPRO_WIDE_WORD=0``
+restores the historical 30-bit window: the NumPy backend then routes wider
+primes through its counted big-int fallback.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
     "WIDE_MUL_LIMIT",
     "FLOAT_SHOUP_LIMIT",
     "WIDE_ENV_VAR",
-    "STRATEGY_ENV_VAR",
     "wide_word_enabled",
     "vector_mul_limit",
     "select_strategy",
@@ -78,10 +75,6 @@ FLOAT_SHOUP_LIMIT = 1 << 50
 #: Set to ``0``/``off``/``narrow`` to restore the historical 30-bit window
 #: (benchmarks use this to time wide vs big-int fallback).
 WIDE_ENV_VAR = "REPRO_WIDE_WORD"
-#: Force the constant-product strategy to ``limb`` or ``float`` for primes
-#: at or above 2^31 (``float`` is rejected for primes at or above 2^50 — it
-#: would be inexact there).
-STRATEGY_ENV_VAR = "REPRO_WIDE_STRATEGY"
 
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -107,23 +100,10 @@ def vector_mul_limit() -> int:
 def select_strategy(p: int) -> str:
     """Name of the :class:`Reduction` for modulus ``p``.
 
-    ``"shoup32"`` below 2^31, otherwise ``"float"`` below 2^50 and
-    ``"limb"`` above, unless ``REPRO_WIDE_STRATEGY`` forces one of the two.
+    ``"shoup32"`` below 2^31, ``"float"`` below 2^50 and ``"limb"`` above.
     """
     if p < NARROW_MUL_LIMIT:
         return "shoup32"
-    forced = os.environ.get(STRATEGY_ENV_VAR, "").lower() or None
-    if forced is not None:
-        if forced not in ("limb", "float"):
-            raise ValueError(
-                "%s must be 'limb' or 'float', got %r" % (STRATEGY_ENV_VAR, forced)
-            )
-        if forced == "float" and p >= FLOAT_SHOUP_LIMIT:
-            raise ValueError(
-                "the float wide-mul strategy is exact only below 2^50; "
-                "p has %d bits" % p.bit_length()
-            )
-        return forced
     return "float" if p < FLOAT_SHOUP_LIMIT else "limb"
 
 

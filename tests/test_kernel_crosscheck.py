@@ -7,8 +7,10 @@ shuffled rows, a 30-bit basis next to a 60-bit one, a row at or above the
 2^62 storage limit), with one all-``p-1`` row in every case.  Forward,
 inverse, add, sub, neg, mul and scalar_mul must match
 :class:`~repro.backends.scalar.ScalarBackend` bit for bit under every engine
-on numpy, under both forced wide strategies where they are valid, and on the
-parallel backend with every op forced through its pool.
+on numpy, whose reduction strategy follows the prime size (the 40- and
+50-bit cases run ``float``, the 51-62-bit cases ``limb``), and on the
+parallel backend with every op forced through its pool — except a layout
+holding a row at or above the storage limit, which always runs inline.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import pytest
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.parallel import ParallelBackend
 from repro.backends.scalar import ScalarBackend
-from repro.backends.wideops import FLOAT_SHOUP_LIMIT, NARROW_MUL_LIMIT, STRATEGY_ENV_VAR
 from repro.modarith.primes import generate_ntt_primes
 
 SEED = 1409
@@ -82,14 +83,6 @@ def run_ops(backend, primes, rows_a, rows_b, scalar) -> dict[str, list[list[int]
     }
 
 
-def strategies(primes) -> list[str | None]:
-    """``None`` (the default choice) plus each forced strategy valid for ``primes``."""
-    wide = [p for p in primes if NARROW_MUL_LIMIT <= p < 1 << 62]
-    if not wide:
-        return [None]
-    return [None, "limb"] + (["float"] if max(wide) < FLOAT_SHOUP_LIMIT else [])
-
-
 @pytest.fixture(scope="module")
 def pooled():
     backend = ParallelBackend(shards=2, transform_threshold=1, pointwise_threshold=1)
@@ -99,23 +92,21 @@ def pooled():
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n", SIZES)
-def test_generated_case_matches_scalar_oracle(n, layout, pooled, monkeypatch):
+def test_generated_case_matches_scalar_oracle(n, layout, pooled):
     primes, rows_a, rows_b, scalar = generate_case(n, layout)
     expected = run_ops(ScalarBackend(engine="radix2"), primes, rows_a, rows_b, scalar)
-    for strategy in strategies(primes):
-        if strategy is None:
-            monkeypatch.delenv(STRATEGY_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(STRATEGY_ENV_VAR, strategy)
-        backend = NumpyBackend()
-        for engine in ENGINES:
-            backend.set_engine(engine)
-            got = run_ops(backend, primes, rows_a, rows_b, scalar)
-            for op, rows in expected.items():
-                assert got[op] == rows, (op, engine, strategy, primes)
-    monkeypatch.delenv(STRATEGY_ENV_VAR, raising=False)
+    backend = NumpyBackend()
+    for engine in ENGINES:
+        backend.set_engine(engine)
+        got = run_ops(backend, primes, rows_a, rows_b, scalar)
+        for op, rows in expected.items():
+            assert got[op] == rows, (op, engine, primes)
     dispatches = pooled.dispatch_count
     got = run_ops(pooled, primes, rows_a, rows_b, scalar)
-    assert pooled.dispatch_count > dispatches
+    if layout == "storage_overflow":
+        # A row at or above the 2^62 storage limit keeps every op inline.
+        assert pooled.dispatch_count == dispatches
+    else:
+        assert pooled.dispatch_count > dispatches
     for op, rows in expected.items():
         assert got[op] == rows, (op, "parallel", primes)

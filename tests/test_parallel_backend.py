@@ -7,6 +7,10 @@ Pins the acceptance criteria of the parallel-execution subsystem:
   and numpy backends exactly, on both word-size regimes (30-bit native,
   60-bit wide-word vectorised), whether the work is dispatched to the worker
   pool or runs inline below the crossover;
+* **one shard protocol** — a node kernel above the crossover runs as a
+  one-node plan (one dispatch, traced under ``plan.execute``), rows at or
+  above the 2^62 storage window always run inline, and the fused-schedule
+  cache stays bounded;
 * **ownership** — foreign tensors are rejected in both directions;
 * **residency** — a ``multiply → relinearize → mod_switch`` chain through
   the whole HE stack performs zero boundary conversions even when every
@@ -28,18 +32,21 @@ import random
 
 import pytest
 
-from repro.backends import SHARDS_ENV_VAR, get_backend, set_default_shards
+from repro.backends import SHARDS_ENV_VAR, get_backend, ops, set_default_shards
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.parallel import (
     DEFAULT_POINTWISE_THRESHOLD,
     DEFAULT_TRANSFORM_THRESHOLD,
+    PLAN_INFO_CACHE_ENTRIES,
     ParallelBackend,
     ParallelTensor,
 )
-from repro.backends.pool import get_arena, plan_shards, resolve_shard_count
+from repro.backends.pool import get_arena, resolve_shard_count
 from repro.backends.scalar import ScalarBackend
 from repro.he import Evaluator, HEParams, HeContext
 from repro.modarith.primes import generate_ntt_primes
+from repro.telemetry import TRACER
+from repro.telemetry.tracer import NAME, PARENT, PHASE, SID
 
 PRIME_BITS = (30, 60)  # native narrow regime and wide-word vectorised regime
 N = 64
@@ -65,6 +72,21 @@ def pooled():
 @pytest.fixture(scope="module")
 def references():
     return {"scalar": ScalarBackend(), "numpy": NumpyBackend()}
+
+
+#: The nine node kernels, keyed by the span each one records; ``a`` and
+#: ``b`` share a basis of distinct primes (modulus switching needs one).
+NODE_KERNELS = {
+    "op.forward_ntt": lambda backend, a, b: backend.forward_ntt_batch(a),
+    "op.inverse_ntt": lambda backend, a, b: backend.inverse_ntt_batch(a),
+    "op.add": lambda backend, a, b: backend.add(a, b),
+    "op.sub": lambda backend, a, b: backend.sub(a, b),
+    "op.mul": lambda backend, a, b: backend.mul(a, b),
+    "op.neg": lambda backend, a, b: backend.neg(a),
+    "op.scalar_mul": lambda backend, a, b: backend.scalar_mul(a, 123457),
+    "op.digit_broadcast": lambda backend, a, b: backend.digit_broadcast(a, 1),
+    "op.mod_switch": lambda backend, a, b: backend.mod_switch_drop_last(a, 257),
+}
 
 
 # ------------------------------------------------------------- cross-checks
@@ -130,6 +152,92 @@ def test_mixed_word_size_batch(pooled, references):
     ).to_rows()
     produced = pooled.forward_ntt_batch(pooled.from_rows(rows, primes)).to_rows()
     assert produced == expected
+
+
+@pytest.mark.parametrize("span_name", sorted(NODE_KERNELS))
+@pytest.mark.parametrize("bits", PRIME_BITS)
+def test_node_kernels_dispatch_as_one_node_plans(bits, span_name, pooled, references):
+    """Above the crossover a node kernel is a one-node plan: exactly one
+    pool dispatch, bit-identical to numpy, and under tracing its
+    ``pool.dispatch`` span sits under ``plan.stage``, then ``plan.execute``,
+    then the kernel's own span."""
+    call = NODE_KERNELS[span_name]
+    basis = generate_ntt_primes(bits, 4, N)
+    rows_a = random_rows(basis, N, seed=40 + bits)
+    rows_b = random_rows(basis, N, seed=50 + bits)
+    numpy_backend = references["numpy"]
+    expected = call(
+        numpy_backend,
+        numpy_backend.from_rows(rows_a, basis),
+        numpy_backend.from_rows(rows_b, basis),
+    ).to_rows()
+    a, b = pooled.from_rows(rows_a, basis), pooled.from_rows(rows_b, basis)
+    before = pooled.dispatch_count
+    TRACER.clear()
+    TRACER.start()
+    try:
+        result = call(pooled, a, b)
+    finally:
+        TRACER.stop()
+    events = TRACER.events()
+    TRACER.clear()
+    assert pooled.dispatch_count == before + 1
+    assert result.to_rows() == expected
+    begins = {event[SID]: event for event in events if event[PHASE] == "B"}
+    (dispatch,) = [event for event in begins.values() if event[NAME] == "pool.dispatch"]
+    ancestors = []
+    parent = dispatch[PARENT]
+    while parent is not None:
+        ancestors.append(begins[parent][NAME])
+        parent = begins[parent][PARENT]
+    assert ancestors == ["plan.stage", "plan.execute", span_name]
+
+
+def test_storage_overflow_rows_run_inline(pooled, references):
+    """A batch holding a row whose prime is at or above the 2^62 storage
+    window never reaches the pool: all nine node kernels run inline on the
+    forced pool, bit-identical to the scalar oracle."""
+    basis = generate_ntt_primes(30, 3, N) + generate_ntt_primes(63, 1, N)
+    rows_a = random_rows(basis, N, seed=61)
+    rows_b = random_rows(basis, N, seed=62)
+    scalar = references["scalar"]
+    scalar_a, scalar_b = scalar.from_rows(rows_a, basis), scalar.from_rows(rows_b, basis)
+    a, b = pooled.from_rows(rows_a, basis), pooled.from_rows(rows_b, basis)
+    assert a.big and a.segment is not None  # above the forced crossover
+    before = pooled.dispatch_count
+    for span_name, call in NODE_KERNELS.items():
+        expected = call(scalar, scalar_a, scalar_b).to_rows()
+        assert call(pooled, a, b).to_rows() == expected, span_name
+    assert pooled.dispatch_count == before
+
+
+def test_plan_info_cache_is_bounded():
+    """The fused-schedule memo keeps at most PLAN_INFO_CACHE_ENTRIES plan
+    shapes, least recently used out, and every result stays bit-identical."""
+    backend = ParallelBackend(shards=2)  # default crossover: toy plans run inline
+    try:
+        primes = generate_ntt_primes(30, 2, N)
+        rows = random_rows(primes, N, seed=23)
+        tensor = backend.from_rows(rows, primes)
+        scalar = ScalarBackend()
+        scalar_tensor = scalar.from_rows(rows, primes)
+
+        def scalar_mul_plan(value):
+            graph = ops.OpGraph()
+            graph.output("out", graph.scalar_mul(graph.input("a"), value))
+            return graph.compile()
+
+        hot = scalar_mul_plan(0)
+        for value in range(1, PLAN_INFO_CACHE_ENTRIES + 45):
+            for plan, factor in ((scalar_mul_plan(value), value), (hot, 0)):
+                got = backend.execute(plan, {"a": tensor})["out"]
+                assert got.to_rows() == scalar.scalar_mul(scalar_tensor, factor).to_rows()
+            assert len(backend._plan_info_cache) <= PLAN_INFO_CACHE_ENTRIES
+        assert len(backend._plan_info_cache) == PLAN_INFO_CACHE_ENTRIES
+        assert any(key[0] == hot for key in backend._plan_info_cache)
+        assert not backend.pool_running
+    finally:
+        backend.close()
 
 
 def test_structural_ops_round_trip(pooled):
@@ -441,11 +549,12 @@ def test_shard_count_resolution_precedence(monkeypatch):
         set_default_shards(0)
 
 
-def test_plan_shards_balances_contiguously():
-    assert plan_shards(6, 2) == [(0, 3), (3, 6)]
-    assert plan_shards(7, 3) == [(0, 3), (3, 5), (5, 7)]
-    assert plan_shards(2, 8) == [(0, 1), (1, 2)]  # never more shards than rows
-    assert plan_shards(5, 1) == [(0, 5)]
+def test_partition_balances_contiguously():
+    assert ops._partition(6, 2) == [((0, 3),), ((3, 6),)]
+    assert ops._partition(7, 3) == [((0, 3),), ((3, 5),), ((5, 7),)]
+    # never more shards than rows: the other workers own nothing
+    assert ops._partition(2, 8) == [((0, 1),), ((1, 2),)] + [()] * 6
+    assert ops._partition(5, 1) == [((0, 5),)]
 
 
 def test_registry_resolves_parallel_and_reports_env_overrides():

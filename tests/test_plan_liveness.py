@@ -123,7 +123,6 @@ def test_worker_stage_runner_holds_at_most_three_values_of_a_chain():
     out = parallel._sharded_out(PRIMES, N)
     rowset = info["schedules"][0][0]  # worker 0's share
     task = {
-        "op": "plan",
         "n": N,
         "nodes": [(vid, plan.nodes[vid]) for vid in stage],
         "releases": releases,

@@ -9,9 +9,9 @@ scalar arithmetic.  These tests pin the acceptance criteria:
   mod_switch_drop_last) matches :class:`ScalarBackend` exactly across the
   whole window, including worst-case all-``p-1`` operands and primes just
   below the 2^62 ceiling;
-* **strategy equivalence** — the limb-decomposition and float64-quotient
-  Shoup strategies produce identical results where both apply, and forcing
-  the float strategy outside its validity range is rejected;
+* **strategy map** — the prime size alone picks the Shoup strategy
+  (float64 quotient below 2^50, limb decomposition above), and both match
+  the scalar oracle across the window;
 * **residency** — wide transforms and a full 60-bit HE chain charge zero
   conversions and zero ``fallback.rows`` on numpy and parallel (pooled and
   inline) backends.
@@ -79,8 +79,8 @@ class residency:
 
 
 def test_strategy_selection_covers_the_window():
-    """Float quotient below 2^50, limb decomposition above — and forcing
-    the float strategy past its validity bound is rejected."""
+    """Float quotient below 2^50, limb decomposition above: the prime size
+    alone picks the strategy."""
     for bits in (32, 40, 49, 50, 60, 62):
         for p in generate_ntt_primes(bits, 2, N):
             want = "float" if p < FLOAT_SHOUP_LIMIT else "limb"
@@ -163,35 +163,6 @@ def test_wide_digit_broadcast_and_mod_switch_match_scalar(bits):
     for index, digit in enumerate(digits):
         assert digit.to_rows() == scalar.digit_broadcast(st, index).to_rows()
     assert switched.to_rows() == scalar.mod_switch_drop_last(st, t).to_rows()
-
-
-# ----------------------------------------------------------- strategy forcing
-
-
-@pytest.mark.parametrize("strategy", ["limb", "float"])
-def test_forced_strategies_agree_with_scalar(strategy, monkeypatch):
-    """At 40 bits both Shoup strategies apply; forcing either stays exact."""
-    monkeypatch.setenv("REPRO_WIDE_STRATEGY", strategy)
-    primes = generate_ntt_primes(40, 2, N)
-    rows = wide_rows(primes, N, seed=40)
-
-    scalar = scalar_reference()
-    expected = scalar.forward_ntt_batch(scalar.from_rows(rows, primes)).to_rows()
-
-    backend = NumpyBackend(engine="radix2")
-    tensor = backend.from_rows(rows, primes)
-    with residency(backend):
-        forward = backend.forward_ntt_batch(tensor)
-    assert forward.to_rows() == expected
-
-
-def test_float_strategy_rejected_above_its_limit(monkeypatch):
-    monkeypatch.setenv("REPRO_WIDE_STRATEGY", "float")
-    primes = generate_ntt_primes(60, 1, N)
-    backend = NumpyBackend(engine="radix2")
-    tensor = backend.from_rows(wide_rows(primes, N, seed=60), primes)
-    with pytest.raises(ValueError, match="float"):
-        backend.forward_ntt_batch(tensor)
 
 
 def test_wide_window_can_be_pinned_off(monkeypatch):

@@ -735,7 +735,8 @@ def shard_stage(
 
     Materialised values get the canonical contiguous partition; produced
     values derive their ownership from their operands (concatenation shifts,
-    slices clip, row-independent ops inherit).  Returns ``None`` when a
+    slices clip, row-independent ops inherit, a modulus switch partitions
+    its own rows canonically).  Returns ``None`` when a
     pointwise pair's operands end up with different ownership — the caller
     then falls back to per-op interpretation instead of dispatching a
     misaligned schedule.
@@ -782,11 +783,11 @@ def shard_stage(
             # the canonical partition of the (equal-count) source value.
             rowsets[index] = resolve(node.src)
         elif isinstance(node, ModSwitchDropLast):
-            source = resolve(node.src)
-            stop = len(primes[node.src]) - 1
-            rowsets[index] = [
-                _clip(source[worker], 0, stop) for worker in range(workers)
-            ]
+            # Cross-row like DigitBroadcast: each worker reads its own rows
+            # and the source's last row, so the output gets the canonical
+            # partition of its own (one fewer) rows.
+            resolve(node.src)
+            rowsets[index] = _partition(len(primes[node.src]) - 1, workers)
         else:
             raise _unknown_node_error(node)
     return [

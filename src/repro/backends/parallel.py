@@ -16,13 +16,18 @@ plan and runs it through ``execute``.
 
 Three properties make the sharding pay rather than tax:
 
-* **Zero-pickle payloads** — :class:`ParallelTensor` storage for every
-  modulus below the uint64 window lives in a refcounted
+* **Zero-pickle, resident payloads** — :class:`ParallelTensor` storage
+  for every modulus below the uint64 window lives in a refcounted
   ``multiprocessing.shared_memory`` segment; a stage task pickles only
   segment names, row ranges, node records and primes, and the worker maps
-  the same physical pages for input and output.  Rows whose prime is at or
-  above the 2^62 storage window (never generated by this repository's
-  parameter sets) are exact Python lists and always run inline.
+  the same physical pages for input and output.  The pages stay put
+  between runs: each worker keeps every segment it maps until the
+  coordinator releases it, each cached plan shape reuses its intermediate
+  stage storage, and a heap input moves into shared memory once.  A warm
+  run of a cached plan creates only its plan-output segments.  Rows whose
+  prime is at or above the 2^62 storage window (never generated by this
+  repository's parameter sets) are exact Python lists and always run
+  inline.
 * **Work-threshold crossover** — small shapes never see the pool: below
   ``transform_threshold`` (transforms) / ``pointwise_threshold``
   (everything else, measured in residues ``count * n``) the operation runs
@@ -106,11 +111,16 @@ class ParallelTensor(ResidueTensor):
         super().__init__(backend, primes, n)
         self.data = data
         self.big: dict[int, list[int]] = big if big is not None else {}
-        self.segment = segment
+        self.segment = None
         self.offset_rows = offset_rows
         if segment is not None:
-            segment.incref()
-            weakref.finalize(self, segment.decref)
+            self._hold(segment)
+
+    def _hold(self, segment) -> None:
+        """Take this tensor's reference on the segment its ``data`` views."""
+        self.segment = segment
+        segment.incref()
+        weakref.finalize(self, segment.decref)
 
     def shared_buffer(self) -> ShmRef | None:
         if self.segment is None:
@@ -167,6 +177,9 @@ class ParallelBackend(ComputeBackend):
         self._plan_info_cache: OrderedDict[tuple, dict] = OrderedDict()
         if engine is not None:
             self.set_engine(engine)
+        # Where pool page faults come from: segments this backend created,
+        # and segments sent to a worker that did not hold them yet.
+        self.metrics.declare("shm.segments", "pool.segment_maps")
         self.metrics.set_gauge("shm.bytes_in_use", lambda: get_arena().bytes_in_use)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
 
@@ -243,6 +256,7 @@ class ParallelBackend(ComputeBackend):
         elements = count * n
         if elements and (force_shm or elements >= self._shm_threshold):
             segment = get_arena().allocate(elements * 8)
+            self.metrics.inc("shm.segments")
             data = np.frombuffer(
                 segment.shm.buf, dtype=np.uint64, count=elements
             ).reshape(count, n)
@@ -333,19 +347,20 @@ class ParallelBackend(ComputeBackend):
 
     # -- fused plan execution --------------------------------------------------
     def _ensure_shared(self, tensor: ParallelTensor) -> ParallelTensor:
-        """The tensor, backed by a mappable segment (promoting heap storage).
+        """The tensor, backed by a mappable segment (migrating heap storage).
 
         Sub-crossover tensors live on the heap; a fused dispatch needs every
-        plan input in shared memory, so heap inputs are copied into a fresh
-        segment once (a memcpy — no boundary conversion is charged).
+        plan input in shared memory, so a heap input's rows move into a
+        segment once (a memcpy — no boundary conversion is charged) and the
+        tensor is re-pointed at them.  Tensors are immutable, so no reader
+        can tell; later runs find it shared and the heap copy is freed.
         """
-        if tensor.segment is not None or not tensor.count:
-            return tensor
-        data, segment = self._allocate(tensor.count, tensor.n, force_shm=True)
-        data[:] = tensor.data
-        return ParallelTensor(
-            self, tensor.primes, tensor.n, data, dict(tensor.big), segment
-        )
+        if tensor.segment is None and tensor.count:
+            data, segment = self._allocate(tensor.count, tensor.n, force_shm=True)
+            data[:] = tensor.data
+            tensor.data = data
+            tensor._hold(segment)
+        return tensor
 
     def _plan_info(self, plan, input_primes: tuple) -> dict:
         """Derive (once per plan shape) everything static about a fused run.
@@ -356,7 +371,10 @@ class ParallelBackend(ComputeBackend):
         input primes, shard count)`` — cached so repeated executions of an
         evaluator-cached plan pay zero scheduling overhead.  ``schedules``
         is ``None`` when the scheduler found misaligned operand row sets
-        (the caller falls back to per-op interpretation).
+        (the caller falls back to per-op interpretation).  A pooled run
+        also parks its reusable stage storage in the entry (``storage``,
+        see :meth:`_stage_out`), so the storage dies with the entry when
+        the LRU evicts it.
         """
         key = (plan, input_primes, self._shards)
         info = self._plan_info_cache.get(key)
@@ -388,6 +406,7 @@ class ParallelBackend(ComputeBackend):
             ),
             "stages": stages,
             "stage_outs": stage_outs,
+            "plan_outputs": {index for _, index in plan.outputs},
             "releases": [ops.last_uses(plan, stage) for stage in stages],
             "schedules": schedules,
         }
@@ -410,7 +429,10 @@ class ParallelBackend(ComputeBackend):
         each dropped after its last reader in the stage; only stage outputs
         (values a later stage or the caller needs) are materialised into
         shared memory, each written as soon as a worker produces it.  Plan
-        inputs, pooled key images included, are read and never written.  A
+        outputs get fresh segments; every other stage output is written
+        into storage the cached plan shape keeps from run to run.  Plan
+        inputs, pooled key images included, are read and never written; a
+        heap input moves into shared memory on its first run.  A
         ``multiply → relinearize → mod_switch`` chain therefore costs one
         dispatch per homomorphic op instead of one per backend method — the
         CPU analogue of replaying a captured GPU graph.
@@ -473,22 +495,20 @@ class ParallelBackend(ComputeBackend):
             # plan correctly, one op at a time.
             return ops.interpret(self, plan, inputs)
 
-        storage: dict[int, ParallelTensor] = {}
-        promoted: dict[int, ParallelTensor] = {}
-        for index, node in enumerate(plan.nodes):
-            if isinstance(node, ops.Input):
-                # One tensor bound under several input names promotes once.
-                tensor = tensors[node.name]
-                shared = promoted.get(id(tensor))
-                if shared is None:
-                    shared = self._ensure_shared(tensor)
-                    promoted[id(tensor)] = shared
-                storage[index] = shared
+        storage: dict[int, ParallelTensor] = {
+            index: self._ensure_shared(tensors[node.name])
+            for index, node in enumerate(plan.nodes)
+            if isinstance(node, ops.Input)
+        }
+        # Stage values the caller never sees reuse this shape's storage from
+        # run to run.  The run takes it out of the entry until it succeeds,
+        # so an overlapping run of the same shape allocates its own.
+        kept: dict[int, ParallelTensor] = info.pop("storage", None) or {}
         stages = zip(
             info["stages"], info["stage_outs"], info["releases"], info["schedules"]
         )
         for stage_index, (stage, outs, releases, schedule) in enumerate(stages):
-            produced = {vid: self._sharded_out(primes[vid], n) for vid in outs}
+            produced = {vid: self._stage_out(kept, info, vid, n) for vid in outs}
             referenced: set[int] = set()
             for vid in stage:
                 referenced.update(plan.nodes[vid].operands())
@@ -497,26 +517,21 @@ class ParallelBackend(ComputeBackend):
                 for vid in referenced
                 if vid in storage and storage[vid].segment is not None
             }
-            tasks = []
-            for rowset in schedule:
+            tasks = {}
+            for worker, rowset in enumerate(schedule):
                 if not any(rowset[vid] for vid in stage):
                     continue  # this worker owns no rows of anything produced
-                tasks.append(
-                    {
-                        "n": n,
-                        "nodes": [(vid, plan.nodes[vid]) for vid in stage],
-                        "releases": releases,
-                        "rowsets": rowset,
-                        "primes": {vid: primes[vid] for vid in rowset},
-                        "inputs": {
-                            vid: self._ref(tensor)
-                            for vid, tensor in stage_inputs.items()
-                        },
-                        "outputs": {
-                            vid: self._ref(produced[vid]) for vid in outs
-                        },
-                    }
-                )
+                tasks[worker] = {
+                    "n": n,
+                    "nodes": [(vid, plan.nodes[vid]) for vid in stage],
+                    "releases": releases,
+                    "rowsets": rowset,
+                    "primes": {vid: primes[vid] for vid in rowset},
+                    "inputs": {
+                        vid: self._ref(tensor) for vid, tensor in stage_inputs.items()
+                    },
+                    "outputs": {vid: self._ref(produced[vid]) for vid in outs},
+                }
             if tasks:
                 if TRACER.enabled:
                     with TRACER.span(
@@ -529,16 +544,19 @@ class ParallelBackend(ComputeBackend):
                 else:
                     self._dispatch(tasks)
             storage.update(produced)
+        info["storage"] = kept
         return {name: storage[vid] for name, vid in plan.outputs}
 
     # -- shard dispatch --------------------------------------------------------
-    def _dispatch(self, tasks: list[dict]) -> None:
+    def _dispatch(self, tasks: dict[int, dict]) -> None:
         """One pool round trip: run a task set, mirror worker-side counters.
 
-        Boundary crossings charged by the workers' inner backends (the
-        per-prime fallback) are mirrored onto this backend's conversion
-        counter so sharding is invisible to the accounting contract; the
-        round trip itself is charged to :attr:`dispatch_count`.
+        ``tasks`` maps a worker index to that worker's task.  Boundary
+        crossings charged by the workers' inner backends (the per-prime
+        fallback) are mirrored onto this backend's conversion counter so
+        sharding is invisible to the accounting contract, and the segments
+        the workers had to map onto ``pool.segment_maps``; the round trip
+        itself is charged to :attr:`dispatch_count`.
 
         Under tracing, every task is flagged so workers record spans and
         ship them back with their results; those spans are ingested here
@@ -548,28 +566,46 @@ class ParallelBackend(ComputeBackend):
         """
         if not TRACER.enabled:
             for result in self._pool.run(tasks):
-                self._count_conversion(result["conversions"])
-                self._count_fallback(result["fallback"])
+                self._mirror(result)
             self.metrics.inc("pool.dispatches")
             return
         with TRACER.span("pool.dispatch", tasks=len(tasks)) as span:
-            for task in tasks:
+            for task in tasks.values():
                 task["trace"] = True
             lo = time.perf_counter()
             results = self._pool.run(tasks)
             hi = time.perf_counter()
             for result in results:
-                self._count_conversion(result["conversions"])
-                self._count_fallback(result["fallback"])
+                self._mirror(result)
                 if result["spans"]:
                     TRACER.ingest(result["spans"], span.sid, lo, hi)
             self.metrics.inc("pool.dispatches")
+
+    def _mirror(self, result: dict) -> None:
+        self._count_conversion(result["conversions"])
+        self._count_fallback(result["fallback"])
+        self.metrics.inc("pool.segment_maps", result["maps"])
 
     def _sharded_out(self, primes, n: int) -> ParallelTensor:
         # Dispatched outputs are always shared-memory-backed: workers write
         # their rows straight into the segment's pages.
         data, segment = self._allocate(len(primes), n, force_shm=True)
         return ParallelTensor(self, primes, n, data, {}, segment)
+
+    def _stage_out(self, kept: dict, info: dict, vid: int, n: int) -> ParallelTensor:
+        """Storage for stage value ``vid`` of one run.
+
+        A plan output gets a fresh segment: the caller holds it, and a later
+        run must not overwrite it.  Any other stage value reuses its
+        ``kept`` tensor, allocated on the shape's first run at this ``n``.
+        """
+        primes = info["primes"][vid]
+        if vid in info["plan_outputs"]:
+            return self._sharded_out(primes, n)
+        tensor = kept.get(vid)
+        if tensor is None or tensor.n != n:
+            tensor = kept[vid] = self._sharded_out(primes, n)
+        return tensor
 
     # -- node kernels ----------------------------------------------------------
     def _kernel(self, node, tensors, threshold: int, method, *args) -> ParallelTensor:

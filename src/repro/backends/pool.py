@@ -23,11 +23,16 @@ mechanisms that make the sharding pay:
   tables persist across tasks: a shard of a repeated shape reuses the
   tables its first shard built.  Every task is one worker's share of a
   plan stage (:func:`_run_plan_task`); the backend's node kernels reach
-  the pool as one-node plans.
-* :class:`WorkerPool` — a persistent ``ProcessPoolExecutor`` wrapper that
-  survives worker crashes: a :class:`BrokenProcessPool` disposes the
-  executor and transparently retries the shard set once on a fresh pool
-  (shard writes target disjoint output rows, so a retry is idempotent).
+  the pool as one-node plans.  Segment mappings are resident too: a worker
+  maps a segment the first time a task names it and keeps the mapping
+  until a later task's ``drop`` list says the coordinator released it.
+* :class:`WorkerPool` — one single-process worker per shard, reached
+  over its own pipe, so shard ``i`` always runs on worker ``i``, and a
+  record per worker of the segments it was sent, from which each task's
+  ``drop`` list is derived.  A worker crash (a closed pipe) disposes every
+  worker and the records and transparently retries the shard set once on
+  fresh workers (shard writes target disjoint output rows, so a retry is
+  idempotent).
 
 Shard-count resolution (first match wins): explicit argument >
 :func:`set_default_shards` > the ``REPRO_SHARDS`` environment variable >
@@ -37,10 +42,11 @@ Shard-count resolution (first match wins): explicit argument >
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
-from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import threading
+import traceback
+from collections.abc import Mapping, Sequence
 from multiprocessing import shared_memory
 
 try:  # Only the worker/arena payload paths need NumPy; resolution does not.
@@ -169,8 +175,8 @@ class SharedArena:
         shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
         segment = SharedSegment(self, shm)
         self._segments[shm.name] = segment
-        # shm.size is the mapped size (page-rounded), so the gauge reports
-        # actual occupancy, not the requested byte count.
+        # shm.size is what the platform reports: the requested size on Linux
+        # (a 1000-byte segment reports 1000), page-rounded on some others.
         self._bytes_in_use += shm.size
         return segment
 
@@ -273,14 +279,34 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 ShmRef = tuple[str, int, int, int]
 
 
-def _attach_view(ref: ShmRef, shms: list) -> "np.ndarray":
-    """Map a :data:`ShmRef` into this process as a ``(rows, n)`` uint64 view."""
+def _attach_view(ref: ShmRef, mapped: dict) -> "np.ndarray":
+    """A :data:`ShmRef` as a ``(rows, n)`` uint64 view in this process.
+
+    ``mapped`` is the process's mapping table (segment name →
+    ``SharedMemory``); a segment is attached only if the table lacks it.
+    """
     name, row_offset, rows, n = ref
-    shm = _attach(name)
-    shms.append(shm)
+    shm = mapped.get(name)
+    if shm is None:
+        shm = mapped[name] = _attach(name)
     return np.frombuffer(
         shm.buf, dtype=np.uint64, count=rows * n, offset=row_offset * n * 8
     ).reshape(rows, n)
+
+
+def _unmap(mapped: dict, names: Sequence[str]) -> None:
+    """Close the mappings of ``names`` and forget them."""
+    for name in names:
+        shm = mapped.pop(name, None)
+        if shm is None:
+            continue
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - a traceback kept a view
+            # The view keeps the pages mapped until it dies; the name must
+            # leave the table now, because the coordinator may reuse it.
+            SharedArena._disarm(shm)
+            shm.close()
 
 
 # ------------------------------------------------------------ worker runtime
@@ -288,6 +314,10 @@ def _attach_view(ref: ShmRef, shms: list) -> "np.ndarray":
 #: The worker's long-lived inner backend, built once per process by
 #: :func:`_init_worker` so twiddle tables persist across tasks.
 _WORKER_BACKEND = None
+
+#: The worker's mapping table (segment name → ``SharedMemory``): each
+#: segment is mapped once and kept until a task's ``drop`` list names it.
+_WORKER_MAPPED: dict[str, shared_memory.SharedMemory] = {}
 
 
 def _disarm_inherited_segments() -> None:
@@ -298,8 +328,8 @@ def _disarm_inherited_segments() -> None:
     never be closed or unlinked from here — the PID guards prevent that —
     but their ``__del__`` at worker exit would still raise ``BufferError``
     over the inherited views.  Dropping the buffer/mapping references makes
-    those destructors no-ops; the worker maps segments it actually needs
-    freshly, by name, per task.
+    those destructors no-ops; the worker maps the segments its tasks name
+    into its own table (``_WORKER_MAPPED``), once each.
     """
     arena = _ARENA
     for segment in list(arena._segments.values()):
@@ -312,6 +342,8 @@ def _init_worker(inner_name: str, engine_spec: str | None) -> None:
     from .registry import get_backend
 
     _disarm_inherited_segments()
+    # A fork copies the parent's mapping table; this worker starts empty.
+    _WORKER_MAPPED.clear()
     # The fork copied the parent's tracer (enabled flag, captured events,
     # span stack); a worker must start clean or it would re-ship parent
     # spans with every shard result.
@@ -357,14 +389,16 @@ def _result_parts(backend, result):
     return data, big
 
 
-def _run_plan_task(backend, task: dict, shms: list) -> None:
+def _run_plan_task(backend, task: dict, mapped: dict) -> None:
     """Execute one worker's share of a fused plan stage.
 
     The task carries the stage's node records (:mod:`repro.backends.ops`),
     each node's release list (:func:`~repro.backends.ops.last_uses` over the
     stage), this worker's row ranges for every value the stage touches,
     shared-memory refs for the stage's materialised inputs and outputs, and
-    the inferred modulus tuple per value.  Intermediates live on this
+    the inferred modulus tuple per value.  Segments missing from the
+    mapping table ``mapped`` are attached into it and stay mapped after the
+    task; the caller owns closing them.  Intermediates live on this
     worker's heap only — they never cross a process boundary — and each is
     dropped after its last reader in the stage.  The worker writes exactly
     the output rows it owns into the preallocated output segments, each as
@@ -375,8 +409,10 @@ def _run_plan_task(backend, task: dict, shms: list) -> None:
     n = task["n"]
     rowsets: dict[int, tuple] = task["rowsets"]
     primes: dict[int, tuple] = task["primes"]
-    views = {vid: _attach_view(ref, shms) for vid, ref in task["inputs"].items()}
-    out_views = {vid: _attach_view(ref, shms) for vid, ref in task["outputs"].items()}
+    views = {vid: _attach_view(ref, mapped) for vid, ref in task["inputs"].items()}
+    out_views = {
+        vid: _attach_view(ref, mapped) for vid, ref in task["outputs"].items()
+    }
     local: dict[int, "np.ndarray"] = {}
     empty = np.zeros((0, n), dtype=np.uint64)
 
@@ -484,12 +520,16 @@ def _exec_shard(task: dict) -> dict:
 
     Every task is one worker's share of a plan stage
     (:func:`_run_plan_task`); its rows are written straight into the output
-    segments' pages.  Returns ``{"conversions": rows, "fallback": rows,
+    segments' pages.  First the worker closes the mappings named in
+    ``task["drop"]`` (segments the coordinator has released since this
+    worker's last task); then it maps only the segments it does not hold.
+    Returns ``{"conversions": rows, "fallback": rows, "maps": segments,
     "spans": [...]}``: ``conversions`` / ``fallback`` are the list/native
     boundary crossings and per-prime big-int fallback rows the inner
     backend charged while computing the shard, which the parent mirrors
     onto the parallel backend's own counters so the accounting contract of
-    ``base.py`` holds across process boundaries.  When the coordinator set
+    ``base.py`` holds across process boundaries; ``maps`` counts the
+    segments this task had to map.  When the coordinator set
     ``task["trace"]``, ``spans`` carries the events this worker recorded
     under a ``pool.task`` root span; the coordinator ingests them under
     its dispatch span (:meth:`repro.telemetry.Tracer.ingest`), which is
@@ -498,54 +538,121 @@ def _exec_shard(task: dict) -> dict:
     backend = _WORKER_BACKEND
     if backend is None:  # pragma: no cover - defensive
         raise RuntimeError("worker pool used before initialisation")
-    shms: list[shared_memory.SharedMemory] = []
+    _unmap(_WORKER_MAPPED, task["drop"])
+    held = len(_WORKER_MAPPED)
     before = backend.conversion_count
     fallback_before = backend.fallback_rows
-    trace = task.get("trace", False)
     spans: list[tuple] = []
-    try:
-        if trace:
-            TRACER.start()
-            mark = TRACER.mark()
-            try:
-                with TRACER.span(
-                    "pool.task", worker=os.getpid(), nodes=len(task["nodes"])
-                ):
-                    _run_plan_task(backend, task, shms)
-                spans = TRACER.events_since(mark)
-            finally:
-                TRACER.stop()
-                TRACER.clear()
-        else:
-            _run_plan_task(backend, task, shms)
-        return {
-            "conversions": backend.conversion_count - before,
-            "fallback": backend.fallback_rows - fallback_before,
-            "spans": spans,
-        }
-    finally:
-        for shm in shms:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - traceback kept a view
-                pass
+    if task.get("trace", False):
+        TRACER.start()
+        mark = TRACER.mark()
+        try:
+            with TRACER.span(
+                "pool.task", worker=os.getpid(), nodes=len(task["nodes"])
+            ):
+                _run_plan_task(backend, task, _WORKER_MAPPED)
+            spans = TRACER.events_since(mark)
+        finally:
+            TRACER.stop()
+            TRACER.clear()
+    else:
+        _run_plan_task(backend, task, _WORKER_MAPPED)
+    return {
+        "conversions": backend.conversion_count - before,
+        "fallback": backend.fallback_rows - fallback_before,
+        "maps": len(_WORKER_MAPPED) - held,
+        "spans": spans,
+    }
 
 
-def _crash_for_test() -> None:  # pragma: no cover - runs in the worker
-    """Test hook: die without cleanup, breaking the executor mid-flight."""
+def _crash_for_test(_argument) -> None:  # pragma: no cover - in the worker
+    """Test hook: die without cleanup, killing the worker mid-flight."""
     os._exit(42)
+
+
+def _mapped_for_test(drop: Sequence[str]) -> list[str]:  # pragma: no cover
+    """Test hook: apply a drop list, then name the segments still mapped."""
+    _unmap(_WORKER_MAPPED, drop)
+    return sorted(_WORKER_MAPPED)
+
+
+def _serve(conn, inner_name: str, engine_spec: str | None) -> None:
+    """A worker process's loop over its pipe to the coordinator.
+
+    Each message is ``(function, argument)``; the reply is ``(True,
+    result)`` or ``(False, exception, formatted traceback)``.  A ``None``
+    message or a closed pipe ends the worker.
+    """
+    _init_worker(inner_name, engine_spec)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        function, argument = message
+        try:
+            reply = (True, function(argument))
+        except Exception as exc:  # shipped to the coordinator, re-raised there
+            reply = (False, exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:  # the coordinator closed the pipe and no longer waits
+            return
+        except Exception:  # pragma: no cover - an unpicklable result
+            conn.send((False, RuntimeError(traceback.format_exc()), ""))
 
 
 # ------------------------------------------------------------------- pool
 
 
+class _Worker:
+    """One worker process and the coordinator's end of its pipe."""
+
+    def __init__(self, inner_name: str, engine_spec: str | None) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_serve, args=(child, inner_name, engine_spec), daemon=True
+        )
+        self.process.start()
+        child.close()
+
+    def stop(self) -> None:
+        """Ask the worker to exit and reap it.
+
+        The pipe is closed before the join, so a worker still finishing an
+        abandoned task fails to send its reply and exits instead of
+        blocking.
+        """
+        try:
+            self.conn.send(None)
+        except OSError:  # already dead
+            pass
+        self.conn.close()
+        self.process.join()
+
+
 class WorkerPool:
     """A persistent, crash-recovering pool of inner-backend workers.
 
-    The executor is created lazily on first use and disposed whenever the
-    configuration changes (engine pin, shard count) or a worker dies; a
-    broken pool is rebuilt and the shard set retried exactly once — shard
-    writes land in disjoint output rows, so the retry is idempotent.
+    One single-process worker per shard, started lazily on first use, so
+    shard ``i`` always runs on worker ``i`` and finds the segments its
+    earlier tasks mapped.  A round trip sends each worker its task over
+    its own pipe and then gathers every reply; nothing else runs in the
+    coordinator (no queue or manager threads).  The pool records, per
+    worker, each segment it has sent (name → :class:`SharedSegment`); every
+    task carries ``drop``, the recorded names whose arena entry is gone or
+    now belongs to another segment (names can be reused).  A worker
+    therefore holds at most the coordinator's live segments plus those
+    released since its last task.
+
+    The workers and the records are disposed whenever the configuration
+    changes (engine pin, shard count) or a worker dies; a dead worker
+    (a closed pipe) rebuilds the pool and retries the shard set exactly
+    once — shard writes land in disjoint output rows, so the retry is
+    idempotent.  An exception raised by a task is re-raised here once every
+    reply is in, with the worker's traceback as its cause.
     """
 
     def __init__(
@@ -554,35 +661,85 @@ class WorkerPool:
         self.workers = max(1, workers)
         self.inner_name = inner_name
         self.engine_spec = engine_spec
-        self._executor: ProcessPoolExecutor | None = None
+        self._procs: list[_Worker] | None = None
+        self._sent: list[dict[str, SharedSegment]] = []
+        # One round trip at a time: the pipes carry one reply per message,
+        # and runs from several threads must not interleave their drops.
+        self._lock = threading.Lock()
         self.restarts = 0
 
-    def _ensure(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self.inner_name, self.engine_spec),
-            )
-        return self._executor
+    def _ensure(self) -> list[_Worker]:
+        if self._procs is None:
+            self._procs = [
+                _Worker(self.inner_name, self.engine_spec)
+                for _ in range(self.workers)
+            ]
+            self._sent = [{} for _ in range(self.workers)]
+        return self._procs
 
     @property
     def running(self) -> bool:
         """Whether worker processes are currently alive."""
-        return self._executor is not None
+        return self._procs is not None
 
-    def run(self, tasks: Sequence[dict]) -> list[dict]:
-        """Execute every stage task, restarting the pool once on a crash."""
+    def _drop(self, worker: int) -> list[str]:
+        """Forget and return ``worker``'s names the arena no longer backs."""
+        sent, live = self._sent[worker], _ARENA._segments
+        gone = [name for name, seg in sent.items() if live.get(name) is not seg]
+        for name in gone:
+            del sent[name]
+        return gone
+
+    def _prepare(self, worker: int, task: dict) -> dict:
+        """Attach ``worker``'s drop list to a task and record what it sends."""
+        task["drop"] = self._drop(worker)
+        sent, live = self._sent[worker], _ARENA._segments
+        for name, *_ in (*task["inputs"].values(), *task["outputs"].values()):
+            sent[name] = live.get(name)
+        return task
+
+    def _round_trip(self, messages) -> list:
+        """Send each ``(worker, message)``, then gather every reply in order.
+
+        A dead worker surfaces as ``EOFError`` / ``OSError``.  Any other
+        interruption leaves replies in flight, so the pool is rebuilt.
+        """
+        workers = self._ensure()
+        try:
+            for worker, message in messages:
+                workers[worker].conn.send(message)
+            replies = [workers[worker].conn.recv() for worker, _ in messages]
+        except (EOFError, OSError):
+            raise
+        except BaseException:
+            self._dispose()
+            raise
+        for reply in replies:
+            if not reply[0]:
+                raise reply[1] from RuntimeError("in the pool worker:\n" + reply[2])
+        return [reply[1] for reply in replies]
+
+    def run(self, tasks: Mapping[int, dict]) -> list[dict]:
+        """Execute every stage task (worker index → task) and gather results.
+
+        Restarts the pool once when a worker has died.
+        """
         last_error: BaseException | None = None
-        for _ in range(2):
-            executor = self._ensure()
-            try:
-                futures = [executor.submit(_exec_shard, task) for task in tasks]
-                return [future.result() for future in futures]
-            except BrokenProcessPool as exc:
-                last_error = exc
-                self.dispose()
-                self.restarts += 1
+        with self._lock:
+            for _ in range(2):
+                self._ensure()
+                messages = [
+                    (worker, (_exec_shard, self._prepare(worker, task)))
+                    for worker, task in tasks.items()
+                ]
+                try:
+                    return self._round_trip(messages)
+                except (EOFError, OSError) as exc:
+                    # Without its frames: through this one they would keep
+                    # the failed send's buffer alive in a reference cycle.
+                    last_error = exc.with_traceback(None)
+                    self._dispose()
+                    self.restarts += 1
         raise RuntimeError(
             "parallel worker pool crashed twice running %d shard task(s)"
             % len(tasks)
@@ -590,11 +747,25 @@ class WorkerPool:
 
     def crash_for_test(self) -> None:
         """Kill one worker abruptly (used by the recovery regression test)."""
-        executor = self._ensure()
-        try:
-            executor.submit(_crash_for_test).result()
-        except BrokenProcessPool:
-            pass  # expected: the pool is now broken and must self-heal
+        with self._lock:
+            try:
+                self._round_trip([(0, (_crash_for_test, None))])
+            except EOFError:
+                pass  # expected: the next run must find it dead and self-heal
+
+    def mapped_for_test(self) -> list[list[str]]:
+        """Each worker's mapped segment names once its drop list is applied."""
+        with self._lock:
+            self._ensure()
+            messages = [
+                (worker, (_mapped_for_test, self._drop(worker)))
+                for worker in range(self.workers)
+            ]
+            try:
+                return self._round_trip(messages)
+            except (EOFError, OSError):
+                self._dispose()
+                raise
 
     def set_engine(self, spec: str | None) -> None:
         """Re-pin the workers' inner engine (takes effect on next dispatch)."""
@@ -602,7 +773,13 @@ class WorkerPool:
         self.dispose()
 
     def dispose(self) -> None:
-        """Shut the executor down; the next dispatch builds a fresh one."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Stop the workers; the next dispatch starts fresh ones."""
+        with self._lock:
+            self._dispose()
+
+    def _dispose(self) -> None:
+        if self._procs is not None:
+            for worker in self._procs:
+                worker.stop()
+            self._procs = None
+            self._sent = []

@@ -379,6 +379,20 @@ def test_shard_stage_reports_misalignment():
     assert ops.shard_stage(plan, stage, primes, {0}, 2) is None
 
 
+@pytest.mark.parametrize("rows, shares", [(3, [1, 1]), (4, [2, 1]), (7, [3, 3])])
+def test_shard_stage_balances_the_modulus_switch(rows, shares):
+    """The switched value's rows get their own canonical partition, so the
+    dropped row is not taken from the last worker's share."""
+    graph = OpGraph()
+    graph.output("x", graph.mod_switch_drop_last(graph.input("a"), 17))
+    plan = graph.compile()
+    primes = ops.infer_primes(plan, {"a": tuple(generate_ntt_primes(30, rows, N))})
+    [stage] = ops.split_stages(plan)
+    schedule = ops.shard_stage(plan, stage, primes, {0}, 2)
+    assert [worker[1] for worker in schedule] == ops._partition(rows - 1, 2)
+    assert [sum(hi - lo for lo, hi in worker[1]) for worker in schedule] == shares
+
+
 def test_parallel_falls_back_for_misaligned_plans():
     p = generate_ntt_primes(30, 1, N)[0]
     primes = [p, p, p]

@@ -152,16 +152,17 @@ def test_pipeline_chain_three_dispatches_zero_conversions():
         backend.close()
 
 
-def test_bootstrap_circuit_three_dispatches_on_warm_runs():
+@pytest.mark.parametrize("prime_count", (3, 6))
+def test_bootstrap_circuit_three_dispatches_on_warm_runs(prime_count):
     """The optimised bootstrap circuit keeps one fused stage per cross-row
     barrier on the pool-forced parallel backend: re-batching reorders plan
     nodes, but the stage cuts follow dependency levels, not node order."""
     backend = forced_parallel()
     try:
-        # Six primes, the benchmark's bootstrap shape.  With three, the two
-        # shards' row split of the switched level no longer lines up and any
-        # plan of this circuit runs op by op.
-        params = HEParams(n=64, plaintext_modulus=17, prime_bits=30, prime_count=6)
+        # Six primes is the benchmark's bootstrap shape.
+        params = HEParams(
+            n=64, plaintext_modulus=17, prime_bits=30, prime_count=prime_count
+        )
         ctx = HeContext.create(params, backend=backend, seed=7)
         ct = ctx.encryptor(seed=11).encrypt(ctx.integer_encoder().encode(3))
         shape = {"c2s_terms": 4, "eval_depth": 1, "s2c_terms": 4}

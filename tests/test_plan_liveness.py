@@ -135,11 +135,11 @@ def test_worker_stage_runner_holds_at_most_three_values_of_a_chain():
     inner = NumpyBackend()
 
     def run():
-        shms = []
+        mapped = {}
         try:
-            pool._run_plan_task(inner, task, shms)
+            pool._run_plan_task(inner, task, mapped)
         finally:
-            for shm in shms:
+            for shm in mapped.values():
                 shm.close()
 
     peak, _ = traced_peak(run)

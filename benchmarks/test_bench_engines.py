@@ -104,7 +104,7 @@ def test_bench_autotuner_ships_the_win(benchmark):
     and is not slower than the radix-2 baseline at the pinned shape."""
     n = 4096
     primes, rows = _workload(n)
-    tuned = NumpyBackend()  # no pin, no env: the fixed kernel of the path
+    tuned = NumpyBackend()  # no pin, no env: the fixed array kernel
     tensor = tuned.from_rows(rows, primes)
     tuned.forward_ntt_batch(tensor)  # warm
     print()

@@ -1,9 +1,10 @@
 """Benchmarks of the functional (algorithm-level) NTT implementations.
 
-These measure the pure-Python engine itself — not a reproduction of any paper
-figure, but a guard against performance regressions in the library's own hot
-paths (twiddle-table construction, forward/inverse transforms, negacyclic
-multiplication, batched execution).
+These measure the pure-Python reference transform and the planned-engine
+model — not a reproduction of any paper figure, but a guard against
+performance regressions in the library's own hot paths (twiddle-table
+construction, forward/inverse transforms, negacyclic multiplication) — plus
+the batched forward transform of the NumPy backend.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import random
 
 import pytest
 
-from repro.core import BatchedNTT, NTTEngine, NTTPlan, OnTheFlyConfig
+from repro.backends.numpy_backend import NumpyBackend
+from repro.core import NTTEngine, NTTPlan, OnTheFlyConfig
 from repro.modarith.primes import generate_ntt_primes
 from repro.modarith.roots import primitive_root_of_unity
 from repro.rns.basis import RnsBasis
@@ -64,8 +66,9 @@ def test_bench_engine_forward_with_ot(benchmark, engine):
 def test_bench_batched_ntt_forward(benchmark):
     n = 1 << 8
     basis = RnsBasis.generate(n, 4, bit_size=40)
-    batch = BatchedNTT(basis, n)
+    backend = NumpyBackend()
     rng = random.Random(7)
     rows = [[rng.randrange(p) for _ in range(n)] for p in basis.primes]
-    result = benchmark(batch.forward, rows)
-    assert len(result) == 4
+    tensor = backend.from_rows(rows, basis.primes)
+    result = benchmark(backend.forward_ntt_batch, tensor)
+    assert result.count == 4

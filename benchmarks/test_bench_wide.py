@@ -1,18 +1,16 @@
-"""Benchmark: the wide-word (60-bit) vectorised path vs the big-int fallback.
+"""Benchmark: the wide-word (60-bit) vectorised path vs big-int rows.
 
-The paper's headline configurations run ~60-bit RNS primes, which the array
-data plane historically routed per prime through the scalar big-int fallback.
-The wide-word window (``repro/backends/wideops.py``) keeps those primes on
-the vectorised array path with Shoup-companion modular multiplies.  This
-benchmark times both regimes on the same shape (``N = 4096``, 60-bit primes)
-and pins the acceptance criterion: the wide path sustains at least
-``MIN_SPEEDUP``x the fallback's per-row forward-NTT throughput.
+The paper's headline configurations run ~60-bit RNS primes.  The wide-word
+window (``repro/backends/wideops.py``) keeps those primes on the vectorised
+array path with Shoup-companion modular multiplies; without it they would
+run as exact big-int rows.  This benchmark times the wide path against the
+scalar oracle's rows on the same shape (``N = 4096``, 60-bit primes) and
+pins the acceptance criterion: the wide path sustains at least
+``MIN_SPEEDUP``x the big-int per-row forward-NTT throughput.
 
-The fallback regime is produced with ``REPRO_WIDE_WORD=0`` (the escape hatch
-that restores the legacy 30-bit gate), on a much smaller batch — the big-int
-path is orders of magnitude slower — and both timings are normalised per row
-before comparison.  Outputs of the two regimes are also cross-checked
-bit-for-bit on the fallback batch.
+The big-int side runs on a much smaller batch — it is orders of magnitude
+slower — and both timings are normalised per row before comparison.  The
+two outputs are also cross-checked bit-for-bit on the big-int batch.
 """
 
 from __future__ import annotations
@@ -21,14 +19,15 @@ import random
 import time
 
 from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.scalar import ScalarBackend
 from repro.modarith.primes import generate_ntt_primes
 
 N = 4096
 P_BITS = 60
 WIDE_BATCH = 8
 FALLBACK_BATCH = 2  # the big-int path is slow; normalise per row
-ENGINE = "stockham"  # pinned: one engine on both regimes, fallback rows included
-#: Required per-row throughput advantage of the wide path over the fallback.
+ENGINE = "stockham"  # pinned: the wide path's array kernel
+#: Required per-row throughput advantage of the wide path over big-int rows.
 MIN_SPEEDUP = 3.0
 
 
@@ -49,19 +48,16 @@ def _workload(batch):
     return batch_primes, rows
 
 
-def test_bench_wide_vs_fallback_forward_ntt(benchmark, monkeypatch):
-    # --- fallback regime: legacy 30-bit gate, per-prime big-int rows -------
+def test_bench_wide_vs_fallback_forward_ntt(benchmark):
+    # --- big-int rows: the scalar oracle's one transform ---------------------
     fb_primes, fb_rows = _workload(FALLBACK_BATCH)
-    monkeypatch.setenv("REPRO_WIDE_WORD", "0")
-    fallback = NumpyBackend(engine=ENGINE)
-    fb_tensor = fallback.from_rows(fb_rows, fb_primes)
-    fb_out = fallback.forward_ntt_batch(fb_tensor)  # warm
+    scalar = ScalarBackend()
+    fb_tensor = scalar.from_rows(fb_rows, fb_primes)
+    fb_out = scalar.forward_ntt_batch(fb_tensor)  # warm
     fb_seconds = _best_of(
-        lambda: fallback.forward_ntt_batch(fb_tensor), repeats=2
+        lambda: scalar.forward_ntt_batch(fb_tensor), repeats=2
     )
-    assert fallback.fallback_rows > 0, "fallback regime did not engage"
     fb_reference = fb_out.to_rows()
-    monkeypatch.delenv("REPRO_WIDE_WORD")
 
     # --- wide regime: default window, fully vectorised ---------------------
     primes, rows = _workload(WIDE_BATCH)
@@ -80,10 +76,10 @@ def test_bench_wide_vs_fallback_forward_ntt(benchmark, monkeypatch):
     speedup = fb_per_row / wide_per_row
     print()
     print("Forward NTT, N=%d, %d-bit primes (per-row):" % (N, P_BITS))
-    print("  big-int fallback  %8.2f ms" % (fb_per_row * 1e3))
+    print("  big-int rows      %8.2f ms" % (fb_per_row * 1e3))
     print("  wide vectorised   %8.2f ms   %.1fx" % (wide_per_row * 1e3, speedup))
 
     benchmark(wide.forward_ntt_batch, tensor)
     assert speedup >= MIN_SPEEDUP, (
-        "wide path only %.2fx the fallback (need >= %.1fx)" % (speedup, MIN_SPEEDUP)
+        "wide path only %.2fx the big-int rows (need >= %.1fx)" % (speedup, MIN_SPEEDUP)
     )

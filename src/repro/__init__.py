@@ -5,10 +5,12 @@ The top-level package re-exports the most commonly used entry points; see the
 sub-packages for the full API:
 
 * :mod:`repro.modarith` — fixed-width modular arithmetic, primes, reducers.
-* :mod:`repro.transforms` — NTT/DFT algorithm implementations.
-* :mod:`repro.backends` — pluggable batched compute backends (scalar, numpy).
+* :mod:`repro.transforms` — the reference NTT (the scalar oracle's transform).
+* :mod:`repro.backends` — pluggable batched compute backends (scalar, numpy,
+  parallel) and the NTT engines, one array kernel per algorithm.
 * :mod:`repro.rns` — CRT / residue-number-system substrate.
-* :mod:`repro.core` — the planned, batched NTT engine with on-the-fly twiddling.
+* :mod:`repro.core` — NTT execution plans and the functional model of
+  on-the-fly twiddling.
 * :mod:`repro.gpu` — the analytic GPU performance model (Titan V).
 * :mod:`repro.kernels` — GPU kernel models for every paper configuration.
 * :mod:`repro.he` — the RNS-CKKS-like homomorphic-encryption layer.

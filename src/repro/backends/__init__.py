@@ -10,7 +10,7 @@ contract in :mod:`repro.backends.base`).  Ships with:
 
 * ``"scalar"`` — exact big-int reference path (any word size).
 * ``"numpy"`` — batched uint64 vectorisation for every prime below 2^62,
-  one array pass per op over all primes of a tensor, with automatic
+  one array pass per op over all primes of a tensor, with a counted
   per-prime scalar fallback above.
 * ``"parallel"`` — shards every batched operation of an inner backend
   (default ``numpy``) across a persistent process pool over shared-memory
@@ -22,12 +22,13 @@ Select explicitly (``get_backend("numpy")``), process-wide
 (:func:`set_default_backend`), or via the ``REPRO_BACKEND`` environment
 variable.
 
-Inside each backend, *how* a batch of NTTs is executed is a second pluggable
-axis: the :class:`NttEngine` layer in :mod:`repro.backends.engines` provides
-the paper's algorithm variants (``radix2``, ``high_radix``, ``four_step``,
-``stockham``), selected by explicit argument > :func:`set_default_engine` >
-``REPRO_NTT_ENGINE`` > the fixed kernel of the transform path
-(``stockham`` on array blocks, ``radix2`` on rows).
+Inside the array backends, *how* a batch of NTTs is executed is a second
+pluggable axis: the :class:`NttEngine` layer in
+:mod:`repro.backends.engines` runs the paper's algorithm variants
+(``radix2``, ``high_radix``, ``four_step``, ``stockham``) as array kernels,
+selected by explicit argument > :func:`set_default_engine` >
+``REPRO_NTT_ENGINE`` > the fixed array kernel (``stockham``).  The scalar
+oracle runs one transform and takes no engine.
 
 Since the op-graph redesign, the primary execution entrypoint is
 :meth:`ComputeBackend.execute`: callers compile a chain of operations into a

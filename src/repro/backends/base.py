@@ -34,15 +34,15 @@ owned by exactly one backend instance.  The contract every backend must obey:
    independent tensor whose storage is not aliased.
 4. **Explicit boundaries** — the only conversions between Python
    ``list[list[int]]`` and native storage happen in :meth:`from_rows` /
-   :meth:`to_rows` (and, for vectorised backends, in the per-prime scalar
-   fallback for word sizes the vector unit cannot handle exactly).  Every
-   such materialisation increments :attr:`ComputeBackend.conversion_count`,
+   :meth:`to_rows` (and, for vectorised backends, wherever a row must
+   leave or enter the native array mid-chain).  Every such
+   materialisation increments :attr:`ComputeBackend.conversion_count`,
    by the number of rows converted, so callers — and the regression tests —
    can assert that a chain of operations stayed resident.  Rows processed
-   through a per-prime big-int fallback are additionally charged to
+   through a per-prime big-int fallback (primes of 2^62 or more, which a
+   vectorised backend holds as Python rows) are charged to
    :attr:`ComputeBackend.fallback_rows`, making residual slow-path work
-   directly observable (``HeContext.metrics()`` / ``/v1/metrics``) instead
-   of inferred from conversion deltas.
+   directly observable (``HeContext.metrics()`` / ``/v1/metrics``).
 5. **Optional shared-buffer capability** — a tensor whose storage other
    processes can map directly reports it via
    :meth:`ResidueTensor.shared_buffer`; the default (``None``) means the
@@ -69,9 +69,8 @@ every pointwise/RNS kernel (see :mod:`repro.backends.wideops`):
   engine and strategy bit-for-bit interchangeable with the big-int
   reference path.
 
-``REPRO_WIDE_WORD=0`` disables the widened window (restoring the 30-bit
-gate and its counted fallback) so benchmarks and tests can compare regimes;
-primes at or above ``2^62`` always take the exact big-int path.
+The window has no knob; primes at or above ``2^62`` always take the exact
+big-int path.
 
 Implementations:
 
@@ -79,8 +78,7 @@ Implementations:
   path; its native storage *is* the list-of-lists, so residency is free.
 * :class:`repro.backends.numpy_backend.NumpyBackend` — one resident
   ``uint64`` ndarray per tensor, every op one array pass over all of its
-  rows for primes below 2^62, with a per-prime exact scalar fallback above
-  (or above 2^31 for products when ``REPRO_WIDE_WORD=0``).
+  rows for primes below 2^62, with a per-prime exact scalar fallback above.
 * :class:`repro.backends.parallel.ParallelBackend` — shards every batched
   operation of an inner backend across a persistent process pool, one task
   per worker per plan stage, with shared-memory-backed tensors above a

@@ -2,22 +2,26 @@
 
 The source paper studies *NTT algorithm variants* — radix-2 vs high-radix
 butterflies, the two-kernel (four-step) decomposition, Stockham's auto-sort
-formulation.  An :class:`NttEngine` folds each into the backends, so the
-production transform path is the thing the experiments measure:
+formulation.  An :class:`NttEngine` runs each as one array kernel of the
+NumPy data plane, so the production transform path is the thing the
+experiments measure:
 
-* every engine is **bit-for-bit interchangeable**: forward output in the
-  bit-reversed order of Algorithm 1, inverse consuming bit-reversed input,
-  every residue fully reduced — NTT-domain data flows between engines
-  freely and the cross-check suite pins them all against the reference;
-* the **row path** is the exact big-int reference of :mod:`repro.transforms`;
-* the **array path** transforms a ``(k, m, n)`` ``uint64`` block in place —
-  ``k`` repetitions of a basis of ``m`` primes in one call, the paper's one
+* every engine is **bit-for-bit interchangeable** with the scalar oracle
+  (:class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`, the one
+  transform of :class:`~repro.backends.scalar.ScalarBackend`): forward
+  output in the bit-reversed order of Algorithm 1, inverse consuming
+  bit-reversed input, every residue fully reduced — NTT-domain data flows
+  between engines freely and ``tests/test_kernel_crosscheck.py`` pins them
+  all against the oracle;
+* an engine transforms a ``(k, m, n)`` ``uint64`` block in place — ``k``
+  repetitions of a basis of ``m`` primes in one call, the paper's one
   launch for all ``np x polynomials`` transforms — sweeping the basis's
   stacked :class:`EngineTables` broadcast over ``k``;
-* engines are chosen with the precedence *explicit backend argument >
-  process default (:func:`set_default_engine`) > ``REPRO_NTT_ENGINE`` >
-  the fixed kernel of the path* (:data:`PATH_ENGINES`): ``stockham`` on
-  array blocks, ``radix2`` on rows.
+* engine pins select array kernels only, with the precedence *explicit
+  backend argument > process default (:func:`set_default_engine`) >
+  ``REPRO_NTT_ENGINE`` > the fixed array kernel* (:data:`ARRAY_ENGINE`,
+  ``stockham``).  Rows the array path cannot hold (primes of 2^62 or more)
+  run the oracle's transform whatever the pin.
 
 Each algorithm has one array kernel, parameterised by the basis's
 :class:`~repro.backends.wideops.Reduction`.  Kernels sweep tiles of
@@ -36,42 +40,32 @@ import contextlib
 import math
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from functools import lru_cache
 
-try:  # The array paths need NumPy; the scalar row paths never touch it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from ..modarith.modops import inv_mod, mul_mod, pow_mod
 from ..modarith.roots import primitive_root_of_unity
 from ..transforms.bitrev import (
     bit_reverse_index_array,
     bit_reverse_indices,
-    bit_reverse_permute,
     is_power_of_two,
+    log2_exact,
 )
-from ..transforms.cooley_tukey import NegacyclicTransformer, forward_twiddle_table
-from ..transforms.four_step import (
-    default_split,
-    four_step_negacyclic_intt,
-    four_step_negacyclic_ntt,
-)
-from ..transforms.high_radix import ntt_forward_by_passes, plan_stage_groups
-from ..transforms.stockham import stockham_ntt_forward, stockham_ntt_inverse
+from ..transforms.cooley_tukey import forward_twiddle_table
 from .wideops import reduce_below, reduction_for
 
 __all__ = [
+    "ARRAY_ENGINE",
     "ENGINE_ENV_VAR",
-    "PATH_ENGINES",
     "TILE_ELEMS",
     "NttEngine",
     "EngineTables",
     "TableRows",
-    "EngineSelectionMixin",
     "available_engines",
     "default_engine_spec",
+    "default_split",
     "get_engine",
     "kernel_buffers",
     "parse_engine_spec",
@@ -84,12 +78,10 @@ __all__ = [
 #: Environment variable selecting an engine when no explicit choice is made.
 ENGINE_ENV_VAR = "REPRO_NTT_ENGINE"
 
-#: The engine each transform path runs unless one is pinned.  Array blocks
-#: run Pease's constant geometry, the fastest array kernel at every tile
-#: shape measured (N=4096, 6 and 12 rows, 30- and 60-bit primes, forward and
-#: inverse); rows run the reference transformer, because the pure-Python
-#: Stockham sweep is 1.3-1.6x slower per row.
-PATH_ENGINES = {"array": "stockham", "row": "radix2"}
+#: The array kernel every transform runs unless an engine is pinned: Pease's
+#: constant geometry, the fastest array kernel at every tile shape measured
+#: (N=4096, 6 and 12 rows, 30- and 60-bit primes, forward and inverse).
+ARRAY_ENGINE = "stockham"
 
 #: Residues per kernel tile: whole rows, so one stage's operands and its
 #: scratch (a few tile-sized buffers per thread) stay in cache.
@@ -113,6 +105,13 @@ def kernel_buffers():
         yield
     finally:
         np.setbufsize(previous)
+
+
+def default_split(n: int) -> tuple[int, int]:
+    """Split ``n`` into two power-of-two factors as evenly as possible."""
+    bits = log2_exact(n)
+    first = bits // 2
+    return 1 << first, 1 << (bits - first)
 
 
 def tile_rows(k: int, m: int, n: int) -> int:
@@ -461,25 +460,19 @@ def _four_step_gathers(n: int, n1: int):
 
 
 class NttEngine(abc.ABC):
-    """One negacyclic-NTT algorithm, usable by every backend.
+    """One negacyclic-NTT algorithm as an array kernel of the NumPy data plane.
 
     Engines are stateless flyweights (twiddle material lives in the owning
-    backend's :class:`EngineTables` / transformer caches) shared process-wide
-    through :func:`get_engine`.  The two seams:
+    backend's :class:`EngineTables`) shared process-wide through
+    :func:`get_engine`.  :meth:`forward_array` / :meth:`inverse_array`
+    transform a C-contiguous ``(k, m, n)`` ``uint64`` block in place: ``k``
+    repetitions of the ``m`` primes of a :class:`TableRows` view, every
+    prime below 2^62.  The block is a private copy the backend hands over;
+    the methods return it.
 
-    * **array path** — :meth:`forward_array` / :meth:`inverse_array`
-      transform a C-contiguous ``(k, m, n)`` ``uint64`` block in place:
-      ``k`` repetitions of the ``m`` primes of a :class:`TableRows` view,
-      every prime below 2^62.  The block is a private copy the backend
-      hands over; the methods return it.
-    * **row path** — :meth:`forward_row` / :meth:`inverse_row` are the exact
-      big-int fallback (any word size), delegating to the reference
-      implementations in :mod:`repro.transforms` via a cached
-      :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`.
-
-    Both paths use the conventions of Algorithm 1: forward output and inverse
-    input are in bit-reversed order, every residue fully reduced — which is
-    what makes all engines bit-for-bit interchangeable.
+    Every engine uses the conventions of Algorithm 1: forward output and
+    inverse input are in bit-reversed order, every residue fully reduced —
+    which is what makes all engines bit-for-bit interchangeable.
     """
 
     #: Registry name ("radix2", "high_radix", ...).
@@ -487,22 +480,6 @@ class NttEngine(abc.ABC):
     #: Full selection spec, including a parameter ("high_radix:8").
     spec: str = "abstract"
 
-    # -- scalar row path -------------------------------------------------------
-    @abc.abstractmethod
-    def forward_row(self, row: Sequence[int], transformer: NegacyclicTransformer) -> list[int]:
-        """Forward negacyclic NTT of one residue row (bit-reversed output)."""
-
-    @abc.abstractmethod
-    def inverse_row(self, row: Sequence[int], transformer: NegacyclicTransformer) -> list[int]:
-        """Inverse negacyclic NTT of one bit-reversed residue row."""
-
-    def forward_rows(self, rows, transformer: NegacyclicTransformer) -> list[list[int]]:
-        return [self.forward_row(row, transformer) for row in rows]
-
-    def inverse_rows(self, rows, transformer: NegacyclicTransformer) -> list[list[int]]:
-        return [self.inverse_row(row, transformer) for row in rows]
-
-    # -- vectorised array path -------------------------------------------------
     def forward_array(self, block, tables: TableRows):
         """Forward-transform a ``(k, m, n)`` uint64 block in place."""
         with kernel_buffers():
@@ -535,18 +512,11 @@ class Radix2Engine(NttEngine):
     The baseline every other engine is benchmarked against: each butterfly
     output is reduced with a hardware-division ``%``, and so is each
     twiddle product below 2^31 (above, where a native product would
-    overflow, the basis's Shoup reduction forms it).  The scalar side *is*
-    the reference :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`.
+    overflow, the basis's Shoup reduction forms it).
     """
 
     name = "radix2"
     spec = "radix2"
-
-    def forward_row(self, row, transformer):
-        return transformer.forward(row)
-
-    def inverse_row(self, row, transformer):
-        return transformer.inverse(row)
 
     def _forward_tile(self, tile, rows):
         _ct_forward(tile, rows, lazy=False)
@@ -556,16 +526,14 @@ class Radix2Engine(NttEngine):
 
 
 class HighRadixEngine(NttEngine):
-    """Pass-structured radix-``2^k`` execution (Section V), lazy butterflies.
+    """Register high-radix execution (Section V): lazy radix-2 butterflies.
 
-    The butterflies are exactly the radix-2 ones; what the radix changes is
-    the pass structure — ``k`` consecutive stages per pass over the data, the
-    grouping :func:`repro.transforms.high_radix.plan_stage_groups` plans and
-    the scalar side executes through
-    :func:`repro.transforms.high_radix.ntt_forward_by_passes`.  On the array
-    path a tile already sits in cache for every stage, so the radix is a
-    memory-schedule knob the GPU cost model prices, not a CPU-visible one;
-    the array kernels are the lazy Cooley-Tukey / Gentleman-Sande sweeps.
+    A radix-``2^k`` GPU kernel runs ``k`` consecutive radix-2 stages per
+    pass over main memory; the butterflies are exactly the radix-2 ones.
+    On a CPU a tile already sits in cache for every stage, so the radix
+    only names the spec: every ``high_radix:R`` runs the same lazy
+    Cooley-Tukey / Gentleman-Sande sweep, and the radix shapes the passes
+    of the GPU cost model (:func:`repro.kernels.high_radix.high_radix_ntt_model`).
     """
 
     name = "high_radix"
@@ -575,21 +543,6 @@ class HighRadixEngine(NttEngine):
             raise ValueError("high-radix engine needs a power-of-two radix >= 2")
         self.radix = radix
         self.spec = "high_radix:%d" % radix
-
-    def _groups(self, n: int) -> list[int]:
-        return plan_stage_groups(n, min(self.radix, n)) if n > 1 else []
-
-    def forward_row(self, row, transformer):
-        values = [value % transformer.p for value in row]
-        ntt_forward_by_passes(
-            values, transformer.forward_table, transformer.p, self._groups(transformer.n)
-        )
-        return values
-
-    def inverse_row(self, row, transformer):
-        # Pass grouping is a memory-schedule change only; the inverse
-        # butterflies are the same Gentleman-Sande sweep as radix-2.
-        return transformer.inverse(row)
 
     def _forward_tile(self, tile, rows):
         _ct_forward(tile, rows, lazy=True)
@@ -601,9 +554,7 @@ class HighRadixEngine(NttEngine):
 class StockhamEngine(NttEngine):
     """Stockham auto-sort NTT (Algorithm 3) re-ordered to the common convention.
 
-    The row path is the double-buffered Stockham sweep of
-    :mod:`repro.transforms.stockham` plus one bit-reversal gather.  The array
-    path runs the same auto-sort family in Pease's constant geometry
+    The kernel runs the auto-sort family in Pease's constant geometry
     ("An adaptation of the fast Fourier transform for parallel
     processing", J. ACM 1968): every stage reads two contiguous halves and
     writes interleaved pairs, and the forward sweep lands in bit-reversed
@@ -613,14 +564,6 @@ class StockhamEngine(NttEngine):
 
     name = "stockham"
     spec = "stockham"
-
-    def forward_row(self, row, transformer):
-        natural = stockham_ntt_forward(row, transformer.psi, transformer.p)
-        return bit_reverse_permute(natural)
-
-    def inverse_row(self, row, transformer):
-        natural = bit_reverse_permute(list(row))
-        return stockham_ntt_inverse(natural, transformer.psi, transformer.p)
 
     def _forward_tile(self, tile, rows):
         k, m, n = tile.shape
@@ -650,8 +593,7 @@ class FourStepEngine(NttEngine):
     """Four-step (Bailey) decomposition — the paper's two-kernel SMEM shape.
 
     ``N = N1 * N2``: strided ``N1``-point NTTs (Kernel-1), a twist, contiguous
-    ``N2``-point NTTs (Kernel-2), and a transpose, exactly as in
-    :mod:`repro.transforms.four_step`.  On the array path both kernels are
+    ``N2``-point NTTs (Kernel-2), and a transpose.  Both kernels are
     constant-geometry sweeps; the transposes are fused into the twiddle
     products, and every reordering (bit reversal included) into one gather
     per direction.  ``N1`` is configurable (spec ``"four_step:64"``) so the
@@ -672,18 +614,6 @@ class FourStepEngine(NttEngine):
         if self.n1 is not None and 1 < self.n1 < n and n % self.n1 == 0:
             return self.n1
         return default_split(n)[0]
-
-    def forward_row(self, row, transformer):
-        natural = four_step_negacyclic_ntt(
-            row, transformer.psi, transformer.p, self._split(transformer.n)
-        )
-        return bit_reverse_permute(natural)
-
-    def inverse_row(self, row, transformer):
-        natural = bit_reverse_permute(list(row))
-        return four_step_negacyclic_intt(
-            natural, transformer.psi, transformer.p, self._split(transformer.n)
-        )
 
     def _forward_tile(self, tile, rows):
         self._four_step(tile, rows, inverse=False)
@@ -839,50 +769,3 @@ def default_engine_spec() -> str | None:
     if _default_engine is not None:
         return _default_engine
     return os.environ.get(ENGINE_ENV_VAR) or None
-
-
-class EngineSelectionMixin:
-    """Engine selection shared by the concrete backends.
-
-    Precedence, first match wins:
-
-    1. the backend's explicit override (constructor ``engine=`` argument or
-       :meth:`set_engine` — what :class:`repro.he.context.HeContext` pins);
-    2. the process default installed with :func:`set_default_engine`;
-    3. the ``REPRO_NTT_ENGINE`` environment variable (read at call time);
-    4. the fixed kernel of the transform path (:data:`PATH_ENGINES`),
-       recorded per ``(n, p_bits, batch)`` in :attr:`engine_choices`;
-       ``batch`` is the rows of the tile the kernels sweep
-       (:func:`tile_rows`) on array paths, the rows of a prime on row paths.
-    """
-
-    def _init_engine_selection(self, engine: str | None = None) -> None:
-        self._engine_override: str | None = None
-        self._engine_choices: dict[tuple[int, int, int], str] = {}
-        if engine is not None:
-            self.set_engine(engine)
-
-    def set_engine(self, spec: str | None) -> None:
-        """Pin every transform of this backend to one engine (``None`` unpins)."""
-        if spec is not None:
-            get_engine(spec)  # validate eagerly
-        self._engine_override = spec
-
-    @property
-    def engine(self) -> str | None:
-        """The explicit engine override, or ``None`` when unpinned."""
-        return self._engine_override
-
-    @property
-    def engine_choices(self) -> dict[tuple[int, int, int], str]:
-        """Shapes run on their path's fixed kernel so far, keyed by ``(n, p_bits, batch)``."""
-        return dict(self._engine_choices)
-
-    def _select_engine(self, n: int, p: int, batch: int, path: str) -> NttEngine:
-        """The engine for one transform of the ``"array"`` or ``"row"`` path."""
-        spec = self._engine_override
-        if spec is None:
-            spec = default_engine_spec()
-        if spec is None:
-            spec = self._engine_choices[(n, p.bit_length(), batch)] = PATH_ENGINES[path]
-        return get_engine(spec)

@@ -7,11 +7,11 @@ kernels (Section III / Fig. 3):
 
 * **Transforms** view a tensor as runs of whole basis repetitions: rows
   ``p0 .. p{m-1}`` repeated ``k`` times form one ``(k, m, n)`` block, and
-  each run is one call into the :class:`~repro.backends.engines.NttEngine`
-  selected for its tile shape, sweeping the basis's stacked twiddle tables
-  (:class:`~repro.backends.engines.EngineTables`) broadcast over ``k``.  A
-  regular tensor is one run; a pool shard that starts mid-basis, or an
-  irregular layout, splits into a few.
+  each run is one call into the selected
+  :class:`~repro.backends.engines.NttEngine`, sweeping the basis's stacked
+  twiddle tables (:class:`~repro.backends.engines.EngineTables`) broadcast
+  over ``k``.  A regular tensor is one run; a pool shard that starts
+  mid-basis, or an irregular layout, splits into a few.
 * **Pointwise ops** are one pass over the whole tensor against a per-row
   modulus column: add/sub/neg reduce with one conditional subtraction,
   ``mul`` and ``scalar_mul`` go through the tensor's reduction strategy
@@ -19,15 +19,13 @@ kernels (Section III / Fig. 3):
   switching run column-wise too.
 
 Every prime below the 2^62 storage limit runs these exact array kernels.
-Setting ``REPRO_WIDE_WORD=0`` restores the historical 30-bit window for
-products: rows with wider primes are then routed, per prime, through the
-exact big-int kernels of :class:`~repro.backends.scalar.ScalarBackend`;
-those rows cross the list/array boundary per operation, the crossings are
-charged to :attr:`~repro.backends.base.ComputeBackend.conversion_count`,
-and the rows themselves to
-:attr:`~repro.backends.base.ComputeBackend.fallback_rows`.  Rows with
-primes of 2^62 or more (never generated by this repository's parameter
-sets) are held as exact Python fallback rows inside the tensor.
+Rows with primes of 2^62 or more (never generated by this repository's
+parameter sets) are held as exact Python rows inside the tensor (``big``)
+and run, per prime, through the exact big-int kernels of
+:class:`~repro.backends.scalar.ScalarBackend` — its one transform
+included.  They never enter the array, so they cross no list/array
+boundary; the rows are charged to
+:attr:`~repro.backends.base.ComputeBackend.fallback_rows`.
 """
 
 from __future__ import annotations
@@ -40,39 +38,30 @@ from ..telemetry import TRACER
 from . import wideops
 from .base import ComputeBackend, ResidueRows, ResidueTensor
 from .engines import (
+    ARRAY_ENGINE,
     TILE_ELEMS,
-    EngineSelectionMixin,
     EngineTables,
+    NttEngine,
+    default_engine_spec,
+    get_engine,
     kernel_buffers,
     scratch,
     tile_rows,
 )
 from .scalar import ScalarBackend
-from .wideops import (
-    WIDE_MUL_LIMIT,
-    reduce_below,
-    select_strategy,
-    vector_mul_limit,
-)
+from .wideops import WIDE_MUL_LIMIT, reduce_below, select_strategy
 
-__all__ = [
-    "NumpyBackend",
-    "NumpyTensor",
-    "MUL_VECTORIZED_LIMIT",
-    "WIDE_MUL_LIMIT",
-    "ADD_VECTORIZED_LIMIT",
-]
+__all__ = ["NumpyBackend", "NumpyTensor", "MUL_VECTORIZED_LIMIT", "STORAGE_LIMIT"]
 
 #: Largest modulus (exclusive) for which *native* uint64 products ``a * b``
-#: are exact.  The effective product window is :func:`vector_mul_limit`:
-#: 2^62 with the wide-word kernels active (the default), this value with
-#: ``REPRO_WIDE_WORD=0``.
+#: are exact; above it, products run the wide-word kernels of
+#: :mod:`repro.backends.wideops` up to :data:`STORAGE_LIMIT`.
 MUL_VECTORIZED_LIMIT = 1 << 31
-#: Largest modulus (exclusive) for which uint64 sums ``a + p - b`` are exact.
-ADD_VECTORIZED_LIMIT = 1 << 62
-#: Largest modulus (exclusive) whose residues are stored in the uint64 array;
-#: wider rows live as exact Python fallback rows inside the tensor.
-STORAGE_LIMIT = ADD_VECTORIZED_LIMIT
+#: Largest modulus (exclusive) whose residues are stored in the uint64 array,
+#: and the window of every array kernel (sums ``a + p - b`` and the
+#: wide-word products are exact below it); wider rows live as exact Python
+#: rows inside the tensor.
+STORAGE_LIMIT = WIDE_MUL_LIMIT
 
 
 class NumpyTensor(ResidueTensor):
@@ -95,40 +84,49 @@ class _Columns:
     """Per-row moduli of one prime tuple for the pointwise kernels.
 
     ``p`` is a ``(count, 1)`` ``uint64`` column (a placeholder 1 on rows at
-    or above ``limit``, which ``fallback`` maps by prime to their indices).
+    or above :data:`STORAGE_LIMIT`, which ``fallback`` maps by prime to
+    their indices).
     """
 
     __slots__ = ("p", "fallback", "primes")
 
-    def __init__(self, primes: tuple, limit: int) -> None:
-        self.primes = [p if p < limit else 1 for p in primes]
+    def __init__(self, primes: tuple) -> None:
+        self.primes = [p if p < STORAGE_LIMIT else 1 for p in primes]
         self.p = np.asarray(self.primes, dtype=np.uint64).reshape(-1, 1)
         self.fallback: dict[int, list[int]] = {}
         for index, p in enumerate(primes):
-            if p >= limit:
+            if p >= STORAGE_LIMIT:
                 self.fallback.setdefault(p, []).append(index)
 
     @property
     def strategy(self) -> str:
-        """The reduction of the largest prime below ``limit``: the products' strategy."""
+        """The reduction of the largest stored prime: the products' strategy."""
         return select_strategy(max(self.primes, default=1))
 
 
-class NumpyBackend(EngineSelectionMixin, ComputeBackend):
-    """Batched uint64 backend with automatic per-prime scalar fallback.
+class NumpyBackend(ComputeBackend):
+    """Batched uint64 backend with a counted per-prime scalar fallback.
 
     The same twiddle derivation as
     :class:`repro.transforms.cooley_tukey.NegacyclicTransformer` is used, so
-    outputs are bit-identical to the scalar path (bit-reversed forward
+    outputs are bit-identical to the scalar oracle (bit-reversed forward
     output, Gentleman-Sande inverse) under *every* registered
-    :class:`~repro.backends.engines.NttEngine`.  Transforms dispatch through
-    the engine seam: each basis run goes through the engine's array path
-    over the resident storage, primes outside the product window through
-    an engine's exact row path (the counted per-prime fallback).  Pin
-    an engine with the ``engine`` constructor argument or :meth:`set_engine`;
-    by default array runs take ``stockham`` and fallback rows ``radix2``, the
-    fixed kernels of their paths
-    (:data:`~repro.backends.engines.PATH_ENGINES`).
+    :class:`~repro.backends.engines.NttEngine`.  Each basis run of a
+    transform is one call into an engine's array kernel over the resident
+    storage; rows of primes at or above the storage limit run the oracle's
+    transform (the counted per-prime fallback).
+
+    Engine selection, first match wins:
+
+    1. this backend's pin (constructor ``engine=`` argument or
+       :meth:`set_engine` — what :class:`repro.he.context.HeContext` pins);
+    2. the process default installed with
+       :func:`~repro.backends.engines.set_default_engine`;
+    3. the ``REPRO_NTT_ENGINE`` environment variable (read at call time);
+    4. the fixed array kernel (:data:`~repro.backends.engines.ARRAY_ENGINE`),
+       recorded per ``(n, p_bits, batch)`` in :attr:`engine_choices`, where
+       ``batch`` is the rows of the tile the kernel sweeps
+       (:func:`~repro.backends.engines.tile_rows`).
     """
 
     name = "numpy"
@@ -137,8 +135,37 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         super().__init__()
         self._tables: dict[tuple[int, str], EngineTables] = {}
         self._fallback = ScalarBackend()
-        self._init_engine_selection(engine)
+        self._engine_override: str | None = None
+        self._engine_choices: dict[tuple[int, int, int], str] = {}
+        if engine is not None:
+            self.set_engine(engine)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
+
+    # -- engine selection --------------------------------------------------------
+    def set_engine(self, spec: str | None) -> None:
+        """Pin every array transform of this backend to one engine (``None`` unpins)."""
+        if spec is not None:
+            get_engine(spec)  # validate eagerly
+        self._engine_override = spec
+
+    @property
+    def engine(self) -> str | None:
+        """The explicit engine pin, or ``None`` when unpinned."""
+        return self._engine_override
+
+    @property
+    def engine_choices(self) -> dict[tuple[int, int, int], str]:
+        """Shapes run on the fixed array kernel so far, keyed by ``(n, p_bits, batch)``."""
+        return dict(self._engine_choices)
+
+    def _select_engine(self, n: int, p: int, batch: int) -> NttEngine:
+        """The engine for one array run of the basis whose largest prime is ``p``."""
+        spec = self._engine_override
+        if spec is None:
+            spec = default_engine_spec()
+        if spec is None:
+            spec = self._engine_choices[(n, p.bit_length(), batch)] = ARRAY_ENGINE
+        return get_engine(spec)
 
     @property
     def resident_contexts(self) -> int:
@@ -156,20 +183,10 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             tables = self._tables[key] = EngineTables(n, key[1])
         return tables
 
-    @staticmethod
-    def supports_vectorized_mul(p: int) -> bool:
-        """Whether products mod ``p`` run the exact vectorised array path.
-
-        True below :func:`~repro.backends.wideops.vector_mul_limit` — 2^62
-        by default, 2^31 when ``REPRO_WIDE_WORD=0`` pins the narrow window.
-        """
-        return p < vector_mul_limit()
-
     def warm_twiddles(self, n: int, primes: Sequence[int]) -> None:
         # Registering the basis in order keeps its transforms one run each.
-        limit = vector_mul_limit()
         for p in dict.fromkeys(primes):
-            if p < limit:
+            if p < STORAGE_LIMIT:
                 self._tables_for(n, p).index(p)
             else:
                 self._fallback.transformer(n, p)
@@ -203,7 +220,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             rows[index] = list(row)
         return rows
 
-    # -- fallback boundary (counted: these rows leave the resident array) ------
+    # -- fallback boundary (counted when a row leaves the resident array) ------
     def _extract_rows(
         self, tensor: NumpyTensor, indices: Sequence[int]
     ) -> list[list[int]]:
@@ -236,14 +253,13 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         whose primes are the ``m`` consecutive primes of ``rows`` repeated
         ``k`` times.
         """
-        limit = vector_mul_limit()
         runs: list = []
         fallback: dict[int, list[int]] = {}
         count = len(primes)
         i = 0
         while i < count:
             p = primes[i]
-            if p >= limit:
+            if p >= STORAGE_LIMIT:
                 fallback.setdefault(p, []).append(i)
                 i += 1
                 continue
@@ -252,7 +268,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             m = 1
             while (
                 i + m < count
-                and primes[i + m] < limit
+                and primes[i + m] < STORAGE_LIMIT
                 and self._tables_for(n, primes[i + m]) is tables
                 and tables.index(primes[i + m]) == lo + m
             ):
@@ -279,24 +295,17 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
         out = NumpyTensor(self, tensor.primes, n, data, {})
         for start, k, m, rows in runs:
             block = data[start : start + k * m].reshape(k, m, n)
-            engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n), "array")
+            engine = self._select_engine(n, rows.max_p, tile_rows(k, m, n))
             with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=k * m):
                 if forward:
                     engine.forward_array(block, rows)
                 else:
                     engine.inverse_array(block, rows)
         for p, indices in fallback.items():
-            engine = self._select_engine(n, p, len(indices), "row")
-            with TRACER.span("ntt.engine", engine=engine.spec, n=n, rows=len(indices)):
-                self._count_fallback(len(indices))
-                rows_in = self._extract_rows(tensor, indices)
-                transformer = self._fallback.transformer(n, p)
-                transformed = (
-                    engine.forward_rows(rows_in, transformer)
-                    if forward
-                    else engine.inverse_rows(rows_in, transformer)
-                )
-                self._store_rows(out, indices, transformed, p)
+            self._count_fallback(len(indices))
+            rows_in = self._extract_rows(tensor, indices)
+            transformed = self._fallback._transform_rows(rows_in, [p] * len(indices), forward)
+            self._store_rows(out, indices, transformed, p)
         return out
 
     # -- pointwise arithmetic --------------------------------------------------
@@ -337,7 +346,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             np.add(x, y, out=out)
             reduce_below(out, columns.p[lo:hi], out, scratch[0])
 
-        columns = _Columns(a.primes, ADD_VECTORIZED_LIMIT)
+        columns = _Columns(a.primes)
         return self._pointwise(kernel, self._fallback._add_rows, columns, a, b)
 
     def sub(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
@@ -349,7 +358,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             np.add(out, columns.p[lo:hi], out=scratch[0])
             np.minimum(out, scratch[0], out=out)
 
-        columns = _Columns(a.primes, ADD_VECTORIZED_LIMIT)
+        columns = _Columns(a.primes)
         return self._pointwise(kernel, self._fallback._sub_rows, columns, a, b)
 
     def neg(self, a: ResidueTensor) -> NumpyTensor:
@@ -361,13 +370,13 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             np.negative(x, out=scratch[0])
             np.minimum(out, scratch[0], out=out)
 
-        columns = _Columns(a.primes, ADD_VECTORIZED_LIMIT)
+        columns = _Columns(a.primes)
         return self._pointwise(kernel, self._fallback._neg_rows, columns, a)
 
     def mul(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
         self._check_pair(a, b)
 
-        columns = _Columns(a.primes, vector_mul_limit())
+        columns = _Columns(a.primes)
         strategy = columns.strategy
 
         def kernel(out, x, y, columns, lo, hi, scratch):
@@ -377,7 +386,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
 
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> NumpyTensor:
         self._check_owned(a)
-        columns = _Columns(a.primes, vector_mul_limit())
+        columns = _Columns(a.primes)
         reduction = wideops.reduction_for(columns.strategy)
         w = np.asarray([scalar % p for p in columns.primes], dtype=np.uint64).reshape(-1, 1)
         companions = reduction.companions(w, columns.p)
@@ -477,7 +486,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             for j, (row, p) in enumerate(zip(rows, tensor.primes)):
                 self._store_rows(out, [j], [row], p)
             return out
-        columns = _Columns(tensor.primes, STORAGE_LIMIT)
+        columns = _Columns(tensor.primes)
         np.remainder(tensor.data[index], columns.p, out=out.data)
         for p, indices in columns.fallback.items():  # pragma: no cover - no ≥62-bit primes
             for j in indices:
@@ -492,8 +501,7 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             raise ValueError("cannot modulus-switch below a single prime")
         primes = tensor.primes
         t = plaintext_modulus
-        limit = vector_mul_limit()
-        if tensor.big or t >= limit or max(primes) >= limit:
+        if tensor.big:
             self._count_fallback(tensor.count)
             rows = self._extract_rows(tensor, range(tensor.count))
             switched = self._fallback._mod_switch_rows(rows, primes, t)

@@ -35,14 +35,14 @@ Three properties make the sharding pay rather than tax:
   tax and storage stays on the heap below the crossover.
 * **Warm shards** — each worker holds one long-lived inner backend, so its
   twiddle tables are built once per worker and every later shard reuses
-  them; shards run the same fixed engine per transform path as the inline
-  path.
+  them; shards run the same array kernel (the fixed one, or the pin) as
+  the inline path.
 
 Shard count resolution: explicit ``shards=`` argument >
 :func:`repro.backends.pool.set_default_shards` > ``REPRO_SHARDS`` >
 ``os.cpu_count() - 1`` (at least 1; a single-shard backend never
 dispatches).  Bit-for-bit interchangeability with the scalar and numpy
-backends — on both word-size regimes — is pinned by
+backends — at 30- and 60-bit primes — is pinned by
 ``tests/test_parallel_backend.py``; the multi-core speedup and the
 crossover by ``benchmarks/test_bench_parallel.py``.
 """
@@ -284,10 +284,10 @@ class ParallelBackend(ComputeBackend):
 
         The embedded inner backend charges its own conversion and fallback
         counters (a non-array inner crosses the list boundary per op; the
-        numpy inner charges its per-prime fallback for primes outside the
-        vectorised window); mirroring the deltas keeps this backend's
-        counters honest to the ``base.py`` contract — the resident
-        wide-window path stays at zero either way.
+        numpy inner charges its per-prime fallback for rows at or above the
+        2^62 storage window, which only ever run here); mirroring the deltas
+        keeps this backend's counters honest to the ``base.py`` contract —
+        the resident array path stays at zero either way.
         """
         before = self._inner.conversion_count
         fallback_before = self._inner.fallback_rows
@@ -552,11 +552,11 @@ class ParallelBackend(ComputeBackend):
         """One pool round trip: run a task set, mirror worker-side counters.
 
         ``tasks`` maps a worker index to that worker's task.  Boundary
-        crossings charged by the workers' inner backends (the per-prime
-        fallback) are mirrored onto this backend's conversion counter so
-        sharding is invisible to the accounting contract, and the segments
-        the workers had to map onto ``pool.segment_maps``; the round trip
-        itself is charged to :attr:`dispatch_count`.
+        crossings charged by the workers' inner backends (a non-array inner
+        converts per op) are mirrored onto this backend's conversion counter
+        so sharding is invisible to the accounting contract, and the
+        segments the workers had to map onto ``pool.segment_maps``; the
+        round trip itself is charged to :attr:`dispatch_count`.
 
         Under tracing, every task is flagged so workers record spans and
         ship them back with their results; those spans are ingested here
@@ -583,7 +583,6 @@ class ParallelBackend(ComputeBackend):
 
     def _mirror(self, result: dict) -> None:
         self._count_conversion(result["conversions"])
-        self._count_fallback(result["fallback"])
         self.metrics.inc("pool.segment_maps", result["maps"])
 
     def _sharded_out(self, primes, n: int) -> ParallelTensor:

@@ -523,13 +523,14 @@ def _exec_shard(task: dict) -> dict:
     segments' pages.  First the worker closes the mappings named in
     ``task["drop"]`` (segments the coordinator has released since this
     worker's last task); then it maps only the segments it does not hold.
-    Returns ``{"conversions": rows, "fallback": rows, "maps": segments,
-    "spans": [...]}``: ``conversions`` / ``fallback`` are the list/native
-    boundary crossings and per-prime big-int fallback rows the inner
-    backend charged while computing the shard, which the parent mirrors
-    onto the parallel backend's own counters so the accounting contract of
-    ``base.py`` holds across process boundaries; ``maps`` counts the
-    segments this task had to map.  When the coordinator set
+    Returns ``{"conversions": rows, "maps": segments, "spans": [...]}``:
+    ``conversions`` are the list/native boundary crossings a non-array
+    inner backend charged while computing the shard, which the parent
+    mirrors onto the parallel backend's own counter so the accounting
+    contract of ``base.py`` holds across process boundaries (a tensor
+    with rows of primes at or above 2^62, the only rows the NumPy backend
+    runs through its counted fallback, never reaches a worker); ``maps``
+    counts the segments this task had to map.  When the coordinator set
     ``task["trace"]``, ``spans`` carries the events this worker recorded
     under a ``pool.task`` root span; the coordinator ingests them under
     its dispatch span (:meth:`repro.telemetry.Tracer.ingest`), which is
@@ -541,7 +542,6 @@ def _exec_shard(task: dict) -> dict:
     _unmap(_WORKER_MAPPED, task["drop"])
     held = len(_WORKER_MAPPED)
     before = backend.conversion_count
-    fallback_before = backend.fallback_rows
     spans: list[tuple] = []
     if task.get("trace", False):
         TRACER.start()
@@ -559,7 +559,6 @@ def _exec_shard(task: dict) -> dict:
         _run_plan_task(backend, task, _WORKER_MAPPED)
     return {
         "conversions": backend.conversion_count - before,
-        "fallback": backend.fallback_rows - fallback_before,
         "maps": len(_WORKER_MAPPED) - held,
         "spans": spans,
     }

@@ -4,9 +4,11 @@ This wraps the clarity-first Python-integer path
 (:class:`repro.transforms.cooley_tukey.NegacyclicTransformer` plus the
 ``modops`` primitives) behind the handle-based
 :class:`~repro.backends.base.ComputeBackend` interface.  It is the
-correctness oracle for every other backend and the only path with no
-word-size restriction (the paper's 60-bit configuration runs here unless a
-backend provides exact wide-word arithmetic).
+correctness oracle for every other backend and every NTT engine, and the
+only path with no word-size restriction.  It runs one transform — the
+reference radix-2 transformer — so it takes no engine pin: the engines are
+array kernels (:mod:`repro.backends.engines`), and every one of them must
+match this oracle bit for bit.
 
 Native storage *is* the list-of-lists, so for this backend residency is free
 — but the boundary accounting is identical to every other backend:
@@ -24,7 +26,6 @@ from ..modarith.modops import add_mod, mul_mod, neg_mod, sub_mod
 from ..telemetry import TRACER
 from ..transforms.cooley_tukey import NegacyclicTransformer
 from .base import ComputeBackend, ResidueRows, ResidueTensor
-from .engines import EngineSelectionMixin
 
 __all__ = ["ScalarBackend", "ScalarTensor"]
 
@@ -39,7 +40,7 @@ class ScalarTensor(ResidueTensor):
         self.rows = rows
 
 
-class ScalarBackend(EngineSelectionMixin, ComputeBackend):
+class ScalarBackend(ComputeBackend):
     """Row-by-row exact backend over Python integers.
 
     Transformer contexts (twiddle tables) are cached per ``(n, p)`` pair —
@@ -47,22 +48,17 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
     per prime, not once per transform; this is the resident-table policy
     Section IV of the paper analyses.
 
-    Transforms go through the :class:`~repro.backends.engines.NttEngine`
-    seam: every registered engine has an exact big-int row path delegating to
-    the reference implementations in :mod:`repro.transforms`, so this backend
-    is the correctness oracle for each engine, not just for the default one.
-    Pin an engine with the ``engine`` constructor argument or
-    :meth:`set_engine`; otherwise the documented selection precedence
-    applies.
+    Every transform runs the cached
+    :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`; there is
+    no NTT-engine seam, so :meth:`set_engine` raises
+    ``NotImplementedError`` (the base-class behaviour).
     """
 
     name = "scalar"
 
-    def __init__(self, engine: str | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._transformers: dict[tuple[int, int], NegacyclicTransformer] = {}
-        self._init_engine_selection(engine)
-        self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
 
     @property
     def resident_contexts(self) -> int:
@@ -102,33 +98,15 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
     def _transform_rows(
         self, rows: ResidueRows, primes: Sequence[int], forward: bool
     ) -> list[list[int]]:
-        out: list[list[int] | None] = [None] * len(rows)
         if not rows:
             return []
         n = len(rows[0])
-        groups: dict[int, list[int]] = {}
-        for index, p in enumerate(primes):
-            groups.setdefault(p, []).append(index)
-        for p, indices in groups.items():
-            engine = self._select_engine(n, p, len(indices), "row")
-            transformer = self.transformer(n, p)
-            method = engine.forward_row if forward else engine.inverse_row
-            with TRACER.span(
-                "ntt.engine", engine=engine.spec, n=n, rows=len(indices)
-            ):
-                for index in indices:
-                    out[index] = method(rows[index], transformer)
+        with TRACER.span("ntt.engine", n=n, rows=len(rows)):
+            out = []
+            for row, p in zip(rows, primes):
+                transformer = self.transformer(n, p)
+                out.append(transformer.forward(row) if forward else transformer.inverse(row))
         return out
-
-    def _forward_rows(
-        self, rows: ResidueRows, primes: Sequence[int]
-    ) -> list[list[int]]:
-        return self._transform_rows(rows, primes, forward=True)
-
-    def _inverse_rows(
-        self, rows: ResidueRows, primes: Sequence[int]
-    ) -> list[list[int]]:
-        return self._transform_rows(rows, primes, forward=False)
 
     @staticmethod
     def _add_rows(rows_a, rows_b, primes) -> list[list[int]]:
@@ -190,15 +168,13 @@ class ScalarBackend(EngineSelectionMixin, ComputeBackend):
     # -- transforms ------------------------------------------------------------
     def forward_ntt_batch(self, tensor: ResidueTensor) -> ScalarTensor:
         self._check_owned(tensor)
-        return self._wrap(
-            tensor.primes, tensor.n, self._forward_rows(tensor.rows, tensor.primes)
-        )
+        rows = self._transform_rows(tensor.rows, tensor.primes, forward=True)
+        return self._wrap(tensor.primes, tensor.n, rows)
 
     def inverse_ntt_batch(self, tensor: ResidueTensor) -> ScalarTensor:
         self._check_owned(tensor)
-        return self._wrap(
-            tensor.primes, tensor.n, self._inverse_rows(tensor.rows, tensor.primes)
-        )
+        rows = self._transform_rows(tensor.rows, tensor.primes, forward=False)
+        return self._wrap(tensor.primes, tensor.n, rows)
 
     # -- pointwise arithmetic --------------------------------------------------
     def add(self, a: ResidueTensor, b: ResidueTensor) -> ScalarTensor:

@@ -30,14 +30,11 @@ exact below ``2^62`` (matching the word contract of
   64-bit halves, folding the high half in with a limb-Shoup product by
   ``2^64 mod p``.
 
-The strategy follows the prime size alone.  ``REPRO_WIDE_WORD=0``
-restores the historical 30-bit window: the NumPy backend then routes wider
-primes through its counted big-int fallback.
+The strategy follows the prime size alone, and there is no knob: every
+prime below :data:`WIDE_MUL_LIMIT` runs these kernels.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -45,9 +42,6 @@ __all__ = [
     "NARROW_MUL_LIMIT",
     "WIDE_MUL_LIMIT",
     "FLOAT_SHOUP_LIMIT",
-    "WIDE_ENV_VAR",
-    "wide_word_enabled",
-    "vector_mul_limit",
     "select_strategy",
     "Reduction",
     "Shoup32",
@@ -65,36 +59,17 @@ __all__ = [
 NARROW_MUL_LIMIT = 1 << 31
 #: Exclusive modulus bound of the wide window: lazy values below ``4p`` must
 #: fit ``uint64``, which matches the ``p < word/4`` contract of
-#: ``repro.modarith.reducers``.
+#: ``repro.modarith.reducers``.  It is also the NumPy backend's storage
+#: limit.
 WIDE_MUL_LIMIT = 1 << 62
 #: Exclusive modulus bound of the float64 quotient strategy: ``x*w/p`` must
 #: stay below ``2^52`` for multiplicands below ``4p``, so that two roundings
 #: keep the quotient within one of the truth.
 FLOAT_SHOUP_LIMIT = 1 << 50
 
-#: Set to ``0``/``off``/``narrow`` to restore the historical 30-bit window
-#: (benchmarks use this to time wide vs big-int fallback).
-WIDE_ENV_VAR = "REPRO_WIDE_WORD"
-
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SIGN_BIT = np.uint64(1) << np.uint64(63)
-
-
-def wide_word_enabled() -> bool:
-    """Whether the widened (≤ 62-bit) vectorised window is active.
-
-    Read from the environment at call time so pool workers — which inherit
-    the parent's environment at fork — observe the same window as the
-    coordinator, and so tests/benchmarks can flip regimes per backend
-    instance without rebuilding the process.
-    """
-    return os.environ.get(WIDE_ENV_VAR, "").lower() not in ("0", "off", "narrow", "false")
-
-
-def vector_mul_limit() -> int:
-    """Exclusive modulus bound of the exact vectorised product path."""
-    return WIDE_MUL_LIMIT if wide_word_enabled() else NARROW_MUL_LIMIT
 
 
 def select_strategy(p: int) -> str:

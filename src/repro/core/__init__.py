@@ -1,6 +1,7 @@
-"""Core NTT engine — the paper's primary contribution as a reusable library.
+"""The paper's NTT execution plans and their functional models.
 
-Public entry points:
+The production transforms run in :mod:`repro.backends`; this package
+describes and models them.  Public entry points:
 
 * :class:`NTTPlan` / :class:`NTTAlgorithm` — describe *how* to execute a
   transform (radix-2 baseline, register-based high radix, or the two-kernel
@@ -8,13 +9,12 @@ Public entry points:
   size knobs).
 * :class:`OnTheFlyConfig` — the paper's on-the-fly twiddling scheme.
 * :class:`NTTEngine` — forward/inverse negacyclic NTT for one modulus under a
-  plan, with execution reporting.
-* :class:`BatchedNTT` — the ``np``-prime batch an HE multiplication needs.
+  plan, with execution reporting: the functional model of on-the-fly
+  twiddling.
 * :class:`TwiddleTable` — precomputed twiddles with Shoup companions and
   memory-footprint accounting.
 """
 
-from .batching import BatchedNTT, BatchReport
 from .engine import ExecutionReport, NTTEngine
 from .on_the_fly import OnTheFlyConfig, OnTheFlyTwiddleGenerator
 from .plan import NTTAlgorithm, NTTPlan, best_smem_plan, default_smem_split
@@ -46,8 +46,6 @@ __all__ = [
     "save_json",
     "twiddle_table_from_dict",
     "twiddle_table_to_dict",
-    "BatchedNTT",
-    "BatchReport",
     "ExecutionReport",
     "NTTEngine",
     "OnTheFlyConfig",

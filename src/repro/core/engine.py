@@ -1,4 +1,4 @@
-"""The planned NTT engine — the library's primary public API.
+"""The planned NTT engine: a functional model of on-the-fly twiddling.
 
 :class:`NTTEngine` executes forward/inverse negacyclic NTTs for a single
 ``(n, p)`` pair under an :class:`repro.core.plan.NTTPlan`, combining

@@ -10,9 +10,12 @@ Since the engine layer exists, the same radix sweep also runs on the *real*
 data plane: each row carries a measured column from executing the
 ``high_radix:<radix>`` engine (radix-2 rows run the ``radix2`` baseline
 engine) through the production backend path at the measurement shape.  On a
-CPU the radix is a memory-schedule knob rather than a register-pressure one,
-so the measured sweep is flat where the model collapses — the comparison the
-table is for.
+CPU a tile sits in cache for every stage, so every ``high_radix:<radix>``
+runs the same lazy Cooley-Tukey sweep and the radix shapes only the GPU
+model's passes: the measured sweep is flat where the model collapses — the
+comparison the table is for.  A backend without the engine seam (the scalar
+oracle) measures the pinned engines on ``numpy``; the notes name the
+backend that ran.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from __future__ import annotations
 from ..gpu.costmodel import GpuCostModel
 from ..kernels.high_radix import high_radix_ntt_model
 from ..kernels.radix2 import radix2_ntt_model
-from .measured import measured_forward_ms, measurement_backend, measurement_shape
+from .measured import (
+    measure_prime_bits,
+    measured_forward_ms,
+    measurement_backend,
+    measurement_shape,
+)
 from .report import ExperimentResult
 
 __all__ = ["RADICES", "PAPER_BEST_RADIX", "PAPER_SPEEDUP_OVER_RADIX2", "engine_spec_for_radix", "run"]
@@ -41,7 +49,7 @@ def engine_spec_for_radix(radix: int) -> str:
 def run(model: GpuCostModel | None = None) -> ExperimentResult:
     """Reproduce Figure 4 (high-radix NTT sweep) with measured-engine columns."""
     model = model if model is not None else GpuCostModel()
-    backend_name = measurement_backend().name
+    backend_name = measurement_backend(engine=engine_spec_for_radix(2)).name
     measure_log_n, measure_batch = measurement_shape(backend_name)
     measured = {
         radix: measured_forward_ms(engine=engine_spec_for_radix(radix))
@@ -99,8 +107,12 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
             ),
             "paper: radix-32 has 15.5 percent fewer DRAM accesses than radix-16 at N=2^17 yet runs slower",
             "measured column: batched forward NTT through the %s backend's "
-            "high_radix engines at N=2^%d, batch=%d, 30-bit primes (same "
-            "value for both logN row groups); measured best radix: %d"
-            % (backend_name, measure_log_n, measure_batch, measured_best),
+            "high_radix engines at N=2^%d, batch=%d, %d-bit primes (same "
+            "value for both logN row groups); every high_radix:R runs the same "
+            "lazy Cooley-Tukey sweep (the radix shapes only the GPU model's "
+            "passes), so the radix-4..128 rows differ by noise; measured best "
+            "radix: %d"
+            % (backend_name, measure_log_n, measure_batch, measure_prime_bits(),
+               measured_best),
         ],
     )

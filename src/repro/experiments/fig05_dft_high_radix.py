@@ -39,7 +39,7 @@ PAPER_BEST_TIME_US = 364.2  # radix-32, N = 2^17 (Figure 5(b))
 def run(model: GpuCostModel | None = None) -> ExperimentResult:
     """Reproduce Figure 5 (high-radix DFT sweep) with measured companions."""
     model = model if model is not None else GpuCostModel()
-    backend_name = measurement_backend().name
+    backend_name = measurement_backend(engine=engine_spec_for_radix(2)).name
     measure_log_n, measure_batch = measurement_shape(backend_name)
     measured_ntt = {
         radix: measured_forward_ms(engine=engine_spec_for_radix(radix))

@@ -84,7 +84,7 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
     """
     model = model if model is not None else GpuCostModel()
     ot_config = OnTheFlyConfig(base=1024, ot_stages=OT_STAGES)
-    backend_name = measurement_backend().name
+    backend_name = measurement_backend(engine="radix2").name
     measure_log_n, measure_batch = measurement_shape(backend_name)
     measured_radix2_ms = measured_forward_ms(engine="radix2")
 

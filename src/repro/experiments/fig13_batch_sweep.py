@@ -7,17 +7,22 @@ linearly in np across the bootstrappable range.
 The measured companion sweeps the same np axis on the real data plane: one
 residue row per distinct prime (the RNS workload shape), transformed through
 the production backend path under the backend's own engine selection — the
-fixed kernel of each transform path (``stockham`` on array blocks,
-``radix2`` on the scalar backend's rows), the configuration a user actually
-runs.  The cost-model columns stay as the GPU projection.
+fixed ``stockham`` array kernel, or the scalar oracle's one transform — the
+configuration a user actually runs.  The cost-model columns stay as the GPU
+projection.
 """
 
 from __future__ import annotations
 
-from ..backends.engines import PATH_ENGINES
+from ..backends.engines import ARRAY_ENGINE
 from ..gpu.costmodel import GpuCostModel
 from ..kernels.smem import smem_ntt_model
-from .measured import measured_forward_ms, measurement_backend, measurement_shape
+from .measured import (
+    measure_prime_bits,
+    measured_forward_ms,
+    measurement_backend,
+    measurement_shape,
+)
 from .report import ExperimentResult
 
 __all__ = ["BATCH_SIZES", "PRIME_BITS", "run"]
@@ -74,11 +79,11 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
                     - 1
                 )
             ),
-            "measured columns: np distinct 30-bit primes, one row each, batched "
+            "measured columns: np distinct %d-bit primes, one row each, batched "
             "forward NTT through the %s backend at N=2^%d under its default "
-            "engine selection (unpinned, the fixed %s kernel on array blocks "
-            "and %s on rows); a CPU has no occupancy knee, so measured time "
-            "is near-linear across the whole sweep"
-            % (backend_name, measure_log_n, PATH_ENGINES["array"], PATH_ENGINES["row"]),
+            "engine selection (unpinned: the fixed %s array kernel; the scalar "
+            "oracle runs its one transform); a CPU has no occupancy knee, so "
+            "measured time is near-linear across the whole sweep"
+            % (measure_prime_bits(), backend_name, measure_log_n, ARRAY_ENGINE),
         ],
     )

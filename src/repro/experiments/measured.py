@@ -96,13 +96,20 @@ def measurement_backend(
 
     Fresh instances keep engine pins out of the shared registry singletons;
     caching them here keeps twiddle tables warm across the whole figure
-    harness.
+    harness.  A backend without the engine seam (the scalar oracle runs one
+    transform) cannot run a pinned engine, so a pin measures on ``numpy``
+    instead; callers name ``instance.name`` in their notes.
     """
     resolved = resolve_backend(backend)
     key = (resolved.name, engine)
     instance = _backend_cache.get(key)
     if instance is None:
-        instance = type(resolved)(engine=engine) if engine is not None else type(resolved)()
+        instance = type(resolved)()
+        if engine is not None:
+            try:
+                instance.set_engine(engine)
+            except NotImplementedError:
+                instance = measurement_backend("numpy", engine)
         _backend_cache[key] = instance
     return instance
 
@@ -140,9 +147,11 @@ def measured_forward_ms(
 
     The batch enters residency once (outside the timed region) and the timed
     call is exactly the production ``forward_ntt_batch`` the HE layer issues.
-    ``engine=None`` measures the backend's own selection (the fixed kernel
-    of each transform path); a spec pins the engine.  ``prime_bits`` overrides the
-    harness word size (see :func:`measure_prime_bits`) for this one call.
+    ``engine=None`` measures the backend's own selection (the fixed array
+    kernel, or the scalar oracle's one transform); a spec pins the engine,
+    on ``numpy`` when the backend has no engine seam
+    (:func:`measurement_backend`).  ``prime_bits`` overrides the harness word
+    size (see :func:`measure_prime_bits`) for this one call.
     """
     instance = measurement_backend(backend, engine)
     default_log_n, default_batch = measurement_shape(instance.name)

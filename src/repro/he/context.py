@@ -115,17 +115,18 @@ class HeContext:
             warm: Precompute the per-prime twiddle tables up front so the
                 first operation runs at steady-state speed.
             engine: Optional NTT-engine spec (``"stockham"``,
-                ``"high_radix:8"``, ...) pinning every transform of this
-                context to one algorithm.  All engines are bit-exact, so this
-                only changes *how* transforms execute.  When the backend was
-                resolved from the registry (shared instance), a dedicated
+                ``"high_radix:8"``, ...) pinning every array transform of
+                this context to one algorithm.  All engines are bit-exact, so
+                this only changes *how* transforms execute.  When the backend
+                was resolved from the registry (shared instance), a dedicated
                 backend of the same class is constructed so the pin cannot
                 leak into other contexts; an explicitly passed instance is
                 pinned in place via
-                :meth:`~repro.backends.base.ComputeBackend.set_engine`.
+                :meth:`~repro.backends.base.ComputeBackend.set_engine`.  A
+                backend without array kernels (``"scalar"``, the oracle,
+                which runs one transform) raises ``NotImplementedError``.
                 ``None`` keeps the documented engine-selection precedence
-                (``REPRO_NTT_ENGINE``, then the fixed kernel of each
-                transform path).
+                (``REPRO_NTT_ENGINE``, then the fixed array kernel).
             shards: Shard/worker count for a sharding backend
                 (``backend="parallel"``).  Only valid when the resolved
                 backend exposes ``set_shards``; as with ``engine``, a

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..gpu.costmodel import GpuCostModel, KernelLaunch
 from ..gpu.memory import TrafficCounter
-from ..transforms.high_radix import plan_stage_groups
+from ..transforms.bitrev import is_power_of_two, log2_exact
 from .base import (
     DEFAULT_THREADS_PER_BLOCK,
     DFT_ELEMENT_BYTES,
@@ -26,7 +26,36 @@ from .base import (
     run_launches,
 )
 
-__all__ = ["high_radix_ntt_model", "high_radix_dft_model"]
+__all__ = ["high_radix_ntt_model", "high_radix_dft_model", "plan_stage_groups"]
+
+
+def plan_stage_groups(n: int, radix: int) -> list[int]:
+    """Split the ``log2(n)`` stages into passes of ``log2(radix)`` stages each.
+
+    The final pass absorbs the remainder when ``log2(n)`` is not a multiple of
+    ``log2(radix)`` — matching the paper's Kernel-1/Kernel-2 handling where
+    the last per-thread NTT may be smaller.
+
+    Args:
+        n: Transform length (power of two).
+        radix: Per-pass radix (power of two, ``2 <= radix <= n``).
+
+    Returns:
+        A list of per-pass stage counts summing to ``log2(n)``.
+    """
+    if not is_power_of_two(n):
+        raise ValueError("n must be a power of two")
+    if not is_power_of_two(radix) or radix < 2:
+        raise ValueError("radix must be a power of two >= 2")
+    total_stages = log2_exact(n)
+    per_pass = log2_exact(radix)
+    if per_pass > total_stages:
+        raise ValueError("radix %d exceeds transform size %d" % (radix, n))
+    groups = [per_pass] * (total_stages // per_pass)
+    remainder = total_stages % per_pass
+    if remainder:
+        groups.append(remainder)
+    return groups
 
 
 def _pass_twiddle_entries(first_stage_m: int, stage_count: int) -> int:

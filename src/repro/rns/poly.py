@@ -218,7 +218,7 @@ class RnsPolynomial:
         """Return the NTT-domain version of this polynomial (``np`` forward NTTs).
 
         The whole resident tensor is handed to the backend as one batch — on
-        the NumPy backend every row whose prime fits the 30-bit window moves
+        the NumPy backend every row whose prime is below 2^62 moves
         through the butterfly stages as a single 2-D array operation.
         """
         if self.domain is Domain.NTT:

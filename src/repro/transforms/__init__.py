@@ -1,8 +1,12 @@
-"""Transform algorithms: NTT (Cooley-Tukey, Stockham, high-radix) and DFT.
+"""Transform algorithms on real data: the reference NTT and its helpers.
 
-This package contains the *algorithm-level* implementations that operate on
-real data; the GPU-mapped kernel models that additionally report performance
-estimates live in :mod:`repro.kernels`.
+This package holds the *algorithm-level* reference: bit reversal, the
+radix-2 Cooley-Tukey / Gentleman-Sande pair of Algorithm 1
+(:class:`NegacyclicTransformer`, the one transform of the scalar oracle)
+and the quadratic definitions it is checked against.  The paper's other
+NTT variants run as array kernels in :mod:`repro.backends.engines`; the
+GPU-mapped kernel models that report performance estimates live in
+:mod:`repro.kernels`.
 """
 
 from .bitrev import (
@@ -12,7 +16,6 @@ from .bitrev import (
     is_power_of_two,
     log2_exact,
 )
-from .butterfly import butterfly_instruction_count, ct_butterfly, ct_butterfly_lazy, gs_butterfly
 from .cooley_tukey import (
     NegacyclicTransformer,
     forward_twiddle_table,
@@ -23,20 +26,6 @@ from .cooley_tukey import (
     ntt_inverse,
     ntt_inverse_inplace,
 )
-from .dft import dft_twiddle_table, fft_forward, fft_inverse, naive_dft
-from .four_step import (
-    default_split,
-    four_step_cyclic_ntt,
-    four_step_negacyclic_intt,
-    four_step_negacyclic_ntt,
-)
-from .high_radix import (
-    PassStats,
-    ntt_forward_by_passes,
-    plan_stage_groups,
-    radix_of_group,
-    run_pass,
-)
 from .reference import (
     naive_cyclic_convolution,
     naive_intt,
@@ -45,26 +34,13 @@ from .reference import (
     naive_negacyclic_ntt,
     naive_ntt,
 )
-from .stockham import stockham_cyclic_ntt, stockham_ntt_forward, stockham_ntt_inverse
-from .vectorized import MAX_VECTORIZED_MODULUS_BITS, VectorizedNTT
 
 __all__ = [
-    "default_split",
-    "four_step_cyclic_ntt",
-    "four_step_negacyclic_intt",
-    "four_step_negacyclic_ntt",
-    "stockham_cyclic_ntt",
-    "MAX_VECTORIZED_MODULUS_BITS",
-    "VectorizedNTT",
     "bit_reverse",
     "bit_reverse_indices",
     "bit_reverse_permute",
     "is_power_of_two",
     "log2_exact",
-    "ct_butterfly",
-    "gs_butterfly",
-    "ct_butterfly_lazy",
-    "butterfly_instruction_count",
     "NegacyclicTransformer",
     "forward_twiddle_table",
     "inverse_twiddle_table",
@@ -73,21 +49,10 @@ __all__ = [
     "ntt_forward_inplace",
     "ntt_inverse",
     "ntt_inverse_inplace",
-    "dft_twiddle_table",
-    "fft_forward",
-    "fft_inverse",
-    "naive_dft",
-    "PassStats",
-    "ntt_forward_by_passes",
-    "plan_stage_groups",
-    "radix_of_group",
-    "run_pass",
     "naive_cyclic_convolution",
     "naive_intt",
     "naive_negacyclic_convolution",
     "naive_negacyclic_intt",
     "naive_negacyclic_ntt",
     "naive_ntt",
-    "stockham_ntt_forward",
-    "stockham_ntt_inverse",
 ]

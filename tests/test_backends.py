@@ -3,8 +3,9 @@
 Every backend must be bit-for-bit interchangeable: same forward/inverse NTT
 outputs as the reference :class:`NegacyclicTransformer`, same pointwise
 arithmetic, and identical HE ciphertexts end to end.  The NumPy backend is
-exercised in both of its regimes — vectorised (≤ 30-bit primes) and
-per-prime scalar fallback (60-bit primes).  All operations go through the
+exercised in all of its regimes — native (≤ 30-bit primes), wide-word
+(60-bit primes) and the per-prime scalar fallback (primes of 2^62 or
+more).  All operations go through the
 handle-based :class:`ResidueTensor` API; explicit ``from_rows`` / ``to_rows``
 boundaries enter and leave residency.
 """
@@ -53,12 +54,12 @@ def random_rows(primes, n, seed):
     return [[rng.randrange(p) for _ in range(n)] for p in primes]
 
 
-def forward_rows(backend, rows, primes):
+def forward_of(backend, rows, primes):
     """Rows-in/rows-out forward NTT through the handle boundary."""
     return backend.forward_ntt_batch(backend.from_rows(rows, primes)).to_rows()
 
 
-def inverse_rows(backend, rows, primes):
+def inverse_of(backend, rows, primes):
     return backend.inverse_ntt_batch(backend.from_rows(rows, primes)).to_rows()
 
 
@@ -74,9 +75,9 @@ def test_backends_match_reference_transformer(n, bits, scalar, vectorized):
     reference = NegacyclicTransformer(n, p)
     expected_forward = reference.forward(row)
     for backend in (scalar, vectorized):
-        forward = forward_rows(backend, [row], [p])[0]
+        forward = forward_of(backend, [row], [p])[0]
         assert forward == expected_forward, backend.name
-        assert inverse_rows(backend, [forward], [p])[0] == row, backend.name
+        assert inverse_of(backend, [forward], [p])[0] == row, backend.name
 
 
 @pytest.mark.parametrize("bits", PRIME_BITS)
@@ -86,9 +87,9 @@ def test_batch_with_repeated_primes(bits, scalar, vectorized):
     primes = generate_ntt_primes(bits, 2, n)
     batch_primes = [p for p in primes for _ in range(3)]
     rows = random_rows(batch_primes, n, seed=bits)
-    expected = forward_rows(scalar, rows, batch_primes)
-    assert forward_rows(vectorized, rows, batch_primes) == expected
-    assert inverse_rows(vectorized, expected, batch_primes) == rows
+    expected = forward_of(scalar, rows, batch_primes)
+    assert forward_of(vectorized, rows, batch_primes) == expected
+    assert inverse_of(vectorized, expected, batch_primes) == rows
 
 
 def test_numpy_backend_mixed_word_sizes(scalar, vectorized):
@@ -97,9 +98,9 @@ def test_numpy_backend_mixed_word_sizes(scalar, vectorized):
     primes = generate_ntt_primes(30, 2, n) + generate_ntt_primes(60, 2, n)
     assert primes[0] < MUL_VECTORIZED_LIMIT <= primes[-1]
     rows = random_rows(primes, n, seed=3)
-    expected = forward_rows(scalar, rows, primes)
-    assert forward_rows(vectorized, rows, primes) == expected
-    assert inverse_rows(vectorized, expected, primes) == rows
+    expected = forward_of(scalar, rows, primes)
+    assert forward_of(vectorized, rows, primes) == expected
+    assert inverse_of(vectorized, expected, primes) == rows
 
 
 @pytest.mark.parametrize("bits", PRIME_BITS)
@@ -192,20 +193,37 @@ def test_conversion_counter_tracks_boundaries():
     assert backend.conversion_count == 0
 
 
-def test_numpy_fallback_conversions_are_charged(monkeypatch):
-    """With the wide window pinned off, 60-bit primes route per-prime through
-    the scalar fallback — and both the boundary crossings and the fallback
-    rows that implies are visible in the counters."""
+def test_numpy_fallback_conversions_are_charged():
+    """Rows of primes at or above 2^62 run per prime through the scalar
+    fallback.  They convert once, at the from_rows/to_rows boundary, like
+    every row: they live as Python rows inside the tensor, so the transform
+    charges fallback rows and no further conversions."""
+    backend = NumpyBackend()
+    n = 64
+    primes = generate_ntt_primes(63, 2, n)
+    rows = random_rows(primes, n, seed=8)
+    tensor = backend.from_rows(rows, primes)
+    assert backend.conversion_count == len(primes)
+    backend.reset_conversion_count()
+    forward = backend.forward_ntt_batch(tensor)
+    assert backend.conversion_count == 0
+    assert backend.fallback_rows == len(primes)
+    scalar = ScalarBackend()
+    expected = scalar.forward_ntt_batch(scalar.from_rows(rows, primes)).to_rows()
+    assert backend.to_rows(forward) == expected
+    assert backend.conversion_count == len(primes)
+
+
+def test_wide_word_env_var_is_gone(monkeypatch):
+    """The wide window has no knob: 60-bit primes stay on the array path
+    even with the former REPRO_WIDE_WORD=0 escape hatch set."""
     monkeypatch.setenv("REPRO_WIDE_WORD", "0")
     backend = NumpyBackend()
     n = 64
     primes = generate_ntt_primes(60, 2, n)
-    rows = random_rows(primes, n, seed=8)
-    tensor = backend.from_rows(rows, primes)
-    backend.reset_conversion_count()
-    backend.forward_ntt_batch(tensor)
-    assert backend.conversion_count > 0
-    assert backend.fallback_rows == len(primes)
+    tensor = backend.from_rows(random_rows(primes, n, seed=8), primes)
+    backend.mul(backend.forward_ntt_batch(tensor), tensor)
+    assert backend.fallback_rows == 0
 
 
 def test_numpy_wide_word_stays_resident():

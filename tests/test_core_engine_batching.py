@@ -1,4 +1,9 @@
-"""Tests for the NTT engine and batched execution."""
+"""Tests for the planned NTT engine and its agreement with batched execution.
+
+The batched transforms of an HE multiplication run on the compute backends
+(``forward_ntt_batch`` over all ``np`` primes at once); the per-prime
+:class:`NTTEngine` models must agree with them bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.batching import BatchedNTT
+from repro.backends.numpy_backend import NumpyBackend
 from repro.core.engine import NTTEngine
 from repro.core.on_the_fly import OnTheFlyConfig
 from repro.core.plan import NTTAlgorithm, NTTPlan
@@ -121,45 +126,24 @@ def test_inverse_report_with_ot_matches_roundtrip():
 
 def test_batched_ntt_matches_per_prime_engines():
     basis = RnsBasis.generate(N, 3, bit_size=30)
-    batch = BatchedNTT(basis, N)
+    backend = NumpyBackend()
     rng = random.Random(6)
     rows = [[rng.randrange(p) for _ in range(N)] for p in basis.primes]
-    results = batch.forward(rows)
-    for row, transformed, p, engine in zip(rows, results, basis.primes, batch.engines):
-        assert transformed == engine.forward(row)
-    assert batch.inverse(results) == rows
-
-
-def test_batched_report_aggregates():
-    basis = RnsBasis.generate(N, 4, bit_size=30)
-    batch = BatchedNTT(basis, N)
-    rng = random.Random(7)
-    rows = [[rng.randrange(p) for _ in range(N)] for p in basis.primes]
-    _, report = batch.forward_with_report(rows)
-    assert report.batch_size == 4
-    assert len(report.reports) == 4
-    assert report.butterflies == 4 * (N // 2) * 7
-    assert report.table_fetches == 4 * (N - 1)
-    assert report.regenerated == 0
-    # twiddle tables grow linearly with np — the key NTT-vs-DFT difference
-    assert report.resident_table_bytes == 4 * N * 16
-    assert batch.resident_table_bytes() == 4 * N * 16
+    results = backend.forward_ntt_batch(backend.from_rows(rows, basis.primes))
+    transformed = results.to_rows()
+    for row, out, p in zip(rows, transformed, basis.primes):
+        assert out == NTTEngine(N, p).forward(row)
+    assert backend.inverse_ntt_batch(results).to_rows() == rows
 
 
 def test_batched_multiply():
     basis = RnsBasis.generate(N, 2, bit_size=30)
-    batch = BatchedNTT(basis, N)
+    backend = NumpyBackend()
     rng = random.Random(8)
     rows_a = [[rng.randrange(100) for _ in range(N)] for _ in basis.primes]
     rows_b = [[rng.randrange(100) for _ in range(N)] for _ in basis.primes]
-    products = batch.multiply(rows_a, rows_b)
+    fa = backend.forward_ntt_batch(backend.from_rows(rows_a, basis.primes))
+    fb = backend.forward_ntt_batch(backend.from_rows(rows_b, basis.primes))
+    products = backend.inverse_ntt_batch(backend.mul(fa, fb)).to_rows()
     for p, row_a, row_b, product in zip(basis.primes, rows_a, rows_b, products):
         assert product == naive_negacyclic_convolution(row_a, row_b, p)
-
-
-def test_batched_row_count_validation():
-    basis = RnsBasis.generate(N, 2, bit_size=30)
-    batch = BatchedNTT(basis, N)
-    with pytest.raises(ValueError):
-        batch.forward([[0] * N])
-    assert batch.batch_size == 2

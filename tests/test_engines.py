@@ -1,14 +1,15 @@
 """Cross-check and selection tests for the pluggable NTT-engine layer.
 
-Every registered engine must be bit-for-bit interchangeable on every
-backend: forward output equal to the bit-reverse-permuted reference
+Every registered engine is an array kernel of the NumPy backend and must be
+bit-for-bit interchangeable with the scalar oracle, which runs one
+transform: forward output equal to the bit-reverse-permuted reference
 transform of :mod:`repro.transforms.reference`, exact round-trips, and the
-correct negacyclic wrap — over both the vectorised (≤ 30-bit) and the
-scalar-fallback (> 30-bit) prime regimes.  Selection is pinned end to end:
-explicit argument > ``set_default_engine`` > ``REPRO_NTT_ENGINE`` > the
-fixed kernel of the transform path, including a full ``multiply →
+correct negacyclic wrap — at 30- and 60-bit primes, with NTT-domain rows
+crossing between each engine and the oracle in both directions.  Selection
+is pinned end to end: explicit argument > ``set_default_engine`` >
+``REPRO_NTT_ENGINE`` > the fixed array kernel, including a full ``multiply →
 relinearize → mod_switch`` chain under a non-default engine with zero
-boundary conversions.
+boundary conversions; the oracle takes no pin.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.backends.engines import (
     parse_engine_spec,
 )
 from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.parallel import ParallelBackend
 from repro.backends.registry import get_backend
 from repro.backends.scalar import ScalarBackend
 from repro.he import HEParams, HeContext
@@ -53,8 +55,12 @@ from repro.transforms.reference import (
 #: Every registered engine, including parameterised variants of the
 #: configurable ones (small radix / off-default split).
 ENGINE_SPECS = ("radix2", "high_radix", "high_radix:4", "four_step", "four_step:16", "stockham")
+#: Where an engine's NTT-domain rows are checked: against the engine itself
+#: on numpy, and against the scalar oracle.
 BACKEND_NAMES = ("scalar", "numpy")
-PRIME_BITS = (30, 60)  # vectorised regime and per-prime fallback regime
+#: Backends whose array transforms honour engine selection.
+ARRAY_BACKENDS = ("numpy", "parallel")
+PRIME_BITS = (30, 60)  # native and wide-word array regimes
 
 #: Fixed per-regime seeds for the randomized cross-check vectors — every
 #: random stream in this module is derived from these (or from a literal
@@ -65,7 +71,24 @@ WRAP_SEEDS = {30: 130, 60: 160}  # 100 + bits
 
 
 def make_backend(name: str, engine: str | None = None):
-    return ScalarBackend(engine=engine) if name == "scalar" else NumpyBackend(engine=engine)
+    """An array backend pinned to ``engine``; the scalar oracle takes no pin."""
+    if name == "scalar":
+        assert engine is None, "the scalar oracle runs one transform"
+        return ScalarBackend()
+    if name == "parallel":
+        return ParallelBackend(shards=2, engine=engine)
+    return NumpyBackend(engine=engine)
+
+
+def partner(name: str, engine_backend):
+    """The backend an engine's NTT-domain rows cross to: itself, or the oracle."""
+    return ScalarBackend() if name == "scalar" else engine_backend
+
+
+def transform(backend, rows, primes, forward=True):
+    tensor = backend.from_rows(rows, primes)
+    method = backend.forward_ntt_batch if forward else backend.inverse_ntt_batch
+    return method(tensor).to_rows()
 
 
 def random_rows(primes, n, seed):
@@ -118,25 +141,32 @@ def test_set_default_engine_validates_and_clears():
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 @pytest.mark.parametrize("spec", ENGINE_SPECS)
 def test_engine_matches_reference_and_round_trips(spec, backend_name, bits):
-    """Forward == bit-reversed naive transform; inverse restores the input."""
+    """Forward == bit-reversed naive transform; inverse restores the input,
+    with the other side's transform (the engine's own, or the oracle's) in
+    each direction."""
     n = 64
     p = generate_ntt_primes(bits, 1, n)[0]
     (row,) = random_rows([p], n, seed=CROSS_CHECK_SEEDS[bits])
     psi = primitive_root_of_unity(2 * n, p)
     expected = bit_reverse_permute(naive_negacyclic_ntt(row, psi, p))
 
-    backend = make_backend(backend_name, engine=spec)
-    tensor = backend.from_rows([row], [p])
-    forward = backend.forward_ntt_batch(tensor)
-    assert forward.to_rows()[0] == expected
-    assert backend.inverse_ntt_batch(forward).to_rows()[0] == row
+    engine = make_backend("numpy", engine=spec)
+    other = partner(backend_name, engine)
+    forward = transform(engine, [row], [p])
+    assert forward[0] == expected
+    assert transform(other, forward, [p], forward=False)[0] == row
+    other_forward = transform(other, [row], [p])
+    assert other_forward[0] == expected
+    assert transform(engine, other_forward, [p], forward=False)[0] == row
 
 
 @pytest.mark.parametrize("bits", PRIME_BITS)
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 @pytest.mark.parametrize("spec", ENGINE_SPECS)
 def test_engine_negacyclic_wrap(spec, backend_name, bits):
-    """iNTT(NTT(a) ⊙ NTT(b)) equals the schoolbook negacyclic convolution."""
+    """iNTT(NTT(a) ⊙ NTT(b)) equals the schoolbook negacyclic convolution,
+    with the engine's forward transforms and the other side's (the engine's
+    own, or the oracle's) product and inverse."""
     n = 32
     p = generate_ntt_primes(bits, 1, n)[0]
     rng = random.Random(WRAP_SEEDS[bits])
@@ -144,26 +174,30 @@ def test_engine_negacyclic_wrap(spec, backend_name, bits):
     b = [rng.randrange(p) for _ in range(n)]
     expected = naive_negacyclic_convolution(a, b, p)
 
-    backend = make_backend(backend_name, engine=spec)
-    fa = backend.forward_ntt_batch(backend.from_rows([a], [p]))
-    fb = backend.forward_ntt_batch(backend.from_rows([b], [p]))
-    product = backend.inverse_ntt_batch(backend.mul(fa, fb))
+    engine = make_backend("numpy", engine=spec)
+    other = partner(backend_name, engine)
+    fa = other.from_rows(transform(engine, [a], [p]), [p])
+    fb = other.from_rows(transform(engine, [b], [p]), [p])
+    product = other.inverse_ntt_batch(other.mul(fa, fb))
     assert product.to_rows()[0] == expected
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 def test_engines_bit_identical_on_batches_with_repeated_primes(backend_name):
-    """All engines emit the same bits for a wide mixed-word batch."""
+    """All engines emit the same bits for a wide mixed-word batch: the
+    radix2 engine's, or the scalar oracle's."""
     n = 128
     primes = generate_ntt_primes(30, 2, n) + generate_ntt_primes(60, 1, n)
     batch_primes = [p for p in primes for _ in range(2)]
     rows = random_rows(batch_primes, n, seed=5)
-    outputs = {}
-    for spec in ENGINE_SPECS:
-        backend = make_backend(backend_name, engine=spec)
-        tensor = backend.from_rows(rows, batch_primes)
-        outputs[spec] = backend.forward_ntt_batch(tensor).to_rows()
-    reference = outputs["radix2"]
+    outputs = {
+        spec: transform(make_backend("numpy", engine=spec), rows, batch_primes)
+        for spec in ENGINE_SPECS
+    }
+    if backend_name == "scalar":
+        reference = transform(ScalarBackend(), rows, batch_primes)
+    else:
+        reference = outputs["radix2"]
     for spec, rows_out in outputs.items():
         assert rows_out == reference, spec
 
@@ -177,10 +211,6 @@ class _ProbeEngine(Radix2Engine):
     name = "probe"
     spec = "probe"
     calls = 0
-
-    def forward_row(self, row, transformer):
-        type(self).calls += 1
-        return super().forward_row(row, transformer)
 
     def forward_array(self, block, tables):
         type(self).calls += 1
@@ -200,16 +230,16 @@ def _forward_once(backend, n=32, bits=30):
     backend.forward_ntt_batch(backend.from_rows([row], [p]))
 
 
-@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+@pytest.mark.parametrize("backend_name", ARRAY_BACKENDS)
 def test_env_var_selects_engine(backend_name, monkeypatch):
     _ensure_probe_registered()
     monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
     before = _ProbeEngine.calls
-    _forward_once(make_backend(backend_name))
+    _forward_once(make_backend(backend_name))  # parallel: inline, no pool starts
     assert _ProbeEngine.calls > before
 
 
-@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+@pytest.mark.parametrize("backend_name", ARRAY_BACKENDS)
 def test_explicit_engine_beats_env_var(backend_name, monkeypatch):
     _ensure_probe_registered()
     monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
@@ -219,6 +249,24 @@ def test_explicit_engine_beats_env_var(backend_name, monkeypatch):
     assert _ProbeEngine.calls == before  # env never consulted
     assert backend.engine == "stockham"
     assert backend.engine_choices == {}  # no fixed kernel was consulted either
+
+
+def test_scalar_oracle_takes_no_engine(monkeypatch):
+    """The oracle runs one transform: pinning it raises, directly or
+    through a context, and process-wide pins never reach it."""
+    _ensure_probe_registered()
+    with pytest.raises(NotImplementedError):
+        ScalarBackend().set_engine("stockham")
+    with pytest.raises(NotImplementedError):
+        HeContext.create(_params_30bit(), backend="scalar", engine="stockham")
+    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
+    before = _ProbeEngine.calls
+    try:
+        set_default_engine("probe")
+        _forward_once(ScalarBackend())
+    finally:
+        set_default_engine(None)
+    assert _ProbeEngine.calls == before
 
 
 def test_process_default_beats_env_var(monkeypatch):
@@ -250,8 +298,9 @@ def _forward_span_names(backend, primes, n):
 
 
 #: What a fresh backend records after one forward transform of six 30-bit
-#: primes at N=4096: one array tile of six rows, or six one-row prime groups.
-FIXED_CHOICES = {"numpy": {(4096, 30, 6): "stockham"}, "scalar": {(4096, 30, 1): "radix2"}}
+#: primes at N=4096: one array tile of six rows on the fixed kernel.  The
+#: scalar oracle runs its one transform and has no engine-choice gauge.
+FIXED_CHOICES = {"numpy": {(4096, 30, 6): "stockham"}, "scalar": None}
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
@@ -261,18 +310,22 @@ def test_fresh_backend_runs_its_path_kernel_without_a_race(backend_name, traced,
     names = _forward_span_names(backend, generate_ntt_primes(30, 6, 4096), 4096)
     assert "ntt.engine" in names
     assert "ntt.autotune" not in names
-    assert backend.engine_choices == FIXED_CHOICES[backend_name]
-    assert backend.metrics.snapshot()["ntt.engine_choices"] == FIXED_CHOICES[backend_name]
+    assert getattr(backend, "engine_choices", None) == FIXED_CHOICES[backend_name]
+    assert backend.metrics.snapshot().get("ntt.engine_choices") == FIXED_CHOICES[backend_name]
 
 
-def test_narrow_window_fallback_rows_run_radix2(traced, monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    monkeypatch.setenv("REPRO_WIDE_WORD", "0")
+def test_big_rows_record_no_engine_choice(traced, monkeypatch):
+    """A row of a prime at or above 2^62 runs the oracle's transform under
+    any pin: one fallback row, an ntt.engine span, no engine choice."""
+    _ensure_probe_registered()
+    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
+    before = _ProbeEngine.calls
     backend = NumpyBackend()
-    names = _forward_span_names(backend, generate_ntt_primes(60, 1, 64), 64)
+    names = _forward_span_names(backend, generate_ntt_primes(63, 1, 64), 64)
     assert backend.fallback_rows == 1
-    assert "ntt.autotune" not in names
-    assert backend.engine_choices == {(64, 60, 1): "radix2"}
+    assert "ntt.engine" in names
+    assert backend.engine_choices == {}
+    assert _ProbeEngine.calls == before
 
 
 def test_kernels_restore_the_callers_ufunc_buffer_size():
@@ -350,7 +403,7 @@ def test_env_var_reaches_the_he_layer(monkeypatch):
     _ensure_probe_registered()
     monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
     before = _ProbeEngine.calls
-    ctx = HeContext.create(_params_30bit(), backend="scalar")
+    ctx = HeContext.create(_params_30bit(), backend="numpy")
     encryptor = ctx.encryptor()
     ct = encryptor.encrypt(ctx.encoder().encode([7, 8]))
     ctx.evaluator().square(ct)

@@ -1,8 +1,8 @@
 """Cross-implementation integration tests.
 
-Every transform implementation in the library (scalar Cooley-Tukey engine,
-Stockham, four-step, vectorised backend, RNS polynomial layer, HE evaluator)
-must agree on the same mathematics.  These tests pin the implementations
+Every transform implementation in the library (the reference transformer,
+the planned-engine model, every array engine of the NumPy backend, the RNS
+polynomial layer, the HE evaluator) must agree on the same mathematics.  These tests pin the implementations
 against each other end to end — the kind of consistency a downstream user
 relies on when mixing backends.
 """
@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.backends.numpy_backend import NumpyBackend
 from repro.core import NTTEngine, NTTPlan, OnTheFlyConfig
 from repro.experiments.__main__ import main as experiments_main
 from repro.modarith.primes import generate_ntt_primes
@@ -21,13 +22,12 @@ from repro.rns.basis import RnsBasis
 from repro.rns.poly import RnsPolynomial
 from repro.transforms.bitrev import bit_reverse_permute
 from repro.transforms.cooley_tukey import NegacyclicTransformer
-from repro.transforms.four_step import four_step_negacyclic_ntt
-from repro.transforms.stockham import stockham_ntt_forward
-from repro.transforms.vectorized import VectorizedNTT
+from repro.transforms.reference import naive_negacyclic_ntt
 
 N = 1 << 6
 P30 = generate_ntt_primes(30, 1, N)[0]
 PSI30 = primitive_root_of_unity(2 * N, P30)
+ARRAY_ENGINES = ("radix2", "high_radix", "four_step", "stockham")
 
 
 def random_poly(n, p, seed):
@@ -36,19 +36,18 @@ def random_poly(n, p, seed):
 
 
 def test_all_forward_implementations_agree():
-    """Engine, transformer, Stockham, four-step and vectorised backends agree."""
+    """Transformer, planned-engine model and every NumPy array engine agree."""
     values = random_poly(N, P30, seed=1)
     transformer = NegacyclicTransformer(N, P30, PSI30)
     engine = NTTEngine(N, P30, NTTPlan(n=N, ot=OnTheFlyConfig(base=16, ot_stages=2)), psi=PSI30)
-    vectorised = VectorizedNTT(N, P30, PSI30)
 
     bit_reversed = transformer.forward(values)
-    natural = bit_reverse_permute(bit_reversed)
-
+    assert bit_reverse_permute(bit_reversed) == naive_negacyclic_ntt(values, PSI30, P30)
     assert engine.forward(values) == bit_reversed
-    assert vectorised.forward(values) == bit_reversed
-    assert stockham_ntt_forward(values, PSI30, P30) == natural
-    assert four_step_negacyclic_ntt(values, PSI30, P30) == natural
+    for spec in ARRAY_ENGINES:
+        backend = NumpyBackend(engine=spec)
+        forward = backend.forward_ntt_batch(backend.from_rows([values], [P30]))
+        assert forward.to_rows() == [bit_reversed], spec
 
 
 def test_all_multiplication_paths_agree():
@@ -57,7 +56,10 @@ def test_all_multiplication_paths_agree():
     b = random_poly(N, P30, seed=3)
     transformer = NegacyclicTransformer(N, P30, PSI30)
     engine = NTTEngine(N, P30, psi=PSI30)
-    vectorised = VectorizedNTT(N, P30, PSI30)
+    backend = NumpyBackend()
+    fa = backend.forward_ntt_batch(backend.from_rows([a], [P30]))
+    fb = backend.forward_ntt_batch(backend.from_rows([b], [P30]))
+    (array_product,) = backend.inverse_ntt_batch(backend.mul(fa, fb)).to_rows()
     basis = RnsBasis.from_primes([P30], N)
     rns_product = (
         RnsPolynomial.from_coefficients(a, basis) * RnsPolynomial.from_coefficients(b, basis)
@@ -65,7 +67,7 @@ def test_all_multiplication_paths_agree():
 
     expected = transformer.multiply(a, b)
     assert engine.multiply(a, b) == expected
-    assert vectorised.multiply(a, b) == expected
+    assert array_product == expected
     assert rns_product == expected
 
 

@@ -94,7 +94,7 @@ def pooled():
 @pytest.mark.parametrize("n", SIZES)
 def test_generated_case_matches_scalar_oracle(n, layout, pooled):
     primes, rows_a, rows_b, scalar = generate_case(n, layout)
-    expected = run_ops(ScalarBackend(engine="radix2"), primes, rows_a, rows_b, scalar)
+    expected = run_ops(ScalarBackend(), primes, rows_a, rows_b, scalar)
     backend = NumpyBackend()
     for engine in ENGINES:
         backend.set_engine(engine)

@@ -388,42 +388,32 @@ def test_chain_bit_identical_across_all_three_backends():
     assert results["scalar"] == results["numpy"] == results["parallel"]
 
 
-def test_fallback_conversions_visible_across_process_boundary(monkeypatch):
-    """With the wide window pinned off, the > 30-bit per-prime fallback
-    crossings (and fallback rows) charged inside the workers are mirrored
-    onto the parallel backend's counters, matching the numpy backend's
-    accounting for the same transform — sharding must be invisible to the
-    base.py boundary contract."""
-    monkeypatch.setenv("REPRO_WIDE_WORD", "0")
+def test_big_row_fallback_runs_inline_and_is_mirrored(pooled):
+    """Rows at or above the 2^62 storage window run inline on the forced
+    pool (no dispatch), and the fallback rows the inner backend charges are
+    mirrored onto the parallel backend's counters, matching the numpy
+    backend's accounting for the same transform: no conversions, one
+    fallback row per big row."""
+    primes = generate_ntt_primes(30, 1, N) + generate_ntt_primes(63, 1, N)
+    batch = [p for p in primes for _ in range(2)]
+    rows = random_rows(batch, N, seed=17)
+    big_rows = sum(p >= 1 << 62 for p in batch)
+
     numpy_backend = NumpyBackend()
-    narrow_pool = forced_backend()  # fresh pool: workers fork with the env set
-    try:
-        primes = generate_ntt_primes(60, 2, N)
-        batch = [p for p in primes for _ in range(2)]
-        rows = random_rows(batch, N, seed=17)
+    numpy_tensor = numpy_backend.from_rows(rows, batch)
+    numpy_backend.reset_conversion_count()
+    expected = numpy_backend.forward_ntt_batch(numpy_tensor).to_rows()
+    assert numpy_backend.fallback_rows == big_rows
 
-        numpy_tensor = numpy_backend.from_rows(rows, batch)
-        before = numpy_backend.conversion_count
-        numpy_backend.forward_ntt_batch(numpy_tensor)
-        expected = numpy_backend.conversion_count - before
-        assert expected > 0  # 60-bit rows leave the resident array per op
-        assert numpy_backend.fallback_rows == len(batch)
-
-        tensor = narrow_pool.from_rows(rows, batch)
-        before = narrow_pool.conversion_count
-        narrow_pool.forward_ntt_batch(tensor)
-        assert narrow_pool.conversion_count - before == expected
-        assert narrow_pool.fallback_rows == len(batch)
-
-        # ... while the vectorised regime stays at zero even when sharded
-        primes30 = generate_ntt_primes(30, 2, N)
-        batch30 = [p for p in primes30 for _ in range(2)]
-        tensor30 = narrow_pool.from_rows(random_rows(batch30, N, seed=18), batch30)
-        before = narrow_pool.conversion_count
-        narrow_pool.forward_ntt_batch(tensor30)
-        assert narrow_pool.conversion_count == before
-    finally:
-        narrow_pool.close()
+    tensor = pooled.from_rows(rows, batch)
+    conversions = pooled.conversion_count
+    fallback = pooled.fallback_rows
+    dispatches = pooled.dispatch_count
+    forward = pooled.forward_ntt_batch(tensor)
+    assert pooled.dispatch_count == dispatches
+    assert pooled.conversion_count == conversions
+    assert pooled.fallback_rows - fallback == big_rows
+    assert forward.to_rows() == expected
 
 
 def test_wide_word_resident_across_process_boundary(pooled):

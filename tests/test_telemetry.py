@@ -218,7 +218,7 @@ def test_declared_counters_appear_in_snapshot_at_zero():
 
 
 def test_backend_shims_match_registry():
-    backend = ScalarBackend(engine="radix2")
+    backend = ScalarBackend()
     tensor = backend.from_rows([[1, 2, 3, 4]], [97])
     backend.to_rows(tensor)
     assert backend.conversion_count == 2
@@ -236,8 +236,11 @@ def test_context_metrics_snapshot_covers_every_surface(backend_name):
         backend = NumpyBackend()
     else:
         backend = ScalarBackend()
+    # The scalar oracle runs one transform: it takes no engine pin and has
+    # no engine-choice gauge.
+    array = backend_name != "scalar"
     try:
-        ctx = HeContext.create(_params(), backend=backend, engine="radix2")
+        ctx = HeContext.create(_params(), backend=backend, engine="radix2" if array else None)
         _chain(ctx)
         snap = ctx.metrics()
         for key in (
@@ -246,9 +249,9 @@ def test_context_metrics_snapshot_covers_every_surface(backend_name):
             "plan.compiled",
             "plan.cache_hits",
             "ntt.invocations",
-            "ntt.engine_choices",
         ):
             assert key in snap, key
+        assert ("ntt.engine_choices" in snap) == array
         assert snap["ntt.invocations"] > 0
         assert snap["plan.compiled"] > 0
         if backend_name == "parallel":
@@ -564,7 +567,10 @@ def test_profiler_lifecycle_and_validation():
 
     with pytest.raises(ValueError, match="interval"):
         SamplingProfiler(interval=0.0)
-    profiler = SamplingProfiler(interval=0.001)
+    # An interval the sampler cannot reach between start() and stop(), so
+    # the only sample is the explicit sample_once(); stop() still returns
+    # at once, because the stop event ends the sampler's wait.
+    profiler = SamplingProfiler(interval=60.0)
     assert not profiler.running
     profiler.start()
     profiler.start()  # idempotent while running
@@ -767,7 +773,7 @@ def test_experiments_list_shows_engine_verdicts(capsys):
 
     assert main(["--list", "--engine", "four_step"]) == 0
     out = capsys.readouterr().out
-    assert "fixed kernel per path: array -> stockham, row -> radix2" in out
+    assert "fixed array kernel: stockham" in out
     assert "engine pin: four_step" in out
 
 

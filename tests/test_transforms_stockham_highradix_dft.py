@@ -1,25 +1,24 @@
-"""Tests for the Stockham NTT, pass-structured (high-radix) NTT, and the FFT counterpart."""
+"""Tests for the Stockham and high-radix NTT engines and the high-radix pass plan.
+
+Both engines run as array kernels of the NumPy backend
+(:mod:`repro.backends.engines`).  The pass plan shapes the passes of the
+GPU cost model's high-radix kernels
+(:func:`repro.kernels.high_radix.plan_stage_groups`).
+"""
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
+from repro.backends.numpy_backend import NumpyBackend
+from repro.kernels.high_radix import plan_stage_groups
 from repro.modarith.primes import generate_ntt_primes
 from repro.modarith.roots import primitive_root_of_unity
 from repro.transforms.bitrev import bit_reverse_permute
-from repro.transforms.cooley_tukey import forward_twiddle_table, ntt_forward
-from repro.transforms.dft import fft_forward, fft_inverse, naive_dft
-from repro.transforms.high_radix import (
-    ntt_forward_by_passes,
-    plan_stage_groups,
-    radix_of_group,
-    run_pass,
-)
+from repro.transforms.cooley_tukey import ntt_forward
 from repro.transforms.reference import naive_negacyclic_ntt
-from repro.transforms.stockham import stockham_ntt_forward, stockham_ntt_inverse
 
 N = 64
 P = generate_ntt_primes(30, 1, N)[0]
@@ -31,30 +30,42 @@ def random_poly(n, p, seed=0):
     return [rng.randrange(p) for _ in range(n)]
 
 
+def forward(spec, values):
+    """One row through ``spec``'s array kernel (bit-reversed output)."""
+    backend = NumpyBackend(engine=spec)
+    return backend.forward_ntt_batch(backend.from_rows([values], [P])).to_rows()[0]
+
+
+def inverse(spec, values):
+    """One bit-reversed row through ``spec``'s inverse array kernel."""
+    backend = NumpyBackend(engine=spec)
+    return backend.inverse_ntt_batch(backend.from_rows([values], [P])).to_rows()[0]
+
+
 # ---------------------------------------------------------------- Stockham
 
 
 def test_stockham_forward_matches_naive_natural_order():
     values = random_poly(N, P, seed=1)
-    assert stockham_ntt_forward(values, PSI, P) == naive_negacyclic_ntt(values, PSI, P)
+    natural = bit_reverse_permute(forward("stockham", values))
+    assert natural == naive_negacyclic_ntt(values, PSI, P)
 
 
 def test_stockham_forward_equals_bitreversed_cooley_tukey():
     values = random_poly(N, P, seed=2)
-    ct = ntt_forward(values, PSI, P)
-    assert stockham_ntt_forward(values, PSI, P) == bit_reverse_permute(ct)
+    assert forward("stockham", values) == ntt_forward(values, PSI, P)
 
 
 def test_stockham_roundtrip():
     values = random_poly(N, P, seed=3)
-    assert stockham_ntt_inverse(stockham_ntt_forward(values, PSI, P), PSI, P) == values
+    assert inverse("stockham", forward("stockham", values)) == values
 
 
 def test_stockham_rejects_non_power_of_two():
     with pytest.raises(ValueError):
-        stockham_ntt_forward([1, 2, 3], PSI, P)
+        forward("stockham", [1, 2, 3])
     with pytest.raises(ValueError):
-        stockham_ntt_inverse([1, 2, 3], PSI, P)
+        inverse("stockham", [1, 2, 3])
 
 
 # ---------------------------------------------------------------- high radix
@@ -80,84 +91,12 @@ def test_plan_stage_groups_validation():
         plan_stage_groups(64, 128)
 
 
-def test_radix_of_group():
-    assert radix_of_group(1) == 2
-    assert radix_of_group(4) == 16
-    assert radix_of_group(11) == 2048
-
-
 @pytest.mark.parametrize("radix", [2, 4, 8, 16, 64])
 def test_pass_structured_ntt_matches_radix2(radix):
+    """``high_radix:R`` runs exactly the radix-2 butterflies; the radix only
+    groups the stages into the GPU model's passes, which cover each once."""
     values = random_poly(N, P, seed=4)
     expected = ntt_forward(values, PSI, P)
-    data = list(values)
-    table = forward_twiddle_table(N, PSI, P)
-    stats = ntt_forward_by_passes(data, table, P, plan_stage_groups(N, radix))
-    assert data == expected
-    assert sum(s.stages for s in stats) == 6  # log2(64)
-    assert all(s.element_loads == N and s.element_stores == N for s in stats)
-
-
-def test_pass_stats_accounting():
-    values = random_poly(N, P, seed=5)
-    table = forward_twiddle_table(N, PSI, P)
-    data = list(values)
-    stats = ntt_forward_by_passes(data, table, P, [3, 3])
-    # First pass covers stages m=1,2,4 -> 1+2+4 = 7 twiddles; second m=8,16,32 -> 56.
-    assert stats[0].twiddle_loads == 7
-    assert stats[1].twiddle_loads == 56
-    assert stats[0].butterflies == 3 * N // 2
-    assert stats[0].radix == 8
-    # Total twiddles across all stages of a radix-2 NTT is N - 1.
-    assert sum(s.twiddle_loads for s in stats) == N - 1
-
-
-def test_run_pass_partial_stage_window():
-    """Running all stages through run_pass in two chunks equals the full transform."""
-    values = random_poly(N, P, seed=6)
-    expected = ntt_forward(values, PSI, P)
-    table = forward_twiddle_table(N, PSI, P)
-    data = list(values)
-    run_pass(data, table, P, first_stage_m=1, stage_count=2)
-    run_pass(data, table, P, first_stage_m=4, stage_count=4)
-    assert data == expected
-
-
-def test_ntt_forward_by_passes_validates_groups():
-    table = forward_twiddle_table(N, PSI, P)
-    with pytest.raises(ValueError):
-        ntt_forward_by_passes([0] * N, table, P, [3, 2])  # sums to 5, not 6
-
-
-# ---------------------------------------------------------------- DFT / FFT
-
-
-def test_fft_forward_matches_naive_dft():
-    rng = random.Random(7)
-    values = [complex(rng.random(), rng.random()) for _ in range(N)]
-    fast = bit_reverse_permute(fft_forward(values))
-    reference = naive_dft(values)
-    assert np.allclose(np.asarray(fast), reference, atol=1e-9)
-
-
-def test_fft_roundtrip():
-    rng = random.Random(8)
-    values = [complex(rng.random(), rng.random()) for _ in range(N)]
-    back = fft_inverse(fft_forward(values))
-    assert np.allclose(np.asarray(back), np.asarray(values), atol=1e-9)
-
-
-def test_fft_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        fft_forward([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        fft_inverse([1.0, 2.0, 3.0])
-
-
-def test_fft_and_ntt_share_loop_structure():
-    """The FFT twiddle table has the same length/layout as the NTT table so the
-    memory-traffic comparison in the paper is apples-to-apples."""
-    from repro.transforms.dft import dft_twiddle_table
-
-    assert len(dft_twiddle_table(N)) == len(forward_twiddle_table(N, PSI, P))
-    assert dft_twiddle_table(N)[0] == 1
+    assert forward("high_radix:%d" % radix, values) == expected
+    assert inverse("high_radix:%d" % radix, expected) == values
+    assert sum(plan_stage_groups(N, radix)) == 6  # log2(64)

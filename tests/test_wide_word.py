@@ -165,19 +165,23 @@ def test_wide_digit_broadcast_and_mod_switch_match_scalar(bits):
     assert switched.to_rows() == scalar.mod_switch_drop_last(st, t).to_rows()
 
 
-def test_wide_window_can_be_pinned_off(monkeypatch):
-    """REPRO_WIDE_WORD=0 restores the legacy 30-bit gate (scalar fallback)."""
-    monkeypatch.setenv("REPRO_WIDE_WORD", "0")
-    primes = generate_ntt_primes(60, 2, N)
+def test_rows_above_the_window_take_the_counted_fallback():
+    """Primes at or above the 2^62 ceiling run the scalar fallback: still
+    exact, every row charged to fallback.rows, and no conversions (the
+    rows already live as Python rows inside the tensor)."""
+    primes = generate_ntt_primes(63, 2, N)
     rows = wide_rows(primes, N, seed=61)
 
     scalar = scalar_reference()
     expected = scalar.forward_ntt_batch(scalar.from_rows(rows, primes)).to_rows()
 
     backend = NumpyBackend()
-    forward = backend.forward_ntt_batch(backend.from_rows(rows, primes))
-    assert forward.to_rows() == expected  # fallback is still exact
+    tensor = backend.from_rows(rows, primes)
+    backend.reset_conversion_count()
+    forward = backend.forward_ntt_batch(tensor)
+    assert backend.conversion_count == 0
     assert backend.fallback_rows == len(primes)
+    assert forward.to_rows() == expected  # fallback is still exact
 
 
 # -------------------------------------------------------------- parallel

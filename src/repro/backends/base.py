@@ -100,12 +100,19 @@ from ..telemetry import TRACER
 from ..telemetry.metrics import MetricsRegistry
 from . import ops
 
-__all__ = ["ComputeBackend", "ResidueTensor", "ResidueRows", "uninstrumented"]
+__all__ = ["ComputeBackend", "ResidueTensor", "ResidueRows", "python_row", "uninstrumented"]
 
 #: A batch of residue rows in boundary (Python list) form: ``rows[i]`` holds
-#: integers reduced mod ``primes[i]``.  Only :meth:`ComputeBackend.from_rows`
-#: / :meth:`ComputeBackend.to_rows` traffic in this type.
+#: integers reduced mod ``primes[i]`` (:meth:`ComputeBackend.from_rows` also
+#: takes 1-D NumPy rows).  Only :meth:`ComputeBackend.from_rows` /
+#: :meth:`ComputeBackend.to_rows` traffic in this type.
 ResidueRows = Sequence[Sequence[int]]
+
+
+def python_row(row: Sequence[int]) -> Sequence[int]:
+    """A residue row as Python ints: an array row is converted once."""
+    tolist = getattr(row, "tolist", None)
+    return row if tolist is None else tolist()
 
 
 class ResidueTensor:
@@ -315,7 +322,9 @@ class ComputeBackend(abc.ABC):
         """Enter native storage: build a tensor from Python residue rows.
 
         Rows are reduced modulo their prime on entry, so unreduced (but
-        non-negative) inputs are accepted.  Counts ``len(rows)`` conversions.
+        non-negative) inputs are accepted.  A row may also be a 1-D NumPy
+        integer array (the bulk samplers' output), which the array backends
+        store without a list round trip.  Counts ``len(rows)`` conversions.
         """
 
     @abc.abstractmethod

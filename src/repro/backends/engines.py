@@ -47,14 +47,8 @@ import numpy as np
 
 from ..modarith.modops import inv_mod, mul_mod, pow_mod
 from ..modarith.roots import primitive_root_of_unity
-from ..transforms.bitrev import (
-    bit_reverse_index_array,
-    bit_reverse_indices,
-    is_power_of_two,
-    log2_exact,
-)
-from ..transforms.cooley_tukey import forward_twiddle_table
-from .wideops import reduce_below, reduction_for
+from ..transforms.bitrev import bit_reverse_index_array, is_power_of_two, log2_exact
+from .wideops import mulmod, reduce_below, reduction_for
 
 __all__ = [
     "ARRAY_ENGINE",
@@ -126,14 +120,39 @@ def tile_rows(k: int, m: int, n: int) -> int:
 # --------------------------------------------------------------------- tables
 
 
-def _modular_powers(base: int, count: int, p: int) -> list[int]:
-    powers = [1] * count
+def _modular_powers(base: int, count: int, p: int, first: int = 1) -> list[int]:
+    powers = [first] * count
     for i in range(1, count):
         powers[i] = mul_mod(powers[i - 1], base, p)
     return powers
 
 
-def _pease_table(length: int, omega: int, p: int) -> list[int]:
+def _powers(bases: list[int], primes: list[int], count: int, scales: list[int] | None = None):
+    """``scale * base^e mod p`` for ``e < count``: one ``uint64`` row per prime.
+
+    The on-the-fly twiddle factorisation of Section VII
+    (:class:`~repro.core.on_the_fly.OnTheFlyConfig`), used here to build the
+    resident tables: with ``B`` about ``sqrt(count)``, ``base^e`` is
+    ``(base^B)^(e // B) * base^(e % B)``, so Python computes ``B`` low and
+    ``count / B`` high powers per prime and one exact outer product
+    (:func:`~repro.backends.wideops.mulmod`) forms every entry.  A scale
+    (``n^{-1}`` for the inverse post-twist) rides on the low powers.
+    """
+    low_count = 1 << (max(count - 1, 1).bit_length() + 1) // 2
+    high_count = -(-count // low_count)
+    scales = scales if scales is not None else [1] * len(primes)
+    low = [_modular_powers(b, low_count, p, s) for b, p, s in zip(bases, primes, scales)]
+    high = [_modular_powers(pow_mod(b, low_count, p), high_count, p) for b, p in zip(bases, primes)]
+    column = np.asarray(primes, dtype=np.uint64).reshape(-1, 1, 1)
+    grid = mulmod(
+        np.asarray(high, dtype=np.uint64)[:, :, None],
+        np.asarray(low, dtype=np.uint64)[:, None, :],
+        column,
+    )
+    return grid.reshape(len(primes), -1)[:, :count]
+
+
+def _pease_table(omegas: list[int], primes: list[int], length: int):
     """Twiddles of a constant-geometry sweep of ``length``: ``omega^i``, ``i < length/2``.
 
     Stage ``s`` multiplies pair ``j`` by ``omega^((j >> s) << s)``: runs of
@@ -142,44 +161,40 @@ def _pease_table(length: int, omega: int, p: int) -> list[int]:
     their products stream contiguously; later stages broadcast a strided
     view of the first block.
     """
-    half = length // 2
-    powers = _modular_powers(omega, half, p)
-    row = list(powers)
+    powers = _powers(omegas, primes, length // 2)
+    blocks = [powers]
     run = 2
     while run < min(EXPANDED_RUNS, length):
-        row.extend(powers[(j // run) * run] for j in range(half))
+        blocks.append(np.repeat(powers[:, ::run], run, axis=1))
         run *= 2
-    return row
+    return np.concatenate(blocks, axis=1)
 
 
-def _table_row(name: tuple, n: int, p: int, psi: int) -> list[int]:
-    """One prime's row of the named table."""
+def _table(name: tuple, n: int, primes: list[int], roots: list[int]):
+    """The named table's rows for ``primes`` (``psi`` per prime in ``roots``)."""
     kind, inverse = name[0], name[1]
-    psi_inv = inv_mod(psi, p)
-    if kind == "ct":
-        return forward_twiddle_table(n, psi_inv if inverse else psi, p)
     if kind == "n_inv":
-        return [inv_mod(n, p)]
+        return np.asarray([[inv_mod(n, p)] for p in primes], dtype=np.uint64)
+    psis = [inv_mod(psi, p) if inverse else psi for psi, p in zip(roots, primes)]
+    if kind == "ct":  # Algorithm 1's table: psi^bitrev(i)
+        return _powers(psis, primes, n)[:, bit_reverse_index_array(n)]
     if kind == "twist":
-        if not inverse:
-            return _modular_powers(psi, n, p)
-        n_inv = inv_mod(n, p)
-        return [mul_mod(value, n_inv, p) for value in _modular_powers(psi_inv, n, p)]
-    omega = mul_mod(psi, psi, p)
-    if inverse:
-        omega = inv_mod(omega, p)
+        scales = [inv_mod(n, p) for p in primes] if inverse else None
+        return _powers(psis, primes, n, scales)
+    omegas = [mul_mod(psi, psi, p) for psi, p in zip(psis, primes)]
     if kind == "pease":
-        return _pease_table(n, omega, p)
+        return _pease_table(omegas, primes, n)
     # ("four_step", inverse, n1, part): the n1 x n2 split's three tables.
     n1, part = name[2], name[3]
     n2 = n // n1
     if part == "inner":
-        return _pease_table(n1, pow_mod(omega, n2, p), p)
+        return _pease_table([pow_mod(w, n2, p) for w, p in zip(omegas, primes)], primes, n1)
     if part == "outer":
-        return _pease_table(n2, pow_mod(omega, n1, p), p)
-    # Twist omega^(j2*k1), with k1 in the inner sweep's bit-reversed order.
-    rows = (_modular_powers(pow_mod(omega, j2, p), n1, p) for j2 in range(n2))
-    return [row[k1] for row in rows for k1 in bit_reverse_indices(n1)]
+        return _pease_table([pow_mod(w, n1, p) for w, p in zip(omegas, primes)], primes, n2)
+    # Twist omega^(j2*k1), with k1 in the inner sweep's bit-reversed order;
+    # omega has order n, so the exponent is taken mod n.
+    exponents = np.arange(n2).reshape(-1, 1) * bit_reverse_index_array(n1) % n
+    return _powers(omegas, primes, n)[:, exponents.ravel()]
 
 
 class EngineTables:
@@ -187,7 +202,9 @@ class EngineTables:
 
     One instance per ``(n, reduction strategy)``: primes join in the order
     they are first seen (:meth:`index`), each table is built on first use
-    as one ``(primes, length)`` ``uint64`` array plus its
+    as one ``(primes, length)`` ``uint64`` array (by the on-the-fly
+    factorisation, :func:`_powers`; bit-identical to the oracle's
+    sequential tables) plus its
     :meth:`~repro.backends.wideops.Reduction.companions`, and a new prime
     extends every built table by one row — one copy of each table, which
     :meth:`rows` hands to the kernels as views of a range of primes.  An
@@ -235,8 +252,7 @@ class EngineTables:
         return arrays
 
     def _build(self, name: tuple, start: int) -> tuple:
-        pairs = zip(self.primes[start:], self.roots[start:])
-        values = np.asarray([_table_row(name, self.n, p, psi) for p, psi in pairs], dtype=np.uint64)
+        values = np.ascontiguousarray(_table(name, self.n, self.primes[start:], self.roots[start:]))
         primes = np.asarray(self.primes[start:], dtype=np.uint64).reshape(-1, 1)
         return (values,) + self.reduction.companions(values, primes)
 

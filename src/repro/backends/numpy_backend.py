@@ -36,7 +36,7 @@ import numpy as np
 
 from ..telemetry import TRACER
 from . import wideops
-from .base import ComputeBackend, ResidueRows, ResidueTensor
+from .base import ComputeBackend, ResidueRows, ResidueTensor, python_row
 from .engines import (
     ARRAY_ENGINE,
     TILE_ELEMS,
@@ -51,7 +51,7 @@ from .engines import (
 from .scalar import ScalarBackend
 from .wideops import WIDE_MUL_LIMIT, reduce_below, select_strategy
 
-__all__ = ["NumpyBackend", "NumpyTensor", "MUL_VECTORIZED_LIMIT", "STORAGE_LIMIT"]
+__all__ = ["NumpyBackend", "NumpyTensor", "MUL_VECTORIZED_LIMIT", "STORAGE_LIMIT", "store_rows"]
 
 #: Largest modulus (exclusive) for which *native* uint64 products ``a * b``
 #: are exact; above it, products run the wide-word kernels of
@@ -62,6 +62,26 @@ MUL_VECTORIZED_LIMIT = 1 << 31
 #: wide-word products are exact below it); wider rows live as exact Python
 #: rows inside the tensor.
 STORAGE_LIMIT = WIDE_MUL_LIMIT
+
+
+def store_rows(data: np.ndarray, rows: ResidueRows, primes: Sequence[int]) -> dict[int, list[int]]:
+    """Reduce ``rows`` into the ``uint64`` array ``data``, row by row.
+
+    Returns the exact Python rows of primes at or above
+    :data:`STORAGE_LIMIT` (their ``data`` rows stay as they were).
+    """
+    big: dict[int, list[int]] = {}
+    for index, (row, p) in enumerate(zip(rows, primes)):
+        if p < STORAGE_LIMIT:
+            try:
+                data[index] = np.asarray(row, dtype=np.uint64) % np.uint64(p)
+            except OverflowError:
+                # Unreduced entries beyond uint64 (the contract accepts
+                # them): reduce in Python first, then store.
+                data[index] = np.asarray([value % p for value in row], dtype=np.uint64)
+        else:
+            big[index] = [value % p for value in python_row(row)]
+    return big
 
 
 class NumpyTensor(ResidueTensor):
@@ -197,20 +217,7 @@ class NumpyBackend(ComputeBackend):
         self._count_conversion(len(rows))
         n = len(rows[0]) if rows else 0
         data = np.zeros((len(rows), n), dtype=np.uint64)
-        big: dict[int, list[int]] = {}
-        for index, (row, p) in enumerate(zip(rows, primes)):
-            if p < STORAGE_LIMIT:
-                try:
-                    data[index] = np.asarray(row, dtype=np.uint64) % np.uint64(p)
-                except OverflowError:
-                    # Unreduced entries beyond uint64 (the contract accepts
-                    # them): reduce in Python first, then store.
-                    data[index] = np.asarray(
-                        [value % p for value in row], dtype=np.uint64
-                    )
-            else:
-                big[index] = [value % p for value in row]
-        return NumpyTensor(self, primes, n, data, big)
+        return NumpyTensor(self, primes, n, data, store_rows(data, rows, primes))
 
     def to_rows(self, tensor: ResidueTensor) -> list[list[int]]:
         self._check_owned(tensor)

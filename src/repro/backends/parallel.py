@@ -59,7 +59,7 @@ import numpy as np
 from ..telemetry import TRACER
 from . import ops
 from .base import ComputeBackend, ResidueRows, ResidueTensor
-from .numpy_backend import STORAGE_LIMIT
+from .numpy_backend import store_rows
 from .pool import (
     ShmRef,
     WorkerPool,
@@ -324,18 +324,7 @@ class ParallelBackend(ComputeBackend):
         self._count_conversion(len(rows))
         n = len(rows[0]) if rows else 0
         data, segment = self._allocate(len(rows), n)
-        big: dict[int, list[int]] = {}
-        for index, (row, p) in enumerate(zip(rows, primes)):
-            if p < STORAGE_LIMIT:
-                try:
-                    data[index] = np.asarray(row, dtype=np.uint64) % np.uint64(p)
-                except OverflowError:
-                    data[index] = np.asarray(
-                        [value % p for value in row], dtype=np.uint64
-                    )
-            else:
-                big[index] = [value % p for value in row]
-        return ParallelTensor(self, primes, n, data, big, segment)
+        return ParallelTensor(self, primes, n, data, store_rows(data, rows, primes), segment)
 
     def to_rows(self, tensor: ResidueTensor) -> list[list[int]]:
         self._check_owned(tensor)

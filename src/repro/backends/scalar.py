@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from ..modarith.modops import add_mod, mul_mod, neg_mod, sub_mod
 from ..telemetry import TRACER
 from ..transforms.cooley_tukey import NegacyclicTransformer
-from .base import ComputeBackend, ResidueRows, ResidueTensor
+from .base import ComputeBackend, ResidueRows, ResidueTensor, python_row
 
 __all__ = ["ScalarBackend", "ScalarTensor"]
 
@@ -83,7 +83,7 @@ class ScalarBackend(ComputeBackend):
         self._check_rows_shape(rows, primes)
         self._count_conversion(len(rows))
         n = len(rows[0]) if rows else 0
-        reduced = [[value % p for value in row] for row, p in zip(rows, primes)]
+        reduced = [[value % p for value in python_row(row)] for row, p in zip(rows, primes)]
         return ScalarTensor(self, primes, n, reduced)
 
     def to_rows(self, tensor: ResidueTensor) -> list[list[int]]:

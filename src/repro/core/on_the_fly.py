@@ -20,6 +20,13 @@ multiplications per twiddle); the paper finds base-1024 the sweet spot, and
 that applying OT only to the *last one or two stages* (where the per-stage
 table is half / a quarter of the whole table) captures most of the traffic
 reduction without adding multiplications to every stage.
+
+This module models the scheme (table sizes, per-twiddle regeneration) for
+the experiments.  The production data plane uses the same factorisation to
+*build* its resident tables: :func:`repro.backends.engines._powers` forms
+every power table of :class:`~repro.backends.engines.EngineTables` from
+about ``sqrt(L)`` low and ``L / sqrt(L)`` high powers per prime with one
+exact outer product, instead of ``L`` sequential multiplications.
 """
 
 from __future__ import annotations

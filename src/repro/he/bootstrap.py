@@ -28,6 +28,7 @@ from ..gpu.costmodel import GpuCostModel
 from ..kernels.smem import smem_ntt_model
 from ..kernels.radix2 import radix2_ntt_model
 from ..rns.poly import RnsPolynomial
+from ..rns.sampling import uniform_below
 from .ciphertext import Ciphertext
 from .encryptor import Decryptor, Encryptor
 from .params import HEParams
@@ -41,9 +42,12 @@ __all__ = [
 
 
 def _diagonal(rng: random.Random, basis, n: int, t: int, backend) -> RnsPolynomial:
-    """One deterministic pseudo-diagonal plaintext for the linear transforms."""
+    """One deterministic pseudo-diagonal plaintext for the linear transforms.
+
+    Coefficients are uniform in ``[1, t)``, drawn in bulk.
+    """
     return RnsPolynomial.from_coefficients(
-        [rng.randrange(1, t) for _ in range(n)], basis, backend=backend
+        1 + uniform_below(rng, t - 1, n), basis, backend=backend
     )
 
 

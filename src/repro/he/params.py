@@ -25,6 +25,7 @@ from math import lcm
 
 from ..modarith.primes import is_probable_prime
 from ..rns.basis import RnsBasis
+from ..rns.sampling import MAX_STDDEV
 
 __all__ = ["HEParams", "generate_bgv_primes", "toy_params", "small_params", "bootstrappable_params"]
 
@@ -65,7 +66,8 @@ class HEParams:
         plaintext_modulus: The plaintext space ``Z_t[X]/(X^N + 1)``.
         prime_bits: Bit size of each RNS prime.
         prime_count: Number of RNS primes (``np``).
-        error_std: Standard deviation of the discrete-Gaussian error.
+        error_std: Standard deviation of the discrete-Gaussian error
+            (``0 .. MAX_STDDEV``; the sampler tabulates its distribution).
         name: Human-readable preset name.
     """
 
@@ -83,6 +85,8 @@ class HEParams:
             raise ValueError("at least one RNS prime is required")
         if self.plaintext_modulus < 2:
             raise ValueError("plaintext modulus must be >= 2")
+        if not 0 <= self.error_std <= MAX_STDDEV:
+            raise ValueError("error_std must be in [0, %g]" % MAX_STDDEV)
 
     def make_basis(self) -> RnsBasis:
         """Generate the RNS basis implied by these parameters."""

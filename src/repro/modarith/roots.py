@@ -13,6 +13,9 @@ multiplicative group ``Z_p^*`` (order ``p - 1``) and raise it to
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .modops import inv_mod, pow_mod
 from .primes import is_probable_prime
 
@@ -27,13 +30,23 @@ __all__ = [
 ]
 
 
+#: Trial division covers candidates below this bound; a cofactor that is
+#: still composite is split by Pollard's rho.
+WHEEL_BOUND = 1 << 10
+#: Differences multiplied together per gcd in the rho search.
+_RHO_BATCH = 64
+
+
 def factorize(n: int) -> dict[int, int]:
     """Return the prime factorisation of ``n`` as ``{prime: exponent}``.
 
-    Trial division is sufficient here: we only factorise ``p - 1`` for
-    NTT-friendly primes, where ``p - 1 = 2N * k`` and ``k`` is small relative
-    to typical cryptographic hardness assumptions (these are 30-60 bit
-    primes, not RSA moduli).
+    Trial division by 2, 3, 5 and a ``6k +/- 1`` wheel strips the factors
+    below :data:`WHEEL_BOUND`; a cofactor that is neither 1 nor prime is
+    then split by Pollard's rho (Brent's variant), whose cost grows with the
+    square root of the second-largest prime factor rather than with the
+    factor itself.  A part smaller than the square of the first untried
+    wheel candidate is prime without a test, so primality is tested about
+    once per large prime factor.  Factors are listed in increasing order.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -43,23 +56,56 @@ def factorize(n: int) -> dict[int, int]:
         while remaining % candidate == 0:
             factors[candidate] = factors.get(candidate, 0) + 1
             remaining //= candidate
-    # 6k +/- 1 wheel.  The cofactor's primality is tested once up front and
-    # again only when a division shrinks it.
     candidate = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    index = 0
-    prime_left = is_probable_prime(remaining)
-    while not prime_left and candidate * candidate <= remaining:
-        if remaining % candidate == 0:
-            while remaining % candidate == 0:
-                factors[candidate] = factors.get(candidate, 0) + 1
-                remaining //= candidate
-            prime_left = is_probable_prime(remaining)
-        candidate += increments[index]
-        index = (index + 1) % len(increments)
-    if remaining > 1:
-        factors[remaining] = factors.get(remaining, 0) + 1
-    return factors
+    increments = itertools.cycle((4, 2, 4, 2, 4, 6, 2, 6))
+    while candidate < WHEEL_BOUND and candidate * candidate <= remaining:
+        while remaining % candidate == 0:
+            factors[candidate] = factors.get(candidate, 0) + 1
+            remaining //= candidate
+        candidate += next(increments)
+    # Every prime factor of what remains is at least ``candidate``.
+    pending = [remaining] if remaining > 1 else []
+    while pending:
+        value = pending.pop()
+        if value in factors or value < candidate * candidate or is_probable_prime(value):
+            factors[value] = factors.get(value, 0) + 1
+        else:
+            divisor = _pollard_rho(value)
+            pending += [divisor, value // divisor]
+    return dict(sorted(factors.items()))
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of the odd composite ``n`` (Brent's cycle search).
+
+    Iterates ``x -> x^2 + c mod n`` from 2 with ``c = 1, 2, ...`` until one
+    run finds a divisor other than ``n``; deterministic, so every call
+    returns the same divisor.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, power, product, divisor = 2, 1, 1, 1
+        while divisor == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and divisor == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, power - done)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                divisor = math.gcd(product, n)
+                done += _RHO_BATCH
+            power *= 2
+        if divisor == n:  # the batch overshot: replay it one step at a time
+            divisor = 1
+            while divisor == 1:
+                saved = (saved * saved + c) % n
+                divisor = math.gcd(x - saved, n)
+        if divisor != n:
+            return divisor
 
 
 def find_generator(p: int) -> int:

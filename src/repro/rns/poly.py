@@ -31,9 +31,12 @@ import random
 from collections.abc import Sequence
 from enum import Enum
 
+import numpy as np
+
 from ..backends import ops
 from ..backends.base import ComputeBackend, ResidueTensor
 from ..backends.registry import resolve_backend
+from . import sampling
 from .basis import RnsBasis
 
 __all__ = ["Domain", "RnsPolynomial"]
@@ -42,6 +45,17 @@ __all__ = ["Domain", "RnsPolynomial"]
 #: The plan is shape-generic (counts bind at execution), so one compilation
 #: serves every polynomial pair with the same number of RNS primes.
 _PRODUCT_PLANS: dict[int, ops.Plan] = {}
+
+
+def _residue_rows(values: np.ndarray, primes: Sequence[int]) -> list:
+    """Rows of ``values`` (``int64``) modulo each prime: arrays for word-sized
+    primes, Python rows above."""
+    return [
+        (values % p).astype(np.uint64)
+        if p < sampling.WORD_LIMIT
+        else [value % p for value in values.tolist()]
+        for p in primes
+    ]
 
 
 def _product_plan(count: int) -> ops.Plan:
@@ -107,9 +121,19 @@ class RnsPolynomial:
         basis: RnsBasis,
         backend: ComputeBackend | str | None = None,
     ) -> "RnsPolynomial":
-        """Build a polynomial from big-integer (or signed) coefficients mod ``Q``."""
+        """Build a polynomial from big-integer (or signed) coefficients mod ``Q``.
+
+        Word-sized coefficients (each fitting an ``int64``; a list or an
+        ``int64`` array) are reduced as one array per prime; others row by
+        row in Python.
+        """
         n = len(coefficients)
-        rows = [[c % p for c in coefficients] for p in basis.primes]
+        try:
+            values = np.asarray(coefficients, dtype=np.int64)
+        except OverflowError:
+            rows = [[c % p for c in coefficients] for p in basis.primes]
+        else:
+            rows = _residue_rows(values, basis.primes)
         return cls.from_residue_rows(rows, basis, n=n, backend=backend)
 
     @classmethod
@@ -124,7 +148,9 @@ class RnsPolynomial:
         """Enter residency: wrap explicit residue rows into a resident tensor.
 
         This (together with :meth:`from_coefficients`) is the only entry
-        boundary from Python lists into backend-native storage.
+        boundary from Python lists into backend-native storage.  A row may
+        also be a 1-D NumPy integer array (see
+        :meth:`~repro.backends.base.ComputeBackend.from_rows`).
         """
         if len(rows) != basis.count:
             raise ValueError(
@@ -159,8 +185,12 @@ class RnsPolynomial:
         domain: Domain = Domain.COEFFICIENT,
         backend: ComputeBackend | str | None = None,
     ) -> "RnsPolynomial":
-        """Uniformly random residues — used for the `a` part of RLWE samples."""
-        rows = [[rng.randrange(p) for _ in range(n)] for p in basis.primes]
+        """Uniformly random residues — used for the `a` part of RLWE samples.
+
+        One row per prime, in basis order, from
+        :func:`~repro.rns.sampling.uniform_below`.
+        """
+        rows = [sampling.uniform_below(rng, p, n) for p in basis.primes]
         return cls.from_residue_rows(rows, basis, domain=domain, n=n, backend=backend)
 
     @classmethod
@@ -172,8 +202,7 @@ class RnsPolynomial:
         backend: ComputeBackend | str | None = None,
     ) -> "RnsPolynomial":
         """Random ternary ({-1, 0, 1}) polynomial — HE secret-key distribution."""
-        coefficients = [rng.choice((-1, 0, 1)) for _ in range(n)]
-        return cls.from_coefficients(coefficients, basis, backend=backend)
+        return cls.from_coefficients(sampling.ternary(rng, n), basis, backend=backend)
 
     @classmethod
     def random_gaussian(
@@ -185,8 +214,9 @@ class RnsPolynomial:
         backend: ComputeBackend | str | None = None,
     ) -> "RnsPolynomial":
         """Discrete-Gaussian-ish error polynomial (rounded normal, HE error distribution)."""
-        coefficients = [round(rng.gauss(0.0, stddev)) for _ in range(n)]
-        return cls.from_coefficients(coefficients, basis, backend=backend)
+        return cls.from_coefficients(
+            sampling.rounded_normal(rng, stddev, n), basis, backend=backend
+        )
 
     # -- backend ---------------------------------------------------------------
     @property

@@ -226,6 +226,19 @@ def test_ntt_share_measured_share_is_sane():
     assert any("30-bit primes" in note for note in result.notes)
 
 
+def test_ntt_share_note_names_how_the_scalar_backend_ran(monkeypatch):
+    """On the scalar oracle nothing is vectorised, and the note says so."""
+    from repro.experiments import ntt_share
+
+    monkeypatch.setenv("REPRO_BACKEND", "scalar")
+    result = ntt_share.run(MODEL)
+    (note,) = [note for note in result.notes if note.startswith("measured columns")]
+    assert "on the scalar backend" in note
+    assert "vectorised" not in note
+    assert "pure-Python" in note
+    assert 0.0 < result.rows[0]["measured NTT share"] < 1.0
+
+
 def test_ntt_share_note_reports_the_measured_word_size(capsys):
     from repro.experiments.__main__ import main
     from repro.experiments.measured import measure_prime_bits, set_measure_prime_bits

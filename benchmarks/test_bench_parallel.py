@@ -16,8 +16,9 @@ pins its two acceptance criteria:
   pool tax (asserted structurally via the dispatch counter, plus a loose
   wall-clock bound against raw numpy).
 
-Both backends are pinned to the same NTT engine so the comparison isolates
-the sharding, not the engine selection.
+Both backends run the fixed array kernel (the workers and the inline path
+build the same factory's numpy backend), so the comparison isolates the
+sharding.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import os
 import random
 import time
 
+from repro.backends.engines import ARRAY_ENGINE
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.parallel import ParallelBackend
 from repro.modarith.primes import generate_ntt_primes
@@ -34,7 +36,6 @@ N_LARGE = 8192
 ROWS_LARGE = 16  # np = 4 primes x 4 polynomials per ciphertext batch
 N_SMALL = 256
 ROWS_SMALL = 4
-ENGINE = "high_radix"  # same engine on both sides: isolate the sharding
 MIN_SPEEDUP = 1.5
 MIN_CORES = 4
 
@@ -73,9 +74,9 @@ def test_bench_parallel_ntt_speedup(benchmark):
     shards = max(2, cores - 1)
     primes, rows = _workload(N_LARGE, ROWS_LARGE)
 
-    baseline = NumpyBackend(engine=ENGINE)
+    baseline = NumpyBackend()
     base_tensor = baseline.from_rows(rows, primes)
-    sharded = ParallelBackend(shards=shards, engine=ENGINE)
+    sharded = ParallelBackend(shards=shards)
     tensor = sharded.from_rows(rows, primes)
     try:
         # Warm both sides (twiddle tables, worker processes) and pin
@@ -91,7 +92,7 @@ def test_bench_parallel_ntt_speedup(benchmark):
         print()
         print(
             "Batched forward NTT, N=%d, rows=%d, 30-bit primes, engine=%s"
-            % (N_LARGE, ROWS_LARGE, ENGINE)
+            % (N_LARGE, ROWS_LARGE, ARRAY_ENGINE)
         )
         print("  numpy (1 core)        : %8.2f ms" % (single_s * 1e3))
         print(
@@ -110,9 +111,9 @@ def test_bench_parallel_ntt_speedup(benchmark):
 def test_bench_parallel_crossover_no_small_n_regression(benchmark):
     primes, rows = _workload(N_SMALL, ROWS_SMALL)
 
-    baseline = NumpyBackend(engine=ENGINE)
+    baseline = NumpyBackend()
     base_tensor = baseline.from_rows(rows, primes)
-    below = ParallelBackend(shards=max(2, (os.cpu_count() or 1) - 1), engine=ENGINE)
+    below = ParallelBackend(shards=max(2, (os.cpu_count() or 1) - 1))
     tensor = below.from_rows(rows, primes)
     try:
         produced = below.forward_ntt_batch(tensor)

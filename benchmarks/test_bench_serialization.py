@@ -70,7 +70,7 @@ def test_bench_format_two_decode_vs_format_one(benchmark):
     # Bit-identical: both codecs decode to the residues, and every format-2
     # string is the padded word that an int(v, 16) reader still parses.
     assert _decode_format_one(old_words) == rows
-    assert _decode_format_two(new_words) == rows
+    assert [row.tolist() for row in _decode_format_two(new_words)] == rows
     assert new_words == [["0x%016x" % value for value in row] for row in rows]
     assert _decode_format_one(new_words) == rows
 

@@ -19,10 +19,11 @@ Run with::
 
     python examples/quickstart.py
 
-Backends (``REPRO_BACKEND=scalar|numpy|parallel``), NTT engines
-(``REPRO_NTT_ENGINE=stockham|high_radix:8|...``) and the plan optimiser
-(``REPRO_PASSES=none`` disables it) are all selectable without code
-changes; every combination is bit-for-bit identical.  See
+Backends (``REPRO_BACKEND=scalar|numpy|parallel``) and the plan optimiser
+(``REPRO_PASSES=none`` disables it) are selectable without code changes;
+another NTT engine is one constructor argument,
+``HeContext.create(params, backend=NumpyBackend(engine="high_radix:8"))``.
+Every combination is bit-for-bit identical.  See
 ``examples/fused_pipeline.py`` for the fluent expression API that fuses a
 whole chain of operations into one plan.
 """

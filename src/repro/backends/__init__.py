@@ -25,10 +25,10 @@ variable.
 Inside the array backends, *how* a batch of NTTs is executed is a second
 pluggable axis: the :class:`NttEngine` layer in
 :mod:`repro.backends.engines` runs the paper's algorithm variants
-(``radix2``, ``high_radix``, ``four_step``, ``stockham``) as array kernels,
-selected by explicit argument > :func:`set_default_engine` >
-``REPRO_NTT_ENGINE`` > the fixed array kernel (``stockham``).  The scalar
-oracle runs one transform and takes no engine.
+(``radix2``, ``high_radix``, ``four_step``, ``stockham``) as array kernels.
+The array path runs the fixed kernel (``stockham``); the one way to run
+another is to build ``NumpyBackend(engine=spec)``.  The scalar oracle runs
+one transform and takes no engine.
 
 Since the op-graph redesign, the primary execution entrypoint is
 :meth:`ComputeBackend.execute`: callers compile a chain of operations into a
@@ -42,14 +42,7 @@ arithmetic (:class:`repro.rns.poly.RnsPolynomial`).
 
 from .base import ComputeBackend, ResidueRows, ResidueTensor
 from .ops import NODE_NAMES, OpGraph, Plan
-from .engines import (
-    ENGINE_ENV_VAR,
-    NttEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-    set_default_engine,
-)
+from .engines import NttEngine, available_engines, get_engine, register_engine
 from .pool import SHARDS_ENV_VAR, resolve_shard_count, set_default_shards
 from .registry import (
     BACKEND_ENV_VAR,
@@ -63,7 +56,6 @@ from .scalar import ScalarBackend, ScalarTensor
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "ENGINE_ENV_VAR",
     "NODE_NAMES",
     "SHARDS_ENV_VAR",
     "ComputeBackend",
@@ -83,6 +75,5 @@ __all__ = [
     "resolve_backend",
     "resolve_shard_count",
     "set_default_backend",
-    "set_default_engine",
     "set_default_shards",
 ]

@@ -445,28 +445,6 @@ class ComputeBackend(abc.ABC):
         evaluator) for plaintext invariance.
         """
 
-    # -- NTT engine seam -------------------------------------------------------
-    @property
-    def engine(self) -> str | None:
-        """Spec of the pinned NTT engine, or ``None`` when selection is dynamic.
-
-        Backends with a transform-algorithm seam
-        (:mod:`repro.backends.engines`) override this together with
-        :meth:`set_engine`; the base implementation reports no seam.
-        """
-        return None
-
-    def set_engine(self, spec: str | None) -> None:
-        """Pin the backend's transforms to one NTT engine.
-
-        Overridden by backends that route through the
-        :class:`~repro.backends.engines.NttEngine` layer; backends without
-        the seam reject the request instead of silently ignoring it.
-        """
-        raise NotImplementedError(
-            "backend %r has no NTT-engine seam" % self.name
-        )
-
     # -- twiddle residency -----------------------------------------------------
     def warm_twiddles(self, n: int, primes: Sequence[int]) -> None:
         """Precompute the per-``(n, p)`` twiddle tables for the given primes.

@@ -17,11 +17,11 @@ experiments measure:
   repetitions of a basis of ``m`` primes in one call, the paper's one
   launch for all ``np x polynomials`` transforms — sweeping the basis's
   stacked :class:`EngineTables` broadcast over ``k``;
-* engine pins select array kernels only, with the precedence *explicit
-  backend argument > process default (:func:`set_default_engine`) >
-  ``REPRO_NTT_ENGINE`` > the fixed array kernel* (:data:`ARRAY_ENGINE`,
-  ``stockham``).  Rows the array path cannot hold (primes of 2^62 or more)
-  run the oracle's transform whatever the pin.
+* the array path runs one fixed kernel, :data:`ARRAY_ENGINE`
+  (``stockham``); the one way to run another is to build the backend with
+  it, ``NumpyBackend(engine=spec)``, which is how the figures measure the
+  zoo.  Rows the array path cannot hold (primes of 2^62 or more) run the
+  oracle's transform whatever the pin.
 
 Each algorithm has one array kernel, parameterised by the basis's
 :class:`~repro.backends.wideops.Reduction`.  Kernels sweep tiles of
@@ -38,7 +38,6 @@ from __future__ import annotations
 import abc
 import contextlib
 import math
-import os
 import threading
 from collections.abc import Callable
 from functools import lru_cache
@@ -52,27 +51,21 @@ from .wideops import mulmod, reduce_below, reduction_for
 
 __all__ = [
     "ARRAY_ENGINE",
-    "ENGINE_ENV_VAR",
     "TILE_ELEMS",
     "NttEngine",
     "EngineTables",
     "TableRows",
     "available_engines",
-    "default_engine_spec",
     "default_split",
     "get_engine",
     "kernel_buffers",
-    "parse_engine_spec",
     "register_engine",
     "scratch",
-    "set_default_engine",
     "tile_rows",
 ]
 
-#: Environment variable selecting an engine when no explicit choice is made.
-ENGINE_ENV_VAR = "REPRO_NTT_ENGINE"
-
-#: The array kernel every transform runs unless an engine is pinned: Pease's
+#: The array kernel every transform runs unless the backend was built with
+#: another (``NumpyBackend(engine=spec)``): Pease's
 #: constant geometry, the fastest array kernel at every tile shape measured
 #: (N=4096, 6 and 12 rows, 30- and 60-bit primes, forward and inverse).
 ARRAY_ENGINE = "stockham"
@@ -703,23 +696,18 @@ class FourStepEngine(NttEngine):
 
 _engine_factories: dict[str, Callable[[int | None], NttEngine]] = {}
 _engine_instances: dict[str, NttEngine] = {}
-_default_engine: str | None = None
 
 
-def register_engine(
-    name: str, factory: Callable[[int | None], NttEngine], replace: bool = False
-) -> None:
+def register_engine(name: str, factory: Callable[[int | None], NttEngine]) -> None:
     """Register an engine factory under ``name``.
 
     The factory receives the optional integer parameter of a
     ``"name:param"`` spec (``None`` when the spec is bare) and must return an
     :class:`NttEngine`.
     """
-    if name in _engine_factories and not replace:
+    if name in _engine_factories:
         raise ValueError("engine %r is already registered" % name)
     _engine_factories[name] = factory
-    for spec in [key for key in _engine_instances if parse_engine_spec(key)[0] == name]:
-        _engine_instances.pop(spec, None)
 
 
 def _no_param(name: str, builder: Callable[[], NttEngine]) -> Callable[[int | None], NttEngine]:
@@ -742,46 +730,23 @@ def available_engines() -> list[str]:
     return list(_engine_factories)
 
 
-def parse_engine_spec(spec: str) -> tuple[str, int | None]:
-    """Split ``"high_radix:8"`` into ``("high_radix", 8)``; bare names get ``None``."""
-    name, _, param = spec.partition(":")
-    if not param:
-        return name, None
-    try:
-        return name, int(param)
-    except ValueError:
-        raise ValueError("engine parameter in %r must be an integer" % spec) from None
-
-
 def get_engine(spec: str) -> NttEngine:
-    """Resolve an engine spec to its cached flyweight instance."""
+    """Resolve a spec (``"radix2"``, ``"high_radix:8"``) to its cached flyweight engine."""
     engine = _engine_instances.get(spec)
     if engine is None:
-        name, param = parse_engine_spec(spec)
+        name, _, text = spec.partition(":")
         if name not in _engine_factories:
             from .ops import NODE_NAMES
 
             raise KeyError(
-                "unknown NTT engine %r (registered: %s; selection honours "
-                "REPRO_NTT_ENGINE).  Engines execute the forward_ntt / "
-                "inverse_ntt plan nodes (all nodes: %s)"
+                "unknown NTT engine %r (registered: %s).  Engines execute "
+                "the forward_ntt / inverse_ntt plan nodes (all nodes: %s)"
                 % (name, ", ".join(_engine_factories), ", ".join(NODE_NAMES))
             )
+        try:
+            param = int(text) if text else None
+        except ValueError:
+            raise ValueError("engine parameter in %r must be an integer" % spec) from None
         engine = _engine_factories[name](param)
         _engine_instances[spec] = engine
     return engine
-
-
-def set_default_engine(spec: str | None) -> None:
-    """Install (or with ``None`` clear) the process-wide default engine spec."""
-    if spec is not None:
-        get_engine(spec)  # validate eagerly
-    global _default_engine
-    _default_engine = spec
-
-
-def default_engine_spec() -> str | None:
-    """Process default if set, else ``REPRO_NTT_ENGINE`` (read at call time)."""
-    if _default_engine is not None:
-        return _default_engine
-    return os.environ.get(ENGINE_ENV_VAR) or None

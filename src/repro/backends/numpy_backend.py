@@ -42,7 +42,6 @@ from .engines import (
     TILE_ELEMS,
     EngineTables,
     NttEngine,
-    default_engine_spec,
     get_engine,
     kernel_buffers,
     scratch,
@@ -136,17 +135,13 @@ class NumpyBackend(ComputeBackend):
     storage; rows of primes at or above the storage limit run the oracle's
     transform (the counted per-prime fallback).
 
-    Engine selection, first match wins:
-
-    1. this backend's pin (constructor ``engine=`` argument or
-       :meth:`set_engine` — what :class:`repro.he.context.HeContext` pins);
-    2. the process default installed with
-       :func:`~repro.backends.engines.set_default_engine`;
-    3. the ``REPRO_NTT_ENGINE`` environment variable (read at call time);
-    4. the fixed array kernel (:data:`~repro.backends.engines.ARRAY_ENGINE`),
-       recorded per ``(n, p_bits, batch)`` in :attr:`engine_choices`, where
-       ``batch`` is the rows of the tile the kernel sweeps
-       (:func:`~repro.backends.engines.tile_rows`).
+    Every array run executes the fixed kernel
+    (:data:`~repro.backends.engines.ARRAY_ENGINE`), recorded per
+    ``(n, p_bits, batch)`` in :attr:`engine_choices`, where ``batch`` is the
+    rows of the tile the kernel sweeps
+    (:func:`~repro.backends.engines.tile_rows`).  ``engine=spec`` builds a
+    backend that runs that engine instead and records no choice; it is the
+    one way to choose a kernel (the figures use it to measure the zoo).
     """
 
     name = "numpy"
@@ -155,23 +150,17 @@ class NumpyBackend(ComputeBackend):
         super().__init__()
         self._tables: dict[tuple[int, str], EngineTables] = {}
         self._fallback = ScalarBackend()
-        self._engine_override: str | None = None
-        self._engine_choices: dict[tuple[int, int, int], str] = {}
         if engine is not None:
-            self.set_engine(engine)
+            get_engine(engine)  # validate eagerly
+        self._engine = engine
+        self._engine_choices: dict[tuple[int, int, int], str] = {}
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
 
     # -- engine selection --------------------------------------------------------
-    def set_engine(self, spec: str | None) -> None:
-        """Pin every array transform of this backend to one engine (``None`` unpins)."""
-        if spec is not None:
-            get_engine(spec)  # validate eagerly
-        self._engine_override = spec
-
     @property
     def engine(self) -> str | None:
-        """The explicit engine pin, or ``None`` when unpinned."""
-        return self._engine_override
+        """The engine spec this backend was built with, or ``None`` for the fixed kernel."""
+        return self._engine
 
     @property
     def engine_choices(self) -> dict[tuple[int, int, int], str]:
@@ -180,9 +169,7 @@ class NumpyBackend(ComputeBackend):
 
     def _select_engine(self, n: int, p: int, batch: int) -> NttEngine:
         """The engine for one array run of the basis whose largest prime is ``p``."""
-        spec = self._engine_override
-        if spec is None:
-            spec = default_engine_spec()
+        spec = self._engine
         if spec is None:
             spec = self._engine_choices[(n, p.bit_length(), batch)] = ARRAY_ENGINE
         return get_engine(spec)

@@ -35,8 +35,8 @@ Three properties make the sharding pay rather than tax:
   tax and storage stays on the heap below the crossover.
 * **Warm shards** — each worker holds one long-lived inner backend, so its
   twiddle tables are built once per worker and every later shard reuses
-  them; shards run the same array kernel (the fixed one, or the pin) as
-  the inline path.
+  them; workers and the inline path build their inner backends from the
+  same registered factory, so they run the same array kernel.
 
 Shard count resolution: explicit ``shards=`` argument >
 :func:`repro.backends.pool.set_default_shards` > ``REPRO_SHARDS`` >
@@ -134,12 +134,11 @@ class ParallelBackend(ComputeBackend):
     Args:
         inner: Registry name of the backend each worker (and the inline
             path) executes — any registered backend except ``parallel``
-            itself.  A dedicated instance is constructed, so engine pins on
-            this backend never leak into the registry singleton.
+            itself.  Every one of them is built by the registered factory,
+            so a factory such as ``lambda: NumpyBackend(engine=spec)`` pins
+            the inline path and the workers alike.
         shards: Worker/shard count; ``None`` applies the documented
             resolution (default > ``REPRO_SHARDS`` > ``cpu_count - 1``).
-        engine: Optional NTT-engine spec pinned onto the inline instance
-            and every worker.
         transform_threshold: ``rows * n`` at which transforms dispatch.
         pointwise_threshold: ``rows * n`` at which everything else does.
     """
@@ -150,7 +149,6 @@ class ParallelBackend(ComputeBackend):
         self,
         inner: str = "numpy",
         shards: int | None = None,
-        engine: str | None = None,
         transform_threshold: int = DEFAULT_TRANSFORM_THRESHOLD,
         pointwise_threshold: int = DEFAULT_POINTWISE_THRESHOLD,
     ) -> None:
@@ -158,9 +156,7 @@ class ParallelBackend(ComputeBackend):
         if inner == self.name:
             raise ValueError("the parallel backend cannot wrap itself")
         self._inner_name = inner
-        # A fresh factory-built instance (not the registry singleton, so
-        # engine pins cannot leak; not the bare class, so factory-applied
-        # configuration is kept — matching the workers' own instances).
+        # A fresh factory-built instance, like each worker's own.
         self._inner = build_backend(inner)
         self._shards = resolve_shard_count(shards)
         self._transform_threshold = transform_threshold
@@ -175,8 +171,6 @@ class ParallelBackend(ComputeBackend):
         # go beyond PLAN_INFO_CACHE_ENTRIES: pooled one-node plans land here
         # too, and a ScalarMul node carries its scalar.
         self._plan_info_cache: OrderedDict[tuple, dict] = OrderedDict()
-        if engine is not None:
-            self.set_engine(engine)
         # Where pool page faults come from: segments this backend created,
         # and segments sent to a worker that did not hold them yet.
         self.metrics.declare("shm.segments", "pool.segment_maps")
@@ -224,20 +218,11 @@ class ParallelBackend(ComputeBackend):
         """Re-resolve the shard count and rebuild the pool at the new width."""
         self._shards = resolve_shard_count(count)
         self._pool.dispose()
-        self._pool = WorkerPool(self._shards, self._inner_name, self._pool.engine_spec)
+        self._pool = WorkerPool(self._shards, self._inner_name)
 
     def close(self) -> None:
         """Shut down the worker processes (the next dispatch restarts them)."""
         self._pool.dispose()
-
-    # -- engine seam (delegated to the inner backend + the workers) ------------
-    @property
-    def engine(self) -> str | None:
-        return self._inner.engine
-
-    def set_engine(self, spec: str | None) -> None:
-        self._inner.set_engine(spec)  # validates the spec eagerly
-        self._pool.set_engine(spec)
 
     @property
     def engine_choices(self):

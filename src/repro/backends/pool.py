@@ -19,9 +19,11 @@ mechanisms that make the sharding pay:
   ``weakref.finalize`` registry, and without the guard a worker exiting
   would unlink segments the parent still uses.
 * the worker runtime — each worker process holds one long-lived *inner*
-  backend (default ``numpy``) built by the pool initialiser, so twiddle
-  tables persist across tasks: a shard of a repeated shape reuses the
-  tables its first shard built.  Every task is one worker's share of a
+  backend (default ``numpy``) that the pool initialiser builds from the
+  name's registered factory (a factory such as ``lambda:
+  NumpyBackend(engine=spec)`` is the one way to pin the workers' kernel),
+  so twiddle tables persist across tasks: a shard of a repeated shape
+  reuses the tables its first shard built.  Every task is one worker's share of a
   plan stage (:func:`_run_plan_task`); the backend's node kernels reach
   the pool as one-node plans.  Segment mappings are resident too: a worker
   maps a segment the first time a task names it and keeps the mapping
@@ -338,7 +340,7 @@ def _disarm_inherited_segments() -> None:
     arena._segments.clear()
 
 
-def _init_worker(inner_name: str, engine_spec: str | None) -> None:
+def _init_worker(inner_name: str) -> None:
     from .registry import get_backend
 
     _disarm_inherited_segments()
@@ -349,10 +351,7 @@ def _init_worker(inner_name: str, engine_spec: str | None) -> None:
     # spans with every shard result.
     TRACER.reset_after_fork()
     global _WORKER_BACKEND
-    backend = get_backend(inner_name)
-    if engine_spec is not None:
-        backend.set_engine(engine_spec)
-    _WORKER_BACKEND = backend
+    _WORKER_BACKEND = get_backend(inner_name)
 
 
 def _inner_tensor(backend, primes: Sequence[int], n: int, data, big: dict):
@@ -575,14 +574,14 @@ def _mapped_for_test(drop: Sequence[str]) -> list[str]:  # pragma: no cover
     return sorted(_WORKER_MAPPED)
 
 
-def _serve(conn, inner_name: str, engine_spec: str | None) -> None:
+def _serve(conn, inner_name: str) -> None:
     """A worker process's loop over its pipe to the coordinator.
 
     Each message is ``(function, argument)``; the reply is ``(True,
     result)`` or ``(False, exception, formatted traceback)``.  A ``None``
     message or a closed pipe ends the worker.
     """
-    _init_worker(inner_name, engine_spec)
+    _init_worker(inner_name)
     while True:
         try:
             message = conn.recv()
@@ -609,10 +608,10 @@ def _serve(conn, inner_name: str, engine_spec: str | None) -> None:
 class _Worker:
     """One worker process and the coordinator's end of its pipe."""
 
-    def __init__(self, inner_name: str, engine_spec: str | None) -> None:
+    def __init__(self, inner_name: str) -> None:
         self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
-            target=_serve, args=(child, inner_name, engine_spec), daemon=True
+            target=_serve, args=(child, inner_name), daemon=True
         )
         self.process.start()
         child.close()
@@ -646,20 +645,16 @@ class WorkerPool:
     therefore holds at most the coordinator's live segments plus those
     released since its last task.
 
-    The workers and the records are disposed whenever the configuration
-    changes (engine pin, shard count) or a worker dies; a dead worker
-    (a closed pipe) rebuilds the pool and retries the shard set exactly
-    once — shard writes land in disjoint output rows, so the retry is
-    idempotent.  An exception raised by a task is re-raised here once every
+    The workers and the records are disposed whenever the shard count
+    changes or a worker dies; a dead worker (a closed pipe) rebuilds the
+    pool and retries the shard set exactly once — shard writes land in
+    disjoint output rows, so the retry is idempotent.  An exception raised by a task is re-raised here once every
     reply is in, with the worker's traceback as its cause.
     """
 
-    def __init__(
-        self, workers: int, inner_name: str, engine_spec: str | None = None
-    ) -> None:
+    def __init__(self, workers: int, inner_name: str) -> None:
         self.workers = max(1, workers)
         self.inner_name = inner_name
-        self.engine_spec = engine_spec
         self._procs: list[_Worker] | None = None
         self._sent: list[dict[str, SharedSegment]] = []
         # One round trip at a time: the pipes carry one reply per message,
@@ -669,10 +664,7 @@ class WorkerPool:
 
     def _ensure(self) -> list[_Worker]:
         if self._procs is None:
-            self._procs = [
-                _Worker(self.inner_name, self.engine_spec)
-                for _ in range(self.workers)
-            ]
+            self._procs = [_Worker(self.inner_name) for _ in range(self.workers)]
             self._sent = [{} for _ in range(self.workers)]
         return self._procs
 
@@ -765,11 +757,6 @@ class WorkerPool:
             except (EOFError, OSError):
                 self._dispose()
                 raise
-
-    def set_engine(self, spec: str | None) -> None:
-        """Re-pin the workers' inner engine (takes effect on next dispatch)."""
-        self.engine_spec = spec
-        self.dispose()
 
     def dispose(self) -> None:
         """Stop the workers; the next dispatch starts fresh ones."""

@@ -97,9 +97,9 @@ def _unknown_backend_error(name: str) -> KeyError:
 
     return KeyError(
         "unknown backend %r (registered: %s; selection also honours the "
-        "REPRO_BACKEND, REPRO_NTT_ENGINE and REPRO_SHARDS environment "
-        "overrides).  Every registered backend executes the same plan nodes "
-        "through ComputeBackend.execute: %s"
+        "REPRO_BACKEND and REPRO_SHARDS environment overrides).  Every "
+        "registered backend executes the same plan nodes through "
+        "ComputeBackend.execute: %s"
         % (name, ", ".join(_factories), ", ".join(NODE_NAMES))
     )
 
@@ -128,12 +128,12 @@ def set_default_backend(name: str | None) -> None:
 def build_backend(name: str) -> ComputeBackend:
     """Build a *fresh*, uncached instance of a registered backend.
 
-    Runs the registered factory, so any configuration it applies (a pinned
-    engine, constructor arguments) is preserved — unlike instantiating the
-    bare class of the cached singleton.  Used by layers that need a private
-    instance to pin without leaking into the shared registry singleton
+    Runs the registered factory, so any configuration it applies (an engine
+    such as ``NumpyBackend(engine=spec)``, constructor arguments) is
+    preserved — unlike instantiating the bare class of the cached
+    singleton.  Used by layers that need a private instance
     (:class:`repro.backends.parallel.ParallelBackend`'s embedded inner
-    backend).
+    backend, the service's per-tenant backends).
     """
     if name not in _factories:
         raise _unknown_backend_error(name)

@@ -49,9 +49,9 @@ class ScalarBackend(ComputeBackend):
     Section IV of the paper analyses.
 
     Every transform runs the cached
-    :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`; there is
-    no NTT-engine seam, so :meth:`set_engine` raises
-    ``NotImplementedError`` (the base-class behaviour).
+    :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`; the
+    backend takes no engine (only ``NumpyBackend(engine=)`` chooses a
+    kernel).
     """
 
     name = "scalar"

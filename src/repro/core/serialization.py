@@ -16,7 +16,8 @@ digits, so any ``int(v, 16)`` reader still parses it.  The fixed width lets a
 whole row be converted by a few C-level calls instead of one ``hex()`` or
 ``int(v, 16)`` per residue: :func:`encode_residues` hex-encodes the row's
 big-endian words at once and splits the text, and :func:`decode_residues`
-checks the joined row column by column and decodes its digits at once.
+checks the joined row column by column and decodes its digits at once into
+a ``uint64`` array, which the backends store without a Python list between.
 Format-1 payloads (unpadded ``hex()`` residues) are refused by the version
 check.  Primes, twiddle tables and plans keep their version-1 fields; they
 share the module's version number.
@@ -105,8 +106,8 @@ def encode_residues(row: Sequence[int]) -> list[str]:
     return ("0x" + words.hex(",", 8).replace(",", ",0x")).split(",")
 
 
-def decode_residues(tokens: Any, count: int) -> list[int]:
-    """Residues of one format-2 row of exactly ``count`` strings.
+def decode_residues(tokens: Any, count: int) -> np.ndarray:
+    """Residues of one format-2 row of exactly ``count`` strings, as a ``uint64`` array.
 
     The row is joined with ``,`` and viewed as ``count`` cells of 19 bytes.
     Columns 0-1 must be ``0x`` and columns 2-17 must decode as hex digits.
@@ -132,7 +133,7 @@ def decode_residues(tokens: Any, count: int) -> list[int]:
         words = binascii.unhexlify(cells[:, 2 : _CELL - 1].tobytes())
     except binascii.Error:
         raise ValueError(_MALFORMED_ROW) from None
-    return np.frombuffer(words, dtype=">u8").tolist()
+    return np.frombuffer(words, dtype=">u8").astype(np.uint64)
 
 
 # -- plans -----------------------------------------------------------------------------

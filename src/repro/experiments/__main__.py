@@ -5,7 +5,6 @@ Usage::
     python -m repro.experiments                       # run everything
     python -m repro.experiments table2 fig4           # run selected experiments
     python -m repro.experiments --backend scalar      # pin the compute backend
-    python -m repro.experiments --engine stockham     # pin the NTT engine
     python -m repro.experiments --p-bits 60           # measured word size
     python -m repro.experiments --backend parallel --shards 4   # sharded pool
     python -m repro.experiments --list                # keys + backend/shard/engine info
@@ -23,14 +22,7 @@ import os
 import sys
 import traceback
 
-from ..backends.engines import (
-    ARRAY_ENGINE,
-    ENGINE_ENV_VAR,
-    available_engines,
-    default_engine_spec,
-    get_engine,
-    set_default_engine,
-)
+from ..backends.engines import ARRAY_ENGINE, available_engines
 from ..backends.pool import SHARDS_ENV_VAR, resolve_shard_count, set_default_shards
 from ..backends.registry import BACKEND_ENV_VAR, available_backends, set_default_backend
 from ..compiler import (
@@ -52,14 +44,11 @@ from .registry import EXPERIMENTS, run_experiment
 from .report import format_experiment
 
 
-def _print_engine_selection(args) -> None:
-    """Print the fixed array kernel and any pin in force."""
-    print("NTT engines: %s" % ", ".join(available_engines()))
+def _print_engines() -> None:
+    """Print the engine zoo and the fixed array kernel."""
+    print("NTT engines: %s (figures measure each through NumpyBackend(engine=...))"
+          % ", ".join(available_engines()))
     print("fixed array kernel: %s (the scalar oracle runs one transform)" % ARRAY_ENGINE)
-    print(
-        "engine pin: %s (--engine > set_default_engine > %s > fixed kernel)"
-        % (args.engine or default_engine_spec() or "none", ENGINE_ENV_VAR)
-    )
 
 
 def main(argv: list[str]) -> int:
@@ -84,14 +73,6 @@ def main(argv: list[str]) -> int:
         default=None,
         help="compute backend for the measured columns (default: registry "
         "precedence; registered: %s)" % ", ".join(available_backends()),
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        help="NTT engine spec pinned for the run, e.g. 'stockham' or "
-        "'high_radix:8' (default: REPRO_NTT_ENGINE, then the fixed array "
-        "kernel); the scalar backend runs one transform, so figures that "
-        "pin an engine measure it on numpy",
     )
     parser.add_argument(
         "--shards",
@@ -162,7 +143,7 @@ def main(argv: list[str]) -> int:
         print("registered plan passes:")
         for name, description in pass_descriptions():
             print("  %-16s %s" % (name, description))
-        _print_engine_selection(args)
+        _print_engines()
         return 0
 
     keys = args.keys if args.keys else list(EXPERIMENTS)
@@ -172,12 +153,12 @@ def main(argv: list[str]) -> int:
         print("available: %s" % ", ".join(EXPERIMENTS), file=sys.stderr)
         return 2
     if args.shards is not None:
-        # --shards only reaches a sharding backend; rejecting the built-in
-        # non-sharding combinations loudly matches
-        # HeContext.create(shards=...) instead of silently running
-        # single-core.  Unrecognised (third-party) names pass through: their
-        # capability cannot be known without instantiating them, and a
-        # sharding implementation reads the default via resolve_shard_count.
+        # --shards only reaches a sharding backend; the built-in
+        # non-sharding combinations are rejected loudly instead of silently
+        # running single-core.  Unrecognised (third-party) names pass
+        # through: their capability cannot be known without instantiating
+        # them, and a sharding implementation reads the default via
+        # resolve_shard_count.
         selected = args.backend or os.environ.get(BACKEND_ENV_VAR)
         if selected in (None, "scalar", "numpy"):
             print(
@@ -190,12 +171,10 @@ def main(argv: list[str]) -> int:
     try:
         # Validate every argument before mutating any process-wide default:
         # a rejected invocation must leak nothing into later in-process
-        # main() calls.  (set_default_backend validates atomically; engine
-        # and shard values are pre-checked with their pure resolvers.  The
-        # 'parallel' backend is built lazily at first resolution, so the
-        # shard default set below is read in time.)
-        if args.engine is not None:
-            get_engine(args.engine)
+        # main() calls.  (set_default_backend validates atomically; shard
+        # counts are pre-checked with their pure resolver.  The 'parallel'
+        # backend is built lazily at first resolution, so the shard default
+        # set below is read in time.)
         if args.shards is not None:
             resolve_shard_count(args.shards)
         if args.p_bits is not None:
@@ -211,8 +190,6 @@ def main(argv: list[str]) -> int:
             parse_passes(args.passes)
         if args.backend is not None:
             set_default_backend(args.backend)
-        if args.engine is not None:
-            set_default_engine(args.engine)
         if args.shards is not None:
             set_default_shards(args.shards)
         if args.p_bits is not None:
@@ -221,9 +198,8 @@ def main(argv: list[str]) -> int:
         if args.passes is not None:
             set_default_passes(args.passes)
     except (KeyError, ValueError) as exc:
-        # Unknown names raise KeyError, malformed engine parameters
-        # (e.g. "high_radix:3") or shard counts raise ValueError — both are
-        # bad arguments.
+        # Unknown names raise KeyError, malformed shard counts or word sizes
+        # raise ValueError — both are bad arguments.
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

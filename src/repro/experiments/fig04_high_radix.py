@@ -13,9 +13,9 @@ engine) through the production backend path at the measurement shape.  On a
 CPU a tile sits in cache for every stage, so every ``high_radix:<radix>``
 runs the same lazy Cooley-Tukey sweep and the radix shapes only the GPU
 model's passes: the measured sweep is flat where the model collapses — the
-comparison the table is for.  A backend without the engine seam (the scalar
-oracle) measures the pinned engines on ``numpy``; the notes name the
-backend that ran.
+comparison the table is for.  Each engine is measured on
+``NumpyBackend(engine=spec)`` whatever ``--backend`` names; the notes name
+the backend that ran.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .measured import (
 )
 from .report import ExperimentResult
 
-__all__ = ["RADICES", "PAPER_BEST_RADIX", "PAPER_SPEEDUP_OVER_RADIX2", "engine_spec_for_radix", "run"]
+__all__ = ["RADICES", "PAPER_BEST_RADIX", "PAPER_SPEEDUP_OVER_RADIX2", "engine_for_radix", "run"]
 
 RADICES = (2, 4, 8, 16, 32, 64, 128)
 LOG_NS = (16, 17)
@@ -41,7 +41,7 @@ PAPER_SPEEDUP_OVER_RADIX2 = 2.41
 PAPER_RADIX32_BANDWIDTH_UTILIZATION = 0.599
 
 
-def engine_spec_for_radix(radix: int) -> str:
+def engine_for_radix(radix: int) -> str:
     """The engine spec realising one radix row of the sweep."""
     return "radix2" if radix == 2 else "high_radix:%d" % radix
 
@@ -49,10 +49,10 @@ def engine_spec_for_radix(radix: int) -> str:
 def run(model: GpuCostModel | None = None) -> ExperimentResult:
     """Reproduce Figure 4 (high-radix NTT sweep) with measured-engine columns."""
     model = model if model is not None else GpuCostModel()
-    backend_name = measurement_backend(engine=engine_spec_for_radix(2)).name
+    backend_name = measurement_backend(engine=engine_for_radix(2)).name
     measure_log_n, measure_batch = measurement_shape(backend_name)
     measured = {
-        radix: measured_forward_ms(engine=engine_spec_for_radix(radix))
+        radix: measured_forward_ms(engine=engine_for_radix(radix))
         for radix in RADICES
     }
 

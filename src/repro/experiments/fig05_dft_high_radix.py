@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..gpu.costmodel import GpuCostModel
 from ..kernels.high_radix import high_radix_dft_model, high_radix_ntt_model
-from .fig04_high_radix import engine_spec_for_radix
+from .fig04_high_radix import engine_for_radix
 from .measured import (
     measured_fft_ms,
     measured_forward_ms,
@@ -39,10 +39,10 @@ PAPER_BEST_TIME_US = 364.2  # radix-32, N = 2^17 (Figure 5(b))
 def run(model: GpuCostModel | None = None) -> ExperimentResult:
     """Reproduce Figure 5 (high-radix DFT sweep) with measured companions."""
     model = model if model is not None else GpuCostModel()
-    backend_name = measurement_backend(engine=engine_spec_for_radix(2)).name
+    backend_name = measurement_backend(engine=engine_for_radix(2)).name
     measure_log_n, measure_batch = measurement_shape(backend_name)
     measured_ntt = {
-        radix: measured_forward_ms(engine=engine_spec_for_radix(radix))
+        radix: measured_forward_ms(engine=engine_for_radix(radix))
         for radix in RADICES
     }
     fft_ms = measured_fft_ms(log_n=measure_log_n, batch=measure_batch)

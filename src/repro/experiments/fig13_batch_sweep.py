@@ -6,10 +6,9 @@ linearly in np across the bootstrappable range.
 
 The measured companion sweeps the same np axis on the real data plane: one
 residue row per distinct prime (the RNS workload shape), transformed through
-the production backend path under the backend's own engine selection — the
-fixed ``stockham`` array kernel, or the scalar oracle's one transform — the
-configuration a user actually runs.  The cost-model columns stay as the GPU
-projection.
+the production backend path on its own transform — the fixed ``stockham``
+array kernel, or the scalar oracle's one transform — the configuration a
+user actually runs.  The cost-model columns stay as the GPU projection.
 """
 
 from __future__ import annotations
@@ -80,10 +79,10 @@ def run(model: GpuCostModel | None = None) -> ExperimentResult:
                 )
             ),
             "measured columns: np distinct %d-bit primes, one row each, batched "
-            "forward NTT through the %s backend at N=2^%d under its default "
-            "engine selection (unpinned: the fixed %s array kernel; the scalar "
-            "oracle runs its one transform); a CPU has no occupancy knee, so "
-            "measured time is near-linear across the whole sweep"
+            "forward NTT through the %s backend at N=2^%d on its own transform "
+            "(the fixed %s array kernel; the scalar oracle runs its one "
+            "transform); a CPU has no occupancy knee, so measured time is "
+            "near-linear across the whole sweep"
             % (measure_prime_bits(), backend_name, measure_log_n, ARRAY_ENGINE),
         ],
     )

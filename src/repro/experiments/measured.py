@@ -25,6 +25,7 @@ import time
 from collections.abc import Callable
 
 from ..backends.base import ComputeBackend
+from ..backends.numpy_backend import NumpyBackend
 from ..backends.registry import resolve_backend
 from ..modarith.primes import generate_ntt_primes
 
@@ -92,24 +93,21 @@ def measurement_shape(backend_name: str) -> tuple[int, int]:
 def measurement_backend(
     backend: ComputeBackend | str | None = None, engine: str | None = None
 ) -> ComputeBackend:
-    """A dedicated backend instance for measurements (cached per engine pin).
+    """A dedicated backend instance for measurements, cached per key.
 
-    Fresh instances keep engine pins out of the shared registry singletons;
-    caching them here keeps twiddle tables warm across the whole figure
-    harness.  A backend without the engine seam (the scalar oracle runs one
-    transform) cannot run a pinned engine, so a pin measures on ``numpy``
-    instead; callers name ``instance.name`` in their notes.
+    Caching keeps twiddle tables warm across the whole figure harness.  An
+    engine spec builds ``NumpyBackend(engine=spec)`` whatever ``backend``
+    names, since only the NumPy backend runs a chosen kernel; callers name
+    ``instance.name`` in their notes.
     """
-    resolved = resolve_backend(backend)
-    key = (resolved.name, engine)
+    if engine is not None:
+        key = ("numpy", engine)
+    else:
+        resolved = resolve_backend(backend)
+        key = (resolved.name, None)
     instance = _backend_cache.get(key)
     if instance is None:
-        instance = type(resolved)()
-        if engine is not None:
-            try:
-                instance.set_engine(engine)
-            except NotImplementedError:
-                instance = measurement_backend("numpy", engine)
+        instance = NumpyBackend(engine=engine) if engine is not None else type(resolved)()
         _backend_cache[key] = instance
     return instance
 
@@ -147,11 +145,11 @@ def measured_forward_ms(
 
     The batch enters residency once (outside the timed region) and the timed
     call is exactly the production ``forward_ntt_batch`` the HE layer issues.
-    ``engine=None`` measures the backend's own selection (the fixed array
-    kernel, or the scalar oracle's one transform); a spec pins the engine,
-    on ``numpy`` when the backend has no engine seam
-    (:func:`measurement_backend`).  ``prime_bits`` overrides the harness word
-    size (see :func:`measure_prime_bits`) for this one call.
+    ``engine=None`` measures the backend's own transform (the fixed array
+    kernel, or the scalar oracle's one transform); a spec measures
+    ``NumpyBackend(engine=spec)`` (:func:`measurement_backend`).
+    ``prime_bits`` overrides the harness word size (see
+    :func:`measure_prime_bits`) for this one call.
     """
     instance = measurement_backend(backend, engine)
     default_log_n, default_batch = measurement_shape(instance.name)
@@ -197,9 +195,7 @@ def measured_fft_ms(log_n: int = 12, batch: int = 8, repeats: int = 2) -> float 
     return result
 
 
-def traced_ntt_share(
-    backend: ComputeBackend | str | None = None, engine: str | None = None
-) -> dict[str, object]:
+def traced_ntt_share(backend: ComputeBackend | str | None = None) -> dict[str, object]:
     """Measure the NTT share of one multiply → relinearize chain from spans.
 
     Runs the chain through :class:`repro.he.context.HeContext` on the
@@ -215,7 +211,7 @@ def traced_ntt_share(
     from ..he.params import HEParams
     from ..telemetry import TRACER, summarize
 
-    instance = measurement_backend(backend, engine)
+    instance = measurement_backend(backend)
     n, prime_count = (1024, 6) if instance.name == "numpy" else (256, 3)
     params = HEParams(n=n, plaintext_modulus=17, prime_bits=measure_prime_bits(),
                       prime_count=prime_count)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import weakref
 
 from ..backends.base import ComputeBackend
-from ..backends.registry import build_backend, resolve_backend
+from ..backends.registry import resolve_backend
 from ..compiler import ConstantPool
 from ..rns.basis import RnsBasis
 from ..telemetry import enable_tracing, maybe_enable_from_env
@@ -99,12 +99,15 @@ class HeContext:
         backend: ComputeBackend | str | None = None,
         seed: int = 2020,
         warm: bool = True,
-        engine: str | None = None,
-        shards: int | None = None,
         trace: str | None = None,
         metrics_parent: MetricsRegistry | None = None,
     ) -> "HeContext":
         """Build a context: resolve the backend once, generate the basis, warm caches.
+
+        The context uses the backend as built and configures nothing on
+        it: a kernel or a shard count is chosen where the backend is built
+        (``backend=NumpyBackend(engine="high_radix:8")``,
+        ``backend=ParallelBackend(shards=4)``).
 
         Args:
             params: Scheme parameters.
@@ -114,27 +117,6 @@ class HeContext:
             seed: Key-generation RNG seed (reproducible key material).
             warm: Precompute the per-prime twiddle tables up front so the
                 first operation runs at steady-state speed.
-            engine: Optional NTT-engine spec (``"stockham"``,
-                ``"high_radix:8"``, ...) pinning every array transform of
-                this context to one algorithm.  All engines are bit-exact, so
-                this only changes *how* transforms execute.  When the backend
-                was resolved from the registry (shared instance), a dedicated
-                backend of the same class is constructed so the pin cannot
-                leak into other contexts; an explicitly passed instance is
-                pinned in place via
-                :meth:`~repro.backends.base.ComputeBackend.set_engine`.  A
-                backend without array kernels (``"scalar"``, the oracle,
-                which runs one transform) raises ``NotImplementedError``.
-                ``None`` keeps the documented engine-selection precedence
-                (``REPRO_NTT_ENGINE``, then the fixed array kernel).
-            shards: Shard/worker count for a sharding backend
-                (``backend="parallel"``).  Only valid when the resolved
-                backend exposes ``set_shards``; as with ``engine``, a
-                registry-resolved backend is replaced by a dedicated
-                instance so the pin cannot leak into the shared singleton.
-                ``None`` keeps the backend's own resolution
-                (``set_default_shards`` > ``REPRO_SHARDS`` >
-                ``cpu_count - 1``).
             trace: Path for a Chrome-trace JSON capture of this process
                 (written at interpreter exit; load it in Perfetto or
                 ``chrome://tracing``).  Tracing is process-wide — it starts
@@ -150,27 +132,7 @@ class HeContext:
             enable_tracing(trace)
         else:
             maybe_enable_from_env()
-        caller_owned = isinstance(backend, ComputeBackend)
-        if (engine is not None or shards is not None) and not caller_owned:
-            # Fresh factory-built instance so the pin cannot leak into the
-            # shared registry singleton while factory-applied configuration
-            # is kept (a named backend skips the singleton entirely; the
-            # default precedence is resolved just for its name); set_engine
-            # (not a constructor kwarg) so seam-less backends fail with
-            # their documented NotImplementedError rather than a TypeError.
-            name = backend if isinstance(backend, str) else resolve_backend(None).name
-            pinned = build_backend(name)
-        else:
-            pinned = resolve_backend(backend)
-        if shards is not None:
-            if not hasattr(pinned, "set_shards"):
-                raise ValueError(
-                    "backend %r does not shard; shards= requires the "
-                    "'parallel' backend" % pinned.name
-                )
-            pinned.set_shards(shards)
-        if engine is not None:
-            pinned.set_engine(engine)
+        pinned = resolve_backend(backend)
         keygen = KeyGenerator(params, seed=seed, backend=pinned)
         context = cls(
             params, keygen.basis, pinned, keygen, metrics_parent=metrics_parent
@@ -178,11 +140,6 @@ class HeContext:
         if warm:
             pinned.warm_twiddles(params.n, keygen.basis.primes)
         return context
-
-    @property
-    def engine(self) -> str | None:
-        """NTT-engine spec pinned on the context's backend (``None`` = dynamic)."""
-        return self.backend.engine
 
     # -- key material ----------------------------------------------------------
     @property

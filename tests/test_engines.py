@@ -6,10 +6,10 @@ transform: forward output equal to the bit-reverse-permuted reference
 transform of :mod:`repro.transforms.reference`, exact round-trips, and the
 correct negacyclic wrap — at 30- and 60-bit primes, with NTT-domain rows
 crossing between each engine and the oracle in both directions.  Selection
-is pinned end to end: explicit argument > ``set_default_engine`` >
-``REPRO_NTT_ENGINE`` > the fixed array kernel, including a full ``multiply →
-relinearize → mod_switch`` chain under a non-default engine with zero
-boundary conversions; the oracle takes no pin.
+is pinned end to end: ``NumpyBackend(engine=spec)`` is the one way to run a
+kernel other than the fixed one (the environment picks none), including a
+full ``multiply → relinearize → mod_switch`` chain under a non-default
+engine with zero boundary conversions; the oracle takes no engine.
 """
 
 from __future__ import annotations
@@ -19,21 +19,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.backends import (
-    available_engines,
-    get_engine,
-    register_engine,
-    set_default_engine,
-)
-from repro.backends.engines import (
-    ENGINE_ENV_VAR,
-    Radix2Engine,
-    default_engine_spec,
-    parse_engine_spec,
-)
+from repro.backends import available_engines, get_engine, register_engine
+from repro.backends.engines import Radix2Engine
 from repro.backends.numpy_backend import NumpyBackend
-from repro.backends.parallel import ParallelBackend
-from repro.backends.registry import get_backend
 from repro.backends.scalar import ScalarBackend
 from repro.he import HEParams, HeContext
 from repro.modarith.primes import generate_ntt_primes
@@ -58,8 +46,6 @@ ENGINE_SPECS = ("radix2", "high_radix", "high_radix:4", "four_step", "four_step:
 #: Where an engine's NTT-domain rows are checked: against the engine itself
 #: on numpy, and against the scalar oracle.
 BACKEND_NAMES = ("scalar", "numpy")
-#: Backends whose array transforms honour engine selection.
-ARRAY_BACKENDS = ("numpy", "parallel")
 PRIME_BITS = (30, 60)  # native and wide-word array regimes
 
 #: Fixed per-regime seeds for the randomized cross-check vectors — every
@@ -71,12 +57,10 @@ WRAP_SEEDS = {30: 130, 60: 160}  # 100 + bits
 
 
 def make_backend(name: str, engine: str | None = None):
-    """An array backend pinned to ``engine``; the scalar oracle takes no pin."""
+    """A numpy backend built with ``engine``; the scalar oracle takes none."""
     if name == "scalar":
         assert engine is None, "the scalar oracle runs one transform"
         return ScalarBackend()
-    if name == "parallel":
-        return ParallelBackend(shards=2, engine=engine)
     return NumpyBackend(engine=engine)
 
 
@@ -106,8 +90,6 @@ def test_registry_exposes_the_algorithm_zoo():
     assert get_engine("high_radix").radix == 16
     assert get_engine("high_radix:8").radix == 8
     assert get_engine("four_step:64").n1 == 64
-    assert parse_engine_spec("high_radix:8") == ("high_radix", 8)
-    assert parse_engine_spec("radix2") == ("radix2", None)
 
 
 def test_registry_rejects_bad_specs():
@@ -121,17 +103,8 @@ def test_registry_rejects_bad_specs():
         get_engine("stockham:abc")
     with pytest.raises(ValueError):
         register_engine("radix2", lambda param: Radix2Engine())  # duplicate
-
-
-def test_set_default_engine_validates_and_clears():
-    try:
-        set_default_engine("stockham")
-        assert default_engine_spec() == "stockham"
-        with pytest.raises(KeyError):
-            set_default_engine("missing")
-    finally:
-        set_default_engine(None)
-    assert default_engine_spec() in (None, *ENGINE_SPECS)  # env may set one
+    with pytest.raises(KeyError):
+        NumpyBackend(engine="missing")  # validated at construction
 
 
 # --------------------------------------------------------------- cross-check
@@ -230,54 +203,31 @@ def _forward_once(backend, n=32, bits=30):
     backend.forward_ntt_batch(backend.from_rows([row], [p]))
 
 
-@pytest.mark.parametrize("backend_name", ARRAY_BACKENDS)
-def test_env_var_selects_engine(backend_name, monkeypatch):
-    _ensure_probe_registered()
-    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
-    before = _ProbeEngine.calls
-    _forward_once(make_backend(backend_name))  # parallel: inline, no pool starts
-    assert _ProbeEngine.calls > before
-
-
-@pytest.mark.parametrize("backend_name", ARRAY_BACKENDS)
-def test_explicit_engine_beats_env_var(backend_name, monkeypatch):
-    _ensure_probe_registered()
-    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
-    before = _ProbeEngine.calls
-    backend = make_backend(backend_name, engine="stockham")
-    _forward_once(backend)
-    assert _ProbeEngine.calls == before  # env never consulted
-    assert backend.engine == "stockham"
-    assert backend.engine_choices == {}  # no fixed kernel was consulted either
+def test_engine_env_var_is_gone(monkeypatch):
+    """The environment picks no kernel: with the former REPRO_NTT_ENGINE set
+    to an unregistered name, an unpinned backend still runs the fixed
+    kernel and matches the oracle."""
+    monkeypatch.setenv("REPRO_NTT_ENGINE", "no-such-engine")
+    n = 64
+    primes = generate_ntt_primes(30, 2, n)
+    rows = random_rows(primes, n, seed=3)
+    backend = NumpyBackend()
+    assert backend.engine is None
+    assert transform(backend, rows, primes) == transform(ScalarBackend(), rows, primes)
+    assert backend.engine_choices == {(n, 30, 2): "stockham"}
 
 
 def test_scalar_oracle_takes_no_engine(monkeypatch):
-    """The oracle runs one transform: pinning it raises, directly or
-    through a context, and process-wide pins never reach it."""
+    """The oracle runs one transform: neither it nor a context takes an
+    engine, and the environment never reaches it."""
     _ensure_probe_registered()
-    with pytest.raises(NotImplementedError):
-        ScalarBackend().set_engine("stockham")
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(TypeError):
+        ScalarBackend(engine="stockham")
+    with pytest.raises(TypeError):
         HeContext.create(_params_30bit(), backend="scalar", engine="stockham")
-    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
+    monkeypatch.setenv("REPRO_NTT_ENGINE", "probe")
     before = _ProbeEngine.calls
-    try:
-        set_default_engine("probe")
-        _forward_once(ScalarBackend())
-    finally:
-        set_default_engine(None)
-    assert _ProbeEngine.calls == before
-
-
-def test_process_default_beats_env_var(monkeypatch):
-    _ensure_probe_registered()
-    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
-    before = _ProbeEngine.calls
-    try:
-        set_default_engine("radix2")
-        _forward_once(make_backend("numpy"))
-    finally:
-        set_default_engine(None)
+    _forward_once(ScalarBackend())
     assert _ProbeEngine.calls == before
 
 
@@ -304,8 +254,7 @@ FIXED_CHOICES = {"numpy": {(4096, 30, 6): "stockham"}, "scalar": None}
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-def test_fresh_backend_runs_its_path_kernel_without_a_race(backend_name, traced, monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+def test_fresh_backend_runs_its_path_kernel_without_a_race(backend_name, traced):
     backend = make_backend(backend_name)
     names = _forward_span_names(backend, generate_ntt_primes(30, 6, 4096), 4096)
     assert "ntt.engine" in names
@@ -314,13 +263,13 @@ def test_fresh_backend_runs_its_path_kernel_without_a_race(backend_name, traced,
     assert backend.metrics.snapshot().get("ntt.engine_choices") == FIXED_CHOICES[backend_name]
 
 
-def test_big_rows_record_no_engine_choice(traced, monkeypatch):
+def test_big_rows_record_no_engine_choice(traced):
     """A row of a prime at or above 2^62 runs the oracle's transform under
     any pin: one fallback row, an ntt.engine span, no engine choice."""
     _ensure_probe_registered()
-    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
     before = _ProbeEngine.calls
-    backend = NumpyBackend()
+    backend = NumpyBackend(engine="probe")
+    assert backend.engine == "probe"
     names = _forward_span_names(backend, generate_ntt_primes(63, 1, 64), 64)
     assert backend.fallback_rows == 1
     assert "ntt.engine" in names
@@ -342,16 +291,6 @@ def test_kernels_restore_the_callers_ufunc_buffer_size():
         np.setbufsize(previous)
 
 
-def test_set_engine_validates_and_unpins():
-    backend = NumpyBackend()
-    with pytest.raises(KeyError):
-        backend.set_engine("missing")
-    backend.set_engine("four_step:16")
-    assert backend.engine == "four_step:16"
-    backend.set_engine(None)
-    assert backend.engine is None
-
-
 # ----------------------------------------------------------- HE end-to-end
 
 
@@ -366,7 +305,7 @@ def test_full_chain_under_non_default_engine_zero_conversions(spec):
     bit-identically to the default engine."""
     results = {}
     for engine in (None, spec):
-        ctx = HeContext.create(_params_30bit(), backend="numpy", engine=engine)
+        ctx = HeContext.create(_params_30bit(), backend=NumpyBackend(engine=engine))
         encryptor = ctx.encryptor()
         evaluator = ctx.evaluator()
         relin = ctx.relinearization_key()
@@ -382,32 +321,6 @@ def test_full_chain_under_non_default_engine_zero_conversions(spec):
         decoded = ctx.encoder().decode(ctx.decryptor().decrypt(switched))
         assert decoded[:3] == [(x * y) % t for x, y in zip([1, 2, 3], [4, 5, 6])]
     assert results[None] == results[spec]  # engines are bit-interchangeable
-
-
-def test_context_engine_pin_does_not_leak_into_registry():
-    shared = get_backend("numpy")
-    ctx = HeContext.create(_params_30bit(), backend="numpy", engine="stockham")
-    assert ctx.engine == "stockham"
-    assert ctx.backend is not shared
-    assert shared.engine is None
-
-
-def test_context_pins_caller_owned_backend_in_place():
-    backend = NumpyBackend()
-    ctx = HeContext.create(_params_30bit(), backend=backend, engine="high_radix:8")
-    assert ctx.backend is backend
-    assert backend.engine == "high_radix:8"
-
-
-def test_env_var_reaches_the_he_layer(monkeypatch):
-    _ensure_probe_registered()
-    monkeypatch.setenv(ENGINE_ENV_VAR, "probe")
-    before = _ProbeEngine.calls
-    ctx = HeContext.create(_params_30bit(), backend="numpy")
-    encryptor = ctx.encryptor()
-    ct = encryptor.encrypt(ctx.encoder().encode([7, 8]))
-    ctx.evaluator().square(ct)
-    assert _ProbeEngine.calls > before
 
 
 # ------------------------------------------------------------ bitrev helper

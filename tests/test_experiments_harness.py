@@ -269,12 +269,9 @@ def test_cli_rejects_unknown_keys_and_backends(capsys):
 
     assert main(["fig99"]) == 2
     assert main(["--backend", "no-such-backend", "fig8"]) == 2
-    assert main(["--engine", "no-such-engine", "fig8"]) == 2
-    assert main(["--engine", "stockham:4", "fig8"]) == 2  # malformed parameter
     assert main(["--p-bits", "70", "fig8"]) == 2  # beyond the wide-word ceiling
     assert main(["--p-bits", "5", "fig8"]) == 2  # no NTT primes that small
     assert main(["--backend", "parallel", "--shards", "0", "fig8"]) == 2
-    assert main(["--backend", "parallel", "--engine", "no-such", "fig8"]) == 2
     # --shards without the sharding backend is rejected, not ignored
     assert main(["--backend", "numpy", "--shards", "2", "fig8"]) == 2
     # rejected invocations leak no process-wide defaults: resolution still

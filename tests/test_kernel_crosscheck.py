@@ -95,10 +95,8 @@ def pooled():
 def test_generated_case_matches_scalar_oracle(n, layout, pooled):
     primes, rows_a, rows_b, scalar = generate_case(n, layout)
     expected = run_ops(ScalarBackend(), primes, rows_a, rows_b, scalar)
-    backend = NumpyBackend()
     for engine in ENGINES:
-        backend.set_engine(engine)
-        got = run_ops(backend, primes, rows_a, rows_b, scalar)
+        got = run_ops(NumpyBackend(engine=engine), primes, rows_a, rows_b, scalar)
         for op, rows in expected.items():
             assert got[op] == rows, (op, engine, primes)
     dispatches = pooled.dispatch_count

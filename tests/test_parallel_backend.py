@@ -19,8 +19,9 @@ Pins the acceptance criteria of the parallel-execution subsystem:
 * **lifecycle** — the pool is lazy (no workers before the first dispatch),
   survives a worker crash by rebuilding and retrying once, and the
   shared-memory arena releases segments when tensors die;
-* **configuration** — shard-count resolution precedence and the
-  ``HeContext.create(backend="parallel", shards=...)`` plumbing.
+* **configuration** — shard-count resolution precedence, and a registered
+  factory (``lambda: NumpyBackend(engine=spec)``) building the inline
+  instance and every worker alike.
 
 Pool-dispatching tests force the crossover down (``transform_threshold=1``)
 so toy shapes exercise the sharded path; crossover tests use the defaults.
@@ -46,7 +47,7 @@ from repro.backends.scalar import ScalarBackend
 from repro.he import Evaluator, HEParams, HeContext
 from repro.modarith.primes import generate_ntt_primes
 from repro.telemetry import TRACER
-from repro.telemetry.tracer import NAME, PARENT, PHASE, SID
+from repro.telemetry.tracer import ATTRS, NAME, PARENT, PHASE, SID
 
 PRIME_BITS = (30, 60)  # native narrow regime and wide-word vectorised regime
 N = 64
@@ -556,7 +557,6 @@ def test_registry_resolves_parallel_and_reports_env_overrides():
     message = str(excinfo.value)
     assert "parallel" in message
     assert "REPRO_BACKEND" in message
-    assert "REPRO_NTT_ENGINE" in message
     assert "REPRO_SHARDS" in message
 
 
@@ -580,38 +580,44 @@ def test_inner_backend_keeps_factory_configuration():
     backend = ParallelBackend(inner="tuned-for-test")
     try:
         assert backend.inner.engine == "stockham"
-        assert backend.engine == "stockham"
     finally:
         backend.close()
 
 
-def test_context_shards_pin_does_not_leak_into_registry():
-    shared = get_backend("parallel")
-    params = HEParams(n=64, plaintext_modulus=257, prime_bits=30, prime_count=2)
-    ctx = HeContext.create(params, backend="parallel", shards=2)
-    assert ctx.backend is not shared
-    assert ctx.backend.shards == 2
-    with pytest.raises(ValueError):
-        HeContext.create(params, backend="numpy", shards=2)
+def test_registered_factory_pins_the_workers():
+    """A pool whose registered factory builds ``NumpyBackend(engine=...)``
+    runs that engine in every worker, bit for bit with the fixed kernel."""
+    from repro.backends import register_backend
 
-
-def test_context_engine_pin_reaches_the_workers():
+    try:
+        register_backend("radix2-for-test", lambda: NumpyBackend(engine="radix2"))
+    except ValueError:
+        pass  # registered by an earlier run of this module
     backend = ParallelBackend(
-        shards=2, engine="stockham", transform_threshold=1, pointwise_threshold=1
+        inner="radix2-for-test", shards=2, transform_threshold=1, pointwise_threshold=1
     )
     try:
-        assert backend.engine == "stockham"
         primes = generate_ntt_primes(30, 2, N)
         batch = [p for p in primes for _ in range(2)]
         rows = random_rows(batch, N, seed=14)
-        produced = backend.forward_ntt_batch(backend.from_rows(rows, batch)).to_rows()
-        reference = NumpyBackend(engine="radix2")
-        expected = reference.forward_ntt_batch(
-            reference.from_rows(rows, batch)
-        ).to_rows()
+        tensor = backend.from_rows(rows, batch)
+        TRACER.clear()
+        TRACER.start()
+        try:
+            produced = backend.forward_ntt_batch(tensor).to_rows()
+        finally:
+            TRACER.stop()
+        engines = {
+            event[ATTRS].get("engine")
+            for event in TRACER.events()
+            if event[NAME] == "ntt.engine" and event[PHASE] == "B"
+        }
+        TRACER.clear()
+        assert backend.dispatch_count >= 1
+        assert engines == {"radix2"}  # recorded in the workers
+        reference = NumpyBackend()
+        expected = reference.forward_ntt_batch(reference.from_rows(rows, batch)).to_rows()
         assert produced == expected  # engines are bit-interchangeable
-        backend.set_engine(None)
-        assert backend.engine is None
     finally:
         backend.close()
 

@@ -233,14 +233,14 @@ def test_context_metrics_snapshot_covers_every_surface(backend_name):
     if backend_name == "parallel":
         backend = ParallelBackend(shards=2)
     elif backend_name == "numpy":
-        backend = NumpyBackend()
+        backend = NumpyBackend(engine="radix2")
     else:
         backend = ScalarBackend()
-    # The scalar oracle runs one transform: it takes no engine pin and has
-    # no engine-choice gauge.
+    # The scalar oracle runs one transform: it takes no engine and has no
+    # engine-choice gauge.
     array = backend_name != "scalar"
     try:
-        ctx = HeContext.create(_params(), backend=backend, engine="radix2" if array else None)
+        ctx = HeContext.create(_params(), backend=backend)
         _chain(ctx)
         snap = ctx.metrics()
         for key in (
@@ -262,7 +262,7 @@ def test_context_metrics_snapshot_covers_every_surface(backend_name):
 
 
 def test_reset_metrics_zeroes_every_counter_in_one_call():
-    ctx = HeContext.create(_params(), backend=NumpyBackend(), engine="radix2")
+    ctx = HeContext.create(_params(), backend=NumpyBackend(engine="radix2"))
     evaluator = ctx.evaluator()
     _chain(ctx, evaluator)
     assert ctx.metrics()["ntt.invocations"] > 0
@@ -287,7 +287,7 @@ def test_reset_metrics_zeroes_every_counter_in_one_call():
 
 
 def test_traced_chain_records_op_and_plan_spans():
-    ctx = HeContext.create(_params(), backend=NumpyBackend(), engine="radix2")
+    ctx = HeContext.create(_params(), backend=NumpyBackend(engine="radix2"))
     TRACER.start()
     _chain(ctx)
     TRACER.stop()
@@ -308,16 +308,14 @@ def test_disabled_tracing_adds_no_events_and_no_counter_drift():
     """The overhead guard: with tracing off, the instrumented stack does
     exactly the work the uninstrumented stack does — same conversions,
     same dispatch count, zero events."""
-    ctx = HeContext.create(_params(), backend=NumpyBackend(), engine="radix2")
+    ctx = HeContext.create(_params(), backend=NumpyBackend(engine="radix2"))
     ctx.reset_metrics()
     _chain(ctx)
     instrumented = ctx.metrics()
     assert TRACER.events() == []
 
     with uninstrumented():
-        ctx2 = HeContext.create(
-            _params(), backend=NumpyBackend(), engine="radix2"
-        )
+        ctx2 = HeContext.create(_params(), backend=NumpyBackend(engine="radix2"))
         ctx2.reset_metrics()
         _chain(ctx2)
         baseline = ctx2.metrics()
@@ -334,7 +332,7 @@ def test_pool_worker_spans_nest_under_their_stage():
         shards=2, transform_threshold=1, pointwise_threshold=1
     )
     try:
-        ctx = HeContext.create(_params(), backend=backend, engine="radix2")
+        ctx = HeContext.create(_params(), backend=backend)
         pipe = ctx.pipeline()
         enc = ctx.encryptor()
         ct = enc.encrypt(ctx.integer_encoder().encode(7))
@@ -674,7 +672,7 @@ def test_json_lines_log_appends_to_path(tmp_path):
 
 
 def test_chrome_trace_round_trips_with_required_fields(tmp_path):
-    ctx = HeContext.create(_params(), backend=NumpyBackend(), engine="radix2")
+    ctx = HeContext.create(_params(), backend=NumpyBackend(engine="radix2"))
     TRACER.start()
     _chain(ctx)
     TRACER.stop()
@@ -697,7 +695,7 @@ def test_chrome_trace_round_trips_with_required_fields(tmp_path):
 
 
 def test_summarize_self_time_partitions_and_ntt_share():
-    ctx = HeContext.create(_params(), backend=NumpyBackend(), engine="radix2")
+    ctx = HeContext.create(_params(), backend=NumpyBackend(engine="radix2"))
     TRACER.start()
     _chain(ctx)
     TRACER.stop()
@@ -759,7 +757,7 @@ def test_summarize_guards_empty_and_zero_duration_traces():
 def test_traced_ntt_share_reports_a_real_share():
     from repro.experiments.measured import traced_ntt_share
 
-    result = traced_ntt_share(backend="numpy", engine="high_radix")
+    result = traced_ntt_share(backend="numpy")
     assert 0.0 < result["share"] <= 1.0
     assert result["ntt_ms"] > 0.0
     assert result["total_ms"] >= result["ntt_ms"]
@@ -771,10 +769,11 @@ def test_traced_ntt_share_reports_a_real_share():
 def test_experiments_list_shows_engine_verdicts(capsys):
     from repro.experiments.__main__ import main
 
-    assert main(["--list", "--engine", "four_step"]) == 0
+    assert main(["--list"]) == 0
     out = capsys.readouterr().out
     assert "fixed array kernel: stockham" in out
-    assert "engine pin: four_step" in out
+    with pytest.raises(SystemExit):  # no engine option
+        main(["--list", "--engine", "four_step"])
 
 
 def test_experiments_trace_flag_writes_chrome_trace(tmp_path, capsys):

@@ -5,14 +5,16 @@ NTT/iNTT dominates HE time, so the cheapest transform is the one not run.
 This module pins the acceptance criteria of the pass pipeline at a
 paper-adjacent shape (``N = 2048``, np = 4):
 
-* **at most 44 (chain) and 48 (bootstrap) NTT rows per run** in steady
-  state (warm constant pool, cached plans), down from 84 and 146 unoptimised,
-  for the canonical ``multiply → relinearize → mod_switch`` chain and the
-  bootstrap-shaped circuit — the default passes hoist the
-  relinearisation-key and plaintext-diagonal transforms into the per-context
-  constant pool, accumulate sums of products in the NTT domain, and
-  cancel/CSE the rest.  The counts are static properties of the compiled
-  plans and repeat exactly, so the pins are upper bounds at those counts;
+* **at most 24 NTT rows per run** in steady state (warm constant pool,
+  cached plans), down from 56 (chain) and 73 (bootstrap) unoptimised, for
+  the canonical ``multiply → relinearize → mod_switch`` chain and the
+  bootstrap-shaped circuit over NTT-resident ciphertexts — I4 F12 I2 F6:
+  c2's inverse, the off-diagonal digit rows, the dropped rows of the
+  modulus switch and their corrections.  The default passes hoist the
+  relinearisation-key and plaintext-diagonal transforms into the
+  per-context constant pool and cancel/CSE the rest.  The counts are static
+  properties of the compiled plans and repeat exactly, so the pins are
+  upper bounds at those counts;
 * **no wall-time regression**: the optimised steady state must not be slower
   than the unoptimised one (strictly less transform work, same dispatch
   structure).
@@ -37,7 +39,7 @@ PARAMS = HEParams(
     n=N, plaintext_modulus=65537, prime_bits=45, prime_count=PRIME_COUNT
 )
 #: Steady-state NTT rows per run of the optimised plans at this shape.
-MAX_NTT_ROWS = {"chain": 44, "bootstrap": 48}
+MAX_NTT_ROWS = {"chain": 24, "bootstrap": 24}
 MAX_SLOWDOWN = 1.10
 
 

@@ -187,6 +187,7 @@ _TRACED_KERNELS = {
     "scalar_mul": "op.scalar_mul",
     "digit_broadcast": "op.digit_broadcast",
     "mod_switch_drop_last": "op.mod_switch",
+    "mod_switch_correction": "op.mod_switch",
     "from_rows": "boundary.from_rows",
     "to_rows": "boundary.to_rows",
 }
@@ -443,6 +444,20 @@ class ComputeBackend(abc.ABC):
         ``(c_j + t*u_c) * q_last^{-1} mod p_j`` without any CRT
         reconstruction.  Requires ``q_last ≡ 1 (mod t)`` (checked by the
         evaluator) for plaintext invariance.
+        """
+
+    @abc.abstractmethod
+    def mod_switch_correction(
+        self, tensor: ResidueTensor, plaintext_modulus: int, primes: Sequence[int]
+    ) -> ResidueTensor:
+        """The correction term of :meth:`mod_switch_drop_last`, over ``primes``.
+
+        ``tensor`` is one row: the dropped prime's residues ``w`` in the
+        coefficient domain.  Row ``i`` of the result is ``t*u_c mod
+        primes[i]``, so ``mod_switch_drop_last`` of a coefficient tensor
+        ``c`` equals ``(c_i + corr_i) * q_last^{-1} mod p_i`` row for row.
+        An NTT-domain modulus switch inverse-transforms only the dropped
+        row, forward-transforms this correction and finishes pointwise.
         """
 
     # -- twiddle residency -----------------------------------------------------

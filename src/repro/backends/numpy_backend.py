@@ -499,75 +499,82 @@ class NumpyBackend(ComputeBackend):
             self._count_fallback(tensor.count)
             rows = self._extract_rows(tensor, range(tensor.count))
             switched = self._fallback._mod_switch_rows(rows, primes, t)
-            out = NumpyTensor(
-                self,
-                primes[:-1],
-                tensor.n,
-                np.zeros((tensor.count - 1, tensor.n), dtype=np.uint64),
-                {},
-            )
-            for j, (row, p) in enumerate(zip(switched, primes[:-1])):
-                self._store_rows(out, [j], [row], p)
-            return out
-        if t < MUL_VECTORIZED_LIMIT and max(primes) < MUL_VECTORIZED_LIMIT:
-            data = self._mod_switch_narrow(tensor, t)
+            return self._stored(primes[:-1], tensor.n, switched)
+        rest, q_last = primes[:-1], primes[-1]
+        correction = self._correction(tensor.data[-1], q_last, t, rest)
+        p = np.asarray(rest, dtype=np.uint64).reshape(-1, 1)
+        total = tensor.data[:-1] + correction
+        value = np.minimum(total, total - p)
+        q_inv = [pow(q_last % prime, -1, prime) for prime in rest]
+        if max(primes) < MUL_VECTORIZED_LIMIT:
+            # value and q^{-1} are below 2^31: the product is exact in uint64.
+            q_inv_column = np.asarray(q_inv, dtype=np.uint64).reshape(-1, 1)
+            data = value * q_inv_column % p
         else:
-            data = self._mod_switch_wide(tensor, t)
-        return NumpyTensor(self, primes[:-1], tensor.n, data, {})
+            data = wideops.scalar_mulmod(value, q_inv, rest)
+        return NumpyTensor(self, rest, tensor.n, data, {})
+
+    def mod_switch_correction(
+        self, tensor: ResidueTensor, plaintext_modulus: int, primes: Sequence[int]
+    ) -> NumpyTensor:
+        self._check_owned(tensor)
+        if tensor.count != 1:
+            raise ValueError("a modulus-switch correction reads exactly one row")
+        primes = tuple(primes)
+        q_last = tensor.primes[0]
+        if tensor.big or max(primes) >= STORAGE_LIMIT:
+            self._count_fallback(len(primes))
+            dropped = self._extract_rows(tensor, [0])[0]
+            rows = self._fallback._correction_rows(
+                dropped, q_last, plaintext_modulus, primes
+            )
+            return self._stored(primes, tensor.n, rows)
+        data = self._correction(tensor.data[0], q_last, plaintext_modulus, primes)
+        return NumpyTensor(self, primes, tensor.n, data, {})
+
+    def _stored(self, primes, n: int, rows) -> NumpyTensor:
+        """A tensor holding exact Python ``rows`` (the counted fallback's output)."""
+        data = np.zeros((len(primes), n), dtype=np.uint64)
+        out = NumpyTensor(self, primes, n, data, {})
+        for j, (row, p) in enumerate(zip(rows, primes)):
+            self._store_rows(out, [j], [row], p)
+        return out
 
     @staticmethod
-    def _mod_switch_narrow(tensor: NumpyTensor, t: int) -> np.ndarray:
-        """Single-word modulus switch in signed int64, all rows at once.
+    def _correction(dropped: np.ndarray, q_last: int, t: int, primes) -> np.ndarray:
+        """``t*u_c mod p`` for every prime of ``primes``: the switch's correction.
 
-        Every quantity fits int64: ``w * t_inv < 2^62``, ``|t * u_c| < 2^61``
-        and the final ``(value mod p) * q_inv`` product is below ``2^62``.
+        ``u = -w * t^{-1} mod q_last`` for the dropped row ``w``, and ``u_c``
+        its centred representative.  Bit-for-bit with
+        :meth:`ScalarBackend._correction_rows`: every result is fully
+        reduced.  Below 2^31 every quantity fits signed int64
+        (``w * t_inv < 2^62``, ``|t * u_c| < 2^61``).  Above, the digit ``u``
+        stays unsigned and its centred sign is carried as a mask: for
+        centred-negative digits ``t * u_c = t*u - t*q_last`` is applied as
+        one extra reduced subtraction mod ``p``, and every product runs
+        :func:`repro.backends.wideops.scalar_mulmod` against per-row columns
+        (exact for arbitrary uint64 multiplicands: ``u`` may exceed ``p``).
         """
-        primes = tensor.primes
-        q_last = primes[-1]
         t_inv = pow(t, -1, q_last)
-        w = tensor.data[-1].astype(np.int64)
-        u = (q_last - (w * np.int64(t_inv)) % q_last) % q_last
-        u_c = np.where(u > q_last // 2, u - q_last, u)
-        p = np.asarray(primes[:-1], dtype=np.int64).reshape(-1, 1)
-        q_inv = np.asarray(
-            [pow(q_last % prime, -1, prime) for prime in primes[:-1]], dtype=np.int64
-        ).reshape(-1, 1)
-        value = (tensor.data[:-1].astype(np.int64) + np.int64(t) * u_c) % p
-        return ((value * q_inv) % p).astype(np.uint64)
-
-    @staticmethod
-    def _mod_switch_wide(tensor: NumpyTensor, t: int) -> np.ndarray:
-        """Wide-word (≤ 62-bit) modulus switch — all products via Shoup kernels.
-
-        The narrow path's signed int64 arithmetic overflows above 30-bit
-        primes, so the correction digit ``u`` stays unsigned and its centered
-        sign is carried as a mask: for centered-negative digits the term
-        ``t * u_c = t*u - t*q_last`` is applied as one extra reduced
-        subtraction mod ``p``.  Every product — ``w * t^{-1}`` mod
-        ``q_last``, ``u * t`` mod ``p``, and the final ``value * q_last^{-1}``
-        mod ``p`` — runs :func:`repro.backends.wideops.scalar_mulmod` against
-        per-row columns, exact for arbitrary uint64 multiplicands (``u`` may
-        exceed ``p``).  Bit-for-bit with :meth:`ScalarBackend._mod_switch_rows`:
-        every intermediate is fully reduced into the same residue class.
-        """
-        primes = tensor.primes
-        rest = primes[:-1]
-        q_last = primes[-1]
+        if t < MUL_VECTORIZED_LIMIT and max(q_last, *primes) < MUL_VECTORIZED_LIMIT:
+            w = dropped.astype(np.int64)
+            u = (q_last - (w * np.int64(t_inv)) % q_last) % q_last
+            u_c = np.where(u > q_last // 2, u - q_last, u)
+            p = np.asarray(primes, dtype=np.int64).reshape(-1, 1)
+            return (np.int64(t) * u_c % p).astype(np.uint64)
         q64 = np.uint64(q_last)
-        product = wideops.scalar_mulmod(tensor.data[-1], pow(t, -1, q_last), q_last)
+        product = wideops.scalar_mulmod(dropped, t_inv, q_last)
         u = q64 - product  # in [1, q_last]; min() maps the q_last case to 0
         u = np.minimum(u, u - q64)
         negative = u > np.uint64(q_last // 2)
-        p = np.asarray(rest, dtype=np.uint64).reshape(-1, 1)
-        total = tensor.data[:-1] + wideops.scalar_mulmod(u, t, rest)
-        value = np.minimum(total, total - p)
+        p = np.asarray(primes, dtype=np.uint64).reshape(-1, 1)
+        correction = wideops.scalar_mulmod(u, t, primes)
         tq = np.asarray(
-            [(t % prime) * (q_last % prime) % prime for prime in rest], dtype=np.uint64
+            [(t % prime) * (q_last % prime) % prime for prime in primes],
+            dtype=np.uint64,
         ).reshape(-1, 1)
-        shifted = value + (p - tq)
-        value = np.where(negative, np.minimum(shifted, shifted - p), value)
-        q_inv = [pow(q_last % prime, -1, prime) for prime in rest]
-        return wideops.scalar_mulmod(value, q_inv, rest)
+        shifted = correction + (p - tq)
+        return np.where(negative, np.minimum(shifted, shifted - p), correction)
 
     # -- validation ------------------------------------------------------------
     def _check_owned(self, tensor: ResidueTensor) -> None:

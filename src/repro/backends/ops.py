@@ -29,9 +29,10 @@ Three layers live here:
   executors drop each value after its last reader) with
   :func:`peak_live_bytes`, and the scheduling helpers the ``parallel``
   backend uses to run a whole plan as one fused task per worker:
-  :func:`split_stages` cuts a plan into stages by dependency level and
-  :func:`shard_stage` derives each worker's row ranges for every value of
-  a stage.
+  :func:`split_stages` cuts a plan into stages by dependency level,
+  :func:`replicated_values` names the values every worker computes in
+  full, and :func:`shard_stage` derives each worker's row ranges for every
+  value of a stage.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "ForwardNtt",
     "Input",
     "InverseNtt",
+    "ModSwitchCorrection",
     "ModSwitchDropLast",
     "Mul",
     "Neg",
@@ -64,6 +66,7 @@ __all__ = [
     "last_uses",
     "node_name",
     "peak_live_bytes",
+    "replicated_values",
     "shard_stage",
     "split_stages",
 ]
@@ -246,9 +249,36 @@ class ModSwitchDropLast(OpNode):
         return (self.src,)
 
 
+@dataclass(frozen=True)
+class ModSwitchCorrection(OpNode):
+    """The correction term of an exact modulus switch, over the kept primes.
+
+    ``src`` is the dropped prime's one residue row ``w`` in the coefficient
+    domain; row ``i`` of the result is ``t*u_c mod primes[i]``, where ``u``
+    is ``-w * t^{-1} mod q_last`` and ``u_c`` its centred representative —
+    the term :class:`ModSwitchDropLast` adds before dividing by ``q_last``.
+    An NTT-domain switch forward-transforms it and finishes pointwise:
+    ``(x_i + NTT(corr_i)) * q_last^{-1} mod p_i``.  A *cross-row* node: every
+    output row reads the source's one row.
+    """
+
+    src: int
+    plaintext_modulus: int
+    primes: tuple[int, ...]
+    kind = "mod_switch_correction"
+
+    def operands(self) -> tuple[int, ...]:
+        return (self.src,)
+
+
 #: Node kinds that need full access to their source value (not just the rows
 #: a worker owns) — the stage boundaries of fused execution.
-CROSS_ROW_NODES = (DigitBroadcast, ModSwitchDropLast)
+CROSS_ROW_NODES = (DigitBroadcast, ModSwitchDropLast, ModSwitchCorrection)
+
+#: Node kinds a worker may compute in full from plan inputs, so that a
+#: cross-row node can read the result in the same stage (see
+#: :func:`replicated_values`): row moves and the inverse transform.
+REPLICABLE_NODES = (SliceRows, Concat, InverseNtt)
 
 #: Every valid plan node kind, in declaration order, derived from the node
 #: classes themselves (error messages and the registry's diagnostics list
@@ -267,6 +297,7 @@ NODE_CLASSES = (
     SliceRows,
     DigitBroadcast,
     ModSwitchDropLast,
+    ModSwitchCorrection,
 )
 NODE_NAMES = tuple(node_class.kind for node_class in NODE_CLASSES)
 
@@ -402,6 +433,11 @@ class OpGraph:
     def mod_switch_drop_last(self, src: int, plaintext_modulus: int) -> int:
         return self._append(ModSwitchDropLast(src, plaintext_modulus))
 
+    def mod_switch_correction(
+        self, src: int, plaintext_modulus: int, primes: Sequence[int]
+    ) -> int:
+        return self._append(ModSwitchCorrection(src, plaintext_modulus, tuple(primes)))
+
     # -- compilation -----------------------------------------------------------
     def output(self, name: str, value: int) -> None:
         """Name a value as a plan output."""
@@ -474,6 +510,13 @@ def infer_primes(
             if len(primes[node.src]) < 2:
                 raise ValueError("cannot modulus-switch below a single prime")
             primes.append(primes[node.src][:-1])
+        elif isinstance(node, ModSwitchCorrection):
+            if len(primes[node.src]) != 1 or not node.primes:
+                raise ValueError(
+                    "plan node %d: a modulus-switch correction maps one dropped "
+                    "row onto at least one kept prime" % index
+                )
+            primes.append(node.primes)
         else:
             raise _unknown_node_error(node)
     return primes
@@ -613,6 +656,10 @@ def interpret(backend, plan: Plan, inputs: Mapping[str, object]) -> dict[str, ob
             values[index] = backend.mod_switch_drop_last(
                 values[node.src], node.plaintext_modulus
             )
+        elif isinstance(node, ModSwitchCorrection):
+            values[index] = backend.mod_switch_correction(
+                values[node.src], node.plaintext_modulus, node.primes
+            )
         else:
             raise _unknown_node_error(node)
         for dead in released:
@@ -676,24 +723,77 @@ def rowset_size(ranges) -> int:
     return sum(hi - lo for lo, hi in ranges)
 
 
-def split_stages(plan: Plan) -> list[list[int]]:
+def replicated_values(plan: Plan) -> frozenset[int]:
+    """The values every worker of a fused stage computes in full.
+
+    A cross-row node reads rows other workers own, so its source must
+    exist in full before the node runs.  When that source is an inverse
+    transform (or a row move) of plan inputs alone — an NTT-resident
+    ciphertext's ``c2`` before its digits are broadcast, or its dropped rows
+    before a modulus switch — each worker computes it in full itself: a few
+    transform rows run on every worker instead of a pool round trip.  A
+    value qualifies when its node is one of :data:`REPLICABLE_NODES`, every
+    operand is a plan input or qualifies, and every reader is a cross-row
+    node or qualifies (so it is never a plan or stage output).
+    """
+    readers: list[list[int]] = [[] for _ in plan.nodes]
+    for index, node in enumerate(plan.nodes):
+        for operand in node.operands():
+            readers[operand].append(index)
+    outputs = {index for _, index in plan.outputs}
+    replicated = {
+        index
+        for index, node in enumerate(plan.nodes)
+        if isinstance(node, REPLICABLE_NODES) and index not in outputs
+    }
+    changed = True
+    while changed:
+        changed = False
+        for index in sorted(replicated, reverse=True):
+            fed = all(
+                isinstance(plan.nodes[operand], Input) or operand in replicated
+                for operand in plan.nodes[index].operands()
+            )
+            read = readers[index] and all(
+                isinstance(plan.nodes[reader], CROSS_ROW_NODES)
+                or reader in replicated
+                for reader in readers[index]
+            )
+            if not (fed and read):
+                replicated.discard(index)
+                changed = True
+    return frozenset(replicated)
+
+
+def split_stages(
+    plan: Plan, replicated: Collection[int] | None = None
+) -> list[list[int]]:
     """Cut a plan into sequentially dispatched stages by dependency level.
 
     A cross-row node (:data:`CROSS_ROW_NODES`) can only run when its source
     value is fully materialised — a plan input or an output of an earlier
-    stage — so it goes one stage after the stage that produces its source.
-    Every other node joins the latest stage among its operands.  Independent
-    statements therefore share stages however their nodes interleave in
-    plan order, and each stage lists its nodes in plan order.  Plans without
-    cross-row reads of intermediates (a whole homomorphic multiply, for
-    instance) come back as one stage: one pool dispatch.
+    stage — or computed in full by every worker
+    (:func:`replicated_values`, computed here when ``replicated`` is
+    ``None``), so otherwise it goes one stage after the stage that produces
+    its source.  Every other node joins the latest stage among its
+    operands.  Independent statements therefore share stages however their
+    nodes interleave in plan order, and each stage lists its nodes in plan
+    order.  Plans without cross-row reads of intermediates (a whole
+    homomorphic multiply, for instance) come back as one stage: one pool
+    dispatch.
     """
+    if replicated is None:
+        replicated = replicated_values(plan)
     stage_of: dict[int, int] = {}
     for index, node in enumerate(plan.nodes):
         if isinstance(node, Input):
             continue
         stage = max((stage_of.get(src, 0) for src in node.operands()), default=0)
-        if isinstance(node, CROSS_ROW_NODES) and node.src in stage_of:
+        if (
+            isinstance(node, CROSS_ROW_NODES)
+            and node.src in stage_of
+            and node.src not in replicated
+        ):
             stage = stage_of[node.src] + 1
         stage_of[index] = stage
     # A level above 0 is only reached from a node one level down, so the
@@ -730,31 +830,80 @@ def shard_stage(
     primes: Sequence[tuple[int, ...]],
     materialised: set[int],
     workers: int,
+    replicated: Collection[int] | None = None,
 ) -> list[dict[int, tuple[tuple[int, int], ...]]] | None:
     """Derive each worker's row ranges for every value a stage touches.
 
-    Materialised values get the canonical contiguous partition; produced
-    values derive their ownership from their operands (concatenation shifts,
-    slices clip, row-independent ops inherit, a modulus switch partitions
-    its own rows canonically).  Returns ``None`` when a
-    pointwise pair's operands end up with different ownership — the caller
-    then falls back to per-op interpretation instead of dispatching a
-    misaligned schedule.
+    Produced values derive their ownership from their operands
+    (concatenation shifts, slices clip, row-independent ops inherit, the
+    cross-row nodes partition their own rows canonically).  Every worker
+    holds all rows of a replicated value (:func:`replicated_values`,
+    computed here when ``replicated`` is ``None``), read from its operands
+    in full, so those operands take no ownership from it.  A slice of a
+    materialised value is read straight from the source's rows, so as the
+    other operand of a pointwise pair whose one operand is produced here it
+    takes that operand's ownership.  A materialised
+    value is readable whole by every worker, so it is owned the way its
+    first reader in the stage needs: as the other operand of a pointwise
+    pair whose one operand is produced here, as the missing piece of a
+    concatenation whose produced parts already follow the canonical
+    partition of its rows, and otherwise canonically.  Returns ``None``
+    when a pointwise pair's operands end up with different ownership — the
+    caller then falls back to per-op interpretation instead of dispatching
+    a misaligned schedule.
     """
+    if replicated is None:
+        replicated = replicated_values(plan)
     rowsets: dict[int, list] = {}
+    #: Slices of materialised values, owned when first read.
+    readable_slices: set[int] = set()
+
+    def sliced(node: SliceRows) -> list:
+        source = resolve(node.src)
+        return [
+            _clip(source[worker], node.start, node.stop) for worker in range(workers)
+        ]
 
     def resolve(value: int):
         owned = rowsets.get(value)
         if owned is None:
-            if value not in materialised:  # pragma: no cover - defensive
+            if value in readable_slices:
+                owned = sliced(plan.nodes[value])
+            elif value in materialised:
+                owned = _partition(len(primes[value]), workers)
+            else:  # pragma: no cover - defensive
                 raise ValueError("stage reads value %d before it exists" % value)
-            owned = _partition(len(primes[value]), workers)
             rowsets[value] = owned
         return owned
 
+    def complete(srcs) -> None:
+        """Own a concat's unread materialised parts by its canonical partition.
+
+        Applies only when the parts already owned are owned that way, so a
+        row computed here and a row read from shared memory pair up as
+        they do in the canonical partition of the whole concatenation.
+        """
+        target = _partition(sum(len(primes[src]) for src in srcs), workers)
+        homes: dict[int, list] = {}
+        offset = 0
+        for src in srcs:
+            count = len(primes[src])
+            window = [_clip(owned, offset, offset + count) for owned in target]
+            owned = rowsets[src] if src in rowsets else homes.setdefault(src, window)
+            if owned != window:
+                return
+            offset += count
+        rowsets.update(homes)
+
     for index in stage:
         node = plan.nodes[index]
-        if isinstance(node, (Add, Sub, Mul)):
+        if index in replicated:
+            rowsets[index] = [((0, len(primes[index])),)] * workers
+        elif isinstance(node, (Add, Sub, Mul)):
+            if node.a in rowsets and node.b not in rowsets:
+                rowsets[node.b] = rowsets[node.a]
+            elif node.b in rowsets and node.a not in rowsets:
+                rowsets[node.a] = rowsets[node.b]
             left, right = resolve(node.a), resolve(node.b)
             if left != right:
                 return None
@@ -762,6 +911,13 @@ def shard_stage(
         elif isinstance(node, (ForwardNtt, InverseNtt, Neg, ScalarMul, Copy)):
             rowsets[index] = resolve(node.src)
         elif isinstance(node, Concat):
+            for src in node.srcs:
+                if src in readable_slices:
+                    resolve(src)
+            if any(src in rowsets for src in node.srcs) and not all(
+                src in rowsets for src in node.srcs
+            ):
+                complete(node.srcs)
             parts = [resolve(src) for src in node.srcs]
             combined = []
             for worker in range(workers):
@@ -773,23 +929,20 @@ def shard_stage(
                 combined.append(_merge(pieces))
             rowsets[index] = combined
         elif isinstance(node, SliceRows):
-            source = resolve(node.src)
-            rowsets[index] = [
-                _clip(source[worker], node.start, node.stop)
-                for worker in range(workers)
-            ]
-        elif isinstance(node, DigitBroadcast):
-            # Requires full access to the source; ownership of the output is
-            # the canonical partition of the (equal-count) source value.
-            rowsets[index] = resolve(node.src)
-        elif isinstance(node, ModSwitchDropLast):
-            # Cross-row like DigitBroadcast: each worker reads its own rows
-            # and the source's last row, so the output gets the canonical
-            # partition of its own (one fewer) rows.
+            if node.src in materialised:
+                readable_slices.add(index)
+            else:
+                rowsets[index] = sliced(node)
+        elif isinstance(node, CROSS_ROW_NODES):
+            # Cross-row: each worker reads what it needs of the (fully
+            # materialised or replicated) source, so the output gets the
+            # canonical partition of its own rows.
             resolve(node.src)
-            rowsets[index] = _partition(len(primes[node.src]) - 1, workers)
+            rowsets[index] = _partition(len(primes[index]), workers)
         else:
             raise _unknown_node_error(node)
+    for value in readable_slices:
+        resolve(value)
     return [
         {value: tuple(owned[worker]) for value, owned in rowsets.items()}
         for worker in range(workers)

@@ -59,7 +59,7 @@ import numpy as np
 from ..telemetry import TRACER
 from . import ops
 from .base import ComputeBackend, ResidueRows, ResidueTensor
-from .numpy_backend import store_rows
+from .numpy_backend import STORAGE_LIMIT, store_rows
 from .pool import (
     ShmRef,
     WorkerPool,
@@ -174,6 +174,8 @@ class ParallelBackend(ComputeBackend):
         # Where pool page faults come from: segments this backend created,
         # and segments sent to a worker that did not hold them yet.
         self.metrics.declare("shm.segments", "pool.segment_maps")
+        # Kernel choices the workers reported with their task replies.
+        self._pool_engine_choices: dict = {}
         self.metrics.set_gauge("shm.bytes_in_use", lambda: get_arena().bytes_in_use)
         self.metrics.set_gauge("ntt.engine_choices", lambda: self.engine_choices)
 
@@ -226,12 +228,15 @@ class ParallelBackend(ComputeBackend):
 
     @property
     def engine_choices(self):
-        """Shapes the coordinator's inline inner backend ran on a fixed kernel.
+        """Shapes run on a fixed kernel, inline or in the pool workers.
 
-        Workers select by the same rule for their shards' sub-shapes; their
-        records stay in the worker processes.
+        The coordinator's inline inner backend records its own shapes; each
+        worker reports the shapes its shards ran with the first task reply
+        after it ran them, and the records merge here.
         """
-        return getattr(self._inner, "engine_choices", {})
+        choices = dict(self._pool_engine_choices)
+        choices.update(getattr(self._inner, "engine_choices", {}))
+        return choices
 
     def warm_twiddles(self, n: int, primes: Sequence[int]) -> None:
         self._inner.warm_twiddles(n, primes)
@@ -356,7 +361,8 @@ class ParallelBackend(ComputeBackend):
             self._plan_info_cache.move_to_end(key)
             return info
         primes = ops.infer_primes(plan, dict(input_primes))
-        stages = ops.split_stages(plan)
+        replicated = ops.replicated_values(plan)
+        stages = ops.split_stages(plan, replicated)
         stage_outs = ops.stage_outputs(plan, stages)
         available = {
             index
@@ -365,7 +371,9 @@ class ParallelBackend(ComputeBackend):
         }
         schedules: list | None = []
         for stage in stages:
-            schedule = ops.shard_stage(plan, stage, primes, available, self._shards)
+            schedule = ops.shard_stage(
+                plan, stage, primes, available, self._shards, replicated
+            )
             if schedule is None:
                 schedules = None
                 break
@@ -374,12 +382,28 @@ class ParallelBackend(ComputeBackend):
         info = {
             "primes": primes,
             "max_count": max((len(value_primes) for value_primes in primes), default=0),
+            # A correction node can map onto primes no input carries.
+            "big": any(p >= STORAGE_LIMIT for value in primes for p in value),
             "has_transform": any(
                 isinstance(node, (ops.ForwardNtt, ops.InverseNtt))
                 for node in plan.nodes
             ),
             "stages": stages,
             "stage_outs": stage_outs,
+            # Per stage: the values each worker computes in full, and the
+            # operands they read in full (whose primes every task carries).
+            "replicated": [
+                tuple(vid for vid in stage if vid in replicated) for stage in stages
+            ],
+            "replicated_reads": [
+                {
+                    operand
+                    for vid in stage
+                    if vid in replicated
+                    for operand in plan.nodes[vid].operands()
+                }
+                for stage in stages
+            ],
             "plan_outputs": {index for _, index in plan.outputs},
             "releases": [ops.last_uses(plan, stage) for stage in stages],
             "schedules": schedules,
@@ -396,7 +420,9 @@ class ParallelBackend(ComputeBackend):
         This is the backend's one way into the pool: a node kernel above the
         crossover runs as a one-node plan through here, so every pool task
         is a plan stage.  The plan is cut into stages at cross-row nodes
-        (:func:`repro.backends.ops.split_stages`); each stage is one pool
+        (:func:`repro.backends.ops.split_stages`) whose source the workers
+        cannot compute in full from plan inputs themselves
+        (:func:`repro.backends.ops.replicated_values`); each stage is one pool
         round trip submitting **one task per worker** that carries the whole
         stage's node records, their release lists and that worker's row
         ranges for every value.  Intermediates stay on the workers' heaps,
@@ -464,9 +490,10 @@ class ParallelBackend(ComputeBackend):
                 }
             )
         primes = info["primes"]
-        if info["schedules"] is None:
-            # Operand row sets misalign — dispatch nothing and run the
-            # plan correctly, one op at a time.
+        if info["big"] or info["schedules"] is None:
+            # Rows at or above the storage window, or operand row sets that
+            # misalign — dispatch nothing and run the plan correctly, one op
+            # at a time.
             return ops.interpret(self, plan, inputs)
 
         storage: dict[int, ParallelTensor] = {
@@ -479,9 +506,16 @@ class ParallelBackend(ComputeBackend):
         # so an overlapping run of the same shape allocates its own.
         kept: dict[int, ParallelTensor] = info.pop("storage", None) or {}
         stages = zip(
-            info["stages"], info["stage_outs"], info["releases"], info["schedules"]
+            info["stages"],
+            info["stage_outs"],
+            info["releases"],
+            info["schedules"],
+            info["replicated"],
+            info["replicated_reads"],
         )
-        for stage_index, (stage, outs, releases, schedule) in enumerate(stages):
+        for stage_index, (
+            stage, outs, releases, schedule, replicated, replicated_reads
+        ) in enumerate(stages):
             produced = {vid: self._stage_out(kept, info, vid, n) for vid in outs}
             referenced: set[int] = set()
             for vid in stage:
@@ -493,14 +527,17 @@ class ParallelBackend(ComputeBackend):
             }
             tasks = {}
             for worker, rowset in enumerate(schedule):
-                if not any(rowset[vid] for vid in stage):
+                if not any(rowset[vid] for vid in stage if vid not in replicated):
                     continue  # this worker owns no rows of anything produced
+                task_primes = {vid: primes[vid] for vid in rowset}
+                task_primes.update((vid, primes[vid]) for vid in replicated_reads)
                 tasks[worker] = {
                     "n": n,
                     "nodes": [(vid, plan.nodes[vid]) for vid in stage],
                     "releases": releases,
                     "rowsets": rowset,
-                    "primes": {vid: primes[vid] for vid in rowset},
+                    "replicated": replicated,
+                    "primes": task_primes,
                     "inputs": {
                         vid: self._ref(tensor) for vid, tensor in stage_inputs.items()
                     },
@@ -528,9 +565,10 @@ class ParallelBackend(ComputeBackend):
         ``tasks`` maps a worker index to that worker's task.  Boundary
         crossings charged by the workers' inner backends (a non-array inner
         converts per op) are mirrored onto this backend's conversion counter
-        so sharding is invisible to the accounting contract, and the
-        segments the workers had to map onto ``pool.segment_maps``; the
-        round trip itself is charged to :attr:`dispatch_count`.
+        so sharding is invisible to the accounting contract, the segments
+        the workers had to map onto ``pool.segment_maps``, and the kernel
+        choices they report onto :attr:`engine_choices`; the round trip
+        itself is charged to :attr:`dispatch_count`.
 
         Under tracing, every task is flagged so workers record spans and
         ship them back with their results; those spans are ingested here
@@ -558,6 +596,7 @@ class ParallelBackend(ComputeBackend):
     def _mirror(self, result: dict) -> None:
         self._count_conversion(result["conversions"])
         self.metrics.inc("pool.segment_maps", result["maps"])
+        self._pool_engine_choices.update(result["engine_choices"])
 
     def _sharded_out(self, primes, n: int) -> ParallelTensor:
         # Dispatched outputs are always shared-memory-backed: workers write
@@ -765,6 +804,21 @@ class ParallelBackend(ComputeBackend):
             self._pointwise_threshold,
             self._inner.mod_switch_drop_last,
             plaintext_modulus,
+        )
+
+    def mod_switch_correction(
+        self, tensor: ResidueTensor, plaintext_modulus: int, primes: Sequence[int]
+    ) -> ParallelTensor:
+        self._check_owned(tensor)
+        if tensor.count != 1:
+            raise ValueError("a modulus-switch correction reads exactly one row")
+        return self._kernel(
+            ops.ModSwitchCorrection(0, plaintext_modulus, tuple(primes)),
+            (tensor,),
+            self._pointwise_threshold,
+            self._inner.mod_switch_correction,
+            plaintext_modulus,
+            tuple(primes),
         )
 
     # -- validation ------------------------------------------------------------

@@ -321,6 +321,10 @@ _WORKER_BACKEND = None
 #: segment is mapped once and kept until a task's ``drop`` list names it.
 _WORKER_MAPPED: dict[str, shared_memory.SharedMemory] = {}
 
+#: The kernel choices (shape → engine) this worker has reported so far: a
+#: task reply carries only the ones it has not, so warm tasks ship nothing.
+_WORKER_REPORTED: dict = {}
+
 
 def _disarm_inherited_segments() -> None:
     """Neutralise segment handles copied into this worker by ``fork``.
@@ -341,17 +345,20 @@ def _disarm_inherited_segments() -> None:
 
 
 def _init_worker(inner_name: str) -> None:
-    from .registry import get_backend
+    from .registry import build_backend
 
     _disarm_inherited_segments()
     # A fork copies the parent's mapping table; this worker starts empty.
     _WORKER_MAPPED.clear()
+    _WORKER_REPORTED.clear()
     # The fork copied the parent's tracer (enabled flag, captured events,
     # span stack); a worker must start clean or it would re-ship parent
     # spans with every shard result.
     TRACER.reset_after_fork()
     global _WORKER_BACKEND
-    _WORKER_BACKEND = get_backend(inner_name)
+    # A fresh instance, not the registry's (fork-inherited) one: what it
+    # records, its kernel choices included, is this worker's own.
+    _WORKER_BACKEND = build_backend(inner_name)
 
 
 def _inner_tensor(backend, primes: Sequence[int], n: int, data, big: dict):
@@ -399,15 +406,19 @@ def _run_plan_task(backend, task: dict, mapped: dict) -> None:
     mapping table ``mapped`` are attached into it and stay mapped after the
     task; the caller owns closing them.  Intermediates live on this
     worker's heap only — they never cross a process boundary — and each is
-    dropped after its last reader in the stage.  The worker writes exactly
-    the output rows it owns into the preallocated output segments, each as
-    soon as it is produced.  Input views are read, never kept or written.
+    dropped after its last reader in the stage.  A replicated value
+    (:func:`~repro.backends.ops.replicated_values`) is computed in full
+    from its operands' full rows, so a cross-row node can read it in the
+    same stage.  The worker writes exactly the output rows it owns into the
+    preallocated output segments, each as soon as it is produced.  Input
+    views are read, never kept or written.
     """
     from . import ops
 
     n = task["n"]
     rowsets: dict[int, tuple] = task["rowsets"]
     primes: dict[int, tuple] = task["primes"]
+    replicated = task.get("replicated", ())
     views = {vid: _attach_view(ref, mapped) for vid, ref in task["inputs"].items()}
     out_views = {
         vid: _attach_view(ref, mapped) for vid, ref in task["outputs"].items()
@@ -443,8 +454,23 @@ def _run_plan_task(backend, task: dict, mapped: dict) -> None:
     def inner(vid: int):
         return _inner_tensor(backend, owned_primes(vid), n, owned_rows(vid), {})
 
+    def full_rows(vid: int) -> "np.ndarray":
+        """Every row of a materialised or replicated value."""
+        return local[vid] if vid in local else views[vid]
+
+    def replicate(node) -> "np.ndarray":
+        """All rows of a replicated value, computed by ``node``."""
+        if isinstance(node, ops.SliceRows):
+            return full_rows(node.src)[node.start : node.stop]
+        if isinstance(node, ops.Concat):
+            return np.concatenate([full_rows(src) for src in node.srcs], axis=0)
+        source = _inner_tensor(backend, primes[node.src], n, full_rows(node.src), {})
+        return compute(backend.inverse_ntt_batch(source))
+
     def produce(vid: int, node) -> "np.ndarray":
         """This worker's rows of value ``vid``, computed by ``node``."""
+        if vid in replicated:
+            return replicate(node)
         if not rowsets[vid]:
             return empty
         if isinstance(node, (ops.Add, ops.Sub, ops.Mul)):
@@ -466,25 +492,43 @@ def _run_plan_task(backend, task: dict, mapped: dict) -> None:
             # in ascending global order — the layout the row sets describe.
             return np.concatenate([owned_rows(src) for src in node.srcs], axis=0)
         if isinstance(node, ops.SliceRows):
-            positions = [
-                pos
-                for pos, row in enumerate(owned_index(node.src))
-                if node.start <= row < node.stop
-            ]
-            return owned_rows(node.src)[positions]
+            if node.src in local:
+                positions = [
+                    pos
+                    for pos, row in enumerate(owned_index(node.src))
+                    if node.start <= row < node.stop
+                ]
+                return owned_rows(node.src)[positions]
+            # A slice of a materialised value reads the rows it owns
+            # straight from the source.
+            source, start = full_rows(node.src), node.start
+            return np.concatenate(
+                [source[start + lo : start + hi] for lo, hi in rowsets[vid]], axis=0
+            )
         if isinstance(node, ops.DigitBroadcast):
             # Cross-row: the staging rule guarantees the source is a
-            # materialised stage input, so the one needed row is readable
-            # directly from shared memory regardless of who owns it.
+            # materialised stage input or replicated here, so the one
+            # needed row is readable regardless of who owns it.
             shard_primes = (primes[node.src][node.index],) + owned_primes(vid)
             data = np.zeros((len(shard_primes), n), dtype=np.uint64)
-            data[0] = views[node.src][node.index]
+            data[0] = full_rows(node.src)[node.index]
             shard = _inner_tensor(backend, shard_primes, n, data, {})
             return compute(backend.digit_broadcast(shard, 0))[1:]
+        if isinstance(node, ops.ModSwitchCorrection):
+            # Cross-row: every owned output row reads the source's one
+            # (materialised or replicated) row.
+            shard = _inner_tensor(
+                backend, primes[node.src], n, full_rows(node.src), {}
+            )
+            return compute(
+                backend.mod_switch_correction(
+                    shard, node.plaintext_modulus, owned_primes(vid)
+                )
+            )
         if isinstance(node, ops.ModSwitchDropLast):
             # Cross-row: every owned output row pairs its own source row
-            # with the source's (materialised) last row.
-            source_view = views[node.src]
+            # with the source's (materialised or replicated) last row.
+            source_view = full_rows(node.src)
             last = len(primes[node.src]) - 1
             rows = np.concatenate(
                 [source_view[lo:hi] for lo, hi in rowsets[vid]]
@@ -522,14 +566,17 @@ def _exec_shard(task: dict) -> dict:
     segments' pages.  First the worker closes the mappings named in
     ``task["drop"]`` (segments the coordinator has released since this
     worker's last task); then it maps only the segments it does not hold.
-    Returns ``{"conversions": rows, "maps": segments, "spans": [...]}``:
+    Returns ``{"conversions": rows, "maps": segments, "spans": [...],
+    "engine_choices": {...}}``:
     ``conversions`` are the list/native boundary crossings a non-array
     inner backend charged while computing the shard, which the parent
     mirrors onto the parallel backend's own counter so the accounting
     contract of ``base.py`` holds across process boundaries (a tensor
     with rows of primes at or above 2^62, the only rows the NumPy backend
     runs through its counted fallback, never reaches a worker); ``maps``
-    counts the segments this task had to map.  When the coordinator set
+    counts the segments this task had to map, and ``engine_choices`` the
+    kernel choices of the inner backend this worker has not reported yet
+    (so a warm task ships none).  When the coordinator set
     ``task["trace"]``, ``spans`` carries the events this worker recorded
     under a ``pool.task`` root span; the coordinator ingests them under
     its dispatch span (:meth:`repro.telemetry.Tracer.ingest`), which is
@@ -556,10 +603,17 @@ def _exec_shard(task: dict) -> dict:
             TRACER.clear()
     else:
         _run_plan_task(backend, task, _WORKER_MAPPED)
+    choices = {
+        shape: engine
+        for shape, engine in getattr(backend, "engine_choices", {}).items()
+        if _WORKER_REPORTED.get(shape) != engine
+    }
+    _WORKER_REPORTED.update(choices)
     return {
         "conversions": backend.conversion_count - before,
         "maps": len(_WORKER_MAPPED) - held,
         "spans": spans,
+        "engine_choices": choices,
     }
 
 

@@ -144,24 +144,33 @@ class ScalarBackend(ComputeBackend):
         return [[value % p for value in source_row] for p in primes]
 
     @staticmethod
-    def _mod_switch_rows(
-        rows: ResidueRows, primes: Sequence[int], plaintext_modulus: int
+    def _correction_rows(
+        dropped: Sequence[int], q_last: int, plaintext_modulus: int, primes
     ) -> list[list[int]]:
-        q_last = primes[-1]
         t = plaintext_modulus
         t_inv = pow(t, -1, q_last)
         half = q_last // 2
         # Correction digits from the dropped row alone: u ≡ -w * t^{-1} (mod
         # q_last), centered so the added term t*u_c stays small.
-        corrections = []
-        for w in rows[-1]:
+        terms = []
+        for w in dropped:
             u = (-w * t_inv) % q_last
-            corrections.append(u - q_last if u > half else u)
+            terms.append(t * (u - q_last if u > half else u))
+        return [[term % p for term in terms] for p in primes]
+
+    @classmethod
+    def _mod_switch_rows(
+        cls, rows: ResidueRows, primes: Sequence[int], plaintext_modulus: int
+    ) -> list[list[int]]:
+        q_last = primes[-1]
+        corrections = cls._correction_rows(
+            rows[-1], q_last, plaintext_modulus, primes[:-1]
+        )
         switched = []
-        for row, p in zip(rows[:-1], primes[:-1]):
+        for row, correction, p in zip(rows[:-1], corrections, primes[:-1]):
             q_inv = pow(q_last % p, -1, p)
             switched.append(
-                [(c + t * u_c) % p * q_inv % p for c, u_c in zip(row, corrections)]
+                [(c + k) % p * q_inv % p for c, k in zip(row, correction)]
             )
         return switched
 
@@ -271,3 +280,14 @@ class ScalarBackend(ComputeBackend):
             tensor.n,
             self._mod_switch_rows(tensor.rows, tensor.primes, plaintext_modulus),
         )
+
+    def mod_switch_correction(
+        self, tensor: ResidueTensor, plaintext_modulus: int, primes: Sequence[int]
+    ) -> ScalarTensor:
+        self._check_owned(tensor)
+        if tensor.count != 1:
+            raise ValueError("a modulus-switch correction reads exactly one row")
+        rows = self._correction_rows(
+            tensor.rows[0], tensor.primes[0], plaintext_modulus, primes
+        )
+        return self._wrap(tuple(primes), tensor.n, rows)

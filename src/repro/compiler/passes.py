@@ -144,6 +144,10 @@ def _with_operands(node: ops.OpNode, operands: tuple[int, ...]) -> ops.OpNode:
         return ops.DigitBroadcast(operands[0], node.index)
     if isinstance(node, ops.ModSwitchDropLast):
         return ops.ModSwitchDropLast(operands[0], node.plaintext_modulus)
+    if isinstance(node, ops.ModSwitchCorrection):
+        return ops.ModSwitchCorrection(
+            operands[0], node.plaintext_modulus, node.primes
+        )
     raise ops._unknown_node_error(node)
 
 
@@ -168,6 +172,8 @@ def _row_count(node: ops.OpNode, counts: list, ctx: PassContext) -> int | None:
     if isinstance(node, ops.ModSwitchDropLast):
         count = counts[node.src]
         return None if count is None else count - 1
+    if isinstance(node, ops.ModSwitchCorrection):
+        return len(node.primes)
     operands = node.operands()
     return counts[operands[0]] if operands else None
 
@@ -579,20 +585,20 @@ def fold_structure(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
                 rw.alias(index, src)
                 continue
             if isinstance(inner, ops.Concat):
-                # Fold a slice that lands exactly on one concat segment.
+                # A slice inside one concat segment reads that segment alone
+                # (landing exactly on it, the slice folds away).
                 offset = 0
-                target = None
                 for part in inner.srcs:
                     part_count = rw.counts[part]
-                    if part_count is None:
+                    if part_count is None or offset > start:
                         break
-                    if offset == start and offset + part_count == stop:
-                        target = part
+                    if stop <= offset + part_count:
+                        src, start, stop = part, start - offset, stop - offset
                         break
                     offset += part_count
-                if target is not None:
+                if (start, stop) == (0, rw.counts[src]):
                     ctx.tally("fold_structure", "slices_folded")
-                    rw.alias(index, target)
+                    rw.alias(index, src)
                     continue
             rw.keep(index, ops.SliceRows(src, start, stop))
             continue
@@ -613,6 +619,8 @@ def _cse_key(node: ops.OpNode, mapped: tuple[int, ...]) -> tuple:
         return (node.kind, mapped[0], node.index)
     if isinstance(node, ops.ModSwitchDropLast):
         return (node.kind, mapped[0], node.plaintext_modulus)
+    if isinstance(node, ops.ModSwitchCorrection):
+        return (node.kind, mapped[0], node.plaintext_modulus, node.primes)
     return (node.kind,) + tuple(mapped)
 
 
@@ -765,16 +773,20 @@ def _batch_transforms(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
 
     Transforms merge when they share a fused stage, a kind and a transform
     depth (transforms on any path to a node, itself included); two
-    transforms at one depth never read each other.  Stages are dependency
-    levels (:func:`repro.backends.ops.split_stages`), so independent
-    statements and requests share them and their transforms merge.  A
+    transforms at one depth never read each other.  A replicated transform
+    (:func:`repro.backends.ops.replicated_values`) merges only with
+    replicated ones, so merging never moves a cross-row node to a later
+    stage.  Stages are dependency levels
+    (:func:`repro.backends.ops.split_stages`), so independent statements
+    and requests share them and their transforms merge.  A
     merged batch lands in its members' stage, so the parallel backend's
     dispatches do not grow.  The plan is re-emitted stage by stage in depth
     order, so every member's source exists where the batch is emitted.
     """
     transforms = (ops.ForwardNtt, ops.InverseNtt)
+    replicated = ops.replicated_values(plan)
     stage_of: dict[int, int] = {}
-    for position, stage in enumerate(ops.split_stages(plan)):
+    for position, stage in enumerate(ops.split_stages(plan, replicated)):
         for index in stage:
             stage_of[index] = position
     depth: list[int] = []
@@ -785,7 +797,7 @@ def _batch_transforms(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
     groups: dict[tuple, list[int]] = {}
     for index, node in enumerate(plan.nodes):
         if isinstance(node, transforms) and counts[index] is not None:
-            key = (stage_of[index], depth[index], node.kind)
+            key = (stage_of[index], depth[index], node.kind, index in replicated)
             groups.setdefault(key, []).append(index)
     batches = {members[0]: members for members in groups.values() if len(members) > 1}
     if not batches:

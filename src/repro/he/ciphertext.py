@@ -18,7 +18,11 @@ class Ciphertext:
     modulus and reduces the centered result modulo the plaintext modulus.
     Freshly encrypted ciphertexts have two components; each multiplication
     adds one until :meth:`repro.he.evaluator.Evaluator.relinearize` brings the
-    count back to two.
+    count back to two.  Components rest in the NTT domain: encryption emits
+    them there and every evaluator result stays there.  A component in the
+    coefficient domain (``poly.to_coefficient()``) is equally valid; each
+    polynomial carries its own :class:`~repro.rns.poly.Domain`, and
+    serialisation format 2 records it.
 
     Attributes:
         polys: The ciphertext polynomials, all over the same RNS basis.

@@ -1,17 +1,47 @@
-"""Encryption and decryption for the RNS-BGV scheme."""
+"""Encryption and decryption for the RNS-BGV scheme.
+
+Ciphertexts rest in the NTT domain, as SEAL keeps its BGV and CKKS
+ciphertexts (``is_ntt_form``): an encryption forward-transforms its fresh
+randomness once and forms both components pointwise against the public
+key's image, and decryption accepts either domain.
+"""
 
 from __future__ import annotations
 
 import random
 
+from ..backends import ops
 from ..backends.base import ComputeBackend
 from ..backends.registry import resolve_backend
-from ..rns.poly import RnsPolynomial
+from ..rns.basis import RnsBasis
+from ..rns.poly import Domain, RnsPolynomial
 from .ciphertext import Ciphertext
 from .keys import PublicKey, SecretKey
 from .params import HEParams
 
 __all__ = ["Encryptor", "Decryptor"]
+
+#: Compiled encryption plans, keyed by ``(row count, t)``.
+_ENCRYPTION_PLANS: dict[tuple[int, int], ops.Plan] = {}
+
+
+def _encryption_plan(count: int, t: int) -> ops.Plan:
+    """``c0 = b^*u^ + NTT(t*e0 + m)``, ``c1 = a^*u^ + NTT(t*e1)`` as one plan.
+
+    ``b`` and ``a`` bind the public key's NTT image; ``u``, ``t*e0 + m``
+    and ``t*e1`` go through one forward transform of ``3 * count`` rows.
+    """
+    plan = _ENCRYPTION_PLANS.get((count, t))
+    if plan is None:
+        graph = ops.OpGraph()
+        b, a, u, e0, e1, m = map(graph.input, ("b", "a", "u", "e0", "e1", "m"))
+        masked = graph.add(graph.scalar_mul(e0, t), m)
+        stacked = graph.forward_ntt(graph.concat([u, masked, graph.scalar_mul(e1, t)]))
+        u_ntt, masked_ntt, e1_ntt = graph.split(stacked, [count] * 3)
+        graph.output("c0", graph.add(graph.mul(b, u_ntt), masked_ntt))
+        graph.output("c1", graph.add(graph.mul(a, u_ntt), e1_ntt))
+        plan = _ENCRYPTION_PLANS[(count, t)] = graph.compile()
+    return plan
 
 
 class Encryptor:
@@ -24,6 +54,10 @@ class Encryptor:
 
     with ``(b, a)`` the public key, ``u`` a fresh ternary polynomial and
     ``e0, e1`` fresh Gaussian errors, so that ``c0 + c1*s = m + t*(noise)``.
+    Both components are emitted in the NTT domain: the public key is
+    transformed once per encryptor, and each encryption transforms ``u``,
+    ``t*e0 + m`` and ``t*e1`` in one batch (``3 * np`` rows) and forms the
+    products pointwise.
     """
 
     def __init__(
@@ -42,57 +76,91 @@ class Encryptor:
         self.backend = (
             public_key.a.backend if backend is None else resolve_backend(backend)
         )
+        self._key_image: tuple[RnsPolynomial, RnsPolynomial] | None = None
+
+    def _public_image(self) -> tuple[RnsPolynomial, RnsPolynomial]:
+        """The public key's NTT image on this encryptor's backend (built once)."""
+        if self._key_image is None:
+            self._key_image = (
+                self.public_key.b.with_backend(self.backend).to_ntt(),
+                self.public_key.a.with_backend(self.backend).to_ntt(),
+            )
+        return self._key_image
 
     def encrypt(self, plaintext: RnsPolynomial) -> Ciphertext:
         """Encrypt a plaintext polynomial (coefficients understood mod ``t``)."""
         t = self.params.plaintext_modulus
-        u = RnsPolynomial.random_ternary(
-            self.basis, self.params.n, self.rng, backend=self.backend
-        )
+        n = self.params.n
+        if plaintext.basis.primes != self.basis.primes or plaintext.n != n:
+            raise ValueError("polynomials live in different rings")
+        if plaintext.domain is not Domain.COEFFICIENT:
+            raise ValueError(
+                "domain mismatch: %s vs coefficient — convert explicitly first"
+                % plaintext.domain.value
+            )
+        u = RnsPolynomial.random_ternary(self.basis, n, self.rng, backend=self.backend)
         e0 = RnsPolynomial.random_gaussian(
-            self.basis,
-            self.params.n,
-            self.rng,
-            stddev=self.params.error_std,
-            backend=self.backend,
+            self.basis, n, self.rng, stddev=self.params.error_std, backend=self.backend
         )
         e1 = RnsPolynomial.random_gaussian(
-            self.basis,
-            self.params.n,
-            self.rng,
-            stddev=self.params.error_std,
-            backend=self.backend,
+            self.basis, n, self.rng, stddev=self.params.error_std, backend=self.backend
         )
-        c0 = self.public_key.b * u + e0.scalar_mul(t) + plaintext
-        c1 = self.public_key.a * u + e1.scalar_mul(t)
-        return Ciphertext(polys=[c0, c1], params=self.params)
+        b, a = self._public_image()
+        outputs = self.backend.execute(
+            _encryption_plan(self.basis.count, t),
+            {
+                "b": b.tensor,
+                "a": a.tensor,
+                "u": u.tensor,
+                "e0": e0.tensor,
+                "e1": e1.tensor,
+                "m": plaintext.with_backend(self.backend).tensor,
+            },
+        )
+        return Ciphertext(
+            polys=[
+                RnsPolynomial(self.basis, n, outputs[name], Domain.NTT)
+                for name in ("c0", "c1")
+            ],
+            params=self.params,
+        )
 
 
 class Decryptor:
-    """Decrypts ciphertexts (of any size) with the secret key."""
+    """Decrypts ciphertexts (of any size, in either domain) with the secret key."""
 
     def __init__(self, params: HEParams, secret_key: SecretKey) -> None:
         self.params = params
         self.secret_key = secret_key
+        self._key_images: dict[tuple[int, ...], RnsPolynomial] = {}
 
-    def _inner_product(self, ciphertext: Ciphertext) -> RnsPolynomial:
-        """Evaluate ``sum_i c_i * s^i`` over the ciphertext's own basis."""
-        s = self.secret_key.s
-        if s.basis.primes != ciphertext.basis.primes:
-            # The ciphertext has been modulus-switched; drop the key to match.
-            drop = len(s.basis.primes) - len(ciphertext.basis.primes)
+    def _key_image(self, basis: RnsBasis) -> RnsPolynomial:
+        """The secret key's NTT image over ``basis`` (built once per level)."""
+        image = self._key_images.get(basis.primes)
+        if image is None:
+            s = self.secret_key.s
+            # The ciphertext may have been modulus-switched; drop the key to match.
+            drop = len(s.basis.primes) - len(basis.primes)
             if drop < 0:
                 raise ValueError("ciphertext modulus is larger than the key's modulus")
-            reduced = s
             for _ in range(drop):
-                reduced = reduced.drop_last_prime()
-            s = reduced
-        accumulator = ciphertext.polys[0]
+                s = s.drop_last_prime()
+            image = self._key_images[basis.primes] = s.to_ntt()
+        return image
+
+    def _inner_product(self, ciphertext: Ciphertext) -> RnsPolynomial:
+        """Evaluate ``sum_i c_i * s^i`` over the ciphertext's own basis.
+
+        The sum is formed in the NTT domain (coefficient-domain components
+        are transformed first) and inverse-transformed once.
+        """
+        s = self._key_image(ciphertext.basis)
+        accumulator = ciphertext.polys[0].to_ntt()
         s_power = None
         for component in ciphertext.polys[1:]:
             s_power = s if s_power is None else s_power * s
-            accumulator = accumulator + component * s_power
-        return accumulator
+            accumulator = accumulator + component.to_ntt() * s_power
+        return accumulator.to_coefficient()
 
     def raw_decrypt(self, ciphertext: Ciphertext) -> list[int]:
         """Return the centered value of ``sum_i c_i s^i`` (``m + t*e`` before mod-t)."""

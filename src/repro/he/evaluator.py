@@ -9,21 +9,35 @@ into a declarative :class:`repro.backends.ops.Plan` and hands it to
 :meth:`~repro.backends.base.ComputeBackend.execute` in a single call, so a
 sharding backend can fuse the whole operation into one task per worker per
 stage instead of one pool round trip per backend method — the CPU analogue
-of the wide-batch kernel launches the paper's GPU amortises.  The whole
-chain stays resident:
+of the wide-batch kernel launches the paper's GPU amortises.
+
+Ciphertexts rest in the NTT domain (SEAL's ``is_ntt_form``), so the
+cheapest transform — the one never run — is the common case: no emitter
+ends in an inverse transform, and an operand already in the NTT domain is
+never transformed again.  Coefficient-domain inputs (a stored payload, a
+hand-built ciphertext) still work: they are transformed where an op needs
+NTT rows.  The transforms that remain are the ones the cross-row steps
+need, and only on the rows they read:
 
 * relinearisation decomposes the quadratic component into per-prime digits
   with ``digit_broadcast`` nodes (row ``i`` of the coefficient-domain
-  residue matrix *is* the digit for prime ``i``);
+  residue matrix *is* the digit for prime ``i``).  Digits are not centred,
+  so row ``i`` of digit ``i`` is row ``i`` of ``c2``, whose image the plan
+  already holds: each digit transforms only its other ``np - 1`` rows;
 * modulus switching uses the exact RNS formula
-  ``(c_j + t*u_c) * q_last^{-1} mod p_j`` via ``mod_switch_drop_last``
-  nodes, where the correction ``u_c`` is read off the dropped residue row
-  alone.
+  ``(c_j + t*u_c) * q_last^{-1} mod p_j``, where the correction ``u_c`` is
+  read off the dropped residue row alone.  An NTT-domain source
+  inverse-transforms just that row, a ``mod_switch_correction`` node maps
+  ``t*u_c`` onto the kept primes, and the correction's forward image is
+  added and scaled pointwise; a coefficient-domain source switches in
+  place through ``mod_switch_drop_last``.
 
 A ``multiply → relinearize → mod_switch_to_next`` chain therefore performs
 **zero** list ↔ ndarray conversions (asserted by the backend's conversion
-counter in the test-suite) and, on the ``parallel`` backend, at most one
-pool dispatch per operation (asserted by ``dispatch_count``).
+counter in the test-suite) and, fused into one plan on the ``parallel``
+backend, three pool dispatches (asserted by ``dispatch_count``); run op by
+op it costs at most one dispatch per op, since a worker inverse-transforms
+the few input rows a cross-row step reads itself.
 
 The reference for every operation is the same evaluator on the ``scalar``
 backend with ``passes="none"``: it runs the raw emitted plan one backend
@@ -81,6 +95,38 @@ class _Emitter:
     def bind(self, name: str, poly: RnsPolynomial) -> _P:
         """Declare a plan input carrying the polynomial's ring metadata."""
         return _P(self.graph.input(name), poly.domain, poly.basis)
+
+
+def _without_row(
+    graph: ops.OpGraph, value: int, index: int, basis: RnsBasis
+) -> list[_P]:
+    """Row ``index`` left out of a coefficient-domain value (no rows: ``[]``)."""
+    count = basis.count
+    parts = []
+    if index:
+        parts.append(graph.slice_rows(value, 0, index))
+    if index + 1 < count:
+        parts.append(graph.slice_rows(value, index + 1, count))
+    if not parts:
+        return []
+    primes = basis.primes[:index] + basis.primes[index + 1 :]
+    rest = parts[0] if len(parts) == 1 else graph.concat(parts)
+    return [_P(rest, Domain.COEFFICIENT, RnsBasis.from_primes(primes, basis.n))]
+
+
+def _with_row(
+    graph: ops.OpGraph, rest: list[_P], source: int, index: int, count: int
+) -> int:
+    """The value ``rest`` came from, with row ``index`` read from ``source``."""
+    if not rest:
+        return source
+    parts = []
+    if index:
+        parts.append(graph.slice_rows(rest[0].value, 0, index))
+    parts.append(graph.slice_rows(source, index, index + 1))
+    if index + 1 < count:
+        parts.append(graph.slice_rows(rest[0].value, index, count - 1))
+    return graph.concat(parts)
 
 
 class Evaluator:
@@ -366,7 +412,7 @@ class Evaluator:
     def _emit_tensor(
         self, em: _Emitter, a_ntt: Sequence[_P], b_ntt: Sequence[_P]
     ) -> list[_P]:
-        """NTT-domain tensor product, returned in the coefficient domain."""
+        """NTT-domain tensor product; the result stays in the NTT domain."""
         graph = em.graph
         basis = a_ntt[0].basis
         result_size = len(a_ntt) + len(b_ntt) - 1
@@ -380,8 +426,7 @@ class Evaluator:
                     if accumulators[k] is None
                     else graph.add(accumulators[k], term)
                 )
-        products = [_P(value, Domain.NTT, basis) for value in accumulators]
-        return self._emit_ntt_batch(em, products, forward=False)
+        return [_P(value, Domain.NTT, basis) for value in accumulators]
 
     def _emit_multiply(self, em: _Emitter, sa: Sequence[_P], sb: Sequence[_P]) -> list[_P]:
         if sa[0].basis.primes != sb[0].basis.primes:
@@ -397,6 +442,12 @@ class Evaluator:
         self, em: _Emitter, sa: Sequence[_P], sb: Sequence[_P], subtract: bool
     ) -> list[_P]:
         graph = em.graph
+        if len({poly.domain for poly in (*sa, *sb)}) > 1:
+            # Operands in both domains (a stored coefficient-domain payload
+            # and an NTT-resident ciphertext): the coefficient side moves to
+            # the NTT domain.
+            transformed = self._emit_ntt_batch(em, [*sa, *sb], forward=True)
+            sa, sb = transformed[: len(sa)], transformed[len(sa) :]
         combine = self._emit_poly_sub if subtract else self._emit_poly_add
         size = max(len(sa), len(sb))
         polys = []
@@ -429,31 +480,24 @@ class Evaluator:
         if len(srk) != len(basis):
             raise ValueError("relinearisation key was generated for a different basis")
         c0, c1, c2 = sa
+        # The digits are cut from c2's coefficient form; c0 and c1 seed the
+        # NTT-domain accumulators.
         c2_coeff = self._emit_ntt_batch(em, [c2], forward=False)[0]
-        acc0: int | None = None
-        acc1: int | None = None
+        c0_ntt, c1_ntt, c2_ntt = self._emit_ntt_batch(em, [c0, c1, c2], forward=True)
+        acc0, acc1 = c0_ntt.value, c1_ntt.value
         for index, (rk0, rk1) in enumerate(srk):
-            digit = _P(
-                graph.digit_broadcast(c2_coeff.value, index),
-                Domain.COEFFICIENT,
-                basis,
+            digit = graph.digit_broadcast(c2_coeff.value, index)
+            # Digits are not centred, so row ``index`` of this digit is row
+            # ``index`` of c2 and its image is that row of c2's image: only
+            # the other rows need a transform.
+            rest = _without_row(graph, digit, index, basis)
+            *rest, rk0_ntt, rk1_ntt = self._emit_ntt_batch(
+                em, rest + [rk0, rk1], forward=True
             )
-            digit_ntt, rk0_ntt, rk1_ntt = self._emit_ntt_batch(
-                em, [digit, rk0, rk1], forward=True
-            )
-            term0 = graph.mul(digit_ntt.value, rk0_ntt.value)
-            term1 = graph.mul(digit_ntt.value, rk1_ntt.value)
-            acc0 = term0 if acc0 is None else graph.add(acc0, term0)
-            acc1 = term1 if acc1 is None else graph.add(acc1, term1)
-        sum0, sum1 = self._emit_ntt_batch(
-            em,
-            [_P(acc0, Domain.NTT, basis), _P(acc1, Domain.NTT, basis)],
-            forward=False,
-        )
-        return [
-            self._emit_poly_add(em, c0, sum0),
-            self._emit_poly_add(em, c1, sum1),
-        ]
+            digit_ntt = _with_row(graph, rest, c2_ntt.value, index, basis.count)
+            acc0 = graph.add(acc0, graph.mul(digit_ntt, rk0_ntt.value))
+            acc1 = graph.add(acc1, graph.mul(digit_ntt, rk1_ntt.value))
+        return [_P(acc0, Domain.NTT, basis), _P(acc1, Domain.NTT, basis)]
 
     def _emit_mod_switch(self, em: _Emitter, sa: Sequence[_P], t: int) -> list[_P]:
         basis = sa[0].basis
@@ -461,19 +505,61 @@ class Evaluator:
             raise ValueError("cannot modulus-switch below a single prime")
         if basis.primes[-1] % t != 1:
             raise ValueError("modulus switching requires q_last ≡ 1 (mod t)")
-        coeffs = self._emit_ntt_batch(em, list(sa), forward=False)
+        graph = em.graph
+        count = basis.count
         new_basis = basis.drop_last(1)
-        return [
-            _P(
-                em.graph.mod_switch_drop_last(poly.value, t),
-                Domain.COEFFICIENT,
+        results = [
+            _P(graph.mod_switch_drop_last(poly.value, t), Domain.COEFFICIENT, new_basis)
+            if poly.domain is Domain.COEFFICIENT
+            else None
+            for poly in sa
+        ]
+        in_ntt = [i for i, poly in enumerate(sa) if poly.domain is Domain.NTT]
+        if not in_ntt:
+            return results
+        # NTT-domain sources: inverse-transform only the dropped row of each,
+        # derive the correction over the kept primes from it, transform the
+        # correction and finish pointwise: (x_i + corr_i) * q_last^{-1}.
+        last = RnsBasis.from_primes(basis.primes[-1:], basis.n)
+        dropped = self._emit_ntt_batch(
+            em,
+            [
+                _P(graph.slice_rows(sa[i].value, count - 1, count), Domain.NTT, last)
+                for i in in_ntt
+            ],
+            forward=False,
+        )
+        corrections = self._emit_ntt_batch(
+            em,
+            [
+                _P(
+                    graph.mod_switch_correction(row.value, t, new_basis.primes),
+                    Domain.COEFFICIENT,
+                    new_basis,
+                )
+                for row in dropped
+            ],
+            forward=True,
+        )
+        q_last = basis.primes[-1]
+        q_inv = new_basis.from_residues(
+            [pow(q_last % p, -1, p) for p in new_basis.primes]
+        )
+        for i, correction in zip(in_ntt, corrections):
+            kept = graph.slice_rows(sa[i].value, 0, count - 1)
+            results[i] = _P(
+                graph.scalar_mul(graph.add(kept, correction.value), q_inv),
+                Domain.NTT,
                 new_basis,
             )
-            for poly in coeffs
-        ]
+        return results
 
     def _emit_add_plain(self, em: _Emitter, sa: Sequence[_P], pt: _P) -> list[_P]:
         graph = em.graph
+        if pt.domain is not sa[0].domain:
+            # Whichever side is in the coefficient domain moves to the NTT
+            # domain (the plaintext's image is a constant the pool keeps).
+            *sa, pt = self._emit_ntt_batch(em, list(sa) + [pt], forward=True)
         return [self._emit_poly_add(em, sa[0], pt)] + [
             _P(graph.copy(p.value), p.domain, p.basis) for p in sa[1:]
         ]
@@ -483,11 +569,10 @@ class Evaluator:
         basis = sa[0].basis
         transformed = self._emit_ntt_batch(em, list(sa) + [pt], forward=True)
         plaintext_ntt = transformed[-1]
-        products = [
+        return [
             _P(graph.mul(poly.value, plaintext_ntt.value), Domain.NTT, basis)
             for poly in transformed[:-1]
         ]
-        return self._emit_ntt_batch(em, products, forward=False)
 
     # -- dispatch -----------------------------------------------------------------------
     def _fused_unary(self, emit, a: Ciphertext, op: str, level: int | None = None):
@@ -599,13 +684,14 @@ class Evaluator:
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic multiplication (tensor product, result has size a.size + b.size - 1).
 
-        Both operands' components are converted to the NTT domain in one
-        batched backend call of ``(a.size + b.size) * np`` rows, multiplied
-        element-wise, accumulated, and inverse-transformed in one batch of
-        ``(a.size + b.size - 1) * np`` rows — the double-CRT strategy every
-        RNS HE library uses, executed at the batch width the paper shows the
-        hardware wants.  The whole operation is one compiled plan: a single
-        ``execute`` call, one pool dispatch on the sharded backend.
+        The components are multiplied element-wise and accumulated in the
+        NTT domain, where the product rests — the double-CRT strategy every
+        RNS HE library uses.  NTT-resident operands (every fresh encryption)
+        cost no transform; coefficient-domain components are converted in
+        one batched forward call (``(a.size + b.size) * np`` rows at most),
+        at the batch width the paper shows the hardware wants.  The whole
+        operation is one compiled plan: a single ``execute`` call, one pool
+        dispatch on the sharded backend.
         """
         self._check_same_ring(a, b)
         return self._fused_binary(self._emit_multiply, "multiply", a, b)
@@ -627,12 +713,15 @@ class Evaluator:
         of the coefficient-domain residue matrix of ``c2`` *is* ``c2 mod q_i``
         already reduced, so the ``digit_broadcast`` node re-reduces that
         single resident row across the basis to form the digit paired with
-        key component ``i``.  The per-prime digit products are accumulated in
-        the NTT domain and inverse-transformed once at the end (NTT linearity
-        makes this bit-identical to per-product inverse transforms, at ``np``
-        times fewer inverse NTTs).  The whole key switch is one plan — on
-        the sharded backend one dispatch, with the digit rows read straight
-        out of shared memory by every worker.
+        key component ``i``.  An NTT-resident ``c2`` is inverse-transformed
+        once for the digits, and each digit's own row ``i`` is taken from
+        ``c2``'s image instead of being transformed again.  The per-prime
+        digit products are accumulated onto ``c0`` and ``c1`` in the NTT
+        domain, where the result rests.  The whole key switch is one plan —
+        on the sharded backend one dispatch: every worker inverse-transforms
+        an NTT-resident input ``c2`` in full (a replicated value, see
+        :func:`repro.backends.ops.replicated_values`) and reads a
+        coefficient-domain one straight out of shared memory.
         """
         if a.size == 2:
             return a.copy()
@@ -685,11 +774,17 @@ class Evaluator:
         :func:`repro.he.params.generate_bgv_primes`), which keeps the
         plaintext unchanged.  Each coefficient ``c`` is replaced by
         ``(c + δ) / q`` with ``δ ≡ -c (mod q)`` and ``δ ≡ 0 (mod t)`` —
-        computed entirely in RNS by ``mod_switch_drop_last`` nodes, since
-        ``δ`` depends only on the dropped residue row and the division
-        becomes a per-prime multiplication by ``q^{-1} mod p_j``.  All
-        components switch in one plan (one dispatch on the sharded backend,
-        each worker reading the dropped row from shared memory).
+        computed entirely in RNS, since ``δ`` depends only on the dropped
+        residue row and the division becomes a per-prime multiplication by
+        ``q^{-1} mod p_j``.  An NTT-resident component switches in the NTT
+        domain: only its dropped row is inverse-transformed, a
+        ``mod_switch_correction`` node maps ``δ`` onto the kept primes, and
+        its forward image is added and scaled pointwise (``np - 1`` forward
+        rows); a coefficient-domain component switches in place through a
+        ``mod_switch_drop_last`` node.  All components switch in one plan
+        (on the sharded backend one dispatch: every worker inverse-transforms
+        the dropped rows of NTT-resident input components in full, a
+        replicated value).
         """
         basis = a.basis
         if len(basis) < 2:

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.backends import ops
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.parallel import ParallelBackend
 from repro.backends.scalar import ScalarBackend
@@ -108,3 +109,54 @@ def test_generated_case_matches_scalar_oracle(n, layout, pooled):
         assert pooled.dispatch_count > dispatches
     for op, rows in expected.items():
         assert got[op] == rows, (op, "parallel", primes)
+
+
+# ------------------------------------------- the modulus-switch correction
+#
+# The correction node of an NTT-domain modulus switch maps the dropped
+# prime's one coefficient row onto the kept primes.  Its cases draw the kept
+# primes of one word size and the dropped prime of another, so the narrow
+# (signed int64) and wide (limb-Shoup) paths both meet mixed operands; the
+# dropped row holds 0, q-1 and both sides of the centring boundary q//2.
+
+
+def generate_correction_case(n: int, bits: int, overflow: bool):
+    """``(q_last, kept primes, dropped row, t)`` of one seeded case."""
+    rng = random.Random("%d/%d/correction/%d/%s" % (SEED, n, bits, overflow))
+    kept = rng.sample(prime_pool(bits), rng.randint(1, 5))
+    q_last = rng.choice([q for q in prime_pool(rng.choice(BITS)) if q not in kept])
+    if overflow:
+        # A prime at or above the 2^62 storage limit, dropped or kept.
+        if rng.random() < 0.5:
+            q_last = prime_pool(63)[0]
+        else:
+            kept.insert(rng.randrange(len(kept) + 1), prime_pool(63)[0])
+    row = [rng.randrange(q_last) for _ in range(n)]
+    for value in (0, q_last - 1, q_last // 2, q_last // 2 + 1):
+        row[rng.randrange(n)] = value
+    t = rng.choice([2, 17, 257, 65537, rng.randrange(3, 1 << 20, 2)])
+    return q_last, kept, row, t
+
+
+def correction_rows(backend, q_last, kept, row, t, plan=False):
+    tensor = backend.from_rows([row], [q_last])
+    if not plan:
+        return backend.mod_switch_correction(tensor, t, kept).to_rows()
+    graph = ops.OpGraph()
+    graph.output("c", graph.mod_switch_correction(graph.input("w"), t, kept))
+    return backend.execute(graph.compile(), {"w": tensor})["c"].to_rows()
+
+
+@pytest.mark.parametrize("overflow", (False, True))
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("n", SIZES)
+def test_generated_correction_case_matches_scalar_oracle(n, bits, overflow, pooled):
+    q_last, kept, row, t = generate_correction_case(n, bits, overflow)
+    expected = correction_rows(ScalarBackend(), q_last, kept, row, t)
+    assert correction_rows(NumpyBackend(), q_last, kept, row, t) == expected
+    assert correction_rows(pooled, q_last, kept, row, t) == expected
+    dispatches = pooled.dispatch_count
+    assert correction_rows(pooled, q_last, kept, row, t, plan=True) == expected
+    # As a plan the node runs in the pool, unless a row sits at or above
+    # the storage limit; the one-row per-op call always runs inline.
+    assert (pooled.dispatch_count > dispatches) is not overflow

@@ -393,6 +393,64 @@ def test_shard_stage_balances_the_modulus_switch(rows, shares):
     assert [sum(hi - lo for lo, hi in worker[1]) for worker in schedule] == shares
 
 
+def test_split_stages_replicates_an_inverse_transform_of_inputs():
+    """A cross-row node reads an inverse transform of a plan input in the
+    same stage: every worker holds all rows of that replicated value.  A
+    value any other node reads is not replicated, so its cross-row reader
+    still waits a stage."""
+    graph = OpGraph()
+    a = graph.input("a")
+    inv = graph.inverse_ntt(a)
+    graph.output("x", graph.forward_ntt(graph.digit_broadcast(inv, 1)))
+    plan = graph.compile()
+    assert ops.replicated_values(plan) == {1}
+    assert ops.split_stages(plan) == [[1, 2, 3]]
+    primes = ops.infer_primes(plan, {"a": (17,) * 3})
+    schedule = ops.shard_stage(plan, [1, 2, 3], primes, {0}, 2)
+    assert [worker[1] for worker in schedule] == [((0, 3),), ((0, 3),)]
+    assert [worker[2] for worker in schedule] == ops._partition(3, 2)
+
+    graph = OpGraph()
+    inv = graph.inverse_ntt(graph.input("a"))
+    graph.output("x", graph.digit_broadcast(inv, 1))
+    graph.output("y", inv)
+    plan = graph.compile()
+    assert ops.replicated_values(plan) == frozenset()
+    assert ops.split_stages(plan) == [[1], [2]]
+
+
+def test_shard_stage_pairs_an_input_slice_with_a_produced_operand():
+    """A slice of a materialised value is read straight from its rows, so a
+    pointwise pair gives it the produced operand's ownership — here the
+    modulus switch's kept rows and its transformed correction."""
+    primes = tuple(generate_ntt_primes(30, 3, N))
+    rows = random_rows(primes, N, seed=13)
+    graph = OpGraph()
+    a = graph.input("a")
+    dropped = graph.inverse_ntt(graph.slice_rows(a, 2, 3))
+    correction = graph.mod_switch_correction(dropped, 17, primes[:2])
+    kept = graph.slice_rows(a, 0, 2)
+    graph.output("x", graph.add(kept, graph.forward_ntt(correction)))
+    plan = graph.compile()
+    assert ops.replicated_values(plan) == {1, 2}
+    [stage] = ops.split_stages(plan)
+    schedule = ops.shard_stage(
+        plan, stage, ops.infer_primes(plan, {"a": primes}), {0}, 2
+    )
+    # The kept slice (value 4) takes the transformed correction's (5) rows.
+    assert [worker[4] for worker in schedule] == ops._partition(2, 2)
+    assert [worker[5] for worker in schedule] == ops._partition(2, 2)
+    scalar = ScalarBackend()
+    expected = scalar.execute(plan, {"a": scalar.from_rows(rows, primes)})["x"]
+    pooled = forced_parallel()
+    try:
+        got = pooled.execute(plan, {"a": pooled.from_rows(rows, primes)})["x"]
+        assert got.to_rows() == expected.to_rows()
+        assert pooled.dispatch_count == 1
+    finally:
+        pooled.close()
+
+
 def test_parallel_falls_back_for_misaligned_plans():
     p = generate_ntt_primes(30, 1, N)[0]
     primes = [p, p, p]

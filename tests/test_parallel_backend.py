@@ -34,6 +34,7 @@ import random
 import pytest
 
 from repro.backends import SHARDS_ENV_VAR, get_backend, ops, set_default_shards
+from repro.backends.engines import tile_rows
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.parallel import (
     DEFAULT_POINTWISE_THRESHOLD,
@@ -315,6 +316,26 @@ def test_forced_pool_chain_performs_zero_conversions():
         t = params.plaintext_modulus
         decoded = ctx.encoder().decode(ctx.decryptor().decrypt(switched))
         assert decoded[:3] == [(x * y) % t for x, y in zip([1, 2, 3], [4, 5, 6])]
+    finally:
+        backend.close()
+
+
+def test_pooled_transform_records_the_workers_kernel():
+    """Each worker reports the kernel choices of its shards with its task
+    reply, so a pooled transform records ``stockham`` for the workers'
+    shapes although the coordinator's inline backend ran nothing."""
+    backend = forced_backend()
+    try:
+        primes = generate_ntt_primes(30, 2, N)
+        batch = primes * 2
+        tensor = backend.from_rows(random_rows(batch, N, seed=5), batch)
+        backend.forward_ntt_batch(tensor)
+        assert backend.dispatch_count == 1
+        assert backend.inner.engine_choices == {}
+        # Each of the two workers transforms one basis repetition.
+        expected = {(N, 30, tile_rows(1, 2, N)): "stockham"}
+        assert backend.engine_choices == expected
+        assert backend.metrics.snapshot()["ntt.engine_choices"] == expected
     finally:
         backend.close()
 

@@ -90,8 +90,11 @@ def test_every_evaluator_op_bit_identical_between_modes(context):
     for index, (got, expected) in enumerate(cases):
         assert coeffs(got) == coeffs(expected), index
         assert got.level == expected.level, index
-    # NTT accounting of single (cold) operations matches the raw plans.
-    assert fused.ntt_invocations == reference.ntt_invocations
+    # NTT accounting of single (cold) operations matches the raw plans,
+    # except that add_plain pools the plaintext's image, so the later
+    # multiply_plain of the same plaintext runs warm: it transforms none of
+    # the rows its raw plan transforms again.
+    assert fused.ntt_invocations == reference.ntt_invocations - plain.basis.count
 
 
 def test_pipeline_chain_matches_eager_chain(context):

@@ -10,7 +10,7 @@ import os
 import pytest
 
 from repro.core.serialization import ciphertext_from_dict, ciphertext_to_dict
-from repro.he import HeContext
+from repro.he import Ciphertext, HeContext
 from repro.he.params import HEParams, toy_params
 from repro.service import (
     AsyncServiceClient,
@@ -325,6 +325,55 @@ def test_http_compute_is_bit_for_bit_with_local_execution(backend):
     ]
 
 
+def test_http_coefficient_domain_operands_answer_like_ntt_domain_ones():
+    """Format 2 carries each polynomial's domain, so operands sent in the
+    coefficient domain are transformed where the op needs NTT rows: the
+    request answers 200 with the result of the NTT-domain request.  Adding
+    a coefficient-domain operand to an NTT-domain one answers 200 too: the
+    coefficient side is transformed."""
+    params = toy_params()
+    local, enc, encoder = _session(params)
+    ct_a = enc.encrypt(encoder.encode([1, 2, 3, 4]))
+    ct_b = enc.encrypt(encoder.encode([5, 6, 7, 8]))
+    coefficient = [
+        Ciphertext(
+            polys=[poly.to_coefficient() for poly in ct.polys],
+            params=ct.params,
+            level=ct.level,
+        )
+        for ct in (ct_a, ct_b)
+    ]
+    ops = ["multiply", "relinearize", "mod_switch"]
+
+    with ServerThread(batch_window=0.001) as server:
+        client = ServiceClient("127.0.0.1", server.port)
+        request = build_request(
+            params, ops, [ciphertext_to_dict(ct) for ct in coefficient], seed=SEED
+        )
+        assert [poly["domain"] for poly in request["ciphertexts"][0]["polys"]] == [
+            "coefficient",
+            "coefficient",
+        ]
+        status, body = client._raw_request("POST", "/v1/compute", request)
+        assert status == 200, body
+        from_coefficient = client.compute(params, ops, coefficient, seed=SEED)
+        from_ntt = client.compute(params, ops, [ct_a, ct_b], seed=SEED)
+        # A stored coefficient-domain payload adds to a fresh NTT-resident
+        # ciphertext.
+        mixed = client.compute(params, ["add"], [coefficient[0], ct_b], seed=SEED)
+        same = client.compute(params, ["add"], [ct_a, ct_b], seed=SEED)
+
+    assert _polys(from_coefficient) == _polys(from_ntt)
+    assert _polys(mixed) == _polys(same)
+    decrypt = local.decryptor().decrypt
+    assert decrypt(from_coefficient) == decrypt(from_ntt)
+    assert local.encoder().decode(decrypt(from_coefficient))[:4] == [
+        (x * y) % params.plaintext_modulus
+        for x, y in zip([1, 2, 3, 4], [5, 6, 7, 8])
+    ]
+    assert local.encoder().decode(decrypt(mixed))[:4] == [6, 8, 10, 12]
+
+
 def test_http_concurrent_requests_coalesce_into_fewer_plans():
     params = toy_params()
     local, enc, encoder = _session(params)
@@ -466,6 +515,9 @@ MALFORMED_CIPHERTEXTS = {
     "string_level": lambda ct: ct.update(level="top"),
     "string_n": lambda ct: ct["polys"][0].update(n="4096"),
     "poly_not_an_object": lambda ct: ct["polys"].__setitem__(0, 5),
+    "unknown_domain": lambda ct: ct["polys"][0].update(domain="frequency"),
+    "domain_as_number": lambda ct: ct["polys"][0].update(domain=1),
+    "missing_domain": lambda ct: _drop(ct["polys"][0], "domain"),
     **MALFORMED_ROWS,
 }
 

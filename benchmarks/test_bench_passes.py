@@ -17,7 +17,13 @@ paper-adjacent shape (``N = 2048``, np = 4):
   upper bounds at those counts;
 * **no wall-time regression**: the optimised steady state must not be slower
   than the unoptimised one (strictly less transform work, same dispatch
-  structure).
+  structure);
+* **every sum of products is one multiply-accumulate node**: the raw plans
+  hold ``Mul`` nodes read only by an ``Add``, the optimised plans none;
+* **the relinearisation digits are one kernel run**: at bootstrap-30's
+  shape (N=4096, six 30-bit primes) the 30 digit rows are whole basis
+  repetitions, one ``ntt.engine`` run on numpy and one per worker of a
+  forced 2-shard pool.
 
 Steady state is measured the honest way: one cold run (compilation + pool
 seeding) is excluded, then the metrics delta and best-of timing are taken
@@ -28,10 +34,14 @@ plan variants ride along in ``extra_info``.
 
 from __future__ import annotations
 
+import collections
 import time
 
+from repro.backends import ops
+from repro.backends.parallel import ParallelBackend
 from repro.compiler import set_default_passes
 from repro.he import HeContext, HEParams, bootstrap_circuit
+from repro.telemetry import TRACER
 
 N = 2048
 PRIME_COUNT = 4
@@ -82,6 +92,23 @@ def _steady_state(context, passes, make_runner):
     return diff, seconds, plan, ntt_rows
 
 
+def _products_left_for_an_add(plan) -> list[int]:
+    """``Mul`` nodes whose only reader is an ``Add`` (an unfused sum of products)."""
+    readers = collections.defaultdict(set)
+    for index, node in enumerate(plan.nodes):
+        for operand in node.operands():
+            readers[operand].add(index)
+    outputs = {index for _, index in plan.outputs}
+    return [
+        index
+        for index, node in enumerate(plan.nodes)
+        if isinstance(node, ops.Mul)
+        and index not in outputs
+        and len(readers[index]) == 1
+        and isinstance(plan.nodes[next(iter(readers[index]))], ops.Add)
+    ]
+
+
 def _report(label, off, on, t_off, t_on):
     reduction = 1 - on["ntt.invocations"] / off["ntt.invocations"]
     print()
@@ -122,6 +149,9 @@ def test_bench_passes_chain_ntt_reduction(benchmark):
         "default passes left %d steady-state NTT rows (%.1f%% fewer than raw)"
         % (on["ntt.invocations"], 100 * reduction)
     )
+    # Every sum of products is one multiply-accumulate node.
+    assert _products_left_for_an_add(raw_plan)
+    assert not _products_left_for_an_add(optimised_plan)
     assert t_on <= t_off * MAX_SLOWDOWN, (
         "optimised steady state regressed wall time: %.2f ms vs %.2f ms"
         % (t_on * 1e3, t_off * 1e3)
@@ -158,6 +188,8 @@ def test_bench_passes_bootstrap_circuit_ntt_reduction(benchmark):
         "default passes left %d steady-state NTT rows (%.1f%% fewer than raw)"
         % (on["ntt.invocations"], 100 * reduction)
     )
+    assert _products_left_for_an_add(raw_plan)
+    assert not _products_left_for_an_add(optimised_plan)
     assert t_on <= t_off * MAX_SLOWDOWN
 
     # The static row count of the compiled plan agrees with the counter:
@@ -170,3 +202,46 @@ def test_bench_passes_bootstrap_circuit_ntt_reduction(benchmark):
     run = make_runner(pipe)
     run()
     benchmark(run)
+
+
+def _engine_rows_per_process(backend) -> dict[int, list[int]]:
+    """Rows of every ``ntt.engine`` call of one warm bootstrap-30-shaped op, per process."""
+    context = HeContext.create(
+        HEParams(n=4096, plaintext_modulus=17, prime_bits=30, prime_count=6),
+        backend=backend,
+        seed=3,
+    )
+    ct = context.encryptor(seed=5).encrypt(context.integer_encoder().encode(5))
+    expr = bootstrap_circuit(
+        context, context.pipeline(), ct, seed=11, c2s_terms=4, eval_depth=1, s2c_terms=4
+    )
+    expr.run()
+    expr.run()
+    TRACER.clear()
+    TRACER.start()
+    try:
+        expr.run()
+    finally:
+        TRACER.stop()
+    calls = collections.defaultdict(list)
+    for event in TRACER.events():
+        if event[0] == "B" and event[1] == "ntt.engine":
+            calls[event[3]].append(event[7]["rows"])
+    TRACER.clear()
+    return dict(calls)
+
+
+def test_relinearisation_digit_batch_is_one_engine_run():
+    """bootstrap-30's shape: the 30 digit rows (5 shifts x 6 primes) are
+    whole repetitions of the basis, so the numpy kernel transforms them in
+    one run, and each worker of a 2-shard pool its 15 rows in one run."""
+    (rows,) = _engine_rows_per_process("numpy").values()
+    assert rows.count(30) == 1 and sum(rows) == 48, rows
+    pool = ParallelBackend(shards=2, transform_threshold=1, pointwise_threshold=1)
+    try:
+        workers = _engine_rows_per_process(pool)
+    finally:
+        pool.close()
+    assert len(workers) == 2, workers
+    for rows in workers.values():
+        assert rows.count(15) == 1, workers

@@ -184,6 +184,7 @@ _TRACED_KERNELS = {
     "sub": "op.sub",
     "neg": "op.neg",
     "mul": "op.mul",
+    "inner_product": "op.inner_product",
     "scalar_mul": "op.scalar_mul",
     "digit_broadcast": "op.digit_broadcast",
     "mod_switch_drop_last": "op.mod_switch",
@@ -388,6 +389,20 @@ class ComputeBackend(abc.ABC):
         """Element-wise ``(a * b) mod p`` — the ⊙ of the NTT-domain pipeline."""
 
     @abc.abstractmethod
+    def inner_product(
+        self,
+        pairs: Sequence[tuple[ResidueTensor, ResidueTensor]],
+        addends: Sequence[ResidueTensor] = (),
+    ) -> ResidueTensor:
+        """Element-wise ``(Σ_t a_t * b_t + Σ addends) mod p``, fully reduced.
+
+        ``pairs`` holds at least one ``(a_t, b_t)``; every tensor shares the
+        first one's primes.  One multiply-accumulate over every row, where a
+        chain of ``mul`` and ``add`` would reduce each product and each
+        partial sum on its own (the result is the same, bit for bit).
+        """
+
+    @abc.abstractmethod
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> ResidueTensor:
         """Multiply every row by one integer scalar (reduced per modulus)."""
 
@@ -423,12 +438,14 @@ class ComputeBackend(abc.ABC):
     # -- RNS compound operations (keep the HE layer resident) -----------------
     @abc.abstractmethod
     def digit_broadcast(self, tensor: ResidueTensor, index: int) -> ResidueTensor:
-        """RNS digit decomposition step: broadcast row ``index`` across the basis.
+        """RNS digit decomposition by shift: row ``i`` reads row ``(i + index) mod L``.
 
-        Returns a tensor over the same primes whose every row ``j`` is
-        ``tensor[index] mod p_j`` — the per-prime digit the relinearisation
-        key-switch pairs with key component ``index``.  The input must be in
-        the coefficient domain for the digits to be meaningful.
+        Returns a tensor over the same primes (``L`` rows) whose row ``i``
+        is ``tensor[(i + index) mod L] mod p_i``.  Row ``j`` of a
+        coefficient-domain residue matrix is the digit of prime ``j``, so
+        shift ``index`` holds, in row ``i``, the digit that key switching
+        pairs with row ``i`` of key component ``(i + index) mod L``; shift 0
+        is the tensor itself.  ``index`` must lie in ``[0, L)``.
         """
 
     @abc.abstractmethod
@@ -488,6 +505,15 @@ class ComputeBackend(abc.ABC):
             )
         if a.n != b.n:
             raise ValueError("row length mismatch: %d vs %d" % (a.n, b.n))
+
+    def _check_operands(self, pairs, addends) -> list[ResidueTensor]:
+        """Validate :meth:`inner_product` operands; return them flattened."""
+        if not pairs:
+            raise ValueError("an inner product needs at least one pair")
+        tensors = [tensor for pair in pairs for tensor in pair] + list(addends)
+        for tensor in tensors:
+            self._check_pair(tensors[0], tensor)
+        return tensors
 
     @staticmethod
     def _check_rows_shape(rows: ResidueRows, primes: Sequence[int]) -> None:

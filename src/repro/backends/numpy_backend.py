@@ -15,8 +15,9 @@ kernels (Section III / Fig. 3):
 * **Pointwise ops** are one pass over the whole tensor against a per-row
   modulus column: add/sub/neg reduce with one conditional subtraction,
   ``mul`` and ``scalar_mul`` go through the tensor's reduction strategy
-  (:mod:`repro.backends.wideops`), and digit broadcast and modulus
-  switching run column-wise too.
+  (:mod:`repro.backends.wideops`), ``inner_product`` accumulates its
+  products in the same pass and reduces late, and digit broadcast and
+  modulus switching run column-wise too.
 
 Every prime below the 2^62 storage limit runs these exact array kernels.
 Rows with primes of 2^62 or more (never generated by this repository's
@@ -61,6 +62,8 @@ MUL_VECTORIZED_LIMIT = 1 << 31
 #: wide-word products are exact below it); wider rows live as exact Python
 #: rows inside the tensor.
 STORAGE_LIMIT = WIDE_MUL_LIMIT
+#: The largest uint64: the inner product's unreduced native sums stay below it.
+WORD_MAX = (1 << 64) - 1
 
 
 def store_rows(data: np.ndarray, rows: ResidueRows, primes: Sequence[int]) -> dict[int, list[int]]:
@@ -303,41 +306,41 @@ class NumpyBackend(ComputeBackend):
         return out
 
     # -- pointwise arithmetic --------------------------------------------------
-    def _pointwise(self, kernel, fallback, columns: _Columns, a, b=None) -> NumpyTensor:
-        """One tiled pass of ``kernel(out, x, y, columns, lo, hi, scratch)`` over all rows.
+    def _pointwise(self, kernel, fallback, columns: _Columns, *operands) -> NumpyTensor:
+        """One tiled pass of ``kernel(out, tiles, columns, lo, hi, scratch)`` over all rows.
 
-        Rows that ``columns`` leaves out are recomputed afterwards through
-        the counted per-prime ``fallback(rows_a[, rows_b], primes)``.
+        ``tiles`` holds rows ``lo:hi`` of every operand, ``scratch`` five
+        tile-shaped buffers.  Rows that ``columns`` leaves out are recomputed
+        afterwards through the counted per-prime ``fallback(*operand_rows,
+        primes)``.
         """
-        count, n = a.data.shape
-        data = np.empty_like(a.data)
+        first = operands[0]
+        count, n = first.data.shape
+        data = np.empty_like(first.data)
         step = max(1, TILE_ELEMS // max(n, 1))
         with kernel_buffers():
             for lo in range(0, count, step):
                 hi = min(count, lo + step)
                 kernel(
                     data[lo:hi],
-                    a.data[lo:hi],
-                    None if b is None else b.data[lo:hi],
+                    [operand.data[lo:hi] for operand in operands],
                     columns,
                     lo,
                     hi,
-                    scratch("t u v x", (hi - lo, n)),
+                    scratch("t u v x y", (hi - lo, n)),
                 )
-        out = NumpyTensor(self, a.primes, a.n, data, {})
+        out = NumpyTensor(self, first.primes, first.n, data, {})
         for p, indices in columns.fallback.items():
             self._count_fallback(len(indices))
-            operands = [self._extract_rows(a, indices)]
-            if b is not None:
-                operands.append(self._extract_rows(b, indices))
-            self._store_rows(out, indices, fallback(*operands, [p] * len(indices)), p)
+            rows = [self._extract_rows(operand, indices) for operand in operands]
+            self._store_rows(out, indices, fallback(*rows, [p] * len(indices)), p)
         return out
 
     def add(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
         self._check_pair(a, b)
 
-        def kernel(out, x, y, columns, lo, hi, scratch):
-            np.add(x, y, out=out)
+        def kernel(out, tiles, columns, lo, hi, scratch):
+            np.add(*tiles, out=out)
             reduce_below(out, columns.p[lo:hi], out, scratch[0])
 
         columns = _Columns(a.primes)
@@ -346,9 +349,9 @@ class NumpyBackend(ComputeBackend):
     def sub(self, a: ResidueTensor, b: ResidueTensor) -> NumpyTensor:
         self._check_pair(a, b)
 
-        def kernel(out, x, y, columns, lo, hi, scratch):
+        def kernel(out, tiles, columns, lo, hi, scratch):
             # x - y wraps when negative; adding p then wraps back below p.
-            np.subtract(x, y, out=out)
+            np.subtract(*tiles, out=out)
             np.add(out, columns.p[lo:hi], out=scratch[0])
             np.minimum(out, scratch[0], out=out)
 
@@ -358,8 +361,9 @@ class NumpyBackend(ComputeBackend):
     def neg(self, a: ResidueTensor) -> NumpyTensor:
         self._check_owned(a)
 
-        def kernel(out, x, y, columns, lo, hi, scratch):
+        def kernel(out, tiles, columns, lo, hi, scratch):
             # min(p - x, -x): the wrapped -x is huge unless x == 0.
+            (x,) = tiles
             np.subtract(columns.p[lo:hi], x, out=out)
             np.negative(x, out=scratch[0])
             np.minimum(out, scratch[0], out=out)
@@ -373,10 +377,67 @@ class NumpyBackend(ComputeBackend):
         columns = _Columns(a.primes)
         strategy = columns.strategy
 
-        def kernel(out, x, y, columns, lo, hi, scratch):
-            wideops.mulmod(x, y, columns.p[lo:hi], strategy, out, scratch)
+        def kernel(out, tiles, columns, lo, hi, scratch):
+            wideops.mulmod(*tiles, columns.p[lo:hi], strategy, out, scratch[:4])
 
         return self._pointwise(kernel, self._fallback._mul_rows, columns, a, b)
+
+    def inner_product(self, pairs, addends=()) -> NumpyTensor:
+        """One tiled multiply-accumulate pass; the reduction follows the primes.
+
+        Below 2^31 the native products are summed unreduced and a ``%``
+        runs whenever the next term could carry the sum past 2^64 (every 16
+        products at 30-bit primes) and once at the end.  Above, each product
+        is a :func:`~repro.backends.wideops.mulmod` and each sum takes one
+        conditional subtraction, as ``add`` does.
+        """
+        operands = self._check_operands(pairs, addends)
+        factors = 2 * len(pairs)  # the pairs lead the operand list
+        columns = _Columns(operands[0].primes)
+        strategy = columns.strategy
+        # Every residue is at most top and every product at most top**2.
+        top = max(columns.primes) - 1
+
+        def narrow(out, tiles, columns, lo, hi, scratch):
+            p, product = columns.p[lo:hi], scratch[4]
+            (x, y), *rest = zip(tiles[0:factors:2], tiles[1:factors:2])
+            np.multiply(x, y, out=out)
+            bound = top * top
+            for x, y in rest:
+                if bound + top * top > WORD_MAX:
+                    np.remainder(out, p, out=out)
+                    bound = top
+                np.multiply(x, y, out=product)
+                np.add(out, product, out=out)
+                bound += top * top
+            for z in tiles[factors:]:
+                if bound + top > WORD_MAX:
+                    np.remainder(out, p, out=out)
+                    bound = top
+                np.add(out, z, out=out)
+                bound += top
+            np.remainder(out, p, out=out)
+
+        def wide(out, tiles, columns, lo, hi, scratch):
+            p, product = columns.p[lo:hi], scratch[4]
+            (x, y), *rest = zip(tiles[0:factors:2], tiles[1:factors:2])
+            wideops.mulmod(x, y, p, strategy, out, scratch[:4])
+            for x, y in rest:
+                wideops.mulmod(x, y, p, strategy, product, scratch[:4])
+                np.add(out, product, out=out)
+                reduce_below(out, p, out, scratch[0])
+            for z in tiles[factors:]:
+                np.add(out, z, out=out)
+                reduce_below(out, p, out, scratch[0])
+
+        def fallback(*rows):
+            *rows, primes = rows
+            return self._fallback._inner_product_rows(
+                list(zip(rows[0:factors:2], rows[1:factors:2])), rows[factors:], primes
+            )
+
+        kernel = narrow if strategy == "shoup32" else wide
+        return self._pointwise(kernel, fallback, columns, *operands)
 
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> NumpyTensor:
         self._check_owned(a)
@@ -386,7 +447,8 @@ class NumpyBackend(ComputeBackend):
         companions = reduction.companions(w, columns.p)
         p2 = columns.p * np.uint64(2)
 
-        def kernel(out, x, y, columns, lo, hi, scratch):
+        def kernel(out, tiles, columns, lo, hi, scratch):
+            (x,) = tiles
             p = columns.p[lo:hi]
             rows_w = [array[lo:hi] for array in (w,) + companions]
             reduction.mul_lazy(x, rows_w[0], rows_w[1:], p, p2[lo:hi], out, *scratch[:3])
@@ -471,20 +533,32 @@ class NumpyBackend(ComputeBackend):
     # -- RNS compound operations ----------------------------------------------
     def digit_broadcast(self, tensor: ResidueTensor, index: int) -> NumpyTensor:
         self._check_owned(tensor)
-        if not 0 <= index < tensor.count:
+        count = tensor.count
+        if not 0 <= index < count:
             raise ValueError("digit index %d out of range" % index)
-        out = NumpyTensor(self, tensor.primes, tensor.n, np.zeros_like(tensor.data), {})
-        if index in tensor.big:
-            self._count_fallback(tensor.count)
-            rows = self._fallback._digit_rows(tensor.big[index], tensor.primes)
-            for j, (row, p) in enumerate(zip(rows, tensor.primes)):
-                self._store_rows(out, [j], [row], p)
-            return out
         columns = _Columns(tensor.primes)
-        np.remainder(tensor.data[index], columns.p, out=out.data)
-        for p, indices in columns.fallback.items():  # pragma: no cover - no ≥62-bit primes
-            for j in indices:
-                out.big[j] = [int(value) % p for value in tensor.data[index].tolist()]
+        # Row i reads row (i + index) mod count: the source rotated by index.
+        data = np.empty_like(tensor.data)
+        split = count - index
+        np.remainder(tensor.data[index:], columns.p[:split], out=data[:split])
+        np.remainder(tensor.data[:index], columns.p[split:], out=data[split:])
+        out = NumpyTensor(self, tensor.primes, tensor.n, data, {})
+        sources = [(row + index) % count for row in range(count)]
+        exact = [
+            row
+            for row, source in enumerate(sources)
+            if source in tensor.big or tensor.primes[row] >= STORAGE_LIMIT
+        ]
+        if exact:
+            # A big source row, or a target prime at or above the storage
+            # limit: the counted per-prime fallback, one row at a time.
+            self._count_fallback(len(exact))
+            rows = self._fallback._digit_rows(
+                [self._extract_rows(tensor, [sources[row]])[0] for row in exact],
+                [tensor.primes[row] for row in exact],
+            )
+            for row, values in zip(exact, rows):
+                self._store_rows(out, [row], [values], tensor.primes[row])
         return out
 
     def mod_switch_drop_last(

@@ -13,10 +13,14 @@ one-kernel-at-a-time launches.
 Three layers live here:
 
 * **The IR** — one frozen record per operation (:class:`ForwardNtt`,
-  :class:`Add`, :class:`DigitBroadcast`, ...), each naming its operands by
-  *value index* (the producing node's position in the plan).  Records are
-  plain picklable dataclasses so a whole plan crosses a process boundary as
-  a few hundred bytes.
+  :class:`Add`, :class:`InnerProduct`, :class:`DigitBroadcast`, ...), each
+  naming its operands by *value index* (the producing node's position in
+  the plan).  Records are plain picklable dataclasses so a whole plan
+  crosses a process boundary as a few hundred bytes.  The emitters build
+  sums of products from ``Mul`` and ``Add``; the optimiser's
+  ``fuse_inner_products`` pass folds each such tree into one
+  :class:`InnerProduct`, the multiply-accumulate node every backend runs
+  as one row-local pass.
 * **The builder** — :class:`OpGraph` appends nodes in SSA style (operands
   must already exist, so construction order *is* topological order) and
   :meth:`OpGraph.compile` freezes the result into an immutable, hashable
@@ -49,6 +53,7 @@ __all__ = [
     "DigitBroadcast",
     "ForwardNtt",
     "Input",
+    "InnerProduct",
     "InverseNtt",
     "ModSwitchCorrection",
     "ModSwitchDropLast",
@@ -158,6 +163,26 @@ class Mul(OpNode):
 
 
 @dataclass(frozen=True)
+class InnerProduct(OpNode):
+    """Element-wise ``(Σ_t a_t * b_t + Σ addends) mod p``, fully reduced.
+
+    ``pairs`` holds the ``(a_t, b_t)`` value pairs (at least one; a pair or
+    an operand may repeat) and ``addends`` the values added unmultiplied.
+    Every operand has the node's primes.  It is row-local, like ``Mul``:
+    the multiply-accumulate of key switching and of plaintext-diagonal
+    sums, reduced once (or once per word of headroom) instead of once per
+    product and per partial sum.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    addends: tuple[int, ...] = ()
+    kind = "inner_product"
+
+    def operands(self) -> tuple[int, ...]:
+        return tuple(value for pair in self.pairs for value in pair) + self.addends
+
+
+@dataclass(frozen=True)
 class Neg(OpNode):
     """Element-wise ``(-a) mod p``."""
 
@@ -217,16 +242,24 @@ class SliceRows(OpNode):
 
 @dataclass(frozen=True)
 class DigitBroadcast(OpNode):
-    """RNS digit decomposition: broadcast row ``index`` across the basis.
+    """RNS digits by shift: row ``i`` is source row ``(i + shift) mod L``, mod ``p_i``.
 
-    A *cross-row* node: computing any output row needs read access to one
-    specific source row, so the fused scheduler requires the source value to
-    be fully materialised (a stage input) and otherwise cuts the plan into
-    stages at this node.
+    ``L`` is the source's row count.  Row ``j`` of a coefficient-domain
+    residue matrix is the digit of prime ``j``, so shift ``g`` lays the
+    digits out along a diagonal: output row ``i`` holds digit ``(i + g) mod
+    L`` reduced mod the row's own prime.  Shifts ``1 .. L-1`` together hold
+    every off-diagonal digit row, each value one whole repetition of the
+    basis, and shift 0 is the source itself — so key switching transforms
+    its digits as one run of whole basis repetitions.
+
+    A *cross-row* node: computing an output row needs read access to another
+    source row, so the fused scheduler requires the source value to be fully
+    materialised (a stage input) or replicated, and otherwise cuts the plan
+    into stages at this node.
     """
 
     src: int
-    index: int
+    shift: int
     kind = "digit_broadcast"
 
     def operands(self) -> tuple[int, ...]:
@@ -290,6 +323,7 @@ NODE_CLASSES = (
     Add,
     Sub,
     Mul,
+    InnerProduct,
     Neg,
     ScalarMul,
     Copy,
@@ -397,6 +431,15 @@ class OpGraph:
     def mul(self, a: int, b: int) -> int:
         return self._append(Mul(a, b))
 
+    def inner_product(
+        self, pairs: Sequence[tuple[int, int]], addends: Sequence[int] = ()
+    ) -> int:
+        if not pairs:
+            raise ValueError("an inner product needs at least one pair")
+        return self._append(
+            InnerProduct(tuple((a, b) for a, b in pairs), tuple(addends))
+        )
+
     def neg(self, src: int) -> int:
         return self._append(Neg(src))
 
@@ -425,10 +468,10 @@ class OpGraph:
             offset += count
         return pieces
 
-    def digit_broadcast(self, src: int, index: int) -> int:
-        if index < 0:
-            raise ValueError("digit index %d out of range" % index)
-        return self._append(DigitBroadcast(src, index))
+    def digit_broadcast(self, src: int, shift: int) -> int:
+        if shift < 0:
+            raise ValueError("digit index %d out of range" % shift)
+        return self._append(DigitBroadcast(src, shift))
 
     def mod_switch_drop_last(self, src: int, plaintext_modulus: int) -> int:
         return self._append(ModSwitchDropLast(src, plaintext_modulus))
@@ -479,6 +522,20 @@ def infer_primes(
                     % (index, node.kind, len(primes[node.a]), len(primes[node.b]))
                 )
             primes.append(primes[node.a])
+        elif isinstance(node, InnerProduct):
+            if not node.pairs:
+                raise ValueError(
+                    "plan node %d: an inner product needs at least one pair" % index
+                )
+            first = primes[node.pairs[0][0]]
+            for operand in node.operands():
+                if primes[operand] != first:
+                    raise ValueError(
+                        "plan node %d (%s): tensor prime mismatch: %d vs %d rows "
+                        "over different moduli"
+                        % (index, node.kind, len(first), len(primes[operand]))
+                    )
+            primes.append(first)
         elif isinstance(node, (ForwardNtt, InverseNtt, Neg, ScalarMul, Copy)):
             primes.append(primes[node.src])
         elif isinstance(node, Concat):
@@ -503,8 +560,8 @@ def infer_primes(
                 )
             primes.append(primes[node.src][node.start : node.stop])
         elif isinstance(node, DigitBroadcast):
-            if not 0 <= node.index < len(primes[node.src]):
-                raise ValueError("digit index %d out of range" % node.index)
+            if not 0 <= node.shift < len(primes[node.src]):
+                raise ValueError("digit index %d out of range" % node.shift)
             primes.append(primes[node.src])
         elif isinstance(node, ModSwitchDropLast):
             if len(primes[node.src]) < 2:
@@ -638,6 +695,11 @@ def interpret(backend, plan: Plan, inputs: Mapping[str, object]) -> dict[str, ob
             values[index] = backend.sub(values[node.a], values[node.b])
         elif isinstance(node, Mul):
             values[index] = backend.mul(values[node.a], values[node.b])
+        elif isinstance(node, InnerProduct):
+            values[index] = backend.inner_product(
+                [(values[a], values[b]) for a, b in node.pairs],
+                [values[value] for value in node.addends],
+            )
         elif isinstance(node, Neg):
             values[index] = backend.neg(values[node.src])
         elif isinstance(node, ScalarMul):
@@ -651,7 +713,7 @@ def interpret(backend, plan: Plan, inputs: Mapping[str, object]) -> dict[str, ob
                 values[node.src], node.start, node.stop
             )
         elif isinstance(node, DigitBroadcast):
-            values[index] = backend.digit_broadcast(values[node.src], node.index)
+            values[index] = backend.digit_broadcast(values[node.src], node.shift)
         elif isinstance(node, ModSwitchDropLast):
             values[index] = backend.mod_switch_drop_last(
                 values[node.src], node.plaintext_modulus
@@ -836,19 +898,21 @@ def shard_stage(
 
     Produced values derive their ownership from their operands
     (concatenation shifts, slices clip, row-independent ops inherit, the
-    cross-row nodes partition their own rows canonically).  Every worker
+    cross-row nodes partition their own rows canonically), and all operands
+    of a pointwise node (``Add``, ``Sub``, ``Mul``, ``InnerProduct``) share
+    one ownership.  Every worker
     holds all rows of a replicated value (:func:`replicated_values`,
     computed here when ``replicated`` is ``None``), read from its operands
     in full, so those operands take no ownership from it.  A slice of a
-    materialised value is read straight from the source's rows, so as the
-    other operand of a pointwise pair whose one operand is produced here it
-    takes that operand's ownership.  A materialised
+    materialised value is read straight from the source's rows, so as an
+    operand of a pointwise node another of whose operands is already owned
+    it takes that ownership.  A materialised
     value is readable whole by every worker, so it is owned the way its
-    first reader in the stage needs: as the other operand of a pointwise
-    pair whose one operand is produced here, as the missing piece of a
+    first reader in the stage needs: as an operand of a pointwise node
+    another of whose operands is already owned, as the missing piece of a
     concatenation whose produced parts already follow the canonical
     partition of its rows, and otherwise canonically.  Returns ``None``
-    when a pointwise pair's operands end up with different ownership — the
+    when a pointwise node's operands end up with different ownership — the
     caller then falls back to per-op interpretation instead of dispatching
     a misaligned schedule.
     """
@@ -899,15 +963,16 @@ def shard_stage(
         node = plan.nodes[index]
         if index in replicated:
             rowsets[index] = [((0, len(primes[index])),)] * workers
-        elif isinstance(node, (Add, Sub, Mul)):
-            if node.a in rowsets and node.b not in rowsets:
-                rowsets[node.b] = rowsets[node.a]
-            elif node.b in rowsets and node.a not in rowsets:
-                rowsets[node.a] = rowsets[node.b]
-            left, right = resolve(node.a), resolve(node.b)
-            if left != right:
+        elif isinstance(node, (Add, Sub, Mul, InnerProduct)):
+            operands = node.operands()
+            owned = next((rowsets[op] for op in operands if op in rowsets), None)
+            if owned is not None:
+                for operand in operands:
+                    rowsets.setdefault(operand, owned)
+            first, *rest = (resolve(operand) for operand in operands)
+            if any(other != first for other in rest):
                 return None
-            rowsets[index] = left
+            rowsets[index] = first
         elif isinstance(node, (ForwardNtt, InverseNtt, Neg, ScalarMul, Copy)):
             rowsets[index] = resolve(node.src)
         elif isinstance(node, Concat):

@@ -4,8 +4,9 @@ The GPU realises Fig. 3's ``np x (number of polynomials)`` independent NTTs
 as one device-wide launch; this backend realises the same batch-parallelism
 with what every CI machine has — cores.  :class:`ParallelBackend` wraps an
 *inner* backend (default ``numpy``) and shards every residue-matrix
-operation — batched forward/inverse NTT, pointwise add/sub/neg/mul,
-scalar multiplication, RNS digit decomposition and modulus switching — by
+operation — batched forward/inverse NTT, pointwise add/sub/neg/mul and
+multiply-accumulate, scalar multiplication, RNS digit decomposition and
+modulus switching — by
 contiguous row groups over the ``(prime, polynomial)`` batch axis across a
 persistent pool of worker processes (:mod:`repro.backends.pool`).
 
@@ -630,7 +631,7 @@ class ParallelBackend(ComputeBackend):
         backend's kernel) runs on the inner tensors plus ``args``.
         """
         if all(self._dispatchable(tensor, threshold) for tensor in tensors):
-            names = ("a", "b")[: len(tensors)]
+            names = tuple("x%d" % index for index in range(len(tensors)))
             plan = ops.Plan(
                 tuple(map(ops.Input, names)) + (node,), (("out", len(names)),)
             )
@@ -676,6 +677,22 @@ class ParallelBackend(ComputeBackend):
         return self._kernel(
             ops.Mul(0, 1), (a, b), self._pointwise_threshold, self._inner.mul
         )
+
+    def inner_product(self, pairs, addends=()) -> ParallelTensor:
+        tensors = self._check_operands(pairs, addends)
+        factors = 2 * len(pairs)
+
+        def inner(*operands):
+            return self._inner.inner_product(
+                list(zip(operands[0:factors:2], operands[1:factors:2])),
+                operands[factors:],
+            )
+
+        node = ops.InnerProduct(
+            tuple((index, index + 1) for index in range(0, factors, 2)),
+            tuple(range(factors, len(tensors))),
+        )
+        return self._kernel(node, tensors, self._pointwise_threshold, inner)
 
     def neg(self, a: ResidueTensor) -> ParallelTensor:
         self._check_owned(a)

@@ -476,6 +476,13 @@ def _run_plan_task(backend, task: dict, mapped: dict) -> None:
         if isinstance(node, (ops.Add, ops.Sub, ops.Mul)):
             method = getattr(backend, node.kind)
             return compute(method(inner(node.a), inner(node.b)))
+        if isinstance(node, ops.InnerProduct):
+            return compute(
+                backend.inner_product(
+                    [(inner(a), inner(b)) for a, b in node.pairs],
+                    [inner(value) for value in node.addends],
+                )
+            )
         if isinstance(node, ops.ForwardNtt):
             return compute(backend.forward_ntt_batch(inner(node.src)))
         if isinstance(node, ops.InverseNtt):
@@ -507,13 +514,14 @@ def _run_plan_task(backend, task: dict, mapped: dict) -> None:
             )
         if isinstance(node, ops.DigitBroadcast):
             # Cross-row: the staging rule guarantees the source is a
-            # materialised stage input or replicated here, so the one
-            # needed row is readable regardless of who owns it.
-            shard_primes = (primes[node.src][node.index],) + owned_primes(vid)
-            data = np.zeros((len(shard_primes), n), dtype=np.uint64)
-            data[0] = full_rows(node.src)[node.index]
-            shard = _inner_tensor(backend, shard_primes, n, data, {})
-            return compute(backend.digit_broadcast(shard, 0))[1:]
+            # materialised stage input or replicated here, so the rows each
+            # owned row reads are readable regardless of who owns them.
+            count = len(primes[node.src])
+            sources = [(row + node.shift) % count for row in owned_index(vid)]
+            column = np.asarray(owned_primes(vid), dtype=np.uint64).reshape(-1, 1)
+            with TRACER.span("op.digit_broadcast", backend=backend.name):
+                rows = full_rows(node.src)[sources]
+                return np.remainder(rows, column, out=rows)
         if isinstance(node, ops.ModSwitchCorrection):
             # Cross-row: every owned output row reads the source's one
             # (materialised or replicated) row.

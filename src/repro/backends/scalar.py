@@ -134,14 +134,31 @@ class ScalarBackend(ComputeBackend):
         ]
 
     @staticmethod
+    def _inner_product_rows(pairs, addends, primes) -> list[list[int]]:
+        """``Σ a*b + Σ addends mod p`` per row: exact integer sums, one ``%``."""
+        out = []
+        for index, p in enumerate(primes):
+            total = [0] * len(pairs[0][0][index])
+            for rows_a, rows_b in pairs:
+                total = [
+                    acc + a * b
+                    for acc, a, b in zip(total, rows_a[index], rows_b[index])
+                ]
+            for rows in addends:
+                total = [acc + value for acc, value in zip(total, rows[index])]
+            out.append([value % p for value in total])
+        return out
+
+    @staticmethod
     def _scalar_mul_rows(rows, scalar: int, primes) -> list[list[int]]:
         return [
             [mul_mod(a, scalar % p, p) for a in row] for row, p in zip(rows, primes)
         ]
 
     @staticmethod
-    def _digit_rows(source_row: Sequence[int], primes) -> list[list[int]]:
-        return [[value % p for value in source_row] for p in primes]
+    def _digit_rows(source_rows, primes) -> list[list[int]]:
+        """Each of ``source_rows`` reduced mod the matching prime of ``primes``."""
+        return [[value % p for value in row] for row, p in zip(source_rows, primes)]
 
     @staticmethod
     def _correction_rows(
@@ -201,6 +218,15 @@ class ScalarBackend(ComputeBackend):
     def mul(self, a: ResidueTensor, b: ResidueTensor) -> ScalarTensor:
         self._check_pair(a, b)
         return self._wrap(a.primes, a.n, self._mul_rows(a.rows, b.rows, a.primes))
+
+    def inner_product(self, pairs, addends=()) -> ScalarTensor:
+        first = self._check_operands(pairs, addends)[0]
+        rows = self._inner_product_rows(
+            [(a.rows, b.rows) for a, b in pairs],
+            [tensor.rows for tensor in addends],
+            first.primes,
+        )
+        return self._wrap(first.primes, first.n, rows)
 
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> ScalarTensor:
         self._check_owned(a)
@@ -265,8 +291,9 @@ class ScalarBackend(ComputeBackend):
         self._check_owned(tensor)
         if not 0 <= index < tensor.count:
             raise ValueError("digit index %d out of range" % index)
+        shifted = tensor.rows[index:] + tensor.rows[:index]
         return self._wrap(
-            tensor.primes, tensor.n, self._digit_rows(tensor.rows[index], tensor.primes)
+            tensor.primes, tensor.n, self._digit_rows(shifted, tensor.primes)
         )
 
     def mod_switch_drop_last(

@@ -48,10 +48,12 @@ PASSES_ENV_VAR = "REPRO_PASSES"
 #: through linear nodes first (it exposes round trips), cancellation next
 #: (it sees the emitters' raw concat/slice batching), structure folding to
 #: clean up the plumbing it leaves, CSE over the cleaned graph, residency
-#: hoisting of constant transforms, and dead-value elimination to sweep
-#: everything the earlier passes orphaned.  ``batch_ntt`` re-batches the
-#: surviving transforms once, after the fixpoint: inside the loop it would
-#: merge duplicate transforms CSE has not merged yet.
+#: hoisting of constant transforms, dead-value elimination to sweep
+#: everything the earlier passes orphaned, and last the folding of every
+#: sum of products into one multiply-accumulate node (over the cleaned,
+#: deduplicated graph, so a product CSE merged is read once).  ``batch_ntt``
+#: re-batches the surviving transforms once, after the fixpoint: inside the
+#: loop it would merge duplicate transforms CSE has not merged yet.
 DEFAULT_PASSES = (
     "sink_inverse_ntt",
     "cancel_ntt_pairs",
@@ -59,6 +61,7 @@ DEFAULT_PASSES = (
     "cse",
     "ntt_residency",
     "dead_values",
+    "fuse_inner_products",
     "batch_ntt",
 )
 

@@ -36,7 +36,11 @@ The passes rely on two pieces of NTT mathematics:
 
 Sinking and cancellation leave the surviving transforms scattered over
 several narrow nodes; :func:`batch_ntt` runs once after the fixpoint and
-restores the wide batches.
+restores the wide batches.  The last fixpoint pass,
+:func:`fuse_inner_products`, folds every tree of ``Add`` over ``Mul`` into
+one :class:`~repro.backends.ops.InnerProduct`, whose kernels sum the
+products before reducing; the emitters keep emitting ``Mul`` and ``Add``,
+so a plan compiled with ``passes="none"`` stays the reference.
 """
 
 from __future__ import annotations
@@ -134,6 +138,12 @@ def _with_operands(node: ops.OpNode, operands: tuple[int, ...]) -> ops.OpNode:
         return type(node)(operands[0])
     if isinstance(node, (ops.Add, ops.Sub, ops.Mul)):
         return type(node)(operands[0], operands[1])
+    if isinstance(node, ops.InnerProduct):
+        factors = 2 * len(node.pairs)
+        return ops.InnerProduct(
+            tuple(zip(operands[0:factors:2], operands[1:factors:2])),
+            tuple(operands[factors:]),
+        )
     if isinstance(node, ops.ScalarMul):
         return ops.ScalarMul(operands[0], node.scalar)
     if isinstance(node, ops.Concat):
@@ -141,7 +151,7 @@ def _with_operands(node: ops.OpNode, operands: tuple[int, ...]) -> ops.OpNode:
     if isinstance(node, ops.SliceRows):
         return ops.SliceRows(operands[0], node.start, node.stop)
     if isinstance(node, ops.DigitBroadcast):
-        return ops.DigitBroadcast(operands[0], node.index)
+        return ops.DigitBroadcast(operands[0], node.shift)
     if isinstance(node, ops.ModSwitchDropLast):
         return ops.ModSwitchDropLast(operands[0], node.plaintext_modulus)
     if isinstance(node, ops.ModSwitchCorrection):
@@ -166,9 +176,11 @@ def _row_count(node: ops.OpNode, counts: list, ctx: PassContext) -> int | None:
                 return None
             total += count
         return total
-    if isinstance(node, (ops.Add, ops.Sub, ops.Mul)):
-        count = counts[node.a]
-        return count if count is not None else counts[node.b]
+    if isinstance(node, (ops.Add, ops.Sub, ops.Mul, ops.InnerProduct)):
+        # Every operand has the node's rows: the first one known will do.
+        return next(
+            (counts[op] for op in node.operands() if counts[op] is not None), None
+        )
     if isinstance(node, ops.ModSwitchDropLast):
         count = counts[node.src]
         return None if count is None else count - 1
@@ -611,12 +623,22 @@ def _cse_key(node: ops.OpNode, mapped: tuple[int, ...]) -> tuple:
         # Modular add/mul commute exactly — canonicalise the operand order.
         a, b = mapped
         return (node.kind, (a, b) if a <= b else (b, a))
+    if isinstance(node, ops.InnerProduct):
+        # A sum of products is the same whatever the order of its terms and
+        # of each product's factors.
+        factors = 2 * len(node.pairs)
+        pairs = zip(mapped[0:factors:2], mapped[1:factors:2])
+        return (
+            node.kind,
+            tuple(sorted((min(pair), max(pair)) for pair in pairs)),
+            tuple(sorted(mapped[factors:])),
+        )
     if isinstance(node, ops.ScalarMul):
         return (node.kind, mapped[0], node.scalar)
     if isinstance(node, ops.SliceRows):
         return (node.kind, mapped[0], node.start, node.stop)
     if isinstance(node, ops.DigitBroadcast):
-        return (node.kind, mapped[0], node.index)
+        return (node.kind, mapped[0], node.shift)
     if isinstance(node, ops.ModSwitchDropLast):
         return (node.kind, mapped[0], node.plaintext_modulus)
     if isinstance(node, ops.ModSwitchCorrection):
@@ -749,6 +771,79 @@ def dead_values(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
         tuple(nodes),
         tuple((name, remap[index]) for name, index in plan.outputs),
     )
+
+
+def _sum_terms(node: ops.OpNode) -> tuple[tuple, tuple]:
+    """``(pairs, addends)`` of a sum node: an ``Add`` or an ``InnerProduct``."""
+    if isinstance(node, ops.Add):
+        return (), (node.a, node.b)
+    return node.pairs, node.addends
+
+
+@register_pass(
+    "fuse_inner_products",
+    "fold each tree of Add nodes over Mul nodes into one InnerProduct "
+    "multiply-accumulate node (a Mul or inner Add only when its sole reader "
+    "is in the tree)",
+)
+def fuse_inner_products(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
+    sums = (ops.Add, ops.InnerProduct)
+    outputs = {index for _, index in plan.outputs}
+    readers: list[set[int]] = [set() for _ in plan.nodes]
+    for index, node in enumerate(plan.nodes):
+        for operand in node.operands():
+            readers[operand].add(index)
+
+    def absorbable(value: int) -> bool:
+        """Whether ``value`` is a product or sum only one sum reads, as an addend."""
+        if value in outputs or len(readers[value]) != 1:
+            return False
+        if not isinstance(plan.nodes[value], (ops.Mul, *sums)):
+            return False
+        (reader,) = readers[value]
+        if not isinstance(plan.nodes[reader], sums):
+            return False
+        pairs, _ = _sum_terms(plan.nodes[reader])
+        return all(value not in pair for pair in pairs)
+
+    def expand(value: int, pairs: list, addends: list, absorbed: set) -> None:
+        """Collect a sum's terms, folding in every absorbable addend."""
+        tree_pairs, tree_addends = _sum_terms(plan.nodes[value])
+        pairs.extend(tree_pairs)
+        for operand in tree_addends:
+            node = plan.nodes[operand]
+            if not absorbable(operand):
+                addends.append(operand)
+                continue
+            absorbed.add(operand)
+            if isinstance(node, ops.Mul):
+                pairs.append((node.a, node.b))
+            else:
+                expand(operand, pairs, addends, absorbed)
+
+    fused: dict[int, ops.InnerProduct] = {}
+    absorbed: set[int] = set()
+    for index, node in enumerate(plan.nodes):
+        if not isinstance(node, sums) or absorbable(index):
+            continue
+        pairs: list = []
+        addends: list = []
+        inner: set[int] = set()
+        expand(index, pairs, addends, inner)
+        if pairs and inner:
+            fused[index] = ops.InnerProduct(tuple(pairs), tuple(addends))
+            absorbed |= inner
+    if not fused:
+        return plan
+    ctx.tally("fuse_inner_products", "nodes_fused", len(fused))
+    ctx.tally("fuse_inner_products", "nodes_absorbed", len(absorbed))
+    rw = _Rewriter(plan, ctx)
+    for index, node in enumerate(plan.nodes):
+        if index in absorbed:
+            continue  # its one reader, later in the plan, reads its terms
+        node = fused.get(index, node)
+        rw.keep(index, _with_operands(node, rw.mapped(node)))
+    return rw.finish()
 
 
 @register_pass(

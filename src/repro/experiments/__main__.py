@@ -9,6 +9,7 @@ Usage::
     python -m repro.experiments --backend parallel --shards 4   # sharded pool
     python -m repro.experiments --list                # keys + backend/shard/engine info
     python -m repro.experiments serve --port 8793     # HE-as-a-service server
+    python -m repro.experiments trajectory            # read BENCH_trajectory.json
 
 Exit status: 0 on full success, 1 when any experiment raised (the failure is
 reported on stderr and the remaining experiments still run), 2 on bad
@@ -58,6 +59,10 @@ def main(argv: list[str]) -> int:
         from ..service.server import main as serve_main
 
         return serve_main(argv[1:])
+    if argv and argv[0] == "trajectory":
+        from .trajectory import main as trajectory_main
+
+        return trajectory_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",

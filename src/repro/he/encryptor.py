@@ -13,8 +13,9 @@ import random
 from ..backends import ops
 from ..backends.base import ComputeBackend
 from ..backends.registry import resolve_backend
+from ..rns import sampling
 from ..rns.basis import RnsBasis
-from ..rns.poly import Domain, RnsPolynomial
+from ..rns.poly import Domain, RnsPolynomial, _residue_rows
 from .ciphertext import Ciphertext
 from .keys import PublicKey, SecretKey
 from .params import HEParams
@@ -98,22 +99,29 @@ class Encryptor:
                 "domain mismatch: %s vs coefficient — convert explicitly first"
                 % plaintext.domain.value
             )
-        u = RnsPolynomial.random_ternary(self.basis, n, self.rng, backend=self.backend)
-        e0 = RnsPolynomial.random_gaussian(
-            self.basis, n, self.rng, stddev=self.params.error_std, backend=self.backend
+        # u, e0 and e1 enter the backend as one stacked tensor, split into
+        # three views of it: on the sharded backend that is one segment for
+        # all the randomness instead of one per polynomial.
+        samples = (
+            sampling.ternary(self.rng, n),
+            sampling.rounded_normal(self.rng, self.params.error_std, n),
+            sampling.rounded_normal(self.rng, self.params.error_std, n),
         )
-        e1 = RnsPolynomial.random_gaussian(
-            self.basis, n, self.rng, stddev=self.params.error_std, backend=self.backend
+        primes = self.basis.primes
+        stacked = self.backend.from_rows(
+            [row for values in samples for row in _residue_rows(values, primes)],
+            primes * len(samples),
         )
+        u, e0, e1 = self.backend.split(stacked, [len(primes)] * len(samples))
         b, a = self._public_image()
         outputs = self.backend.execute(
             _encryption_plan(self.basis.count, t),
             {
                 "b": b.tensor,
                 "a": a.tensor,
-                "u": u.tensor,
-                "e0": e0.tensor,
-                "e1": e1.tensor,
+                "u": u,
+                "e0": e0,
+                "e1": e1,
                 "m": plaintext.with_backend(self.backend).tensor,
             },
         )

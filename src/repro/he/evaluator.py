@@ -20,10 +20,16 @@ NTT rows.  The transforms that remain are the ones the cross-row steps
 need, and only on the rows they read:
 
 * relinearisation decomposes the quadratic component into per-prime digits
-  with ``digit_broadcast`` nodes (row ``i`` of the coefficient-domain
-  residue matrix *is* the digit for prime ``i``).  Digits are not centred,
-  so row ``i`` of digit ``i`` is row ``i`` of ``c2``, whose image the plan
-  already holds: each digit transforms only its other ``np - 1`` rows;
+  (row ``i`` of the coefficient-domain residue matrix *is* the digit for
+  prime ``i``) laid out shift-major: the ``digit_broadcast`` node of shift
+  ``g`` holds digit ``(i + g) mod np`` in row ``i``, reduced mod ``p_i``.
+  Shift 0 is ``c2`` itself, whose image the plan already holds; shifts
+  ``1 .. np-1`` are whole repetitions of the basis, transformed as one
+  batch (``np(np-1)`` rows, one kernel run per worker), and each pairs row
+  by row with the relinearisation key read the same way
+  (:meth:`~repro.he.keys.RelinearizationKey.shift_major`).  The products
+  are summed onto ``c0`` and ``c1``, which the ``fuse_inner_products``
+  pass turns into one multiply-accumulate node per output;
 * modulus switching uses the exact RNS formula
   ``(c_j + t*u_c) * q_last^{-1} mod p_j``, where the correction ``u_c`` is
   read off the dropped residue row alone.  An NTT-domain source
@@ -95,38 +101,6 @@ class _Emitter:
     def bind(self, name: str, poly: RnsPolynomial) -> _P:
         """Declare a plan input carrying the polynomial's ring metadata."""
         return _P(self.graph.input(name), poly.domain, poly.basis)
-
-
-def _without_row(
-    graph: ops.OpGraph, value: int, index: int, basis: RnsBasis
-) -> list[_P]:
-    """Row ``index`` left out of a coefficient-domain value (no rows: ``[]``)."""
-    count = basis.count
-    parts = []
-    if index:
-        parts.append(graph.slice_rows(value, 0, index))
-    if index + 1 < count:
-        parts.append(graph.slice_rows(value, index + 1, count))
-    if not parts:
-        return []
-    primes = basis.primes[:index] + basis.primes[index + 1 :]
-    rest = parts[0] if len(parts) == 1 else graph.concat(parts)
-    return [_P(rest, Domain.COEFFICIENT, RnsBasis.from_primes(primes, basis.n))]
-
-
-def _with_row(
-    graph: ops.OpGraph, rest: list[_P], source: int, index: int, count: int
-) -> int:
-    """The value ``rest`` came from, with row ``index`` read from ``source``."""
-    if not rest:
-        return source
-    parts = []
-    if index:
-        parts.append(graph.slice_rows(rest[0].value, 0, index))
-    parts.append(graph.slice_rows(source, index, index + 1))
-    if index + 1 < count:
-        parts.append(graph.slice_rows(rest[0].value, index, count - 1))
-    return graph.concat(parts)
 
 
 class Evaluator:
@@ -471,6 +445,20 @@ class Evaluator:
     def _emit_relinearize(
         self, em: _Emitter, sa: Sequence[_P], srk: Sequence[tuple[_P, _P]]
     ) -> list[_P]:
+        """Key switching of ``c2`` onto ``c0`` and ``c1``, digits in whole-basis batches.
+
+        ``srk`` is the key shift-major (:meth:`RelinearizationKey.shift_major`):
+        entry ``g``'s row ``i`` is row ``i`` of component ``(i + g) mod L``.
+        Digit shift ``g`` (a ``digit_broadcast`` node) holds, in row ``i``,
+        digit ``(i + g) mod L`` reduced mod ``p_i``, so output row ``i`` is
+        ``c_k + Σ_g NTT(shift_g)_i * key_g_i`` — every digit row paired with
+        the key row it paired with digit-major.  Shift 0 is ``c2`` itself,
+        whose image the plan holds; shifts ``1 .. L-1`` are ``L - 1`` whole
+        repetitions of the basis, which the ``batch_ntt`` pass merges into
+        one forward transform (``L(L-1)`` rows, one kernel run).  The sums
+        are emitted as ``Mul`` and ``Add``; the ``fuse_inner_products`` pass
+        folds each into one multiply-accumulate node.
+        """
         graph = em.graph
         if len(sa) == 2:
             return [_P(graph.copy(p.value), p.domain, p.basis) for p in sa]
@@ -485,18 +473,18 @@ class Evaluator:
         c2_coeff = self._emit_ntt_batch(em, [c2], forward=False)[0]
         c0_ntt, c1_ntt, c2_ntt = self._emit_ntt_batch(em, [c0, c1, c2], forward=True)
         acc0, acc1 = c0_ntt.value, c1_ntt.value
-        for index, (rk0, rk1) in enumerate(srk):
-            digit = graph.digit_broadcast(c2_coeff.value, index)
-            # Digits are not centred, so row ``index`` of this digit is row
-            # ``index`` of c2 and its image is that row of c2's image: only
-            # the other rows need a transform.
-            rest = _without_row(graph, digit, index, basis)
-            *rest, rk0_ntt, rk1_ntt = self._emit_ntt_batch(
-                em, rest + [rk0, rk1], forward=True
-            )
-            digit_ntt = _with_row(graph, rest, c2_ntt.value, index, basis.count)
-            acc0 = graph.add(acc0, graph.mul(digit_ntt, rk0_ntt.value))
-            acc1 = graph.add(acc1, graph.mul(digit_ntt, rk1_ntt.value))
+        for shift, (rk0, rk1) in enumerate(srk):
+            # Each shift's digit is transformed with its key pair (whose
+            # transforms the residency pass hoists); batch_ntt merges the
+            # digits' transforms into one.
+            pending = [rk0, rk1]
+            if shift:
+                digit = graph.digit_broadcast(c2_coeff.value, shift)
+                pending.insert(0, _P(digit, Domain.COEFFICIENT, basis))
+            *digit_ntt, rk0_ntt, rk1_ntt = self._emit_ntt_batch(em, pending, forward=True)
+            image = digit_ntt[0].value if shift else c2_ntt.value
+            acc0 = graph.add(acc0, graph.mul(image, rk0_ntt.value))
+            acc1 = graph.add(acc1, graph.mul(image, rk1_ntt.value))
         return [_P(acc0, Domain.NTT, basis), _P(acc1, Domain.NTT, basis)]
 
     def _emit_mod_switch(self, em: _Emitter, sa: Sequence[_P], t: int) -> list[_P]:
@@ -711,13 +699,17 @@ class Evaluator:
 
         The RNS digit decomposition never reconstructs big integers: row ``i``
         of the coefficient-domain residue matrix of ``c2`` *is* ``c2 mod q_i``
-        already reduced, so the ``digit_broadcast`` node re-reduces that
-        single resident row across the basis to form the digit paired with
-        key component ``i``.  An NTT-resident ``c2`` is inverse-transformed
-        once for the digits, and each digit's own row ``i`` is taken from
-        ``c2``'s image instead of being transformed again.  The per-prime
-        digit products are accumulated onto ``c0`` and ``c1`` in the NTT
-        domain, where the result rests.  The whole key switch is one plan —
+        already reduced.  The digits are laid out by shift: the
+        ``digit_broadcast`` node of shift ``g`` re-reduces row ``(i + g) mod
+        np`` into row ``i``, and pairs with the key's shift-major polynomial
+        ``g`` (:meth:`RelinearizationKey.shift_major`, built once per key
+        and backend).  An NTT-resident ``c2`` is inverse-transformed once for
+        the digits; shift 0 is ``c2``'s own image, so only the ``np - 1``
+        other shifts are transformed, as one batch of whole basis
+        repetitions.  The products are accumulated onto ``c0`` and ``c1``
+        in the NTT domain, where the result rests — one multiply-accumulate
+        node each once the default passes have run.  The whole key switch
+        is one plan —
         on the sharded backend one dispatch: every worker inverse-transforms
         an NTT-resident input ``c2`` in full (a replicated value, see
         :func:`repro.backends.ops.replicated_values`) and reads a
@@ -730,10 +722,7 @@ class Evaluator:
         if len(relin_key.components) != len(a.basis):
             raise ValueError("relinearisation key was generated for a different basis")
         polys = self._adopt_all(a.polys)
-        rk = [
-            (self._adopt(rk0), self._adopt(rk1))
-            for rk0, rk1 in relin_key.components
-        ]
+        rk = relin_key.shift_major(self.backend)
         key = (
             "relinearize",
             a.basis.primes,
@@ -759,10 +748,9 @@ class Evaluator:
             bindings["rk0_%d" % i] = rk0.tensor
             bindings["rk1_%d" % i] = rk1.tensor
             constants += ["rk0_%d" % i, "rk1_%d" % i]
-        # Key components are cached on the context, so their tensors keep a
-        # stable identity across calls — the residency pass hoists their
-        # forward transforms into the constant pool (2 of the 3 forward
-        # rows per digit of every subsequent relinearisation).
+        # The shift-major key is built once per key and backend, so its
+        # tensors keep a stable identity across calls — the residency pass
+        # hoists their forward transforms into the constant pool.
         out = self._run_plan(key, build, bindings, constants=tuple(constants))
         return Ciphertext(polys=out, params=self.params, level=a.level)
 

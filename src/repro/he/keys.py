@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..backends.base import ComputeBackend
 from ..backends.registry import resolve_backend
@@ -39,9 +39,56 @@ class RelinearizationKey:
     quadratic ciphertext component into its per-prime digits and pairs each
     digit with the matching key component, which keeps the switching noise at
     the scale of a single prime instead of the whole modulus.
+
+    ``components`` stays digit-major (entry ``j`` pairs with digit ``j``).
+    Key switching reads the key shift-major (:meth:`shift_major`): its
+    digits come in whole-basis batches, one per shift ``g``, whose row
+    ``i`` is digit ``(i + g) mod L``, and each pairs row by row with a key
+    polynomial laid out the same way.
     """
 
     components: list[tuple[RnsPolynomial, RnsPolynomial]]
+    _shifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def shift_major(
+        self, backend: ComputeBackend
+    ) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+        """The key's ``2L`` shift-major polynomials on ``backend``, built once.
+
+        Entry ``g`` is a pair whose row ``i`` is row ``i`` of component
+        ``(i + g) mod L`` (both halves).  The rearrangement moves whole rows,
+        so it serves keys in either domain; a key whose components rest in
+        different domains is brought to the NTT domain first.  The pairs
+        are cached per backend, so their tensors keep one identity across
+        operations and the constant pool keeps their NTT images; they cost
+        a second copy of the key (``2L`` polynomials of ``L`` rows).
+        """
+        cached = self._shifted.get(id(backend))
+        if cached is not None and cached[0] is backend:
+            return cached[1]
+        halves = [
+            [pair[half].with_backend(backend) for pair in self.components]
+            for half in (0, 1)
+        ]
+        domains = {poly.domain for polys in halves for poly in polys}
+        if len(domains) > 1:
+            halves = [[poly.to_ntt() for poly in polys] for polys in halves]
+        count = len(self.components)
+
+        def shifted(polys: list[RnsPolynomial], shift: int) -> RnsPolynomial:
+            rows = [
+                backend.slice_rows(polys[(row + shift) % count].tensor, row, row + 1)
+                for row in range(count)
+            ]
+            first = polys[0]
+            return RnsPolynomial(first.basis, first.n, backend.concat(rows), first.domain)
+
+        pairs = [
+            (shifted(halves[0], shift), shifted(halves[1], shift))
+            for shift in range(count)
+        ]
+        self._shifted[id(backend)] = (backend, pairs)
+        return pairs
 
 
 class KeyGenerator:

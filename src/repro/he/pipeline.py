@@ -316,10 +316,7 @@ class Pipeline:
             for ordinal, ct in enumerate(leaves)
         }
         adopted_keys = {
-            ordinal: [
-                (evaluator._adopt(rk0), evaluator._adopt(rk1))
-                for rk0, rk1 in key.components
-            ]
+            ordinal: key.shift_major(evaluator.backend)
             for ordinal, key in enumerate(keys)
         }
         adopted_plains = {
@@ -332,9 +329,9 @@ class Pipeline:
         for ordinal, polys in adopted.items():
             for index, poly in enumerate(polys):
                 bindings["ct%d_%d" % (ordinal, index)] = poly.tensor
-        # Key components and plaintexts are the cross-run-stable operands:
-        # naming them as constants lets the residency pass pool their NTT
-        # images across executions of the cached plan.
+        # The shift-major keys and the plaintexts are the cross-run-stable
+        # operands: naming them as constants lets the residency pass pool
+        # their NTT images across executions of the cached plan.
         for ordinal, components in adopted_keys.items():
             for index, (rk0, rk1) in enumerate(components):
                 for half, tensor in (("rk0", rk0.tensor), ("rk1", rk1.tensor)):

@@ -6,8 +6,8 @@ Pins the acceptance criteria of the optimiser:
   way its contract says (sinking inverse transforms through linear nodes
   without adding rows, cancellation through the batching plumbing, copy
   and slice/concat folding, commutative-aware CSE, constant hoisting, dead
-  value sweeping, post-fixpoint re-batching) while never aliasing a value
-  into an output slot;
+  value sweeping, sum-of-products folding, post-fixpoint re-batching) while
+  never aliasing a value into an output slot;
 * **bit-for-bit equivalence** — optimised plans produce exactly the same
   ciphertexts as unoptimised ones, on scalar/numpy/forced-pool-parallel
   backends, at 30- and 60-bit primes, for the canonical
@@ -470,6 +470,34 @@ def test_dead_values_drops_unreached_nodes_and_inputs():
     assert kinds(rewritten) == ["input", "copy"]
     assert rewritten.input_names == ("a",)
     assert ctx.stats["plan.pass.dead_values.values_removed"] == 3
+
+
+# ------------------------------------------------ pass: inner products
+
+
+def test_fuse_inner_products_folds_only_products_read_once_by_the_sum():
+    g = ops.OpGraph()
+    a, b, c, d, e = (g.input(name) for name in "abcde")
+    shared = g.mul(a, c)  # also read by y: stays a product, added as is
+    x = g.add(g.add(g.mul(a, b), g.mul(c, d)), shared)
+    y = g.add(shared, e)  # no product of its own: stays an Add
+    z = g.add(g.mul(a, a), g.mul(a, a))  # a repeated pair
+    returned = g.mul(b, c)  # a plan output is never fused away
+    w = g.add(returned, e)
+    for name, value in zip("xyzwr", (x, y, z, w, returned)):
+        g.output(name, value)
+    plan = g.compile()
+    primes = {name: PRIMES for name in "abcde"}
+    rewritten, ctx = run_pass("fuse_inner_products", plan, primes)
+    assert kinds(rewritten).count("inner_product") == 2
+    assert kinds(rewritten).count("mul") == 2 and kinds(rewritten).count("add") == 2
+    (x_node, z_node) = [n for n in rewritten.nodes if n.kind == "inner_product"]
+    assert x_node.pairs == ((0, 1), (2, 3)) and len(x_node.addends) == 1
+    assert z_node.pairs == ((0, 0), (0, 0)) and z_node.addends == ()
+    assert ctx.stats["plan.pass.fuse_inner_products.nodes_absorbed"] == 5
+    assert_same_outputs(rewritten, plan, "abcde")
+    # Idempotent: a fused plan has nothing left to fold.
+    assert run_pass("fuse_inner_products", rewritten, primes)[0] is rewritten
 
 
 # -------------------------------------------------------- pass: residency

@@ -160,3 +160,134 @@ def test_generated_correction_case_matches_scalar_oracle(n, bits, overflow, pool
     # As a plan the node runs in the pool, unless a row sits at or above
     # the storage limit; the one-row per-op call always runs inline.
     assert (pooled.dispatch_count > dispatches) is not overflow
+
+
+# ------------------------------------------- the multiply-accumulate node
+#
+# An inner product's cases draw 1-20 terms over a basis of one word size, as
+# pairs of operands that repeat (a pair may appear twice, an operand in
+# several pairs), with no addends, with addends, and with a prime at or
+# above the 2^62 storage limit on the counted fallback.  Numpy runs it as
+# one node; the pool both per op and as a dispatched one-node plan.
+
+
+def generate_inner_product_case(bits: int, index: int):
+    """``(primes, operand rows, pairs, addends)`` of one seeded case."""
+    rng = random.Random("%d/inner_product/%d/%d" % (SEED, bits, index))
+    basis = rng.sample(prime_pool(bits), rng.randint(1, 3))
+    primes = basis * rng.randint(1, 2)
+    if index == 2:
+        primes.insert(rng.randrange(len(primes) + 1), prime_pool(63)[0])
+    terms = rng.randint(1, 20)
+    count = rng.randint(2, min(2 * terms + 2, 8))
+    rows = [[[rng.randrange(p) for _ in range(64)] for p in primes] for _ in range(count)]
+    rows[rng.randrange(count)] = [[p - 1] * 64 for p in primes]
+    pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(terms)]
+    if index == 1:
+        pairs.append(pairs[0])  # a repeated pair
+    addends = [rng.randrange(count) for _ in range(rng.randint(1, 3) if index else 0)]
+    return primes, rows, pairs, addends
+
+
+def inner_product_rows(backend, primes, rows, pairs, addends, plan=False):
+    tensors = [backend.from_rows(operand, primes) for operand in rows]
+    if not plan:
+        return backend.inner_product(
+            [(tensors[a], tensors[b]) for a, b in pairs], [tensors[c] for c in addends]
+        ).to_rows()
+    graph = ops.OpGraph()
+    values = [graph.input("x%d" % index) for index in range(len(tensors))]
+    graph.output(
+        "ip",
+        graph.inner_product(
+            [(values[a], values[b]) for a, b in pairs], [values[c] for c in addends]
+        ),
+    )
+    bound = {"x%d" % index: tensor for index, tensor in enumerate(tensors)}
+    return backend.execute(graph.compile(), bound)["ip"].to_rows()
+
+
+def check_inner_product(pooled, primes, rows, pairs, addends):
+    expected = inner_product_rows(ScalarBackend(), primes, rows, pairs, addends)
+    overflow = max(primes) >= 1 << 62
+    numpy_backend = NumpyBackend()
+    assert inner_product_rows(numpy_backend, primes, rows, pairs, addends) == expected
+    assert (numpy_backend.fallback_rows > 0) is overflow
+    for plan in (False, True):
+        dispatches = pooled.dispatch_count
+        got = inner_product_rows(pooled, primes, rows, pairs, addends, plan)
+        assert got == expected, ("parallel", plan, primes)
+        # A row at or above the storage limit keeps the node inline, and so
+        # does a one-row operand called per op.
+        dispatched = pooled.dispatch_count > dispatches
+        assert dispatched is (not overflow and (plan or len(primes) > 1))
+    return expected
+
+
+@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("bits", BITS)
+def test_generated_inner_product_case_matches_scalar_oracle(bits, index, pooled):
+    primes, rows, pairs, addends = generate_inner_product_case(bits, index)
+    check_inner_product(pooled, primes, rows, pairs, addends)
+
+
+@pytest.mark.parametrize(
+    "bits, terms", [(30, 16), (30, 17), (31, 4), (31, 5), (62, 20)]
+)
+def test_inner_product_past_the_native_headroom(bits, terms, pooled):
+    """Every operand at ``p - 1``: 16 products of 30-bit primes and 4 of
+    31-bit primes fit an unreduced uint64 sum, one more does not."""
+    primes = list(prime_pool(bits)[:2])
+    rows = [[[p - 1] * 64 for p in primes]]
+    expected = check_inner_product(pooled, primes, rows, [(0, 0)] * terms, [0, 0])
+    assert expected == [
+        [(terms * (p - 1) ** 2 + 2 * (p - 1)) % p] * 64 for p in primes
+    ]
+
+
+# ----------------------------------------------- digits by shift
+#
+# Row ``i`` of shift ``g`` is source row ``(i + g) mod L`` reduced mod the
+# row's own prime.  The bases mix 30- and 60-bit primes, so a digit is
+# reduced mod a smaller and a larger prime than its own, and the overflow
+# cases hold a prime at or above the storage limit.
+
+
+def generate_digit_case(count: int, overflow: bool):
+    rng = random.Random("%d/digits/%d/%s" % (SEED, count, overflow))
+    narrow = rng.randint(0, count)
+    primes = rng.sample(prime_pool(30), narrow) + rng.sample(prime_pool(60), count - narrow)
+    if overflow:
+        primes[rng.randrange(count)] = prime_pool(63)[0]
+    rng.shuffle(primes)
+    rows = [[rng.randrange(p) for _ in range(64)] for p in primes]
+    worst = rng.randrange(count)
+    rows[worst] = [primes[worst] - 1] * 64
+    return primes, rows
+
+
+def digit_rows(backend, primes, rows, shift, plan=False):
+    tensor = backend.from_rows(rows, primes)
+    if not plan:
+        return backend.digit_broadcast(tensor, shift).to_rows()
+    graph = ops.OpGraph()
+    graph.output("d", graph.digit_broadcast(graph.input("c"), shift))
+    return backend.execute(graph.compile(), {"c": tensor})["d"].to_rows()
+
+
+@pytest.mark.parametrize("overflow", (False, True))
+@pytest.mark.parametrize("count", (1, 2, 5, 6))
+def test_shifted_digits_match_scalar_oracle(count, overflow, pooled):
+    primes, rows = generate_digit_case(count, overflow)
+    for shift in range(count):
+        expected = digit_rows(ScalarBackend(), primes, rows, shift)
+        assert expected == [
+            [value % p for value in rows[(i + shift) % count]]
+            for i, p in enumerate(primes)
+        ]
+        assert digit_rows(NumpyBackend(), primes, rows, shift) == expected
+        for plan in (False, True):
+            dispatches = pooled.dispatch_count
+            assert digit_rows(pooled, primes, rows, shift, plan) == expected
+            dispatched = pooled.dispatch_count > dispatches
+            assert dispatched is (not overflow and (plan or count > 1)), (count, plan)

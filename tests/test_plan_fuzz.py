@@ -231,3 +231,121 @@ def test_random_pipeline_matches_the_raw_scalar_plan(index, pool):
         if decryptor.noise_budget_bits(result) > 0:
             decoded = encoder.decode(decryptor.decrypt(result))
             assert decoded == case.values[position][0], position
+
+
+# ----------------------------------------------------- sums of products
+#
+# Each case draws 2-8 products (``multiply`` and ``mul_plain`` results over
+# shared leaves, so products share factors) and adds them into one or two
+# sums: the first sum holds every product, some of them twice, the second a
+# few of them again, and a product may also be returned itself.  So the
+# ``fuse_inner_products`` pass meets shared, repeated and multiply-read
+# products under random pass subsets, and every backend must still match
+# the scalar raw plan bit for bit.
+
+SUM_CASES = 8
+
+
+class SumCase:
+    """One drawn sum of products: leaves, plaintexts, products and sums."""
+
+    def __init__(self, index: int) -> None:
+        rng = random.Random("%d/sums/%d" % (SEED, index))
+        self.bits = BITS[index % len(BITS)]
+        self.encrypt_seed = rng.randrange(1 << 30)
+        self.leaf_slots = [slots(rng) for _ in range(LEAVES)]
+        self.leaf_ntt = [rng.random() < 0.5 for _ in range(LEAVES)]
+        self.plain_slots = [slots(rng) for _ in range(2)]
+        self.plain_ntt = [rng.random() < 0.5 for _ in range(2)]
+        #: ``(kind, leaf, leaf or plaintext index)``.
+        self.products = [
+            (kind, rng.randrange(LEAVES), rng.randrange(LEAVES if kind == "multiply" else 2))
+            for kind in (
+                rng.choice(("multiply", "mul_plain")) for _ in range(rng.randint(2, 8))
+            )
+        ]
+        everything = list(range(len(self.products)))
+        everything += rng.sample(everything, rng.randint(0, len(everything)))
+        rng.shuffle(everything)
+        self.sums = [everything]
+        if rng.random() < 0.5:
+            self.sums.append(rng.sample(range(len(self.products)), 2))
+        self.returned = rng.randrange(len(self.products)) if rng.random() < 0.5 else None
+
+    def product_slots(self, index: int) -> list[int]:
+        kind, i, j = self.products[index]
+        other = self.leaf_slots[j] if kind == "multiply" else self.plain_slots[j]
+        return [x * y % T for x, y in zip(self.leaf_slots[i], other)]
+
+    def expected_slots(self) -> list[list[int]]:
+        values = [
+            [sum(column) % T for column in zip(*map(self.product_slots, terms))]
+            for terms in self.sums
+        ]
+        if self.returned is not None:
+            values.append(self.product_slots(self.returned))
+        return values
+
+
+def build_sum_runner(case: SumCase, context: HeContext, passes):
+    encoder = context.encoder()
+    encryptor = context.encryptor(seed=case.encrypt_seed)
+    leaves = []
+    for values, ntt in zip(case.leaf_slots, case.leaf_ntt):
+        ct = encryptor.encrypt(encoder.encode(values))
+        if not ntt:
+            ct = Ciphertext(
+                polys=[poly.to_coefficient() for poly in ct.polys], params=ct.params
+            )
+        leaves.append(ct)
+    plains = [
+        encoder.encode(values).to_ntt() if ntt else encoder.encode(values)
+        for values, ntt in zip(case.plain_slots, case.plain_ntt)
+    ]
+    pipe = context.pipeline()
+    pipe.evaluator = context.evaluator(passes=passes)
+    exprs = [pipe.load(ct) for ct in leaves]
+    products = [
+        exprs[i] * exprs[j] if kind == "multiply" else exprs[i].mul_plain(plains[j])
+        for kind, i, j in case.products
+    ]
+    outputs = []
+    for terms in case.sums:
+        total = products[terms[0]]
+        for term in terms[1:]:
+            total = total + products[term]
+        outputs.append(total)
+    if case.returned is not None:
+        outputs.append(products[case.returned])
+    return pipe, lambda: pipe.run_many(outputs)
+
+
+@pytest.mark.parametrize("index", range(SUM_CASES))
+def test_random_sums_of_products_match_the_raw_scalar_plan(index, pool):
+    case = SumCase(index)
+    params = params_for(case.bits)
+    rng = random.Random("%d/sums/passes/%d" % (SEED, index))
+    names = list(available_passes())
+
+    oracle = HeContext.create(params, backend="scalar", seed=7)
+    expected = build_sum_runner(case, oracle, "none")[1]()
+    want = fingerprint(expected)
+
+    for backend in ("scalar", "numpy", pool):
+        passes = rng.sample(names, rng.randint(0, len(names))) or "none"
+        if backend == "numpy":
+            passes = "default"  # the full pipeline folds every sum
+        context = HeContext.create(params, backend=backend, seed=7)
+        pipe, run = build_sum_runner(case, context, passes)
+        assert fingerprint(run()) == want, (backend, passes)
+        if backend is pool:
+            assert fingerprint(run()) == want, ("pool, second run", passes)
+        if backend == "numpy":
+            (plan, *_), = pipe.evaluator._plan_cache.values()
+            assert any(node.kind == "inner_product" for node in plan.nodes)
+
+    decryptor = oracle.decryptor()
+    encoder = oracle.encoder()
+    for result, values in zip(expected, case.expected_slots()):
+        if decryptor.noise_budget_bits(result) > 0:
+            assert encoder.decode(decryptor.decrypt(result)) == values

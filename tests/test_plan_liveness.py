@@ -259,10 +259,16 @@ def test_warm_runs_leave_inputs_and_pooled_key_images_unchanged(backend_name):
         pipe = ctx.pipeline()
         expr = (pipe.load(a) * pipe.load(b)).relinearize(key)
         first = expr.run()  # cold: seeds the constant pool
-        keys = [poly.tensor for pair in key.components for poly in pair]
+        # Key switching binds the key's shift-major polynomials: their images
+        # are the pooled ones, and neither layout of the key may be written.
+        keys = [poly.tensor for pair in key.shift_major(ctx.backend) for poly in pair]
         images = [ctx._constant_pool.lookup(tensor) for tensor in keys]
         assert None not in images, "a relinearisation key image was not pooled"
-        tensors = [poly.tensor for ct in (a, b) for poly in ct.polys] + keys + images
+        components = [poly.tensor for pair in key.components for poly in pair]
+        tensors = (
+            [poly.tensor for ct in (a, b) for poly in ct.polys]
+            + components + keys + images
+        )
         before = [backend.to_rows(tensor) for tensor in tensors]
         warm = [expr.run() for _ in range(2)]
         assert ctx.metrics()["plan.pool.hits"] > 0

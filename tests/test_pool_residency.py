@@ -6,7 +6,7 @@ Pins what keeps a warm pooled run from re-creating and re-mapping segments:
   creates only its plan-output segments (``shm.segments``) and each worker
   maps only those (``pool.segment_maps``): intermediate stage storage is
   reused across runs, workers keep their mappings, and a heap input moves
-  into shared memory once;
+  into shared memory once; an encryption's randomness is one segment;
 * **reuse is invisible** — results stay bit-for-bit with the scalar oracle,
   and a result returned by an earlier run is not overwritten by later ones;
 * **exact drops** — the workers close exactly the segments the coordinator
@@ -113,6 +113,31 @@ def test_warm_runs_create_and_map_only_their_plan_outputs(monkeypatch):
         # The earliest result is read last: later runs must not overwrite it.
         for result in reversed(results):
             assert coeffs(result) == expected
+    finally:
+        backend.close()
+
+
+def test_an_encryption_maps_its_randomness_as_one_segment():
+    """u, e0 and e1 enter the pool as one stacked tensor (one segment), so
+    an encryption creates 4 segments (the randomness, the heap plaintext
+    and the two components) where three separate polynomials made 6."""
+    backend = ParallelBackend(shards=2)
+    try:
+        ctx = HeContext.create(
+            HEParams(n=4096, plaintext_modulus=17, prime_bits=30, prime_count=6),
+            backend=backend,
+            seed=7,
+        )
+        encoder, encryptor = ctx.integer_encoder(), ctx.encryptor(seed=11)
+        encryptor.encrypt(encoder.encode(1))  # maps the public key's image
+        before = ctx.metrics()
+        ct = encryptor.encrypt(encoder.encode(3))
+        diff = HeContext.metrics_diff(before, ctx.metrics())
+        assert diff["pool.dispatches"] == 1, diff
+        assert diff["conversions.rows"] <= 24, diff
+        assert diff["shm.segments"] == 4, diff
+        assert diff["pool.segment_maps"] == 8, diff
+        assert encoder.decode(ctx.decryptor().decrypt(ct)) == 3
     finally:
         backend.close()
 

@@ -12,7 +12,8 @@ paper-adjacent shape (``N = 2048``, np = 4):
   c2's inverse, the off-diagonal digit rows, the dropped rows of the
   modulus switch and their corrections.  The default passes hoist the
   relinearisation-key and plaintext-diagonal transforms into the
-  per-context constant pool and cancel/CSE the rest.  The counts are static
+  per-context constant pool and fold, merge and sweep the plumbing left
+  around the rest.  The counts are static
   properties of the compiled plans and repeat exactly, so the pins are
   upper bounds at those counts;
 * **no wall-time regression**: the optimised steady state must not be slower

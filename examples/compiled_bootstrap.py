@@ -9,9 +9,9 @@ transforms.  This example puts the two headline pieces together:
    :func:`repro.he.bootstrap.bootstrap_circuit`) as one named statement and
    compiles the entire circuit into a single fused plan.
 2. **Optimiser passes** — the same program is compiled twice, once with
-   the passes disabled and once with the default pipeline (NTT-pair
-   cancellation, CSE, structure folding, NTT-domain residency).  The
-   residency pass hoists every plaintext diagonal's forward transform into
+   the passes disabled and once with the default pipeline (structure
+   folding, CSE, NTT-domain residency, dead-value elimination, sum-of-
+   products folding and transform batching).  The residency pass hoists every plaintext diagonal's forward transform into
    the per-context constant pool, so warm executions skip them entirely.
 3. **metrics_diff accounting** — each variant's steady-state cost is the
    delta between two ``context.metrics()`` snapshots around one warm run,

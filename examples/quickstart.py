@@ -19,9 +19,10 @@ Run with::
 
     python examples/quickstart.py
 
-Backends (``REPRO_BACKEND=scalar|numpy|parallel``) and the plan optimiser
-(``REPRO_PASSES=none`` disables it) are selectable without code changes;
-another NTT engine is one constructor argument,
+Backends (``REPRO_BACKEND=scalar|numpy|parallel``) are selectable without
+code changes; the plan optimiser is one argument
+(``ctx.evaluator(passes="none")`` disables it), and another NTT engine is
+one constructor argument,
 ``HeContext.create(params, backend=NumpyBackend(engine="high_radix:8"))``.
 Every combination is bit-for-bit identical.  See
 ``examples/fused_pipeline.py`` for the fluent expression API that fuses a

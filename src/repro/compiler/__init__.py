@@ -6,14 +6,15 @@ to *not run* redundant transforms at all.  This package supplies that
 layer, between plan emission and ``backend.execute``:
 
 * :mod:`repro.compiler.passes` — named rewrite passes over
-  :class:`~repro.backends.ops.Plan` (sinking inverse transforms through
-  linear nodes, transform-pair cancellation, structure folding, CSE,
-  NTT-domain residency of constants, dead-value elimination, and
-  re-batching of the surviving transforms), each independently testable
-  and registered with a one-line description.
+  :class:`~repro.backends.ops.Plan` (structure folding, CSE, NTT-domain
+  residency of constants, dead-value elimination, folding of sums of
+  products into multiply-accumulate nodes, and re-batching of the
+  surviving transforms), each independently testable and registered with
+  a one-line description.  The emitters keep ciphertexts in the NTT
+  domain, so no pass has a transform round trip to cancel.
 * :mod:`repro.compiler.manager` — :class:`PassManager` (fixpoint driving,
   ``plan.pass.*`` spans and counters) and the selection precedence
-  ``explicit > set_default_passes > REPRO_PASSES > default``.
+  ``explicit > set_default_passes > default``.
 * :mod:`repro.compiler.pool` — :class:`ConstantPool`, the per-context
   cache of NTT images for constants the residency pass hoists out of
   plans (relinearisation-key components, repeated plaintexts).
@@ -31,7 +32,6 @@ values.
 from .manager import (
     DEFAULT_PASSES,
     OptimizedPlan,
-    PASSES_ENV_VAR,
     PassManager,
     count_ntt_rows,
     default_passes_spec,
@@ -55,7 +55,6 @@ __all__ = [
     "ConstantPool",
     "HeProgram",
     "OptimizedPlan",
-    "PASSES_ENV_VAR",
     "PASS_REGISTRY",
     "PassContext",
     "PassManager",

@@ -1,9 +1,7 @@
 """The pass manager: pass selection, fixpoint driving, telemetry flushing.
 
-Selection follows the repo-wide precedence idiom (mirroring backends,
-engines, shards and execution mode): an explicit argument beats the
-process-wide :func:`set_default_passes`, which beats the
-``REPRO_PASSES`` environment variable, which beats the built-in
+Selection: an explicit argument beats the process-wide
+:func:`set_default_passes`, which beats the built-in
 :data:`DEFAULT_PASSES` pipeline.  A spec is a comma-separated string
 (``"cse,dead_values"``), an iterable of names, ``"none"`` (optimisation
 off) or ``"default"``.
@@ -21,7 +19,6 @@ so a before/after benchmark is just a diff of two
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..backends import ops
@@ -31,7 +28,6 @@ from .passes import PASS_REGISTRY, PassContext, _with_operands
 __all__ = [
     "DEFAULT_PASSES",
     "OptimizedPlan",
-    "PASSES_ENV_VAR",
     "PassManager",
     "count_ntt_rows",
     "default_passes_spec",
@@ -41,22 +37,16 @@ __all__ = [
     "set_default_passes",
 ]
 
-#: Environment variable consulted by :func:`resolve_passes`.
-PASSES_ENV_VAR = "REPRO_PASSES"
-
-#: The default pipeline, in application order: sinking inverse transforms
-#: through linear nodes first (it exposes round trips), cancellation next
-#: (it sees the emitters' raw concat/slice batching), structure folding to
-#: clean up the plumbing it leaves, CSE over the cleaned graph, residency
-#: hoisting of constant transforms, dead-value elimination to sweep
-#: everything the earlier passes orphaned, and last the folding of every
-#: sum of products into one multiply-accumulate node (over the cleaned,
-#: deduplicated graph, so a product CSE merged is read once).  ``batch_ntt``
-#: re-batches the surviving transforms once, after the fixpoint: inside the
-#: loop it would merge duplicate transforms CSE has not merged yet.
+#: The default pipeline, in application order: structure folding of the
+#: emitters' copy/concat/slice plumbing first, CSE over the cleaned graph,
+#: residency hoisting of constant transforms, dead-value elimination to
+#: sweep everything the earlier passes orphaned, and last the folding of
+#: every sum of products into one multiply-accumulate node (over the
+#: cleaned, deduplicated graph, so a product CSE merged is read once).
+#: ``batch_ntt`` re-batches the surviving transforms once, after the
+#: fixpoint: inside the loop it would merge duplicate transforms CSE has not
+#: merged yet.
 DEFAULT_PASSES = (
-    "sink_inverse_ntt",
-    "cancel_ntt_pairs",
     "fold_structure",
     "cse",
     "ntt_residency",
@@ -75,8 +65,8 @@ _default_passes: tuple[str, ...] | None = None
 def _unknown_pass_error(name: str) -> KeyError:
     return KeyError(
         "unknown plan pass %r (registered: %s; select with --passes on the "
-        "experiments CLI or the %s environment variable; 'none' disables "
-        "plan optimisation)" % (name, ", ".join(PASS_REGISTRY), PASSES_ENV_VAR)
+        "experiments CLI; 'none' disables plan optimisation)"
+        % (name, ", ".join(PASS_REGISTRY))
     )
 
 
@@ -116,17 +106,13 @@ def default_passes_spec() -> tuple[str, ...] | None:
 def resolve_passes(explicit=None) -> tuple[str, ...]:
     """The pass pipeline under the documented precedence.
 
-    ``explicit`` > :func:`set_default_passes` > ``REPRO_PASSES`` >
-    :data:`DEFAULT_PASSES`.  An explicit empty sequence (or ``"none"``)
-    disables optimisation.
+    ``explicit`` > :func:`set_default_passes` > :data:`DEFAULT_PASSES`.
+    An explicit empty sequence (or ``"none"``) disables optimisation.
     """
     if explicit is not None:
         return parse_passes(explicit)
     if _default_passes is not None:
         return _default_passes
-    env = os.environ.get(PASSES_ENV_VAR)
-    if env is not None:
-        return parse_passes(env)
     return DEFAULT_PASSES
 
 

@@ -15,32 +15,28 @@ All of them share one discipline, enforced by :class:`_Rewriter`:
   ``Concat -> transform -> SliceRows`` wide batches; a rewrite that breaks
   one wide transform into per-row transforms would "win" the node count
   while losing the paper's headline batching effect.  Partial rewrites
-  (cancelling or hoisting *some* rows of a batch) keep the surviving rows
-  grouped in a single transform node.
+  (hoisting *some* rows of a batch) keep the surviving rows grouped in a
+  single transform node.
 * **Return the input plan unchanged when nothing applies** — the manager
   detects the fixpoint structurally.
 
-The passes rely on two pieces of NTT mathematics:
+The transforms are *row-wise* (each residue row transforms independently),
+so ``T(Concat(xs)) == Concat(T(x) for x in xs)``: that is what lets
+:func:`ntt_residency` split constant rows out of a batched transform and
+:func:`batch_ntt` merge independent transforms into one.  No pass moves a
+transform across arithmetic.  Ciphertexts rest in the NTT domain and no
+emitter ends an op in an inverse transform, so an emitted plan holds no
+transform round trip and no linear node over inverse-transform rows.
 
-* the transforms are *row-wise* (each residue row transforms
-  independently), so they commute with the row-shuffling nodes —
-  ``SliceRows(InverseNtt(y), a, b) == InverseNtt(SliceRows(y, a, b))`` and
-  ``T(Concat(xs)) == Concat(T(x) for x in xs)``.  That is what lets
-  :func:`cancel_ntt_pairs` see through the slice/concat plumbing the
-  batching emitters wrap around every transform;
-* the transforms are *linear* modulo each row's prime, so
-  ``InverseNtt(a) + InverseNtt(b) == InverseNtt(a + b)`` exactly (and
-  likewise for ``Sub``, ``Neg`` and ``ScalarMul``).  That is what lets
-  :func:`sink_inverse_ntt` accumulate sums of products in the NTT domain
-  and pay one inverse transform for the sum instead of one per term.
-
-Sinking and cancellation leave the surviving transforms scattered over
-several narrow nodes; :func:`batch_ntt` runs once after the fixpoint and
-restores the wide batches.  The last fixpoint pass,
-:func:`fuse_inner_products`, folds every tree of ``Add`` over ``Mul`` into
-one :class:`~repro.backends.ops.InnerProduct`, whose kernels sum the
-products before reducing; the emitters keep emitting ``Mul`` and ``Add``,
-so a plan compiled with ``passes="none"`` stays the reference.
+The emitters leave independent transforms apart (each relinearisation
+digit shift is its own transform, and a fused program transforms each
+statement's operands on their own); :func:`batch_ntt` runs once after the
+fixpoint and merges those at one dependency level into wide batches.  The
+last fixpoint pass, :func:`fuse_inner_products`, folds every tree of
+``Add`` over ``Mul`` into one :class:`~repro.backends.ops.InnerProduct`,
+whose kernels sum the products before reducing; the emitters keep
+emitting ``Mul`` and ``Add``, so a plan compiled with ``passes="none"``
+stays the reference.
 """
 
 from __future__ import annotations
@@ -270,283 +266,6 @@ def _emit_grouped_transform(
     if len(run) == 1:
         return rw.emit(transform(run[0]))
     return rw.emit(transform(rw.emit(ops.Concat(tuple(run)))))
-
-
-def _gather(rw: _Rewriter, pieces) -> int:
-    """One value holding rows ``lo:hi`` of each ``(new value, lo, hi)`` in turn."""
-    values = [
-        value
-        if (lo, hi) == (0, rw.counts[value])
-        else rw.emit(ops.SliceRows(value, lo, hi))
-        for value, lo, hi in pieces
-    ]
-    return values[0] if len(values) == 1 else rw.emit(ops.Concat(tuple(values)))
-
-
-#: Nodes that commute with the (linear) transforms.  ``Mul`` is not one: the
-#: transforms turn a pointwise product into a negacyclic convolution.
-_LINEAR_NODES = (ops.Add, ops.Sub, ops.Neg, ops.ScalarMul)
-
-
-def _slice_segments(segments, start: int, stop: int) -> list:
-    """Rows ``start:stop`` of a value held as ``(base, lo, hi)`` row segments."""
-    out = []
-    offset = 0
-    for base, lo, hi in segments:
-        a, b = max(start, offset), min(stop, offset + hi - lo)
-        if a < b:
-            out.append((base, lo + a - offset, lo + b - offset))
-        offset += hi - lo
-    return out
-
-
-def _join_segments(segments) -> list:
-    """Coalesce neighbouring segments that continue one base's rows."""
-    out: list = []
-    for base, lo, hi in segments:
-        if out and out[-1][0] == base and out[-1][2] == lo:
-            out[-1] = (base, out[-1][1], hi)
-        else:
-            out.append((base, lo, hi))
-    return out
-
-
-def _inverse_views(plan: ops.Plan, counts, sunk) -> dict[int, list]:
-    """Row segments of every value made only of inverse-transform rows.
-
-    The bases are the ``InverseNtt`` nodes and the linear nodes in ``sunk``
-    (each becomes one); ``SliceRows`` and ``Concat`` over such values
-    re-expose their bases' rows.
-    """
-    views: dict[int, list] = {}
-    for index, node in enumerate(plan.nodes):
-        count = counts[index]
-        if isinstance(node, ops.InverseNtt) or index in sunk:
-            if count is not None and (
-                index not in sunk or all(op in views for op in node.operands())
-            ):
-                views[index] = [(index, 0, count)]
-        elif isinstance(node, ops.SliceRows) and node.src in views:
-            views[index] = _slice_segments(views[node.src], node.start, node.stop)
-        elif isinstance(node, ops.Concat) and all(src in views for src in node.srcs):
-            views[index] = _join_segments(
-                [segment for src in node.srcs for segment in views[src]]
-            )
-    return views
-
-
-def _row_readers(plan: ops.Plan, views) -> dict[tuple[int, int], set[int]]:
-    """``{(base, row): nodes reading it}``, with ``-1`` for a plan output.
-
-    Slices and concats that are views pass rows on; they read nothing.
-    """
-    readers: dict[tuple[int, int], set[int]] = {}
-
-    def read(reader: int, value: int) -> None:
-        for base, lo, hi in views.get(value, ()):
-            for row in range(lo, hi):
-                readers.setdefault((base, row), set()).add(reader)
-
-    for index, node in enumerate(plan.nodes):
-        if index in views and isinstance(node, (ops.SliceRows, ops.Concat)):
-            continue
-        for operand in set(node.operands()):
-            read(index, operand)
-    for _, value in plan.outputs:
-        read(-1, value)
-    return readers
-
-
-def _sinkable(plan: ops.Plan, counts):
-    """The linear nodes to sink, with the views and row readers they imply.
-
-    Starts from every linear node and drops, until nothing more drops, each
-    one that reads an operand that is not an inverse view, shares a row it
-    reads with another reader (that inverse transform must stay alive), or
-    reads fewer distinct rows than it produces (its own inverse transform
-    would add rows).  Every row a sunk node reads is therefore freed, so
-    the static transform rows never grow.
-    """
-    sunk = {
-        index
-        for index, node in enumerate(plan.nodes)
-        if isinstance(node, _LINEAR_NODES) and counts[index] is not None
-    }
-    while True:
-        views = _inverse_views(plan, counts, sunk)
-        readers = _row_readers(plan, views)
-        unsafe = set()
-        for index in sunk:
-            if index not in views:
-                unsafe.add(index)
-                continue
-            rows = {
-                (base, row)
-                for operand in plan.nodes[index].operands()
-                for base, lo, hi in views[operand]
-                for row in range(lo, hi)
-            }
-            if len(rows) < counts[index] or any(
-                readers[row] != {index} for row in rows
-            ):
-                unsafe.add(index)
-        if not unsafe:
-            return sunk, views, readers
-        sunk -= unsafe
-
-
-def _runs(rows: list[int]) -> list[tuple[int, int]]:
-    """Sorted rows as maximal ``(lo, hi)`` runs."""
-    runs: list[list[int]] = []
-    for row in rows:
-        if runs and runs[-1][1] == row:
-            runs[-1][1] = row + 1
-        else:
-            runs.append([row, row + 1])
-    return [(lo, hi) for lo, hi in runs]
-
-
-@register_pass(
-    "sink_inverse_ntt",
-    "rewrite linear nodes over inverse transforms as the same node in the NTT "
-    "domain plus one inverse transform, and narrow transforms to the rows "
-    "still read",
-)
-def sink_inverse_ntt(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
-    counts = _row_counts(plan, ctx)
-    sunk, views, readers = _sinkable(plan, counts)
-    live = {key for key, who in readers.items() if who - sunk}
-    # A base whose remaining readers see only some of its rows keeps just
-    # those rows (a slice of a transform is the transform of the slice).
-    narrowed: dict[int, list[int]] = {}
-    for base in views:
-        if base in sunk or isinstance(plan.nodes[base], ops.InverseNtt):
-            rows = [row for row in range(counts[base]) if (base, row) in live]
-            if 0 < len(rows) < counts[base]:
-                narrowed[base] = rows
-    if not sunk and not narrowed:
-        return plan
-
-    rw = _Rewriter(plan, ctx)
-    image: dict[int, int] = {}  # old value -> new value of its NTT image
-    kept: dict[int, int] = {}  # narrowed base -> its narrowed transform
-    feeds_sunk = {op for index in sunk for op in plan.nodes[index].operands()}
-    for index, node in enumerate(plan.nodes):
-        segments = views.get(index)
-        if index in sunk:
-            image[index] = rw.emit(
-                _with_operands(node, tuple(image[op] for op in node.operands()))
-            )
-            rw.keep(index, ops.InverseNtt(image[index]))
-        elif segments is not None and isinstance(node, ops.InverseNtt):
-            image[index] = rw.read(node.src)
-            rw.keep(index, ops.InverseNtt(image[index]))
-        elif (
-            segments is not None
-            and any(base in narrowed for base, _, _ in segments)
-            and all(
-                (base, row) in live
-                for base, lo, hi in segments
-                for row in range(lo, hi)
-            )
-        ):
-            pieces = []
-            for base, lo, hi in segments:
-                if base in narrowed:
-                    start = narrowed[base].index(lo)
-                    pieces.append((kept[base], start, start + hi - lo))
-                else:
-                    pieces.append((rw.read(base), lo, hi))
-            rw.alias(index, _gather(rw, pieces))
-        else:
-            rw.keep(index, _with_operands(node, rw.mapped(node)))
-        if index in narrowed:
-            ctx.tally("sink_inverse_ntt", "transforms_narrowed")
-            runs = _runs(narrowed[index])
-            rows = _gather(rw, [(image[index], lo, hi) for lo, hi in runs])
-            kept[index] = rw.emit(ops.InverseNtt(rows))
-        if index in feeds_sunk and index not in image:
-            # Emitted where the view was, so a view a later stage reads
-            # stays a stage output of the earlier one.
-            image[index] = _gather(
-                rw, [(image[base], lo, hi) for base, lo, hi in segments]
-            )
-    if sunk:
-        ctx.tally("sink_inverse_ntt", "nodes_sunk", len(sunk))
-    return rw.finish()
-
-
-@register_pass(
-    "cancel_ntt_pairs",
-    "cancel inverse(forward(x)) / forward(inverse(x)) transform pairs, "
-    "including per-row through the batching concat/slice plumbing",
-)
-def cancel_ntt_pairs(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
-    rw = _Rewriter(plan, ctx)
-
-    def cancel_target(value: int, opposite: type) -> int | None:
-        """New value equal to transforming ``value``, if it round-trips.
-
-        ``T(T'(y)) == y`` directly, and — transforms being row-wise —
-        ``T(SliceRows(T'(y), a, b)) == SliceRows(y, a, b)``.
-        """
-        base = rw.resolve(value)
-        node = rw.nodes[base]
-        if isinstance(node, opposite):
-            return rw.resolve(node.src)
-        if isinstance(node, ops.SliceRows):
-            inner = rw.resolve(node.src)
-            inner_node = rw.nodes[inner]
-            if isinstance(inner_node, opposite):
-                return rw.emit(
-                    ops.SliceRows(rw.resolve(inner_node.src), node.start, node.stop)
-                )
-        return None
-
-    for index, node in enumerate(plan.nodes):
-        if not isinstance(node, (ops.ForwardNtt, ops.InverseNtt)):
-            rw.keep(index, _with_operands(node, rw.mapped(node)))
-            continue
-        transform = type(node)
-        opposite = ops.InverseNtt if transform is ops.ForwardNtt else ops.ForwardNtt
-        src = rw.read(node.src)
-        target = cancel_target(src, opposite)
-        if target is not None:
-            ctx.tally("cancel_ntt_pairs", "pairs_cancelled")
-            rw.alias(index, target)
-            continue
-        base = rw.resolve(src)
-        base_node = rw.nodes[base]
-        if isinstance(base_node, ops.Concat):
-            targets = [cancel_target(part, opposite) for part in base_node.srcs]
-            if any(target is not None for target in targets):
-                # Cancel the round-tripping parts; keep the surviving parts
-                # grouped in (at most a few) wide transforms so the batch
-                # structure the emitters built is preserved.
-                segments: list[int] = []
-                run: list[int] = []
-                for part, target in zip(base_node.srcs, targets):
-                    if target is None:
-                        run.append(part)
-                        continue
-                    if run:
-                        segments.append(_emit_grouped_transform(rw, transform, run))
-                        run = []
-                    segments.append(target)
-                if run:
-                    segments.append(_emit_grouped_transform(rw, transform, run))
-                ctx.tally(
-                    "cancel_ntt_pairs",
-                    "pairs_cancelled",
-                    sum(target is not None for target in targets),
-                )
-                if len(segments) == 1:
-                    rw.alias(index, segments[0])
-                else:
-                    rw.keep(index, ops.Concat(tuple(segments)))
-                continue
-        rw.keep(index, transform(src))
-    return rw.finish()
 
 
 @register_pass(

@@ -27,7 +27,6 @@ from ..backends.engines import ARRAY_ENGINE, available_engines
 from ..backends.pool import SHARDS_ENV_VAR, resolve_shard_count, set_default_shards
 from ..backends.registry import BACKEND_ENV_VAR, available_backends, set_default_backend
 from ..compiler import (
-    PASSES_ENV_VAR,
     parse_passes,
     pass_descriptions,
     resolve_passes,
@@ -102,8 +101,8 @@ def main(argv: list[str]) -> int:
         metavar="LIST",
         help="plan-optimiser passes applied to compiled plans, as a "
         "comma-separated list of registered names, or 'none' to disable "
-        "rewriting (default: %s env var, then the full default pipeline; "
-        "see --list for the registry)" % PASSES_ENV_VAR,
+        "rewriting (default: the full default pipeline; see --list for the "
+        "registry)",
     )
     parser.add_argument(
         "--trace",
@@ -142,8 +141,8 @@ def main(argv: list[str]) -> int:
             print("plan passes unresolved (%s)" % exc.args[0])
         else:
             print(
-                "plan passes: %s (--passes > set_default_passes > %s > default)"
-                % (",".join(selected) if selected else "none", PASSES_ENV_VAR)
+                "plan passes: %s (--passes > set_default_passes > default)"
+                % (",".join(selected) if selected else "none")
             )
         print("registered plan passes:")
         for name, description in pass_descriptions():

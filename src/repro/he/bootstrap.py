@@ -107,7 +107,7 @@ def bootstrap_circuit(
     # ciphertext still lives there; deeper rounds carry the size-3 result.
     for _ in range(eval_depth):
         acc = acc.square()
-        if len(relin_key.components) == len(basis):
+        if len(relin_key.pairs) == len(basis):
             acc = acc.relinearize(relin_key)
         acc = acc.mod_switch()
         basis = basis.drop_last(1)

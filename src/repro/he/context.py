@@ -183,7 +183,7 @@ class HeContext:
                 :func:`repro.compiler.resolve_passes`): a comma-separated
                 string or iterable of pass names, ``"none"`` to disable
                 rewriting, ``None`` for the documented precedence
-                (``set_default_passes`` > ``REPRO_PASSES`` > default).
+                (``set_default_passes`` > default).
                 Optimised plans are bit-for-bit identical to unoptimised
                 ones on every backend.
         """

@@ -702,8 +702,8 @@ class Evaluator:
         already reduced.  The digits are laid out by shift: the
         ``digit_broadcast`` node of shift ``g`` re-reduces row ``(i + g) mod
         np`` into row ``i``, and pairs with the key's shift-major polynomial
-        ``g`` (:meth:`RelinearizationKey.shift_major`, built once per key
-        and backend).  An NTT-resident ``c2`` is inverse-transformed once for
+        ``g`` (the key's one layout, :attr:`RelinearizationKey.pairs`,
+        adopted once per foreign backend).  An NTT-resident ``c2`` is inverse-transformed once for
         the digits; shift 0 is ``c2``'s own image, so only the ``np - 1``
         other shifts are transformed, as one batch of whole basis
         repetitions.  The products are accumulated onto ``c0`` and ``c1``
@@ -719,7 +719,7 @@ class Evaluator:
             return a.copy()
         if a.size != 3:
             raise ValueError("relinearisation supports size-3 ciphertexts only")
-        if len(relin_key.components) != len(a.basis):
+        if len(relin_key.pairs) != len(a.basis):
             raise ValueError("relinearisation key was generated for a different basis")
         polys = self._adopt_all(a.polys)
         rk = relin_key.shift_major(self.backend)
@@ -748,9 +748,10 @@ class Evaluator:
             bindings["rk0_%d" % i] = rk0.tensor
             bindings["rk1_%d" % i] = rk1.tensor
             constants += ["rk0_%d" % i, "rk1_%d" % i]
-        # The shift-major key is built once per key and backend, so its
-        # tensors keep a stable identity across calls — the residency pass
-        # hoists their forward transforms into the constant pool.
+        # The shift-major pairs are the key's one layout (adopted once per
+        # foreign backend), so their tensors keep a stable identity across
+        # calls — the residency pass hoists their forward transforms into
+        # the constant pool.
         out = self._run_plan(key, build, bindings, constants=tuple(constants))
         return Ciphertext(polys=out, params=self.params, level=a.level)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..backends.base import ComputeBackend
 from ..backends.registry import resolve_backend
@@ -29,7 +29,6 @@ class PublicKey:
     a: RnsPolynomial
 
 
-@dataclass
 class RelinearizationKey:
     """RNS-decomposition key-switching key for ``s^2``.
 
@@ -40,55 +39,84 @@ class RelinearizationKey:
     digit with the matching key component, which keeps the switching noise at
     the scale of a single prime instead of the whole modulus.
 
-    ``components`` stays digit-major (entry ``j`` pairs with digit ``j``).
-    Key switching reads the key shift-major (:meth:`shift_major`): its
-    digits come in whole-basis batches, one per shift ``g``, whose row
-    ``i`` is digit ``(i + g) mod L``, and each pairs row by row with a key
-    polynomial laid out the same way.
+    The key is kept in one layout, the shift-major one key switching reads:
+    its digits come in whole-basis batches, one per shift ``g``, whose row
+    ``i`` is digit ``(i + g) mod L``, so :attr:`pairs` entry ``g`` is a pair
+    whose row ``i`` is row ``i`` of component ``(i + g) mod L`` (both
+    halves).  The constructor takes the digit-major components (entry ``j``
+    pairs with digit ``j``) and lays them out once; :attr:`components`
+    rebuilds them on demand.  The rearrangement moves whole rows, so it
+    serves keys in either domain; components that rest in different domains
+    are brought to the NTT domain first.
     """
 
-    components: list[tuple[RnsPolynomial, RnsPolynomial]]
-    _shifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, components: list[tuple[RnsPolynomial, RnsPolynomial]]) -> None:
+        backend = components[0][0].backend
+        halves = [
+            [pair[half].with_backend(backend) for pair in components]
+            for half in (0, 1)
+        ]
+        if len({poly.domain for polys in halves for poly in polys}) > 1:
+            halves = [[poly.to_ntt() for poly in polys] for polys in halves]
+        #: The shift-major pairs, resident on the components' backend.
+        self.pairs = _rotate_rows(halves, 1)
+        self._adopted: dict = {}
+
+    @property
+    def components(self) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+        """The digit-major components, rebuilt from :attr:`pairs` per call."""
+        halves = [[pair[half] for pair in self.pairs] for half in (0, 1)]
+        return _rotate_rows(halves, -1)
 
     def shift_major(
         self, backend: ComputeBackend
     ) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
-        """The key's ``2L`` shift-major polynomials on ``backend``, built once.
+        """The shift-major pairs on ``backend``.
 
-        Entry ``g`` is a pair whose row ``i`` is row ``i`` of component
-        ``(i + g) mod L`` (both halves).  The rearrangement moves whole rows,
-        so it serves keys in either domain; a key whose components rest in
-        different domains is brought to the NTT domain first.  The pairs
-        are cached per backend, so their tensors keep one identity across
-        operations and the constant pool keeps their NTT images; they cost
-        a second copy of the key (``2L`` polynomials of ``L`` rows).
+        :attr:`pairs` themselves on the backend they rest on; on any other
+        backend a copy adopted once and cached, so the tensors keep one
+        identity across operations and the constant pool keeps their NTT
+        images.
         """
-        cached = self._shifted.get(id(backend))
-        if cached is not None and cached[0] is backend:
-            return cached[1]
-        halves = [
-            [pair[half].with_backend(backend) for pair in self.components]
-            for half in (0, 1)
-        ]
-        domains = {poly.domain for polys in halves for poly in polys}
-        if len(domains) > 1:
-            halves = [[poly.to_ntt() for poly in polys] for polys in halves]
-        count = len(self.components)
+        if self.pairs[0][0].backend is backend:
+            return self.pairs
+        cached = self._adopted.get(id(backend))
+        if cached is None or cached[0] is not backend:
+            cached = (
+                backend,
+                [
+                    (rk0.with_backend(backend), rk1.with_backend(backend))
+                    for rk0, rk1 in self.pairs
+                ],
+            )
+            self._adopted[id(backend)] = cached
+        return cached[1]
 
-        def shifted(polys: list[RnsPolynomial], shift: int) -> RnsPolynomial:
-            rows = [
-                backend.slice_rows(polys[(row + shift) % count].tensor, row, row + 1)
-                for row in range(count)
-            ]
-            first = polys[0]
-            return RnsPolynomial(first.basis, first.n, backend.concat(rows), first.domain)
 
-        pairs = [
-            (shifted(halves[0], shift), shifted(halves[1], shift))
-            for shift in range(count)
+def _rotate_rows(
+    halves: list[list[RnsPolynomial]], sign: int
+) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    """Entry ``e`` pairs, one per half, the polynomial whose row ``i`` is
+    row ``i`` of ``polys[(e + sign * i) mod L]``.
+
+    ``sign = 1`` lays digit-major components out shift-major; ``sign = -1``
+    takes them back.
+    """
+    backend = halves[0][0].backend
+    count = len(halves[0])
+
+    def rotated(polys: list[RnsPolynomial], entry: int) -> RnsPolynomial:
+        rows = [
+            backend.slice_rows(polys[(entry + sign * row) % count].tensor, row, row + 1)
+            for row in range(count)
         ]
-        self._shifted[id(backend)] = (backend, pairs)
-        return pairs
+        first = polys[0]
+        return RnsPolynomial(first.basis, first.n, backend.concat(rows), first.domain)
+
+    return [
+        (rotated(halves[0], entry), rotated(halves[1], entry))
+        for entry in range(count)
+    ]
 
 
 class KeyGenerator:
@@ -164,7 +192,11 @@ class KeyGenerator:
         return PublicKey(b=b, a=a)
 
     def relinearization_key(self) -> RelinearizationKey:
-        """Generate the RNS-decomposition relinearisation key for ``s^2``."""
+        """Generate the RNS-decomposition relinearisation key for ``s^2``.
+
+        The components are laid out shift-major once, and only that layout
+        is kept (see :class:`RelinearizationKey`).
+        """
         s = self.secret_key().s
         t = self.params.plaintext_modulus
         s_squared = s * s

@@ -217,8 +217,8 @@ class Pipeline:
             return (
                 "relinearize",
                 ordinal,
-                len(expr.key.components),
-                tuple((rk0.domain, rk1.domain) for rk0, rk1 in expr.key.components),
+                len(expr.key.pairs),
+                tuple((rk0.domain, rk1.domain) for rk0, rk1 in expr.key.pairs),
                 child,
             )
         if expr.kind in ("multiply_plain", "add_plain"):

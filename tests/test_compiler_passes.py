@@ -3,18 +3,17 @@
 Pins the acceptance criteria of the optimiser:
 
 * **pass unit tests** — each registered pass rewrites hand-built plans the
-  way its contract says (sinking inverse transforms through linear nodes
-  without adding rows, cancellation through the batching plumbing, copy
-  and slice/concat folding, commutative-aware CSE, constant hoisting, dead
-  value sweeping, sum-of-products folding, post-fixpoint re-batching) while
-  never aliasing a value into an output slot;
+  way its contract says (copy and slice/concat folding, commutative-aware
+  CSE, constant hoisting, dead value sweeping, sum-of-products folding,
+  post-fixpoint re-batching) while never aliasing a value into an output
+  slot;
 * **bit-for-bit equivalence** — optimised plans produce exactly the same
   ciphertexts as unoptimised ones, on scalar/numpy/forced-pool-parallel
   backends, at 30- and 60-bit primes, for the canonical
   ``multiply → relinearize → mod_switch`` chain and the bootstrap-shaped
   circuit;
-* **selection precedence** — explicit > ``set_default_passes`` >
-  ``REPRO_PASSES`` > default, with registry-style errors on unknown names;
+* **selection precedence** — explicit > ``set_default_passes`` > default,
+  with registry-style errors on unknown names;
 * **constant pool** — relinearisation keys and repeated plaintexts transform
   once (cold run) and hit the pool on every later execution, with fewer NTT
   rows on warm runs;
@@ -34,7 +33,6 @@ from repro.compiler import (
     DEFAULT_PASSES,
     ConstantPool,
     PASS_REGISTRY,
-    PASSES_ENV_VAR,
     PassContext,
     PassManager,
     available_passes,
@@ -128,78 +126,6 @@ def rows_for(primes, seed=1):
     return [[(seed * 37 + i * 31 + j) % p for j in range(N)] for i, p in enumerate(primes)]
 
 
-# --------------------------------------------------------- pass: cancellation
-
-
-def test_cancel_forward_inverse_pair():
-    g = ops.OpGraph()
-    x = g.input("x")
-    g.output("out", g.inverse_ntt(g.forward_ntt(x)))
-    plan = g.compile()
-    rewritten, ctx = run_pass("cancel_ntt_pairs", plan, {"x": PRIMES}, sweep=True)
-    assert "forward_ntt" not in kinds(rewritten)
-    assert "inverse_ntt" not in kinds(rewritten)
-    assert ctx.stats["plan.pass.cancel_ntt_pairs.pairs_cancelled"] == 1
-    # Output never aliases the input: a Copy is materialised in the slot.
-    rows = rows_for(PRIMES)
-    out = scalar_outputs(rewritten, {"x": (rows, PRIMES)})
-    assert out["out"] == rows
-
-
-def test_cancel_sees_through_slice_plumbing():
-    # inverse(slice(forward(x))) == slice(x): the emitters' batch shape.
-    g = ops.OpGraph()
-    x = g.input("x")
-    fwd = g.forward_ntt(x)
-    g.output("out", g.inverse_ntt(g.slice_rows(fwd, 1, 3)))
-    plan = g.compile()
-    rewritten, _ = run_pass("cancel_ntt_pairs", plan, {"x": PRIMES})
-    assert "inverse_ntt" not in kinds(rewritten)
-    rows = rows_for(PRIMES)
-    out = scalar_outputs(rewritten, {"x": (rows, PRIMES)})
-    assert out["out"] == rows[1:3]
-
-
-def test_cancel_partial_concat_keeps_surviving_rows_grouped():
-    # forward(concat(inverse(a), b, c)) -> concat(a', forward(concat(b, c)));
-    # the two non-cancellable parts stay in ONE wide transform.
-    g = ops.OpGraph()
-    a = g.input("a")
-    b = g.input("b")
-    c = g.input("c")
-    stacked = g.concat([g.inverse_ntt(a), b, c])
-    g.output("out", g.forward_ntt(stacked))
-    plan = g.compile()
-    primes = {"a": PRIMES, "b": PRIMES, "c": PRIMES}
-    rewritten, ctx = run_pass("cancel_ntt_pairs", plan, primes, sweep=True)
-    assert ctx.stats["plan.pass.cancel_ntt_pairs.pairs_cancelled"] == 1
-    assert kinds(rewritten).count("forward_ntt") == 1
-    assert "inverse_ntt" not in kinds(rewritten)
-    backend = ScalarBackend()
-    bindings = {
-        name: backend.from_rows(rows_for(PRIMES, seed), PRIMES)
-        for seed, name in enumerate(("a", "b", "c"), start=1)
-    }
-    got = backend.execute(rewritten, bindings)
-    ref_backend = ScalarBackend()
-    ref_bindings = {
-        name: ref_backend.from_rows(rows_for(PRIMES, seed), PRIMES)
-        for seed, name in enumerate(("a", "b", "c"), start=1)
-    }
-    expected = ops.interpret(ref_backend, plan, ref_bindings)
-    assert got["out"].to_rows() == expected["out"].to_rows()
-
-
-# ------------------------------------------------------------ pass: sinking
-
-LINEAR = {
-    "add": lambda g, x, y: g.add(x, y),
-    "sub": lambda g, x, y: g.sub(x, y),
-    "neg": lambda g, x, y: g.neg(x),
-    "scalar_mul": lambda g, x, y: g.scalar_mul(x, 12345),
-}
-
-
 def bindings_for(names):
     return {
         name: (rows_for(PRIMES, seed), PRIMES)
@@ -211,114 +137,6 @@ def assert_same_outputs(rewritten, plan, names):
     assert scalar_outputs(rewritten, bindings_for(names)) == scalar_outputs(
         plan, bindings_for(names)
     )
-
-
-@pytest.mark.parametrize("kind", sorted(LINEAR))
-def test_sink_moves_each_linear_node_into_the_ntt_domain(kind):
-    g = ops.OpGraph()
-    a = g.input("a")
-    b = g.input("b")
-    g.output("out", LINEAR[kind](g, g.inverse_ntt(a), g.inverse_ntt(b)))
-    plan = g.compile()
-    primes = {"a": PRIMES, "b": PRIMES}
-    rewritten, ctx = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
-    assert kinds(rewritten).count("inverse_ntt") == 1
-    assert kind in kinds(rewritten)
-    # The output is the one inverse transform, of the NTT-domain result.
-    assert isinstance(rewritten.nodes[rewritten.outputs[0][1]], ops.InverseNtt)
-    assert count_ntt_rows(rewritten, primes) == len(PRIMES)
-    assert ctx.stats["plan.pass.sink_inverse_ntt.nodes_sunk"] == 1
-    assert_same_outputs(rewritten, plan, primes)
-
-
-def test_sink_sees_through_slices_and_concats():
-    # sum = slice(inverse(concat(a, b)), 0, 3) + slice(..., 3, 6), and
-    # mixed = concat(two rows of inverse(c), one row of inverse(d)) - inverse(e):
-    # both sums become one 3-row inverse transform each.
-    g = ops.OpGraph()
-    a, b, c, d, e = (g.input(name) for name in "abcde")
-    first, second = g.split(g.inverse_ntt(g.concat([a, b])), [3, 3])
-    g.output("sum", g.add(first, second))
-    stitched = g.concat(
-        [g.slice_rows(g.inverse_ntt(c), 0, 2), g.slice_rows(g.inverse_ntt(d), 2, 3)]
-    )
-    g.output("mixed", g.sub(stitched, g.inverse_ntt(e)))
-    plan = g.compile()
-    primes = {name: PRIMES for name in "abcde"}
-    rewritten, ctx = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
-    assert count_ntt_rows(plan, primes) == 15
-    assert count_ntt_rows(rewritten, primes) == 6
-    assert ctx.stats["plan.pass.sink_inverse_ntt.nodes_sunk"] == 2
-    assert_same_outputs(rewritten, plan, "abcde")
-
-
-def test_sink_never_moves_mul():
-    g = ops.OpGraph()
-    a = g.input("a")
-    b = g.input("b")
-    g.output("out", g.mul(g.inverse_ntt(a), g.inverse_ntt(b)))
-    plan = g.compile()
-    rewritten, _ = run_pass("sink_inverse_ntt", plan, {"a": PRIMES, "b": PRIMES})
-    assert rewritten is plan
-
-
-@pytest.mark.parametrize("other_reader", ["digit_broadcast", "output"])
-def test_sink_skips_a_transform_another_reader_keeps_alive(other_reader):
-    g = ops.OpGraph()
-    a = g.input("a")
-    b = g.input("b")
-    shared = g.inverse_ntt(a)
-    if other_reader == "output":
-        g.output("raw", shared)
-    else:
-        g.output("digit", g.copy(g.digit_broadcast(shared, 0)))
-    g.output("sum", g.add(shared, g.inverse_ntt(b)))
-    plan = g.compile()
-    primes = {"a": PRIMES, "b": PRIMES}
-    rewritten, _ = run_pass("sink_inverse_ntt", plan, primes)
-    assert rewritten is plan
-    optimised = PassManager(DEFAULT_PASSES).run(plan, input_primes=primes).plan
-    assert count_ntt_rows(optimised, primes) == count_ntt_rows(plan, primes)
-    assert_same_outputs(optimised, plan, primes)
-
-
-def test_sink_narrows_a_batch_to_the_rows_still_read():
-    # Relinearisation's shape: inverse(concat(c0, c1, c2)) feeds c0 + k0 and
-    # c1 + k1 (sunk) and a digit of c2 (kept): only c2's rows stay.
-    g = ops.OpGraph()
-    c0, c1, c2, k0, k1 = (g.input(name) for name in ("c0", "c1", "c2", "k0", "k1"))
-    s0, s1, s2 = g.split(g.inverse_ntt(g.concat([c0, c1, c2])), [3, 3, 3])
-    t0, t1 = g.split(g.inverse_ntt(g.concat([k0, k1])), [3, 3])
-    g.output("digit", g.copy(g.digit_broadcast(s2, 1)))
-    g.output("out0", g.add(s0, t0))
-    g.output("out1", g.add(s1, t1))
-    plan = g.compile()
-    names = ("c0", "c1", "c2", "k0", "k1")
-    primes = {name: PRIMES for name in names}
-    rewritten, ctx = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
-    assert ctx.stats["plan.pass.sink_inverse_ntt.transforms_narrowed"] == 1
-    assert count_ntt_rows(plan, primes) == 15
-    assert count_ntt_rows(rewritten, primes) == 9
-    assert_same_outputs(rewritten, plan, names)
-
-
-def test_sink_never_aliases_an_output():
-    # Row 2 of inverse(a) is sunk into the sum; the output reading rows 0:2
-    # then covers the whole narrowed transform and gets its own Copy.
-    g = ops.OpGraph()
-    a = g.input("a")
-    b = g.input("b")
-    shared = g.inverse_ntt(a)
-    g.output("head", g.slice_rows(shared, 0, 2))
-    tail = g.inverse_ntt(g.slice_rows(b, 2, 3))
-    g.output("sum", g.add(g.slice_rows(shared, 2, 3), tail))
-    plan = g.compile()
-    primes = {"a": PRIMES, "b": PRIMES}
-    rewritten, _ = run_pass("sink_inverse_ntt", plan, primes, sweep=True)
-    assert count_ntt_rows(rewritten, primes) == 3
-    head = dict(rewritten.outputs)["head"]
-    assert isinstance(rewritten.nodes[head], ops.Copy)
-    assert_same_outputs(rewritten, plan, primes)
 
 
 # ---------------------------------------------------------- pass: batching
@@ -553,17 +371,66 @@ def test_residency_is_noop_without_constants():
 
 
 def test_pass_manager_reaches_fixpoint_and_counts_rows():
+    # Round 1: ntt_residency splits the constant k out of the batched
+    # transform, which leaves the slices reading the new concat.  Round 2:
+    # fold_structure folds each slice onto its part and dead_values sweeps
+    # the concat.  Round 3 changes nothing.
     g = ops.OpGraph()
     x = g.input("x")
-    roundtrip = g.inverse_ntt(g.forward_ntt(x))
-    g.output("out", g.copy(roundtrip))
+    k = g.input("k")
+    x_ntt, k_ntt = g.split(g.forward_ntt(g.concat([x, k])), [len(PRIMES)] * 2)
+    g.output("out", g.mul(x_ntt, k_ntt))
     plan = g.compile()
+    primes = {"x": PRIMES, "k": PRIMES}
+    one_round = plan
+    ctx = PassContext(input_primes=primes, constant_inputs=("k",))
+    for name in DEFAULT_PASSES:
+        if not PASS_REGISTRY[name].after_fixpoint:
+            one_round = PASS_REGISTRY[name].rewrite(one_round, ctx)
+    assert "slice_rows" in kinds(one_round)
+
     manager = PassManager(DEFAULT_PASSES)
-    result = manager.run(plan, input_primes={"x": PRIMES})
-    assert count_ntt_rows(result.plan, {"x": PRIMES}) == 0
-    assert count_ntt_rows(plan, {"x": PRIMES}) == 2 * len(PRIMES)
-    out = scalar_outputs(result.plan, {"x": (rows_for(PRIMES), PRIMES)})
-    assert out["out"] == rows_for(PRIMES)
+    result = manager.run(plan, input_primes=primes, constant_inputs=("k",))
+    assert kinds(result.plan) == ["input", "forward_ntt", "input", "mul"]
+    assert result.stats["plan.pass.fold_structure.slices_folded"] == 2
+    assert result.derived_inputs == (("k@ntt", "k"),)
+    warm_primes = {"x": PRIMES, "k@ntt": PRIMES}
+    assert count_ntt_rows(plan, primes) == 2 * len(PRIMES)
+    assert count_ntt_rows(result.plan, warm_primes) == len(PRIMES)
+    assert manager.run(result.plan, input_primes=warm_primes).plan is result.plan
+
+    backend = ScalarBackend()
+    image = backend.forward_ntt_batch(backend.from_rows(rows_for(PRIMES, 2), PRIMES))
+    warm = scalar_outputs(
+        result.plan,
+        {"x": (rows_for(PRIMES, 1), PRIMES), "k@ntt": (backend.to_rows(image), PRIMES)},
+    )
+    assert warm == scalar_outputs(plan, bindings_for("xk"))
+
+
+@pytest.mark.parametrize("name", ["fold_structure", "cse"])
+def test_aliasing_passes_never_alias_an_output(name):
+    # Each pass forwards the output's value to an existing one (a slice
+    # landing on a concat part to that part, a duplicate sum to the first):
+    # the output slot gets its own Copy rather than the shared handle.
+    g = ops.OpGraph()
+    a = g.input("a")
+    b = g.input("b")
+    if name == "fold_structure":
+        g.output("out", g.slice_rows(g.concat([a, b]), 0, len(PRIMES)))
+    else:
+        g.output("first", g.add(a, b))
+        g.output("out", g.add(b, a))
+    plan = g.compile()
+    rewritten, _ = run_pass(name, plan, {"a": PRIMES, "b": PRIMES}, sweep=True)
+    outputs = dict(rewritten.outputs)
+    node = rewritten.nodes[outputs["out"]]
+    assert isinstance(node, ops.Copy)
+    if name == "fold_structure":
+        assert rewritten.nodes[node.src] == ops.Input("a")
+    else:
+        assert node.src == outputs["first"]
+    assert_same_outputs(rewritten, plan, "ab")
 
 
 def test_materialize_derived_builds_seeding_variant():
@@ -613,25 +480,32 @@ def test_unknown_pass_error_lists_registry():
     message = str(excinfo.value)
     for name in available_passes():
         assert name in message
-    assert PASSES_ENV_VAR in message
+    assert "--passes" in message
     assert "none" in message
 
 
 def test_resolve_passes_precedence(monkeypatch):
-    monkeypatch.setenv(PASSES_ENV_VAR, "cse")
-    assert resolve_passes() == ("cse",)
+    # No environment variable selects passes.
+    monkeypatch.setenv("REPRO_PASSES", "cse")
+    assert resolve_passes() == DEFAULT_PASSES
     set_default_passes("dead_values")
     assert resolve_passes() == ("dead_values",)
     assert resolve_passes("fold_structure") == ("fold_structure",)
     assert resolve_passes("none") == ()
     set_default_passes(None)
-    monkeypatch.delenv(PASSES_ENV_VAR)
     assert resolve_passes() == DEFAULT_PASSES
 
 
 def test_registry_descriptions_cover_every_pass():
     table = dict(pass_descriptions())
-    assert available_passes() == DEFAULT_PASSES
+    assert available_passes() == DEFAULT_PASSES == (
+        "fold_structure",
+        "cse",
+        "ntt_residency",
+        "dead_values",
+        "fuse_inner_products",
+        "batch_ntt",
+    )
     assert set(table) == set(DEFAULT_PASSES)
     assert all(table.values())
     # batch_ntt alone runs after the fixpoint, and last.
@@ -685,7 +559,7 @@ def test_bootstrap_circuit_optimised_bit_identical(context):
 
 def test_bootstrap_30_circuit_shape_optimised_bit_identical(context):
     # The benchmark's bootstrap-30 circuit: four diagonal products a side,
-    # the sums the sinking pass moves into the NTT domain.
+    # sums the emitters accumulate in the NTT domain.
     check_bootstrap_circuit_bit_identical(
         context, c2s_terms=4, eval_depth=1, s2c_terms=4
     )

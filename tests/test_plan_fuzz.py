@@ -12,6 +12,11 @@ domain for domain, the scalar backend's raw plan (``passes="none"``), and
 the raw result must decrypt to the slot-wise plaintext arithmetic
 whenever its noise budget is positive (a spent budget is noise, not a
 miscompile).  Only the standard library draws the cases.
+
+Every raw plan an evaluator emits in this module, and the chain's and the
+bootstrap circuit's, must hold no transform round trip and no linear node
+over inverse-transform rows: the optimiser has no pass that would remove
+either.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import random
 
 import pytest
 
+from repro.backends import ops
 from repro.backends.parallel import ParallelBackend
 from repro.compiler import available_passes
-from repro.he import Ciphertext, HeContext, HEParams
+from repro.he import Ciphertext, Evaluator, HeContext, HEParams, bootstrap_circuit
 
 SEED = 8117
 CASES = 16
@@ -195,6 +201,105 @@ def fingerprint(results: list[Ciphertext]) -> list:
         )
         for ct in results
     ]
+
+
+# ------------------------------------------------------ no round trips
+#
+# Ciphertexts rest in the NTT domain and no emitter ends an op in an
+# inverse transform, so the optimiser keeps no pass that cancels transform
+# pairs or moves inverse transforms through linear nodes.  This static
+# check pins that: it reads rows through Copy, SliceRows and Concat.
+
+TRANSFORMS = (ops.ForwardNtt, ops.InverseNtt)
+LINEAR = (ops.Add, ops.Sub, ops.Neg, ops.ScalarMul)
+
+
+def round_trips(plan: ops.Plan, input_primes) -> list[int]:
+    """Nodes that transform rows of the opposite transform, or that apply a
+    linear node to operands made only of inverse-transform rows."""
+    counts = [len(primes) for primes in ops.infer_primes(plan, input_primes)]
+    origins: list[list] = []  # per value, the transform each row came from
+    found = []
+    for index, node in enumerate(plan.nodes):
+        if isinstance(node, ops.Copy):
+            origins.append(origins[node.src])
+        elif isinstance(node, ops.SliceRows):
+            origins.append(origins[node.src][node.start:node.stop])
+        elif isinstance(node, ops.Concat):
+            origins.append([row for src in node.srcs for row in origins[src]])
+        else:
+            kind = type(node) if isinstance(node, TRANSFORMS) else None
+            origins.append([kind] * counts[index])
+        if isinstance(node, TRANSFORMS):
+            opposite = TRANSFORMS[isinstance(node, ops.ForwardNtt)]
+            if opposite in origins[node.src]:
+                found.append(index)
+        elif isinstance(node, LINEAR) and all(
+            set(origins[op]) == {ops.InverseNtt} for op in node.operands()
+        ):
+            found.append(index)
+    return found
+
+
+@pytest.fixture(autouse=True)
+def raw_plans(monkeypatch):
+    """Every plan an evaluator emits in the test, with its input primes.
+
+    Each is checked when the test ends.
+    """
+    plans = []
+    run_plan = Evaluator._run_plan
+
+    def recording(self, key, build, bindings, constants=()):
+        def build_and_record():
+            built = build()
+            plan = built[0]
+            plans.append((plan, {name: bindings[name].primes for name in plan.input_names}))
+            return built
+
+        return run_plan(self, key, build_and_record, bindings, constants)
+
+    monkeypatch.setattr(Evaluator, "_run_plan", recording)
+    yield plans
+    for plan, primes in plans:
+        assert not round_trips(plan, primes), plan
+
+
+def test_round_trip_check_flags_a_transform_of_opposite_rows():
+    # inverse(slice(forward(x))): a round trip behind the batching plumbing.
+    g = ops.OpGraph()
+    x = g.input("x")
+    g.output("out", g.inverse_ntt(g.slice_rows(g.forward_ntt(x), 1, 3)))
+    plan = g.compile()
+    assert round_trips(plan, {"x": (17, 97, 113)}) == [3]
+
+
+@pytest.mark.parametrize("kind", ["add", "sub", "neg", "scalar_mul"])
+def test_round_trip_check_flags_a_linear_node_over_inverse_rows(kind):
+    g = ops.OpGraph()
+    a, b = g.inverse_ntt(g.input("a")), g.inverse_ntt(g.input("b"))
+    value = {
+        "add": lambda: g.add(a, b),
+        "sub": lambda: g.sub(a, b),
+        "neg": lambda: g.neg(a),
+        "scalar_mul": lambda: g.scalar_mul(a, 12345),
+    }[kind]()
+    g.output("out", value)
+    plan = g.compile()
+    assert round_trips(plan, {"a": (17, 97), "b": (17, 97)}) == [value]
+
+
+@pytest.mark.parametrize("bits", [30, 60])
+def test_chain_and_bootstrap_circuit_plans_hold_no_round_trip(bits, raw_plans):
+    context = HeContext.create(params_for(bits), backend="numpy", seed=7)
+    encryptor, encoder = context.encryptor(seed=11), context.encoder()
+    a, b = (encryptor.encrypt(encoder.encode(slots(random.Random(v)))) for v in "ab")
+    pipe = context.pipeline()
+    pipe.evaluator = context.evaluator(passes="none")
+    rk = context.relinearization_key()
+    (pipe.load(a) * pipe.load(b)).relinearize(rk).mod_switch().run()
+    bootstrap_circuit(context, pipe, a, seed=5, c2s_terms=4, eval_depth=1, s2c_terms=4).run()
+    assert len(raw_plans) == 2
 
 
 @pytest.fixture(scope="module")

@@ -259,16 +259,13 @@ def test_warm_runs_leave_inputs_and_pooled_key_images_unchanged(backend_name):
         pipe = ctx.pipeline()
         expr = (pipe.load(a) * pipe.load(b)).relinearize(key)
         first = expr.run()  # cold: seeds the constant pool
-        # Key switching binds the key's shift-major polynomials: their images
-        # are the pooled ones, and neither layout of the key may be written.
-        keys = [poly.tensor for pair in key.shift_major(ctx.backend) for poly in pair]
+        # Key switching binds the key's one layout, its shift-major pairs:
+        # their images are the pooled ones, and neither may be written.
+        assert key.shift_major(ctx.backend) is key.pairs
+        keys = [poly.tensor for pair in key.pairs for poly in pair]
         images = [ctx._constant_pool.lookup(tensor) for tensor in keys]
         assert None not in images, "a relinearisation key image was not pooled"
-        components = [poly.tensor for pair in key.components for poly in pair]
-        tensors = (
-            [poly.tensor for ct in (a, b) for poly in ct.polys]
-            + components + keys + images
-        )
+        tensors = [poly.tensor for ct in (a, b) for poly in ct.polys] + keys + images
         before = [backend.to_rows(tensor) for tensor in tensors]
         warm = [expr.run() for _ in range(2)]
         assert ctx.metrics()["plan.pool.hits"] > 0

@@ -5,13 +5,13 @@ across wide batches; on the CPU realisation the analogous tax is one
 process-pool round trip per backend method call.  This example shows the
 redesigned execution API that removes it:
 
-1. **Per-op plans** — every evaluator operation already compiles into one
-   declarative plan executed in a single backend call.
+1. **Per-op plans** — every evaluator operation is a one-expression
+   pipeline run: one declarative plan executed in a single backend call.
 2. **The fluent expression API** — ``context.pipeline()`` goes further: a
    lazy ciphertext expression like
    ``(a * b).relinearize(rk).mod_switch()`` compiles **once** into one plan
    spanning the whole chain, and re-running the same shape reuses the
-   compiled plan (watch ``plan_cache_hits``).
+   compiled plan (watch the ``plan.cache_hits`` counter).
 3. **Fusion accounting** — on the ``parallel`` backend the chain executes
    as fused per-worker stages: the example forces every operation through
    the worker pool and prints the pool round trips (``dispatch_count``)
@@ -86,7 +86,8 @@ def main() -> None:
           % ("pipeline (cached)", delta["pool.dispatches"],
              delta["conversions.rows"]))
     print("plan cache     : %d newly compiled, %d hit(s) since reset"
-          % (pipe.evaluator.plans_compiled, pipe.evaluator.plan_cache_hits))
+          % (pipe.evaluator.metrics.value("plan.compiled"),
+             pipe.evaluator.metrics.value("plan.cache_hits")))
 
     # -- the steady-state cost of one warm run, as a metrics delta --------------------
     print("warm-run delta : " + ", ".join(

@@ -84,7 +84,7 @@ def main() -> None:
     refreshed = refresher.refresh(result)
     print("budget after refresh    : %.1f bits" % decryptor.noise_budget_bits(refreshed))
     print("NTT invocations so far  : %d (per-prime forward/inverse transforms)"
-          % evaluator.ntt_invocations)
+          % evaluator.metrics.value("ntt.invocations"))
 
     # -- what does bootstrapping cost at the paper's scale? ------------------------------------
     print()

@@ -71,7 +71,8 @@ def main() -> None:
     print("decrypted x*y  : %s (verified against plain arithmetic)"
           % decoded[: len(expected)])
     print("execution      : %d plan(s) compiled, %d NTT row transforms"
-          % (evaluator.plans_compiled, evaluator.ntt_invocations))
+          % (evaluator.metrics.value("plan.compiled"),
+             evaluator.metrics.value("ntt.invocations")))
     print("residency      : %d boundary conversions (these 40-bit toy primes "
           "use the per-prime exact fallback; 0 for <= 30-bit primes)"
           % (context.backend.conversion_count - conversions_before))

@@ -175,8 +175,12 @@ class HeContext:
     def evaluator(self, passes=None) -> Evaluator:
         """A homomorphic evaluator batching through the pinned backend.
 
-        Each operation compiles into one plan, executed in a single backend
-        call.
+        Each per-op method runs its operation as a one-expression
+        :class:`~repro.he.pipeline.Pipeline` over the evaluator: one plan,
+        compiled once per shape into the evaluator's plan cache and executed
+        in a single backend call.  Every evaluator gets its own cache and
+        counters (aggregated into :meth:`metrics`); all of them share the
+        context's constant pool.
 
         Args:
             passes: Plan-optimiser spec applied to compiled plans (see
@@ -265,18 +269,20 @@ class HeContext:
         return HeProgram(self)
 
     def pipeline(self) -> "Pipeline":
-        """A lazy ciphertext-expression pipeline over the pinned backend.
+        """A lazy ciphertext-expression pipeline over a new :meth:`evaluator`.
 
         Expressions built from :meth:`Pipeline.load` leaves —
         ``(a * b).relinearize(rk).mod_switch().run()`` — compile **once**
         into a single fused plan and execute in one backend call; on the
         ``parallel`` backend the whole chain runs in at most one pool
         dispatch per cross-row stage (three for the canonical
-        multiply → relinearize → mod-switch chain).
+        multiply → relinearize → mod-switch chain).  The evaluator is built
+        here, at call time, so it takes the passes in force now
+        (``set_default_passes``); ``pipe.evaluator`` may be reassigned.
         """
         from .pipeline import Pipeline
 
-        return Pipeline(self)
+        return Pipeline(self.evaluator())
 
     def encoder(self) -> BatchEncoder:
         """The session's SIMD batch encoder (cached; requires NTT-prime ``t``)."""

@@ -2,14 +2,22 @@
 
 Every ciphertext multiplication performed here is, computationally, a batch
 of ``np`` negacyclic polynomial multiplications — each of which is the
-``iNTT(NTT(a) ⊙ NTT(b))`` pipeline the paper accelerates.  Since the
-op-graph redesign the evaluator is a *plan emitter*: each homomorphic
-operation compiles (once — compiled plans are cached per operation shape)
-into a declarative :class:`repro.backends.ops.Plan` and hands it to
+``iNTT(NTT(a) ⊙ NTT(b))`` pipeline the paper accelerates.  The evaluator is
+a *plan emitter*: its ``_emit_*`` methods write each homomorphic operation
+into a declarative :class:`repro.backends.ops.Plan`, which runs through
 :meth:`~repro.backends.base.ComputeBackend.execute` in a single call, so a
 sharding backend can fuse the whole operation into one task per worker per
 stage instead of one pool round trip per backend method — the CPU analogue
 of the wide-batch kernel launches the paper's GPU amortises.
+
+There is one lowering front-end: :meth:`repro.he.pipeline.Pipeline.run_many`
+turns ciphertext expressions into plans, compiled once per expression shape
+and cached on the evaluator.  Each per-op method (:meth:`Evaluator.add`,
+:meth:`Evaluator.multiply`, :meth:`Evaluator.relinearize`, ...) builds its
+one-node expression on a pipeline over the evaluator itself and runs it, so
+``ev.multiply(a, b)`` and ``(pipe.load(a) * pipe.load(b)).run()`` on a
+pipeline over ``ev`` compile one plan between them.  Each operation's
+argument checks live once, in its emitter.
 
 Ciphertexts rest in the NTT domain (SEAL's ``is_ntt_form``), so the
 cheapest transform — the one never run — is the common case: no emitter
@@ -47,13 +55,13 @@ the few input rows a cross-row step reads itself.
 
 The reference for every operation is the same evaluator on the ``scalar``
 backend with ``passes="none"``: it runs the raw emitted plan one backend
-method per node.
+method per node.  It lowers through the same code as the evaluator it
+checks; ``tests/test_golden_values.py`` pins each per-op result by digest.
 
-The evaluator also exposes :meth:`Evaluator.ntt_invocations`, the running
-count of forward/inverse NTT calls it has triggered, which the examples use
-to connect the HE layer to the GPU performance model.  The emission helpers
-(``_emit_*``) are shared with :mod:`repro.he.pipeline`, which strings the
-ops of whole ciphertext expressions into one plan.
+The evaluator's :attr:`Evaluator.metrics` count the forward/inverse NTT
+rows its plans ran (``ntt.invocations``), which the examples use to connect
+the HE layer to the GPU performance model, and the plans compiled and
+reused (``plan.compiled``, ``plan.cache_hits``).
 """
 
 from __future__ import annotations
@@ -95,7 +103,8 @@ class _Emitter:
     def __init__(self) -> None:
         self.graph = ops.OpGraph()
         #: Residue rows moved through forward/inverse NTT nodes — added to
-        #: :attr:`Evaluator.ntt_invocations` each time the plan executes.
+        #: the evaluator's ``ntt.invocations`` counter each time the plan
+        #: executes.
         self.ntt_rows = 0
 
     def bind(self, name: str, poly: RnsPolynomial) -> _P:
@@ -156,25 +165,6 @@ class Evaluator:
         """The optimiser passes applied to compiled plans, in order."""
         return self._pass_manager.passes
 
-    # -- bookkeeping -----------------------------------------------------------------
-    @property
-    def ntt_invocations(self) -> int:
-        """Forward/inverse NTT invocations triggered so far (per RNS prime).
-
-        Shim over ``metrics.value("ntt.invocations")``.
-        """
-        return self.metrics.value("ntt.invocations")
-
-    @property
-    def plans_compiled(self) -> int:
-        """Distinct operation plans compiled so far."""
-        return self.metrics.value("plan.compiled")
-
-    @property
-    def plan_cache_hits(self) -> int:
-        """Executions that reused an already-compiled plan."""
-        return self.metrics.value("plan.cache_hits")
-
     @property
     def peak_live_bytes(self) -> int:
         """The largest static peak of live value bytes among the cached plans.
@@ -185,31 +175,6 @@ class Evaluator:
         ``plan.peak_live_bytes`` gauge.
         """
         return max((entry[-1] for entry in self._plan_cache.values()), default=0)
-
-    @staticmethod
-    def _check_same_ring(a: Ciphertext, b: Ciphertext) -> None:
-        if a.basis.primes != b.basis.primes:
-            raise ValueError("ciphertexts are at different levels; mod-switch first")
-
-    @staticmethod
-    def _check_plain_ring(a: Ciphertext, plaintext: RnsPolynomial) -> None:
-        if a.basis.primes != plaintext.basis.primes or plaintext.n != a.polys[0].n:
-            raise ValueError(
-                "plaintext lives in a different ring than the ciphertext; "
-                "re-encode it for this level first"
-            )
-
-    # -- residency plumbing ------------------------------------------------------------
-    def _adopt(self, poly: RnsPolynomial) -> RnsPolynomial:
-        """The polynomial, resident on this evaluator's backend.
-
-        A no-op (same handle) in the common case; a counted one-time boundary
-        crossing when the ciphertext was produced on a different backend.
-        """
-        return poly.with_backend(self.backend)
-
-    def _adopt_all(self, polys: Sequence[RnsPolynomial]) -> list[RnsPolynomial]:
-        return [self._adopt(poly) for poly in polys]
 
     def _poly(self, tensor: ResidueTensor, basis: RnsBasis, domain: Domain) -> RnsPolynomial:
         return RnsPolynomial(basis, self.params.n, tensor, domain)
@@ -328,10 +293,6 @@ class Evaluator:
             specs.append((name, poly.basis, poly.domain))
         return em.graph.compile(), tuple(specs), em.ntt_rows
 
-    @staticmethod
-    def _domains(polys: Sequence[RnsPolynomial]) -> tuple:
-        return tuple(poly.domain for poly in polys)
-
     # -- emission helpers (shared with repro.he.pipeline) ------------------------------
     def _emit_ntt_batch(
         self, em: _Emitter, polys: Sequence[_P], forward: bool
@@ -415,6 +376,8 @@ class Evaluator:
     def _emit_linear(
         self, em: _Emitter, sa: Sequence[_P], sb: Sequence[_P], subtract: bool
     ) -> list[_P]:
+        if sa[0].basis.primes != sb[0].basis.primes:
+            raise ValueError("ciphertexts are at different levels; mod-switch first")
         graph = em.graph
         if len({poly.domain for poly in (*sa, *sb)}) > 1:
             # Operands in both domains (a stored coefficient-domain payload
@@ -543,6 +506,11 @@ class Evaluator:
         return results
 
     def _emit_add_plain(self, em: _Emitter, sa: Sequence[_P], pt: _P) -> list[_P]:
+        if pt.basis.primes != sa[0].basis.primes:
+            raise ValueError(
+                "plaintext lives in a different ring than the ciphertext; "
+                "re-encode it for this level first"
+            )
         graph = em.graph
         if pt.domain is not sa[0].domain:
             # Whichever side is in the coefficient domain moves to the NTT
@@ -553,6 +521,11 @@ class Evaluator:
         ]
 
     def _emit_multiply_plain(self, em: _Emitter, sa: Sequence[_P], pt: _P) -> list[_P]:
+        if pt.basis.primes != sa[0].basis.primes:
+            raise ValueError(
+                "plaintext lives in a different ring than the ciphertext; "
+                "re-encode it for this level first"
+            )
         graph = em.graph
         basis = sa[0].basis
         transformed = self._emit_ntt_batch(em, list(sa) + [pt], forward=True)
@@ -562,113 +535,48 @@ class Evaluator:
             for poly in transformed[:-1]
         ]
 
-    # -- dispatch -----------------------------------------------------------------------
-    def _fused_unary(self, emit, a: Ciphertext, op: str, level: int | None = None):
-        polys = self._adopt_all(a.polys)
-        key = (op, a.basis.primes, self._domains(polys))
 
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("a%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys)
-            ]
-            return self._finish(em, emit(em, sa))
+    # -- per-op methods: one-expression pipeline runs ---------------------------------
+    def _pipeline(self) -> "Pipeline":
+        """A :class:`~repro.he.pipeline.Pipeline` over this evaluator.
 
-        bindings = {"a%d" % i: poly.tensor for i, poly in enumerate(polys)}
-        out = self._run_plan(key, build, bindings)
-        return Ciphertext(
-            polys=out, params=self.params, level=a.level if level is None else level
-        )
+        Built per call rather than kept: a pipeline held by its evaluator
+        would be a reference cycle, and ``HeContext`` reports
+        ``plan.peak_live_bytes`` over a weak set of the evaluators it handed
+        out.
+        """
+        from .pipeline import Pipeline
 
-    def _fused_binary(self, emit, op: str, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        polys_a = self._adopt_all(a.polys)
-        polys_b = self._adopt_all(b.polys)
-        key = (op, a.basis.primes, self._domains(polys_a), self._domains(polys_b))
+        return Pipeline(self)
 
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("a%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys_a)
-            ]
-            sb = [
-                _P(em.graph.input("b%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys_b)
-            ]
-            return self._finish(em, emit(em, sa, sb))
-
-        bindings = {"a%d" % i: poly.tensor for i, poly in enumerate(polys_a)}
-        bindings.update({"b%d" % i: poly.tensor for i, poly in enumerate(polys_b)})
-        out = self._run_plan(key, build, bindings)
-        return Ciphertext(polys=out, params=self.params, level=a.level)
-
-    def _fused_with_plain(
-        self, emit, op: str, a: Ciphertext, plaintext: RnsPolynomial
-    ) -> Ciphertext:
-        polys = self._adopt_all(a.polys)
-        plain = self._adopt(plaintext)
-        key = (op, a.basis.primes, self._domains(polys), plain.domain)
-
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("a%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys)
-            ]
-            pt = em.bind("pt", plain)
-            return self._finish(em, emit(em, sa, pt))
-
-        bindings = {"a%d" % i: poly.tensor for i, poly in enumerate(polys)}
-        bindings["pt"] = plain.tensor
-        # The plaintext is the stable operand of the two plain-operand ops:
-        # callers re-use encoded plaintexts across many ciphertexts, so the
-        # residency pass may keep its NTT image pooled across executions.
-        out = self._run_plan(key, build, bindings, constants=("pt",))
-        return Ciphertext(polys=out, params=self.params, level=a.level)
-
-    # -- linear operations ---------------------------------------------------------------
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic addition (component-wise)."""
-        self._check_same_ring(a, b)
-        return self._fused_binary(
-            lambda em, sa, sb: self._emit_linear(em, sa, sb, subtract=False),
-            "add",
-            a,
-            b,
-        )
+        pipe = self._pipeline()
+        return (pipe.load(a) + pipe.load(b)).run()
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic subtraction."""
-        self._check_same_ring(a, b)
-        return self._fused_binary(
-            lambda em, sa, sb: self._emit_linear(em, sa, sb, subtract=True),
-            "sub",
-            a,
-            b,
-        )
+        pipe = self._pipeline()
+        return (pipe.load(a) - pipe.load(b)).run()
 
     def negate(self, a: Ciphertext) -> Ciphertext:
         """Homomorphic negation."""
-        return self._fused_unary(self._emit_negate, a, "negate")
+        return (-self._pipeline().load(a)).run()
 
     def add_plain(self, a: Ciphertext, plaintext: RnsPolynomial) -> Ciphertext:
         """Add an (unencrypted) plaintext polynomial."""
-        self._check_plain_ring(a, plaintext)
-        return self._fused_with_plain(self._emit_add_plain, "add_plain", a, plaintext)
+        return self._pipeline().load(a).add_plain(plaintext).run()
 
     def multiply_plain(self, a: Ciphertext, plaintext: RnsPolynomial) -> Ciphertext:
         """Multiply by an (unencrypted) plaintext polynomial.
 
         The plaintext is transformed once (not once per ciphertext
-        component), in the same batched forward call as the components.
+        component), in the same batched forward call as the components; a
+        plaintext reused across calls keeps its NTT image in the constant
+        pool.
         """
-        self._check_plain_ring(a, plaintext)
-        return self._fused_with_plain(
-            self._emit_multiply_plain, "multiply_plain", a, plaintext
-        )
+        return self._pipeline().load(a).mul_plain(plaintext).run()
 
-    # -- multiplication -------------------------------------------------------------------
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic multiplication (tensor product, result has size a.size + b.size - 1).
 
@@ -681,19 +589,18 @@ class Evaluator:
         operation is one compiled plan: a single ``execute`` call, one pool
         dispatch on the sharded backend.
         """
-        self._check_same_ring(a, b)
-        return self._fused_binary(self._emit_multiply, "multiply", a, b)
+        pipe = self._pipeline()
+        return (pipe.load(a) * pipe.load(b)).run()
 
     def square(self, a: Ciphertext) -> Ciphertext:
         """Homomorphic squaring.
 
         The operand is forward-transformed *once* and tensored with itself —
-        half the forward NTTs of ``multiply(a, a)``, which
-        :attr:`ntt_invocations` reflects.
+        half the forward NTTs of ``multiply(a, a)``, which the
+        ``ntt.invocations`` counter reflects.
         """
-        return self._fused_unary(self._emit_square, a, "square")
+        return self._pipeline().load(a).square().run()
 
-    # -- relinearisation ---------------------------------------------------------------------
     def relinearize(self, a: Ciphertext, relin_key: RelinearizationKey) -> Ciphertext:
         """Reduce a size-3 ciphertext back to size 2 using the key-switching key.
 
@@ -703,59 +610,23 @@ class Evaluator:
         ``digit_broadcast`` node of shift ``g`` re-reduces row ``(i + g) mod
         np`` into row ``i``, and pairs with the key's shift-major polynomial
         ``g`` (the key's one layout, :attr:`RelinearizationKey.pairs`,
-        adopted once per foreign backend).  An NTT-resident ``c2`` is inverse-transformed once for
-        the digits; shift 0 is ``c2``'s own image, so only the ``np - 1``
-        other shifts are transformed, as one batch of whole basis
-        repetitions.  The products are accumulated onto ``c0`` and ``c1``
-        in the NTT domain, where the result rests — one multiply-accumulate
-        node each once the default passes have run.  The whole key switch
-        is one plan —
-        on the sharded backend one dispatch: every worker inverse-transforms
-        an NTT-resident input ``c2`` in full (a replicated value, see
-        :func:`repro.backends.ops.replicated_values`) and reads a
-        coefficient-domain one straight out of shared memory.
+        adopted once per foreign backend, so the residency pass keeps their
+        NTT images in the constant pool).  An NTT-resident ``c2`` is
+        inverse-transformed once for the digits; shift 0 is ``c2``'s own
+        image, so only the ``np - 1`` other shifts are transformed, as one
+        batch of whole basis repetitions.  The products are accumulated onto
+        ``c0`` and ``c1`` in the NTT domain, where the result rests — one
+        multiply-accumulate node each once the default passes have run.  The
+        whole key switch is one plan — on the sharded backend one dispatch:
+        every worker inverse-transforms an NTT-resident input ``c2`` in full
+        (a replicated value, see :func:`repro.backends.ops.replicated_values`)
+        and reads a coefficient-domain one straight out of shared memory.  A
+        size-2 ciphertext comes back as a copy, with no plan.
         """
         if a.size == 2:
             return a.copy()
-        if a.size != 3:
-            raise ValueError("relinearisation supports size-3 ciphertexts only")
-        if len(relin_key.pairs) != len(a.basis):
-            raise ValueError("relinearisation key was generated for a different basis")
-        polys = self._adopt_all(a.polys)
-        rk = relin_key.shift_major(self.backend)
-        key = (
-            "relinearize",
-            a.basis.primes,
-            self._domains(polys),
-            tuple((rk0.domain, rk1.domain) for rk0, rk1 in rk),
-        )
+        return self._pipeline().load(a).relinearize(relin_key).run()
 
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("c%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys)
-            ]
-            srk = [
-                (em.bind("rk0_%d" % i, rk0), em.bind("rk1_%d" % i, rk1))
-                for i, (rk0, rk1) in enumerate(rk)
-            ]
-            return self._finish(em, self._emit_relinearize(em, sa, srk))
-
-        bindings = {"c%d" % i: poly.tensor for i, poly in enumerate(polys)}
-        constants = []
-        for i, (rk0, rk1) in enumerate(rk):
-            bindings["rk0_%d" % i] = rk0.tensor
-            bindings["rk1_%d" % i] = rk1.tensor
-            constants += ["rk0_%d" % i, "rk1_%d" % i]
-        # The shift-major pairs are the key's one layout (adopted once per
-        # foreign backend), so their tensors keep a stable identity across
-        # calls — the residency pass hoists their forward transforms into
-        # the constant pool.
-        out = self._run_plan(key, build, bindings, constants=tuple(constants))
-        return Ciphertext(polys=out, params=self.params, level=a.level)
-
-    # -- modulus switching --------------------------------------------------------------------
     def mod_switch_to_next(self, a: Ciphertext) -> Ciphertext:
         """Drop the last RNS prime, scaling the ciphertext (and its noise) down.
 
@@ -775,16 +646,4 @@ class Evaluator:
         the dropped rows of NTT-resident input components in full, a
         replicated value).
         """
-        basis = a.basis
-        if len(basis) < 2:
-            raise ValueError("cannot modulus-switch below a single prime")
-        t = self.params.plaintext_modulus
-        q_last = basis.primes[-1]
-        if q_last % t != 1:
-            raise ValueError("modulus switching requires q_last ≡ 1 (mod t)")
-        return self._fused_unary(
-            lambda em, sa: self._emit_mod_switch(em, sa, t),
-            a,
-            "mod_switch",
-            level=a.level + 1,
-        )
+        return self._pipeline().load(a).mod_switch().run()

@@ -1,12 +1,12 @@
 """Lazy ciphertext expressions: whole evaluator chains compiled into one plan.
 
-Where :class:`repro.he.evaluator.Evaluator` compiles each homomorphic
-operation into its own plan, this module goes one level further — the way a
-GPU runtime captures a stream of kernels into a replayable graph.  A
-:class:`Pipeline` (built by :meth:`repro.he.context.HeContext.pipeline`)
-wraps ciphertexts into lazy :class:`CiphertextExpr` nodes; arithmetic on
-them records structure instead of computing, and :meth:`CiphertextExpr.run`
-lowers the whole expression into **one**
+This module is the one lowering front-end of the HE layer, the way a GPU
+runtime captures a stream of kernels into a replayable graph.  A
+:class:`Pipeline` over an :class:`~repro.he.evaluator.Evaluator` (built by
+:meth:`repro.he.context.HeContext.pipeline`) wraps ciphertexts into lazy
+:class:`CiphertextExpr` nodes; arithmetic on them records structure instead
+of computing, and :meth:`CiphertextExpr.run` lowers the whole expression
+through the evaluator's emitters into **one**
 :class:`~repro.backends.ops.Plan` executed in a single
 :meth:`~repro.backends.base.ComputeBackend.execute` call::
 
@@ -19,8 +19,11 @@ the chain above costs **three** pool dispatches (the two cross-row steps —
 digit decomposition and modulus switching — each start a new stage) instead
 of one round trip per backend method, with every intermediate tensor
 staying in worker memory.  Compilation happens once per expression *shape*:
-re-running the same chain over fresh ciphertexts reuses the cached plan
-(see :attr:`Evaluator.plan_cache_hits`).
+re-running the same chain over fresh ciphertexts reuses the plan cached on
+the evaluator (its ``plan.cache_hits`` counter).  The per-op evaluator
+methods are one-expression runs of this same code, so they share that
+cache: ``ev.multiply(a, b)`` compiles the plan that
+``(pipe.load(a) * pipe.load(b)).run()`` on a pipeline over ``ev`` reuses.
 
 Expressions are ordinary immutable DAG nodes — sharing a sub-expression
 (``x = a * b; (x + x).run()``) emits it once.  :meth:`Pipeline.run_many`
@@ -102,9 +105,6 @@ class CiphertextExpr:
         """Lazy modulus switch to the next level (drops the last RNS prime)."""
         return CiphertextExpr(self.pipeline, "mod_switch", (self,))
 
-    # Evaluator-style spelling, for symmetry with per-op call sites.
-    mod_switch_to_next = mod_switch
-
     def _with_plain(self, plaintext: RnsPolynomial, kind: str) -> "CiphertextExpr":
         if not isinstance(plaintext, RnsPolynomial):
             raise TypeError(
@@ -144,19 +144,20 @@ class _SymCt:
 class Pipeline:
     """Compiles fluent ciphertext expressions into single fused plans.
 
-    One pipeline owns one :class:`~repro.he.evaluator.Evaluator` (and with
-    it one plan cache): every distinct expression shape compiles exactly
-    once per pipeline, and each :meth:`run` is exactly one backend
+    A pipeline runs on one :class:`~repro.he.evaluator.Evaluator` (and with
+    it one plan cache, shared with the evaluator's per-op methods and any
+    other pipeline over it): every distinct expression shape compiles
+    exactly once per evaluator, and each :meth:`run` is exactly one backend
     ``execute`` call.
 
     Args:
-        context: The :class:`~repro.he.context.HeContext` whose pinned
-            backend and parameters the pipeline executes against.
+        evaluator: The evaluator whose backend, parameters, optimiser
+            passes and plan cache the pipeline uses.  The attribute may be
+            reassigned; later runs then use the new evaluator.
     """
 
-    def __init__(self, context) -> None:
-        self.context = context
-        self.evaluator: Evaluator = context.evaluator()
+    def __init__(self, evaluator: Evaluator) -> None:
+        self.evaluator = evaluator
 
     # -- building --------------------------------------------------------------
     def load(self, ciphertext: Ciphertext) -> CiphertextExpr:
@@ -212,8 +213,7 @@ class Pipeline:
             )
             # Component domains are part of the compiled plan (coefficient
             # components get forward-NTT nodes, resident-NTT ones do not), so
-            # they must be part of the signature — exactly as in the per-op
-            # Evaluator.relinearize cache key.
+            # they must be part of the signature.
             return (
                 "relinearize",
                 ordinal,
@@ -310,17 +310,19 @@ class Pipeline:
         )
 
         # Adoption happens per run (bindings always carry tensors resident
-        # on the pinned backend), independent of whether the plan is cached.
+        # on the pinned backend), independent of whether the plan is cached:
+        # a no-op (same handle) in the common case, a counted one-time
+        # boundary crossing for a polynomial made on another backend.
+        backend = evaluator.backend
         adopted = {
-            ordinal: evaluator._adopt_all(ct.polys)
+            ordinal: [poly.with_backend(backend) for poly in ct.polys]
             for ordinal, ct in enumerate(leaves)
         }
         adopted_keys = {
-            ordinal: key.shift_major(evaluator.backend)
-            for ordinal, key in enumerate(keys)
+            ordinal: key.shift_major(backend) for ordinal, key in enumerate(keys)
         }
         adopted_plains = {
-            ordinal: evaluator._adopt(plain)
+            ordinal: plain.with_backend(backend)
             for ordinal, plain in enumerate(plains)
         }
 
@@ -380,10 +382,6 @@ class Pipeline:
                     )
                 elif node.kind in ("add", "sub"):
                     left, right = (lower(child) for child in node.children)
-                    if left.polys[0].basis.primes != right.polys[0].basis.primes:
-                        raise ValueError(
-                            "ciphertexts are at different levels; mod-switch first"
-                        )
                     result = _SymCt(
                         evaluator._emit_linear(
                             em, left.polys, right.polys, subtract=node.kind == "sub"
@@ -418,14 +416,6 @@ class Pipeline:
                 elif node.kind in ("multiply_plain", "add_plain"):
                     child = lower(node.children[0])
                     pt = bound_plains[plain_ordinals[id(node.plaintext)]]
-                    if (
-                        child.polys[0].basis.primes != pt.basis.primes
-                        or node.plaintext.n != evaluator.params.n
-                    ):
-                        raise ValueError(
-                            "plaintext lives in a different ring than the "
-                            "ciphertext; re-encode it for this level first"
-                        )
                     emit = (
                         evaluator._emit_multiply_plain
                         if node.kind == "multiply_plain"
@@ -438,8 +428,14 @@ class Pipeline:
                 return result
 
             flat: list = []
-            for expr in exprs:
-                flat.extend(lower(expr).polys)
+            try:
+                for expr in exprs:
+                    flat.extend(lower(expr).polys)
+            finally:
+                # ``lower`` refers to itself: dropping it breaks that cycle,
+                # which would keep the evaluator and the leaf ciphertexts
+                # alive until the next garbage collection.
+                del lower
             return evaluator._finish(em, flat)
 
         polys = evaluator._run_plan(

@@ -543,12 +543,12 @@ def test_chain_optimised_bit_identical_and_fewer_ntts(context):
 
     # Warm executions skip the pooled key transforms: strictly fewer NTT
     # rows per run than the unoptimised evaluator.
-    plain_per_run = plain_ev.ntt_invocations
+    plain_per_run = plain_ev.metrics.value("ntt.invocations")
     chain(plain_ev, ct_a, ct_b, relin)
-    plain_second = plain_ev.ntt_invocations - plain_per_run
-    warm_before = optim_ev.ntt_invocations
+    plain_second = plain_ev.metrics.value("ntt.invocations") - plain_per_run
+    warm_before = optim_ev.metrics.value("ntt.invocations")
     chain(optim_ev, ct_a, ct_b, relin)
-    warm_cost = optim_ev.ntt_invocations - warm_before
+    warm_cost = optim_ev.metrics.value("ntt.invocations") - warm_before
     assert warm_cost < plain_second
     assert optim_ev.metrics.value("plan.pool.hits") > 0
 
@@ -670,7 +670,7 @@ def test_run_many_shares_subexpressions_in_one_plan(context):
     twice = x + x
     switched = sq.mod_switch()
     results = pipe.run_many([sq, twice, switched])
-    assert pipe.evaluator.plans_compiled == 1
+    assert pipe.evaluator.metrics.value("plan.compiled") == 1
 
     reference = oracle(context)
     squared = reference.relinearize(reference.square(ct), relin)

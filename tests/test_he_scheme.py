@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -249,17 +250,17 @@ def coefficient_copy(ciphertext):
 
 def test_evaluator_counts_ntt_invocations(he):
     evaluator = Evaluator(he["params"])
-    assert evaluator.ntt_invocations == 0
+    assert evaluator.metrics.value("ntt.invocations") == 0
     resident = he["encryptor"].encrypt(he["encoder"].encode([1, 2]))
     a = coefficient_copy(resident)
     evaluator.multiply(a, a)
     # multiply(a, a) on a size-2 coefficient-domain ciphertext: 4 forward
     # NTTs per prime; the product rests in the NTT domain.
     basis_size = a.basis.count
-    assert evaluator.ntt_invocations == 2 * a.size * basis_size
+    assert evaluator.metrics.value("ntt.invocations") == 2 * a.size * basis_size
     # NTT-resident operands (every fresh encryption) cost no transform.
     evaluator.multiply(resident, resident)
-    assert evaluator.ntt_invocations == 2 * a.size * basis_size
+    assert evaluator.metrics.value("ntt.invocations") == 2 * a.size * basis_size
 
 
 def test_plain_ops_reject_mismatched_ring(he):
@@ -273,6 +274,57 @@ def test_plain_ops_reject_mismatched_ring(he):
         he["evaluator"].add_plain(a, stray)
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("add", "ciphertexts are at different levels; mod-switch first"),
+        ("sub", "ciphertexts are at different levels; mod-switch first"),
+        ("multiply", "ciphertexts are at different levels; mod-switch first"),
+        (
+            "add_plain",
+            "plaintext lives in a different ring than the ciphertext; "
+            "re-encode it for this level first",
+        ),
+        (
+            "multiply_plain",
+            "plaintext lives in a different ring than the ciphertext; "
+            "re-encode it for this level first",
+        ),
+        ("relinearize_size_4", "relinearisation supports size-3 ciphertexts only"),
+        (
+            "relinearize_foreign_key",
+            "relinearisation key was generated for a different basis",
+        ),
+        ("mod_switch_one_prime", "cannot modulus-switch below a single prime"),
+    ],
+)
+def test_per_op_errors(he, case, message):
+    """Each per-op method's argument error: its type and its whole message."""
+    evaluator = Evaluator(he["params"])
+    a = he["encryptor"].encrypt(he["encoder"].encode([1, 2, 3]))
+    lower = evaluator.mod_switch_to_next(a)
+    stray = RnsPolynomial.from_coefficients([1] * he["params"].n, lower.basis)
+    calls = {
+        "add": lambda: evaluator.add(a, lower),
+        "sub": lambda: evaluator.sub(a, lower),
+        "multiply": lambda: evaluator.multiply(a, lower),
+        "add_plain": lambda: evaluator.add_plain(a, stray),
+        "multiply_plain": lambda: evaluator.multiply_plain(a, stray),
+        "relinearize_size_4": lambda: evaluator.relinearize(
+            evaluator.multiply(evaluator.multiply(a, a), a), he["relin"]
+        ),
+        # The key covers the level-0 basis; the product is one level down.
+        "relinearize_foreign_key": lambda: evaluator.relinearize(
+            evaluator.multiply(lower, lower), he["relin"]
+        ),
+        "mod_switch_one_prime": lambda: evaluator.mod_switch_to_next(
+            evaluator.mod_switch_to_next(lower)
+        ),
+    }
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        calls[case]()
+
+
 def test_square_transforms_operand_once(he):
     """square() forward-transforms its operand once — half the NTTs of multiply(a, a)."""
     a = coefficient_copy(he["encryptor"].encrypt(he["encoder"].encode([3, 4])))
@@ -283,9 +335,11 @@ def test_square_transforms_operand_once(he):
     # Identical bits either way, but square() saves a.size forward transforms
     # per prime.
     assert [p.residues for p in squared.polys] == [p.residues for p in product.polys]
-    assert multiplier.ntt_invocations == 2 * a.size * basis_size
-    assert squarer.ntt_invocations == a.size * basis_size
-    assert squarer.ntt_invocations < multiplier.ntt_invocations
+    multiplied = multiplier.metrics.value("ntt.invocations")
+    squared_rows = squarer.metrics.value("ntt.invocations")
+    assert multiplied == 2 * a.size * basis_size
+    assert squared_rows == a.size * basis_size
+    assert squared_rows < multiplied
 
 
 # ---------------------------------------------------------------- bootstrap

@@ -10,7 +10,7 @@ Pins the user-facing half of the op-graph redesign:
   **one** plan that executes in ≤ 3 pool dispatches with zero boundary
   conversions on the forced-pool parallel backend, and independent
   statements of one program share its stages;
-* plans compile once per shape (`plan_cache_hits`), shared sub-expressions
+* plans compile once per shape (``plan.cache_hits``), shared sub-expressions
   lower once, and the expression API validates pipelines/levels the same way
   the per-op evaluator does;
 * ``RnsPolynomial.__mul__`` matches the product taken in the NTT domain.
@@ -18,6 +18,7 @@ Pins the user-facing half of the op-graph redesign:
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -94,7 +95,9 @@ def test_every_evaluator_op_bit_identical_between_modes(context):
     # except that add_plain pools the plaintext's image, so the later
     # multiply_plain of the same plaintext runs warm: it transforms none of
     # the rows its raw plan transforms again.
-    assert fused.ntt_invocations == reference.ntt_invocations - plain.basis.count
+    assert fused.metrics.value("ntt.invocations") == (
+        reference.metrics.value("ntt.invocations") - plain.basis.count
+    )
 
 
 def test_pipeline_chain_matches_eager_chain(context):
@@ -232,9 +235,50 @@ def test_pipeline_compiles_once_per_shape():
         ct = encryptor.encrypt(ctx.encoder().encode(rng_input))
         expr = pipe.load(ct).square().relinearize(relin).mod_switch()
         results.append(expr.run())
-    assert pipe.evaluator.plans_compiled == 1
-    assert pipe.evaluator.plan_cache_hits == 2
+    assert pipe.evaluator.metrics.value("plan.compiled") == 1
+    assert pipe.evaluator.metrics.value("plan.cache_hits") == 2
     assert len({str(coeffs(result)) for result in results}) == 3
+
+
+def test_per_op_methods_share_the_pipeline_plan_cache():
+    """A per-op method is a one-expression pipeline run: the same expression
+    run through a pipeline over the same evaluator reuses its plan."""
+    ctx = make_context("numpy")
+    encryptor = ctx.encryptor(seed=11)
+    ct_a = encryptor.encrypt(ctx.encoder().encode([1, 2, 3]))
+    ct_b = encryptor.encrypt(ctx.encoder().encode([4, 5, 6]))
+    evaluator = ctx.evaluator()
+    per_op = evaluator.multiply(ct_a, ct_b)
+    pipe = ctx.pipeline()
+    pipe.evaluator = evaluator
+    fused = (pipe.load(ct_a) * pipe.load(ct_b)).run()
+    assert evaluator.metrics.value("plan.compiled") == 1
+    assert evaluator.metrics.value("plan.cache_hits") == 1
+    assert coeffs(fused) == coeffs(per_op)
+    assert [p.domain for p in fused.polys] == [p.domain for p in per_op.polys]
+
+
+def test_dropped_evaluators_leave_the_peak_gauge_without_a_collection():
+    """Lowering leaves no reference cycle: once the last reference to an
+    evaluator that compiled plans (per op or through a pipeline) is gone,
+    the context's ``plan.peak_live_bytes`` gauge stops counting it, with the
+    garbage collector off."""
+    ctx = make_context("numpy")
+    encryptor = ctx.encryptor(seed=11)
+    ct_a = encryptor.encrypt(ctx.encoder().encode([1, 2, 3]))
+    ct_b = encryptor.encrypt(ctx.encoder().encode([4, 5, 6]))
+    relin = ctx.relinearization_key()
+    gc.disable()
+    try:
+        evaluator = ctx.evaluator()
+        evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin)
+        pipe = ctx.pipeline()
+        (pipe.load(ct_a) * pipe.load(ct_b)).relinearize(relin).run()
+        assert ctx.metrics()["plan.peak_live_bytes"] > 0
+        del evaluator, pipe
+        assert ctx.metrics()["plan.peak_live_bytes"] == 0
+    finally:
+        gc.enable()
 
 
 def test_pipeline_distinguishes_key_component_domains():
@@ -254,7 +298,8 @@ def test_pipeline_distinguishes_key_component_domains():
     pipe = ctx.pipeline()
     first = (pipe.load(ct_a) * pipe.load(ct_b)).relinearize(relin).run()
     second = (pipe.load(ct_a) * pipe.load(ct_b)).relinearize(ntt_relin).run()
-    assert pipe.evaluator.plans_compiled == 2  # distinct plans, no aliasing
+    # Distinct plans, no aliasing.
+    assert pipe.evaluator.metrics.value("plan.compiled") == 2
     assert coeffs(first) == coeffs(second)
     t = PARAMS.plaintext_modulus
     decoded = ctx.encoder().decode(ctx.decryptor().decrypt(second))

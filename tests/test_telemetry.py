@@ -274,13 +274,13 @@ def test_reset_metrics_zeroes_every_counter_in_one_call():
     assert snap["plan.compiled"] == 0
     assert snap["plan.cache_hits"] == 0
     # The cascade reached the evaluator the context handed out earlier.
-    assert evaluator.ntt_invocations == 0
-    assert evaluator.plans_compiled == 0
+    assert evaluator.metrics.value("ntt.invocations") == 0
+    assert evaluator.metrics.value("plan.compiled") == 0
     # A second run through the *same* evaluator re-registers cache hits
     # (the plan cache itself is untouched by a metrics reset).
     _chain(ctx, evaluator)
-    assert evaluator.plan_cache_hits > 0
-    assert evaluator.plans_compiled == 0
+    assert evaluator.metrics.value("plan.cache_hits") > 0
+    assert evaluator.metrics.value("plan.compiled") == 0
 
 
 # --------------------------------------------------- instrumented tracing

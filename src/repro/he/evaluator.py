@@ -83,6 +83,11 @@ from .params import HEParams
 
 __all__ = ["Evaluator"]
 
+_PLAIN_RING_MISMATCH = (
+    "plaintext lives in a different ring than the ciphertext; "
+    "re-encode it for this level first"
+)
+
 
 class _P:
     """A symbolic polynomial during plan emission: value index + ring metadata."""
@@ -293,7 +298,7 @@ class Evaluator:
             specs.append((name, poly.basis, poly.domain))
         return em.graph.compile(), tuple(specs), em.ntt_rows
 
-    # -- emission helpers (shared with repro.he.pipeline) ------------------------------
+    # -- emission helpers (called by repro.he.pipeline's lowering) --------------------
     def _emit_ntt_batch(
         self, em: _Emitter, polys: Sequence[_P], forward: bool
     ) -> list[_P]:
@@ -507,10 +512,7 @@ class Evaluator:
 
     def _emit_add_plain(self, em: _Emitter, sa: Sequence[_P], pt: _P) -> list[_P]:
         if pt.basis.primes != sa[0].basis.primes:
-            raise ValueError(
-                "plaintext lives in a different ring than the ciphertext; "
-                "re-encode it for this level first"
-            )
+            raise ValueError(_PLAIN_RING_MISMATCH)
         graph = em.graph
         if pt.domain is not sa[0].domain:
             # Whichever side is in the coefficient domain moves to the NTT
@@ -522,10 +524,7 @@ class Evaluator:
 
     def _emit_multiply_plain(self, em: _Emitter, sa: Sequence[_P], pt: _P) -> list[_P]:
         if pt.basis.primes != sa[0].basis.primes:
-            raise ValueError(
-                "plaintext lives in a different ring than the ciphertext; "
-                "re-encode it for this level first"
-            )
+            raise ValueError(_PLAIN_RING_MISMATCH)
         graph = em.graph
         basis = sa[0].basis
         transformed = self._emit_ntt_batch(em, list(sa) + [pt], forward=True)
@@ -534,7 +533,6 @@ class Evaluator:
             _P(graph.mul(poly.value, plaintext_ntt.value), Domain.NTT, basis)
             for poly in transformed[:-1]
         ]
-
 
     # -- per-op methods: one-expression pipeline runs ---------------------------------
     def _pipeline(self) -> "Pipeline":

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from ..rns.poly import RnsPolynomial
 from .ciphertext import Ciphertext
-from .evaluator import _Emitter, Evaluator
+from .evaluator import _PLAIN_RING_MISMATCH, _Emitter, Evaluator
 from .keys import RelinearizationKey
 
 __all__ = ["CiphertextExpr", "Pipeline"]
@@ -111,6 +111,11 @@ class CiphertextExpr:
                 "%s expects an RnsPolynomial plaintext, got %r"
                 % (kind, type(plaintext).__name__)
             )
+        # The emitters check the plaintext's primes.  Its degree is checked
+        # here, as the expression is built: symbolic polynomials do not carry
+        # it, and a cached plan's signature does not name it.
+        if plaintext.n != self.pipeline.evaluator.params.n:
+            raise ValueError(_PLAIN_RING_MISMATCH)
         return CiphertextExpr(self.pipeline, kind, (self,), plaintext=plaintext)
 
     def mul_plain(self, plaintext: RnsPolynomial) -> "CiphertextExpr":

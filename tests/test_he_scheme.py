@@ -274,22 +274,23 @@ def test_plain_ops_reject_mismatched_ring(he):
         he["evaluator"].add_plain(a, stray)
 
 
+LEVEL_ERROR = "ciphertexts are at different levels; mod-switch first"
+RING_ERROR = (
+    "plaintext lives in a different ring than the ciphertext; "
+    "re-encode it for this level first"
+)
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
-        ("add", "ciphertexts are at different levels; mod-switch first"),
-        ("sub", "ciphertexts are at different levels; mod-switch first"),
-        ("multiply", "ciphertexts are at different levels; mod-switch first"),
-        (
-            "add_plain",
-            "plaintext lives in a different ring than the ciphertext; "
-            "re-encode it for this level first",
-        ),
-        (
-            "multiply_plain",
-            "plaintext lives in a different ring than the ciphertext; "
-            "re-encode it for this level first",
-        ),
+        ("add", LEVEL_ERROR),
+        ("sub", LEVEL_ERROR),
+        ("multiply", LEVEL_ERROR),
+        ("add_plain", RING_ERROR),
+        ("multiply_plain", RING_ERROR),
+        ("add_plain_degree", RING_ERROR),
+        ("multiply_plain_degree", RING_ERROR),
         ("relinearize_size_4", "relinearisation supports size-3 ciphertexts only"),
         (
             "relinearize_foreign_key",
@@ -304,12 +305,22 @@ def test_per_op_errors(he, case, message):
     a = he["encryptor"].encrypt(he["encoder"].encode([1, 2, 3]))
     lower = evaluator.mod_switch_to_next(a)
     stray = RnsPolynomial.from_coefficients([1] * he["params"].n, lower.basis)
+    # The ciphertext's own primes at half its degree.  A well-formed
+    # plaintext runs first, so the stray one's plan signature is cached.
+    plain = he["encoder"].encode([4, 5])
+    short = RnsPolynomial.from_coefficients([1] * (he["params"].n // 2), a.basis)
     calls = {
         "add": lambda: evaluator.add(a, lower),
         "sub": lambda: evaluator.sub(a, lower),
         "multiply": lambda: evaluator.multiply(a, lower),
         "add_plain": lambda: evaluator.add_plain(a, stray),
         "multiply_plain": lambda: evaluator.multiply_plain(a, stray),
+        "add_plain_degree": lambda: (
+            evaluator.add_plain(a, plain), evaluator.add_plain(a, short)
+        ),
+        "multiply_plain_degree": lambda: (
+            evaluator.multiply_plain(a, plain), evaluator.multiply_plain(a, short)
+        ),
         "relinearize_size_4": lambda: evaluator.relinearize(
             evaluator.multiply(evaluator.multiply(a, a), a), he["relin"]
         ),

@@ -208,7 +208,7 @@ class Evaluator:
         cached = self._plan_cache.get(key)
         if cached is None:
             if TRACER.enabled:
-                with TRACER.span("plan.compile", op=str(key[0])):
+                with TRACER.span("plan.compile", op=key[0]):
                     plan, specs, ntt_rows = build()
             else:
                 plan, specs, ntt_rows = build()

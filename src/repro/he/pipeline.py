@@ -304,7 +304,9 @@ class Pipeline:
         plain_ordinals: dict = {}
         plains: list = []
         signature = (
-            "pipeline",
+            # The statements' outermost operations label the plan.compile
+            # span: a per-op call's label is its operation.
+            ",".join(expr.kind for expr in exprs),
             tuple(
                 self._collect(
                     expr, leaf_ordinals, leaves, key_ordinals, keys,

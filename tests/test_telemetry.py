@@ -302,6 +302,13 @@ def test_traced_chain_records_op_and_plan_spans():
         "op.mod_switch",
     ):
         assert expected in names, expected
+    # Each per-op call's compile span names its operation.
+    compiled = [
+        e[ATTRS]["op"]
+        for e in TRACER.events()
+        if e[PHASE] == "B" and e[NAME] == "plan.compile"
+    ]
+    assert compiled == ["multiply", "relinearize", "mod_switch"]
 
 
 def test_disabled_tracing_adds_no_events_and_no_counter_drift():

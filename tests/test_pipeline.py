@@ -10,9 +10,9 @@ Pins the user-facing half of the op-graph redesign:
   **one** plan that executes in ≤ 3 pool dispatches with zero boundary
   conversions on the forced-pool parallel backend, and independent
   statements of one program share its stages;
-* plans compile once per shape (``plan.cache_hits``), shared sub-expressions
-  lower once, and the expression API validates pipelines/levels the same way
-  the per-op evaluator does;
+* plans compile once per shape (``plan.cache_hits``) in a cache the per-op
+  methods share, shared sub-expressions lower once, and the expression API
+  validates pipelines and levels with the checks the per-op methods run;
 * ``RnsPolynomial.__mul__`` matches the product taken in the NTT domain.
 """
 

@@ -6,18 +6,15 @@ to *not run* redundant transforms at all.  This package supplies that
 layer, between plan emission and ``backend.execute``:
 
 * :mod:`repro.compiler.passes` — named rewrite passes over
-  :class:`~repro.backends.ops.Plan` (structure folding, CSE, NTT-domain
-  residency of constants, dead-value elimination, folding of sums of
-  products into multiply-accumulate nodes, and re-batching of the
-  surviving transforms), each independently testable and registered with
-  a one-line description.  The emitters keep ciphertexts in the NTT
-  domain, so no pass has a transform round trip to cancel.
+  :class:`~repro.backends.ops.Plan` (structure folding, CSE, dead-value
+  elimination, folding of sums of products into multiply-accumulate
+  nodes, and re-batching of the surviving transforms), each independently
+  testable and registered with a one-line description.  Ciphertexts, keys
+  and the bootstrap circuit's diagonals rest in the NTT domain, so no pass
+  has a transform round trip to cancel or a constant's transform to hoist.
 * :mod:`repro.compiler.manager` — :class:`PassManager` (fixpoint driving,
   ``plan.pass.*`` spans and counters) and the selection precedence
   ``explicit > set_default_passes > default``.
-* :mod:`repro.compiler.pool` — :class:`ConstantPool`, the per-context
-  cache of NTT images for constants the residency pass hoists out of
-  plans (relinearisation-key components, repeated plaintexts).
 * :mod:`repro.compiler.program` — :class:`HeProgram`, the whole-program
   front end compiling many named statements into one fused plan.
 
@@ -47,12 +44,10 @@ from .passes import (
     pass_descriptions,
     register_pass,
 )
-from .pool import ConstantPool
 from .program import HeProgram
 
 __all__ = [
     "DEFAULT_PASSES",
-    "ConstantPool",
     "HeProgram",
     "OptimizedPlan",
     "PASS_REGISTRY",

@@ -9,7 +9,7 @@ off) or ``"default"``.
 :meth:`PassManager.run` drives the selected passes to a structural
 fixpoint (bounded rounds — each round is a few linear scans, and the
 combinations that need a second round are pass-interaction products such
-as residency exposing slice folds exposing dead transforms), then applies
+as a CSE merge exposing a slice fold), then applies
 the ``after_fixpoint`` passes (``batch_ntt``) once each, records a
 ``plan.pass.<name>`` span per application, and flushes the per-pass
 counters (``plan.pass.<pass>.<stat>``) into the caller's metrics registry
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..backends import ops
 from ..telemetry import TRACER
-from .passes import PASS_REGISTRY, PassContext, _with_operands
+from .passes import PASS_REGISTRY, PassContext
 
 __all__ = [
     "DEFAULT_PASSES",
@@ -31,7 +31,6 @@ __all__ = [
     "PassManager",
     "count_ntt_rows",
     "default_passes_spec",
-    "materialize_derived",
     "parse_passes",
     "resolve_passes",
     "set_default_passes",
@@ -39,17 +38,17 @@ __all__ = [
 
 #: The default pipeline, in application order: structure folding of the
 #: emitters' copy/concat/slice plumbing first, CSE over the cleaned graph,
-#: residency hoisting of constant transforms, dead-value elimination to
-#: sweep everything the earlier passes orphaned, and last the folding of
-#: every sum of products into one multiply-accumulate node (over the
-#: cleaned, deduplicated graph, so a product CSE merged is read once).
-#: ``batch_ntt`` re-batches the surviving transforms once, after the
-#: fixpoint: inside the loop it would merge duplicate transforms CSE has not
-#: merged yet.
+#: dead-value elimination to sweep everything the earlier passes orphaned,
+#: and last the folding of every sum of products into one
+#: multiply-accumulate node (over the cleaned, deduplicated graph, so a
+#: product CSE merged is read once).  ``batch_ntt`` re-batches the
+#: surviving transforms once, after the fixpoint: inside the loop it would
+#: merge duplicate transforms CSE has not merged yet.  Keys and circuit
+#: constants rest in the NTT domain, so no pass hoists a constant's
+#: transform.
 DEFAULT_PASSES = (
     "fold_structure",
     "cse",
-    "ntt_residency",
     "dead_values",
     "fuse_inner_products",
     "batch_ntt",
@@ -131,74 +130,6 @@ def count_ntt_rows(plan: ops.Plan, input_primes) -> int:
     )
 
 
-def materialize_derived(
-    plan: ops.Plan, derived, input_primes
-) -> tuple[ops.Plan, tuple[tuple[str, str], ...]]:
-    """The cold-start variant of a residency-optimised plan.
-
-    The optimised plan reads ``<source>@ntt`` derived inputs the constant
-    pool supplies; on the very first execution the pool is empty.  Rather
-    than paying separate backend calls to fill it (extra dispatches the
-    fusion pins forbid), this builds a plan that computes every derived
-    value **in-plan** — all constant sources stacked into one wide batched
-    forward transform, the same shape the original emitters produced — and
-    additionally exports each image as a ``const:<derived>`` output.  The
-    caller executes it once, seeds the pool from those outputs, and every
-    later execution runs the warm plan with pooled bindings.
-
-    Returns ``(cold plan, ((output name, source input name), ...))``.
-    """
-    if not derived:
-        return plan, ()
-    nodes: list[ops.OpNode] = []
-    source_positions: dict[str, int] = {}
-    for _, source in derived:
-        if source not in source_positions:
-            source_positions[source] = len(nodes)
-            nodes.append(ops.Input(source))
-    order = list(source_positions)
-    if len(order) == 1:
-        stacked = source_positions[order[0]]
-    else:
-        stacked = len(nodes)
-        nodes.append(ops.Concat(tuple(source_positions[s] for s in order)))
-    transformed = len(nodes)
-    nodes.append(ops.ForwardNtt(stacked))
-    image_of: dict[str, int] = {}
-    offset = 0
-    for source in order:
-        count = len(input_primes[source])
-        if len(order) == 1:
-            image_of[source] = transformed
-        else:
-            image_of[source] = len(nodes)
-            nodes.append(ops.SliceRows(transformed, offset, offset + count))
-        offset += count
-    derived_sources = dict(derived)
-    remap: dict[int, int] = {}
-    for index, node in enumerate(plan.nodes):
-        if isinstance(node, ops.Input):
-            if node.name in derived_sources:
-                remap[index] = image_of[derived_sources[node.name]]
-                continue
-            if node.name in source_positions:
-                remap[index] = source_positions[node.name]
-                continue
-        remap[index] = len(nodes)
-        nodes.append(
-            _with_operands(node, tuple(remap[op] for op in node.operands()))
-        )
-    outputs = list(
-        (name, remap[index]) for name, index in plan.outputs
-    )
-    const_outputs = []
-    for derived_name, source in derived:
-        output_name = "const:%s" % derived_name
-        outputs.append((output_name, image_of[source]))
-        const_outputs.append((output_name, source))
-    return ops.Plan(tuple(nodes), tuple(outputs)), tuple(const_outputs)
-
-
 def _apply(name: str, plan: ops.Plan, ctx: PassContext) -> ops.Plan:
     rewrite = PASS_REGISTRY[name].rewrite
     if not TRACER.enabled:
@@ -213,16 +144,11 @@ class OptimizedPlan:
 
     Attributes:
         plan: The rewritten (or, at fixpoint-from-the-start, original) plan.
-        derived_inputs: ``(derived name, source input name)`` pairs invented
-            by the residency pass; bind each derived name to the NTT image
-            of the source tensor (see
-            :meth:`repro.compiler.pool.ConstantPool.forward_ntt`).
         stats: Per-pass rewrite counters for this run
             (``plan.pass.<pass>.<stat>``).
     """
 
     plan: ops.Plan
-    derived_inputs: tuple[tuple[str, str], ...] = ()
     stats: dict = field(default_factory=dict)
 
 
@@ -239,15 +165,13 @@ class PassManager:
     def __init__(self, passes=None) -> None:
         self.passes = resolve_passes(passes)
 
-    def run(
-        self, plan: ops.Plan, *, input_primes=None, constant_inputs=(), metrics=None
-    ) -> OptimizedPlan:
+    def run(self, plan: ops.Plan, *, input_primes=None, metrics=None) -> OptimizedPlan:
         """Optimise ``plan`` to a structural fixpoint of the pipeline.
 
         Passes registered ``after_fixpoint`` run once each, after the
         fixpoint rounds of the others, whatever their place in the spec.
         """
-        ctx = PassContext(input_primes=input_primes, constant_inputs=constant_inputs)
+        ctx = PassContext(input_primes=input_primes)
         rounds = [n for n in self.passes if not PASS_REGISTRY[n].after_fixpoint]
         final = [n for n in self.passes if PASS_REGISTRY[n].after_fixpoint]
         for _ in range(_MAX_ROUNDS):
@@ -262,8 +186,4 @@ class PassManager:
             for key, amount in ctx.stats.items():
                 if amount:
                     metrics.inc(key, amount)
-        return OptimizedPlan(
-            plan=plan,
-            derived_inputs=tuple(ctx.derived_inputs.items()),
-            stats=dict(ctx.stats),
-        )
+        return OptimizedPlan(plan=plan, stats=dict(ctx.stats))

@@ -22,11 +22,11 @@ All of them share one discipline, enforced by :class:`_Rewriter`:
 
 The transforms are *row-wise* (each residue row transforms independently),
 so ``T(Concat(xs)) == Concat(T(x) for x in xs)``: that is what lets
-:func:`ntt_residency` split constant rows out of a batched transform and
 :func:`batch_ntt` merge independent transforms into one.  No pass moves a
-transform across arithmetic.  Ciphertexts rest in the NTT domain and no
-emitter ends an op in an inverse transform, so an emitted plan holds no
-transform round trip and no linear node over inverse-transform rows.
+transform across arithmetic.  Ciphertexts, keys and the bootstrap
+circuit's diagonals rest in the NTT domain and no emitter ends an op in an
+inverse transform, so an emitted plan holds no transform round trip, no
+linear node over inverse-transform rows and no transform of a constant.
 
 The emitters leave independent transforms apart (each relinearisation
 digit shift is its own transform, and a fused program transforms each
@@ -63,28 +63,15 @@ class PassContext:
         input_primes: Per-input modulus tuples when the caller knows them
             (bindings are in hand at compile time).  Row-count-dependent
             folds are skipped for values whose counts cannot be derived.
-        constant_inputs: Input names whose bound tensors are stable across
-            executions of the plan (relinearisation-key components, repeated
-            plaintexts) — the values :func:`ntt_residency` may hoist.
-        derived_inputs: ``{derived name: source name}`` for inputs invented
-            by :func:`ntt_residency`; the evaluator binds each derived name
-            to the NTT image of the source tensor via the constant pool.
         stats: Telemetry counters (``plan.pass.<pass>.<stat>``) accumulated
             across every pass application of the run.
     """
 
-    def __init__(self, input_primes=None, constant_inputs=()) -> None:
+    def __init__(self, input_primes=None) -> None:
         self.input_primes: dict[str, tuple[int, ...]] = {
             name: tuple(primes) for name, primes in dict(input_primes or {}).items()
         }
-        self.constant_inputs = frozenset(constant_inputs)
-        self.derived_inputs: dict[str, str] = {}
         self.stats: dict[str, int] = {}
-
-    def add_derived(self, derived: str, source: str) -> None:
-        self.derived_inputs[derived] = source
-        if source in self.input_primes:
-            self.input_primes[derived] = self.input_primes[source]
 
     def tally(self, pass_name: str, stat: str, amount: int = 1) -> None:
         key = "plan.pass.%s.%s" % (pass_name, stat)
@@ -243,29 +230,12 @@ class _Rewriter:
         else:
             self.out_map[old] = new
 
-    def resolve(self, new: int) -> int:
-        """Follow ``Copy`` chains in the new plan to the underlying value."""
-        node = self.nodes[new]
-        while isinstance(node, ops.Copy):
-            new = node.src
-            node = self.nodes[new]
-        return new
-
     def finish(self) -> ops.Plan:
         outputs = tuple(
             (name, self.out_map[index]) for name, index in self.plan.outputs
         )
         rebuilt = ops.Plan(tuple(self.nodes), outputs)
         return self.plan if rebuilt == self.plan else rebuilt
-
-
-def _emit_grouped_transform(
-    rw: _Rewriter, transform: type, run: list[int]
-) -> int:
-    """One transform node over a (re-batched) run of concat parts."""
-    if len(run) == 1:
-        return rw.emit(transform(run[0]))
-    return rw.emit(transform(rw.emit(ops.Concat(tuple(run)))))
 
 
 @register_pass(
@@ -389,75 +359,6 @@ def cse(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
             rw.alias(index, hit)
             continue
         seen[key] = rw.keep(index, _with_operands(node, rw.mapped(node)))
-    return rw.finish()
-
-
-@register_pass(
-    "ntt_residency",
-    "hoist forward NTTs of constant inputs (relinearisation keys, repeated "
-    "plaintexts) out of the plan into the per-context constant pool",
-)
-def ntt_residency(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
-    if not ctx.constant_inputs:
-        return plan
-    rw = _Rewriter(plan, ctx)
-    resident: dict[str, int] = {}
-
-    def resident_input(name: str) -> int:
-        derived = name + "@ntt"
-        value = resident.get(derived)
-        if value is None:
-            ctx.add_derived(derived, name)
-            value = rw.emit(ops.Input(derived))
-            resident[derived] = value
-        return value
-
-    def constant_name(value: int) -> str | None:
-        node = rw.nodes[rw.resolve(value)]
-        if isinstance(node, ops.Input) and node.name in ctx.constant_inputs:
-            return node.name
-        return None
-
-    for index, node in enumerate(plan.nodes):
-        if not isinstance(node, ops.ForwardNtt):
-            rw.keep(index, _with_operands(node, rw.mapped(node)))
-            continue
-        src = rw.read(node.src)
-        name = constant_name(src)
-        if name is not None:
-            ctx.tally("ntt_residency", "transforms_hoisted")
-            rw.alias(index, resident_input(name))
-            continue
-        base = rw.resolve(src)
-        base_node = rw.nodes[base]
-        if isinstance(base_node, ops.Concat):
-            names = [constant_name(part) for part in base_node.srcs]
-            if any(name is not None for name in names):
-                # Split the constants out of the batch; the surviving rows
-                # stay grouped in wide transforms (the emitters put the
-                # constants at the batch edges, so one contiguous run of
-                # non-constant rows is the common case).
-                segments: list[int] = []
-                run: list[int] = []
-                for part, name in zip(base_node.srcs, names):
-                    if name is None:
-                        run.append(part)
-                        continue
-                    if run:
-                        segments.append(
-                            _emit_grouped_transform(rw, ops.ForwardNtt, run)
-                        )
-                        run = []
-                    ctx.tally("ntt_residency", "transforms_hoisted")
-                    segments.append(resident_input(name))
-                if run:
-                    segments.append(_emit_grouped_transform(rw, ops.ForwardNtt, run))
-                if len(segments) == 1:
-                    rw.alias(index, segments[0])
-                else:
-                    rw.keep(index, ops.Concat(tuple(segments)))
-                continue
-        rw.keep(index, ops.ForwardNtt(src))
     return rw.finish()
 
 

@@ -31,7 +31,7 @@ class HeProgram:
 
     Args:
         context: The :class:`~repro.he.context.HeContext` whose pipeline
-            (and with it plan cache, optimiser and constant pool) the
+            (and with it plan cache and optimiser) the
             program compiles through.
     """
 

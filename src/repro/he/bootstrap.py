@@ -75,9 +75,9 @@ def bootstrap_circuit(
     optimiser's and scheduler's workload, faithful in structure and NTT
     profile, with no cryptographic claim.
 
-    The repeated diagonals are exactly what the compiler's residency pass
-    pools: every ``mul_plain`` re-uses encoded plaintexts with stable
-    identity, so warm executions skip their forward transforms entirely.
+    Each diagonal is transformed once, as the circuit is built, so it
+    rests in the NTT domain like the key: no run of the circuit's plan
+    transforms a constant.
 
     Returns the final :class:`~repro.he.pipeline.CiphertextExpr`; call
     ``.run()`` (or hand it to :meth:`Pipeline.run_many`) to execute.
@@ -95,12 +95,15 @@ def bootstrap_circuit(
     rng = random.Random(seed)
     relin_key = context.relinearization_key()
 
+    def diagonal(basis) -> RnsPolynomial:
+        return _diagonal(rng, basis, params.n, t, context.backend).to_ntt()
+
     x = pipeline.load(ciphertext)
 
     # CoeffToSlot: a sum of plaintext-diagonal products at the input level.
-    acc = x.mul_plain(_diagonal(rng, basis, params.n, t, context.backend))
+    acc = x.mul_plain(diagonal(basis))
     for _ in range(c2s_terms - 1):
-        acc = acc + x.mul_plain(_diagonal(rng, basis, params.n, t, context.backend))
+        acc = acc + x.mul_plain(diagonal(basis))
 
     # EvalMod: square/relinearise/rescale rounds.  The session key is
     # generated for the full basis, so relinearisation only applies while the
@@ -111,12 +114,12 @@ def bootstrap_circuit(
             acc = acc.relinearize(relin_key)
         acc = acc.mod_switch()
         basis = basis.drop_last(1)
-        acc = acc.add_plain(_diagonal(rng, basis, params.n, t, context.backend))
+        acc = acc.add_plain(diagonal(basis))
 
     # SlotToCoeff: diagonal products at the final level.
-    out = acc.mul_plain(_diagonal(rng, basis, params.n, t, context.backend))
+    out = acc.mul_plain(diagonal(basis))
     for _ in range(s2c_terms - 1):
-        out = out + acc.mul_plain(_diagonal(rng, basis, params.n, t, context.backend))
+        out = out + acc.mul_plain(diagonal(basis))
     return out
 
 

@@ -33,7 +33,6 @@ import weakref
 
 from ..backends.base import ComputeBackend
 from ..backends.registry import resolve_backend
-from ..compiler import ConstantPool
 from ..rns.basis import RnsBasis
 from ..telemetry import enable_tracing, maybe_enable_from_env
 from ..telemetry.metrics import MetricsRegistry
@@ -87,10 +86,6 @@ class HeContext:
                 (evaluator.peak_live_bytes for evaluator in evaluators), default=0
             ),
         )
-        # One pool of constant NTT images for the whole session: a
-        # relinearisation key transformed for any evaluator this context
-        # hands out stays resident for every other one.
-        self._constant_pool = ConstantPool()
 
     @classmethod
     def create(
@@ -179,8 +174,9 @@ class HeContext:
         :class:`~repro.he.pipeline.Pipeline` over the evaluator: one plan,
         compiled once per shape into the evaluator's plan cache and executed
         in a single backend call.  Every evaluator gets its own cache and
-        counters (aggregated into :meth:`metrics`); all of them share the
-        context's constant pool.
+        counters (aggregated into :meth:`metrics`); all of them bind the
+        context's relinearisation key, which rests in the NTT domain, so no
+        evaluator transforms it.
 
         Args:
             passes: Plan-optimiser spec applied to compiled plans (see
@@ -196,7 +192,6 @@ class HeContext:
             backend=self.backend,
             metrics=self._metrics,
             passes=passes,
-            constant_pool=self._constant_pool,
         )
         self._evaluators.add(evaluator)
         return evaluator

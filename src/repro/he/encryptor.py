@@ -3,7 +3,8 @@
 Ciphertexts rest in the NTT domain, as SEAL keeps its BGV and CKKS
 ciphertexts (``is_ntt_form``): an encryption forward-transforms its fresh
 randomness once and forms both components pointwise against the public
-key's image, and decryption accepts either domain.
+key, which rests in the NTT domain too, and decryption accepts either
+domain.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ class Encryptor:
 
     with ``(b, a)`` the public key, ``u`` a fresh ternary polynomial and
     ``e0, e1`` fresh Gaussian errors, so that ``c0 + c1*s = m + t*(noise)``.
-    Both components are emitted in the NTT domain: the public key is
-    transformed once per encryptor, and each encryption transforms ``u``,
-    ``t*e0 + m`` and ``t*e1`` in one batch (``3 * np`` rows) and forms the
-    products pointwise.
+    Both components are emitted in the NTT domain: the public key rests
+    there (one built in the coefficient domain is transformed once per
+    encryptor), and each encryption transforms ``u``, ``t*e0 + m`` and
+    ``t*e1`` in one batch (``3 * np`` rows) and forms the products
+    pointwise.
     """
 
     def __init__(

@@ -71,8 +71,7 @@ from collections.abc import Sequence
 from ..backends import ops
 from ..backends.base import ComputeBackend, ResidueTensor
 from ..backends.registry import resolve_backend
-from ..compiler import ConstantPool, PassManager, count_ntt_rows
-from ..compiler.manager import materialize_derived
+from ..compiler import PassManager, count_ntt_rows
 from ..telemetry import TRACER
 from ..telemetry.metrics import MetricsRegistry
 from ..rns.basis import RnsBasis
@@ -136,7 +135,6 @@ class Evaluator:
         backend: ComputeBackend | str | None = None,
         metrics: MetricsRegistry | None = None,
         passes=None,
-        constant_pool: ConstantPool | None = None,
     ) -> None:
         self.params = params
         self.backend = resolve_backend(backend)
@@ -144,26 +142,13 @@ class Evaluator:
         #: the evaluator it passes its own registry as the parent, so the
         #: context's snapshot aggregates every evaluator it handed out.
         self.metrics = MetricsRegistry(parent=metrics)
-        self.metrics.declare(
-            "plan.compiled",
-            "plan.cache_hits",
-            "ntt.invocations",
-            "plan.pool.hits",
-            "plan.pool.misses",
-        )
+        self.metrics.declare("plan.compiled", "plan.cache_hits", "ntt.invocations")
         self._plan_cache: dict[tuple, tuple] = {}
         #: Optimiser pipeline resolved once at construction (like the
         #: backend): ``passes`` accepts a spec per
         #: :func:`repro.compiler.resolve_passes`; ``None`` applies the
         #: documented precedence and ``"none"``/``()`` disables rewriting.
         self._pass_manager = PassManager(passes)
-        #: NTT images of constant plan inputs (relinearisation keys,
-        #: repeated plaintexts).  An ``HeContext`` shares one pool across
-        #: every evaluator it hands out, so a key transformed for one
-        #: evaluator stays resident for all of them.
-        self._constant_pool = (
-            constant_pool if constant_pool is not None else ConstantPool()
-        )
 
     @property
     def passes(self) -> tuple[str, ...]:
@@ -175,9 +160,8 @@ class Evaluator:
         """The largest static peak of live value bytes among the cached plans.
 
         Each cache entry stores it at compile time
-        (:func:`repro.backends.ops.peak_live_bytes`, the larger of the cold
-        and warm variants); ``HeContext.metrics()`` reports it as the
-        ``plan.peak_live_bytes`` gauge.
+        (:func:`repro.backends.ops.peak_live_bytes`); ``HeContext.metrics()``
+        reports it as the ``plan.peak_live_bytes`` gauge.
         """
         return max((entry[-1] for entry in self._plan_cache.values()), default=0)
 
@@ -185,25 +169,18 @@ class Evaluator:
         return RnsPolynomial(basis, self.params.n, tensor, domain)
 
     # -- plan plumbing ------------------------------------------------------------------
-    def _run_plan(
-        self, key: tuple, build, bindings: dict, constants: tuple = ()
-    ) -> list[RnsPolynomial]:
+    def _run_plan(self, key: tuple, build, bindings: dict) -> list[RnsPolynomial]:
         """Fetch-or-compile the plan for ``key`` and execute it with ``bindings``.
 
         ``build`` returns ``(plan, output specs, ntt rows)``; it only runs on
         a cache miss, so repeated operations of the same shape — every
         iteration of a loop over ciphertexts, for instance — compile once and
         execute straight from the cache.  Freshly built plans run through the
-        optimiser pipeline (see :mod:`repro.compiler`) before caching;
-        ``constants`` names the bindings that are stable across executions
-        (key components, repeated plaintexts).  When the residency pass
-        hoists their transforms, two variants are cached: a *cold* plan that
-        computes the constants' NTT images in-plan (same dispatch shape as
-        the unoptimised plan) and exports them to seed the constant pool,
-        and the *warm* plan that binds the pooled images and skips the
-        transforms — the steady state every later execution runs in.  Each
-        entry also keeps the larger static peak of live value bytes of its
-        variants (:attr:`peak_live_bytes`).
+        optimiser pipeline (see :mod:`repro.compiler`) before caching.  Each
+        entry holds one plan, its output specs, its NTT rows and its static
+        peak of live value bytes (:attr:`peak_live_bytes`): keys and circuit
+        constants rest in the NTT domain, so the first run of a shape is the
+        same plan as every later one.
         """
         cached = self._plan_cache.get(key)
         if cached is None:
@@ -212,8 +189,6 @@ class Evaluator:
                     plan, specs, ntt_rows = build()
             else:
                 plan, specs, ntt_rows = build()
-            derived: tuple = ()
-            cold = None
             input_primes = {
                 name: bindings[name].primes
                 for name in plan.input_names
@@ -221,68 +196,21 @@ class Evaluator:
             }
             if self._pass_manager.passes:
                 optimized = self._pass_manager.run(
-                    plan,
-                    input_primes=input_primes,
-                    constant_inputs=constants,
-                    metrics=self.metrics,
-                )
-                if optimized.plan is not plan:
-                    plan = optimized.plan
-                    derived = optimized.derived_inputs
-                    for derived_name, source in derived:
-                        input_primes[derived_name] = input_primes[source]
+                    plan, input_primes=input_primes, metrics=self.metrics
+                ).plan
+                if optimized is not plan:
+                    plan = optimized
                     # Recount: ntt.invocations reports transforms actually
                     # executed, so the static row count must track the
                     # optimised plan, not the emitted one.
                     ntt_rows = count_ntt_rows(plan, input_primes)
-                    if derived:
-                        cold_plan, const_outputs = materialize_derived(
-                            plan, derived, input_primes
-                        )
-                        cold = (
-                            cold_plan,
-                            count_ntt_rows(cold_plan, input_primes),
-                            const_outputs,
-                        )
-            variants = (plan,) if cold is None else (plan, cold[0])
-            peak = max(
-                ops.peak_live_bytes(variant, input_primes, self.params.n)
-                for variant in variants
-            )
-            cached = (plan, specs, ntt_rows, derived, cold, peak)
+            peak = ops.peak_live_bytes(plan, input_primes, self.params.n)
+            cached = (plan, specs, ntt_rows, peak)
             self._plan_cache[key] = cached
             self.metrics.inc("plan.compiled")
         else:
             self.metrics.inc("plan.cache_hits")
-        plan, specs, ntt_rows, derived, cold, _ = cached
-        if derived:
-            pooled: dict[str, ResidueTensor] = {}
-            for derived_name, source in derived:
-                image = self._constant_pool.lookup(bindings[source])
-                if image is None:
-                    pooled.clear()
-                    break
-                pooled[derived_name] = image
-            if pooled:
-                self.metrics.inc("plan.pool.hits", len(derived))
-                bindings = dict(bindings)
-                bindings.update(pooled)
-            else:
-                # Cold start: one execution of the seeding variant fills the
-                # pool; dispatch count and bit-level results match the
-                # unoptimised plan exactly.
-                self.metrics.inc("plan.pool.misses", len(derived))
-                cold_plan, cold_rows, const_outputs = cold
-                outputs = self.backend.execute(cold_plan, bindings)
-                for output_name, source in const_outputs:
-                    self._constant_pool.store(
-                        bindings[source], outputs[output_name]
-                    )
-                self.metrics.inc("ntt.invocations", cold_rows)
-                return [
-                    self._poly(outputs[name], basis, domain)
-                    for name, basis, domain in specs
-                ]
+        plan, specs, ntt_rows, _ = cached
         outputs = self.backend.execute(plan, bindings)
         self.metrics.inc("ntt.invocations", ntt_rows)
         return [
@@ -415,8 +343,9 @@ class Evaluator:
     ) -> list[_P]:
         """Key switching of ``c2`` onto ``c0`` and ``c1``, digits in whole-basis batches.
 
-        ``srk`` is the key shift-major (:meth:`RelinearizationKey.shift_major`):
-        entry ``g``'s row ``i`` is row ``i`` of component ``(i + g) mod L``.
+        ``srk`` is the key shift-major (:meth:`RelinearizationKey.shift_major`),
+        in the NTT domain where it rests: entry ``g``'s row ``i`` is row ``i``
+        of component ``(i + g) mod L``.
         Digit shift ``g`` (a ``digit_broadcast`` node) holds, in row ``i``,
         digit ``(i + g) mod L`` reduced mod ``p_i``, so output row ``i`` is
         ``c_k + Σ_g NTT(shift_g)_i * key_g_i`` — every digit row paired with
@@ -442,17 +371,16 @@ class Evaluator:
         c0_ntt, c1_ntt, c2_ntt = self._emit_ntt_batch(em, [c0, c1, c2], forward=True)
         acc0, acc1 = c0_ntt.value, c1_ntt.value
         for shift, (rk0, rk1) in enumerate(srk):
-            # Each shift's digit is transformed with its key pair (whose
-            # transforms the residency pass hoists); batch_ntt merges the
-            # digits' transforms into one.
-            pending = [rk0, rk1]
+            # The key rests in the NTT domain; only the digits are transformed,
+            # and batch_ntt merges their transforms into one.
+            image = c2_ntt
             if shift:
                 digit = graph.digit_broadcast(c2_coeff.value, shift)
-                pending.insert(0, _P(digit, Domain.COEFFICIENT, basis))
-            *digit_ntt, rk0_ntt, rk1_ntt = self._emit_ntt_batch(em, pending, forward=True)
-            image = digit_ntt[0].value if shift else c2_ntt.value
-            acc0 = graph.add(acc0, graph.mul(image, rk0_ntt.value))
-            acc1 = graph.add(acc1, graph.mul(image, rk1_ntt.value))
+                (image,) = self._emit_ntt_batch(
+                    em, [_P(digit, Domain.COEFFICIENT, basis)], forward=True
+                )
+            acc0 = graph.add(acc0, graph.mul(image.value, rk0.value))
+            acc1 = graph.add(acc1, graph.mul(image.value, rk1.value))
         return [_P(acc0, Domain.NTT, basis), _P(acc1, Domain.NTT, basis)]
 
     def _emit_mod_switch(self, em: _Emitter, sa: Sequence[_P], t: int) -> list[_P]:
@@ -516,7 +444,7 @@ class Evaluator:
         graph = em.graph
         if pt.domain is not sa[0].domain:
             # Whichever side is in the coefficient domain moves to the NTT
-            # domain (the plaintext's image is a constant the pool keeps).
+            # domain.
             *sa, pt = self._emit_ntt_batch(em, list(sa) + [pt], forward=True)
         return [self._emit_poly_add(em, sa[0], pt)] + [
             _P(graph.copy(p.value), p.domain, p.basis) for p in sa[1:]
@@ -568,10 +496,12 @@ class Evaluator:
     def multiply_plain(self, a: Ciphertext, plaintext: RnsPolynomial) -> Ciphertext:
         """Multiply by an (unencrypted) plaintext polynomial.
 
-        The plaintext is transformed once (not once per ciphertext
-        component), in the same batched forward call as the components; a
-        plaintext reused across calls keeps its NTT image in the constant
-        pool.
+        A coefficient-domain plaintext is transformed once (not once per
+        ciphertext component), in the same batched forward call as the
+        components, on every call.  A caller who reuses a plaintext
+        transforms it once with ``plaintext.to_ntt()`` (as SEAL callers do
+        with ``transform_to_ntt_inplace``); an NTT-domain plaintext times an
+        NTT-resident ciphertext runs no transform.
         """
         return self._pipeline().load(a).mul_plain(plaintext).run()
 
@@ -607,9 +537,9 @@ class Evaluator:
         already reduced.  The digits are laid out by shift: the
         ``digit_broadcast`` node of shift ``g`` re-reduces row ``(i + g) mod
         np`` into row ``i``, and pairs with the key's shift-major polynomial
-        ``g`` (the key's one layout, :attr:`RelinearizationKey.pairs`,
-        adopted once per foreign backend, so the residency pass keeps their
-        NTT images in the constant pool).  An NTT-resident ``c2`` is
+        ``g`` (the key's one layout, :attr:`RelinearizationKey.pairs`, which
+        rests in the NTT domain and is adopted once per foreign backend), so
+        the key itself is never transformed.  An NTT-resident ``c2`` is
         inverse-transformed once for the digits; shift 0 is ``c2``'s own
         image, so only the ``np - 1`` other shifts are transformed, as one
         batch of whole basis repetitions.  The products are accumulated onto

@@ -16,14 +16,17 @@ __all__ = ["SecretKey", "PublicKey", "RelinearizationKey", "KeyGenerator"]
 
 @dataclass
 class SecretKey:
-    """The secret key: a ternary polynomial ``s``."""
+    """The secret key: a ternary polynomial ``s``, at rest in the NTT domain."""
 
     s: RnsPolynomial
 
 
 @dataclass
 class PublicKey:
-    """The public key ``(b, a)`` with ``b = -(a*s + t*e)`` (an RLWE sample of zero)."""
+    """The public key ``(b, a)`` with ``b = -(a*s + t*e)`` (an RLWE sample of zero).
+
+    Both halves rest in the NTT domain.
+    """
 
     b: RnsPolynomial
     a: RnsPolynomial
@@ -44,21 +47,18 @@ class RelinearizationKey:
     ``i`` is digit ``(i + g) mod L``, so :attr:`pairs` entry ``g`` is a pair
     whose row ``i`` is row ``i`` of component ``(i + g) mod L`` (both
     halves).  The constructor takes the digit-major components (entry ``j``
-    pairs with digit ``j``) and lays them out once; :attr:`components`
-    rebuilds them on demand.  The rearrangement moves whole rows, so it
-    serves keys in either domain; components that rest in different domains
-    are brought to the NTT domain first.
+    pairs with digit ``j``), brings them to the NTT domain, where the key
+    rests (SEAL keeps its keys in NTT form too), and lays them out once;
+    :attr:`components` rebuilds them on demand.
     """
 
     def __init__(self, components: list[tuple[RnsPolynomial, RnsPolynomial]]) -> None:
         backend = components[0][0].backend
         halves = [
-            [pair[half].with_backend(backend) for pair in components]
+            [pair[half].with_backend(backend).to_ntt() for pair in components]
             for half in (0, 1)
         ]
-        if len({poly.domain for polys in halves for poly in polys}) > 1:
-            halves = [[poly.to_ntt() for poly in polys] for polys in halves]
-        #: The shift-major pairs, resident on the components' backend.
+        #: The shift-major NTT-domain pairs, resident on the components' backend.
         self.pairs = _rotate_rows(halves, 1)
         self._adopted: dict = {}
 
@@ -74,9 +74,8 @@ class RelinearizationKey:
         """The shift-major pairs on ``backend``.
 
         :attr:`pairs` themselves on the backend they rest on; on any other
-        backend a copy adopted once and cached, so the tensors keep one
-        identity across operations and the constant pool keeps their NTT
-        images.
+        backend a copy adopted once and cached, so the key crosses to that
+        backend once, not once per operation.
         """
         if self.pairs[0][0].backend is backend:
             return self.pairs
@@ -155,6 +154,8 @@ class KeyGenerator:
         """An independent deterministic RNG for one key kind."""
         return random.Random("repro-key:%s:%d" % (label, self.seed))
 
+    # Each sampler draws in the coefficient domain and returns the sample's
+    # NTT image, so every key is formed pointwise and rests in the NTT domain.
     def _gaussian(self, rng: random.Random) -> RnsPolynomial:
         return RnsPolynomial.random_gaussian(
             self.basis,
@@ -162,17 +163,17 @@ class KeyGenerator:
             rng,
             stddev=self.params.error_std,
             backend=self.backend,
-        )
+        ).to_ntt()
 
     def _uniform(self, rng: random.Random) -> RnsPolynomial:
         return RnsPolynomial.random_uniform(
             self.basis, self.params.n, rng, backend=self.backend
-        )
+        ).to_ntt()
 
     def _ternary(self, rng: random.Random) -> RnsPolynomial:
         return RnsPolynomial.random_ternary(
             self.basis, self.params.n, rng, backend=self.backend
-        )
+        ).to_ntt()
 
     # -- key generation ---------------------------------------------------------------
     def secret_key(self) -> SecretKey:

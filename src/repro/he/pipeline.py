@@ -121,9 +121,10 @@ class CiphertextExpr:
     def mul_plain(self, plaintext: RnsPolynomial) -> "CiphertextExpr":
         """Lazy multiplication by an (unencrypted) plaintext polynomial.
 
-        Re-using one encoded plaintext across many expressions (a rotation
-        diagonal, a mask) gives it a stable identity, so the optimiser's
-        residency pass keeps its NTT image pooled across runs.
+        A coefficient-domain plaintext is transformed in the plan on every
+        run; one reused across many expressions (a rotation diagonal, a
+        mask) is best transformed once with ``plaintext.to_ntt()``, after
+        which the product runs no transform at all.
         """
         return self._with_plain(plaintext, "multiply_plain")
 
@@ -189,8 +190,8 @@ class Pipeline:
 
         The signature captures everything that changes the compiled plan:
         the expression structure, each leaf's size/domains/basis, each
-        relinearisation key's component count and each plaintext's ring and
-        domain.  Two runs with the same signature bind different tensors to
+        relinearisation key's component count (keys rest in the NTT domain)
+        and each plaintext's ring and domain.  Two runs with the same signature bind different tensors to
         the same plan.
         """
         if expr.kind == "load":
@@ -216,16 +217,7 @@ class Pipeline:
                 expr.children[0], leaf_ordinals, leaves, key_ordinals, keys,
                 plain_ordinals, plains,
             )
-            # Component domains are part of the compiled plan (coefficient
-            # components get forward-NTT nodes, resident-NTT ones do not), so
-            # they must be part of the signature.
-            return (
-                "relinearize",
-                ordinal,
-                len(expr.key.pairs),
-                tuple((rk0.domain, rk1.domain) for rk0, rk1 in expr.key.pairs),
-                child,
-            )
+            return ("relinearize", ordinal, len(expr.key.pairs), child)
         if expr.kind in ("multiply_plain", "add_plain"):
             ordinal = plain_ordinals.get(id(expr.plaintext))
             if ordinal is None:
@@ -334,23 +326,15 @@ class Pipeline:
         }
 
         bindings: dict = {}
-        constants: list = []
         for ordinal, polys in adopted.items():
             for index, poly in enumerate(polys):
                 bindings["ct%d_%d" % (ordinal, index)] = poly.tensor
-        # The shift-major keys and the plaintexts are the cross-run-stable
-        # operands: naming them as constants lets the residency pass pool
-        # their NTT images across executions of the cached plan.
         for ordinal, components in adopted_keys.items():
             for index, (rk0, rk1) in enumerate(components):
-                for half, tensor in (("rk0", rk0.tensor), ("rk1", rk1.tensor)):
-                    name = "key%d_%s_%d" % (ordinal, half, index)
-                    bindings[name] = tensor
-                    constants.append(name)
+                bindings["key%d_rk0_%d" % (ordinal, index)] = rk0.tensor
+                bindings["key%d_rk1_%d" % (ordinal, index)] = rk1.tensor
         for ordinal, plain in adopted_plains.items():
-            name = "pt%d" % ordinal
-            bindings[name] = plain.tensor
-            constants.append(name)
+            bindings["pt%d" % ordinal] = plain.tensor
 
         def build():
             em = _Emitter()
@@ -445,9 +429,7 @@ class Pipeline:
                 del lower
             return evaluator._finish(em, flat)
 
-        polys = evaluator._run_plan(
-            signature, build, bindings, constants=tuple(constants)
-        )
+        polys = evaluator._run_plan(signature, build, bindings)
         results: list[Ciphertext] = []
         offset = 0
         for expr in exprs:

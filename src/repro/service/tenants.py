@@ -63,8 +63,7 @@ class Tenant:
         self.context = context
         #: One shared pipeline per tenant: its plan cache is where the
         #: batcher's cross-request group plans are compiled once per shape,
-        #: and its evaluator shares the context's constant pool, so the key
-        #: images stay pooled across batches.
+        #: and every batch binds the context's NTT-resident key as it is.
         self.pipeline = context.pipeline()
         self.registry = registry
 

@@ -1,12 +1,11 @@
-"""Tests for the plan-compiler subsystem: passes, manager, pool, programs.
+"""Tests for the plan-compiler subsystem: passes, manager, programs.
 
 Pins the acceptance criteria of the optimiser:
 
 * **pass unit tests** — each registered pass rewrites hand-built plans the
   way its contract says (copy and slice/concat folding, commutative-aware
-  CSE, constant hoisting, dead value sweeping, sum-of-products folding,
-  post-fixpoint re-batching) while never aliasing a value into an output
-  slot;
+  CSE, dead value sweeping, sum-of-products folding, post-fixpoint
+  re-batching) while never aliasing a value into an output slot;
 * **bit-for-bit equivalence** — optimised plans produce exactly the same
   ciphertexts as unoptimised ones, on scalar/numpy/forced-pool-parallel
   backends, at 30- and 60-bit primes, for the canonical
@@ -14,9 +13,9 @@ Pins the acceptance criteria of the optimiser:
   circuit;
 * **selection precedence** — explicit > ``set_default_passes`` > default,
   with registry-style errors on unknown names;
-* **constant pool** — relinearisation keys and repeated plaintexts transform
-  once (cold run) and hit the pool on every later execution, with fewer NTT
-  rows on warm runs;
+* **NTT-resident constants** — the relinearisation key rests in the NTT
+  domain, so no plan transforms it: the first run of a shape is the same
+  plan as every later one, on any evaluator of the context;
 * **whole programs** — :meth:`Pipeline.run_many` and :class:`HeProgram`
   compile many statements into one plan with shared lowering, and
   ``HeContext.metrics_diff`` reports the deltas the benchmarks print.
@@ -31,7 +30,6 @@ from repro.backends.parallel import ParallelBackend
 from repro.backends.scalar import ScalarBackend
 from repro.compiler import (
     DEFAULT_PASSES,
-    ConstantPool,
     PASS_REGISTRY,
     PassContext,
     PassManager,
@@ -42,7 +40,6 @@ from repro.compiler import (
     resolve_passes,
     set_default_passes,
 )
-from repro.compiler.manager import materialize_derived
 from repro.he import Evaluator, HeContext, HEParams, bootstrap_circuit
 from repro.modarith.primes import generate_ntt_primes
 
@@ -95,10 +92,10 @@ def _clean_pass_default():
 # --------------------------------------------------- structural helpers
 
 
-def run_pass(name, plan, input_primes=None, constant_inputs=(), sweep=False):
+def run_pass(name, plan, input_primes=None, sweep=False):
     """Apply one pass (optionally sweeping dead nodes after, since a single
     rewrite leaves the values it orphaned for ``dead_values``)."""
-    ctx = PassContext(input_primes=input_primes, constant_inputs=constant_inputs)
+    ctx = PassContext(input_primes=input_primes)
     plan = PASS_REGISTRY[name].rewrite(plan, ctx)
     if sweep:
         plan = PASS_REGISTRY["dead_values"].rewrite(plan, ctx)
@@ -188,7 +185,7 @@ def test_passes_none_returns_the_raw_plan():
     plan = g.compile()
     result = PassManager("none").run(plan, input_primes={"x": PRIMES})
     assert result.plan is plan
-    assert result.derived_inputs == () and result.stats == {}
+    assert result.stats == {}
 
 
 # --------------------------------------------------------- pass: folding
@@ -318,94 +315,37 @@ def test_fuse_inner_products_folds_only_products_read_once_by_the_sum():
     assert run_pass("fuse_inner_products", rewritten, primes)[0] is rewritten
 
 
-# -------------------------------------------------------- pass: residency
-
-
-def test_residency_hoists_constant_transform_to_derived_input():
-    g = ops.OpGraph()
-    x = g.input("x")
-    k = g.input("k")
-    x_ntt = g.forward_ntt(x)
-    k_ntt = g.forward_ntt(k)
-    g.output("out", g.inverse_ntt(g.mul(x_ntt, k_ntt)))
-    plan = g.compile()
-    rewritten, ctx = run_pass(
-        "ntt_residency", plan, {"x": PRIMES, "k": PRIMES}, constant_inputs=("k",)
-    )
-    assert ctx.derived_inputs == {"k@ntt": "k"}
-    assert "k@ntt" in rewritten.input_names
-    assert kinds(rewritten).count("forward_ntt") == 1  # only x's survives
-    assert ctx.stats["plan.pass.ntt_residency.transforms_hoisted"] == 1
-
-
-def test_residency_splits_constants_out_of_batched_transform():
-    # forward(concat(x, k1, k2)): the constant tail hoists, x stays in one
-    # transform; the recombining concat preserves row order.
-    g = ops.OpGraph()
-    x = g.input("x")
-    k1 = g.input("k1")
-    k2 = g.input("k2")
-    stacked = g.concat([x, k1, k2])
-    g.output("out", g.copy(g.forward_ntt(stacked)))
-    plan = g.compile()
-    primes = {"x": PRIMES, "k1": PRIMES, "k2": PRIMES}
-    rewritten, ctx = run_pass(
-        "ntt_residency", plan, primes, constant_inputs=("k1", "k2")
-    )
-    assert ctx.stats["plan.pass.ntt_residency.transforms_hoisted"] == 2
-    assert kinds(rewritten).count("forward_ntt") == 1
-    assert set(ctx.derived_inputs) == {"k1@ntt", "k2@ntt"}
-
-
-def test_residency_is_noop_without_constants():
-    g = ops.OpGraph()
-    x = g.input("x")
-    g.output("out", g.forward_ntt(x))
-    plan = g.compile()
-    rewritten, ctx = run_pass("ntt_residency", plan, {"x": PRIMES})
-    assert rewritten is plan
-    assert not ctx.derived_inputs
-
-
-# ------------------------------------------------- manager and materialise
+# ------------------------------------------------------------- manager
 
 
 def test_pass_manager_reaches_fixpoint_and_counts_rows():
-    # Round 1: ntt_residency splits the constant k out of the batched
-    # transform, which leaves the slices reading the new concat.  Round 2:
-    # fold_structure folds each slice onto its part and dead_values sweeps
-    # the concat.  Round 3 changes nothing.
+    # Round 1: cse merges the duplicate transform, and fuse_inner_products
+    # folds the sum into a multiply-accumulate node equal to the one the
+    # plan already holds.  Round 2: cse merges the two (the output keeps a
+    # Copy of its own).  Round 3 changes nothing.
     g = ops.OpGraph()
-    x = g.input("x")
-    k = g.input("k")
-    x_ntt, k_ntt = g.split(g.forward_ntt(g.concat([x, k])), [len(PRIMES)] * 2)
-    g.output("out", g.mul(x_ntt, k_ntt))
+    a, b, c = (g.input(name) for name in "abc")
+    g.output("first", g.inner_product([(g.forward_ntt(a), b), (c, c)]))
+    g.output("second", g.add(g.mul(g.forward_ntt(a), b), g.mul(c, c)))
     plan = g.compile()
-    primes = {"x": PRIMES, "k": PRIMES}
+    primes = {name: PRIMES for name in "abc"}
     one_round = plan
-    ctx = PassContext(input_primes=primes, constant_inputs=("k",))
+    ctx = PassContext(input_primes=primes)
     for name in DEFAULT_PASSES:
         if not PASS_REGISTRY[name].after_fixpoint:
             one_round = PASS_REGISTRY[name].rewrite(one_round, ctx)
-    assert "slice_rows" in kinds(one_round)
+    assert kinds(one_round).count("inner_product") == 2
 
     manager = PassManager(DEFAULT_PASSES)
-    result = manager.run(plan, input_primes=primes, constant_inputs=("k",))
-    assert kinds(result.plan) == ["input", "forward_ntt", "input", "mul"]
-    assert result.stats["plan.pass.fold_structure.slices_folded"] == 2
-    assert result.derived_inputs == (("k@ntt", "k"),)
-    warm_primes = {"x": PRIMES, "k@ntt": PRIMES}
+    result = manager.run(plan, input_primes=primes)
+    assert kinds(result.plan) == [
+        "input", "input", "input", "forward_ntt", "inner_product", "copy"
+    ]
+    assert result.stats["plan.pass.cse.values_merged"] == 2
     assert count_ntt_rows(plan, primes) == 2 * len(PRIMES)
-    assert count_ntt_rows(result.plan, warm_primes) == len(PRIMES)
-    assert manager.run(result.plan, input_primes=warm_primes).plan is result.plan
-
-    backend = ScalarBackend()
-    image = backend.forward_ntt_batch(backend.from_rows(rows_for(PRIMES, 2), PRIMES))
-    warm = scalar_outputs(
-        result.plan,
-        {"x": (rows_for(PRIMES, 1), PRIMES), "k@ntt": (backend.to_rows(image), PRIMES)},
-    )
-    assert warm == scalar_outputs(plan, bindings_for("xk"))
+    assert count_ntt_rows(result.plan, primes) == len(PRIMES)
+    assert manager.run(result.plan, input_primes=primes).plan is result.plan
+    assert_same_outputs(result.plan, plan, "abc")
 
 
 @pytest.mark.parametrize("name", ["fold_structure", "cse"])
@@ -431,36 +371,6 @@ def test_aliasing_passes_never_alias_an_output(name):
     else:
         assert node.src == outputs["first"]
     assert_same_outputs(rewritten, plan, "ab")
-
-
-def test_materialize_derived_builds_seeding_variant():
-    g = ops.OpGraph()
-    x = g.input("x")
-    k = g.input("k")
-    g.output("out", g.inverse_ntt(g.mul(g.forward_ntt(x), g.forward_ntt(k))))
-    plan = g.compile()
-    manager = PassManager(DEFAULT_PASSES)
-    optimized = manager.run(
-        plan, input_primes={"x": PRIMES, "k": PRIMES}, constant_inputs=("k",)
-    )
-    assert optimized.derived_inputs == (("k@ntt", "k"),)
-    input_primes = {"x": PRIMES, "k": PRIMES, "k@ntt": PRIMES}
-    cold, const_outputs = materialize_derived(
-        optimized.plan, optimized.derived_inputs, input_primes
-    )
-    assert const_outputs == (("const:k@ntt", "k"),)
-    assert set(cold.input_names) == {"x", "k"}
-    # The cold plan computes the same "out" AND exports the constant image.
-    cold_out = scalar_outputs(
-        cold,
-        {"x": (rows_for(PRIMES, 1), PRIMES), "k": (rows_for(PRIMES, 2), PRIMES)},
-    )
-    reference = scalar_outputs(
-        plan,
-        {"x": (rows_for(PRIMES, 1), PRIMES), "k": (rows_for(PRIMES, 2), PRIMES)},
-    )
-    assert cold_out["out"] == reference["out"]
-    assert "const:k@ntt" in cold_out
 
 
 # ------------------------------------------------------ selection precedence
@@ -501,7 +411,6 @@ def test_registry_descriptions_cover_every_pass():
     assert available_passes() == DEFAULT_PASSES == (
         "fold_structure",
         "cse",
-        "ntt_residency",
         "dead_values",
         "fuse_inner_products",
         "batch_ntt",
@@ -522,7 +431,11 @@ def chain(evaluator, ct_a, ct_b, relin):
     )
 
 
-def test_chain_optimised_bit_identical_and_fewer_ntts(context):
+def plan_nodes(evaluator):
+    return sum(len(entry[0]) for entry in evaluator._plan_cache.values())
+
+
+def test_chain_optimised_bit_identical_equal_rows_fewer_nodes(context):
     encryptor = context.encryptor(seed=11)
     encoder = context.encoder()
     relin = context.relinearization_key()
@@ -535,22 +448,20 @@ def test_chain_optimised_bit_identical_and_fewer_ntts(context):
     assert optim_ev.passes == DEFAULT_PASSES
 
     expected = chain(plain_ev, ct_a, ct_b, relin)
-    cold = chain(optim_ev, ct_a, ct_b, relin)  # seeds the constant pool
-    warm = chain(optim_ev, ct_a, ct_b, relin)
-    assert coeffs(cold) == coeffs(expected)
-    assert coeffs(warm) == coeffs(expected)
-    assert warm.level == expected.level
+    raw_rows = plain_ev.metrics.value("ntt.invocations")
+    first = chain(optim_ev, ct_a, ct_b, relin)  # compiles the plans
+    first_rows = optim_ev.metrics.value("ntt.invocations")
+    again = chain(optim_ev, ct_a, ct_b, relin)
+    again_rows = optim_ev.metrics.value("ntt.invocations") - first_rows
+    assert coeffs(first) == coeffs(expected)
+    assert coeffs(again) == coeffs(expected)
+    assert again.level == expected.level
 
-    # Warm executions skip the pooled key transforms: strictly fewer NTT
-    # rows per run than the unoptimised evaluator.
-    plain_per_run = plain_ev.metrics.value("ntt.invocations")
-    chain(plain_ev, ct_a, ct_b, relin)
-    plain_second = plain_ev.metrics.value("ntt.invocations") - plain_per_run
-    warm_before = optim_ev.metrics.value("ntt.invocations")
-    chain(optim_ev, ct_a, ct_b, relin)
-    warm_cost = optim_ev.metrics.value("ntt.invocations") - warm_before
-    assert warm_cost < plain_second
-    assert optim_ev.metrics.value("plan.pool.hits") > 0
+    # Keys rest in the NTT domain and the emitters transform only what the
+    # cross-row steps need, so the passes leave the transform rows as they
+    # are; they fold the plumbing and the sums of products into fewer nodes.
+    assert first_rows == again_rows == raw_rows > 0
+    assert plan_nodes(optim_ev) < plan_nodes(plain_ev)
 
 
 def test_bootstrap_circuit_optimised_bit_identical(context):
@@ -579,11 +490,11 @@ def check_bootstrap_circuit_bit_identical(context, **shape):
 
     expected = bootstrap_circuit(context, plain_pipe, ct, seed=99, **shape).run()
     expr = bootstrap_circuit(context, optim_pipe, ct, seed=99, **shape)
-    cold = expr.run()
-    warm = expr.run()
-    assert coeffs(cold) == coeffs(expected)
-    assert coeffs(warm) == coeffs(expected)
-    assert warm.level == expected.level == 1
+    first = expr.run()
+    again = expr.run()
+    assert coeffs(first) == coeffs(expected)
+    assert coeffs(again) == coeffs(expected)
+    assert again.level == expected.level == 1
 
 
 def test_pipeline_plain_ops_match_eager(context):
@@ -600,25 +511,10 @@ def test_pipeline_plain_ops_match_eager(context):
     assert coeffs(result) == coeffs(expected)
 
 
-# ------------------------------------------------------------ constant pool
+# ---------------------------------------------------- NTT-resident constants
 
 
-def test_constant_pool_identity_keyed_lru():
-    pool = ConstantPool(max_entries=2)
-    a, b, c = object(), object(), object()
-    pool.store(a, "A")
-    pool.store(b, "B")
-    assert pool.lookup(a) == "A"  # refreshes a's recency
-    pool.store(c, "C")  # evicts b (least recent)
-    assert pool.lookup(b) is None
-    assert pool.lookup(a) == "A"
-    assert pool.lookup(c) == "C"
-    assert len(pool) == 2
-    pool.clear()
-    assert pool.lookup(a) is None
-
-
-def test_context_shares_one_pool_across_evaluators():
+def test_second_evaluator_first_relinearize_runs_warm_rows():
     ctx = HeContext.create(PARAMS[30], backend="scalar", seed=7)
     encryptor = ctx.encryptor(seed=11)
     encoder = ctx.encoder()
@@ -627,12 +523,18 @@ def test_context_shares_one_pool_across_evaluators():
     ev1 = ctx.evaluator()
     ev2 = ctx.evaluator()
     product = ev1.multiply(ct, ct)
-    ev1.relinearize(product, relin)  # cold: fills the shared pool
+    ev1.relinearize(product, relin)  # compiles ev1's plan
     before = ctx.metrics()
-    ev2.relinearize(product, relin)  # second evaluator: pool already warm
-    diff = HeContext.metrics_diff(before, ctx.metrics())
-    assert diff["plan.pool.hits"] > 0
-    assert diff.get("plan.pool.misses", 0) == 0
+    warm = ev1.relinearize(product, relin)
+    warm_diff = HeContext.metrics_diff(before, ctx.metrics())
+    before = ctx.metrics()
+    first = ev2.relinearize(product, relin)  # ev2's first run compiles its own
+    first_diff = HeContext.metrics_diff(before, ctx.metrics())
+    assert first_diff["plan.compiled"] == 1 and warm_diff["plan.cache_hits"] == 1
+    # The key rests in the NTT domain: a first run transforms no more rows
+    # than a warm one, on any evaluator of the context.
+    assert first_diff["ntt.invocations"] == warm_diff["ntt.invocations"] > 0
+    assert coeffs(first) == coeffs(warm)
 
 
 # --------------------------------------------------------------- metrics diff

@@ -11,6 +11,12 @@ results are pinned at toy shapes and fixed seeds: a fresh encryption, the
 bootstrap-shaped circuit at 30-bit primes.  Each must match on the scalar
 oracle, on numpy, and on a 2-shard pool forced to dispatch every op.
 
+The chain session's key material is pinned too: one digest over the
+coefficient rows of the secret key, the public key and every
+relinearisation-key component, recorded when keys were generated in the
+coefficient domain, so keys that rest in the NTT domain must be the same
+polynomials.
+
 The per-op ``Evaluator`` methods are pinned too, one digest each, on the
 chain's inputs.  The per-op reference (the scalar backend with
 ``passes="none"``) lowers through the same code as the evaluator it checks,
@@ -37,6 +43,7 @@ BOOTSTRAP = HEParams(n=64, plaintext_modulus=17, prime_bits=30, prime_count=6)
 GOLDEN = {
     "encryption": "92bfb75d35f8f47ff3f4ab9c1fce08b282ba247d19f44289e5fbebd8cb700ec5",
     "chain-60": "ec7064325d381b98af0940993b87669140c0ada6ea869d24c4823135feec426a",
+    "keys": "970876621dada14cc5a249b3935fc431d0b1c1474cfe2ab61e2a70ef6228aad7",
     "bootstrap-30": "47c7457e6f0a6f85d8e016e4b4afe0f733f62925ffb3c09726f30caa88d493a3",
     "add": "f738567b5e9a2d0f5925222d8716f0d542f398a834b9e1a3a7cc57456117ea10",
     "sub": "3f00fcbe002b688a78150811772ae70051d59fe220e0738cb56df006270f809a",
@@ -59,6 +66,19 @@ def digest(ciphertext) -> str:
     return sha.hexdigest()
 
 
+def key_digest(ctx) -> str:
+    """SHA-256 of the coefficient rows of a session's secret, public and
+    relinearisation keys."""
+    public = ctx.public_key()
+    polys = [ctx.secret_key().s, public.b, public.a]
+    polys += [poly for pair in ctx.relinearization_key().components for poly in pair]
+    sha = hashlib.sha256()
+    for poly in polys:
+        sha.update(repr(poly.basis.primes).encode())
+        sha.update(repr(poly.to_coefficient().to_coeff_lists()).encode())
+    return sha.hexdigest()
+
+
 def compute_digests(backend) -> dict[str, str]:
     """The pinned results, computed on ``backend``."""
     digests = {}
@@ -69,6 +89,7 @@ def compute_digests(backend) -> dict[str, str]:
     digests["encryption"] = digest(ctx.encryptor(seed=11).encrypt(plain))
 
     ctx = HeContext.create(CHAIN, backend=backend, seed=21)
+    digests["keys"] = key_digest(ctx)
     encoder = ctx.encoder()
     encryptor = ctx.encryptor(seed=23)
     a = encryptor.encrypt(encoder.encode([(7 * i + 1) % 257 for i in range(64)]))

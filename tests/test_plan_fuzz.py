@@ -5,8 +5,8 @@ Each case draws a random pipeline over ``multiply``, ``square``,
 ``mul_plain``, on ciphertexts and plaintexts that rest in either domain,
 at one of three word sizes.  The pipeline runs as one plan on the scalar
 and numpy backends and on a 2-shard pool forced to dispatch every stage
-(each pooled plan twice, so the warm variant, the pooled constants and the
-kept stage storage run too), each under a random subset of the optimiser
+(each pooled plan twice, so the kept stage storage and the inputs moved
+into shared memory run too), each under a random subset of the optimiser
 passes in a random order.  Every result must equal, bit for bit and
 domain for domain, the scalar backend's raw plan (``passes="none"``), and
 the raw result must decrypt to the slot-wise plaintext arithmetic
@@ -250,14 +250,14 @@ def raw_plans(monkeypatch):
     plans = []
     run_plan = Evaluator._run_plan
 
-    def recording(self, key, build, bindings, constants=()):
+    def recording(self, key, build, bindings):
         def build_and_record():
             built = build()
             plan = built[0]
             plans.append((plan, {name: bindings[name].primes for name in plan.input_names}))
             return built
 
-        return run_plan(self, key, build_and_record, bindings, constants)
+        return run_plan(self, key, build_and_record, bindings)
 
     monkeypatch.setattr(Evaluator, "_run_plan", recording)
     yield plans

@@ -93,8 +93,7 @@ def test_warm_runs_create_and_map_only_their_plan_outputs(monkeypatch):
             return execute(plan, inputs)
 
         monkeypatch.setattr(backend, "execute", spy)
-        expr.run()  # cold: compiles and seeds the constant pool
-        expr.run()  # the warm shape's first run allocates its stage storage
+        expr.run()  # first run: compiles the plan, allocates its stage storage
         results = []
         for _ in range(4):
             before = ctx.metrics()

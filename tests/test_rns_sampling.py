@@ -21,12 +21,12 @@ import pytest
 
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.scalar import ScalarBackend
-from repro.he import HEParams, HeContext, KeyGenerator, toy_params
+from repro.he import HEParams, HeContext, KeyGenerator, bootstrap_circuit, toy_params
 from repro.he.bootstrap import _diagonal
 from repro.modarith.primes import generate_ntt_primes
 from repro.rns import sampling
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import Domain, RnsPolynomial
 
 N = 64
 #: A word-sized basis, plus one with a prime above the storage window (2^62)
@@ -206,3 +206,27 @@ def test_key_material_is_a_function_of_params_and_seed_across_backends():
     again = array.encryptor(seed=4).encrypt(plain)
     assert [p.to_coeff_lists() for p in first.polys] == [p.to_coeff_lists() for p in again.polys]
     assert array.integer_encoder().decode(array.decryptor().decrypt(first)) == 5
+
+
+def test_keys_and_circuit_diagonals_rest_in_the_ntt_domain():
+    """Keys are formed pointwise from NTT-domain samples, and the bootstrap
+    circuit transforms each diagonal where it builds it, so no plan
+    transforms a key or a diagonal."""
+    ctx = HeContext.create(toy_params(), backend=NumpyBackend(), seed=3)
+    public = ctx.public_key()
+    keys = [ctx.secret_key().s, public.b, public.a]
+    keys += [poly for pair in ctx.relinearization_key().pairs for poly in pair]
+    assert {poly.domain for poly in keys} == {Domain.NTT}
+
+    ct = ctx.encryptor(seed=4).encrypt(ctx.integer_encoder().encode(5))
+    circuit = bootstrap_circuit(
+        ctx, ctx.pipeline(), ct, c2s_terms=2, eval_depth=1, s2c_terms=3
+    )
+    diagonals, stack = {}, [circuit]
+    while stack:  # the expression is a DAG: shared nodes are seen again
+        expr = stack.pop()
+        if expr.plaintext is not None:
+            diagonals[id(expr.plaintext)] = expr.plaintext
+        stack.extend(expr.children)
+    assert len(diagonals) == 2 + 1 + 3
+    assert {poly.domain for poly in diagonals.values()} == {Domain.NTT}

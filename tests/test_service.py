@@ -268,7 +268,7 @@ def test_execute_group_width_adds_no_transforms_or_dispatches(monkeypatch):
         plan_cache = tenant.pipeline.evaluator._plan_cache
         costs = {}
         for k in (1, 2, 4):
-            execute_group(tenant, ops, requests[:k])  # cold: compiles, seeds the pool
+            execute_group(tenant, ops, requests[:k])  # first run: compiles the plan
             plan = list(plan_cache.values())[-1][0]
             transforms = sum(
                 isinstance(node, (plan_ops.ForwardNtt, plan_ops.InverseNtt))

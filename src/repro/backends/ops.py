@@ -609,7 +609,7 @@ def last_uses(
     stage of it.  A value produced among ``nodes`` is listed at the last
     node of ``nodes`` that reads it, or at its own node when none does (a
     dead node, or a stage output only later stages read).  Plan inputs are
-    never listed — the caller owns them, pooled key images included — and
+    never listed — the caller owns them, the key pairs included — and
     neither are the values in ``keep``.
     """
     last: dict[int, int] = {}

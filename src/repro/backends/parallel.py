@@ -432,7 +432,7 @@ class ParallelBackend(ComputeBackend):
         shared memory, each written as soon as a worker produces it.  Plan
         outputs get fresh segments; every other stage output is written
         into storage the cached plan shape keeps from run to run.  Plan
-        inputs, pooled key images included, are read and never written; a
+        inputs, the key pairs included, are read and never written; a
         heap input moves into shared memory on its first run.  A
         ``multiply → relinearize → mod_switch`` chain therefore costs one
         dispatch per homomorphic op instead of one per backend method — the

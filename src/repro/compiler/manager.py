@@ -9,8 +9,8 @@ off) or ``"default"``.
 :meth:`PassManager.run` drives the selected passes to a structural
 fixpoint (bounded rounds — each round is a few linear scans, and the
 combinations that need a second round are pass-interaction products such
-as a CSE merge exposing a slice fold), then applies
-the ``after_fixpoint`` passes (``batch_ntt``) once each, records a
+as a folded sum of products that CSE then merges with an equal one), then
+applies the ``after_fixpoint`` passes (``batch_ntt``) once each, records a
 ``plan.pass.<name>`` span per application, and flushes the per-pass
 counters (``plan.pass.<pass>.<stat>``) into the caller's metrics registry
 so a before/after benchmark is just a diff of two

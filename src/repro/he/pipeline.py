@@ -191,8 +191,8 @@ class Pipeline:
         The signature captures everything that changes the compiled plan:
         the expression structure, each leaf's size/domains/basis, each
         relinearisation key's component count (keys rest in the NTT domain)
-        and each plaintext's ring and domain.  Two runs with the same signature bind different tensors to
-        the same plan.
+        and each plaintext's ring and domain.  Two runs with the same
+        signature bind different tensors to the same plan.
         """
         if expr.kind == "load":
             ordinal = leaf_ordinals.get(id(expr))

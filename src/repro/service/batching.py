@@ -10,7 +10,7 @@ expressions lowered together by :meth:`~repro.he.pipeline.Pipeline.run_many`
 into *one* plan.  The compiler decides the width: stages are cut by
 dependency level, so the riders' transforms share stages, and the
 ``batch_ntt`` pass merges them into nodes ``k`` times wider.  The shared
-relinearisation key is bound once and its NTT images stay pooled.  The
+relinearisation key, which rests in the NTT domain, is bound once.  The
 group plan is compiled once per ``(ops, k, shape)`` into the tenant
 pipeline's plan cache, so steady-state traffic executes straight from the
 cache.
